@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .elastic_net import ElasticNetConfig, fit_elastic_net, predict_linear
 from .features import DesignMatrix
 from .metrics import MetricReport, evaluate, fit_benchmark
 from .panel import (PanelDataset, PanelFormatError, PanelSchema, load_panel,
@@ -29,13 +29,12 @@ from .reporting import (build_results_table, persist_results_table,
                         render_summary_json, render_timing_markdown,
                         ResultsTable)
 from .run_config import ConfigError, RunConfig, load_run_config
-from .serialize import ModelBundle, PipelineState, load_model
+from .serialize import PipelineState, load_model
 from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                          mean_abs_shap, players_from_design, sample_background,
                          shap_for_dataset, write_mean_abs_csv, write_values_csv)
 from .tuner import (CVConfig, HyperGrid, TAG_FOLD, TAG_SHAP_BACKGROUND,
                     DEFAULT_GRIDS, grid_search, prepare_designs, subseed)
-from . import metrics as me
 
 TAG_SHAP_ROWS = 4
 
@@ -313,19 +312,6 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
     return rows
 
 
-def _retrain_callbacks(bundle: ModelBundle):
-    if bundle.family.name == "elastic_net":
-        hyper = {k: v for k, v in bundle.hyper_params.items()}
-        fit = lambda X, y: fit_elastic_net(X, y, ElasticNetConfig(**hyper))  # noqa: E731
-        return fit, lambda m, X: predict_linear(m, X), "elastic_net"
-    if bundle.family.name == "benchmark":
-        return (lambda X, y: me.fit_benchmark(y),
-                lambda m, X: m.predict(X), "benchmark")
-    raise ValueError(f"retrain SHAP is restricted to cheap families; "
-                     f"{bundle.family.name!r} is not one "
-                     f"(use kind=marginalize)")
-
-
 def _cmd_explain(args) -> int:
     cfg = _config_from_args(args)
     bundle = load_model(args.model)
@@ -340,15 +326,18 @@ def _cmd_explain(args) -> int:
     if kind == "marginalize":
         background = sample_background(train_design.X, cfg.shap_background,
                                        subseed(cfg.seed, TAG_SHAP_BACKGROUND))
+        solver = bundle.family.shap_solver
         vf = MarginalValueFunction(
             predict=lambda A: bundle.family.predict(bundle.model, A),
-            background=background, player_columns=players, player_names=names)
+            background=background, player_columns=players, player_names=names,
+            solver=None if solver is None else functools.partial(solver, bundle.model))
     else:
-        fit, predict, family = _retrain_callbacks(bundle)
-        vf = RetrainValueFunction(fit=fit, predict=predict,
-                                  X_train=train_design.X, y_train=train_design.y,
-                                  player_columns=players, player_names=names,
-                                  family=family)
+        vf = RetrainValueFunction(
+            fit=lambda X, y: bundle.family.fit(X, y, bundle.hyper_params, bundle.seed),
+            predict=bundle.family.predict,
+            X_train=train_design.X, y_train=train_design.y,
+            player_columns=players, player_names=names,
+            family=bundle.family.name)
 
     attributions = shap_for_dataset(vf, test_design.X[rows], cap=cfg.shap_cap)
     ranking = mean_abs_shap(attributions)

@@ -15,6 +15,7 @@ import numpy as np
 from . import elastic_net as en
 from . import metrics as me
 from . import mlp as nn
+from . import shap_exact as sh
 from . import trees as tr
 
 
@@ -26,8 +27,12 @@ class ModelFamily:
     fit: Callable[[np.ndarray, np.ndarray, Mapping, int], Any]
     predict: Callable[[Any, np.ndarray], np.ndarray]
     export: Callable[[Any], dict]
-    restore: Callable[[dict], Any]
+    restore: Callable[[dict, int], Any]  # (params, design column count)
     importance: Callable[[Any, int], np.ndarray | None]
+    # exact marginal SHAP in polynomial time:
+    # (model, x, background, player_columns) -> phi; None enumerates 2^M
+    shap_solver: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
+                          np.ndarray] | None = None
 
 
 def _tree_to_dict(tree: tr.RegressionTree) -> dict:
@@ -42,12 +47,46 @@ def _tree_to_dict(tree: tr.RegressionTree) -> dict:
     }
 
 
-def _tree_from_dict(raw: dict) -> tr.RegressionTree:
+def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
+    """Restore one node arena, rejecting any arena that is not a tree.
+
+    Children must come after their parent (which rules out cycles, so
+    every walk from the root ends at a leaf), leaves carry feature -1 and
+    children -1, and split features index the design's n_columns columns.
+    The ValueError names the field and the first offending node.
+    """
+    ints = {name: np.asarray(raw[name], dtype=np.int64)
+            for name in ("feature", "left", "right")}
+    n = len(ints["feature"])
+    if n == 0:
+        raise ValueError(f"{where} has no nodes")
+    for name in ("threshold", "left", "right", "value", "n_samples", "gain"):
+        if len(raw[name]) != n:
+            raise ValueError(f"{where}.{name} has {len(raw[name])} entries, "
+                             f"feature has {n}")
+    feature, left, right = ints["feature"], ints["left"], ints["right"]
+    node = np.arange(n)
+    leaf = feature < 0
+    checks = (
+        ("feature", leaf & (feature != -1), "must be -1 at a leaf"),
+        ("feature", feature >= n_columns,
+         f"must be below the {n_columns} design columns"),
+        ("left", leaf & (left != -1), "must be -1 at a leaf"),
+        ("right", leaf & (right != -1), "must be -1 at a leaf"),
+        ("left", ~leaf & ((left <= node) | (left >= n)),
+         f"must be a node after its parent and below {n}"),
+        ("right", ~leaf & ((right <= node) | (right >= n)),
+         f"must be a node after its parent and below {n}"),
+    )
+    for name, bad, rule in checks:
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"{where}.{name}[{i}] = {ints[name][i]} {rule}")
     return tr.RegressionTree(
-        feature=np.asarray(raw["feature"], dtype=np.int32),
+        feature=feature.astype(np.int32),
         threshold=np.asarray(raw["threshold"], dtype=float),
-        left=np.asarray(raw["left"], dtype=np.int32),
-        right=np.asarray(raw["right"], dtype=np.int32),
+        left=left.astype(np.int32),
+        right=right.astype(np.int32),
         value=np.asarray(raw["value"], dtype=float),
         n_samples=np.asarray(raw["n_samples"], dtype=np.int64),
         gain=np.asarray(raw["gain"], dtype=float),
@@ -63,12 +102,13 @@ def _ensemble_export(model: tr.Ensemble) -> dict:
     }
 
 
-def _ensemble_restore(raw: dict) -> tr.Ensemble:
+def _ensemble_restore(raw: dict, n_columns: int) -> tr.Ensemble:
     return tr.Ensemble(
         kind=tr.EnsembleKind(raw["kind"]),
         base_score=raw["base_score"],
         learning_rate=raw["learning_rate"],
-        trees=tuple(_tree_from_dict(t) for t in raw["trees"]),
+        trees=tuple(_tree_from_dict(t, n_columns, f"trees[{i}]")
+                    for i, t in enumerate(raw["trees"])),
     )
 
 
@@ -113,8 +153,11 @@ def _mlp_export(model: nn.MLPModel) -> dict:
     }
 
 
-def _mlp_restore(raw: dict) -> nn.MLPModel:
+def _mlp_restore(raw: dict, n_columns: int) -> nn.MLPModel:
     weights = tuple(np.asarray(W, dtype=float) for W in raw["weights"])
+    if len(weights[0]) != n_columns:
+        raise ValueError(f"weights[0] has {len(weights[0])} input rows, "
+                         f"the design has {n_columns} columns")
     cfg = nn.MLPConfig(hidden_layers=tuple(W.shape[1] for W in weights[:-1]),
                        activation=raw["activation"])
     return nn.MLPModel(
@@ -129,10 +172,14 @@ def _linear_export(model: en.LinearModel) -> dict:
             "sweeps_used": model.sweeps_used}
 
 
-def _linear_restore(raw: dict) -> en.LinearModel:
+def _linear_restore(raw: dict, n_columns: int) -> en.LinearModel:
+    coefficients = np.asarray(raw["coefficients"], dtype=float)
+    if len(coefficients) != n_columns:
+        raise ValueError(f"coefficients has {len(coefficients)} entries, "
+                         f"the design has {n_columns} columns")
     return en.LinearModel(
         intercept=raw["intercept"],
-        coefficients=np.asarray(raw["coefficients"], dtype=float),
+        coefficients=coefficients,
         config=en.ElasticNetConfig(), sweeps_used=raw["sweeps_used"])
 
 
@@ -146,7 +193,7 @@ FAMILIES: dict[str, ModelFamily] = {
         fit=_fit_benchmark,
         predict=lambda m, X: m.predict(X),
         export=lambda m: {"constant": m.constant},
-        restore=lambda raw: me.BenchmarkModel(constant=raw["constant"]),
+        restore=lambda raw, n_columns: me.BenchmarkModel(constant=raw["constant"]),
         importance=lambda m, p: None,
     ),
     "elastic_net": ModelFamily(
@@ -157,6 +204,7 @@ FAMILIES: dict[str, ModelFamily] = {
         export=_linear_export,
         restore=_linear_restore,
         importance=lambda m, p: np.abs(m.coefficients),
+        shap_solver=sh.linear_shap,
     ),
     "random_forest": ModelFamily(
         name="random_forest", display_name="Random Forest",
@@ -167,6 +215,7 @@ FAMILIES: dict[str, ModelFamily] = {
         export=_ensemble_export,
         restore=_ensemble_restore,
         importance=tr.total_gain_importance,
+        shap_solver=sh.ensemble_shap,
     ),
     "gbdt": ModelFamily(
         name="gbdt", display_name="GBDT",
@@ -176,6 +225,7 @@ FAMILIES: dict[str, ModelFamily] = {
         export=_ensemble_export,
         restore=_ensemble_restore,
         importance=tr.total_gain_importance,
+        shap_solver=sh.ensemble_shap,
     ),
     "gbdt_goss": ModelFamily(
         name="gbdt_goss", display_name="GBDT (GOSS)",
@@ -185,6 +235,7 @@ FAMILIES: dict[str, ModelFamily] = {
         export=_ensemble_export,
         restore=_ensemble_restore,
         importance=tr.total_gain_importance,
+        shap_solver=sh.ensemble_shap,
     ),
     "mlp": ModelFamily(
         name="mlp", display_name="MLP",

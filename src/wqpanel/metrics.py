@@ -57,19 +57,28 @@ def _as_vector(v, name: str) -> np.ndarray:
     return arr
 
 
-def evaluate(y, yhat) -> MetricReport:
-    """Compute RMSE, MAPE, WMAPE, WUPRED and WOPRED for observed y vs predictions.
-
-    MAPE requires every |y_i| > 1e-12; the weighted metrics require
-    sum(|y_i|) > 1e-12. Guard violations raise MetricGuardError naming the
-    metric and the offending index.
-    """
+def _as_pair(y, yhat) -> tuple[np.ndarray, np.ndarray]:
     y = _as_vector(y, "y")
     yhat = _as_vector(yhat, "yhat")
     if len(y) != len(yhat):
         raise ValueError(f"length mismatch: y has {len(y)} entries, yhat has {len(yhat)}")
     if len(y) == 0:
-        raise ValueError("evaluate requires at least one observation")
+        raise ValueError("metrics require at least one observation")
+    return y, yhat
+
+
+def _rmse(err: np.ndarray) -> float:
+    return float(np.sqrt(np.sum(err**2) / len(err)))
+
+
+def evaluate(y, yhat) -> MetricReport:
+    """Compute RMSE, MAPE, WMAPE, WUPRED and WOPRED for observed y vs predictions.
+
+    MAPE requires every |y_i| > 1e-12; WMAPE requires sum(|y_i|) > 1e-12
+    and WUPRED/WOPRED require |sum(y_i)| > 1e-12. Guard violations raise
+    MetricGuardError naming the metric and the offending index.
+    """
+    y, yhat = _as_pair(y, yhat)
 
     small = np.abs(y) <= EPS_DIV
     if small.any():
@@ -78,21 +87,29 @@ def evaluate(y, yhat) -> MetricReport:
     abs_sum = float(np.sum(np.abs(y)))
     if abs_sum <= EPS_DIV:
         raise MetricGuardError("wmape", None, f"wmape division guard: sum|y| <= {EPS_DIV}")
+    y_sum = float(np.sum(y))
+    if abs(y_sum) <= EPS_DIV:
+        raise MetricGuardError("wupred", None,
+                               f"wupred/wopred division guard: |sum(y)| <= {EPS_DIV}")
 
     err = y - yhat
     n = len(y)
-    rmse = float(np.sqrt(np.sum(err**2) / n))
+    rmse = _rmse(err)
     mape = float(np.mean(np.abs(err / y)))
     wmape = float(np.sum(np.abs(err)) / abs_sum)
-    y_sum = float(np.sum(y))
     wupred = float(np.sum(err[err > 0]) / y_sum)
     wopred = float(np.sum(-err[err < 0]) / y_sum)
     return MetricReport(rmse=rmse, mape=mape, wmape=wmape, wupred=wupred, wopred=wopred, n=n)
 
 
 def score(y, yhat) -> float:
-    """Tuning score: negative RMSE, so higher is better."""
-    return -evaluate(y, yhat).rmse
+    """Tuning score: negative RMSE, so higher is better.
+
+    Only RMSE is computed, so a target at zero, which the MAPE guard of
+    evaluate rejects, does not abort tuning.
+    """
+    y, yhat = _as_pair(y, yhat)
+    return -_rmse(y - yhat)
 
 
 def fit_benchmark(train_y) -> BenchmarkModel:

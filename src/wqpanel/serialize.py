@@ -112,10 +112,11 @@ def load_model(path: str | Path) -> ModelBundle:
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version!r}")
     family = get_family(payload["family"])
+    pipeline = PipelineState.from_dict(payload["pipeline"])
     return ModelBundle(
         family=family,
-        model=family.restore(payload["params"]),
+        model=family.restore(payload["params"], len(pipeline.column_names)),
         hyper_params=payload["config"],
         seed=payload["seed"],
-        pipeline=PipelineState.from_dict(payload["pipeline"]),
+        pipeline=pipeline,
     )

@@ -1,12 +1,18 @@
-"""Exact Shapley-value attribution by full coalition enumeration.
+"""Exact Shapley-value attribution.
 
 phi_i = sum over S subseteq players\\{i} of |S|!(M-|S|-1)!/M! *
-[v(S u {i}) - v(S)], evaluated for every one of the 2^M coalitions.
-Two value functions are provided: `marginalize` (interventional
-expectation over a background sample; the default) and `retrain`
-(literally refit the model on each feature subset; only sane for cheap
-model families, and kept as the oracle the marginalize kind is tested
-against).
+[v(S u {i}) - v(S)]. Two value functions are provided: `marginalize`
+(interventional expectation over a background sample; the default) and
+`retrain` (literally refit the model on each feature subset; only sane for
+cheap model families, and kept as the oracle the marginalize kind is
+tested against).
+
+The generic path evaluates v on every one of the 2^M coalitions. For
+tree ensembles and linear models the marginalize game has a closed form:
+`ensemble_shap` (interventional TreeSHAP, Lundberg et al. 2020) and
+`linear_shap` give the same values in time polynomial in model size x
+background rows, and a marginalize value function carrying one as its
+`solver` skips the enumeration.
 
 Players are column groups: singleton columns by default, or whole one-hot
 blocks so that a coalition toggles the entire block at once.
@@ -22,10 +28,12 @@ from typing import Any, Callable
 
 import numpy as np
 
+from . import elastic_net as en
+from . import trees as tr
 from .features import DesignMatrix
 
 DEFAULT_PLAYER_CAP = 15
-CHEAP_REFIT_FAMILIES = ("benchmark", "elastic_net", "tree")
+CHEAP_REFIT_FAMILIES = ("benchmark", "elastic_net")
 
 
 def _singleton_players(n_columns: int) -> list[list[int]]:
@@ -42,6 +50,10 @@ class MarginalValueFunction:
     player_columns: list[list[int]] = field(default_factory=list)
     player_names: tuple[str, ...] = ()
     chunk_size: int = 128
+    # solver(x, background, player_columns) -> phi: the exact values of
+    # this game in polynomial time, used by exact_shap in place of 2^M
+    # coalitions; None enumerates
+    solver: Callable[[np.ndarray, np.ndarray, list[list[int]]], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.background) == 0:
@@ -52,6 +64,10 @@ class MarginalValueFunction:
         if not self.player_names:
             object.__setattr__(self, "player_names",
                                tuple(f"f{i}" for i in range(len(self.player_columns))))
+        if self.solver is not None:
+            held = sorted(c for cols in self.player_columns for c in cols)
+            if held != list(range(self.background.shape[1])):
+                raise ValueError("a SHAP solver needs every column in exactly one player")
 
     @property
     def n_players(self) -> int:
@@ -124,14 +140,23 @@ class ShapAttribution:
 
 
 def exact_shap(vf, x, cap: int = DEFAULT_PLAYER_CAP) -> ShapAttribution:
-    """Exact Shapley values for one instance by full subset enumeration.
+    """Exact Shapley values for one instance.
 
-    Evaluates the value function on all 2^M coalitions (M = player count,
-    capped because the cost is exponential) and aggregates the weighted
-    marginal contributions. base_value is the empty coalition's value and
-    base_value + sum(phi) telescopes to the full-coalition value f_x.
+    A value function with a `solver` gets phi from it; base_value is then
+    the mean prediction over the background and f_x the prediction at x.
+    Otherwise the value function is evaluated on all 2^M coalitions (M =
+    player count, capped because the cost is exponential) and the weighted
+    marginal contributions are aggregated; base_value is the empty
+    coalition's value. Either way base_value + sum(phi) equals f_x.
     """
     x = np.asarray(x, dtype=float).ravel()
+    if getattr(vf, "solver", None) is not None:
+        phi = vf.solver(x, vf.background, vf.player_columns)
+        preds = vf.predict(np.vstack([vf.background, x]))
+        return ShapAttribution(
+            feature_names=tuple(vf.player_names), phi=phi,
+            base_value=float(preds[:-1].mean()), f_x=float(preds[-1]))
+
     m = vf.n_players
     if m > cap:
         raise ValueError(f"{m} players exceeds the enumeration cap {cap}; "
@@ -155,6 +180,97 @@ def exact_shap(vf, x, cap: int = DEFAULT_PLAYER_CAP) -> ShapAttribution:
     return ShapAttribution(
         feature_names=tuple(vf.player_names), phi=phi,
         base_value=float(values[0]), f_x=float(values[-1]))
+
+
+def _leaf_weights(a: int, b: int) -> tuple[float, float]:
+    """Shapley values of the game S -> [IN subseteq S and OUT disjoint from S]
+    with |IN| = a, |OUT| = b: (each IN player's, each OUT player's)."""
+    f = math.factorial
+    w_in = f(a - 1) * f(b) / f(a + b) if a else 0.0
+    w_out = -f(a) * f(b - 1) / f(a + b) if b else 0.0
+    return w_in, w_out
+
+
+def _add_tree_phi(tree: tr.RegressionTree, x: np.ndarray, background: np.ndarray,
+                  col_player: np.ndarray, phi: np.ndarray) -> None:
+    """Add one tree's interventional Shapley values to phi.
+
+    For a background row z the game is S -> tree(x on S, z elsewhere). A
+    walk from the root keeps, per group of background rows, the players
+    that must be in S (IN) and out of S (OUT) to reach the node. At a
+    split on an undecided player, rows routed like x pass unchanged, and
+    the others fork: to x's child with the player in IN, to their own
+    child with it in OUT. A decided player routes by x (IN) or by z (OUT).
+    Each reached leaf is then a game of the _leaf_weights form, scaled by
+    its value and its share of the background. Every row is in at most
+    one group per node, so the cost is O(nodes x background rows).
+    """
+    n_bg = len(background)
+    internal = np.nonzero(tree.feature >= 0)[0]
+    feat = tree.feature[internal]
+    thr = tree.threshold[internal]
+    x_left = np.zeros(tree.n_nodes, dtype=bool)
+    x_left[internal] = x[feat] <= thr
+    bg_left = np.zeros((tree.n_nodes, n_bg), dtype=bool)
+    bg_left[internal] = (background[:, feat] <= thr).T
+
+    stack = [(0, np.arange(n_bg), (), ())]
+    while stack:
+        node, rows, ins, outs = stack.pop()
+        f = tree.feature[node]
+        if f < 0:
+            if ins or outs:
+                w_in, w_out = _leaf_weights(len(ins), len(outs))
+                share = tree.value[node] * len(rows) / n_bg
+                for p in ins:
+                    phi[p] += share * w_in
+                for p in outs:
+                    phi[p] += share * w_out
+            continue
+        if x_left[node]:
+            x_child, other = tree.left[node], tree.right[node]
+        else:
+            x_child, other = tree.right[node], tree.left[node]
+        p = col_player[f]
+        if p in ins:
+            stack.append((x_child, rows, ins, outs))
+            continue
+        like_x = bg_left[node, rows] == x_left[node]
+        same, diff = rows[like_x], rows[~like_x]
+        if len(same):
+            stack.append((x_child, same, ins, outs))
+        if len(diff):
+            if p in outs:
+                stack.append((other, diff, ins, outs))
+            else:
+                stack.append((x_child, diff, ins + (p,), outs))
+                stack.append((other, diff, ins, outs + (p,)))
+
+
+def ensemble_shap(model: tr.Ensemble, x: np.ndarray, background: np.ndarray,
+                  player_columns: list[list[int]]) -> np.ndarray:
+    """Exact marginal Shapley values of a tree ensemble, one walk per tree.
+
+    Equal to the 2^M enumeration of MarginalValueFunction over the same
+    background and players, up to rounding; players no split uses get
+    exactly 0.
+    """
+    col_player = np.empty(background.shape[1], dtype=np.int64)
+    for p, cols in enumerate(player_columns):
+        col_player[cols] = p
+    phi = np.zeros(len(player_columns))
+    for tree in model.trees:
+        _add_tree_phi(tree, x, background, col_player, phi)
+    if model.kind == tr.EnsembleKind.GBDT:
+        return model.learning_rate * phi
+    return phi / len(model.trees)
+
+
+def linear_shap(model: en.LinearModel, x: np.ndarray, background: np.ndarray,
+                player_columns: list[list[int]]) -> np.ndarray:
+    """phi_g = sum over columns j of g of beta_j (x_j - background mean of x_j)."""
+    contrib = model.coefficients * (x - background.mean(axis=0))
+    return np.array([contrib[cols].sum() for cols in player_columns])
 
 
 def shap_for_dataset(vf, X, cap: int = DEFAULT_PLAYER_CAP) -> list[ShapAttribution]:

@@ -21,7 +21,7 @@ from .elastic_net import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID
 from .families import get_family
 from .features import (StandardizationParams, Strategy, StrategyConfig,
                        assemble_design, fit_standardizer, numeric_block)
-from .metrics import MetricReport, evaluate, fit_benchmark
+from .metrics import MetricReport, evaluate, fit_benchmark, score
 from .panel import PanelDataset, stack_panel
 from .reporting import ResultsTable, build_results_table, persist_pipeline_result
 from .serialize import PipelineState
@@ -160,7 +160,7 @@ def _pool_task(task: tuple[int, int]) -> tuple[int, int, float]:
         raise FitFailedError(
             f"{ctx['family'].name} fit failed for config {ctx['configs'][ci]} "
             f"on fold {fi}: {exc}") from exc
-    return ci, fi, -evaluate(ctx["y"][val_idx], pred).rmse
+    return ci, fi, score(ctx["y"][val_idx], pred)
 
 
 def grid_search(family_name: str, grid: HyperGrid, X, y, cv: CVConfig,

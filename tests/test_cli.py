@@ -221,6 +221,23 @@ def test_explain_retrain_kind(panel_files, capsys):
     assert (env["out"] / "shap_mean_abs_retrain.csv").exists()
 
 
+def test_explain_rejects_cyclic_tree_arena(panel_files, capsys):
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
+                      families=["gbdt"],
+                      grids={"gbdt": {"n_trees": [2], "max_depth": [2]}})
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    model_path = env["out"] / "models" / "model_strategy2_gbdt.json"
+    payload = json.loads(model_path.read_text())
+    tree = payload["params"]["trees"][0]
+    assert tree["feature"][0] >= 0
+    tree["left"][0] = 0  # the root becomes its own left child
+    model_path.write_text(json.dumps(payload))
+    code, out = run(["explain", "--config", str(env["config"]),
+                     "--model", str(model_path), "--rows", "0"], capsys)
+    assert code == 4
+    assert "trees[0].left[0]" in out.err
+
+
 def test_report_bundles_everything(panel_files, capsys):
     env = panel_files(n_train=10, n_test=5, n_sites=2, n_features=3)
     cfg = str(env["config"])

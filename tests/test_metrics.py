@@ -105,6 +105,20 @@ def test_score_is_negative_rmse():
     assert score(y, yhat) == -evaluate(y, yhat).rmse
 
 
+def test_score_ignores_the_mape_guard():
+    # a zero target trips MAPE's division guard, which tuning never reports
+    with pytest.raises(MetricGuardError):
+        evaluate([0.0, 2.0], [1.0, 2.0])
+    assert score([0.0, 2.0], [1.0, 2.0]) == -math.sqrt(0.5)
+
+
+def test_signed_sum_guard():
+    # sum|y| > 0 passes the WMAPE guard, but WUPRED/WOPRED divide by sum(y) = 0
+    with pytest.raises(MetricGuardError) as info:
+        evaluate([1.0, -1.0], [0.5, -0.5])
+    assert info.value.metric == "wupred"
+
+
 def test_benchmark_mean_and_constant_prediction():
     model = fit_benchmark([1.0, 2.0, 3.0])
     assert model.constant == 2.0

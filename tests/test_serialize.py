@@ -84,3 +84,54 @@ def test_pipeline_state_round_trip():
     assert back.groups == state.groups
     np.testing.assert_array_equal(back.standardizer.mean, state.standardizer.mean)
     np.testing.assert_array_equal(back.standardizer.sd, state.standardizer.sd)
+
+
+def _first_leaf(tree):
+    return tree["feature"].index(-1)
+
+
+def _set(tree, name, index, value):
+    tree[name][index] = value
+
+
+CORRUPT_BUNDLES = {
+    "child out of range": ("random_forest",
+                           lambda p: _set(p["trees"][1], "right", 0,
+                                          len(p["trees"][1]["feature"])),
+                           r"trees\[1\]\.right\[0\] = \d+ must be a node after"),
+    "child before parent": ("gbdt", lambda p: _set(p["trees"][0], "left", 0, 0),
+                            r"trees\[0\]\.left\[0\] = 0 must be a node after"),
+    "leaf with a child": ("gbdt",
+                          lambda p: _set(p["trees"][0], "right",
+                                         _first_leaf(p["trees"][0]), 1),
+                          r"trees\[0\]\.right\[\d+\] = 1 must be -1 at a leaf"),
+    "bad leaf marker": ("gbdt_goss",
+                        lambda p: _set(p["trees"][2], "feature",
+                                       _first_leaf(p["trees"][2]), -7),
+                        r"trees\[2\]\.feature\[\d+\] = -7 must be -1 at a leaf"),
+    "split feature past the design": ("gbdt", lambda p: _set(p["trees"][3], "feature", 0, 3),
+                                      r"trees\[3\]\.feature\[0\] = 3 must be below "
+                                      r"the 3 design columns"),
+    "ragged arena": ("random_forest", lambda p: p["trees"][0]["value"].pop(),
+                     r"trees\[0\]\.value has"),
+    "linear width": ("elastic_net", lambda p: p["coefficients"].append(0.0),
+                     "coefficients has 4 entries, the design has 3 columns"),
+    "mlp width": ("mlp", lambda p: p["weights"][0].append(p["weights"][0][0]),
+                  r"weights\[0\] has 4 input rows, the design has 3 columns"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPT_BUNDLES))
+def test_corrupt_bundle_rejected_naming_field_and_node(case, pipeline_state, tmp_path):
+    family_name, corrupt, message = CORRUPT_BUNDLES[case]
+    rng = np.random.default_rng(21)
+    X = rng.standard_normal((30, 3))
+    y = X @ [0.5, -0.25, 0.1] + 0.05 * rng.standard_normal(30)
+    model = FAMILIES[family_name].fit(X, y, FIT_PARAMS[family_name], 11)
+    path = tmp_path / "model.json"
+    save_model(path, family_name, model, FIT_PARAMS[family_name], 11, pipeline_state)
+    payload = json.loads(path.read_text())
+    corrupt(payload["params"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=message):
+        load_model(path)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
@@ -6,9 +7,13 @@ import pytest
 from wqpanel.elastic_net import ElasticNetConfig, fit_elastic_net, predict_linear
 from wqpanel.features import DesignMatrix
 from wqpanel.shap_exact import (MarginalValueFunction, RetrainValueFunction,
-                                exact_shap, mean_abs_shap, players_from_design,
+                                ensemble_shap, exact_shap, linear_shap,
+                                mean_abs_shap, players_from_design,
                                 sample_background, shap_for_dataset,
                                 write_mean_abs_csv, write_values_csv)
+from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig,
+                           RegressionTree, RFConfig, fit_gbdt, fit_random_forest,
+                           predict_ensemble)
 
 
 def brute_force_shap(value_of_subset, m):
@@ -163,6 +168,14 @@ def test_player_cap_enforced():
         exact_shap(vf, np.zeros(16))
 
 
+def test_solver_needs_every_column_in_one_player():
+    for players in ([[0], [1]], [[0, 1], [1, 2]]):
+        with pytest.raises(ValueError, match="exactly one player"):
+            MarginalValueFunction(predict=lambda A: A.sum(axis=1),
+                                  background=np.zeros((4, 3)), player_columns=players,
+                                  solver=lambda x, bg, cols: np.zeros(len(cols)))
+
+
 def test_empty_background_rejected():
     with pytest.raises(ValueError, match="background"):
         MarginalValueFunction(predict=lambda A: A.sum(axis=1),
@@ -253,3 +266,164 @@ def test_csv_writers(tmp_path):
     assert len(rows) == 4
     assert float(rows[0]["value"]) == pytest.approx(X[0, 0])
     assert float(rows[0]["phi"]) == pytest.approx(attrs[0].phi[0])
+
+
+# ---------------------------------------------- polynomial exact solvers
+
+def solved_and_enumerated(predict, solver, background, x, players=None):
+    """(solver attribution, 2^M enumeration attribution) for one row."""
+    players = players or [[c] for c in range(background.shape[1])]
+    common = dict(predict=predict, background=background, player_columns=players)
+    solved = exact_shap(MarginalValueFunction(solver=solver, **common), x)
+    enumerated = exact_shap(MarginalValueFunction(**common), x)
+    return solved, enumerated
+
+
+def assert_tree_solver_exact(model, background, X, players=None):
+    for x in X:
+        solved, enumerated = solved_and_enumerated(
+            lambda A: predict_ensemble(model, A),
+            lambda *a: ensemble_shap(model, *a), background, x, players)
+        np.testing.assert_allclose(solved.phi, enumerated.phi, rtol=0, atol=1e-9)
+        assert solved.base_value == pytest.approx(enumerated.base_value, abs=1e-9)
+        assert solved.f_x == pytest.approx(enumerated.f_x, abs=1e-9)
+        assert abs(solved.base_value + solved.phi.sum() - solved.f_x) <= 1e-9
+
+
+def tree_data(seed, n=80, d=5):
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0, 1, (n, d))
+    y = X @ np.linspace(1.0, 0.2, d) + np.sin(5 * X[:, 0]) * X[:, 1]
+    return X, y
+
+
+def arena(feature, threshold, left, right, value):
+    """A hand-written RegressionTree from node lists."""
+    return RegressionTree(
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=float),
+        left=np.array(left, dtype=np.int32), right=np.array(right, dtype=np.int32),
+        value=np.array(value, dtype=float),
+        n_samples=np.ones(len(feature), dtype=np.int64), gain=np.zeros(len(feature)))
+
+
+def single_tree(tree, kind=EnsembleKind.RANDOM_FOREST):
+    return Ensemble(kind=kind, base_score=0.0, trees=(tree,))
+
+
+@pytest.mark.parametrize("name,fit", [
+    ("random_forest", lambda X, y: fit_random_forest(
+        X, y, RFConfig(n_trees=6, max_depth=5, max_features=2, bootstrap=True, seed=1))),
+    ("gbdt", lambda X, y: fit_gbdt(X, y, GBDTConfig(n_trees=8, max_depth=3, seed=2))),
+    ("gbdt_goss", lambda X, y: fit_gbdt(X, y, GBDTConfig(
+        n_trees=8, max_depth=4, goss=GossConfig(0.2, 0.3), seed=3))),
+])
+def test_tree_solver_matches_enumeration(name, fit):
+    X, y = tree_data(20)
+    model = fit(X, y)
+    assert_tree_solver_exact(model, X[:24], X[60:64])
+
+
+def test_tree_solver_grouped_one_hot_players():
+    rng = np.random.default_rng(21)
+    label = rng.integers(0, 3, size=90)
+    X = np.column_stack([rng.uniform(0, 1, (90, 2)), np.eye(3)[label]])
+    y = X[:, 0] + np.array([0.0, 1.0, -0.5])[label] + 0.3 * X[:, 1] * (label == 2)
+    model = fit_gbdt(X, y, GBDTConfig(n_trees=10, max_depth=3, seed=4))
+    assert {2, 3, 4} & set(t for tree in model.trees for t in tree.feature.tolist())
+    assert_tree_solver_exact(model, X[:20], X[70:75], players=[[0], [1], [2, 3, 4]])
+
+
+def test_tree_solver_player_split_twice_on_one_path():
+    # root: x0 <= 0.5; its left child splits x1, whose left child re-splits x0
+    tree = arena(feature=[0, 1, -1, 0, -1, -1, -1],
+                 threshold=[0.5, 0.5, np.nan, 0.2, np.nan, np.nan, np.nan],
+                 left=[1, 3, -1, 5, -1, -1, -1], right=[2, 4, -1, 6, -1, -1, -1],
+                 value=[0, 0, 4.0, 0, 2.0, -1.0, 3.0])
+    model = single_tree(tree)
+    bg = np.array([[0.1, 0.1], [0.3, 0.9], [0.7, 0.2], [0.4, 0.3], [0.9, 0.9]])
+    X = np.array([[0.1, 0.2], [0.35, 0.1], [0.8, 0.6]])
+    assert_tree_solver_exact(model, bg, X)
+
+    x = X[1]
+
+    def value_of_subset(subset):
+        mixed = bg.copy()
+        for j in subset:
+            mixed[:, j] = x[j]
+        return float(predict_ensemble(model, mixed).mean())
+
+    np.testing.assert_allclose(ensemble_shap(model, x, bg, [[0], [1]]),
+                               brute_force_shap(value_of_subset, 2), rtol=0, atol=1e-12)
+
+
+def test_tree_solver_two_columns_of_one_group_on_one_path():
+    # x1 and x2 form one player; the path to every deep leaf tests both
+    tree = arena(feature=[1, 2, 0, -1, -1, -1, -1],
+                 threshold=[0.5, 0.5, 0.5, np.nan, np.nan, np.nan, np.nan],
+                 left=[1, 3, 5, -1, -1, -1, -1], right=[2, 4, 6, -1, -1, -1, -1],
+                 value=[0, 0, 0, 1.0, -2.0, 0.5, 5.0])
+    model = single_tree(tree, kind=EnsembleKind.GBDT)
+    rng = np.random.default_rng(22)
+    bg = rng.uniform(0, 1, (12, 3))
+    assert_tree_solver_exact(model, bg, rng.uniform(0, 1, (4, 3)), players=[[0], [1, 2]])
+
+
+def test_tree_solver_degenerate_ensembles():
+    X, y = tree_data(23, d=3)
+    stump = arena(feature=[-1], threshold=[np.nan], left=[-1], right=[-1], value=[0.7])
+    empty_gbdt = fit_gbdt(X, y, GBDTConfig(n_trees=0))
+    for model in (single_tree(stump), empty_gbdt):
+        phi = ensemble_shap(model, X[0], X[:10], [[0], [1], [2]])
+        assert phi.tolist() == [0.0, 0.0, 0.0]
+        assert_tree_solver_exact(model, X[:10], X[:2])
+
+
+def test_tree_solver_background_equal_to_x():
+    X, y = tree_data(24, d=4)
+    model = fit_gbdt(X, y, GBDTConfig(n_trees=5, max_depth=3, seed=5))
+    x = X[3]
+    assert ensemble_shap(model, x, np.tile(x, (6, 1)), [[c] for c in range(4)]).tolist() \
+        == [0.0] * 4
+    assert_tree_solver_exact(model, np.vstack([np.tile(x, (3, 1)), X[10:15]]), X[3:5])
+
+
+def test_tree_solver_unused_players_get_exact_zero():
+    rng = np.random.default_rng(25)
+    X = np.column_stack([rng.uniform(0, 1, (60, 2)), np.zeros((60, 2))])
+    y = X[:, 0] - 2 * X[:, 1]
+    model = fit_random_forest(X, y, RFConfig(n_trees=4, max_depth=4, seed=6))
+    bg = np.column_stack([X[:15, :2], rng.uniform(0, 1, (15, 2))])
+    for x in X[40:43]:
+        phi = ensemble_shap(model, x, bg, [[0], [1], [2], [3]])
+        assert phi[2] == 0.0 and phi[3] == 0.0
+        assert phi[0] != 0.0
+    assert_tree_solver_exact(model, bg, X[40:43])
+
+
+def test_linear_solver_matches_enumeration_with_grouped_players():
+    rng = np.random.default_rng(26)
+    label = rng.integers(0, 4, size=50)
+    X = np.column_stack([rng.standard_normal((50, 2)), np.eye(4)[label]])
+    y = 0.5 + X @ [1.0, -0.5, 0.3, -0.2, 0.8, 0.0] + 0.05 * rng.standard_normal(50)
+    model = fit_elastic_net(X, y, ElasticNetConfig(lam=1e-3, alpha=0.5))
+    players = [[0], [2, 3, 4, 5], [1]]
+    for x in X[40:44]:
+        solved, enumerated = solved_and_enumerated(
+            lambda A: predict_linear(model, A),
+            lambda *a: linear_shap(model, *a), X[:30], x, players)
+        np.testing.assert_allclose(solved.phi, enumerated.phi, rtol=0, atol=1e-9)
+        assert abs(solved.base_value + solved.phi.sum() - solved.f_x) <= 1e-9
+
+
+def test_tree_solver_explains_past_the_enumeration_cap():
+    X, y = tree_data(27, n=120, d=20)
+    model = fit_gbdt(X, y, GBDTConfig(n_trees=12, max_depth=4, seed=7))
+    vf = MarginalValueFunction(predict=lambda A: predict_ensemble(model, A),
+                               background=X[:32],
+                               solver=lambda *a: ensemble_shap(model, *a))
+    with pytest.raises(ValueError, match="cap"):
+        exact_shap(dataclasses.replace(vf, solver=None), X[100])
+    for attr in shap_for_dataset(vf, X[100:104]):
+        assert len(attr.phi) == 20
+        assert abs(attr.base_value + attr.phi.sum() - attr.f_x) <= 1e-9

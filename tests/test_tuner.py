@@ -259,3 +259,13 @@ def test_results_csv_display_formatting():
     assert rows[-1].startswith("best_model,")
     # external reference row carries only its published RMSE
     assert any(line.startswith("SADL-II") and ",11.50," in line for line in rows)
+
+
+def test_zero_target_does_not_abort_search():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((20, 2))
+    y = 1.0 + X @ [0.5, -0.3]
+    y[3] = 0.0
+    result = grid_search("elastic_net", HyperGrid(axes={"lam": (0.01, 0.1)}), X, y,
+                         CVConfig(k=4, seed=0))
+    assert np.isfinite(result.mean_scores).all()
