@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Run the whole pipeline (tune, evaluate, explain, report) for a config.
+"""Run the whole pipeline (ingest, stats, tune, evaluate, explain, report) for a config.
 
 Equivalent to chaining the CLI commands; handy for one-shot experiments:
 
@@ -9,6 +9,10 @@ Equivalent to chaining the CLI commands; handy for one-shot experiments:
 import argparse
 
 from wqpanel.cli import main as cli_main
+from wqpanel.run_config import ConfigError, load_run_config
+
+# the first of these that the config tunes is explained for the last strategy
+EXPLAIN_PREFERENCE = ("gbdt_goss", "gbdt", "elastic_net")
 
 
 def main():
@@ -28,32 +32,20 @@ def main():
     for strategy in args.strategies:
         steps.append(["tune", *base, "--strategy", str(strategy)])
         steps.append(["evaluate", *base, "--strategy", str(strategy)])
+    try:
+        cfg = load_run_config(args.config)
+    except ConfigError as exc:
+        raise SystemExit(f"config error: {exc}") from None
+    explained = [f for f in EXPLAIN_PREFERENCE if f in cfg.families]
+    if explained and not args.skip_explain:
+        model = (cfg.output_dir / "models"
+                 / f"model_strategy{args.strategies[-1]}_{explained[0]}.json")
+        steps.append(["explain", *base, "--model", str(model)])
     steps.append(["report", *base])
 
     for step in steps:
         print(f"\n== wqpanel {' '.join(step)}")
         code = cli_main(step)
-        if code != 0:
-            raise SystemExit(code)
-
-    if not args.skip_explain:
-        # explain the boosted model for the last strategy run, when present
-        from wqpanel.run_config import load_run_config
-
-        cfg = load_run_config(args.config)
-        strategy = args.strategies[-1]
-        for family in ("gbdt_goss", "gbdt", "elastic_net"):
-            model = cfg.output_dir / "models" / f"model_strategy{strategy}_{family}.json"
-            if model.exists():
-                step = ["explain", *base, "--model", str(model)]
-                print(f"\n== wqpanel {' '.join(step)}")
-                code = cli_main(step)
-                if code != 0:
-                    raise SystemExit(code)
-                ranking = (cfg.output_dir / "shap_mean_abs.csv").read_text()
-                print(ranking)
-                break
-        code = cli_main(["report", *base])
         if code != 0:
             raise SystemExit(code)
 

@@ -25,6 +25,6 @@ from .trees import (Ensemble, GBDTConfig, GossConfig, RFConfig, RegressionTree,
                     fit_gbdt, fit_random_forest, fit_tree, goss_sample,
                     predict_ensemble, predict_tree)
 from .tuner import (CVConfig, FoldScheme, HyperGrid, TuningResult, grid_search,
-                    kfold_split, run_pipeline)
+                    kfold_split)
 
 __version__ = "0.1.0"

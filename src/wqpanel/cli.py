@@ -2,9 +2,10 @@
 
 Subcommands: ingest, stats, tune, evaluate, explain, report. Every command
 takes --config (a JSON run config, see run_config) and is idempotent
-given the same config and seed; timing_*.json is the one wall-clock
-exception. Exit codes: 0 success, 2 validation failure, 3 config error,
-4 runtime/model error.
+given the same config and seed. The wall-clock exceptions are
+timing_*.json and the "running time summary" sections of report.md, which
+copy its times. Exit codes: 0 success, 2 validation failure, 3 config
+error, 4 runtime/model error.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import hashlib
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .features import DesignMatrix
 from .metrics import MetricReport, evaluate, fit_benchmark
 from .panel import (PanelDataset, PanelFormatError, PanelSchema, load_panel,
                     load_sites, stack_panel, summarize, correlation_matrix,
@@ -29,12 +30,13 @@ from .reporting import (build_results_table, persist_results_table,
                         render_summary_json, render_timing_markdown,
                         ResultsTable)
 from .run_config import ConfigError, RunConfig, load_run_config
-from .serialize import PipelineState, load_model
+from .serialize import load_model
 from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                          mean_abs_shap, players_from_design, sample_background,
                          shap_for_dataset, write_mean_abs_csv, write_values_csv)
 from .tuner import (CVConfig, HyperGrid, TAG_FOLD, TAG_SHAP_BACKGROUND,
-                    DEFAULT_GRIDS, grid_search, prepare_designs, subseed)
+                    DEFAULT_GRIDS, design_from_state, grid_search,
+                    prepare_designs, subseed)
 
 TAG_SHAP_ROWS = 4
 
@@ -96,9 +98,29 @@ def _config_from_args(args) -> RunConfig:
 # ---------------------------------------------------------------- panels
 
 _CACHE_NAME = "panel_cache.npz"
+_DIGEST_PREFIX = "sha256_"
 
 
-def _write_cache(path: Path, train: PanelDataset, test: PanelDataset) -> None:
+def _input_digests(cfg: RunConfig) -> dict[str, str]:
+    """SHA-256 of every input the panels are read from, by config label; the
+    cache stores these (not paths or mtimes) so copied inputs still match."""
+    cfg.require_data_paths()
+    inputs = {"train_csv": cfg.train_csv, "test_csv": cfg.test_csv,
+              "schema": cfg.schema_path, "sites_csv": cfg.sites_csv}
+    return {label: "" if path is None else _sha256(path)
+            for label, path in inputs.items()}
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:  # by blocks: reading a large CSV whole raises peak RSS
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _write_cache(path: Path, train: PanelDataset, test: PanelDataset,
+                 digests: dict[str, str]) -> None:
     def pack(prefix: str, ds: PanelDataset) -> dict:
         return {
             f"{prefix}_dates": np.array([d.isoformat() for d in ds.dates]),
@@ -109,13 +131,23 @@ def _write_cache(path: Path, train: PanelDataset, test: PanelDataset) -> None:
 
     path.parent.mkdir(parents=True, exist_ok=True)
     np.savez(path, feature_names=np.array(train.feature_names),
-             **pack("train", train), **pack("test", test))
+             **pack("train", train), **pack("test", test),
+             **{_DIGEST_PREFIX + label: np.array(d) for label, d in digests.items()})
 
 
-def _read_cache(path: Path, site_groups=None) -> tuple[PanelDataset, PanelDataset]:
+def _read_cache(path: Path, cfg: RunConfig) -> tuple[PanelDataset, PanelDataset] | None:
+    """The cached panels, or None (after one stderr line naming the first
+    changed input) when the cache was written from other inputs."""
     import datetime as dt
 
     with np.load(path, allow_pickle=False) as data:
+        for label, digest in _input_digests(cfg).items():
+            key = _DIGEST_PREFIX + label
+            if key not in data.files or str(data[key]) != digest:
+                print(f"warning: {label} changed since ingest; reading the CSVs "
+                      f"instead of {path}", file=sys.stderr)
+                return None
+        site_groups = load_sites(cfg.sites_csv) if cfg.sites_csv else {}
         feature_names = tuple(str(s) for s in data["feature_names"])
 
         def unpack(prefix: str) -> PanelDataset:
@@ -125,35 +157,33 @@ def _read_cache(path: Path, site_groups=None) -> tuple[PanelDataset, PanelDatase
                 feature_names=feature_names,
                 features=data[f"{prefix}_features"],
                 targets=data[f"{prefix}_targets"],
-                site_groups=dict(site_groups or {}),
+                site_groups=dict(site_groups),
             )
 
         return unpack("train"), unpack("test")
 
 
-def _load_panels(cfg: RunConfig) -> tuple[PanelDataset, PanelDataset]:
-    groups = None
-    if cfg.sites_csv is not None and cfg.sites_csv.exists():
-        groups = load_sites(cfg.sites_csv)
-    cache = cfg.output_dir / _CACHE_NAME
-    if cache.exists():
-        return _read_cache(cache, groups)
+def _read_panels(cfg: RunConfig) -> tuple[PanelDataset, PanelDataset]:
+    """Parse the train and test CSVs."""
     cfg.require_data_paths()
     schema = PanelSchema.from_json(cfg.schema_path)
-    train = load_panel(cfg.train_csv, schema, groups)
-    test = load_panel(cfg.test_csv, schema, groups)
-    return train, test
+    groups = load_sites(cfg.sites_csv) if cfg.sites_csv else None
+    return load_panel(cfg.train_csv, schema, groups), load_panel(cfg.test_csv, schema, groups)
+
+
+def _load_panels(cfg: RunConfig) -> tuple[PanelDataset, PanelDataset]:
+    """The panels from ingest's cache if it matches the inputs, else from the CSVs."""
+    cache = cfg.output_dir / _CACHE_NAME
+    panels = _read_cache(cache, cfg) if cache.exists() else None
+    return _read_panels(cfg) if panels is None else panels
 
 
 # ---------------------------------------------------------------- commands
 
 def _cmd_ingest(args) -> int:
     cfg = _config_from_args(args)
-    cfg.require_data_paths()
-    schema = PanelSchema.from_json(cfg.schema_path)
-    groups = load_sites(cfg.sites_csv) if cfg.sites_csv else None
-    panels = {"train": load_panel(cfg.train_csv, schema, groups),
-              "test": load_panel(cfg.test_csv, schema, groups)}
+    train, test = _read_panels(cfg)
+    panels = {"train": train, "test": test}
 
     reports = {}
     for split, ds in panels.items():
@@ -174,7 +204,7 @@ def _cmd_ingest(args) -> int:
         print(f"validation: FAIL (report: {report_path})")
         return EXIT_VALIDATION
 
-    _write_cache(cfg.output_dir / _CACHE_NAME, panels["train"], panels["test"])
+    _write_cache(cfg.output_dir / _CACHE_NAME, train, test, _input_digests(cfg))
     print("validation: PASS")
     print(f"cache: {cfg.output_dir / _CACHE_NAME}")
     return EXIT_OK
@@ -206,8 +236,9 @@ def _families_from_args(cfg: RunConfig, args) -> tuple[str, ...]:
     return cfg.families
 
 
-def _grid_for(cfg: RunConfig, family: str) -> HyperGrid:
-    axes = cfg.grids.get(family) or DEFAULT_GRIDS.get(family)
+def grid_for(grids: dict, family: str) -> HyperGrid:
+    """The run config's grid for ``family``, else its default grid."""
+    axes = grids.get(family) or DEFAULT_GRIDS.get(family)
     if axes is None:
         raise ConfigError(f"no grid configured for family {family!r}")
     return HyperGrid(axes={name: tuple(values) for name, values in axes.items()})
@@ -228,7 +259,7 @@ def _cmd_tune(args) -> int:
     tuning = {}
     importances = {}
     for family in families:
-        grid = _grid_for(cfg, family)
+        grid = grid_for(cfg.grids, family)
         result = grid_search(family, grid, train_design.X, train_design.y, cv,
                              seed=cfg.seed, n_jobs=cfg.n_jobs)
         tuning[family] = result
@@ -245,19 +276,6 @@ def _cmd_tune(args) -> int:
                              state, cfg.seed)
     print(f"wrote tuning artifacts for strategy {strategy} to {cfg.output_dir}")
     return EXIT_OK
-
-
-def design_from_state(state: PipelineState, panel: PanelDataset) -> DesignMatrix:
-    """Rebuild the design matrix a stored model was trained against."""
-    from .features import assemble_design
-
-    stacked = stack_panel(panel)
-    design = assemble_design(stacked, state.strategy, state.standardizer,
-                             state.site_vocabulary)
-    if design.column_names != state.column_names:
-        raise ValueError("rebuilt design columns do not match the stored model; "
-                         "was the schema or panel changed since tuning?")
-    return design
 
 
 def _cmd_evaluate(args) -> int:
@@ -292,7 +310,7 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
     if selection:
         if ":" in selection:
             start_s, stop_s = selection.split(":", 1)
-            rows = list(range(int(start_s or 0), min(int(stop_s), n)))
+            rows = list(range(int(start_s or 0), min(int(stop_s or n), n)))
         else:
             rows = [int(t) for t in selection.split(",") if t.strip()]
     elif isinstance(cfg.shap_rows, list):

@@ -126,6 +126,14 @@ class Strategy(enum.IntEnum):
     STANDARDIZED_PLUS_CATEGORICAL = 3
 
 
+# categoricals key (run config, model bundle) -> StrategyConfig field
+CATEGORICAL_FIELDS = {
+    "site": "site_onehot", "month": "month_onehot", "weekday": "weekday_onehot",
+    "season": "season_onehot", "year_ordinal": "year_ordinal",
+    "day_ordinal": "day_ordinal",
+}
+
+
 @dataclass(frozen=True)
 class StrategyConfig:
     """Which input strategy to assemble and which categorical groups to include.
@@ -145,6 +153,21 @@ class StrategyConfig:
     def __post_init__(self):
         if self.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL and not self.site_onehot:
             raise ValueError("strategy 3 requires the site one-hot group")
+
+    @classmethod
+    def from_categoricals(cls, strategy: int, categoricals: dict) -> "StrategyConfig":
+        """Build from a strategy number and a ``categoricals`` mapping (the
+        run-config and model-bundle spelling); absent keys keep their defaults."""
+        unknown = sorted(set(categoricals) - set(CATEGORICAL_FIELDS))
+        if unknown:
+            raise ValueError(f"unknown categoricals {unknown}; "
+                             f"known: {list(CATEGORICAL_FIELDS)}")
+        return cls(strategy=Strategy(strategy),
+                   **{CATEGORICAL_FIELDS[key]: value
+                      for key, value in categoricals.items()})
+
+    def categoricals(self) -> dict[str, bool]:
+        return {key: getattr(self, name) for key, name in CATEGORICAL_FIELDS.items()}
 
 
 @dataclass(frozen=True)

@@ -183,9 +183,10 @@ def persist_tuning_artifacts(out_dir: str | Path, strategy: int, tuning: dict,
                              importances: dict, pipeline_state, seed: int) -> list[Path]:
     """Write tuning results, timing, importances and model bundles.
 
-    Timing goes to its own file: it is the one output wall-clock makes
-    non-reproducible; everything else is byte-identical under a fixed
-    seed.
+    Timing goes to its own file because wall-clock makes it
+    non-reproducible; the report command copies those times into the
+    "running time summary" sections of report.md. Everything else is
+    byte-identical under a fixed seed.
     """
     from .serialize import save_model  # local import keeps module deps one-way
 
@@ -215,12 +216,4 @@ def persist_tuning_artifacts(out_dir: str | Path, strategy: int, tuning: dict,
         save_model(path, name, result.best_model, result.best_config, seed,
                    pipeline_state)
         written.append(path)
-    return written
-
-
-def persist_pipeline_result(result, out_dir: str | Path, seed: int) -> list[Path]:
-    """Write every artifact of one full-strategy run under out_dir."""
-    written = persist_results_table(out_dir, result.strategy, result.results_table)
-    written += persist_tuning_artifacts(out_dir, result.strategy, result.tuning,
-                                        result.importances, result.pipeline_state, seed)
     return written

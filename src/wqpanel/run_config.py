@@ -14,8 +14,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .families import FAMILIES
-from .features import Strategy, StrategyConfig
+from .families import TUNABLE_FAMILIES
+from .features import StrategyConfig
 from .tuner import FoldScheme
 
 OUTPUT_DIR_ENV = "WQPANEL_OUTPUT_DIR"
@@ -39,8 +39,7 @@ class RunConfig:
     categoricals: dict = field(default_factory=dict)
     cv_k: int = 5
     cv_scheme: str = "shuffled"
-    families: tuple[str, ...] = ("elastic_net", "random_forest", "gbdt",
-                                 "gbdt_goss", "mlp")
+    families: tuple[str, ...] = TUNABLE_FAMILIES
     grids: dict = field(default_factory=dict)
     shap_kind: str = "marginalize"
     shap_background: int = 256
@@ -50,14 +49,10 @@ class RunConfig:
 
     def strategy_config(self, strategy: int | None = None) -> StrategyConfig:
         number = self.strategy if strategy is None else strategy
-        cat = {"site": True, "month": True, "weekday": True, "season": True,
-               "year_ordinal": False, "day_ordinal": False}
-        cat.update(self.categoricals)
-        return StrategyConfig(
-            strategy=Strategy(number),
-            site_onehot=cat["site"], month_onehot=cat["month"],
-            weekday_onehot=cat["weekday"], season_onehot=cat["season"],
-            year_ordinal=cat["year_ordinal"], day_ordinal=cat["day_ordinal"])
+        try:
+            return StrategyConfig.from_categoricals(number, self.categoricals)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     def fold_scheme(self) -> FoldScheme:
         return FoldScheme(self.cv_scheme)
@@ -102,9 +97,8 @@ def load_run_config(path: str | Path) -> RunConfig:
     if strategy not in (1, 2, 3):
         raise ConfigError(f"strategy must be 1, 2 or 3, got {strategy!r}")
 
-    families = tuple(raw.get("families", ("elastic_net", "random_forest", "gbdt",
-                                          "gbdt_goss", "mlp")))
-    unknown = [f for f in families if f not in FAMILIES or f == "benchmark"]
+    families = tuple(raw.get("families", TUNABLE_FAMILIES))
+    unknown = [f for f in families if f not in TUNABLE_FAMILIES]
     if unknown:
         raise ConfigError(f"unknown tunable families in config: {unknown}")
 

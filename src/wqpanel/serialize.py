@@ -16,7 +16,7 @@ from typing import Any
 import numpy as np
 
 from .families import ModelFamily, get_family
-from .features import StandardizationParams, Strategy, StrategyConfig
+from .features import StandardizationParams, StrategyConfig
 
 FORMAT_VERSION = 1
 
@@ -36,14 +36,7 @@ class PipelineState:
     def as_dict(self) -> dict:
         return {
             "strategy": int(self.strategy.strategy),
-            "categoricals": {
-                "site": self.strategy.site_onehot,
-                "month": self.strategy.month_onehot,
-                "weekday": self.strategy.weekday_onehot,
-                "season": self.strategy.season_onehot,
-                "year_ordinal": self.strategy.year_ordinal,
-                "day_ordinal": self.strategy.day_ordinal,
-            },
+            "categoricals": self.strategy.categoricals(),
             "numeric_names": list(self.numeric_names),
             "column_names": list(self.column_names),
             "kinds": list(self.kinds),
@@ -58,15 +51,10 @@ class PipelineState:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "PipelineState":
-        cat = raw["categoricals"]
-        strategy = StrategyConfig(
-            strategy=Strategy(raw["strategy"]),
-            site_onehot=cat["site"], month_onehot=cat["month"],
-            weekday_onehot=cat["weekday"], season_onehot=cat["season"],
-            year_ordinal=cat["year_ordinal"], day_ordinal=cat["day_ordinal"])
         std = raw["standardizer"]
         return cls(
-            strategy=strategy,
+            strategy=StrategyConfig.from_categoricals(raw["strategy"],
+                                                      raw["categoricals"]),
             numeric_names=tuple(raw["numeric_names"]),
             column_names=tuple(raw["column_names"]),
             kinds=tuple(raw["kinds"]),

@@ -1,5 +1,5 @@
-"""k-fold cross-validated grid search with timing capture, and the
-end-to-end tuning/evaluation pipeline.
+"""k-fold cross-validated grid search with timing capture, and the design
+matrices it searches over.
 
 All randomness flows from one run seed through named sub-seeds, and each
 (config, fold) fit gets a seed derived from its indices, so parallel and
@@ -19,11 +19,11 @@ import numpy as np
 
 from .elastic_net import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID
 from .families import get_family
-from .features import (StandardizationParams, Strategy, StrategyConfig,
-                       assemble_design, fit_standardizer, numeric_block)
-from .metrics import MetricReport, evaluate, fit_benchmark, score
+from .features import (DesignMatrix, StandardizationParams, Strategy,
+                       StrategyConfig, assemble_design, fit_standardizer,
+                       numeric_block)
+from .metrics import score
 from .panel import PanelDataset, stack_panel
-from .reporting import ResultsTable, build_results_table, persist_pipeline_result
 from .serialize import PipelineState
 
 # named sub-seed tags: every component draws randomness from the run seed
@@ -230,10 +230,9 @@ def prepare_designs(train_panel: PanelDataset, test_panel: PanelDataset,
     """Stack both panels and assemble strategy-consistent design matrices.
 
     The standardizer and the site vocabulary are fit on the training panel
-    only and reused for the test panel.
+    only; the test design is rebuilt from the resulting state.
     """
     train_stacked = stack_panel(train_panel)
-    test_stacked = stack_panel(test_panel)
     numeric_names, numeric = numeric_block(train_stacked, strategy_cfg)
     params: StandardizationParams | None = None
     if strategy_cfg.strategy in (Strategy.STANDARDIZED_NUMERIC,
@@ -241,7 +240,6 @@ def prepare_designs(train_panel: PanelDataset, test_panel: PanelDataset,
         params = fit_standardizer(numeric)
     site_vocab = train_panel.site_ids
     train_design = assemble_design(train_stacked, strategy_cfg, params, site_vocab)
-    test_design = assemble_design(test_stacked, strategy_cfg, params, site_vocab)
     state = PipelineState(
         strategy=strategy_cfg,
         numeric_names=tuple(numeric_names),
@@ -251,73 +249,17 @@ def prepare_designs(train_panel: PanelDataset, test_panel: PanelDataset,
         standardizer=params,
         site_vocabulary=site_vocab,
     )
-    return train_design, test_design, state
+    return train_design, design_from_state(state, test_panel), state
 
 
-@dataclass
-class PipelineResult:
-    strategy: int
-    results_table: ResultsTable
-    tuning: dict[str, TuningResult]
-    metric_reports: dict[str, MetricReport]
-    importances: dict[str, dict[str, float] | None]
-    pipeline_state: PipelineState
-    total_time: float
-
-
-def run_pipeline(train_panel: PanelDataset, test_panel: PanelDataset,
-                 strategy_cfg: StrategyConfig, family_grids: dict[str, HyperGrid],
-                 cv: CVConfig, seed: int, n_jobs: int = 1,
-                 out_dir=None) -> PipelineResult:
-    """The full tuning procedure for one strategy.
-
-    In order: fix the scoring function (negative RMSE), take the grids,
-    start the clock, look up the model families, tune each by
-    cross-validated grid search, predict the held-out test panel with the
-    winners, compute the five metrics, stop the clock, extract feature
-    importances, and persist everything (when out_dir is given).
-    """
-    train_design, test_design, state = prepare_designs(train_panel, test_panel,
-                                                       strategy_cfg)
-    t0 = time.perf_counter()
-
-    tuning: dict[str, TuningResult] = {}
-    for name, grid in family_grids.items():
-        tuning[name] = grid_search(name, grid, train_design.X, train_design.y,
-                                   cv, seed=seed, n_jobs=n_jobs)
-
-    reports: dict[str, MetricReport] = {}
-    benchmark = fit_benchmark(train_design.y)
-    reports["benchmark"] = evaluate(test_design.y, benchmark.predict(test_design.X))
-    for name, result in tuning.items():
-        family = get_family(name)
-        pred = family.predict(result.best_model, test_design.X)
-        reports[name] = evaluate(test_design.y, pred)
-
-    total_time = time.perf_counter() - t0
-
-    importances: dict[str, dict[str, float] | None] = {}
-    for name, result in tuning.items():
-        raw = get_family(name).importance(result.best_model, test_design.n_cols)
-        if raw is None:
-            importances[name] = None
-        else:
-            importances[name] = {col: float(v)
-                                 for col, v in zip(test_design.column_names, raw)}
-
-    table = build_results_table(reports)
-    result = PipelineResult(
-        strategy=int(strategy_cfg.strategy),
-        results_table=table,
-        tuning=tuning,
-        metric_reports=reports,
-        importances=importances,
-        pipeline_state=state,
-        total_time=total_time,
-    )
-    if out_dir is not None:
-        persist_pipeline_result(result, out_dir, seed)
-    return result
+def design_from_state(state: PipelineState, panel: PanelDataset) -> DesignMatrix:
+    """Rebuild the design matrix a stored model was trained against."""
+    design = assemble_design(stack_panel(panel), state.strategy, state.standardizer,
+                             state.site_vocabulary)
+    if design.column_names != state.column_names:
+        raise ValueError("rebuilt design columns do not match the stored model; "
+                         "was the schema or panel changed since tuning?")
+    return design
 
 
 # Default tuning grids, sized so that config count x 5 folds lands on the
@@ -353,10 +295,3 @@ DEFAULT_GRIDS: dict[str, dict[str, list]] = {
         "activation": ["relu", "tanh"],
     },  # 8 configs
 }
-
-
-def default_grid(family_name: str) -> HyperGrid:
-    axes = DEFAULT_GRIDS.get(family_name)
-    if axes is None:
-        raise ValueError(f"no default grid for family {family_name!r}")
-    return HyperGrid(axes={k: tuple(v) for k, v in axes.items()})

@@ -1,10 +1,23 @@
 import csv
 import json
+import re
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from wqpanel.cli import main
+from wqpanel.reporting import EXTERNAL_ROW_LABEL
 from wqpanel.run_config import OUTPUT_DIR_ENV
+from wqpanel.serialize import load_model
+
+# report.md copies the wall times of timing_strategyN.json into these sections
+TIMING_SECTION = re.compile(r"^## Strategy \d+: running time summary\n.*?(?=^## |\Z)",
+                            re.MULTILINE | re.DOTALL)
+TWO_FAMILY_GRIDS = {"elastic_net": {"lam": [1e-6, 0.1], "alpha": [0.5]},
+                    "gbdt": {"n_trees": [5], "max_depth": [2]}}
 
 
 def run(args, capsys=None):
@@ -14,9 +27,16 @@ def run(args, capsys=None):
 
 
 def deterministic_files(out_dir):
-    return {p.relative_to(out_dir): p.read_bytes()
-            for p in sorted(out_dir.rglob("*"))
-            if p.is_file() and not p.name.startswith("timing_")}
+    """Every output but the wall-clock ones: timing files and report.md's
+    timing sections."""
+    files = {}
+    for p in sorted(out_dir.rglob("*")):
+        if p.is_file() and not p.name.startswith("timing_"):
+            blob = p.read_bytes()
+            if p.name == "report.md":
+                blob = TIMING_SECTION.sub("", blob.decode("utf-8")).encode("utf-8")
+            files[p.relative_to(out_dir)] = blob
+    return files
 
 
 def test_ingest_prints_dimensions_and_caches(panel_files, capsys):
@@ -62,6 +82,13 @@ def test_missing_seed_is_config_error(panel_files, tmp_path, capsys):
     assert code == 3
 
 
+def test_unknown_categorical_is_config_error(panel_files, capsys):
+    env = panel_files(categoricals={"weekdays": False})
+    code, out = run(["tune", "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert "weekdays" in out.err
+
+
 def test_missing_data_path_is_config_error(panel_files, capsys):
     env = panel_files()
     env["train_csv"].unlink()
@@ -81,6 +108,28 @@ def test_stats_outputs(panel_files, capsys):
         corr = list(csv.reader(fh))
     assert corr[0] == ["", "X1", "X2", "X3"]  # target excluded
     assert float(corr[1][1]) == 1.0
+
+
+def test_stats_rereads_inputs_changed_since_ingest(panel_files, capsys):
+    env = panel_files(n_train=6, n_test=4, n_sites=2, n_features=3)
+    cfg = str(env["config"])
+    assert run(["ingest", "--config", cfg], capsys)[0] == 0
+    lines = env["train_csv"].read_text(encoding="utf-8").splitlines()
+    cells = lines[1].split(",")
+    cells[2] = "123.5"  # X1 of the first train row
+    lines[1] = ",".join(cells)
+    env["train_csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    code, out = run(["stats", "--config", cfg], capsys)
+    assert code == 0
+    assert out.err.count("\n") == 1 and "train_csv" in out.err
+    with open(env["out"] / "summary_stats.csv", newline="") as fh:
+        rows = {r[0]: r for r in csv.reader(fh)}
+    assert rows["Max"][1] == "123.50"
+
+    assert run(["ingest", "--config", cfg], capsys)[0] == 0
+    code, out = run(["stats", "--config", cfg], capsys)
+    assert code == 0 and out.err == ""  # the refreshed cache matches again
 
 
 def test_tune_writes_deterministic_artifacts(panel_files, capsys):
@@ -161,17 +210,56 @@ def test_evaluate_display_formatting_for_unit_rmse(panel_files, capsys, tmp_path
     assert rows["Benchmarking"][1] == "1000.00"
 
 
+def test_tune_evaluate_builds_tables_per_strategy(panel_files, capsys):
+    env = panel_files(n_train=12, n_test=6, n_sites=3, n_features=4,
+                      families=["elastic_net", "gbdt"], grids=TWO_FAMILY_GRIDS)
+    cfg = str(env["config"])
+    tables = {}
+    for strategy in ("1", "2", "3"):
+        assert run(["tune", "--config", cfg, "--strategy", strategy], capsys)[0] == 0
+        assert run(["evaluate", "--config", cfg, "--strategy", strategy],
+                   capsys)[0] == 0
+        rows = json.loads(
+            (env["out"] / f"results_strategy{strategy}.json").read_text())["rows"]
+        assert [label for label, _ in rows] == [
+            EXTERNAL_ROW_LABEL, "Benchmarking", "GBDT", "Linear Regression"]
+        for _, vals in rows[1:]:
+            assert all(v is not None and v >= 0 for v in vals.values())
+        tables[strategy] = dict(rows)
+    # the benchmark ignores features: identical row across strategies
+    bench = [tables[s]["Benchmarking"] for s in ("1", "2", "3")]
+    assert bench[0] == bench[1] == bench[2]
+
+
+def test_tune_importances_and_timing(panel_files, capsys):
+    env = panel_files(n_train=12, n_test=6, n_sites=3, n_features=4,
+                      families=["elastic_net", "gbdt"], grids=TWO_FAMILY_GRIDS)
+    assert run(["tune", "--config", str(env["config"]), "--strategy", "1"],
+               capsys)[0] == 0
+    for family in ("elastic_net", "gbdt"):
+        bundle = load_model(env["out"] / "models" / f"model_strategy1_{family}.json")
+        with open(env["out"] / f"importance_strategy1_{family}.csv", newline="") as fh:
+            features = [r["feature"] for r in csv.DictReader(fh)]
+        assert sorted(features) == sorted(bundle.pipeline.column_names)
+    timing = json.loads((env["out"] / "timing_strategy1.json").read_text())
+    assert [t["family"] for t in timing] == ["elastic_net", "gbdt"]
+    for t in timing:
+        assert t["tuning_time"] > 0
+        assert t["average_tuning"] == pytest.approx(t["tuning_time"] / t["total_fits"])
+
+
 def test_explain_marginalize_additive_model(panel_files, capsys):
     env = panel_files(n_train=12, n_test=6, n_sites=2, n_features=3,
                       grids={"elastic_net": {"lam": [1e-8], "alpha": [0.0]}})
     assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
     model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"
-    code, out = run(["explain", "--config", str(env["config"]),
-                     "--model", str(model_path), "--rows", "0:4"], capsys)
-    assert code == 0
-    with open(env["out"] / "shap_values.csv", newline="") as fh:
-        recs = list(csv.DictReader(fh))
-    assert len(recs) == 4 * 3  # 4 rows x 3 players
+    for rows in ("0:4", "8:"):  # an open stop runs to the last of the 12 rows
+        code, out = run(["explain", "--config", str(env["config"]),
+                         "--model", str(model_path), "--rows", rows], capsys)
+        assert code == 0
+        with open(env["out"] / "shap_values.csv", newline="") as fh:
+            recs = list(csv.DictReader(fh))
+        assert len(recs) == 4 * 3  # 4 rows x 3 players
     assert any(abs(float(r["phi"])) > 0 for r in recs)
     with open(env["out"] / "shap_mean_abs.csv", newline="") as fh:
         ranking = list(csv.DictReader(fh))
@@ -276,7 +364,8 @@ def test_default_elastic_net_grid_gives_150_fits(panel_files, capsys):
 
 
 def test_end_to_end_rerun_is_byte_identical(panel_files, capsys):
-    env = panel_files(n_train=10, n_test=5, n_sites=2, n_features=3)
+    env = panel_files(n_train=10, n_test=5, n_sites=2, n_features=3,
+                      families=["elastic_net", "gbdt"], grids=TWO_FAMILY_GRIDS)
     cfg = str(env["config"])
     inputs_before = {p: p.read_bytes()
                      for p in (env["train_csv"], env["test_csv"], env["schema"],
@@ -313,3 +402,17 @@ def test_out_flag_overrides_config(panel_files, capsys, tmp_path):
     assert run(["ingest", "--config", str(env["config"]), "--out", str(alt)],
                capsys)[0] == 0
     assert (alt / "panel_cache.npz").exists()
+
+
+def test_run_experiment_script_runs_each_step_once(panel_files, capsys, monkeypatch):
+    env = panel_files(n_train=10, n_test=5, n_sites=2, n_features=3)
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--config", str(env["config"])])
+    runpy.run_path(str(script), run_name="__main__")
+    steps = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+             if line.startswith("== wqpanel ")]
+    assert steps == ["ingest", "stats", "tune", "evaluate", "tune", "evaluate",
+                     "tune", "evaluate", "explain", "report"]
+    report = (env["out"] / "report.md").read_text()
+    assert report.count("prediction results") == 3
+    assert "## SHAP ranking (shap_mean_abs.csv)" in report

@@ -191,6 +191,18 @@ def test_strategy3_requires_site_onehot():
                        site_onehot=False)
 
 
+def test_categoricals_mapping_round_trip_and_unknown_key():
+    cfg = StrategyConfig.from_categoricals(3, {"weekday": False, "year_ordinal": True})
+    assert cfg == StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL,
+                                 weekday_onehot=False, year_ordinal=True)
+    assert cfg.categoricals() == {"site": True, "month": True, "weekday": False,
+                                  "season": True, "year_ordinal": True,
+                                  "day_ordinal": False}
+    assert StrategyConfig.from_categoricals(3, cfg.categoricals()) == cfg
+    with pytest.raises(ValueError, match="weekdays"):
+        StrategyConfig.from_categoricals(2, {"weekdays": False})
+
+
 def test_assemble_deterministic(stacked):
     cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
     _, numeric = numeric_block(stacked, cfg)

@@ -3,13 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import linked_panel
-from wqpanel.features import Strategy, StrategyConfig
-from wqpanel.reporting import (EXTERNAL_ROW_LABEL, persist_pipeline_result,
-                               render_results_csv)
+from wqpanel.cli import grid_for
+from wqpanel.reporting import render_results_csv
 from wqpanel.tuner import (CVConfig, FitFailedError, FoldScheme, HyperGrid,
-                           default_grid, grid_search, kfold_split, run_pipeline,
-                           subseed)
+                           grid_search, kfold_split, subseed)
 
 
 # ------------------------------------------------------------------ folds
@@ -81,11 +78,11 @@ def test_hypergrid_empty_axis_rejected():
 
 def test_default_grids_match_fit_budgets():
     # config count x 5 folds must land on the published per-family budgets
-    assert len(default_grid("elastic_net")) * 5 == 150
-    assert len(default_grid("gbdt_goss")) * 5 == 2000
-    assert len(default_grid("gbdt")) * 5 == 5760
-    assert len(default_grid("random_forest")) * 5 == 1200
-    assert len(default_grid("mlp")) * 5 == 40
+    assert len(grid_for({}, "elastic_net")) * 5 == 150
+    assert len(grid_for({}, "gbdt_goss")) * 5 == 2000
+    assert len(grid_for({}, "gbdt")) * 5 == 5760
+    assert len(grid_for({}, "random_forest")) * 5 == 1200
+    assert len(grid_for({}, "mlp")) * 5 == 40
 
 
 # ------------------------------------------------------------------ search
@@ -182,70 +179,7 @@ def test_subseed_is_deterministic_and_tag_sensitive():
     assert subseed(5, 1) != subseed(6, 1)
 
 
-# ------------------------------------------------------------------ pipeline
-
-@pytest.fixture(scope="module")
-def panels():
-    train = linked_panel(12, 3, 4, seed=1, noise=0.01)
-    test = linked_panel(6, 3, 4, seed=2, noise=0.01)
-    return train, test
-
-
-def _family_grids():
-    return {"elastic_net": HyperGrid(axes={"lam": (1e-6, 0.1), "alpha": (0.5,)}),
-            "gbdt": HyperGrid(axes={"n_trees": (5,), "max_depth": (2,)})}
-
-
-def test_run_pipeline_builds_tables_per_strategy(panels):
-    train, test = panels
-    cv = CVConfig(k=3, seed=subseed(99, 1))
-    tables = {}
-    for strategy in (1, 2, 3):
-        cfg = StrategyConfig(strategy=Strategy(strategy))
-        result = run_pipeline(train, test, cfg, _family_grids(), cv, seed=99)
-        tables[strategy] = result.results_table
-        labels = [label for label, _ in result.results_table.rows]
-        assert labels[0] == EXTERNAL_ROW_LABEL
-        assert "Benchmarking" in labels
-        assert "Linear Regression" in labels and "GBDT" in labels
-        for _, vals in result.results_table.rows[1:]:
-            assert all(v is not None and v >= 0 for v in vals.values())
-    # the benchmark ignores features: identical row across strategies
-    bench = [dict(tables[s].rows)["Benchmarking"] for s in (1, 2, 3)]
-    assert bench[0] == bench[1] == bench[2]
-
-
-def test_run_pipeline_importances_and_timing(panels):
-    train, test = panels
-    cv = CVConfig(k=3, seed=subseed(7, 1))
-    result = run_pipeline(train, test, StrategyConfig(strategy=Strategy.RAW_NUMERIC),
-                          _family_grids(), cv, seed=7)
-    assert result.importances["elastic_net"] is not None
-    assert set(result.importances["gbdt"]) == set(result.pipeline_state.column_names)
-    for tuning in result.tuning.values():
-        assert tuning.tuning_time > 0
-        assert tuning.average_tuning == pytest.approx(
-            tuning.tuning_time / tuning.total_fits)
-
-
-def test_run_pipeline_persists_byte_identically(panels, tmp_path):
-    train, test = panels
-    cv = CVConfig(k=3, seed=subseed(31, 1))
-    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_NUMERIC)
-
-    outputs = {}
-    for run in ("a", "b"):
-        result = run_pipeline(train, test, cfg, _family_grids(), cv, seed=31)
-        out = tmp_path / run
-        persist_pipeline_result(result, out, seed=31)
-        outputs[run] = {p.relative_to(out): p.read_bytes()
-                        for p in sorted(out.rglob("*")) if p.is_file()}
-    assert set(outputs["a"]) == set(outputs["b"])
-    for rel, blob in outputs["a"].items():
-        if rel.name.startswith("timing_"):
-            continue  # wall-clock: the one legitimately varying artifact
-        assert outputs["b"][rel] == blob, f"{rel} differs between identical runs"
-
+# ------------------------------------------------------------------ tables
 
 def test_results_csv_display_formatting():
     from wqpanel.metrics import evaluate
