@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .families import FAMILIES, TUNABLE_FAMILIES, get_family
 from .metrics import MetricReport, evaluate, fit_benchmark
 from .panel import (PanelDataset, PanelFormatError, PanelSchema, load_panel,
                     load_sites, stack_panel, summarize, correlation_matrix,
@@ -35,8 +36,7 @@ from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                          mean_abs_shap, players_from_design, sample_background,
                          shap_for_dataset, write_mean_abs_csv, write_values_csv)
 from .tuner import (CVConfig, HyperGrid, TAG_FOLD, TAG_SHAP_BACKGROUND,
-                    DEFAULT_GRIDS, design_from_state, grid_search,
-                    prepare_designs, subseed)
+                    design_from_state, grid_search, prepare_designs, subseed)
 
 TAG_SHAP_ROWS = 4
 
@@ -231,14 +231,19 @@ def _cmd_stats(args) -> int:
 
 
 def _families_from_args(cfg: RunConfig, args) -> tuple[str, ...]:
-    if getattr(args, "family", None):
-        return tuple(f.strip() for f in args.family.split(",") if f.strip())
-    return cfg.families
+    if not args.family:
+        return cfg.families
+    families = tuple(f.strip() for f in args.family.split(",") if f.strip())
+    unknown = [f for f in families if f not in TUNABLE_FAMILIES]
+    if unknown:
+        raise ConfigError(f"unknown tunable families in --family: {unknown}")
+    return families
 
 
 def grid_for(grids: dict, family: str) -> HyperGrid:
-    """The run config's grid for ``family``, else its default grid."""
-    axes = grids.get(family) or DEFAULT_GRIDS.get(family)
+    """The run config's grid for ``family``, else its registry default."""
+    entry = FAMILIES.get(family)
+    axes = grids.get(family) or (entry.default_grid if entry else None)
     if axes is None:
         raise ConfigError(f"no grid configured for family {family!r}")
     return HyperGrid(axes={name: tuple(values) for name, values in axes.items()})
@@ -248,13 +253,10 @@ def _cmd_tune(args) -> int:
     cfg = _config_from_args(args)
     strategy = args.strategy or cfg.strategy
     families = _families_from_args(cfg, args)
-    train, test = _load_panels(cfg)
-    strategy_cfg = cfg.strategy_config(strategy)
-    train_design, _, state = prepare_designs(train, test, strategy_cfg)
+    train, _ = _load_panels(cfg)
+    train_design, state = prepare_designs(train, cfg.strategy_config(strategy))
     cv = CVConfig(k=cfg.cv_k, seed=subseed(cfg.seed, TAG_FOLD),
                   scheme=cfg.fold_scheme())
-
-    from .families import get_family
 
     tuning = {}
     importances = {}
@@ -308,11 +310,15 @@ def _cmd_evaluate(args) -> int:
 
 def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
     if selection:
-        if ":" in selection:
-            start_s, stop_s = selection.split(":", 1)
-            rows = list(range(int(start_s or 0), min(int(stop_s or n), n)))
-        else:
-            rows = [int(t) for t in selection.split(",") if t.strip()]
+        try:
+            if ":" in selection:
+                start_s, stop_s = selection.split(":", 1)
+                rows = list(range(int(start_s or 0), min(int(stop_s or n), n)))
+            else:
+                rows = [int(t) for t in selection.split(",") if t.strip()]
+        except ValueError:
+            raise ConfigError(f"row selection {selection!r} is neither an 'a:b' "
+                              f"slice nor a comma list of integers") from None
     elif isinstance(cfg.shap_rows, list):
         rows = [int(r) for r in cfg.shap_rows]
     elif isinstance(cfg.shap_rows, dict) and "sample" in cfg.shap_rows:
@@ -333,13 +339,17 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
 def _cmd_explain(args) -> int:
     cfg = _config_from_args(args)
     bundle = load_model(args.model)
+    kind = args.kind or cfg.shap_kind
+    if kind == "retrain" and not bundle.family.cheap_refit:
+        cheap = tuple(name for name, family in FAMILIES.items() if family.cheap_refit)
+        raise ValueError(f"retrain value function is restricted to cheap families "
+                         f"{cheap}, got {bundle.family.name!r}")
     train, test = _load_panels(cfg)
     train_design = design_from_state(bundle.pipeline, train)
     test_design = design_from_state(bundle.pipeline, test)
 
     rows = _parse_rows(args.rows, cfg, test_design.n_rows)
     names, players = players_from_design(test_design)
-    kind = args.kind or cfg.shap_kind
 
     if kind == "marginalize":
         background = sample_background(train_design.X, cfg.shap_background,
@@ -354,8 +364,7 @@ def _cmd_explain(args) -> int:
             fit=lambda X, y: bundle.family.fit(X, y, bundle.hyper_params, bundle.seed),
             predict=bundle.family.predict,
             X_train=train_design.X, y_train=train_design.y,
-            player_columns=players, player_names=names,
-            family=bundle.family.name)
+            player_columns=players, player_names=names)
 
     attributions = shap_for_dataset(vf, test_design.X[rows], cap=cfg.shap_cap)
     ranking = mean_abs_shap(attributions)

@@ -2,12 +2,16 @@
 
 The tuner, serializer and CLI only ever talk to ModelFamily entries, so
 all five learners plus the benchmark are interchangeable behind this
-registry.
+registry, the one module that knows about individual families. An entry
+holds the names of the family and its hyperparameters (the fields of its
+learner's config dataclasses), fit/predict/export/restore/importance, an
+optional exact SHAP solver, its default tuning grid (the entries with one
+are the tunable families) and whether retrain SHAP may refit it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -33,6 +37,16 @@ class ModelFamily:
     # (model, x, background, player_columns) -> phi; None enumerates 2^M
     shap_solver: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
                           np.ndarray] | None = None
+    # axis name -> values; None: not tunable
+    default_grid: Mapping[str, list] | None = None
+    cheap_refit: bool = False
+
+
+def _param_names(*configs: type) -> frozenset:
+    """The fields of a learner's config dataclasses, less the run seed and
+    the nested GOSS config, which fit sets itself."""
+    return frozenset(f.name for config in configs
+                     for f in fields(config)) - {"seed", "goss"}
 
 
 def _tree_to_dict(tree: tr.RegressionTree) -> dict:
@@ -183,9 +197,9 @@ def _linear_restore(raw: dict, n_columns: int) -> en.LinearModel:
         config=en.ElasticNetConfig(), sweeps_used=raw["sweeps_used"])
 
 
-_GBDT_PARAMS = frozenset({"n_trees", "learning_rate", "max_depth", "min_child_weight",
-                          "reg_lambda", "gamma", "n_bins"})
-
+# The default grids are sized so that config count x 5 folds lands on the
+# per-family fit budgets used for the timing summaries (150 / 1200 / 5760 /
+# 2000 / 40). Contents are run-config defaults, not contracts.
 FAMILIES: dict[str, ModelFamily] = {
     "benchmark": ModelFamily(
         name="benchmark", display_name="Benchmarking",
@@ -195,62 +209,90 @@ FAMILIES: dict[str, ModelFamily] = {
         export=lambda m: {"constant": m.constant},
         restore=lambda raw, n_columns: me.BenchmarkModel(constant=raw["constant"]),
         importance=lambda m, p: None,
+        cheap_refit=True,
     ),
     "elastic_net": ModelFamily(
         name="elastic_net", display_name="Linear Regression",
-        param_names=frozenset({"lam", "alpha", "tol", "max_iter", "standardize_internally"}),
+        param_names=_param_names(en.ElasticNetConfig),
         fit=_fit_elastic_net,
         predict=en.predict_linear,
         export=_linear_export,
         restore=_linear_restore,
         importance=lambda m, p: np.abs(m.coefficients),
         shap_solver=sh.linear_shap,
+        default_grid={
+            "lam": list(en.DEFAULT_LAMBDA_GRID),
+            "alpha": list(en.DEFAULT_ALPHA_GRID),
+        },  # 30 configs
+        cheap_refit=True,
     ),
     "random_forest": ModelFamily(
         name="random_forest", display_name="Random Forest",
-        param_names=frozenset({"n_trees", "max_depth", "min_samples_leaf",
-                               "max_features", "bootstrap", "n_bins"}),
+        param_names=_param_names(tr.RFConfig),
         fit=_fit_random_forest,
         predict=tr.predict_ensemble,
         export=_ensemble_export,
         restore=_ensemble_restore,
         importance=tr.total_gain_importance,
         shap_solver=sh.ensemble_shap,
+        default_grid={
+            "n_trees": [100, 200, 300, 400, 500],
+            "max_depth": [4, 6, 8, 10],
+            "min_samples_leaf": [1, 2, 4],
+            "max_features": [3, 5, 7, 11],
+        },  # 240 configs
     ),
     "gbdt": ModelFamily(
         name="gbdt", display_name="GBDT",
-        param_names=_GBDT_PARAMS,
+        param_names=_param_names(tr.GBDTConfig),
         fit=_fit_gbdt,
         predict=tr.predict_ensemble,
         export=_ensemble_export,
         restore=_ensemble_restore,
         importance=tr.total_gain_importance,
         shap_solver=sh.ensemble_shap,
+        default_grid={
+            "n_trees": [100, 200, 300, 400],
+            "learning_rate": [0.01, 0.05, 0.1, 0.2],
+            "max_depth": [3, 4, 5, 6],
+            "min_child_weight": [1.0, 3.0, 5.0],
+            "reg_lambda": [0.0, 0.5, 1.0],
+            "gamma": [0.0, 0.1],
+        },  # 1152 configs
     ),
     "gbdt_goss": ModelFamily(
         name="gbdt_goss", display_name="GBDT (GOSS)",
-        param_names=_GBDT_PARAMS | {"top_rate", "other_rate"},
+        param_names=_param_names(tr.GBDTConfig, tr.GossConfig),
         fit=_fit_gbdt_goss,
         predict=tr.predict_ensemble,
         export=_ensemble_export,
         restore=_ensemble_restore,
         importance=tr.total_gain_importance,
         shap_solver=sh.ensemble_shap,
+        default_grid={
+            "n_trees": [100, 200, 300, 400, 500],
+            "learning_rate": [0.01, 0.05, 0.1, 0.2],
+            "max_depth": [3, 4, 5, 6],
+            "top_rate": [0.1, 0.2, 0.3, 0.4, 0.5],
+        },  # 400 configs
     ),
     "mlp": ModelFamily(
         name="mlp", display_name="MLP",
-        param_names=frozenset({"hidden_layers", "activation", "learning_rate",
-                               "batch_size", "max_epochs", "l2_penalty",
-                               "momentum", "early_stop"}),
+        param_names=_param_names(nn.MLPConfig),
         fit=_fit_mlp,
         predict=nn.predict_mlp,
         export=_mlp_export,
         restore=_mlp_restore,
         importance=lambda m, p: None,
+        default_grid={
+            "hidden_layers": [[32], [64], [64, 32], [128, 64]],
+            "activation": ["relu", "tanh"],
+        },  # 8 configs
     ),
 }
 
-TUNABLE_FAMILIES = ("elastic_net", "random_forest", "gbdt", "gbdt_goss", "mlp")
+TUNABLE_FAMILIES = tuple(name for name, family in FAMILIES.items()
+                         if family.default_grid is not None)
 
 
 def get_family(name: str) -> ModelFamily:

@@ -59,14 +59,11 @@ def _display_name(family_name: str) -> str:
     return family.display_name if family else family_name
 
 
-def build_results_table(reports: dict[str, MetricReport],
-                        include_external: bool = True) -> ResultsTable:
+def build_results_table(reports: dict[str, MetricReport]) -> ResultsTable:
     """Rows: external reference, Benchmarking, then families by display name."""
-    rows: list[tuple[str, dict[str, float | None]]] = []
-    if include_external:
-        external: dict[str, float | None] = {m: None for m in METRIC_NAMES}
-        external["rmse"] = EXTERNAL_REFERENCE_RMSE
-        rows.append((EXTERNAL_ROW_LABEL, external))
+    external: dict[str, float | None] = {m: None for m in METRIC_NAMES}
+    external["rmse"] = EXTERNAL_REFERENCE_RMSE
+    rows: list[tuple[str, dict[str, float | None]]] = [(EXTERNAL_ROW_LABEL, external)]
     if "benchmark" in reports:
         rows.append((_display_name("benchmark"), dict(reports["benchmark"].as_dict())))
     others = sorted((name for name in reports if name != "benchmark"),
@@ -104,18 +101,6 @@ def render_results_markdown(table: ResultsTable) -> str:
     lines.append("*All values are original values x 1000; bold marks the best "
                  "per column.*")
     return "\n".join(lines) + "\n"
-
-
-def render_timing_csv(timings: list[dict]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["model", "total_fits", "tuning_time", "average_tuning",
-                     "fitting_time_best_model"])
-    for t in timings:
-        writer.writerow([_display_name(t["family"]), t["total_fits"],
-                         f"{t['tuning_time']:.2f}", f"{t['average_tuning']:.2f}",
-                         f"{t['best_fit_time']:.2f}"])
-    return out.getvalue()
 
 
 def render_timing_markdown(timings: list[dict]) -> str:

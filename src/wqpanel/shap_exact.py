@@ -4,8 +4,8 @@ phi_i = sum over S subseteq players\\{i} of |S|!(M-|S|-1)!/M! *
 [v(S u {i}) - v(S)]. Two value functions are provided: `marginalize`
 (interventional expectation over a background sample; the default) and
 `retrain` (literally refit the model on each feature subset; only sane for
-cheap model families, and kept as the oracle the marginalize kind is
-tested against).
+the families the registry marks `cheap_refit`, and kept as the oracle the
+marginalize kind is tested against).
 
 The generic path evaluates v on every one of the 2^M coalitions. For
 tree ensembles and linear models the marginalize game has a closed form:
@@ -33,7 +33,7 @@ from . import trees as tr
 from .features import DesignMatrix
 
 DEFAULT_PLAYER_CAP = 15
-CHEAP_REFIT_FAMILIES = ("benchmark", "elastic_net")
+_CHUNK_SIZE = 128  # coalitions per predict call of the marginalize game
 
 
 def _singleton_players(n_columns: int) -> list[list[int]]:
@@ -49,7 +49,6 @@ class MarginalValueFunction:
     background: np.ndarray
     player_columns: list[list[int]] = field(default_factory=list)
     player_names: tuple[str, ...] = ()
-    chunk_size: int = 128
     # solver(x, background, player_columns) -> phi: the exact values of
     # this game in polynomial time, used by exact_shap in place of 2^M
     # coalitions; None enumerates
@@ -79,13 +78,13 @@ class MarginalValueFunction:
         for p, cols in enumerate(self.player_columns):
             col_map[p, cols] = True
         values = np.empty(len(masks))
-        for start in range(0, len(masks), self.chunk_size):
-            chunk = masks[start:start + self.chunk_size]
+        for start in range(0, len(masks), _CHUNK_SIZE):
+            chunk = masks[start:start + _CHUNK_SIZE]
             col_mask = chunk @ col_map  # bool matmul: column present in coalition
             mixed = np.where(col_mask[:, None, :], x[None, None, :],
                              self.background[None, :, :])
             preds = self.predict(mixed.reshape(-1, d)).reshape(len(chunk), -1)
-            values[start:start + self.chunk_size] = preds.mean(axis=1)
+            values[start:start + _CHUNK_SIZE] = preds.mean(axis=1)
         return values
 
 
@@ -100,13 +99,8 @@ class RetrainValueFunction:
     y_train: np.ndarray
     player_columns: list[list[int]] = field(default_factory=list)
     player_names: tuple[str, ...] = ()
-    family: str = "elastic_net"
 
     def __post_init__(self):
-        if self.family not in CHEAP_REFIT_FAMILIES:
-            raise ValueError(
-                f"retrain value function is restricted to cheap families "
-                f"{CHEAP_REFIT_FAMILIES}, got {self.family!r}")
         if not self.player_columns:
             object.__setattr__(self, "player_columns",
                                _singleton_players(self.X_train.shape[1]))

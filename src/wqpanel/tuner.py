@@ -17,7 +17,6 @@ from typing import Any
 
 import numpy as np
 
-from .elastic_net import DEFAULT_ALPHA_GRID, DEFAULT_LAMBDA_GRID
 from .families import get_family
 from .features import (DesignMatrix, StandardizationParams, Strategy,
                        StrategyConfig, assemble_design, fit_standardizer,
@@ -225,12 +224,12 @@ def grid_search(family_name: str, grid: HyperGrid, X, y, cv: CVConfig,
     )
 
 
-def prepare_designs(train_panel: PanelDataset, test_panel: PanelDataset,
-                    strategy_cfg: StrategyConfig):
-    """Stack both panels and assemble strategy-consistent design matrices.
+def prepare_designs(train_panel: PanelDataset,
+                    strategy_cfg: StrategyConfig) -> tuple[DesignMatrix, PipelineState]:
+    """The training design matrix and the state that rebuilds it.
 
-    The standardizer and the site vocabulary are fit on the training panel
-    only; the test design is rebuilt from the resulting state.
+    The standardizer and the site vocabulary are fit on the training panel;
+    design_from_state applies the same state to any other panel.
     """
     train_stacked = stack_panel(train_panel)
     numeric_names, numeric = numeric_block(train_stacked, strategy_cfg)
@@ -249,7 +248,7 @@ def prepare_designs(train_panel: PanelDataset, test_panel: PanelDataset,
         standardizer=params,
         site_vocabulary=site_vocab,
     )
-    return train_design, design_from_state(state, test_panel), state
+    return train_design, state
 
 
 def design_from_state(state: PipelineState, panel: PanelDataset) -> DesignMatrix:
@@ -261,37 +260,3 @@ def design_from_state(state: PipelineState, panel: PanelDataset) -> DesignMatrix
                          "was the schema or panel changed since tuning?")
     return design
 
-
-# Default tuning grids, sized so that config count x 5 folds lands on the
-# per-family fit budgets used for the timing summaries (150 / 2000 / 5760 /
-# 1200 / 40). Contents are run-config defaults, not contracts.
-DEFAULT_GRIDS: dict[str, dict[str, list]] = {
-    "elastic_net": {
-        "lam": list(DEFAULT_LAMBDA_GRID),
-        "alpha": list(DEFAULT_ALPHA_GRID),
-    },  # 30 configs
-    "gbdt_goss": {
-        "n_trees": [100, 200, 300, 400, 500],
-        "learning_rate": [0.01, 0.05, 0.1, 0.2],
-        "max_depth": [3, 4, 5, 6],
-        "top_rate": [0.1, 0.2, 0.3, 0.4, 0.5],
-    },  # 400 configs
-    "gbdt": {
-        "n_trees": [100, 200, 300, 400],
-        "learning_rate": [0.01, 0.05, 0.1, 0.2],
-        "max_depth": [3, 4, 5, 6],
-        "min_child_weight": [1.0, 3.0, 5.0],
-        "reg_lambda": [0.0, 0.5, 1.0],
-        "gamma": [0.0, 0.1],
-    },  # 1152 configs
-    "random_forest": {
-        "n_trees": [100, 200, 300, 400, 500],
-        "max_depth": [4, 6, 8, 10],
-        "min_samples_leaf": [1, 2, 4],
-        "max_features": [3, 5, 7, 11],
-    },  # 240 configs
-    "mlp": {
-        "hidden_layers": [[32], [64], [64, 32], [128, 64]],
-        "activation": ["relu", "tanh"],
-    },  # 8 configs
-}

@@ -242,7 +242,7 @@ def test_criterion_6_shap():
                                                         max_iter=20000))
 
     retrain = RetrainValueFunction(fit=refit, predict=predict_linear,
-                                   X_train=X, y_train=y, family="elastic_net")
+                                   X_train=X, y_train=y)
     full = refit(X, y)
     marginal = MarginalValueFunction(predict=lambda A: predict_linear(full, A),
                                      background=X)
@@ -357,11 +357,12 @@ def georgia():
 @pytest.fixture(scope="session")
 def georgia_designs(georgia):
     from wqpanel.features import Strategy, StrategyConfig
-    from wqpanel.tuner import prepare_designs
+    from wqpanel.tuner import design_from_state, prepare_designs
 
     train, test = georgia
-    return prepare_designs(train, test,
-                           StrategyConfig(strategy=Strategy.STANDARDIZED_NUMERIC))
+    train_design, state = prepare_designs(
+        train, StrategyConfig(strategy=Strategy.STANDARDIZED_NUMERIC))
+    return train_design, design_from_state(state, test), state
 
 
 @needs_data

@@ -158,6 +158,28 @@ def test_tune_single_config_runs_k_fits(panel_files, capsys):
     assert tuning["total_fits"] == 3  # k = 3
 
 
+@pytest.mark.parametrize("family", ["foo", "benchmark"])
+def test_tune_family_flag_must_name_a_tunable_family(panel_files, capsys, family):
+    # a configured grid does not make a family tunable
+    env = panel_files(grids={family: {"lam": [0.001]}})
+    code, out = run(["tune", "--config", str(env["config"]), "--family",
+                     f"elastic_net,{family}"], capsys)
+    assert code == 3
+    assert repr(family) in out.err
+    assert not (env["out"] / "models").exists()
+
+
+def test_unseen_test_site_fails_at_evaluate(panel_files, capsys):
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3, strategy=3)
+    text = env["test_csv"].read_text(encoding="utf-8")
+    env["test_csv"].write_text(text.replace("site01", "site07"), encoding="utf-8")
+    cfg = str(env["config"])
+    assert run(["tune", "--config", cfg], capsys)[0] == 0  # tune reads train only
+    code, out = run(["evaluate", "--config", cfg], capsys)
+    assert code == 4
+    assert "'site07'" in out.err
+
+
 def test_evaluate_benchmark_only(panel_files, capsys):
     env = panel_files()
     code, out = run(["evaluate", "--config", str(env["config"])], capsys)
@@ -307,6 +329,32 @@ def test_explain_retrain_kind(panel_files, capsys):
                    "--suffix", "_retrain"], capsys)
     assert code == 0
     assert (env["out"] / "shap_mean_abs_retrain.csv").exists()
+
+
+def test_explain_retrain_restricted_to_cheap_families(panel_files, capsys):
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
+                      families=["gbdt"],
+                      grids={"gbdt": {"n_trees": [2], "max_depth": [2]}})
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    model_path = env["out"] / "models" / "model_strategy2_gbdt.json"
+    env["train_csv"].unlink()  # refused before any panel is read
+    code, out = run(["explain", "--config", str(env["config"]), "--model",
+                     str(model_path), "--kind", "retrain", "--rows", "0"], capsys)
+    assert code == 4
+    assert "cheap families" in out.err and "'gbdt'" in out.err
+    assert not list(env["out"].glob("shap_*.csv"))
+
+
+@pytest.mark.parametrize("rows", ["x", "1:y", "0,z", "99"])
+def test_explain_bad_row_selection_is_config_error(panel_files, capsys, rows):
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3)
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"
+    code, out = run(["explain", "--config", str(env["config"]),
+                     "--model", str(model_path), "--rows", rows], capsys)
+    assert code == 3
+    assert rows in out.err
+    assert not list(env["out"].glob("shap_*.csv"))
 
 
 def test_explain_rejects_cyclic_tree_arena(panel_files, capsys):

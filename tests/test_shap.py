@@ -135,7 +135,7 @@ def test_marginalize_and_retrain_agree_on_orthogonal_linear_fixture():
 
     x = X[4]
     retrain = RetrainValueFunction(fit=fit, predict=predict_linear,
-                                   X_train=X, y_train=y, family="elastic_net")
+                                   X_train=X, y_train=y)
     full_model = fit(X, y)
     marginal = marginal_vf(lambda A: predict_linear(full_model, A), X)
     phi_r = exact_shap(retrain, x).phi
@@ -149,16 +149,9 @@ def test_retrain_base_value_is_train_mean():
     y = rng.standard_normal(20)
     vf = RetrainValueFunction(
         fit=lambda Xs, ys: fit_elastic_net(Xs, ys, ElasticNetConfig(lam=0.0)),
-        predict=predict_linear, X_train=X, y_train=y, family="elastic_net")
+        predict=predict_linear, X_train=X, y_train=y)
     attr = exact_shap(vf, X[0])
     assert attr.base_value == pytest.approx(float(y.mean()), abs=1e-12)
-
-
-def test_retrain_restricted_to_cheap_families():
-    with pytest.raises(ValueError, match="cheap"):
-        RetrainValueFunction(fit=lambda X, y: None, predict=lambda m, X: X,
-                             X_train=np.zeros((2, 2)), y_train=np.zeros(2),
-                             family="gbdt")
 
 
 def test_player_cap_enforced():
