@@ -99,6 +99,7 @@ def _config_from_args(args) -> RunConfig:
 
 _CACHE_NAME = "panel_cache.npz"
 _DIGEST_PREFIX = "sha256_"
+_SPLITS = ("train", "test")
 
 
 def _input_digests(cfg: RunConfig) -> dict[str, str]:
@@ -135,9 +136,10 @@ def _write_cache(path: Path, train: PanelDataset, test: PanelDataset,
              **{_DIGEST_PREFIX + label: np.array(d) for label, d in digests.items()})
 
 
-def _read_cache(path: Path, cfg: RunConfig) -> tuple[PanelDataset, PanelDataset] | None:
-    """The cached panels, or None (after one stderr line naming the first
-    changed input) when the cache was written from other inputs."""
+def _read_cache(path: Path, cfg: RunConfig,
+                splits: tuple[str, ...]) -> tuple[PanelDataset, ...] | None:
+    """The cached panels of ``splits``, or None (after one stderr line naming
+    the first changed input) when the cache was written from other inputs."""
     import datetime as dt
 
     with np.load(path, allow_pickle=False) as data:
@@ -160,22 +162,26 @@ def _read_cache(path: Path, cfg: RunConfig) -> tuple[PanelDataset, PanelDataset]
                 site_groups=dict(site_groups),
             )
 
-        return unpack("train"), unpack("test")
+        return tuple(unpack(split) for split in splits)
 
 
-def _read_panels(cfg: RunConfig) -> tuple[PanelDataset, PanelDataset]:
-    """Parse the train and test CSVs."""
+def _read_panels(cfg: RunConfig,
+                 splits: tuple[str, ...] = _SPLITS) -> tuple[PanelDataset, ...]:
+    """Parse the CSVs of ``splits``."""
     cfg.require_data_paths()
     schema = PanelSchema.from_json(cfg.schema_path)
     groups = load_sites(cfg.sites_csv) if cfg.sites_csv else None
-    return load_panel(cfg.train_csv, schema, groups), load_panel(cfg.test_csv, schema, groups)
+    paths = {"train": cfg.train_csv, "test": cfg.test_csv}
+    return tuple(load_panel(paths[split], schema, groups) for split in splits)
 
 
-def _load_panels(cfg: RunConfig) -> tuple[PanelDataset, PanelDataset]:
-    """The panels from ingest's cache if it matches the inputs, else from the CSVs."""
+def _load_panels(cfg: RunConfig,
+                 splits: tuple[str, ...] = _SPLITS) -> tuple[PanelDataset, ...]:
+    """The panels of ``splits`` from ingest's cache if it matches the inputs,
+    else from their CSVs."""
     cache = cfg.output_dir / _CACHE_NAME
-    panels = _read_cache(cache, cfg) if cache.exists() else None
-    return _read_panels(cfg) if panels is None else panels
+    panels = _read_cache(cache, cfg, splits) if cache.exists() else None
+    return _read_panels(cfg, splits) if panels is None else panels
 
 
 # ---------------------------------------------------------------- commands
@@ -212,7 +218,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_stats(args) -> int:
     cfg = _config_from_args(args)
-    train, _ = _load_panels(cfg)
+    [train] = _load_panels(cfg, ("train",))
     stacked = stack_panel(train)
     stats = summarize(stacked)
     corr = correlation_matrix(stacked)  # features only, target excluded
@@ -253,7 +259,7 @@ def _cmd_tune(args) -> int:
     cfg = _config_from_args(args)
     strategy = args.strategy or cfg.strategy
     families = _families_from_args(cfg, args)
-    train, _ = _load_panels(cfg)
+    [train] = _load_panels(cfg, ("train",))
     train_design, state = prepare_designs(train, cfg.strategy_config(strategy))
     cv = CVConfig(k=cfg.cv_k, seed=subseed(cfg.seed, TAG_FOLD),
                   scheme=cfg.fold_scheme())
@@ -320,11 +326,11 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
             raise ConfigError(f"row selection {selection!r} is neither an 'a:b' "
                               f"slice nor a comma list of integers") from None
     elif isinstance(cfg.shap_rows, list):
-        rows = [int(r) for r in cfg.shap_rows]
-    elif isinstance(cfg.shap_rows, dict) and "sample" in cfg.shap_rows:
+        rows = list(cfg.shap_rows)
+    elif isinstance(cfg.shap_rows, dict):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, TAG_SHAP_ROWS]))
-        rows = sorted(rng.choice(n, size=min(int(cfg.shap_rows["sample"]), n),
+        rows = sorted(rng.choice(n, size=min(cfg.shap_rows["sample"], n),
                                  replace=False).tolist())
     else:
         rows = list(range(min(10, n)))

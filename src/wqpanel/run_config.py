@@ -66,6 +66,17 @@ class RunConfig:
             raise ConfigError(f"sites_csv path does not exist: {self.sites_csv}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _section(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a JSON object, got {value!r}")
+    return value
+
+
 def load_run_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
@@ -78,10 +89,10 @@ def load_run_config(path: str | Path) -> RunConfig:
     if "seed" not in raw:
         raise ConfigError("config must set an explicit integer seed")
     seed = raw["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
-    data = raw.get("data", {})
+    data = _section(raw, "data")
     for key in ("train_csv", "test_csv", "schema"):
         if key not in data:
             raise ConfigError(f"config data section must set {key!r}")
@@ -102,7 +113,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown tunable families in config: {unknown}")
 
-    cv = raw.get("cv", {})
+    cv = _section(raw, "cv")
     cv_k = cv.get("k", 5)
     if not isinstance(cv_k, int) or cv_k < 2:
         raise ConfigError(f"cv.k must be an integer >= 2, got {cv_k!r}")
@@ -111,10 +122,21 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"cv.scheme must be one of "
                           f"{[s.value for s in FoldScheme]}, got {cv_scheme!r}")
 
-    shap = raw.get("shap", {})
+    shap = _section(raw, "shap")
     shap_kind = shap.get("kind", "marginalize")
     if shap_kind not in SHAP_KINDS:
         raise ConfigError(f"shap.kind must be one of {SHAP_KINDS}, got {shap_kind!r}")
+    shap_rows = shap.get("rows")
+    if not (shap_rows is None
+            or isinstance(shap_rows, list) and all(_is_int(r) for r in shap_rows)
+            or isinstance(shap_rows, dict) and shap_rows.keys() == {"sample"}
+            and _is_int(shap_rows["sample"]) and shap_rows["sample"] >= 1):
+        raise ConfigError(f"shap.rows must be a list of integers or "
+                          f"{{\"sample\": n}} with an integer n >= 1, got {shap_rows!r}")
+    for key, default in (("background_size", 256), ("cap", 15)):
+        value = shap.get(key, default)
+        if not _is_int(value) or value < 1:
+            raise ConfigError(f"shap.{key} must be an integer >= 1, got {value!r}")
 
     return RunConfig(
         seed=seed,
@@ -124,14 +146,14 @@ def load_run_config(path: str | Path) -> RunConfig:
         sites_csv=resolve(data["sites_csv"]) if data.get("sites_csv") else None,
         output_dir=resolve(out_dir),
         strategy=strategy,
-        categoricals=dict(raw.get("categoricals", {})),
+        categoricals=dict(_section(raw, "categoricals")),
         cv_k=cv_k,
         cv_scheme=cv_scheme,
         families=families,
-        grids={k: dict(v) for k, v in raw.get("grids", {}).items()},
+        grids={k: dict(v) for k, v in _section(raw, "grids").items()},
         shap_kind=shap_kind,
-        shap_background=int(shap.get("background_size", 256)),
-        shap_rows=shap.get("rows"),
-        shap_cap=int(shap.get("cap", 15)),
+        shap_background=shap.get("background_size", 256),
+        shap_rows=shap_rows,
+        shap_cap=shap.get("cap", 15),
         n_jobs=int(raw.get("n_jobs", 1)),
     )

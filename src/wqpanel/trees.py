@@ -7,10 +7,18 @@ leaf weights to target means. Boosted trees use the generic gain
 
     1/2 * [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - (G_L+G_R)^2/(H_L+H_R+lam)] - gamma
 
-with leaf weight -G/(H+lam). Split candidates come from per-feature
-quantile histograms computed once at fit start; when n_bins covers every
-distinct value the candidates are exact midpoints, reproducing exact
-greedy splits.
+with leaf weight -G/(H+lam).
+
+Split candidates are per-feature: exact midpoints when n_bins covers every
+distinct value (reproducing exact greedy splits), quantile boundaries
+otherwise. They are computed, and every value mapped to its bin code, once
+per set of rows a tree is grown on: once per plain GBDT fit (every round
+sees the same X), once per tree for random-forest bootstrap samples and
+GOSS subsets, which take their candidates from their own rows. A node is
+scored with one gradient and one hessian bincount over the codes of all
+its drawn features, prefix sums along each feature, and an argmax per
+feature then across features; the lowest threshold and then the lowest
+feature index win ties.
 """
 
 from __future__ import annotations
@@ -158,13 +166,47 @@ def _candidate_thresholds(column: np.ndarray, n_bins: int) -> np.ndarray:
     return np.unique(np.quantile(column, qs))
 
 
+@dataclass(frozen=True)
+class _Bins:
+    """Split candidates of every feature and the bin code of every value.
+
+    codes[i, f] = f * width + (number of candidates of feature f below
+    X[i, f]), so one bincount over a node's codes fills the histograms of
+    all its features; width is one more than the largest candidate count.
+    """
+
+    candidates: tuple[np.ndarray, ...]
+    n_candidates: np.ndarray
+    codes: np.ndarray
+    width: int
+
+
+def _bin(X: np.ndarray, n_bins: int) -> _Bins:
+    n, p = X.shape
+    candidates = tuple(_candidate_thresholds(X[:, f], n_bins) for f in range(p))
+    n_candidates = np.array([len(c) for c in candidates], dtype=np.intp)
+    width = int(n_candidates.max(initial=0)) + 1
+    codes = np.empty((n, p), dtype=np.intp)
+    for f, cand in enumerate(candidates):
+        codes[:, f] = np.searchsorted(cand, X[:, f], side="left") + f * width
+    return _Bins(candidates, n_candidates, codes, width)
+
+
 def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
           max_depth: int, min_child_weight: float, reg_lambda: float,
           gamma: float, n_bins: int,
           rng: np.random.Generator | None = None,
-          max_features: int | None = None) -> RegressionTree:
+          max_features: int | None = None,
+          bins: _Bins | None = None,
+          leaves: np.ndarray | None = None) -> RegressionTree:
+    """Grow one tree on X, binned here unless ``bins`` is given; when
+    ``leaves`` is given it receives the leaf node of every row of X."""
     n, p = X.shape
-    candidates = [_candidate_thresholds(X[:, f], n_bins) for f in range(p)]
+    if bins is None:
+        bins = _bin(X, n_bins)
+    width = bins.width
+    # positions past a feature's last candidate are padding, never a split
+    padding = np.arange(width - 1) >= bins.n_candidates[:, None]
     wg = w * g
     wh = w * h
 
@@ -190,6 +232,8 @@ def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
     stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
     while stack:
         node, rows, depth = stack.pop()
+        if leaves is not None:
+            leaves[rows] = node
         G = float(wg[rows].sum())
         H = float(wh[rows].sum())
         value[node] = -G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
@@ -201,37 +245,37 @@ def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
             feats = np.sort(rng.choice(p, size=max_features, replace=False))
         else:
             feats = np.arange(p)
-
-        parent_score = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
-        best_gain = 0.0
-        best_feat = -1
-        best_thr = np.nan
-        for f in feats:
-            cand = candidates[f]
-            if len(cand) == 0:
-                continue
-            bins = np.searchsorted(cand, X[rows, f], side="left")
-            gsum = np.bincount(bins, weights=wg[rows], minlength=len(cand) + 1)
-            hsum = np.bincount(bins, weights=wh[rows], minlength=len(cand) + 1)
-            GL = np.cumsum(gsum)[:-1]
-            HL = np.cumsum(hsum)[:-1]
-            GR = G - GL
-            HR = H - HL
-            valid = (HL >= min_child_weight) & (HR >= min_child_weight) & (HL > 0) & (HR > 0)
-            if not valid.any():
-                continue
-            with np.errstate(divide="ignore", invalid="ignore"):
-                gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda)
-                               - parent_score) - gamma
-            gains[~valid] = -np.inf
-            k = int(np.argmax(gains))  # first max: lowest threshold wins ties
-            if gains[k] > best_gain:  # strict: lowest feature index wins ties
-                best_gain = float(gains[k])
-                best_feat = int(f)
-                best_thr = float(cand[k])
-
-        if best_feat < 0 or best_gain <= 0.0:
+        if width == 1:  # no feature has a candidate
             continue
+
+        # Histograms of every drawn feature at once. bincount adds each bin
+        # in row order and cumsum runs along each feature's row, so every
+        # prefix sum is the one a per-feature scan computes.
+        nf = len(feats)
+        codes = bins.codes[rows] if nf == p else bins.codes[np.ix_(rows, feats)]
+        flat = codes.ravel()
+        gsum = np.bincount(flat, weights=np.repeat(wg[rows], nf), minlength=p * width)
+        hsum = np.bincount(flat, weights=np.repeat(wh[rows], nf), minlength=p * width)
+        GL = np.cumsum(gsum.reshape(p, width)[feats], axis=1)[:, :-1]
+        HL = np.cumsum(hsum.reshape(p, width)[feats], axis=1)[:, :-1]
+        GR = G - GL
+        HR = H - HL
+        parent_score = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
+        # padding is masked explicitly: H is a pairwise sum, so HR past the
+        # last candidate can be one ulp away from zero
+        valid = ((HL >= min_child_weight) & (HR >= min_child_weight)
+                 & (HL > 0) & (HR > 0) & ~padding[feats])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda)
+                           - parent_score) - gamma
+        gains[~valid] = -np.inf
+        ks = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
+        feat_gains = gains[np.arange(nf), ks]
+        i = int(np.argmax(feat_gains))  # first max: lowest feature index wins ties
+        if not feat_gains[i] > 0.0:
+            continue
+        best_feat = int(feats[i])
+        best_thr = float(bins.candidates[best_feat][ks[i]])
         go_left = X[rows, best_feat] <= best_thr
         left_id = new_node()
         right_id = new_node()
@@ -239,7 +283,7 @@ def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
         threshold[node] = best_thr
         left[node] = left_id
         right[node] = right_id
-        gain[node] = best_gain
+        gain[node] = float(feat_gains[i])
         stack.append((left_id, rows[go_left], depth + 1))
         stack.append((right_id, rows[~go_left], depth + 1))
 
@@ -269,15 +313,21 @@ def fit_tree(X, y, params: TreeParams, rng: np.random.Generator | None = None) -
 
 
 def fit_gradient_tree(X, gradients: GradientPair, params: GradientTreeParams,
-                      weights: np.ndarray | None = None) -> RegressionTree:
-    """Gradient-mode tree: second-order gain, leaf weight -G/(H+lam)."""
+                      weights: np.ndarray | None = None, *, bins: _Bins | None = None,
+                      leaves: np.ndarray | None = None) -> RegressionTree:
+    """Gradient-mode tree: second-order gain, leaf weight -G/(H+lam).
+
+    ``bins`` (``_bin(X, params.n_bins)``) skips binning X again; ``leaves``
+    receives the leaf node of every row of X.
+    """
     X = np.asarray(X, dtype=float)
     if len(X) < 1:
         raise ValueError("fit_gradient_tree requires at least one row")
     w = np.ones(len(X)) if weights is None else np.asarray(weights, dtype=float)
     return _grow(X, gradients.g, gradients.h, w,
                  max_depth=params.max_depth, min_child_weight=params.min_child_weight,
-                 reg_lambda=params.reg_lambda, gamma=params.gamma, n_bins=params.n_bins)
+                 reg_lambda=params.reg_lambda, gamma=params.gamma, n_bins=params.n_bins,
+                 bins=bins, leaves=leaves)
 
 
 def predict_tree(tree: RegressionTree, X) -> np.ndarray:
@@ -356,7 +406,9 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
 
     Per round: g_i = yhat_i - y_i, h_i = 1; fit a gradient tree (on the
     GOSS subset with amplification weights when enabled) and advance the
-    predictions by learning_rate * tree(X).
+    predictions by learning_rate * tree(X). Without GOSS every round fits
+    on X, so X is binned once and tree(X) is the value of the leaf each
+    row reached while the tree grew.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -369,6 +421,8 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
     yhat = np.full(len(y), base)
     trees = []
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees) if cfg.n_trees else []
+    bins = _bin(X, cfg.n_bins) if cfg.goss is None else None
+    leaves = np.empty(len(X), dtype=np.intp)
     for child in seeds:
         g = yhat - y
         h = np.ones(len(y))
@@ -377,10 +431,13 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
             rows, w = goss_sample(g, cfg.goss.top_rate, cfg.goss.other_rate, rng)
             tree = fit_gradient_tree(X[rows], GradientPair(g=g[rows], h=h[rows]), params,
                                      weights=w)
+            step = predict_tree(tree, X)
         else:
-            tree = fit_gradient_tree(X, GradientPair(g=g, h=h), params)
+            tree = fit_gradient_tree(X, GradientPair(g=g, h=h), params,
+                                     bins=bins, leaves=leaves)
+            step = tree.value[leaves]
         trees.append(tree)
-        yhat = yhat + cfg.learning_rate * predict_tree(tree, X)
+        yhat = yhat + cfg.learning_rate * step
     return Ensemble(kind=EnsembleKind.GBDT, base_score=base,
                     trees=tuple(trees), learning_rate=cfg.learning_rate)
 

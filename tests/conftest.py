@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import json
+import re
 from pathlib import Path
 
 import hypothesis
@@ -13,6 +14,23 @@ hypothesis.settings.register_profile(
     "suite", max_examples=40, deadline=None,
     suppress_health_check=[hypothesis.HealthCheck.too_slow])
 hypothesis.settings.load_profile("suite")
+
+# report.md copies the wall times of timing_strategyN.json into these sections
+TIMING_SECTION = re.compile(r"^## Strategy \d+: running time summary\n.*?(?=^## |\Z)",
+                            re.MULTILINE | re.DOTALL)
+
+
+def deterministic_files(out_dir):
+    """Every output but the wall-clock ones: timing files and report.md's
+    timing sections."""
+    files = {}
+    for p in sorted(out_dir.rglob("*")):
+        if p.is_file() and not p.name.startswith("timing_"):
+            blob = p.read_bytes()
+            if p.name == "report.md":
+                blob = TIMING_SECTION.sub("", blob.decode("utf-8")).encode("utf-8")
+            files[p.relative_to(out_dir)] = blob
+    return files
 
 
 def synthetic_panel(n_dates: int, n_sites: int, n_features: int,

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import synthetic_panel, write_panel_csv, write_schema
+from conftest import deterministic_files, synthetic_panel, write_panel_csv, write_schema
 from wqpanel.cli import main as cli_main
 from wqpanel.elastic_net import (ElasticNetConfig, fit_elastic_net,
                                  kkt_max_violation, lambda_max, predict_linear)
@@ -297,7 +297,7 @@ def test_criterion_7_pipeline(tmp_path):
     assert serial.mean_scores == parallel.mean_scores
     assert serial.total_fits == parallel.total_fits == len(grid) * 3
 
-    # end-to-end seeded CLI run is byte-reproducible (timing file aside)
+    # end-to-end seeded CLI run is byte-reproducible (wall times aside)
     panel_train = synthetic_panel(10, 3, 4, seed=73)
     panel_test = synthetic_panel(5, 3, 4, seed=74)
     write_panel_csv(tmp_path / "train.csv", panel_train)
@@ -320,9 +320,7 @@ def test_criterion_7_pipeline(tmp_path):
     def run_all():
         for command in (["ingest"], ["tune"], ["evaluate"], ["report"]):
             assert cli_main(command + cfg_arg) == 0
-        out = tmp_path / "out"
-        return {p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*"))
-                if p.is_file() and not p.name.startswith("timing_")}
+        return deterministic_files(tmp_path / "out")
 
     first = run_all()
     second = run_all()

@@ -1,6 +1,5 @@
 import csv
 import json
-import re
 import runpy
 import sys
 from pathlib import Path
@@ -8,14 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import deterministic_files
+import wqpanel.cli as cli
 from wqpanel.cli import main
 from wqpanel.reporting import EXTERNAL_ROW_LABEL
 from wqpanel.run_config import OUTPUT_DIR_ENV
 from wqpanel.serialize import load_model
 
-# report.md copies the wall times of timing_strategyN.json into these sections
-TIMING_SECTION = re.compile(r"^## Strategy \d+: running time summary\n.*?(?=^## |\Z)",
-                            re.MULTILINE | re.DOTALL)
 TWO_FAMILY_GRIDS = {"elastic_net": {"lam": [1e-6, 0.1], "alpha": [0.5]},
                     "gbdt": {"n_trees": [5], "max_depth": [2]}}
 
@@ -24,19 +22,6 @@ def run(args, capsys=None):
     code = main(args)
     out = capsys.readouterr() if capsys else None
     return code, out
-
-
-def deterministic_files(out_dir):
-    """Every output but the wall-clock ones: timing files and report.md's
-    timing sections."""
-    files = {}
-    for p in sorted(out_dir.rglob("*")):
-        if p.is_file() and not p.name.startswith("timing_"):
-            blob = p.read_bytes()
-            if p.name == "report.md":
-                blob = TIMING_SECTION.sub("", blob.decode("utf-8")).encode("utf-8")
-            files[p.relative_to(out_dir)] = blob
-    return files
 
 
 def test_ingest_prints_dimensions_and_caches(panel_files, capsys):
@@ -80,6 +65,17 @@ def test_missing_seed_is_config_error(panel_files, tmp_path, capsys):
     bad.write_text(json.dumps(raw))
     code, _ = run(["ingest", "--config", str(bad)], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("section", ["data", "cv", "shap", "grids", "categoricals"])
+def test_non_object_config_section_is_config_error(panel_files, capsys, section):
+    env = panel_files()
+    raw = json.loads(env["config"].read_text())
+    raw[section] = 5
+    env["config"].write_text(json.dumps(raw))
+    code, out = run(["stats", "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert f"{section} must be a JSON object" in out.err
 
 
 def test_unknown_categorical_is_config_error(panel_files, capsys):
@@ -130,6 +126,36 @@ def test_stats_rereads_inputs_changed_since_ingest(panel_files, capsys):
     assert run(["ingest", "--config", cfg], capsys)[0] == 0
     code, out = run(["stats", "--config", cfg], capsys)
     assert code == 0 and out.err == ""  # the refreshed cache matches again
+
+
+def test_tune_and_stats_read_only_the_train_panel(panel_files, capsys, monkeypatch):
+    env = panel_files(n_train=6, n_test=4, n_sites=2, n_features=3)
+    cfg = str(env["config"])
+    read = []
+    real_load_panel = cli.load_panel
+
+    def recording_load_panel(path, *args, **kwargs):
+        read.append(Path(path).name)
+        return real_load_panel(path, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_panel", recording_load_panel)
+    for command in ("stats", "tune"):  # no cache: only train.csv is parsed
+        read.clear()
+        assert run([command, "--config", cfg], capsys)[0] == 0
+        assert read == ["train.csv"], command
+
+    # with a matching cache no CSV is parsed and only the train arrays are
+    # unpacked: a cache stripped of its test arrays still serves both stages
+    assert run(["ingest", "--config", cfg], capsys)[0] == 0
+    cache = env["out"] / "panel_cache.npz"
+    with np.load(cache) as data:
+        kept = {k: data[k] for k in data.files if not k.startswith("test_")}
+    np.savez(cache, **kept)
+    for command in ("stats", "tune"):
+        read.clear()
+        code, out = run([command, "--config", cfg], capsys)
+        assert code == 0 and out.err == "", command
+        assert read == [], command
 
 
 def test_tune_writes_deterministic_artifacts(panel_files, capsys):
@@ -355,6 +381,47 @@ def test_explain_bad_row_selection_is_config_error(panel_files, capsys, rows):
     assert code == 3
     assert rows in out.err
     assert not list(env["out"].glob("shap_*.csv"))
+
+
+@pytest.mark.parametrize("shap, field", [
+    ({"rows": ["x"]}, "shap.rows"),
+    ({"rows": [0, 1.5]}, "shap.rows"),
+    ({"rows": {"samples": 3}}, "shap.rows"),
+    ({"rows": {"sample": 0}}, "shap.rows"),
+    ({"rows": {"sample": "3"}}, "shap.rows"),
+    ({"rows": "0:2"}, "shap.rows"),
+    ({"background_size": "x"}, "shap.background_size"),
+    ({"background_size": 16.0}, "shap.background_size"),
+    ({"background_size": 0}, "shap.background_size"),
+    ({"cap": "x"}, "shap.cap"),
+    ({"cap": True}, "shap.cap"),
+], ids=["rows-str", "rows-float", "rows-samples-key", "rows-sample-0", "rows-sample-str",
+        "rows-slice-str", "background-str", "background-float", "background-0",
+        "cap-str", "cap-bool"])
+def test_explain_bad_shap_config_is_config_error(panel_files, capsys, shap, field):
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3)
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    raw = json.loads(env["config"].read_text())
+    raw["shap"].update(shap)
+    env["config"].write_text(json.dumps(raw))
+    model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"
+    code, out = run(["explain", "--config", str(env["config"]),
+                     "--model", str(model_path)], capsys)
+    assert code == 3
+    assert field in out.err
+    assert not list(env["out"].glob("shap_*.csv"))
+
+
+@pytest.mark.parametrize("rows, n_rows", [([0, 2], 2), ({"sample": 3}, 3)])
+def test_explain_config_rows(panel_files, capsys, rows, n_rows):
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
+                      shap={"kind": "marginalize", "background_size": 16, "rows": rows})
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"
+    assert run(["explain", "--config", str(env["config"]),
+                "--model", str(model_path)], capsys)[0] == 0
+    with open(env["out"] / "shap_values.csv", newline="") as fh:
+        assert len({r["row"] for r in csv.DictReader(fh)}) == n_rows
 
 
 def test_explain_rejects_cyclic_tree_arena(panel_files, capsys):

@@ -3,12 +3,13 @@ import json
 import numpy as np
 import pytest
 
+from wqpanel import trees
 from wqpanel.families import FAMILIES
 from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig,
                            GradientPair, GradientTreeParams, RFConfig,
-                           RegressionTree, TreeParams, fit_gbdt,
-                           fit_gradient_tree, fit_random_forest, fit_tree,
-                           goss_sample, predict_ensemble, predict_tree,
+                           RegressionTree, TreeParams, _bin, _candidate_thresholds,
+                           _grow, fit_gbdt, fit_gradient_tree, fit_random_forest,
+                           fit_tree, goss_sample, predict_ensemble, predict_tree,
                            total_gain_importance)
 
 
@@ -152,6 +153,207 @@ def test_monotone_feature_transform_preserves_structure():
     np.testing.assert_array_equal(base.left, other.left)
     np.testing.assert_array_equal(base.n_samples, other.n_samples)
     np.testing.assert_allclose(base.value, other.value, atol=1e-12)
+
+
+# ------------------------------------------------- exact-greedy oracle
+
+def oracle_grow(X, g, h, w, max_depth, min_child_weight, reg_lambda, gamma,
+                n_bins, rng=None, max_features=None):
+    """The per-feature split search the histogram grower replaced: one
+    searchsorted, two bincounts and a cumsum per node and feature."""
+    n, p = X.shape
+    candidates = [_candidate_thresholds(X[:, f], n_bins) for f in range(p)]
+    wg = w * g
+    wh = w * h
+    feature, threshold, left, right, value, n_samples, gain = [], [], [], [], [], [], []
+
+    def new_node():
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        n_samples.append(0)
+        gain.append(0.0)
+        return len(feature) - 1
+
+    stack = [(new_node(), np.arange(n), 0)]
+    while stack:
+        node, rows, depth = stack.pop()
+        G = float(wg[rows].sum())
+        H = float(wh[rows].sum())
+        value[node] = -G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
+        n_samples[node] = len(rows)
+        if depth >= max_depth or len(rows) < 2:
+            continue
+        if max_features is not None and max_features < p:
+            feats = np.sort(rng.choice(p, size=max_features, replace=False))
+        else:
+            feats = np.arange(p)
+        parent_score = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
+        best_gain, best_feat, best_thr = 0.0, -1, np.nan
+        for f in feats:
+            cand = candidates[f]
+            if len(cand) == 0:
+                continue
+            bins = np.searchsorted(cand, X[rows, f], side="left")
+            gsum = np.bincount(bins, weights=wg[rows], minlength=len(cand) + 1)
+            hsum = np.bincount(bins, weights=wh[rows], minlength=len(cand) + 1)
+            GL = np.cumsum(gsum)[:-1]
+            HL = np.cumsum(hsum)[:-1]
+            GR = G - GL
+            HR = H - HL
+            valid = (HL >= min_child_weight) & (HR >= min_child_weight) & (HL > 0) & (HR > 0)
+            if not valid.any():
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda)
+                               - parent_score) - gamma
+            gains[~valid] = -np.inf
+            k = int(np.argmax(gains))
+            if gains[k] > best_gain:
+                best_gain, best_feat, best_thr = float(gains[k]), int(f), float(cand[k])
+        if best_feat < 0 or best_gain <= 0.0:
+            continue
+        go_left = X[rows, best_feat] <= best_thr
+        left_id, right_id = new_node(), new_node()
+        feature[node], threshold[node] = best_feat, best_thr
+        left[node], right[node], gain[node] = left_id, right_id, best_gain
+        stack.append((left_id, rows[go_left], depth + 1))
+        stack.append((right_id, rows[~go_left], depth + 1))
+
+    return RegressionTree(
+        feature=np.asarray(feature, dtype=np.int32),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int32), right=np.asarray(right, dtype=np.int32),
+        value=np.asarray(value, dtype=float),
+        n_samples=np.asarray(n_samples, dtype=np.int64),
+        gain=np.asarray(gain, dtype=float))
+
+
+def _columns(rng, n, kind):
+    """An n x 5 design of one kind: continuous, with constant and 0/1
+    one-hot columns, or coarsely rounded (many tied values and gains)."""
+    X = rng.standard_normal((n, 5))
+    if kind == "one_hot":
+        X[:, 1] = 2.5
+        X[:, 2:] = np.eye(3)[rng.integers(0, 3, n)]
+    elif kind == "rounded":
+        X = np.round(X)
+    return X
+
+
+GROW_CASES = [
+    # (design kind, n_bins, max_depth, min_child_weight, reg_lambda, gamma, max_features)
+    ("continuous", 256, 4, 1.0, 1.0, 0.0, None),
+    ("continuous", 4, 5, 1.0, 0.0, 0.0, None),          # coarse bins
+    ("continuous", 10**9, 3, 0.0, 0.0, 0.0, None),      # saturated: exact midpoints
+    ("continuous", 256, 4, 0.0, 1.0, 0.05, 2),          # gamma > 0, max_features
+    ("one_hot", 256, 6, 1.0, 1.0, 0.0, None),
+    ("one_hot", 2, 4, 0.0, 0.0, 0.0, 3),
+    ("rounded", 256, 4, 1.0, 0.0, 0.0, None),           # tied gains
+    ("rounded", 3, 3, 2.0, 1.0, 0.01, 1),
+    ("continuous", 256, 0, 1.0, 1.0, 0.0, None),        # max_depth 0
+]
+
+
+@pytest.mark.parametrize("case", GROW_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_grower_matches_exact_greedy_oracle(case):
+    kind, n_bins, max_depth, mcw, lam, gamma, max_features = case
+    rng = np.random.default_rng(GROW_CASES.index(case))
+    for trial in range(8):
+        n = int(rng.integers(1, 90)) if trial else 1  # trial 0: a single row
+        X = _columns(rng, n, kind)
+        y = np.round(rng.standard_normal(n), 1) if kind == "rounded" else rng.standard_normal(n)
+        goss = trial % 2 == 1  # amplified GOSS weights on half the trials
+        w = np.where(rng.random(n) < 0.5, 1.0, 0.8 / 0.3) if goss else np.ones(n)
+        h = rng.uniform(0.5, 2.0, n) if trial % 3 == 2 else np.ones(n)
+        params = dict(max_depth=max_depth, min_child_weight=mcw, reg_lambda=lam,
+                      gamma=gamma, n_bins=n_bins, max_features=max_features)
+        expected = oracle_grow(X, -y, h, w, rng=np.random.default_rng(trial), **params)
+        actual = _grow(X, -y, h, w, rng=np.random.default_rng(trial), **params)
+        assert serialize_tree(actual) == serialize_tree(expected), (case, trial)
+
+
+def test_public_growers_match_the_oracle():
+    rng = np.random.default_rng(31)
+    X = _columns(rng, 70, "one_hot")
+    y = rng.standard_normal(70)
+    tree = fit_tree(X, y, TreeParams(max_depth=5, n_bins=8, max_features=3),
+                    rng=np.random.default_rng(4))
+    expected = oracle_grow(X, -y, np.ones(70), np.ones(70), max_depth=5, min_child_weight=1.0,
+                           reg_lambda=0.0, gamma=0.0, n_bins=8,
+                           rng=np.random.default_rng(4), max_features=3)
+    assert serialize_tree(tree) == serialize_tree(expected)
+
+    rows, w = goss_sample(y, 0.2, 0.3, np.random.default_rng(5))
+    params = GradientTreeParams(max_depth=3, min_child_weight=0.0, reg_lambda=1.0,
+                                gamma=0.1, n_bins=16)
+    pair = GradientPair(g=y[rows], h=np.ones(len(rows)))
+    tree = fit_gradient_tree(X[rows], pair, params, weights=w)
+    expected = oracle_grow(X[rows], y[rows], np.ones(len(rows)), w, max_depth=3,
+                           min_child_weight=0.0, reg_lambda=1.0, gamma=0.1, n_bins=16)
+    assert serialize_tree(tree) == serialize_tree(expected)
+
+
+def test_padding_past_last_candidate_is_never_a_split():
+    # Feature 0 has one candidate and feature 1 has 39, so feature 0's row
+    # of the histogram has 38 padding positions, where HL is the cumsum
+    # total. With amplified GOSS weights that total is an ulp below the
+    # pairwise H, so HR there is positive. A constant gradient with
+    # reg_lambda 1 makes every real split lose (x^2 / (x + 1) is
+    # superadditive), while the padding positions gain about 1e-16: only
+    # the padding mask keeps the root a leaf.
+    rng = np.random.default_rng(13)
+    w = np.where(rng.random(40) < 0.5, 1.0, 0.8 / 0.3)
+    X = np.column_stack([np.repeat([0.0, 1.0], 20), rng.standard_normal(40)])
+    assert float(w.sum()) > np.cumsum(w)[-1]
+    bins = _bin(X, 256)
+    assert bins.n_candidates.tolist() == [1, 39] and bins.width == 40
+    g, h = np.full(40, 0.7), np.ones(40)
+    params = GradientTreeParams(max_depth=1, min_child_weight=0.0, reg_lambda=1.0)
+    tree = fit_gradient_tree(X, GradientPair(g=g, h=h), params, weights=w)
+    expected = oracle_grow(X, g, h, w, max_depth=1, min_child_weight=0.0,
+                           reg_lambda=1.0, gamma=0.0, n_bins=256)
+    assert expected.n_nodes == 1
+    assert serialize_tree(tree) == serialize_tree(expected)
+
+
+def test_leaves_route_like_predict_tree():
+    rng = np.random.default_rng(33)
+    X = _columns(rng, 120, "one_hot")
+    gradients = GradientPair(g=rng.standard_normal(120), h=np.ones(120))
+    params = GradientTreeParams(max_depth=4, n_bins=16)
+    leaves = np.empty(120, dtype=np.intp)
+    tree = fit_gradient_tree(X, gradients, params, bins=_bin(X, 16), leaves=leaves)
+    assert serialize_tree(tree) == serialize_tree(fit_gradient_tree(X, gradients, params))
+    assert (tree.feature[leaves] < 0).all()
+    np.testing.assert_array_equal(tree.value[leaves], predict_tree(tree, X))
+
+
+@pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
+def test_gbdt_leaf_yhat_equals_predict_ensemble_bitwise(monkeypatch, reg_lambda):
+    # each round's gradient is yhat - y; yhat must be exactly the running
+    # prediction predict_ensemble gives for the trees fitted so far
+    rng = np.random.default_rng(34)
+    X = _columns(rng, 150, "one_hot")
+    y = np.sin(X[:, 0]) + X[:, 2] + 0.1 * rng.standard_normal(150)
+    seen = []
+    real = trees.fit_gradient_tree
+
+    def recording(X_, gradients, *args, **kwargs):
+        seen.append(gradients.g.copy())
+        return real(X_, gradients, *args, **kwargs)
+
+    monkeypatch.setattr(trees, "fit_gradient_tree", recording)
+    cfg = GBDTConfig(n_trees=12, learning_rate=0.3, max_depth=3,
+                     reg_lambda=reg_lambda, n_bins=32)
+    model = fit_gbdt(X, y, cfg)
+    assert len(seen) == cfg.n_trees
+    for k, g in enumerate(seen):
+        prefix = Ensemble(kind=EnsembleKind.GBDT, base_score=model.base_score,
+                          trees=model.trees[:k], learning_rate=cfg.learning_rate)
+        np.testing.assert_array_equal(g, predict_ensemble(prefix, X) - y)
 
 
 # ------------------------------------------------------------------ GOSS
