@@ -91,6 +91,8 @@ def _config_from_args(args) -> RunConfig:
             raise ConfigError("seed must be >= 0")
         updates["seed"] = args.seed
     if args.jobs is not None:
+        if args.jobs < 1:
+            raise ConfigError("--jobs must be >= 1")
         updates["n_jobs"] = args.jobs
     return dataclasses.replace(cfg, **updates) if updates else cfg
 

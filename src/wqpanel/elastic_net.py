@@ -4,6 +4,17 @@ Minimizes sum((y_i - x_i'b)^2) / (2n) + lam*(1-alpha)/2 * sum(b_j^2)
 + lam*alpha * sum(|b_j|) with an unpenalized intercept. Predictors are
 standardized internally before penalization by default (coefficients are
 mapped back to the original scale on return).
+
+A fit is a set-up and a descent. prepare_fit checks the inputs and builds
+everything no config changes: the working space (column means and scales),
+the Gram matrix X'X/n, X'y/n and its diagonal. fit_elastic_net builds it
+itself, or takes one made beforehand, so the tuner builds it once per fold
+(and per standardize_internally value) and runs every config's descent
+from it. The descent keeps its scalar steps on Python floats; IEEE
+rounding of + - * / and abs is the same for them as for numpy float64
+scalars, and the dot product with the Gram row is still an ndarray one,
+so a shared set-up and the fast loop give the same coefficients, bit for
+bit, as a fit from scratch with all-numpy steps.
 """
 
 from __future__ import annotations
@@ -51,14 +62,6 @@ def _working_space(X: np.ndarray, standardize: bool):
     return Xs, x_mean, scale
 
 
-def _soft_threshold(value: float, threshold: float) -> float:
-    if value > threshold:
-        return value - threshold
-    if value < -threshold:
-        return value + threshold
-    return 0.0
-
-
 def objective_value(X: np.ndarray, y: np.ndarray, intercept: float,
                     coefficients: np.ndarray, lam: float, alpha: float) -> float:
     """The penalized least-squares objective at the given parameters."""
@@ -71,19 +74,34 @@ def objective_value(X: np.ndarray, y: np.ndarray, intercept: float,
     )
 
 
-def fit_elastic_net(X, y, cfg: ElasticNetConfig, keep_trace: bool = False) -> LinearModel:
-    """Cyclic coordinate descent with soft-thresholding and Gram-matrix updates.
+@dataclass(frozen=True)
+class FitSetup:
+    """What a descent needs from (X, y) that no config changes.
 
-    Deterministic (fixed cyclic order over columns); converged when the
-    largest coefficient change in a sweep drops below cfg.tol, or after
-    cfg.max_iter sweeps. With keep_trace the per-sweep objective (in the
-    internal working space) is recorded on the model.
+    prepare_fit builds it; fit_elastic_net runs one config's descent from
+    it, so the configs of one fold can share it. Xs and yc, the
+    working-space predictors and centered target, are read only for an
+    objective trace.
     """
+
+    standardize: bool
+    x_mean: np.ndarray
+    scale: np.ndarray
+    y_mean: float
+    gram: np.ndarray
+    xy: np.ndarray
+    diag: np.ndarray
+    Xs: np.ndarray
+    yc: np.ndarray
+
+
+def prepare_fit(X, y, standardize: bool) -> FitSetup:
+    """Check (X, y) and build the working space, Gram matrix and X'y once."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
         raise ValueError("X must be 2-dimensional")
-    n, p = X.shape
+    n = X.shape[0]
     if n == 0:
         raise ValueError("fit_elastic_net requires at least one row")
     if len(y) != n:
@@ -91,38 +109,73 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig, keep_trace: bool = False) -> Li
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in input")
 
-    Xs, x_mean, scale = _working_space(X, cfg.standardize_internally)
+    standardize = bool(standardize)
+    Xs, x_mean, scale = _working_space(X, standardize)
     y_mean = float(y.mean())
     yc = y - y_mean
-
     gram = Xs.T @ Xs / n
-    xy = Xs.T @ yc / n
-    diag = np.diag(gram).copy()
+    return FitSetup(
+        standardize=standardize, x_mean=x_mean, scale=scale, y_mean=y_mean,
+        gram=gram, xy=Xs.T @ yc / n, diag=np.diag(gram).copy(), Xs=Xs, yc=yc)
+
+
+def fit_elastic_net(X, y, cfg: ElasticNetConfig, keep_trace: bool = False,
+                    setup: FitSetup | None = None) -> LinearModel:
+    """Cyclic coordinate descent with soft-thresholding and Gram-matrix updates.
+
+    Deterministic (fixed cyclic order over columns); converged when the
+    largest coefficient change in a sweep drops below cfg.tol, or after
+    cfg.max_iter sweeps. With keep_trace the per-sweep objective (in the
+    internal working space) is recorded on the model. ``setup`` is
+    prepare_fit(X, y, cfg.standardize_internally) made beforehand; without
+    it the set-up is built here.
+    """
+    if setup is None:
+        setup = prepare_fit(X, y, cfg.standardize_internally)
+    elif setup.standardize != bool(cfg.standardize_internally):
+        raise ValueError("setup was prepared with standardize="
+                         f"{setup.standardize}, the config asks for "
+                         f"{cfg.standardize_internally}")
+
     l1 = cfg.lam * cfg.alpha
     l2 = cfg.lam * (1.0 - cfg.alpha)
+    # The scalar steps run on Python floats, which round + - * / and abs
+    # exactly as numpy float64 scalars do; the dot product stays an ndarray
+    # one, so every coefficient equals the all-numpy loop's bit for bit.
+    xy = setup.xy.tolist()
+    diag = setup.diag.tolist()
+    denom = [d + l2 for d in diag]
+    rows = list(setup.gram)
+    active = [j for j, d in enumerate(diag) if d != 0.0]  # constant columns stay at 0
+    b = np.zeros(len(diag))
+    coef = [0.0] * len(diag)  # b as Python floats
 
-    b = np.zeros(p)
     trace: list[float] = []
     sweeps = 0
     for sweep in range(cfg.max_iter):
         sweeps = sweep + 1
         max_delta = 0.0
-        for j in range(p):
-            if diag[j] == 0.0:
-                continue  # constant column stays at 0
-            rho = xy[j] - gram[j] @ b + diag[j] * b[j]
-            new = _soft_threshold(rho, l1) / (diag[j] + l2)
-            delta = abs(new - b[j])
+        for j in active:
+            old = coef[j]
+            rho = xy[j] - float(rows[j] @ b) + diag[j] * old
+            if rho > l1:
+                new = (rho - l1) / denom[j]
+            elif rho < -l1:
+                new = (rho + l1) / denom[j]
+            else:
+                new = 0.0
+            delta = abs(new - old)
             if delta > max_delta:
                 max_delta = delta
             b[j] = new
+            coef[j] = new
         if keep_trace:
-            trace.append(objective_value(Xs, yc, 0.0, b, cfg.lam, cfg.alpha))
+            trace.append(objective_value(setup.Xs, setup.yc, 0.0, b, cfg.lam, cfg.alpha))
         if max_delta < cfg.tol:
             break
 
-    coefficients = b / scale
-    intercept = y_mean - float(coefficients @ x_mean)
+    coefficients = b / setup.scale
+    intercept = setup.y_mean - float(coefficients @ setup.x_mean)
     return LinearModel(
         intercept=intercept, coefficients=coefficients, config=cfg,
         sweeps_used=sweeps, objective_trace=tuple(trace))

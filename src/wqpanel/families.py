@@ -6,13 +6,18 @@ registry, the one module that knows about individual families. An entry
 holds the names of the family and its hyperparameters (the fields of its
 learner's config dataclasses), fit/predict/export/restore/importance, an
 optional exact SHAP solver, its default tuning grid (the entries with one
-are the tunable families) and whether retrain SHAP may refit it.
+are the tunable families), whether retrain SHAP may refit it, and an
+optional fit_fold hook. fit_fold fits all the configs of one CV fold and
+yields their validation predictions, sharing the work that no config
+changes; it must give the same predictions, bit for bit, as fit and
+predict per config. Elastic net has one (one Gram matrix per fold); the
+tuner fits and predicts each config of the other families on its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -40,6 +45,11 @@ class ModelFamily:
     # axis name -> values; None: not tunable
     default_grid: Mapping[str, list] | None = None
     cheap_refit: bool = False
+    # (X_train, y_train, X_val, configs) -> the validation predictions of
+    # each config, in order, from work shared across them; None: the tuner
+    # fits and predicts each config on its own
+    fit_fold: Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence[Mapping]],
+                       Iterator[np.ndarray]] | None = None
 
 
 def _param_names(*configs: type) -> frozenset:
@@ -134,6 +144,19 @@ def _fit_elastic_net(X, y, params, seed):
     return en.fit_elastic_net(X, y, en.ElasticNetConfig(**params))
 
 
+def _elastic_net_fold(X_train, y_train, X_val, configs):
+    """One set-up per standardize_internally value, then each config's
+    descent; the fits equal _fit_elastic_net's bit for bit."""
+    setups = {}
+    for params in configs:
+        cfg = en.ElasticNetConfig(**params)
+        flag = bool(cfg.standardize_internally)
+        if flag not in setups:
+            setups[flag] = en.prepare_fit(X_train, y_train, flag)
+        model = en.fit_elastic_net(X_train, y_train, cfg, setup=setups[flag])
+        yield en.predict_linear(model, X_val)
+
+
 def _fit_random_forest(X, y, params, seed):
     return tr.fit_random_forest(X, y, tr.RFConfig(seed=seed, **params))
 
@@ -225,6 +248,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "alpha": list(en.DEFAULT_ALPHA_GRID),
         },  # 30 configs
         cheap_refit=True,
+        fit_fold=_elastic_net_fold,
     ),
     "random_forest": ModelFamily(
         name="random_forest", display_name="Random Forest",

@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .families import TUNABLE_FAMILIES
+from .families import FAMILIES, TUNABLE_FAMILIES
 from .features import StrategyConfig
 from .tuner import FoldScheme
 
@@ -75,6 +75,29 @@ def _section(raw: dict, key: str) -> dict:
     if not isinstance(value, dict):
         raise ConfigError(f"{key} must be a JSON object, got {value!r}")
     return value
+
+
+def _grids(raw: dict) -> dict:
+    """The grids section, checked: each entry a JSON object of non-empty
+    lists named in its tunable family's parameters."""
+    grids = {}
+    for family, axes in _section(raw, "grids").items():
+        if family not in TUNABLE_FAMILIES:
+            raise ConfigError(f"grids.{family}: unknown tunable family {family!r}; "
+                              f"known: {list(TUNABLE_FAMILIES)}")
+        if not isinstance(axes, dict):
+            raise ConfigError(f"grids.{family} must be a JSON object of axes, "
+                              f"got {axes!r}")
+        valid = FAMILIES[family].param_names
+        for name, values in axes.items():
+            if name not in valid:
+                raise ConfigError(f"grids.{family}.{name} is not a {family} "
+                                  f"parameter (valid: {sorted(valid)})")
+            if not isinstance(values, list) or not values:
+                raise ConfigError(f"grids.{family}.{name} must be a non-empty "
+                                  f"list, got {values!r}")
+        grids[family] = dict(axes)
+    return grids
 
 
 def load_run_config(path: str | Path) -> RunConfig:
@@ -138,6 +161,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         if not _is_int(value) or value < 1:
             raise ConfigError(f"shap.{key} must be an integer >= 1, got {value!r}")
 
+    n_jobs = raw.get("n_jobs", 1)
+    if not _is_int(n_jobs) or n_jobs < 1:
+        raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
+
     return RunConfig(
         seed=seed,
         train_csv=resolve(data["train_csv"]),
@@ -150,10 +177,10 @@ def load_run_config(path: str | Path) -> RunConfig:
         cv_k=cv_k,
         cv_scheme=cv_scheme,
         families=families,
-        grids={k: dict(v) for k, v in _section(raw, "grids").items()},
+        grids=_grids(raw),
         shap_kind=shap_kind,
         shap_background=shap.get("background_size", 256),
         shap_rows=shap_rows,
         shap_cap=shap.get("cap", 15),
-        n_jobs=int(raw.get("n_jobs", 1)),
+        n_jobs=n_jobs,
     )

@@ -3,7 +3,9 @@ matrices it searches over.
 
 All randomness flows from one run seed through named sub-seeds, and each
 (config, fold) fit gets a seed derived from its indices, so parallel and
-serial execution are interchangeable.
+serial execution are interchangeable. A task is one fold and a group of
+configs: one config for most families, every config for a family whose
+registry entry has a fit_fold hook.
 """
 
 from __future__ import annotations
@@ -146,20 +148,39 @@ def _pool_init(family_name, configs, X, y, folds, seed):
                      X=X, y=y, folds=folds, seed=seed)
 
 
-def _pool_task(task: tuple[int, int]) -> tuple[int, int, float]:
-    ci, fi = task
+def _fit_each(ctx, X_train, y_train, X_val, cis, fi):
+    """The validation predictions of configs ``cis``, one fit per config."""
+    family = ctx["family"]
+    for ci in cis:
+        model = family.fit(X_train, y_train, ctx["configs"][ci],
+                           subseed(ctx["seed"], TAG_FIT, ci, fi))
+        yield family.predict(model, X_val)
+
+
+def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]]:
+    """(config, fold, score) of the configs ``cis`` on fold ``fi``, from the
+    family's fit_fold hook if it has one."""
+    fi, cis = task
     ctx = _POOL_CTX
+    family = ctx["family"]
     train_idx, val_idx = ctx["folds"][fi]
-    try:
-        model = ctx["family"].fit(ctx["X"][train_idx], ctx["y"][train_idx],
-                                  ctx["configs"][ci],
-                                  subseed(ctx["seed"], TAG_FIT, ci, fi))
-        pred = ctx["family"].predict(model, ctx["X"][val_idx])
-    except Exception as exc:
-        raise FitFailedError(
-            f"{ctx['family'].name} fit failed for config {ctx['configs'][ci]} "
-            f"on fold {fi}: {exc}") from exc
-    return ci, fi, score(ctx["y"][val_idx], pred)
+    X_train, y_train = ctx["X"][train_idx], ctx["y"][train_idx]
+    X_val, y_val = ctx["X"][val_idx], ctx["y"][val_idx]
+    if family.fit_fold is None:
+        preds = _fit_each(ctx, X_train, y_train, X_val, cis, fi)
+    else:
+        preds = family.fit_fold(X_train, y_train, X_val,
+                                [ctx["configs"][ci] for ci in cis])
+    out = []
+    for ci in cis:
+        try:
+            pred = next(preds)
+        except Exception as exc:
+            raise FitFailedError(
+                f"{family.name} fit failed for config {ctx['configs'][ci]} "
+                f"on fold {fi}: {exc}") from exc
+        out.append((ci, fi, score(y_val, pred)))
+    return out
 
 
 def grid_search(family_name: str, grid: HyperGrid, X, y, cv: CVConfig,
@@ -183,23 +204,25 @@ def grid_search(family_name: str, grid: HyperGrid, X, y, cv: CVConfig,
     y = np.asarray(y, dtype=float)
     folds = kfold_split(len(y), cv)
     k = len(folds)
-    tasks = [(ci, fi) for ci in range(len(configs)) for fi in range(k)]
+    has_hook = family.fit_fold is not None
+    if has_hook:  # one task per fold, whose configs share the hook's work
+        tasks = [(fi, tuple(range(len(configs)))) for fi in range(k)]
+    else:
+        tasks = [(fi, (ci,)) for ci in range(len(configs)) for fi in range(k)]
 
     scores = np.full((len(configs), k), np.nan)
-    fits_executed = 0
+    fits_executed = 0  # (config, fold) cells, however the fits were shared
     t0 = time.perf_counter()
     if n_jobs > 1:
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
                                  initargs=(family_name, configs, X, y, folds, seed)) as pool:
-            for ci, fi, s in pool.map(_pool_task, tasks, chunksize=8):
-                scores[ci, fi] = s
-                fits_executed += 1
+            results = list(pool.map(_pool_task, tasks, chunksize=1 if has_hook else 8))
     else:
         _pool_init(family_name, configs, X, y, folds, seed)
-        for task in tasks:
-            ci, fi, s = _pool_task(task)
-            scores[ci, fi] = s
-            fits_executed += 1
+        results = [_pool_task(task) for task in tasks]
+    for ci, fi, s in itertools.chain.from_iterable(results):
+        scores[ci, fi] = s
+        fits_executed += 1
     tuning_time = time.perf_counter() - t0
 
     mean_scores = scores.mean(axis=1)

@@ -78,6 +78,39 @@ def test_non_object_config_section_is_config_error(panel_files, capsys, section)
     assert f"{section} must be a JSON object" in out.err
 
 
+@pytest.mark.parametrize("grids, field", [
+    ({"gbdt": {"max_depth": 3}}, "grids.gbdt.max_depth"),
+    ({"gbdt": [3]}, "grids.gbdt"),
+    ({"gbdt": {"max_depth": []}}, "grids.gbdt.max_depth"),
+    ({"gbdt": {"maxdepth": [3]}}, "grids.gbdt.maxdepth"),
+    ({"elastic_net": {"lam": "0.1"}}, "grids.elastic_net.lam"),
+    ({"trees": {"max_depth": [3]}}, "grids.trees"),
+], ids=["axis-number", "entry-list", "axis-empty", "axis-unknown", "axis-str",
+        "family-unknown"])
+def test_bad_grid_is_config_error(panel_files, capsys, grids, field):
+    env = panel_files(families=["elastic_net", "gbdt"], grids=grids)
+    code, out = run(["tune", "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert field in out.err
+    assert not (env["out"] / "models").exists()
+
+
+@pytest.mark.parametrize("n_jobs", ["x", 0, -2, 1.5, True, None],
+                         ids=["str", "zero", "negative", "float", "bool", "null"])
+def test_bad_n_jobs_is_config_error(panel_files, capsys, n_jobs):
+    env = panel_files(n_jobs=n_jobs)
+    code, out = run(["stats", "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert "n_jobs" in out.err
+
+
+def test_jobs_flag_below_one_is_config_error(panel_files, capsys):
+    env = panel_files()
+    code, out = run(["tune", "--config", str(env["config"]), "--jobs", "0"], capsys)
+    assert code == 3
+    assert "--jobs" in out.err
+
+
 def test_unknown_categorical_is_config_error(panel_files, capsys):
     env = panel_files(categoricals={"weekdays": False})
     code, out = run(["tune", "--config", str(env["config"])], capsys)

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wqpanel.elastic_net import (ElasticNetConfig, LinearModel, fit_elastic_net,
-                                 kkt_max_violation, lambda_max, objective_value,
-                                 predict_linear)
+from wqpanel.elastic_net import (ElasticNetConfig, LinearModel, _working_space,
+                                 fit_elastic_net, kkt_max_violation, lambda_max,
+                                 objective_value, predict_linear, prepare_fit)
 
 
 def ols_oracle(X, y):
@@ -167,3 +167,125 @@ def test_input_validation():
         ElasticNetConfig(alpha=1.5)
     with pytest.raises(ValueError):
         ElasticNetConfig(tol=0.0)
+
+
+# ------------------------------------------------- slow oracle: the all-numpy loop
+
+def _oracle_soft_threshold(value, threshold):
+    if value > threshold:
+        return value - threshold
+    if value < -threshold:
+        return value + threshold
+    return 0.0
+
+
+def oracle_fit(X, y, cfg, keep_trace=False):
+    """The descent as it was before the set-up was shared and the scalar
+    steps moved to Python floats: every step on numpy scalars."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n, p = X.shape
+    Xs, x_mean, scale = _working_space(X, cfg.standardize_internally)
+    y_mean = float(y.mean())
+    yc = y - y_mean
+
+    gram = Xs.T @ Xs / n
+    xy = Xs.T @ yc / n
+    diag = np.diag(gram).copy()
+    l1 = cfg.lam * cfg.alpha
+    l2 = cfg.lam * (1.0 - cfg.alpha)
+
+    b = np.zeros(p)
+    trace = []
+    sweeps = 0
+    for sweep in range(cfg.max_iter):
+        sweeps = sweep + 1
+        max_delta = 0.0
+        for j in range(p):
+            if diag[j] == 0.0:
+                continue
+            rho = xy[j] - gram[j] @ b + diag[j] * b[j]
+            new = _oracle_soft_threshold(rho, l1) / (diag[j] + l2)
+            delta = abs(new - b[j])
+            if delta > max_delta:
+                max_delta = delta
+            b[j] = new
+        if keep_trace:
+            trace.append(objective_value(Xs, yc, 0.0, b, cfg.lam, cfg.alpha))
+        if max_delta < cfg.tol:
+            break
+
+    coefficients = b / scale
+    intercept = y_mean - float(coefficients @ x_mean)
+    return LinearModel(intercept=intercept, coefficients=coefficients, config=cfg,
+                       sweeps_used=sweeps, objective_trace=tuple(trace))
+
+
+def _assert_same_fit(model, oracle):
+    assert model.coefficients.tobytes() == oracle.coefficients.tobytes()
+    assert model.intercept.hex() == oracle.intercept.hex()
+    assert model.sweeps_used == oracle.sweeps_used
+    assert model.objective_trace == oracle.objective_trace
+
+
+def _oracle_instance(seed, constant_column=False):
+    rng = np.random.default_rng(seed)
+    X, y = random_instance(rng, n=90, p=6, noise=0.4)
+    X[:, 2] = 0.9 * X[:, 1] + 0.4 * X[:, 2]  # correlated columns: many sweeps
+    X = X * np.array([1.0, 5.0, 0.2, 1.0, 30.0, 1.0]) + 4.0
+    if constant_column:
+        X[:, 3] = -1.25
+    return X, y
+
+
+@pytest.mark.parametrize("lam,alpha", [(0.0, 0.5), (1e-3, 0.0), (1e-3, 1.0),
+                                       (0.02, 0.5), (0.3, 1.0), (5.0, 0.3)])
+@pytest.mark.parametrize("standardize", [True, False])
+@pytest.mark.parametrize("constant_column", [False, True])
+def test_descent_matches_oracle_bit_for_bit(lam, alpha, standardize, constant_column):
+    X, y = _oracle_instance(31, constant_column)
+    cfg = ElasticNetConfig(lam=lam, alpha=alpha, tol=1e-9, max_iter=3000,
+                           standardize_internally=standardize)
+    _assert_same_fit(fit_elastic_net(X, y, cfg), oracle_fit(X, y, cfg))
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_descent_stopped_at_max_iter_matches_oracle(standardize):
+    X, y = _oracle_instance(32)
+    cfg = ElasticNetConfig(lam=1e-4, alpha=0.5, tol=1e-14, max_iter=7,
+                           standardize_internally=standardize)
+    model = fit_elastic_net(X, y, cfg)
+    assert model.sweeps_used == 7
+    _assert_same_fit(model, oracle_fit(X, y, cfg))
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_objective_trace_matches_oracle(standardize):
+    X, y = _oracle_instance(33, constant_column=True)
+    cfg = ElasticNetConfig(lam=0.01, alpha=0.7, tol=1e-10, max_iter=500,
+                           standardize_internally=standardize)
+    model = fit_elastic_net(X, y, cfg, keep_trace=True)
+    assert len(model.objective_trace) == model.sweeps_used > 1
+    _assert_same_fit(model, oracle_fit(X, y, cfg, keep_trace=True))
+
+
+def test_shared_setup_matches_oracle_for_every_config():
+    X, y = _oracle_instance(34)
+    setups = {flag: prepare_fit(X, y, flag) for flag in (True, False)}
+    for flag in (True, False):
+        for lam in (0.0, 1e-3, 0.1):
+            for alpha in (0.0, 0.5, 1.0):
+                cfg = ElasticNetConfig(lam=lam, alpha=alpha, tol=1e-9, max_iter=2000,
+                                       standardize_internally=flag)
+                _assert_same_fit(fit_elastic_net(X, y, cfg, setup=setups[flag]),
+                                 oracle_fit(X, y, cfg))
+
+
+def test_setup_must_fit_the_config():
+    X, y = _oracle_instance(35)
+    setup = prepare_fit(X, y, standardize=True)
+    with pytest.raises(ValueError, match="standardize"):
+        fit_elastic_net(X, y, ElasticNetConfig(standardize_internally=False), setup=setup)
+    cfg = ElasticNetConfig(lam=0.01)
+    _assert_same_fit(fit_elastic_net(X, y, cfg, keep_trace=True, setup=setup),
+                     oracle_fit(X, y, cfg, keep_trace=True))

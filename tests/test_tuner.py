@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wqpanel.cli import grid_for
+from wqpanel.families import get_family
 from wqpanel.reporting import render_results_csv
 from wqpanel.tuner import (CVConfig, FitFailedError, FoldScheme, HyperGrid,
                            grid_search, kfold_split, subseed)
@@ -138,15 +139,36 @@ def test_tie_breaks_to_earliest_config():
     assert result.best_index == 0
 
 
-def test_parallel_matches_serial():
+@pytest.mark.parametrize("family, axes", [
+    ("random_forest", {"n_trees": (3, 6), "max_depth": (2,)}),
+    ("elastic_net", {"lam": (1e-4, 0.01, 0.5), "alpha": (0.0, 1.0),
+                     "standardize_internally": (True, False)}),
+], ids=["random_forest", "elastic_net"])
+def test_parallel_matches_serial(family, axes):
     X, y = _search_data(seed=6, n=48)
-    grid = HyperGrid(axes={"n_trees": (3, 6), "max_depth": (2,)})
+    grid = HyperGrid(axes=axes)
     cv = CVConfig(k=3, seed=4)
-    serial = grid_search("random_forest", grid, X, y, cv, seed=11, n_jobs=1)
-    parallel = grid_search("random_forest", grid, X, y, cv, seed=11, n_jobs=2)
+    serial = grid_search(family, grid, X, y, cv, seed=11, n_jobs=1)
+    parallel = grid_search(family, grid, X, y, cv, seed=11, n_jobs=2)
     assert serial.best_config == parallel.best_config
     assert serial.mean_scores == parallel.mean_scores
     assert serial.fold_scores == parallel.fold_scores
+    assert serial.total_fits == parallel.total_fits == len(grid) * 3
+
+
+def test_elastic_net_fit_fold_matches_fit_and_predict():
+    family = get_family("elastic_net")
+    X, y = _search_data(seed=9, n=70, p=4)
+    X[:, 1] *= 20.0  # standardizing moves this column's penalty
+    X_train, y_train, X_val = X[:50], y[:50], X[50:]
+    # the last axis varies fastest, so the two set-ups alternate
+    configs = HyperGrid(axes={"lam": (0.0, 1e-3, 0.2), "alpha": (0.0, 0.5, 1.0),
+                              "standardize_internally": (True, False)}).configs()
+    shared = list(family.fit_fold(X_train, y_train, X_val, configs))
+    assert len(shared) == len(configs)
+    for params, pred in zip(configs, shared):
+        alone = family.predict(family.fit(X_train, y_train, params, 0), X_val)
+        assert pred.tobytes() == alone.tobytes(), params
 
 
 def test_invalid_grid_name_rejected():
@@ -157,9 +179,11 @@ def test_invalid_grid_name_rejected():
 
 
 def test_fit_failure_identifies_config():
+    # a fold's configs are fit as one group; the bad one sits mid-group
     X, y = _search_data(n=20)
-    grid = HyperGrid(axes={"lam": (-1.0,)})  # invalid once the config is built
-    with pytest.raises(FitFailedError, match="lam"):
+    grid = HyperGrid(axes={"lam": (0.01, 0.1, -1.0, 1.0)})  # invalid once built
+    with pytest.raises(FitFailedError,
+                       match=r"config \{'lam': -1\.0\} on fold 0: lam must be >= 0"):
         grid_search("elastic_net", grid, X, y, CVConfig(k=3, seed=0))
 
 
