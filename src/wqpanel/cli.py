@@ -240,11 +240,13 @@ def _cmd_stats(args) -> int:
 
 def _families_from_args(cfg: RunConfig, args) -> tuple[str, ...]:
     if not args.family:
+        if not cfg.families:
+            raise ConfigError("families is empty: tune has no family to fit")
         return cfg.families
     families = tuple(f.strip() for f in args.family.split(",") if f.strip())
     unknown = [f for f in families if f not in TUNABLE_FAMILIES]
-    if unknown:
-        raise ConfigError(f"unknown tunable families in --family: {unknown}")
+    if unknown or not families:
+        raise ConfigError(f"--family must name tunable families; unknown: {unknown}")
     return families
 
 

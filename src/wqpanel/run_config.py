@@ -119,6 +119,10 @@ def load_run_config(path: str | Path) -> RunConfig:
     for key in ("train_csv", "test_csv", "schema"):
         if key not in data:
             raise ConfigError(f"config data section must set {key!r}")
+    for key in ("train_csv", "test_csv", "schema", "sites_csv"):
+        value = data.get(key)
+        if not (isinstance(value, str) or key == "sites_csv" and value is None):
+            raise ConfigError(f"data.{key} must be a path string, got {value!r}")
     base = path.parent
 
     def resolve(p) -> Path:
@@ -126,12 +130,16 @@ def load_run_config(path: str | Path) -> RunConfig:
         return p if p.is_absolute() else base / p
 
     out_dir = os.environ.get(OUTPUT_DIR_ENV) or raw.get("output_dir", "out")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"output_dir must be a path string, got {out_dir!r}")
 
     strategy = raw.get("strategy", 2)
-    if strategy not in (1, 2, 3):
-        raise ConfigError(f"strategy must be 1, 2 or 3, got {strategy!r}")
+    if not _is_int(strategy) or strategy not in (1, 2, 3):
+        raise ConfigError(f"strategy must be the integer 1, 2 or 3, got {strategy!r}")
 
-    families = tuple(raw.get("families", TUNABLE_FAMILIES))
+    families = raw.get("families", list(TUNABLE_FAMILIES))
+    if not (isinstance(families, list) and all(isinstance(f, str) for f in families)):
+        raise ConfigError(f"families must be a list of family names, got {families!r}")
     unknown = [f for f in families if f not in TUNABLE_FAMILIES]
     if unknown:
         raise ConfigError(f"unknown tunable families in config: {unknown}")
@@ -176,7 +184,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         categoricals=dict(_section(raw, "categoricals")),
         cv_k=cv_k,
         cv_scheme=cv_scheme,
-        families=families,
+        families=tuple(families),
         grids=_grids(raw),
         shap_kind=shap_kind,
         shap_background=shap.get("background_size", 256),

@@ -10,11 +10,13 @@ leaf weights to target means. Boosted trees use the generic gain
 with leaf weight -G/(H+lam).
 
 Split candidates are per-feature: exact midpoints when n_bins covers every
-distinct value (reproducing exact greedy splits), quantile boundaries
-otherwise. They are computed, and every value mapped to its bin code, once
-per set of rows a tree is grown on: once per plain GBDT fit (every round
-sees the same X), once per tree for random-forest bootstrap samples and
-GOSS subsets, which take their candidates from their own rows. A node is
+distinct value (reproducing exact greedy splits), np.quantile's linear
+quantile boundaries otherwise. Each fit ranks every column of X once. The
+rows a tree is grown on (all of X for plain GBDT, once per fit; a
+bootstrap sample or GOSS subset, once per tree, which takes its
+candidates from its own rows) are then binned from counts of those
+ranks: the candidates come from the counted distinct values, and every
+value's bin code from one lookup per distinct value and a gather. A node is
 scored with one gradient and one hessian bincount over the codes of all
 its drawn features, prefix sums along each feature, and an argmax per
 feature then across features; the lowest threshold and then the lowest
@@ -154,16 +156,80 @@ class Ensemble:
     learning_rate: float = 1.0
 
 
-def _candidate_thresholds(column: np.ndarray, n_bins: int) -> np.ndarray:
-    """Split candidates for one feature: exact midpoints when the bins cover
-    every distinct value, quantile boundaries otherwise."""
-    distinct = np.unique(column)
+@dataclass(frozen=True)
+class _Ranked:
+    """Every column of X ranked once.
+
+    Column f's sorted distinct values are values[starts[f]:starts[f + 1]],
+    and ids[i, f] is the index in values of X[i, f], so one bincount over
+    the ids of any rows counts the occurrences of every distinct value.
+    signed_zeros keeps the raw column of each feature that holds both 0.0
+    and -0.0: which of the two a zero quantile returns depends on where
+    np.quantile's partition leaves each zero, so only the column itself
+    reproduces it.
+    """
+
+    values: np.ndarray
+    starts: np.ndarray
+    ids: np.ndarray
+    signed_zeros: dict[int, np.ndarray]
+
+
+def _rank(X: np.ndarray) -> _Ranked:
+    n, p = X.shape
+    ids = np.empty((n, p), dtype=np.intp)
+    columns = []
+    starts = np.zeros(p + 1, dtype=np.intp)
+    signed_zeros = {}
+    for f in range(p):
+        column = X[:, f]
+        distinct, inverse = np.unique(column, return_inverse=True)
+        ids[:, f] = inverse + starts[f]
+        starts[f + 1] = starts[f] + len(distinct)
+        columns.append(distinct)
+        negative = np.signbit(column[column == 0.0])
+        if negative.any() and not negative.all():
+            signed_zeros[f] = column
+    values = np.concatenate(columns) if columns else np.empty(0)
+    return _Ranked(values, starts, ids, signed_zeros)
+
+
+def _counted_quantile(distinct: np.ndarray, counts: np.ndarray, qs: np.ndarray) -> np.ndarray:
+    """np.quantile(column, qs) of the column that holds counts[j] copies of
+    the sorted distinct value distinct[j], by the same linear-method
+    arithmetic on the same pair of order statistics per q."""
+    # the sorted column's entry at position i is the distinct value whose
+    # cumulative count first exceeds i
+    ends = np.cumsum(counts)
+    virtual = (int(ends[-1]) - 1) * qs
+    below = np.floor(virtual)
+    gamma = virtual - below
+    at = below.astype(np.intp)
+    a = distinct[np.searchsorted(ends, at, side="right")]
+    # q = 1 has no next entry; numpy interpolates the last one with itself
+    b = distinct[np.minimum(np.searchsorted(ends, at + 1, side="right"), len(distinct) - 1)]
+    diff = b - a
+    out = a + diff * gamma
+    upper = gamma >= 0.5
+    out[upper] = (b - diff * (1 - gamma))[upper]
+    return out
+
+
+def _thresholds(distinct: np.ndarray, counts: np.ndarray, n_bins: int,
+                column: np.ndarray | None = None) -> np.ndarray:
+    """Split candidates of one feature from its sorted distinct values and
+    their counts: exact midpoints when the bins cover every distinct value,
+    quantile boundaries otherwise. ``column``, the raw values, is given
+    only for a column holding both signed zeros (see ``_Ranked``); its
+    midpoints do not depend on the sign of zero, its quantiles do."""
     if len(distinct) <= 1:
         return np.empty(0)
     if len(distinct) <= n_bins:
         return (distinct[:-1] + distinct[1:]) / 2.0
     qs = np.arange(1, n_bins) / n_bins
-    return np.unique(np.quantile(column, qs))
+    if column is not None:
+        return np.unique(np.quantile(column, qs))
+    return np.unique(_counted_quantile(distinct, counts, qs))
 
 
 @dataclass(frozen=True)
@@ -181,15 +247,33 @@ class _Bins:
     width: int
 
 
-def _bin(X: np.ndarray, n_bins: int) -> _Bins:
-    n, p = X.shape
-    candidates = tuple(_candidate_thresholds(X[:, f], n_bins) for f in range(p))
+def _bin_rows(ranked: _Ranked, rows: np.ndarray | None, n_bins: int) -> _Bins:
+    """Bin the rows ``rows`` of the ranked matrix (all rows when None), in
+    that order: a tree grown on X[rows] takes its candidates from them."""
+    ids = ranked.ids if rows is None else ranked.ids[rows]
+    counts = np.bincount(ids.ravel(), minlength=len(ranked.values))
+    starts = ranked.starts
+    candidates = []
+    for f in range(ids.shape[1]):
+        column = slice(starts[f], starts[f + 1])
+        present = counts[column] > 0
+        raw = ranked.signed_zeros.get(f)
+        if raw is not None and rows is not None:
+            raw = raw[rows]
+        candidates.append(_thresholds(ranked.values[column][present],
+                                      counts[column][present], n_bins, raw))
     n_candidates = np.array([len(c) for c in candidates], dtype=np.intp)
     width = int(n_candidates.max(initial=0)) + 1
-    codes = np.empty((n, p), dtype=np.intp)
+    # the code of every distinct value, then one gather by id
+    lookup = np.empty(len(ranked.values), dtype=np.intp)
     for f, cand in enumerate(candidates):
-        codes[:, f] = np.searchsorted(cand, X[:, f], side="left") + f * width
-    return _Bins(candidates, n_candidates, codes, width)
+        column = slice(starts[f], starts[f + 1])
+        lookup[column] = np.searchsorted(cand, ranked.values[column], side="left") + f * width
+    return _Bins(tuple(candidates), n_candidates, lookup[ids], width)
+
+
+def _bin(X: np.ndarray, n_bins: int) -> _Bins:
+    return _bin_rows(_rank(X), None, n_bins)
 
 
 def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
@@ -298,8 +382,12 @@ def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
     )
 
 
-def fit_tree(X, y, params: TreeParams, rng: np.random.Generator | None = None) -> RegressionTree:
-    """Raw-target CART: greedy variance-reduction splits, mean leaf values."""
+def fit_tree(X, y, params: TreeParams, rng: np.random.Generator | None = None, *,
+             bins: _Bins | None = None) -> RegressionTree:
+    """Raw-target CART: greedy variance-reduction splits, mean leaf values.
+
+    ``bins`` (``_bin(X, params.n_bins)``) skips binning X again.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(X) < 1:
@@ -309,7 +397,7 @@ def fit_tree(X, y, params: TreeParams, rng: np.random.Generator | None = None) -
     return _grow(X, -y, np.ones(len(y)), np.ones(len(y)),
                  max_depth=params.max_depth, min_child_weight=params.min_samples_leaf,
                  reg_lambda=0.0, gamma=0.0, n_bins=params.n_bins,
-                 rng=rng, max_features=params.max_features)
+                 rng=rng, max_features=params.max_features, bins=bins)
 
 
 def fit_gradient_tree(X, gradients: GradientPair, params: GradientTreeParams,
@@ -381,7 +469,8 @@ def goss_sample(gradients, top_rate: float, other_rate: float,
 
 
 def fit_random_forest(X, y, cfg: RFConfig) -> Ensemble:
-    """Bootstrap-resampled trees with per-split feature subsampling."""
+    """Bootstrap-resampled trees with per-split feature subsampling; X is
+    ranked once and each bootstrap sample binned from those ranks."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n, p = X.shape
@@ -389,14 +478,17 @@ def fit_random_forest(X, y, cfg: RFConfig) -> Ensemble:
         raise ValueError(f"max_features must be in [1, {p}]")
     params = TreeParams(max_depth=cfg.max_depth, min_samples_leaf=cfg.min_samples_leaf,
                         n_bins=cfg.n_bins, max_features=cfg.max_features)
+    ranked = _rank(X)
+    full = None if cfg.bootstrap else _bin_rows(ranked, None, cfg.n_bins)
     trees = []
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
         rng = np.random.default_rng(child)
         if cfg.bootstrap:
             idx = rng.integers(0, n, size=n)
-            trees.append(fit_tree(X[idx], y[idx], params, rng=rng))
+            trees.append(fit_tree(X[idx], y[idx], params, rng=rng,
+                                  bins=_bin_rows(ranked, idx, cfg.n_bins)))
         else:
-            trees.append(fit_tree(X, y, params, rng=rng))
+            trees.append(fit_tree(X, y, params, rng=rng, bins=full))
     return Ensemble(kind=EnsembleKind.RANDOM_FOREST, base_score=0.0,
                     trees=tuple(trees), learning_rate=1.0)
 
@@ -406,9 +498,10 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
 
     Per round: g_i = yhat_i - y_i, h_i = 1; fit a gradient tree (on the
     GOSS subset with amplification weights when enabled) and advance the
-    predictions by learning_rate * tree(X). Without GOSS every round fits
-    on X, so X is binned once and tree(X) is the value of the leaf each
-    row reached while the tree grew.
+    predictions by learning_rate * tree(X). X is ranked once; each GOSS
+    subset is binned from those ranks. Without GOSS every round fits on X,
+    so X is binned once and tree(X) is the value of the leaf each row
+    reached while the tree grew.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -421,7 +514,8 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
     yhat = np.full(len(y), base)
     trees = []
     seeds = np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees) if cfg.n_trees else []
-    bins = _bin(X, cfg.n_bins) if cfg.goss is None else None
+    ranked = _rank(X)
+    bins = _bin_rows(ranked, None, cfg.n_bins) if cfg.goss is None else None
     leaves = np.empty(len(X), dtype=np.intp)
     for child in seeds:
         g = yhat - y
@@ -430,7 +524,7 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
             rng = np.random.default_rng(child)
             rows, w = goss_sample(g, cfg.goss.top_rate, cfg.goss.other_rate, rng)
             tree = fit_gradient_tree(X[rows], GradientPair(g=g[rows], h=h[rows]), params,
-                                     weights=w)
+                                     weights=w, bins=_bin_rows(ranked, rows, cfg.n_bins))
             step = predict_tree(tree, X)
         else:
             tree = fit_gradient_tree(X, GradientPair(g=g, h=h), params,

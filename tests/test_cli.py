@@ -104,6 +104,29 @@ def test_bad_n_jobs_is_config_error(panel_files, capsys, n_jobs):
     assert "n_jobs" in out.err
 
 
+@pytest.mark.parametrize("edit, field", [
+    ({"strategy": 2.0}, "strategy"),
+    ({"strategy": True}, "strategy"),
+    ({"families": 5}, "families"),
+    ({"families": "mlp"}, "families"),
+    ({"families": []}, "families"),
+    ({"families": ["elastic_net", 3]}, "families"),
+    ({"output_dir": 5}, "output_dir"),
+    ({"data": {"train_csv": 5, "test_csv": "test.csv", "schema": "schema.json"}},
+     "data.train_csv"),
+    ({"data": {"train_csv": "train.csv", "test_csv": "test.csv", "schema": "schema.json",
+               "sites_csv": ["sites.csv"]}}, "data.sites_csv"),
+], ids=["strategy-float", "strategy-bool", "families-number", "families-str",
+        "families-empty", "families-item", "output-dir-number", "train-csv-number",
+        "sites-csv-list"])
+def test_wrongly_typed_config_field_is_config_error(panel_files, capsys, edit, field):
+    env = panel_files(**edit)
+    code, out = run(["tune", "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert f"config error: {field} " in out.err
+    assert not (env["out"] / "models").exists()
+
+
 def test_jobs_flag_below_one_is_config_error(panel_files, capsys):
     env = panel_files()
     code, out = run(["tune", "--config", str(env["config"]), "--jobs", "0"], capsys)
@@ -225,6 +248,14 @@ def test_tune_family_flag_must_name_a_tunable_family(panel_files, capsys, family
                      f"elastic_net,{family}"], capsys)
     assert code == 3
     assert repr(family) in out.err
+    assert not (env["out"] / "models").exists()
+
+
+def test_tune_family_flag_naming_no_family_is_config_error(panel_files, capsys):
+    env = panel_files()
+    code, out = run(["tune", "--config", str(env["config"]), "--family", ","], capsys)
+    assert code == 3
+    assert "--family" in out.err
     assert not (env["out"] / "models").exists()
 
 

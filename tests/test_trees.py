@@ -2,13 +2,15 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from wqpanel import trees
 from wqpanel.families import FAMILIES
 from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig,
                            GradientPair, GradientTreeParams, RFConfig,
-                           RegressionTree, TreeParams, _bin, _candidate_thresholds,
-                           _grow, fit_gbdt, fit_gradient_tree, fit_random_forest,
+                           RegressionTree, TreeParams, _bin, _bin_rows, _counted_quantile,
+                           _grow, _rank, fit_gbdt, fit_gradient_tree, fit_random_forest,
                            fit_tree, goss_sample, predict_ensemble, predict_tree,
                            total_gain_importance)
 
@@ -156,6 +158,31 @@ def test_monotone_feature_transform_preserves_structure():
 
 
 # ------------------------------------------------- exact-greedy oracle
+
+def _candidate_thresholds(column, n_bins):
+    """Split candidates for one feature, straight from the column: exact
+    midpoints when the bins cover every distinct value, np.quantile
+    boundaries otherwise."""
+    distinct = np.unique(column)
+    if len(distinct) <= 1:
+        return np.empty(0)
+    if len(distinct) <= n_bins:
+        return (distinct[:-1] + distinct[1:]) / 2.0
+    qs = np.arange(1, n_bins) / n_bins
+    return np.unique(np.quantile(column, qs))
+
+
+def oracle_bin(X, n_bins):
+    """Bin X from its own columns: candidates per column, then one
+    searchsorted of every value."""
+    n, p = X.shape
+    candidates = [_candidate_thresholds(X[:, f], n_bins) for f in range(p)]
+    width = max((len(c) for c in candidates), default=0) + 1
+    codes = np.empty((n, p), dtype=np.intp)
+    for f, cand in enumerate(candidates):
+        codes[:, f] = np.searchsorted(cand, X[:, f], side="left") + f * width
+    return candidates, codes, width
+
 
 def oracle_grow(X, g, h, w, max_depth, min_child_weight, reg_lambda, gamma,
                 n_bins, rng=None, max_features=None):
@@ -329,6 +356,161 @@ def test_leaves_route_like_predict_tree():
     assert serialize_tree(tree) == serialize_tree(fit_gradient_tree(X, gradients, params))
     assert (tree.feature[leaves] < 0).all()
     np.testing.assert_array_equal(tree.value[leaves], predict_tree(tree, X))
+
+
+# ----------------------------------------- binning from one rank per fit
+
+# -0.0 is folded into 0.0 here; columns holding both zeros have their own test
+finite = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
+
+
+@st.composite
+def tied_columns(draw):
+    """A column of 1 to 120 values drawn from a pool of 1 to 200: few
+    distinct values and heavy ties as often as nearly distinct ones."""
+    pool = draw(st.lists(finite, min_size=1, max_size=draw(st.sampled_from([1, 2, 3, 8, 200]))))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=120))
+    return np.array([pool[i] for i in picks])
+
+
+@given(column=tied_columns(), n_bins=st.integers(1, 300),
+       extra=st.lists(st.floats(0.0, 1.0), max_size=4))
+@example(column=np.array([4.5]), n_bins=256, extra=[])
+@example(column=np.array([-1.0, 3.0]), n_bins=256, extra=[0.5])
+@example(column=np.array([3.0, 3.0]), n_bins=2, extra=[])
+def test_counted_quantile_equals_np_quantile(column, n_bins, extra):
+    qs = np.concatenate([np.arange(1, n_bins) / n_bins, extra, [0.0, 1.0]])
+    distinct, counts = np.unique(column, return_counts=True)
+    assert _counted_quantile(distinct, counts, qs).tobytes() == np.quantile(column, qs).tobytes()
+
+
+def assert_bins_equal(actual, expected):
+    candidates, codes, width = expected
+    assert actual.width == width
+    assert [c.tobytes() for c in actual.candidates] == [c.tobytes() for c in candidates]
+    assert actual.n_candidates.tolist() == [len(c) for c in candidates]
+    assert actual.codes.dtype == np.intp
+    np.testing.assert_array_equal(actual.codes, codes)
+
+
+def _binning_design(rng, n):
+    """Continuous, rounded (tied), constant and 0/1 one-hot columns."""
+    return np.column_stack([rng.standard_normal(n),
+                            np.round(rng.standard_normal(n), 1) + 0.0,
+                            np.full(n, 2.5),
+                            np.eye(3)[rng.integers(0, 3, n)]])
+
+
+def _rows(rng, n, kind):
+    if kind == "all":
+        return None
+    if kind == "bootstrap":  # with repeats, unsorted
+        return rng.integers(0, n, size=n)
+    return np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+
+
+@given(n=st.integers(1, 700), n_bins=st.integers(1, 256),
+       kind=st.sampled_from(["all", "bootstrap", "goss"]), seed=st.integers(0, 2**32 - 1))
+@example(n=1, n_bins=1, kind="bootstrap", seed=0)
+@example(n=1, n_bins=256, kind="all", seed=0)
+@example(n=600, n_bins=256, kind="bootstrap", seed=1)
+@example(n=600, n_bins=255, kind="goss", seed=2)
+def test_bin_rows_equals_binning_the_rows_directly(n, n_bins, kind, seed):
+    rng = np.random.default_rng(seed)
+    X = _binning_design(rng, n)
+    rows = _rows(rng, n, kind)
+    expected = oracle_bin(X if rows is None else X[rows], n_bins)
+    assert_bins_equal(_bin_rows(_rank(X), rows, n_bins), expected)
+    if rows is None:
+        assert_bins_equal(_bin(X, n_bins), expected)
+
+
+def test_signed_zero_columns_bin_like_the_oracle():
+    # On `tricky`, which zero a quantile returns depends on where
+    # np.quantile's partition leaves each zero: counted from the distinct
+    # values alone, the n_bins=2 median comes out with the other sign.
+    # Byte-equal candidates also compare == and route every row the same.
+    tricky = np.array([-0.0, -0.0, 0.0, 2.0, 2.0, -1.0, 0.0, 1.0])
+    rng = np.random.default_rng(40)
+    mixed = rng.choice([-1.0, -0.0, 0.0, 0.0, 1.0, 2.0], size=60)
+    for column in (tricky, mixed):
+        X = np.column_stack([column, rng.standard_normal(len(column))])
+        ranked = _rank(X)
+        assert list(ranked.signed_zeros) == [0]
+        for n_bins in (1, 2, 3, 4, 256):
+            for kind in ("all", "bootstrap", "goss"):
+                rows = _rows(rng, len(column), kind)
+                expected = oracle_bin(X if rows is None else X[rows], n_bins)
+                assert_bins_equal(_bin_rows(ranked, rows, n_bins), expected)
+    assert _rank(np.array([[-0.0], [-0.0], [1.0]])).signed_zeros == {}
+
+
+def oracle_random_forest(X, y, cfg):
+    """fit_random_forest with every tree grown by the exact-greedy oracle
+    on candidates taken from its own bootstrap sample."""
+    n = len(X)
+    trees_ = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(child)
+        idx = rng.integers(0, n, size=n)
+        trees_.append(oracle_grow(X[idx], -y[idx], np.ones(n), np.ones(n),
+                                  max_depth=cfg.max_depth,
+                                  min_child_weight=cfg.min_samples_leaf, reg_lambda=0.0,
+                                  gamma=0.0, n_bins=cfg.n_bins, rng=rng,
+                                  max_features=cfg.max_features))
+    return trees_
+
+
+def oracle_goss(X, y, cfg):
+    """GOSS fit_gbdt with every tree grown by the exact-greedy oracle on
+    candidates taken from its own subset."""
+    yhat = np.full(len(y), float(np.mean(y)))
+    trees_ = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        g = yhat - y
+        rows, w = goss_sample(g, cfg.goss.top_rate, cfg.goss.other_rate,
+                              np.random.default_rng(child))
+        tree = oracle_grow(X[rows], g[rows], np.ones(len(rows)), w, max_depth=cfg.max_depth,
+                           min_child_weight=cfg.min_child_weight,
+                           reg_lambda=cfg.reg_lambda, gamma=cfg.gamma, n_bins=cfg.n_bins)
+        trees_.append(tree)
+        yhat = yhat + cfg.learning_rate * predict_tree(tree, X)
+    return trees_
+
+
+@pytest.mark.parametrize("n_bins", [8, 256])
+def test_forest_and_goss_trees_match_oracle_binning_of_their_rows(n_bins):
+    rng = np.random.default_rng(41)
+    X = np.column_stack([_columns(rng, 300, "one_hot"), np.round(rng.standard_normal(300), 1)])
+    y = np.sin(X[:, 0]) + X[:, 2] + 0.1 * rng.standard_normal(300)
+    rf = RFConfig(n_trees=6, max_depth=5, max_features=3, n_bins=n_bins, seed=7)
+    assert [serialize_tree(t) for t in fit_random_forest(X, y, rf).trees] == \
+        [serialize_tree(t) for t in oracle_random_forest(X, y, rf)]
+    goss = GBDTConfig(n_trees=6, learning_rate=0.3, max_depth=3, n_bins=n_bins, seed=8,
+                      goss=GossConfig(top_rate=0.2, other_rate=0.3))
+    assert [serialize_tree(t) for t in fit_gbdt(X, y, goss).trees] == \
+        [serialize_tree(t) for t in oracle_goss(X, y, goss)]
+
+
+@pytest.mark.parametrize("fit, cfg", [
+    (fit_random_forest, RFConfig(n_trees=4, max_depth=3)),
+    (fit_random_forest, RFConfig(n_trees=3, max_depth=3, bootstrap=False)),
+    (fit_gbdt, GBDTConfig(n_trees=4, max_depth=2)),
+    (fit_gbdt, GBDTConfig(n_trees=4, max_depth=2, goss=GossConfig(0.2, 0.3))),
+], ids=["forest", "forest-no-bootstrap", "gbdt", "goss"])
+def test_each_fit_ranks_its_columns_once(monkeypatch, fit, cfg):
+    calls = []
+    real = trees._rank
+
+    def counting(X):
+        calls.append(X.shape)
+        return real(X)
+
+    monkeypatch.setattr(trees, "_rank", counting)
+    rng = np.random.default_rng(42)
+    X = _columns(rng, 80, "one_hot")
+    fit(X, rng.standard_normal(80), cfg)
+    assert calls == [X.shape]
 
 
 @pytest.mark.parametrize("reg_lambda", [0.0, 1.0])
