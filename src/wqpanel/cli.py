@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .families import FAMILIES, TUNABLE_FAMILIES, get_family
+from .families import FAMILIES, get_family
 from .metrics import MetricReport, evaluate, fit_benchmark
 from .panel import (PanelDataset, PanelFormatError, PanelSchema, load_panel,
                     load_sites, stack_panel, summarize, correlation_matrix,
@@ -30,7 +30,7 @@ from .reporting import (build_results_table, persist_results_table,
                         render_results_markdown, render_summary_csv,
                         render_summary_json, render_timing_markdown,
                         ResultsTable)
-from .run_config import ConfigError, RunConfig, load_run_config
+from .run_config import ConfigError, RunConfig, check_families, load_run_config
 from .serialize import load_model
 from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                          mean_abs_shap, players_from_design, sample_background,
@@ -244,9 +244,9 @@ def _families_from_args(cfg: RunConfig, args) -> tuple[str, ...]:
             raise ConfigError("families is empty: tune has no family to fit")
         return cfg.families
     families = tuple(f.strip() for f in args.family.split(",") if f.strip())
-    unknown = [f for f in families if f not in TUNABLE_FAMILIES]
-    if unknown or not families:
-        raise ConfigError(f"--family must name tunable families; unknown: {unknown}")
+    if not families:
+        raise ConfigError("--family must name at least one tunable family")
+    check_families(families, "--family")
     return families
 
 

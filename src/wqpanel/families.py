@@ -7,11 +7,13 @@ holds the names of the family and its hyperparameters (the fields of its
 learner's config dataclasses), fit/predict/export/restore/importance, an
 optional exact SHAP solver, its default tuning grid (the entries with one
 are the tunable families), whether retrain SHAP may refit it, and an
-optional fit_fold hook. fit_fold fits all the configs of one CV fold and
-yields their validation predictions, sharing the work that no config
-changes; it must give the same predictions, bit for bit, as fit and
-predict per config. Elastic net has one (one Gram matrix per fold); the
-tuner fits and predicts each config of the other families on its own.
+optional fit_fold hook. fit_fold fits all the configs of one CV fold,
+given the seed fit would get for each, and yields their validation
+predictions, sharing the work that no config changes; it must give the
+same predictions, bit for bit, as fit and predict per config. Elastic net
+has one (one Gram matrix per fold), and so has the MLP (the configs of
+one architecture train in lockstep on stacked weights); the tuner fits
+and predicts each config of the tree families on its own.
 """
 
 from __future__ import annotations
@@ -45,11 +47,12 @@ class ModelFamily:
     # axis name -> values; None: not tunable
     default_grid: Mapping[str, list] | None = None
     cheap_refit: bool = False
-    # (X_train, y_train, X_val, configs) -> the validation predictions of
-    # each config, in order, from work shared across them; None: the tuner
+    # (X_train, y_train, X_val, configs, seeds) -> the validation
+    # predictions of each config, in order, from work shared across them;
+    # seeds[i] is the seed fit would get for configs[i]. None: the tuner
     # fits and predicts each config on its own
-    fit_fold: Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence[Mapping]],
-                       Iterator[np.ndarray]] | None = None
+    fit_fold: Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence[Mapping],
+                        Sequence[int]], Iterator[np.ndarray]] | None = None
 
 
 def _param_names(*configs: type) -> frozenset:
@@ -144,9 +147,10 @@ def _fit_elastic_net(X, y, params, seed):
     return en.fit_elastic_net(X, y, en.ElasticNetConfig(**params))
 
 
-def _elastic_net_fold(X_train, y_train, X_val, configs):
+def _elastic_net_fold(X_train, y_train, X_val, configs, seeds):
     """One set-up per standardize_internally value, then each config's
-    descent; the fits equal _fit_elastic_net's bit for bit."""
+    descent; the fits equal _fit_elastic_net's bit for bit. Elastic net
+    draws no randomness, so the seeds go unused."""
     setups = {}
     for params in configs:
         cfg = en.ElasticNetConfig(**params)
@@ -172,14 +176,42 @@ def _fit_gbdt_goss(X, y, params, seed):
     return tr.fit_gbdt(X, y, tr.GBDTConfig(seed=seed, goss=goss, **params))
 
 
-def _fit_mlp(X, y, params, seed):
+def _mlp_config(params, seed) -> nn.MLPConfig:
     params = dict(params)
     if "hidden_layers" in params:
         params["hidden_layers"] = tuple(params["hidden_layers"])
     if params.get("early_stop") is not None:
         params["early_stop"] = nn.EarlyStopConfig(**params["early_stop"])
-    model, _ = nn.fit_mlp(X, y, nn.MLPConfig(seed=seed, **params))
+    return nn.MLPConfig(seed=seed, **params)
+
+
+def _fit_mlp(X, y, params, seed):
+    model, _ = nn.fit_mlp(X, y, _mlp_config(params, seed))
     return model
+
+
+def _mlp_fold(X_train, y_train, X_val, configs, seeds):
+    """Configs that share layer widths, batch size and training-row count
+    train as one lockstep stack; the fits equal _fit_mlp's bit for bit. A
+    config that is invalid or diverges raises at its own place in the
+    order, after the configs before it have yielded."""
+    outcomes = {}
+    groups = {}
+    for i, (params, seed) in enumerate(zip(configs, seeds)):
+        try:
+            cfg = _mlp_config(params, seed)
+            key = nn.lockstep_key(cfg, len(y_train))
+        except (TypeError, ValueError) as exc:
+            outcomes[i] = exc
+            continue
+        groups.setdefault(key, []).append((i, cfg))
+    for members in groups.values():
+        fits = nn.fit_lockstep(X_train, y_train, [cfg for _, cfg in members])
+        outcomes.update((i, fit) for (i, _), fit in zip(members, fits))
+    for i in range(len(configs)):
+        if isinstance(outcomes[i], Exception):
+            raise outcomes[i]
+        yield nn.predict_mlp(outcomes[i][0], X_val)
 
 
 def _mlp_export(model: nn.MLPModel) -> dict:
@@ -312,6 +344,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "hidden_layers": [[32], [64], [64, 32], [128, 64]],
             "activation": ["relu", "tanh"],
         },  # 8 configs
+        fit_fold=_mlp_fold,
     ),
 }
 

@@ -158,16 +158,24 @@ class StrategyConfig:
     def from_categoricals(cls, strategy: int, categoricals: dict) -> "StrategyConfig":
         """Build from a strategy number and a ``categoricals`` mapping (the
         run-config and model-bundle spelling); absent keys keep their defaults."""
-        unknown = sorted(set(categoricals) - set(CATEGORICAL_FIELDS))
-        if unknown:
-            raise ValueError(f"unknown categoricals {unknown}; "
-                             f"known: {list(CATEGORICAL_FIELDS)}")
+        check_categoricals(categoricals)
         return cls(strategy=Strategy(strategy),
                    **{CATEGORICAL_FIELDS[key]: value
                       for key, value in categoricals.items()})
 
     def categoricals(self) -> dict[str, bool]:
         return {key: getattr(self, name) for key, name in CATEGORICAL_FIELDS.items()}
+
+
+def check_categoricals(categoricals: dict) -> None:
+    """Raise ValueError naming the first unknown key or non-boolean value."""
+    unknown = sorted(set(categoricals) - set(CATEGORICAL_FIELDS))
+    if unknown:
+        raise ValueError(f"unknown categoricals {unknown}; "
+                         f"known: {list(CATEGORICAL_FIELDS)}")
+    for key, value in categoricals.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"categoricals.{key} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)

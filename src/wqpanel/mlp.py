@@ -4,11 +4,22 @@ Linear output unit, squared-error loss with optional L2 weight decay.
 Deliberately no internal input scaling: the network consumes the design
 matrix as given, which is exactly what makes it sensitive to whether the
 features were standardized upstream.
+
+There is one training loop, fit_lockstep. It trains C configs of one
+architecture (layer widths, batch size, training-row count) at once:
+their weights are stacked into (C, fan_in, fan_out) arrays, so each
+mini-batch step is one np.matmul pass over all of them instead of one
+Python pass per config. Slice c follows the same floating-point
+operations as config c trained alone, so every weight and loss is
+bit-identical to a lone fit. fit_mlp is the one-config case; the CV
+tuner trains each fold's configs through the family registry's fit_fold
+hook.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,13 +94,78 @@ def _act(z: np.ndarray, kind: str) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))  # logistic
 
 
-def _act_grad(z: np.ndarray, kind: str) -> np.ndarray:
+def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation's derivative at z, from its output a = _act(z, kind)."""
     if kind == "relu":
-        return (z > 0.0).astype(float)
+        return (a > 0.0).astype(float)
     if kind == "tanh":
-        return 1.0 - np.tanh(z) ** 2
-    s = 1.0 / (1.0 + np.exp(-z))
-    return s * (1.0 - s)
+        return 1.0 - a**2
+    return a * (1.0 - a)  # logistic
+
+
+def _runs(kinds) -> list[tuple[int, int, str]]:
+    """(start, stop, activation) of each run of consecutive configs that
+    share one activation."""
+    runs, start = [], 0
+    for kind, group in itertools.groupby(kinds):
+        stop = start + len(list(group))
+        runs.append((start, stop, kind))
+        start = stop
+    return runs
+
+
+def _per_run(fn, z: np.ndarray, runs) -> np.ndarray:
+    """fn(z[start:stop], kind) for each run; a slice along the config axis
+    is contiguous, like the array a lone config would pass."""
+    if len(runs) == 1:
+        return fn(z, runs[0][2])
+    out = np.empty_like(z)
+    for start, stop, kind in runs:
+        out[start:stop] = fn(z[start:stop], kind)
+    return out
+
+
+# Stacked parameters: weights[l] is (C, fan_in, fan_out), biases[l] is
+# (C, 1, fan_out), inputs are (C, rows, features) and l2 is (C, 1, 1);
+# slice c of every result is what config c alone computes, bit for bit.
+
+def _forward(weights, biases, X: np.ndarray, runs):
+    """The input of every layer (X, then each hidden layer's output) and
+    the (C, rows) network outputs."""
+    inputs = [X]
+    for W, b in zip(weights[:-1], biases[:-1]):
+        inputs.append(_per_run(_act, np.matmul(inputs[-1], W) + b, runs))
+    return inputs, (np.matmul(inputs[-1], weights[-1]) + biases[-1])[..., 0]
+
+
+def _loss(weights, yhat: np.ndarray, y: np.ndarray, l2: np.ndarray) -> np.ndarray:
+    """mean((yhat - y)^2) + l2/2 * sum ||W||^2 of each config."""
+    penalty = 0
+    for W in weights:
+        penalty = penalty + (W**2).reshape(len(W), -1).sum(axis=1)
+    return np.mean((yhat - y) ** 2, axis=1) + l2[:, 0, 0] / 2.0 * penalty
+
+
+def _gradients(weights, inputs, yhat: np.ndarray, y: np.ndarray, runs, l2: np.ndarray):
+    """Gradients of _loss by backpropagation; biases are not penalized."""
+    delta = (2.0 * (yhat - y) / y.shape[1])[..., None]
+    last = len(weights) - 1
+    grad_w, grad_b = [None] * len(weights), [None] * len(weights)
+    for layer in range(last, -1, -1):
+        if layer < last:
+            delta = (np.matmul(delta, weights[layer + 1].transpose(0, 2, 1))
+                     * _per_run(_act_grad, inputs[layer + 1], runs))
+        grad_w[layer] = (np.matmul(inputs[layer].transpose(0, 2, 1), delta)
+                         + l2 * weights[layer])
+        grad_b[layer] = delta.sum(axis=1, keepdims=True)
+    return grad_w, grad_b
+
+
+def _one(weights, biases, activation: str):
+    """One config's 2-D parameters as a stack of one."""
+    return ([np.asarray(W)[None] for W in weights],
+            [np.asarray(b)[None, None] for b in biases],
+            [(0, 1, activation)])
 
 
 def init_params(cfg: MLPConfig, n_inputs: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -104,10 +180,8 @@ def init_params(cfg: MLPConfig, n_inputs: int) -> tuple[list[np.ndarray], list[n
 
 
 def forward(weights, biases, X: np.ndarray, activation: str) -> np.ndarray:
-    a = X
-    for W, b in zip(weights[:-1], biases[:-1]):
-        a = _act(a @ W + b, activation)
-    return (a @ weights[-1] + biases[-1]).ravel()
+    W, b, runs = _one(weights, biases, activation)
+    return _forward(W, b, np.asarray(X)[None], runs)[1][0]
 
 
 def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
@@ -116,30 +190,13 @@ def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
 
     Biases are not penalized. Returns (loss, grad_weights, grad_biases).
     """
-    n = len(y)
-    zs, activations = [], [X]
-    a = X
-    for W, b in zip(weights[:-1], biases[:-1]):
-        z = a @ W + b
-        zs.append(z)
-        a = _act(z, activation)
-        activations.append(a)
-    yhat = (a @ weights[-1] + biases[-1]).ravel()
-
-    err = yhat - y
-    loss = float(np.mean(err**2))
-    loss += l2_penalty / 2.0 * sum(float((W**2).sum()) for W in weights)
-
-    delta = (2.0 * err / n)[:, None]
-    grad_w = [np.empty(0)] * len(weights)
-    grad_b = [np.empty(0)] * len(biases)
-    grad_w[-1] = activations[-1].T @ delta + l2_penalty * weights[-1]
-    grad_b[-1] = delta.sum(axis=0)
-    for layer in range(len(weights) - 2, -1, -1):
-        delta = (delta @ weights[layer + 1].T) * _act_grad(zs[layer], activation)
-        grad_w[layer] = activations[layer].T @ delta + l2_penalty * weights[layer]
-        grad_b[layer] = delta.sum(axis=0)
-    return loss, grad_w, grad_b
+    W, b, runs = _one(weights, biases, activation)
+    inputs, yhat = _forward(W, b, np.asarray(X)[None], runs)
+    y = np.asarray(y)[None]
+    l2 = np.full((1, 1, 1), float(l2_penalty))
+    grad_w, grad_b = _gradients(W, inputs, yhat, y, runs, l2)
+    return (float(_loss(W, yhat, y, l2)[0]),
+            [g[0] for g in grad_w], [g[0, 0] for g in grad_b])
 
 
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -148,85 +205,198 @@ def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     return rng.permutation(n)
 
 
-def fit_mlp(X, y, cfg: MLPConfig) -> tuple[MLPModel, TrainingTrace]:
-    """Mini-batch SGD (optional momentum) over shuffled epochs.
+def _n_val(cfg: MLPConfig, n: int) -> int:
+    """How many of n rows the early-stopping split holds out."""
+    if cfg.early_stop is None:
+        return 0
+    n_val = max(1, int(round(cfg.early_stop.validation_fraction * n)))
+    if n_val >= n:
+        raise ValueError("validation fraction leaves no training rows")
+    return n_val
 
-    Raises TrainingDivergedError when the loss goes non-finite; try a
-    smaller learning rate. With early stopping enabled, a seeded
-    validation split is held out and the best-validation parameters are
-    restored on exit.
+
+def _split(cfg: MLPConfig, n: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """(training rows, validation rows or None) of cfg's seeded split."""
+    n_val = _n_val(cfg, n)
+    if cfg.early_stop is None:
+        return np.arange(n), None
+    perm = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SPLIT_TAG])).permutation(n)
+    return perm[n_val:], perm[:n_val]
+
+
+def lockstep_key(cfg: MLPConfig, n: int) -> tuple:
+    """Configs with equal keys on n rows can share one fit_lockstep call:
+    same layer widths, batch size and training-row count."""
+    return cfg.hidden_layers, cfg.batch_size, n - _n_val(cfg, n)
+
+
+@dataclass
+class _Stack:
+    """The state of the configs still training; row i of every array
+    belongs to config live[i]."""
+
+    live: np.ndarray
+    params: list  # the weights, then the biases
+    velocity: list
+    best: list  # the parameters of each config's best validation loss
+    activation: np.ndarray
+    learning_rate: np.ndarray  # (C, 1, 1), like momentum and l2_penalty
+    momentum: np.ndarray
+    l2_penalty: np.ndarray
+    max_epochs: np.ndarray
+    patience: np.ndarray
+    train_rows: np.ndarray
+    X_tr: np.ndarray
+    y_tr: np.ndarray
+    X_val: np.ndarray | None
+    y_val: np.ndarray | None
+    best_val: np.ndarray
+    since_best: np.ndarray
+
+    @property
+    def weights(self) -> list:
+        return self.params[:len(self.params) // 2]
+
+    @property
+    def biases(self) -> list:
+        return self.params[len(self.params) // 2:]
+
+    @property
+    def runs(self) -> list:
+        return _runs(self.activation)
+
+    def drop(self, gone: np.ndarray) -> None:
+        keep = ~gone
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, list):
+                setattr(self, f.name, [a[keep] for a in value])
+            elif value is not None:
+                setattr(self, f.name, value[keep])
+
+
+def _column(values) -> np.ndarray:
+    return np.array(list(values), dtype=float)[:, None, None]
+
+
+def fit_lockstep(X, y, cfgs) -> list:
+    """Train configs that share one lockstep_key at once, on stacked
+    parameters: every mini-batch step is one pass over all of them.
+
+    Entry c is what fit_mlp(X, y, cfgs[c]) returns, (model, trace), or the
+    TrainingDivergedError it raises. Each config keeps its own seeded
+    split, initial parameters, epoch shuffles, rates, early stopping and
+    max_epochs; a config that stops is frozen while the rest train on.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     n = len(y)
     if X.ndim != 2 or len(X) != n or n == 0:
         raise ValueError("X must be 2-D with rows matching y")
+    if len({lockstep_key(cfg, n) for cfg in cfgs}) != 1:
+        raise ValueError("lockstep configs must share one lockstep_key")
+    splits = [_split(cfg, n) for cfg in cfgs]
+    early = cfgs[0].early_stop is not None
+    inits = [init_params(cfg, X.shape[1]) for cfg in cfgs]
+    params = ([np.stack(layer) for layer in zip(*(w for w, _ in inits))]
+              + [np.stack(layer)[:, None] for layer in zip(*(b for _, b in inits))])
+    train_rows = np.stack([rows for rows, _ in splits])
+    val_rows = np.stack([rows for _, rows in splits]) if early else None
+    s = _Stack(
+        live=np.arange(len(cfgs)), params=params,
+        velocity=[np.zeros_like(p) for p in params],
+        best=[p.copy() for p in params],
+        activation=np.array([cfg.activation for cfg in cfgs]),
+        learning_rate=_column(cfg.learning_rate for cfg in cfgs),
+        momentum=_column(cfg.momentum for cfg in cfgs),
+        l2_penalty=_column(cfg.l2_penalty for cfg in cfgs),
+        max_epochs=np.array([cfg.max_epochs for cfg in cfgs]),
+        patience=np.array([cfg.early_stop.patience if early else 0 for cfg in cfgs]),
+        train_rows=train_rows, X_tr=X[train_rows], y_tr=y[train_rows],
+        X_val=None if val_rows is None else X[val_rows],
+        y_val=None if val_rows is None else y[val_rows],
+        best_val=np.full(len(cfgs), np.inf),
+        since_best=np.zeros(len(cfgs), dtype=np.intp))
+    train_losses = [[] for _ in cfgs]
+    val_losses = [[] for _ in cfgs]
+    results: list = [None] * len(cfgs)
+    layers = len(params) // 2
+    n_tr, batch_size = train_rows.shape[1], cfgs[0].batch_size
 
-    if cfg.early_stop is not None:
-        split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, _SPLIT_TAG]))
-        perm = split_rng.permutation(n)
-        n_val = max(1, int(round(cfg.early_stop.validation_fraction * n)))
-        if n_val >= n:
-            raise ValueError("validation fraction leaves no training rows")
-        val_idx, train_idx = perm[:n_val], perm[n_val:]
-        X_val, y_val = X[val_idx], y[val_idx]
-        X_tr, y_tr = X[train_idx], y[train_idx]
-    else:
-        X_tr, y_tr = X, y
-        X_val = y_val = None
+    def finish(done: np.ndarray) -> None:
+        for i in np.flatnonzero(done):
+            c = s.live[i]
+            chosen = s.best if early and s.best_val[i] < np.inf else s.params
+            model = MLPModel(weights=tuple(p[i].copy() for p in chosen[:layers]),
+                             biases=tuple(p[i, 0].copy() for p in chosen[layers:]),
+                             config=cfgs[c])
+            results[c] = (model, TrainingTrace(
+                train_loss=tuple(train_losses[c]),
+                val_loss=tuple(val_losses[c]) if early else None))
+        s.drop(done)
 
-    weights, biases = init_params(cfg, X.shape[1])
-    vel_w = [np.zeros_like(W) for W in weights]
-    vel_b = [np.zeros_like(b) for b in biases]
+    epoch = 0
+    while True:
+        done = (epoch >= s.max_epochs) | (s.since_best > s.patience)
+        if done.any():
+            finish(done)
+        if not len(s.live):
+            return results
+        runs = s.runs
+        order = np.stack([_epoch_permutation(cfgs[c].seed, epoch, n_tr) for c in s.live])
+        rows = np.take_along_axis(s.train_rows, order, axis=1)
+        for start in range(0, n_tr, batch_size):
+            batch = rows[:, start:start + batch_size]
+            inputs, yhat = _forward(s.weights, s.biases, X[batch], runs)
+            grad_w, grad_b = _gradients(s.weights, inputs, yhat, y[batch], runs,
+                                        s.l2_penalty)
+            for param, velocity, grad in zip(s.params, s.velocity, grad_w + grad_b):
+                velocity *= s.momentum
+                velocity -= s.learning_rate * grad
+                param += velocity
 
-    train_losses: list[float] = []
-    val_losses: list[float] = []
-    best_val = np.inf
-    best_params = None
-    since_best = 0
-    n_tr = len(y_tr)
+        loss = _loss(s.weights, _forward(s.weights, s.biases, s.X_tr, runs)[1], s.y_tr,
+                     s.l2_penalty)
+        diverged = ~np.isfinite(loss)
+        if diverged.any():
+            for i in np.flatnonzero(diverged):
+                cfg = cfgs[s.live[i]]
+                results[s.live[i]] = TrainingDivergedError(
+                    f"training loss became non-finite at epoch {epoch}; "
+                    f"reduce learning_rate (currently {cfg.learning_rate})")
+            s.drop(diverged)
+            loss = loss[~diverged]
+            if not len(s.live):
+                return results
+        for c, value in zip(s.live, loss):
+            train_losses[c].append(float(value))
 
-    for epoch in range(cfg.max_epochs):
-        order = _epoch_permutation(cfg.seed, epoch, n_tr)
-        for start in range(0, n_tr, cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            _, gw, gb = loss_and_gradients(weights, biases, X_tr[batch], y_tr[batch],
-                                           cfg.activation, cfg.l2_penalty)
-            for layer in range(len(weights)):
-                vel_w[layer] = cfg.momentum * vel_w[layer] - cfg.learning_rate * gw[layer]
-                vel_b[layer] = cfg.momentum * vel_b[layer] - cfg.learning_rate * gb[layer]
-                weights[layer] = weights[layer] + vel_w[layer]
-                biases[layer] = biases[layer] + vel_b[layer]
+        if early:
+            val_pred = _forward(s.weights, s.biases, s.X_val, s.runs)[1]
+            val_loss = np.mean((val_pred - s.y_val) ** 2, axis=1)
+            for c, value in zip(s.live, val_loss):
+                val_losses[c].append(float(value))
+            better = val_loss < s.best_val
+            s.best_val = np.where(better, val_loss, s.best_val)
+            s.since_best = np.where(better, 0, s.since_best + 1)
+            if better.any():
+                for best, current in zip(s.best, s.params):
+                    best[better] = current[better]
+        epoch += 1
 
-        epoch_loss, _, _ = loss_and_gradients(weights, biases, X_tr, y_tr,
-                                              cfg.activation, cfg.l2_penalty)
-        if not np.isfinite(epoch_loss):
-            raise TrainingDivergedError(
-                f"training loss became non-finite at epoch {epoch}; "
-                f"reduce learning_rate (currently {cfg.learning_rate})")
-        train_losses.append(epoch_loss)
 
-        if cfg.early_stop is not None:
-            val_pred = forward(weights, biases, X_val, cfg.activation)
-            val_loss = float(np.mean((val_pred - y_val) ** 2))
-            val_losses.append(val_loss)
-            if val_loss < best_val:
-                best_val = val_loss
-                best_params = ([W.copy() for W in weights], [b.copy() for b in biases])
-                since_best = 0
-            else:
-                since_best += 1
-                if since_best > cfg.early_stop.patience:
-                    break
+def fit_mlp(X, y, cfg: MLPConfig) -> tuple[MLPModel, TrainingTrace]:
+    """Mini-batch SGD (optional momentum) over shuffled epochs.
 
-    if cfg.early_stop is not None and best_params is not None:
-        weights, biases = best_params
-
-    model = MLPModel(weights=tuple(weights), biases=tuple(biases), config=cfg)
-    trace = TrainingTrace(
-        train_loss=tuple(train_losses),
-        val_loss=tuple(val_losses) if cfg.early_stop is not None else None)
-    return model, trace
+    Raises TrainingDivergedError when the loss goes non-finite; try a
+    smaller learning rate. With early stopping enabled, a seeded
+    validation split is held out and the best-validation parameters are
+    restored on exit. The one-config case of fit_lockstep.
+    """
+    (result,) = fit_lockstep(X, y, [cfg])
+    if isinstance(result, TrainingDivergedError):
+        raise result
+    return result
 
 
 def predict_mlp(model: MLPModel, X) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .families import FAMILIES, TUNABLE_FAMILIES
-from .features import StrategyConfig
+from .features import StrategyConfig, check_categoricals
 from .tuner import FoldScheme
 
 OUTPUT_DIR_ENV = "WQPANEL_OUTPUT_DIR"
@@ -68,6 +68,17 @@ class RunConfig:
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_families(families, where: str) -> None:
+    """Every name a tunable family, none twice; ``where`` names the source."""
+    unknown = [f for f in families if f not in TUNABLE_FAMILIES]
+    if unknown:
+        raise ConfigError(f"{where} names unknown tunable families {unknown}; "
+                          f"known: {list(TUNABLE_FAMILIES)}")
+    repeated = next((f for i, f in enumerate(families) if f in families[:i]), None)
+    if repeated is not None:
+        raise ConfigError(f"{where} names family {repeated!r} more than once")
 
 
 def _section(raw: dict, key: str) -> dict:
@@ -140,9 +151,13 @@ def load_run_config(path: str | Path) -> RunConfig:
     families = raw.get("families", list(TUNABLE_FAMILIES))
     if not (isinstance(families, list) and all(isinstance(f, str) for f in families)):
         raise ConfigError(f"families must be a list of family names, got {families!r}")
-    unknown = [f for f in families if f not in TUNABLE_FAMILIES]
-    if unknown:
-        raise ConfigError(f"unknown tunable families in config: {unknown}")
+    check_families(families, "families")
+
+    categoricals = _section(raw, "categoricals")
+    try:
+        check_categoricals(categoricals)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     cv = _section(raw, "cv")
     cv_k = cv.get("k", 5)
@@ -181,7 +196,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         sites_csv=resolve(data["sites_csv"]) if data.get("sites_csv") else None,
         output_dir=resolve(out_dir),
         strategy=strategy,
-        categoricals=dict(_section(raw, "categoricals")),
+        categoricals=dict(categoricals),
         cv_k=cv_k,
         cv_scheme=cv_scheme,
         families=tuple(families),

@@ -183,13 +183,20 @@ def _rank(X: np.ndarray) -> _Ranked:
     signed_zeros = {}
     for f in range(p):
         column = X[:, f]
-        distinct, inverse = np.unique(column, return_inverse=True)
+        ones = column == 1.0
+        if (ones | (column.view(np.uint64) == 0)).all():
+            # only 1.0 and +0.0, as in a one-hot column: ranked without a sort
+            has_zero = not ones.all()
+            distinct = np.array([0.0, 1.0])[[has_zero, bool(ones.any())]]
+            inverse = ones.astype(np.intp) if has_zero else np.zeros(n, dtype=np.intp)
+        else:
+            distinct, inverse = np.unique(column, return_inverse=True)
+            negative = np.signbit(column[column == 0.0])
+            if negative.any() and not negative.all():
+                signed_zeros[f] = column
         ids[:, f] = inverse + starts[f]
         starts[f + 1] = starts[f] + len(distinct)
         columns.append(distinct)
-        negative = np.signbit(column[column == 0.0])
-        if negative.any() and not negative.all():
-            signed_zeros[f] = column
     values = np.concatenate(columns) if columns else np.empty(0)
     return _Ranked(values, starts, ids, signed_zeros)
 

@@ -11,6 +11,7 @@ registry entry has a fit_fold hook.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -148,13 +149,10 @@ def _pool_init(family_name, configs, X, y, folds, seed):
                      X=X, y=y, folds=folds, seed=seed)
 
 
-def _fit_each(ctx, X_train, y_train, X_val, cis, fi):
-    """The validation predictions of configs ``cis``, one fit per config."""
-    family = ctx["family"]
-    for ci in cis:
-        model = family.fit(X_train, y_train, ctx["configs"][ci],
-                           subseed(ctx["seed"], TAG_FIT, ci, fi))
-        yield family.predict(model, X_val)
+def _fit_each(family, X_train, y_train, X_val, configs, seeds):
+    """The fit_fold of a family without one: a fit per config."""
+    for params, seed in zip(configs, seeds):
+        yield family.predict(family.fit(X_train, y_train, params, seed), X_val)
 
 
 def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]]:
@@ -166,11 +164,9 @@ def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]
     train_idx, val_idx = ctx["folds"][fi]
     X_train, y_train = ctx["X"][train_idx], ctx["y"][train_idx]
     X_val, y_val = ctx["X"][val_idx], ctx["y"][val_idx]
-    if family.fit_fold is None:
-        preds = _fit_each(ctx, X_train, y_train, X_val, cis, fi)
-    else:
-        preds = family.fit_fold(X_train, y_train, X_val,
-                                [ctx["configs"][ci] for ci in cis])
+    fit_fold = family.fit_fold or functools.partial(_fit_each, family)
+    preds = fit_fold(X_train, y_train, X_val, [ctx["configs"][ci] for ci in cis],
+                     [subseed(ctx["seed"], TAG_FIT, ci, fi) for ci in cis])
     out = []
     for ci in cis:
         try:

@@ -141,6 +141,32 @@ def test_unknown_categorical_is_config_error(panel_files, capsys):
     assert "weekdays" in out.err
 
 
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_non_boolean_categorical_is_config_error(panel_files, capsys, value):
+    # stats builds no design, so the value is checked when the config loads
+    env = panel_files(categoricals={"site": value})
+    code, out = run(["stats", "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert f"categoricals.site must be true or false, got {value!r}" in out.err
+
+
+def test_repeated_family_in_config_is_config_error(panel_files, capsys):
+    env = panel_files(families=["elastic_net", "gbdt", "gbdt"])
+    code, out = run(["tune", "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert "families names family 'gbdt' more than once" in out.err
+    assert not (env["out"] / "models").exists()
+
+
+def test_repeated_family_flag_is_config_error(panel_files, capsys):
+    env = panel_files()
+    code, out = run(["tune", "--config", str(env["config"]), "--family",
+                     "gbdt, gbdt"], capsys)
+    assert code == 3
+    assert "--family names family 'gbdt' more than once" in out.err
+    assert not (env["out"] / "models").exists()
+
+
 def test_missing_data_path_is_config_error(panel_files, capsys):
     env = panel_files()
     env["train_csv"].unlink()

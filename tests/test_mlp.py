@@ -2,8 +2,134 @@ import numpy as np
 import pytest
 
 from wqpanel.mlp import (ACTIVATIONS, EarlyStopConfig, MLPConfig, MLPModel,
-                         TrainingDivergedError, fit_mlp, forward, init_params,
+                         TrainingDivergedError, TrainingTrace, _act, _epoch_permutation,
+                         fit_lockstep, fit_mlp, forward, init_params, lockstep_key,
                          loss_and_gradients, predict_mlp)
+
+
+# ------------------------------------------------------------------ oracle
+# The per-config training loop that fit_lockstep replaced: one config, 2-D
+# parameters, gradients from z. fit_mlp must match it bit for bit.
+
+def _oracle_act_grad(z, kind):
+    if kind == "relu":
+        return (z > 0.0).astype(float)
+    if kind == "tanh":
+        return 1.0 - np.tanh(z) ** 2
+    s = 1.0 / (1.0 + np.exp(-z))
+    return s * (1.0 - s)
+
+
+def oracle_forward(weights, biases, X, activation):
+    a = X
+    for W, b in zip(weights[:-1], biases[:-1]):
+        a = _act(a @ W + b, activation)
+    return (a @ weights[-1] + biases[-1]).ravel()
+
+
+def oracle_loss_and_gradients(weights, biases, X, y, activation, l2_penalty):
+    n = len(y)
+    zs, activations = [], [X]
+    a = X
+    for W, b in zip(weights[:-1], biases[:-1]):
+        z = a @ W + b
+        zs.append(z)
+        a = _act(z, activation)
+        activations.append(a)
+    yhat = (a @ weights[-1] + biases[-1]).ravel()
+
+    err = yhat - y
+    loss = float(np.mean(err**2))
+    loss += l2_penalty / 2.0 * sum(float((W**2).sum()) for W in weights)
+
+    delta = (2.0 * err / n)[:, None]
+    grad_w = [np.empty(0)] * len(weights)
+    grad_b = [np.empty(0)] * len(biases)
+    grad_w[-1] = activations[-1].T @ delta + l2_penalty * weights[-1]
+    grad_b[-1] = delta.sum(axis=0)
+    for layer in range(len(weights) - 2, -1, -1):
+        delta = (delta @ weights[layer + 1].T) * _oracle_act_grad(zs[layer], activation)
+        grad_w[layer] = activations[layer].T @ delta + l2_penalty * weights[layer]
+        grad_b[layer] = delta.sum(axis=0)
+    return loss, grad_w, grad_b
+
+
+def oracle_fit_mlp(X, y, cfg):
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(y)
+    if cfg.early_stop is not None:
+        split_rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 102]))
+        perm = split_rng.permutation(n)
+        n_val = max(1, int(round(cfg.early_stop.validation_fraction * n)))
+        val_idx, train_idx = perm[:n_val], perm[n_val:]
+        X_val, y_val = X[val_idx], y[val_idx]
+        X_tr, y_tr = X[train_idx], y[train_idx]
+    else:
+        X_tr, y_tr = X, y
+        X_val = y_val = None
+
+    weights, biases = init_params(cfg, X.shape[1])
+    vel_w = [np.zeros_like(W) for W in weights]
+    vel_b = [np.zeros_like(b) for b in biases]
+
+    train_losses, val_losses = [], []
+    best_val = np.inf
+    best_params = None
+    since_best = 0
+    n_tr = len(y_tr)
+
+    for epoch in range(cfg.max_epochs):
+        order = _epoch_permutation(cfg.seed, epoch, n_tr)
+        for start in range(0, n_tr, cfg.batch_size):
+            batch = order[start:start + cfg.batch_size]
+            _, gw, gb = oracle_loss_and_gradients(weights, biases, X_tr[batch], y_tr[batch],
+                                                  cfg.activation, cfg.l2_penalty)
+            for layer in range(len(weights)):
+                vel_w[layer] = cfg.momentum * vel_w[layer] - cfg.learning_rate * gw[layer]
+                vel_b[layer] = cfg.momentum * vel_b[layer] - cfg.learning_rate * gb[layer]
+                weights[layer] = weights[layer] + vel_w[layer]
+                biases[layer] = biases[layer] + vel_b[layer]
+
+        epoch_loss, _, _ = oracle_loss_and_gradients(weights, biases, X_tr, y_tr,
+                                                     cfg.activation, cfg.l2_penalty)
+        if not np.isfinite(epoch_loss):
+            raise TrainingDivergedError(
+                f"training loss became non-finite at epoch {epoch}; "
+                f"reduce learning_rate (currently {cfg.learning_rate})")
+        train_losses.append(epoch_loss)
+
+        if cfg.early_stop is not None:
+            val_pred = oracle_forward(weights, biases, X_val, cfg.activation)
+            val_loss = float(np.mean((val_pred - y_val) ** 2))
+            val_losses.append(val_loss)
+            if val_loss < best_val:
+                best_val = val_loss
+                best_params = ([W.copy() for W in weights], [b.copy() for b in biases])
+                since_best = 0
+            else:
+                since_best += 1
+                if since_best > cfg.early_stop.patience:
+                    break
+
+    if cfg.early_stop is not None and best_params is not None:
+        weights, biases = best_params
+    model = MLPModel(weights=tuple(weights), biases=tuple(biases), config=cfg)
+    trace = TrainingTrace(
+        train_loss=tuple(train_losses),
+        val_loss=tuple(val_losses) if cfg.early_stop is not None else None)
+    return model, trace
+
+
+def assert_same_fit(got, expected):
+    (model, trace), (oracle_model, oracle_trace) = got, expected
+    assert len(model.weights) == len(oracle_model.weights)
+    for a, b in zip(model.weights + model.biases, oracle_model.weights + oracle_model.biases):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert np.array(trace.train_loss).tobytes() == np.array(oracle_trace.train_loss).tobytes()
+    assert (trace.val_loss is None) == (oracle_trace.val_loss is None)
+    if trace.val_loss is not None:
+        assert np.array(trace.val_loss).tobytes() == np.array(oracle_trace.val_loss).tobytes()
 
 
 def flatten_params(weights, biases):
@@ -19,6 +145,89 @@ def unflatten_like(vec, weights, biases):
         out_b.append(vec[pos:pos + b.size].reshape(b.shape))
         pos += b.size
     return out_w, out_b
+
+
+def _oracle_data(n=60, p=3, seed=20):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, p))
+    return X, X @ np.linspace(0.5, -0.5, p) + 0.3 * rng.standard_normal(n)
+
+
+ORACLE_CASES = {
+    "relu": MLPConfig(hidden_layers=(6,), activation="relu", learning_rate=0.02,
+                      batch_size=8, max_epochs=12, seed=1),
+    "tanh_momentum_l2": MLPConfig(hidden_layers=(5,), activation="tanh",
+                                  learning_rate=0.02, batch_size=7, max_epochs=10,
+                                  momentum=0.9, l2_penalty=0.01, seed=2),
+    "logistic_two_layers_batch_over_n": MLPConfig(
+        hidden_layers=(6, 3), activation="logistic", learning_rate=0.05,
+        batch_size=64, max_epochs=15, seed=3),
+    "no_hidden_layer_ragged_batch": MLPConfig(hidden_layers=(), learning_rate=0.01,
+                                              batch_size=9, max_epochs=8, seed=4),
+    "early_stop": MLPConfig(hidden_layers=(8,), activation="tanh", learning_rate=0.1,
+                            batch_size=16, max_epochs=200, seed=5,
+                            early_stop=EarlyStopConfig(validation_fraction=0.2,
+                                                       patience=3)),
+    "no_epochs": MLPConfig(hidden_layers=(4,), max_epochs=0, seed=6,
+                           early_stop=EarlyStopConfig()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CASES))
+def test_fit_mlp_matches_oracle(name):
+    X, y = _oracle_data()
+    cfg = ORACLE_CASES[name]
+    assert_same_fit(fit_mlp(X, y, cfg), oracle_fit_mlp(X, y, cfg))
+
+
+def test_fit_lockstep_matches_oracle_per_config():
+    # one stack: activations interleave, and every config keeps its own
+    # seed, rates, patience, validation split and epoch budget
+    X, y = _oracle_data(n=100, p=4, seed=21)
+    settings = [("relu", 0.05, 0.0, 0.0, 0.2, 2, 60),
+                ("tanh", 0.02, 0.9, 0.01, 0.204, 5, 60),
+                ("tanh", 0.1, 0.5, 0.0, 0.2, 1, 60),
+                ("logistic", 0.05, 0.0, 0.001, 0.196, 50, 7),
+                ("relu", 0.01, 0.9, 0.0, 0.2, 4, 30)]
+    cfgs = [MLPConfig(hidden_layers=(6, 3), activation=act, learning_rate=lr,
+                      batch_size=16, max_epochs=epochs, momentum=momentum,
+                      l2_penalty=l2, seed=seed,
+                      early_stop=EarlyStopConfig(validation_fraction=fraction,
+                                                 patience=patience))
+            for seed, (act, lr, momentum, l2, fraction, patience, epochs)
+            in enumerate(settings)]
+    assert len({lockstep_key(cfg, 100) for cfg in cfgs}) == 1
+    fits = fit_lockstep(X, y, cfgs)
+    for cfg, fit in zip(cfgs, fits):
+        assert_same_fit(fit, oracle_fit_mlp(X, y, cfg))
+    epochs = [len(trace.train_loss) for _, trace in fits]
+    assert len(set(epochs)) > 2 and min(epochs) < 7  # configs stop at different epochs
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_fit_lockstep_reports_a_diverged_config_and_trains_the_rest():
+    rng = np.random.default_rng(22)
+    X = 10.0 * rng.standard_normal((40, 3))
+    y = 10.0 * rng.standard_normal(40)
+    cfgs = [MLPConfig(hidden_layers=(16,), learning_rate=lr, batch_size=8,
+                      max_epochs=6, seed=seed)
+            for seed, lr in enumerate((1e-4, 50.0, 2e-4))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = fit_lockstep(X, y, cfgs)
+        with pytest.raises(TrainingDivergedError) as alone:
+            oracle_fit_mlp(X, y, cfgs[1])
+    assert isinstance(fits[1], TrainingDivergedError)
+    assert str(fits[1]) == str(alone.value)
+    for i in (0, 2):
+        assert_same_fit(fits[i], oracle_fit_mlp(X, y, cfgs[i]))
+
+
+def test_fit_lockstep_rejects_configs_of_different_shapes():
+    X, y = _oracle_data()
+    with pytest.raises(ValueError, match="lockstep_key"):
+        fit_lockstep(X, y, [MLPConfig(hidden_layers=(4,)), MLPConfig(hidden_layers=(5,))])
+    with pytest.raises(ValueError, match="lockstep_key"):
+        fit_lockstep(X, y, [MLPConfig(), MLPConfig(early_stop=EarlyStopConfig())])
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)

@@ -394,10 +394,11 @@ def assert_bins_equal(actual, expected):
 
 
 def _binning_design(rng, n):
-    """Continuous, rounded (tied), constant and 0/1 one-hot columns."""
+    """Continuous, rounded (tied), constant, all-0, all-1 and 0/1 one-hot
+    columns."""
     return np.column_stack([rng.standard_normal(n),
                             np.round(rng.standard_normal(n), 1) + 0.0,
-                            np.full(n, 2.5),
+                            np.full(n, 2.5), np.zeros(n), np.ones(n),
                             np.eye(3)[rng.integers(0, 3, n)]])
 
 
@@ -433,7 +434,8 @@ def test_signed_zero_columns_bin_like_the_oracle():
     tricky = np.array([-0.0, -0.0, 0.0, 2.0, 2.0, -1.0, 0.0, 1.0])
     rng = np.random.default_rng(40)
     mixed = rng.choice([-1.0, -0.0, 0.0, 0.0, 1.0, 2.0], size=60)
-    for column in (tricky, mixed):
+    one_hot = rng.choice([-0.0, 0.0, 1.0], size=60)  # not a plain 0/1 column
+    for column in (tricky, mixed, one_hot):
         X = np.column_stack([column, rng.standard_normal(len(column))])
         ranked = _rank(X)
         assert list(ranked.signed_zeros) == [0]
@@ -443,6 +445,25 @@ def test_signed_zero_columns_bin_like_the_oracle():
                 expected = oracle_bin(X if rows is None else X[rows], n_bins)
                 assert_bins_equal(_bin_rows(ranked, rows, n_bins), expected)
     assert _rank(np.array([[-0.0], [-0.0], [1.0]])).signed_zeros == {}
+
+
+def test_rank_equals_np_unique_of_each_column():
+    # 0/1 columns are ranked without a sort; every column must rank as
+    # np.unique ranks it, down to the sign of a zero among the values
+    rng = np.random.default_rng(41)
+    columns = [np.zeros(40), np.ones(40), rng.integers(0, 2, 40) + 0.0,
+               np.full(40, -0.0), rng.choice([-0.0, 1.0], 40),
+               rng.choice([-0.0, 0.0, 1.0], 40), rng.choice([0.0, 1.0, 2.0], 40),
+               rng.choice([0.0, 1.0, np.nan], 40), rng.standard_normal(40)]
+    for n in (0, 1, 2, 40):
+        X = np.column_stack([c[:n] for c in columns])
+        ranked = _rank(X)
+        for f in range(X.shape[1]):
+            distinct, inverse = np.unique(X[:, f], return_inverse=True)
+            values = ranked.values[ranked.starts[f]:ranked.starts[f + 1]]
+            assert values.tobytes() == distinct.tobytes(), (n, f)
+            assert (ranked.ids[:, f] - ranked.starts[f]).tobytes() == \
+                inverse.reshape(-1).astype(np.intp).tobytes(), (n, f)
 
 
 def oracle_random_forest(X, y, cfg):

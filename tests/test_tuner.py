@@ -1,10 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from wqpanel.cli import grid_for
-from wqpanel.families import get_family
+from wqpanel.families import FAMILIES, get_family
 from wqpanel.reporting import render_results_csv
 from wqpanel.tuner import (CVConfig, FitFailedError, FoldScheme, HyperGrid,
                            grid_search, kfold_split, subseed)
@@ -143,7 +145,9 @@ def test_tie_breaks_to_earliest_config():
     ("random_forest", {"n_trees": (3, 6), "max_depth": (2,)}),
     ("elastic_net", {"lam": (1e-4, 0.01, 0.5), "alpha": (0.0, 1.0),
                      "standardize_internally": (True, False)}),
-], ids=["random_forest", "elastic_net"])
+    ("mlp", {"hidden_layers": ([4], [3, 2]), "activation": ("relu", "tanh"),
+             "batch_size": (16,), "max_epochs": (5,)}),
+], ids=["random_forest", "elastic_net", "mlp"])
 def test_parallel_matches_serial(family, axes):
     X, y = _search_data(seed=6, n=48)
     grid = HyperGrid(axes=axes)
@@ -164,11 +168,49 @@ def test_elastic_net_fit_fold_matches_fit_and_predict():
     # the last axis varies fastest, so the two set-ups alternate
     configs = HyperGrid(axes={"lam": (0.0, 1e-3, 0.2), "alpha": (0.0, 0.5, 1.0),
                               "standardize_internally": (True, False)}).configs()
-    shared = list(family.fit_fold(X_train, y_train, X_val, configs))
+    shared = list(family.fit_fold(X_train, y_train, X_val, configs, [0] * len(configs)))
     assert len(shared) == len(configs)
     for params, pred in zip(configs, shared):
         alone = family.predict(family.fit(X_train, y_train, params, 0), X_val)
         assert pred.tobytes() == alone.tobytes(), params
+
+
+def test_mlp_fit_fold_matches_fit_and_predict():
+    family = get_family("mlp")
+    X, y = _search_data(seed=10, n=60, p=3)
+    X_train, y_train, X_val = X[:45], y[:45], X[45:]
+    # the widths vary fastest, so each lockstep group's configs sit apart
+    # in the order, and activations change inside every group
+    configs = HyperGrid(axes={
+        "early_stop": (None, {"validation_fraction": 0.2, "patience": 2}),
+        "batch_size": (8, 64), "activation": ("relu", "tanh", "logistic"),
+        "hidden_layers": ([4], [3, 2], []), "max_epochs": (6,)}).configs()
+    seeds = [subseed(5, 2, ci, 0) for ci in range(len(configs))]
+    shared = list(family.fit_fold(X_train, y_train, X_val, configs, seeds))
+    assert len(shared) == len(configs)
+    for params, seed, pred in zip(configs, seeds, shared):
+        alone = family.predict(family.fit(X_train, y_train, params, seed), X_val)
+        assert pred.tobytes() == alone.tobytes(), params
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mlp_divergence_fails_the_config_per_config_fits_name(monkeypatch):
+    # the second of three configs diverges; configs share a fold's task
+    X, y = _search_data(seed=11, n=40)
+    grid = HyperGrid(axes={"learning_rate": (1e-4, 50.0, 2e-4),
+                           "hidden_layers": ([16],), "batch_size": (8,),
+                           "max_epochs": (6,)})
+    cv = CVConfig(k=3, seed=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FitFailedError) as shared:
+            grid_search("mlp", grid, X * 10.0, y * 10.0, cv, seed=3)
+        monkeypatch.setitem(FAMILIES, "mlp",
+                            dataclasses.replace(FAMILIES["mlp"], fit_fold=None))
+        with pytest.raises(FitFailedError) as alone:
+            grid_search("mlp", grid, X * 10.0, y * 10.0, cv, seed=3)
+    assert str(shared.value) == str(alone.value)
+    assert "'learning_rate': 50.0" in str(shared.value)
+    assert "on fold 0: training loss became non-finite at epoch" in str(shared.value)
 
 
 def test_invalid_grid_name_rejected():
