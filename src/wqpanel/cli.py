@@ -16,6 +16,7 @@ import functools
 import hashlib
 import json
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -140,31 +141,35 @@ def _write_cache(path: Path, train: PanelDataset, test: PanelDataset,
 
 def _read_cache(path: Path, cfg: RunConfig,
                 splits: tuple[str, ...]) -> tuple[PanelDataset, ...] | None:
-    """The cached panels of ``splits``, or None (after one stderr line naming
-    the first changed input) when the cache was written from other inputs."""
+    """The cached panels of ``splits``, or None after one stderr line naming
+    the cache and why it is not used: an input changed since ingest (the
+    first one is named), or the file cannot be read."""
     import datetime as dt
 
-    with np.load(path, allow_pickle=False) as data:
-        for label, digest in _input_digests(cfg).items():
-            key = _DIGEST_PREFIX + label
-            if key not in data.files or str(data[key]) != digest:
-                print(f"warning: {label} changed since ingest; reading the CSVs "
-                      f"instead of {path}", file=sys.stderr)
-                return None
-        site_groups = load_sites(cfg.sites_csv) if cfg.sites_csv else {}
-        feature_names = tuple(str(s) for s in data["feature_names"])
-
-        def unpack(prefix: str) -> PanelDataset:
-            return PanelDataset(
-                dates=tuple(dt.date.fromisoformat(str(s)) for s in data[f"{prefix}_dates"]),
-                site_ids=tuple(str(s) for s in data[f"{prefix}_sites"]),
+    digests = _input_digests(cfg)  # a missing input is an error, cache or not
+    try:
+        with np.load(path, allow_pickle=False) as data:
+            for label, digest in digests.items():
+                key = _DIGEST_PREFIX + label
+                if key not in data.files or str(data[key]) != digest:
+                    print(f"warning: {label} changed since ingest; reading the CSVs "
+                          f"instead of {path}", file=sys.stderr)
+                    return None
+            feature_names = tuple(str(s) for s in data["feature_names"])
+            panels = [PanelDataset(
+                dates=tuple(dt.date.fromisoformat(str(s)) for s in data[f"{split}_dates"]),
+                site_ids=tuple(str(s) for s in data[f"{split}_sites"]),
                 feature_names=feature_names,
-                features=data[f"{prefix}_features"],
-                targets=data[f"{prefix}_targets"],
-                site_groups=dict(site_groups),
-            )
-
-        return tuple(unpack(split) for split in splits)
+                features=data[f"{split}_features"],
+                targets=data[f"{split}_targets"],
+            ) for split in splits]
+    except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+        print(f"warning: cannot read {path} ({type(exc).__name__}: {exc}); "
+              f"reading the CSVs instead", file=sys.stderr)
+        return None
+    site_groups = load_sites(cfg.sites_csv) if cfg.sites_csv else {}
+    return tuple(dataclasses.replace(panel, site_groups=dict(site_groups))
+                 for panel in panels)
 
 
 def _read_panels(cfg: RunConfig,

@@ -8,12 +8,12 @@ learner's config dataclasses), fit/predict/export/restore/importance, an
 optional exact SHAP solver, its default tuning grid (the entries with one
 are the tunable families), whether retrain SHAP may refit it, and an
 optional fit_fold hook. fit_fold fits all the configs of one CV fold,
-given the seed fit would get for each, and yields their validation
-predictions, sharing the work that no config changes; it must give the
-same predictions, bit for bit, as fit and predict per config. Elastic net
-has one (one Gram matrix per fold), and so has the MLP (the configs of
-one architecture train in lockstep on stacked weights); the tuner fits
-and predicts each config of the tree families on its own.
+given the seed fit would get for each, and yields their fitted models,
+sharing the work that no config changes; each model must equal fit's for
+that config and seed, bit for bit. The tuner predicts with every model.
+Elastic net has one (one Gram matrix per fold), and so has the MLP (the
+configs of one architecture train in lockstep on stacked weights); the
+tuner fits each config of the tree families on its own.
 """
 
 from __future__ import annotations
@@ -47,12 +47,11 @@ class ModelFamily:
     # axis name -> values; None: not tunable
     default_grid: Mapping[str, list] | None = None
     cheap_refit: bool = False
-    # (X_train, y_train, X_val, configs, seeds) -> the validation
-    # predictions of each config, in order, from work shared across them;
-    # seeds[i] is the seed fit would get for configs[i]. None: the tuner
-    # fits and predicts each config on its own
-    fit_fold: Callable[[np.ndarray, np.ndarray, np.ndarray, Sequence[Mapping],
-                        Sequence[int]], Iterator[np.ndarray]] | None = None
+    # (X_train, y_train, configs, seeds) -> the fitted model of each
+    # config, in order, from work shared across them; seeds[i] is the seed
+    # fit would get for configs[i]. None: the tuner fits each config on its own
+    fit_fold: Callable[[np.ndarray, np.ndarray, Sequence[Mapping], Sequence[int]],
+                       Iterator[Any]] | None = None
 
 
 def _param_names(*configs: type) -> frozenset:
@@ -147,7 +146,7 @@ def _fit_elastic_net(X, y, params, seed):
     return en.fit_elastic_net(X, y, en.ElasticNetConfig(**params))
 
 
-def _elastic_net_fold(X_train, y_train, X_val, configs, seeds):
+def _elastic_net_fold(X_train, y_train, configs, seeds):
     """One set-up per standardize_internally value, then each config's
     descent; the fits equal _fit_elastic_net's bit for bit. Elastic net
     draws no randomness, so the seeds go unused."""
@@ -157,8 +156,7 @@ def _elastic_net_fold(X_train, y_train, X_val, configs, seeds):
         flag = bool(cfg.standardize_internally)
         if flag not in setups:
             setups[flag] = en.prepare_fit(X_train, y_train, flag)
-        model = en.fit_elastic_net(X_train, y_train, cfg, setup=setups[flag])
-        yield en.predict_linear(model, X_val)
+        yield en.fit_elastic_net(X_train, y_train, cfg, setup=setups[flag])
 
 
 def _fit_random_forest(X, y, params, seed):
@@ -190,7 +188,7 @@ def _fit_mlp(X, y, params, seed):
     return model
 
 
-def _mlp_fold(X_train, y_train, X_val, configs, seeds):
+def _mlp_fold(X_train, y_train, configs, seeds):
     """Configs that share layer widths, batch size and training-row count
     train as one lockstep stack; the fits equal _fit_mlp's bit for bit. A
     config that is invalid or diverges raises at its own place in the
@@ -211,7 +209,7 @@ def _mlp_fold(X_train, y_train, X_val, configs, seeds):
     for i in range(len(configs)):
         if isinstance(outcomes[i], Exception):
             raise outcomes[i]
-        yield nn.predict_mlp(outcomes[i][0], X_val)
+        yield outcomes[i][0]
 
 
 def _mlp_export(model: nn.MLPModel) -> dict:

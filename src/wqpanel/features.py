@@ -2,12 +2,12 @@
 
 Strategy 1: raw numeric features. Strategy 2: the same features
 standardized with train-fitted z-scores. Strategy 3: standardized numerics
-plus one-hot spatio-temporal categoricals.
+plus one-hot spatio-temporal categoricals: the row's site, and the month,
+weekday and meteorological season read straight off the row's date.
 """
 
 from __future__ import annotations
 
-import datetime as dt
 import enum
 from dataclasses import dataclass, field
 
@@ -15,47 +15,12 @@ import numpy as np
 
 from .panel import StackedTable
 
-
-class Season(enum.Enum):
-    WINTER = "Winter"
-    SPRING = "Spring"
-    SUMMER = "Summer"
-    FALL = "Fall"
-
-
-# meteorological convention: Dec-Feb, Mar-May, Jun-Aug, Sep-Nov
-_MONTH_SEASON = {
-    12: Season.WINTER, 1: Season.WINTER, 2: Season.WINTER,
-    3: Season.SPRING, 4: Season.SPRING, 5: Season.SPRING,
-    6: Season.SUMMER, 7: Season.SUMMER, 8: Season.SUMMER,
-    9: Season.FALL, 10: Season.FALL, 11: Season.FALL,
-}
-
 MONTH_VOCAB = tuple(range(1, 13))
 WEEKDAY_VOCAB = tuple(range(7))  # Monday = 0
-SEASON_VOCAB = (Season.WINTER, Season.SPRING, Season.SUMMER, Season.FALL)
+SEASON_VOCAB = ("Winter", "Spring", "Summer", "Fall")
 
-
-@dataclass(frozen=True)
-class TemporalFeatures:
-    year: int
-    month: int
-    day: int
-    weekday: int  # Monday = 0
-    iso_week: int
-    season: Season
-
-
-def decompose_date(date: dt.date) -> TemporalFeatures:
-    """Split a calendar date into the temporal feature set."""
-    return TemporalFeatures(
-        year=date.year,
-        month=date.month,
-        day=date.day,
-        weekday=date.weekday(),
-        iso_week=date.isocalendar()[1],
-        season=_MONTH_SEASON[date.month],
-    )
+# meteorological convention: Dec-Feb, Mar-May, Jun-Aug, Sep-Nov
+_MONTH_SEASON = {month: SEASON_VOCAB[month % 12 // 3] for month in MONTH_VOCAB}
 
 
 class UnseenLabelError(ValueError):
@@ -73,12 +38,13 @@ def one_hot_encode(values, vocabulary) -> np.ndarray:
     """
     vocabulary = list(vocabulary)
     index = {label: i for i, label in enumerate(vocabulary)}
+    try:
+        codes = np.fromiter((index[value] for value in values), dtype=np.intp,
+                            count=len(values))
+    except KeyError as exc:
+        raise UnseenLabelError(exc.args[0]) from None
     out = np.zeros((len(values), len(vocabulary)), dtype=float)
-    for r, value in enumerate(values):
-        try:
-            out[r, index[value]] = 1.0
-        except KeyError:
-            raise UnseenLabelError(value) from None
+    out[np.arange(len(values)), codes] = 1.0
     return out
 
 
@@ -241,23 +207,23 @@ def assemble_design(table: StackedTable, cfg: StrategyConfig,
     blocks = [numeric]
 
     if cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
-        temporal = [decompose_date(d) for d in table.dates]
+        dates = table.dates
         onehots: list[tuple[str, list, tuple]] = []
         if cfg.site_onehot:
             vocab = site_vocabulary if site_vocabulary is not None else _site_vocab(table)
             onehots.append(("site", list(table.site_ids), vocab))
         if cfg.month_onehot:
-            onehots.append(("month", [t.month for t in temporal], MONTH_VOCAB))
+            onehots.append(("month", [d.month for d in dates], MONTH_VOCAB))
         if cfg.weekday_onehot:
-            onehots.append(("weekday", [t.weekday for t in temporal], WEEKDAY_VOCAB))
+            onehots.append(("weekday", [d.weekday() for d in dates], WEEKDAY_VOCAB))
         if cfg.season_onehot:
-            onehots.append(("season", [t.season for t in temporal], SEASON_VOCAB))
+            onehots.append(("season", [_MONTH_SEASON[d.month] for d in dates],
+                            SEASON_VOCAB))
         for group, values, vocab in onehots:
             start = sum(b.shape[1] for b in blocks)
             block = one_hot_encode(values, vocab)
             blocks.append(block)
-            labels = [v.value if isinstance(v, Season) else v for v in vocab]
-            names.extend(f"{group}={label}" for label in labels)
+            names.extend(f"{group}={label}" for label in vocab)
             kinds.extend(["one_hot"] * len(vocab))
             groups[group] = list(range(start, start + len(vocab)))
 

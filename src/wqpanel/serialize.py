@@ -94,17 +94,22 @@ def save_model(path: str | Path, family_name: str, model: Any, hyper_params: dic
 
 
 def load_model(path: str | Path) -> ModelBundle:
+    """Read a bundle; a missing field raises ValueError naming the file and
+    the field, as a malformed one does."""
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
     version = payload.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"{path}: unsupported model format version {version!r}")
-    family = get_family(payload["family"])
-    pipeline = PipelineState.from_dict(payload["pipeline"])
-    return ModelBundle(
-        family=family,
-        model=family.restore(payload["params"], len(pipeline.column_names)),
-        hyper_params=payload["config"],
-        seed=payload["seed"],
-        pipeline=pipeline,
-    )
+    try:
+        family = get_family(payload["family"])
+        pipeline = PipelineState.from_dict(payload["pipeline"])
+        return ModelBundle(
+            family=family,
+            model=family.restore(payload["params"], len(pipeline.column_names)),
+            hyper_params=payload["config"],
+            seed=payload["seed"],
+            pipeline=pipeline,
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None

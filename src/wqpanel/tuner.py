@@ -149,28 +149,25 @@ def _pool_init(family_name, configs, X, y, folds, seed):
                      X=X, y=y, folds=folds, seed=seed)
 
 
-def _fit_each(family, X_train, y_train, X_val, configs, seeds):
-    """The fit_fold of a family without one: a fit per config."""
-    for params, seed in zip(configs, seeds):
-        yield family.predict(family.fit(X_train, y_train, params, seed), X_val)
-
-
 def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]]:
-    """(config, fold, score) of the configs ``cis`` on fold ``fi``, from the
-    family's fit_fold hook if it has one."""
+    """(config, fold, score) of the configs ``cis`` on fold ``fi``, fitted by
+    the family's fit_fold hook if it has one."""
     fi, cis = task
     ctx = _POOL_CTX
     family = ctx["family"]
     train_idx, val_idx = ctx["folds"][fi]
     X_train, y_train = ctx["X"][train_idx], ctx["y"][train_idx]
     X_val, y_val = ctx["X"][val_idx], ctx["y"][val_idx]
-    fit_fold = family.fit_fold or functools.partial(_fit_each, family)
-    preds = fit_fold(X_train, y_train, X_val, [ctx["configs"][ci] for ci in cis],
-                     [subseed(ctx["seed"], TAG_FIT, ci, fi) for ci in cis])
+    configs = [ctx["configs"][ci] for ci in cis]
+    seeds = [subseed(ctx["seed"], TAG_FIT, ci, fi) for ci in cis]
+    if family.fit_fold is not None:
+        models = family.fit_fold(X_train, y_train, configs, seeds)
+    else:
+        models = map(functools.partial(family.fit, X_train, y_train), configs, seeds)
     out = []
     for ci in cis:
         try:
-            pred = next(preds)
+            pred = family.predict(next(models), X_val)
         except Exception as exc:
             raise FitFailedError(
                 f"{family.name} fit failed for config {ctx['configs'][ci]} "

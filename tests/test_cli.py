@@ -210,6 +210,37 @@ def test_stats_rereads_inputs_changed_since_ingest(panel_files, capsys):
     assert code == 0 and out.err == ""  # the refreshed cache matches again
 
 
+def _truncate(cache):
+    cache.write_bytes(cache.read_bytes()[:100])
+
+
+def _drop_train_targets(cache):
+    with np.load(cache) as data:
+        kept = {k: data[k] for k in data.files if k != "train_targets"}
+    np.savez(cache, **kept)  # the digests stay intact
+
+
+@pytest.mark.parametrize("damage, reason", [(_truncate, "BadZipFile"),
+                                            (_drop_train_targets, "KeyError")],
+                         ids=["truncated", "array_missing"])
+def test_stats_reads_the_csvs_past_an_unreadable_cache(panel_files, capsys, damage, reason):
+    env = panel_files(n_train=6, n_test=4, n_sites=2, n_features=3)
+    cfg = str(env["config"])
+    summary = env["out"] / "summary_stats.csv"
+    assert run(["stats", "--config", cfg], capsys)[0] == 0  # no cache yet
+    expected = summary.read_bytes()
+    assert run(["ingest", "--config", cfg], capsys)[0] == 0
+    cache = env["out"] / "panel_cache.npz"
+    damage(cache)
+    summary.unlink()
+
+    code, out = run(["stats", "--config", cfg], capsys)
+    assert code == 0
+    assert out.err.count("\n") == 1
+    assert str(cache) in out.err and reason in out.err
+    assert summary.read_bytes() == expected
+
+
 def test_tune_and_stats_read_only_the_train_panel(panel_files, capsys, monkeypatch):
     env = panel_files(n_train=6, n_test=4, n_sites=2, n_features=3)
     cfg = str(env["config"])
@@ -529,6 +560,34 @@ def test_explain_rejects_cyclic_tree_arena(panel_files, capsys):
                      "--model", str(model_path), "--rows", "0"], capsys)
     assert code == 4
     assert "trees[0].left[0]" in out.err
+
+
+def _delete_field(payload, path):
+    *parents, last = path  # keys and list indices
+    for step in parents:
+        payload = payload[step]
+    del payload[last]
+
+
+@pytest.mark.parametrize("command", ["explain", "evaluate"])
+@pytest.mark.parametrize("family, field", [
+    ("elastic_net", ("pipeline",)),
+    ("elastic_net", ("params", "coefficients")),
+    ("gbdt", ("params", "trees", 0, "left")),
+], ids=["pipeline", "coefficients", "tree_left"])
+def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, family, field):
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
+                      families=[family], grids=TWO_FAMILY_GRIDS)
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    model_path = env["out"] / "models" / f"model_strategy2_{family}.json"
+    payload = json.loads(model_path.read_text())
+    _delete_field(payload, field)
+    model_path.write_text(json.dumps(payload))
+    flag = ["--model", str(model_path), "--rows", "0"] if command == "explain" \
+        else ["--models", str(model_path)]
+    code, out = run([command, "--config", str(env["config"]), *flag], capsys)
+    assert code == 4
+    assert str(model_path) in out.err and f"missing field {field[-1]!r}" in out.err
 
 
 def test_report_bundles_everything(panel_files, capsys):

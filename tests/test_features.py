@@ -2,46 +2,15 @@ import datetime as dt
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import synthetic_panel
-from wqpanel.features import (MONTH_VOCAB, SEASON_VOCAB, WEEKDAY_VOCAB, Season,
+from wqpanel.features import (MONTH_VOCAB, SEASON_VOCAB, WEEKDAY_VOCAB,
                               Strategy, StrategyConfig, apply_standardizer,
-                              assemble_design, decompose_date, fit_standardizer,
+                              assemble_design, fit_standardizer,
                               numeric_block, one_hot_encode, UnseenLabelError)
-from wqpanel.panel import stack_panel
-
-
-def test_decompose_winter_thursday():
-    t = decompose_date(dt.date(2016, 1, 28))
-    assert (t.year, t.month, t.day) == (2016, 1, 28)
-    assert t.weekday == 3  # Thursday
-    assert t.season == Season.WINTER
-
-
-def test_decompose_leap_day():
-    t = decompose_date(dt.date(2016, 2, 29))
-    assert (t.month, t.day) == (2, 29)
-    assert t.season == Season.WINTER
-
-
-def test_decompose_iso_week_monday():
-    t = decompose_date(dt.date(2018, 1, 1))
-    assert t.iso_week == 1
-    assert t.weekday == 0  # Monday
-
-
-@given(st.dates(min_value=dt.date(1990, 1, 1), max_value=dt.date(2030, 12, 31)))
-def test_decompose_consistent_with_calendar(date):
-    t = decompose_date(date)
-    assert t.weekday == date.weekday()
-    assert t.iso_week == date.isocalendar()[1]
-    season_by_month = {12: "Winter", 1: "Winter", 2: "Winter",
-                       3: "Spring", 4: "Spring", 5: "Spring",
-                       6: "Summer", 7: "Summer", 8: "Summer",
-                       9: "Fall", 10: "Fall", 11: "Fall"}
-    assert t.season.value == season_by_month[date.month]
+from wqpanel.panel import StackedTable, stack_panel
 
 
 def test_one_hot_hand_enumeration():
@@ -61,6 +30,11 @@ def test_one_hot_many_sites_rows_sum_to_one():
     out = one_hot_encode(values, vocab)
     assert out.shape == (100, 37)
     np.testing.assert_array_equal(out.sum(axis=1), np.ones(100))
+
+
+def test_one_hot_zero_values():
+    out = one_hot_encode([], ["a", "b"])
+    assert out.shape == (0, 2) and out.dtype == float
 
 
 def test_one_hot_unseen_label_named():
@@ -222,3 +196,51 @@ def test_site_vocabulary_reuse_and_unseen_site(stacked):
     assert design.column_names[11:14] == ("site=site00", "site=site01", "site=site02")
     with pytest.raises(UnseenLabelError):
         assemble_design(stacked, cfg, params, site_vocabulary=("site00", "site01"))
+
+
+SEASON_BY_MONTH = {12: "Winter", 1: "Winter", 2: "Winter",
+                   3: "Spring", 4: "Spring", 5: "Spring",
+                   6: "Summer", 7: "Summer", 8: "Summer",
+                   9: "Fall", 10: "Fall", 11: "Fall"}
+
+
+def oracle_strategy3(table, params):
+    """The default strategy-3 design built one row at a time: each date
+    splits into its month, weekday (Monday = 0) and meteorological season,
+    and each row writes its four one-hot entries one by one."""
+    vocab = ([("site", s) for s in dict.fromkeys(table.site_ids)]
+             + [("month", m) for m in range(1, 13)]
+             + [("weekday", w) for w in range(7)]
+             + [("season", s) for s in ("Winter", "Spring", "Summer", "Fall")])
+    column = {key: j for j, key in enumerate(vocab)}
+    onehot = np.zeros((table.row_count, len(vocab)))
+    for r, (site, date) in enumerate(zip(table.site_ids, table.dates)):
+        for key in (("site", site), ("month", date.month),
+                    ("weekday", date.weekday()),
+                    ("season", SEASON_BY_MONTH[date.month])):
+            onehot[r, column[key]] = 1.0
+    names = (*table.feature_names, *(f"{group}={label}" for group, label in vocab))
+    return names, np.column_stack([apply_standardizer(params, table.X), onehot])
+
+
+def _week_from(start):
+    return [start + dt.timedelta(days=i) for i in range(7)]
+
+
+@given(st.lists(st.dates(min_value=dt.date(1990, 1, 1), max_value=dt.date(2030, 12, 31)),
+                min_size=2, max_size=30))
+@example(_week_from(dt.date(2016, 2, 25)))  # leap day, Feb to Mar, every weekday
+@example(_week_from(dt.date(2015, 12, 28)))  # December to January
+@example([dt.date(2016, 1, 28), dt.date(2018, 1, 1)])  # a Thursday, a Monday
+def test_strategy3_calendar_columns_match_per_row_oracle(dates):
+    rng = np.random.default_rng(len(dates))
+    table = StackedTable(dates=tuple(dates),
+                         site_ids=tuple(f"s{i % 3}" for i in range(len(dates))),
+                         feature_names=("X1", "X2"),
+                         X=rng.uniform(size=(len(dates), 2)), y=rng.uniform(size=len(dates)))
+    params = fit_standardizer(table.X)
+    design = assemble_design(
+        table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL), params)
+    names, X = oracle_strategy3(table, params)
+    assert design.column_names == names
+    assert design.X.tobytes() == X.tobytes()
