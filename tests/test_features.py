@@ -223,6 +223,36 @@ def oracle_strategy3(table, params):
     return names, np.column_stack([apply_standardizer(params, table.X), onehot])
 
 
+def calendar_labels(date):
+    """The month, weekday and season one-hot columns a strategy-3 design
+    sets for one date, as their column names."""
+    table = StackedTable(dates=(date, date), site_ids=("s0", "s0"), feature_names=("X1",),
+                         X=np.array([[0.0], [1.0]]), y=np.zeros(2))
+    design = assemble_design(
+        table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL),
+        fit_standardizer(table.X))
+    return {name for name, kind, value in zip(design.column_names, design.kinds, design.X[0])
+            if kind == "one_hot" and value == 1.0 and not name.startswith("site=")}
+
+
+def test_decompose_winter_thursday():
+    assert calendar_labels(dt.date(2016, 1, 28)) == {"month=1", "weekday=3", "season=Winter"}
+
+
+def test_decompose_leap_day():
+    assert calendar_labels(dt.date(2016, 2, 29)) == {"month=2", "weekday=0", "season=Winter"}
+
+
+def test_decompose_iso_week_monday():
+    assert calendar_labels(dt.date(2018, 1, 1)) == {"month=1", "weekday=0", "season=Winter"}
+
+
+@given(st.dates(min_value=dt.date(1990, 1, 1), max_value=dt.date(2030, 12, 31)))
+def test_decompose_consistent_with_calendar(date):
+    assert calendar_labels(date) == {f"month={date.month}", f"weekday={date.weekday()}",
+                                     f"season={SEASON_BY_MONTH[date.month]}"}
+
+
 def _week_from(start):
     return [start + dt.timedelta(days=i) for i in range(7)]
 
