@@ -228,7 +228,7 @@ def _cmd_stats(args) -> int:
     [train] = _load_panels(cfg, ("train",))
     stacked = stack_panel(train)
     stats = summarize(stacked)
-    corr = correlation_matrix(stacked)  # features only, target excluded
+    corr = correlation_matrix(stacked)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     (cfg.output_dir / "summary_stats.csv").write_text(render_summary_csv(stats),

@@ -39,6 +39,8 @@ class ElasticNetConfig:
             raise ValueError("alpha must be in [0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)

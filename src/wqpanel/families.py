@@ -73,6 +73,19 @@ def _tree_to_dict(tree: tr.RegressionTree) -> dict:
     }
 
 
+def _numbers(value, field: str, ndim: int = 1, dtype=float) -> np.ndarray:
+    """value as an ndim-dimensional array (ndim 0: one number); anything
+    else is a ValueError naming the bundle field."""
+    try:
+        out = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out.ndim != ndim:
+        kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
+        raise ValueError(f"{field} must be {kind}")
+    return out
+
+
 def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
     """Restore one node arena, rejecting any arena that is not a tree.
 
@@ -81,16 +94,17 @@ def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
     children -1, and split features index the design's n_columns columns.
     The ValueError names the field and the first offending node.
     """
-    ints = {name: np.asarray(raw[name], dtype=np.int64)
-            for name in ("feature", "left", "right")}
-    n = len(ints["feature"])
+    ints = ("feature", "left", "right", "n_samples")
+    arrays = {name: _numbers(raw[name], f"{where}.{name}",
+                             dtype=np.int64 if name in ints else float)
+              for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain")}
+    n = len(arrays["feature"])
     if n == 0:
         raise ValueError(f"{where} has no nodes")
-    for name in ("threshold", "left", "right", "value", "n_samples", "gain"):
-        if len(raw[name]) != n:
-            raise ValueError(f"{where}.{name} has {len(raw[name])} entries, "
-                             f"feature has {n}")
-    feature, left, right = ints["feature"], ints["left"], ints["right"]
+    for name, array in arrays.items():
+        if len(array) != n:
+            raise ValueError(f"{where}.{name} has {len(array)} entries, feature has {n}")
+    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
     node = np.arange(n)
     leaf = feature < 0
     checks = (
@@ -107,15 +121,15 @@ def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
     for name, bad, rule in checks:
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"{where}.{name}[{i}] = {ints[name][i]} {rule}")
+            raise ValueError(f"{where}.{name}[{i}] = {arrays[name][i]} {rule}")
     return tr.RegressionTree(
         feature=feature.astype(np.int32),
-        threshold=np.asarray(raw["threshold"], dtype=float),
+        threshold=arrays["threshold"],
         left=left.astype(np.int32),
         right=right.astype(np.int32),
-        value=np.asarray(raw["value"], dtype=float),
-        n_samples=np.asarray(raw["n_samples"], dtype=np.int64),
-        gain=np.asarray(raw["gain"], dtype=float),
+        value=arrays["value"],
+        n_samples=arrays["n_samples"],
+        gain=arrays["gain"],
     )
 
 
@@ -131,8 +145,8 @@ def _ensemble_export(model: tr.Ensemble) -> dict:
 def _ensemble_restore(raw: dict, n_columns: int) -> tr.Ensemble:
     return tr.Ensemble(
         kind=tr.EnsembleKind(raw["kind"]),
-        base_score=raw["base_score"],
-        learning_rate=raw["learning_rate"],
+        base_score=float(_numbers(raw["base_score"], "base_score", ndim=0)),
+        learning_rate=float(_numbers(raw["learning_rate"], "learning_rate", ndim=0)),
         trees=tuple(_tree_from_dict(t, n_columns, f"trees[{i}]")
                     for i, t in enumerate(raw["trees"])),
     )
@@ -221,7 +235,7 @@ def _mlp_export(model: nn.MLPModel) -> dict:
 
 
 def _mlp_restore(raw: dict, n_columns: int) -> nn.MLPModel:
-    weights = tuple(np.asarray(W, dtype=float) for W in raw["weights"])
+    weights = tuple(_numbers(W, f"weights[{i}]", ndim=2) for i, W in enumerate(raw["weights"]))
     if len(weights[0]) != n_columns:
         raise ValueError(f"weights[0] has {len(weights[0])} input rows, "
                          f"the design has {n_columns} columns")
@@ -229,7 +243,7 @@ def _mlp_restore(raw: dict, n_columns: int) -> nn.MLPModel:
                        activation=raw["activation"])
     return nn.MLPModel(
         weights=weights,
-        biases=tuple(np.asarray(b, dtype=float) for b in raw["biases"]),
+        biases=tuple(_numbers(b, f"biases[{i}]") for i, b in enumerate(raw["biases"])),
         config=cfg)
 
 
@@ -240,12 +254,12 @@ def _linear_export(model: en.LinearModel) -> dict:
 
 
 def _linear_restore(raw: dict, n_columns: int) -> en.LinearModel:
-    coefficients = np.asarray(raw["coefficients"], dtype=float)
+    coefficients = _numbers(raw["coefficients"], "coefficients")
     if len(coefficients) != n_columns:
         raise ValueError(f"coefficients has {len(coefficients)} entries, "
                          f"the design has {n_columns} columns")
     return en.LinearModel(
-        intercept=raw["intercept"],
+        intercept=float(_numbers(raw["intercept"], "intercept", ndim=0)),
         coefficients=coefficients,
         config=en.ElasticNetConfig(), sweeps_used=raw["sweeps_used"])
 
@@ -260,7 +274,8 @@ FAMILIES: dict[str, ModelFamily] = {
         fit=_fit_benchmark,
         predict=lambda m, X: m.predict(X),
         export=lambda m: {"constant": m.constant},
-        restore=lambda raw, n_columns: me.BenchmarkModel(constant=raw["constant"]),
+        restore=lambda raw, n_columns: me.BenchmarkModel(
+            constant=float(_numbers(raw["constant"], "constant", ndim=0))),
         importance=lambda m, p: None,
         cheap_refit=True,
     ),

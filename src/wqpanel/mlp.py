@@ -67,6 +67,10 @@ class MLPConfig:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if self.max_epochs < 1:
+            raise ValueError("max_epochs must be >= 1")
+        if self.l2_penalty < 0:
+            raise ValueError("l2_penalty must be >= 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
         if self.seed < 0:

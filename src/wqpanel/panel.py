@@ -301,12 +301,6 @@ def unstack_table(table: StackedTable, n_dates: int, n_sites: int) -> PanelDatas
     )
 
 
-def _table_columns(table: StackedTable) -> tuple[list[str], np.ndarray]:
-    names = list(table.feature_names) + [table.target_name]
-    data = np.column_stack([table.X, table.y])
-    return names, data
-
-
 def summarize(table: StackedTable) -> SummaryStats:
     """Table-3 style summary: mean, sample sd, min, quartiles, max per column.
 
@@ -314,7 +308,8 @@ def summarize(table: StackedTable) -> SummaryStats:
     """
     if table.row_count == 0:
         raise ValueError("summarize requires at least one row")
-    names, data = _table_columns(table)
+    names = list(table.feature_names) + [table.target_name]
+    data = np.column_stack([table.X, table.y])
     q25, q50, q75 = np.percentile(data, [25, 50, 75], axis=0)
     ddof = 1 if len(data) > 1 else 0
     return SummaryStats(
@@ -327,29 +322,22 @@ def summarize(table: StackedTable) -> SummaryStats:
     )
 
 
-def correlation_matrix(table: StackedTable, columns: list[str] | None = None) -> CorrelationMatrix:
-    """Pearson correlations between the selected columns (default: features only).
+def correlation_matrix(table: StackedTable) -> CorrelationMatrix:
+    """Pearson correlations between the feature columns (the target is left out).
 
     A zero-variance column correlates 0 with everything else (with a
     warning) and 1 with itself.
     """
     if table.row_count < 2:
         raise ValueError("correlation_matrix requires at least 2 rows")
-    names, data = _table_columns(table)
-    if columns is None:
-        columns = list(table.feature_names)
-    unknown = [c for c in columns if c not in names]
-    if unknown:
-        raise ValueError(f"unknown columns: {unknown}")
-    sel = data[:, [names.index(c) for c in columns]]
-
-    centered = sel - sel.mean(axis=0)
+    X = np.asfortranarray(table.X)  # column-major: each column sums pairwise
+    centered = X - X.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
     # max == min is the robust constancy test; centering a constant column
     # can leave O(eps) residue when its mean is not exactly representable
-    constant = (sel.max(axis=0) == sel.min(axis=0)) | (norms == 0.0)
+    constant = (X.max(axis=0) == X.min(axis=0)) | (norms == 0.0)
     warnings = tuple(f"column {c} has zero variance; correlations set to 0"
-                     for c, flag in zip(columns, constant) if flag)
+                     for c, flag in zip(table.feature_names, constant) if flag)
     safe = np.where(constant, 1.0, norms)
     unit = centered / safe
     corr = unit.T @ unit
@@ -359,4 +347,4 @@ def correlation_matrix(table: StackedTable, columns: list[str] | None = None) ->
     corr = np.clip(corr, -1.0, 1.0)
     # enforce exact symmetry against accumulation order effects
     corr = (corr + corr.T) / 2.0
-    return CorrelationMatrix(columns=tuple(columns), values=corr, warnings=warnings)
+    return CorrelationMatrix(columns=tuple(table.feature_names), values=corr, warnings=warnings)

@@ -94,14 +94,17 @@ def save_model(path: str | Path, family_name: str, model: Any, hyper_params: dic
 
 
 def load_model(path: str | Path) -> ModelBundle:
-    """Read a bundle; a missing field raises ValueError naming the file and
-    the field, as a malformed one does."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    version = payload.get("format_version")
-    if version != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported model format version {version!r}")
+    """Read a bundle. A bundle that is not a JSON object, or a missing or
+    malformed field, raises ValueError naming the file, and the field
+    wherever the restorer knows it."""
     try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("a model bundle must be a JSON object")
+        version = payload.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(f"unsupported model format version {version!r}")
         family = get_family(payload["family"])
         pipeline = PipelineState.from_dict(payload["pipeline"])
         return ModelBundle(
@@ -113,3 +116,5 @@ def load_model(path: str | Path) -> ModelBundle:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None

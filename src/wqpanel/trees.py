@@ -1,9 +1,10 @@
 """CART regression trees, random forest, and second-order gradient boosting.
 
-One grower serves both modes. Raw-target trees (CART / random forest
-members) are grown in gradient space with g = -y, h = 1, where the
-second-order split gain reduces exactly to variance-reduction gain and
-leaf weights to target means. Boosted trees use the generic gain
+Every tree fits squared error, so the hessian is 1 and a node's H is its
+weighted row count. One grower serves both modes. Raw-target trees (CART /
+random forest members) are grown on g = -y with lam = 0, where the split
+gain reduces exactly to variance-reduction gain and leaf weights to target
+means. Boosted trees use the gain
 
     1/2 * [G_L^2/(H_L+lam) + G_R^2/(H_R+lam) - (G_L+G_R)^2/(H_L+H_R+lam)] - gamma
 
@@ -17,7 +18,7 @@ bootstrap sample or GOSS subset, once per tree, which takes its
 candidates from its own rows) are then binned from counts of those
 ranks: the candidates come from the counted distinct values, and every
 value's bin code from one lookup per distinct value and a gather. A node is
-scored with one gradient and one hessian bincount over the codes of all
+scored with one gradient and one weight bincount over the codes of all
 its drawn features, prefix sums along each feature, and an argmax per
 feature then across features; the lowest threshold and then the lowest
 feature index win ties.
@@ -46,45 +47,6 @@ class RegressionTree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
-
-    @property
-    def n_leaves(self) -> int:
-        return int((self.feature < 0).sum())
-
-
-@dataclass(frozen=True)
-class GradientPair:
-    """First- and second-order gradients of the loss, one entry per row."""
-
-    g: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        if self.g.shape != self.h.shape:
-            raise ValueError("g and h must have the same shape")
-        if not (np.isfinite(self.g).all() and np.isfinite(self.h).all()):
-            raise ValueError("non-finite gradients")
-        if (self.h < 0).any():
-            raise ValueError("hessian entries must be >= 0")
-
-
-@dataclass(frozen=True)
-class TreeParams:
-    """Raw-target mode: variance-reduction splits, mean leaf values."""
-
-    max_depth: int = 6
-    min_samples_leaf: float = 1.0
-    n_bins: int = 256
-    max_features: int | None = None
-
-
-@dataclass(frozen=True)
-class GradientTreeParams:
-    max_depth: int = 3
-    min_child_weight: float = 1.0
-    reg_lambda: float = 1.0
-    gamma: float = 0.0
-    n_bins: int = 256
 
 
 @dataclass(frozen=True)
@@ -137,6 +99,8 @@ class RFConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ValueError("n_trees must be >= 1")
+        if self.max_depth < 0 or self.n_bins < 1:
+            raise ValueError("max_depth >= 0 and n_bins >= 1 required")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
 
@@ -283,15 +247,15 @@ def _bin(X: np.ndarray, n_bins: int) -> _Bins:
     return _bin_rows(_rank(X), None, n_bins)
 
 
-def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
+def _grow(X: np.ndarray, g: np.ndarray, w: np.ndarray,
           max_depth: int, min_child_weight: float, reg_lambda: float,
           gamma: float, n_bins: int,
           rng: np.random.Generator | None = None,
           max_features: int | None = None,
           bins: _Bins | None = None,
           leaves: np.ndarray | None = None) -> RegressionTree:
-    """Grow one tree on X, binned here unless ``bins`` is given; when
-    ``leaves`` is given it receives the leaf node of every row of X."""
+    """Grow one tree on X with row weights w, binned here unless ``bins`` is
+    given; ``leaves``, when given, receives the leaf node of every row of X."""
     n, p = X.shape
     if bins is None:
         bins = _bin(X, n_bins)
@@ -299,7 +263,6 @@ def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
     # positions past a feature's last candidate are padding, never a split
     padding = np.arange(width - 1) >= bins.n_candidates[:, None]
     wg = w * g
-    wh = w * h
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -326,7 +289,7 @@ def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
         if leaves is not None:
             leaves[rows] = node
         G = float(wg[rows].sum())
-        H = float(wh[rows].sum())
+        H = float(w[rows].sum())
         value[node] = -G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
         n_samples[node] = len(rows)
         if depth >= max_depth or len(rows) < 2:
@@ -346,7 +309,7 @@ def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
         codes = bins.codes[rows] if nf == p else bins.codes[np.ix_(rows, feats)]
         flat = codes.ravel()
         gsum = np.bincount(flat, weights=np.repeat(wg[rows], nf), minlength=p * width)
-        hsum = np.bincount(flat, weights=np.repeat(wh[rows], nf), minlength=p * width)
+        hsum = np.bincount(flat, weights=np.repeat(w[rows], nf), minlength=p * width)
         GL = np.cumsum(gsum.reshape(p, width)[feats], axis=1)[:, :-1]
         HL = np.cumsum(hsum.reshape(p, width)[feats], axis=1)[:, :-1]
         GR = G - GL
@@ -389,11 +352,12 @@ def _grow(X: np.ndarray, g: np.ndarray, h: np.ndarray, w: np.ndarray,
     )
 
 
-def fit_tree(X, y, params: TreeParams, rng: np.random.Generator | None = None, *,
+def fit_tree(X, y, cfg: RFConfig, rng: np.random.Generator | None = None, *,
              bins: _Bins | None = None) -> RegressionTree:
-    """Raw-target CART: greedy variance-reduction splits, mean leaf values.
+    """Raw-target CART: greedy variance-reduction splits, mean leaf values,
+    under cfg's max_depth, min_samples_leaf, max_features and n_bins.
 
-    ``bins`` (``_bin(X, params.n_bins)``) skips binning X again.
+    ``bins`` (``_bin(X, cfg.n_bins)``) skips binning X again.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -401,27 +365,29 @@ def fit_tree(X, y, params: TreeParams, rng: np.random.Generator | None = None, *
         raise ValueError("fit_tree requires at least one row")
     if not np.isfinite(y).all():
         raise ValueError("non-finite targets")
-    return _grow(X, -y, np.ones(len(y)), np.ones(len(y)),
-                 max_depth=params.max_depth, min_child_weight=params.min_samples_leaf,
-                 reg_lambda=0.0, gamma=0.0, n_bins=params.n_bins,
-                 rng=rng, max_features=params.max_features, bins=bins)
+    return _grow(X, -y, np.ones(len(y)),
+                 max_depth=cfg.max_depth, min_child_weight=cfg.min_samples_leaf,
+                 reg_lambda=0.0, gamma=0.0, n_bins=cfg.n_bins,
+                 rng=rng, max_features=cfg.max_features, bins=bins)
 
 
-def fit_gradient_tree(X, gradients: GradientPair, params: GradientTreeParams,
-                      weights: np.ndarray | None = None, *, bins: _Bins | None = None,
+def fit_gradient_tree(X, g, cfg: GBDTConfig, weights: np.ndarray | None = None, *,
+                      bins: _Bins | None = None,
                       leaves: np.ndarray | None = None) -> RegressionTree:
-    """Gradient-mode tree: second-order gain, leaf weight -G/(H+lam).
+    """Gradient-mode tree on gradients g: second-order gain, leaf weight
+    -G/(H+lam), under cfg's max_depth, min_child_weight, reg_lambda, gamma
+    and n_bins.
 
-    ``bins`` (``_bin(X, params.n_bins)``) skips binning X again; ``leaves``
+    ``bins`` (``_bin(X, cfg.n_bins)``) skips binning X again; ``leaves``
     receives the leaf node of every row of X.
     """
     X = np.asarray(X, dtype=float)
     if len(X) < 1:
         raise ValueError("fit_gradient_tree requires at least one row")
     w = np.ones(len(X)) if weights is None else np.asarray(weights, dtype=float)
-    return _grow(X, gradients.g, gradients.h, w,
-                 max_depth=params.max_depth, min_child_weight=params.min_child_weight,
-                 reg_lambda=params.reg_lambda, gamma=params.gamma, n_bins=params.n_bins,
+    return _grow(X, g, w,
+                 max_depth=cfg.max_depth, min_child_weight=cfg.min_child_weight,
+                 reg_lambda=cfg.reg_lambda, gamma=cfg.gamma, n_bins=cfg.n_bins,
                  bins=bins, leaves=leaves)
 
 
@@ -439,7 +405,7 @@ def predict_tree(tree: RegressionTree, X) -> np.ndarray:
     return tree.value[idx]
 
 
-def goss_sample(gradients, top_rate: float, other_rate: float,
+def goss_sample(gradients, cfg: GossConfig,
                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Gradient-based one-side sampling.
 
@@ -453,22 +419,18 @@ def goss_sample(gradients, top_rate: float, other_rate: float,
     n = len(mags)
     if n < 1:
         raise ValueError("goss_sample requires at least one row")
-    if not (0.0 <= top_rate <= 1.0 and 0.0 <= other_rate <= 1.0):
-        raise ValueError("rates must be in [0, 1]")
-    if top_rate + other_rate > 1.0 + 1e-12:
-        raise ValueError("top_rate + other_rate must be <= 1")
 
     order = np.argsort(-mags, kind="stable")
-    n_top = int(np.ceil(top_rate * n))
+    n_top = int(np.ceil(cfg.top_rate * n))
     top = order[:n_top]
     rest = order[n_top:]
-    if other_rate == 0.0 or len(rest) == 0:
+    if cfg.other_rate == 0.0 or len(rest) == 0:
         idx = np.sort(top)
         return idx, np.ones(len(idx))
 
-    n_other = min(int(np.ceil(other_rate * n)), len(rest))
+    n_other = min(int(np.ceil(cfg.other_rate * n)), len(rest))
     sampled = rng.choice(rest, size=n_other, replace=False)
-    amplification = (1.0 - top_rate) / other_rate
+    amplification = (1.0 - cfg.top_rate) / cfg.other_rate
     idx = np.concatenate([top, sampled])
     weights = np.concatenate([np.ones(len(top)), np.full(len(sampled), amplification)])
     ascending = np.argsort(idx)
@@ -483,8 +445,6 @@ def fit_random_forest(X, y, cfg: RFConfig) -> Ensemble:
     n, p = X.shape
     if cfg.max_features is not None and not 1 <= cfg.max_features <= p:
         raise ValueError(f"max_features must be in [1, {p}]")
-    params = TreeParams(max_depth=cfg.max_depth, min_samples_leaf=cfg.min_samples_leaf,
-                        n_bins=cfg.n_bins, max_features=cfg.max_features)
     ranked = _rank(X)
     full = None if cfg.bootstrap else _bin_rows(ranked, None, cfg.n_bins)
     trees = []
@@ -492,10 +452,10 @@ def fit_random_forest(X, y, cfg: RFConfig) -> Ensemble:
         rng = np.random.default_rng(child)
         if cfg.bootstrap:
             idx = rng.integers(0, n, size=n)
-            trees.append(fit_tree(X[idx], y[idx], params, rng=rng,
+            trees.append(fit_tree(X[idx], y[idx], cfg, rng=rng,
                                   bins=_bin_rows(ranked, idx, cfg.n_bins)))
         else:
-            trees.append(fit_tree(X, y, params, rng=rng, bins=full))
+            trees.append(fit_tree(X, y, cfg, rng=rng, bins=full))
     return Ensemble(kind=EnsembleKind.RANDOM_FOREST, base_score=0.0,
                     trees=tuple(trees), learning_rate=1.0)
 
@@ -503,7 +463,7 @@ def fit_random_forest(X, y, cfg: RFConfig) -> Ensemble:
 def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
     """Second-order boosting of squared error, optionally GOSS-sampled.
 
-    Per round: g_i = yhat_i - y_i, h_i = 1; fit a gradient tree (on the
+    Per round: g_i = yhat_i - y_i (the hessian is 1); fit a gradient tree (on the
     GOSS subset with amplification weights when enabled) and advance the
     predictions by learning_rate * tree(X). X is ranked once; each GOSS
     subset is binned from those ranks. Without GOSS every round fits on X,
@@ -514,9 +474,8 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
     y = np.asarray(y, dtype=float)
     if len(X) < 1:
         raise ValueError("fit_gbdt requires at least one row")
-    params = GradientTreeParams(
-        max_depth=cfg.max_depth, min_child_weight=cfg.min_child_weight,
-        reg_lambda=cfg.reg_lambda, gamma=cfg.gamma, n_bins=cfg.n_bins)
+    if not np.isfinite(y).all():
+        raise ValueError("non-finite targets")
     base = float(np.mean(y))
     yhat = np.full(len(y), base)
     trees = []
@@ -526,16 +485,13 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
     leaves = np.empty(len(X), dtype=np.intp)
     for child in seeds:
         g = yhat - y
-        h = np.ones(len(y))
         if cfg.goss is not None:
-            rng = np.random.default_rng(child)
-            rows, w = goss_sample(g, cfg.goss.top_rate, cfg.goss.other_rate, rng)
-            tree = fit_gradient_tree(X[rows], GradientPair(g=g[rows], h=h[rows]), params,
-                                     weights=w, bins=_bin_rows(ranked, rows, cfg.n_bins))
+            rows, w = goss_sample(g, cfg.goss, np.random.default_rng(child))
+            tree = fit_gradient_tree(X[rows], g[rows], cfg, weights=w,
+                                     bins=_bin_rows(ranked, rows, cfg.n_bins))
             step = predict_tree(tree, X)
         else:
-            tree = fit_gradient_tree(X, GradientPair(g=g, h=h), params,
-                                     bins=bins, leaves=leaves)
+            tree = fit_gradient_tree(X, g, cfg, bins=bins, leaves=leaves)
             step = tree.value[leaves]
         trees.append(tree)
         yhat = yhat + cfg.learning_rate * step

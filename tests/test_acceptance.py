@@ -29,7 +29,7 @@ from wqpanel.panel import PanelSchema, load_panel, stack_panel
 from wqpanel.shap_exact import (MarginalValueFunction, RetrainValueFunction,
                                 exact_shap, mean_abs_shap, sample_background,
                                 shap_for_dataset)
-from wqpanel.trees import (GBDTConfig, GossConfig, RFConfig, TreeParams,
+from wqpanel.trees import (GBDTConfig, GossConfig, RFConfig,
                            fit_gbdt, fit_random_forest, fit_tree,
                            predict_ensemble, predict_tree)
 from wqpanel.tuner import CVConfig, HyperGrid, grid_search, kfold_split, subseed
@@ -137,8 +137,8 @@ def test_criterion_3_gbdt():
         n = int(rng.integers(12, 50))
         Xs = rng.choice(np.linspace(0, 1, 9), size=(n, 2))
         ys = rng.standard_normal(n)
-        exact = fit_tree(Xs, ys, TreeParams(max_depth=4, n_bins=10**9))
-        histo = fit_tree(Xs, ys, TreeParams(max_depth=4, n_bins=12))
+        exact = fit_tree(Xs, ys, RFConfig(max_depth=4, n_bins=10**9))
+        histo = fit_tree(Xs, ys, RFConfig(max_depth=4, n_bins=12))
         assert blob(exact) == blob(histo)
     _passed(3, "depth-0 stump predicts mean(y); 100-round training RMSE "
                "monotone; GOSS(top_rate=1) equals no-GOSS within 1e-9; "
@@ -151,7 +151,7 @@ def test_criterion_4_random_forest():
     y = X @ [1.0, -0.5, 0.0, 0.3] + 0.1 * rng.standard_normal(60)
     forest = fit_random_forest(X, y, RFConfig(n_trees=1, max_depth=5,
                                               bootstrap=False, seed=0))
-    tree = fit_tree(X, y, TreeParams(max_depth=5))
+    tree = fit_tree(X, y, RFConfig(max_depth=5))
     assert np.array_equal(predict_ensemble(forest, X), predict_tree(tree, X))
 
     cfg = RFConfig(n_trees=6, max_depth=4, max_features=2, seed=77)

@@ -562,11 +562,12 @@ def test_explain_rejects_cyclic_tree_arena(panel_files, capsys):
     assert "trees[0].left[0]" in out.err
 
 
-def _delete_field(payload, path):
-    *parents, last = path  # keys and list indices
+def _parent(payload, path):
+    """The container of the field at path (keys and list indices), and its key."""
+    *parents, last = path
     for step in parents:
         payload = payload[step]
-    del payload[last]
+    return payload, last
 
 
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
@@ -581,13 +582,40 @@ def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, fam
     assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
     model_path = env["out"] / "models" / f"model_strategy2_{family}.json"
     payload = json.loads(model_path.read_text())
-    _delete_field(payload, field)
+    container, key = _parent(payload, field)
+    del container[key]
     model_path.write_text(json.dumps(payload))
     flag = ["--model", str(model_path), "--rows", "0"] if command == "explain" \
         else ["--models", str(model_path)]
     code, out = run([command, "--config", str(env["config"]), *flag], capsys)
     assert code == 4
     assert str(model_path) in out.err and f"missing field {field[-1]!r}" in out.err
+
+
+@pytest.mark.parametrize("field, value, named", [
+    (("params", "coefficients"), 5, "coefficients must be a 1-d array"),
+    (("pipeline", "column_names"), 7, None),
+    (("params",), "x", None),
+    ((), ["a", "list"], "must be a JSON object"),
+], ids=["coefficients", "column_names", "params", "list"])
+def test_malformed_bundle_is_runtime_error(panel_files, capsys, field, value, named):
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
+                      families=["elastic_net"], grids=TWO_FAMILY_GRIDS)
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"
+    payload = json.loads(model_path.read_text())
+    if field:
+        container, key = _parent(payload, field)
+        container[key] = value
+    else:
+        payload = value
+    model_path.write_text(json.dumps(payload))
+    code, out = run(["explain", "--config", str(env["config"]),
+                     "--model", str(model_path), "--rows", "0"], capsys)
+    assert code == 4
+    assert str(model_path) in out.err and "Traceback" not in out.err
+    if named:
+        assert named in out.err
 
 
 def test_report_bundles_everything(panel_files, capsys):

@@ -168,7 +168,7 @@ ORACLE_CASES = {
                             batch_size=16, max_epochs=200, seed=5,
                             early_stop=EarlyStopConfig(validation_fraction=0.2,
                                                        patience=3)),
-    "no_epochs": MLPConfig(hidden_layers=(4,), max_epochs=0, seed=6,
+    "one_epoch": MLPConfig(hidden_layers=(4,), max_epochs=1, seed=6,
                            early_stop=EarlyStopConfig()),
 }
 

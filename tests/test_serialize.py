@@ -118,6 +118,22 @@ CORRUPT_BUNDLES = {
                      "coefficients has 4 entries, the design has 3 columns"),
     "mlp width": ("mlp", lambda p: p["weights"][0].append(p["weights"][0][0]),
                   r"weights\[0\] has 4 input rows, the design has 3 columns"),
+    "tree array not a list": ("gbdt", lambda p: p["trees"][1].update(gain=5),
+                              r"trees\[1\]\.gain must be a 1-d array of numbers"),
+    "tree array of strings": ("random_forest", lambda p: _set(p["trees"][0], "left", 0, "x"),
+                              r"trees\[0\]\.left must be a 1-d array of numbers"),
+    "linear coefficients not numbers": ("elastic_net", lambda p: _set(p, "coefficients", 1, [2]),
+                                        "coefficients must be a 1-d array of numbers"),
+    "mlp weights not a matrix": ("mlp", lambda p: _set(p, "weights", 1, 5),
+                                 r"weights\[1\] must be a 2-d array of numbers"),
+    "mlp biases not a vector": ("mlp", lambda p: _set(p, "biases", 0, [[0.5]]),
+                                r"biases\[0\] must be a 1-d array of numbers"),
+    "intercept not a number": ("elastic_net", lambda p: p.update(intercept="x"),
+                               "intercept must be a number"),
+    "base score not a number": ("gbdt_goss", lambda p: p.update(base_score={"x": 1}),
+                                "base_score must be a number"),
+    "learning rate not a number": ("gbdt", lambda p: p.update(learning_rate=[0.1]),
+                                   "learning_rate must be a number"),
 }
 
 

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from wqpanel import trees
 from wqpanel.families import FAMILIES
-from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig,
-                           GradientPair, GradientTreeParams, RFConfig,
-                           RegressionTree, TreeParams, _bin, _bin_rows, _counted_quantile,
+from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig, RFConfig,
+                           RegressionTree, _bin, _bin_rows, _counted_quantile,
                            _grow, _rank, fit_gbdt, fit_gradient_tree, fit_random_forest,
                            fit_tree, goss_sample, predict_ensemble, predict_tree,
                            total_gain_importance)
@@ -40,7 +39,7 @@ def test_depth_zero_leaf_is_mean():
     rng = np.random.default_rng(0)
     X = rng.standard_normal((20, 3))
     y = rng.standard_normal(20)
-    tree = fit_tree(X, y, TreeParams(max_depth=0))
+    tree = fit_tree(X, y, RFConfig(max_depth=0))
     assert tree.n_nodes == 1
     assert tree.value[0] == pytest.approx(float(np.mean(y)), abs=1e-12)
     np.testing.assert_allclose(predict_tree(tree, X), np.mean(y))
@@ -50,16 +49,14 @@ def test_gradient_leaf_is_minus_g_over_h():
     rng = np.random.default_rng(1)
     X = rng.standard_normal((15, 2))
     g = rng.standard_normal(15)
-    h = np.ones(15)
-    tree = fit_gradient_tree(X, GradientPair(g=g, h=h),
-                             GradientTreeParams(max_depth=0, reg_lambda=0.0))
-    assert tree.value[0] == pytest.approx(-g.sum() / h.sum(), abs=1e-12)
+    tree = fit_gradient_tree(X, g, GBDTConfig(max_depth=0, reg_lambda=0.0))
+    assert tree.value[0] == pytest.approx(-g.sum() / len(g), abs=1e-12)
 
 
 def test_step_function_split_matches_oracle():
     x = np.arange(0.1, 1.0, 0.1)
     y = (x > 0.5).astype(float)
-    tree = fit_tree(x[:, None], y, TreeParams(max_depth=3))
+    tree = fit_tree(x[:, None], y, RFConfig(max_depth=3))
     oracle_t, _ = sse_split_oracle(x, y)
     assert tree.feature[0] == 0
     assert 0.5 < tree.threshold[0] < 0.6
@@ -72,7 +69,7 @@ def test_step_function_split_matches_oracle():
 def test_constant_target_single_leaf():
     rng = np.random.default_rng(2)
     X = rng.standard_normal((12, 2))
-    tree = fit_tree(X, np.full(12, 1.7), TreeParams(max_depth=4))
+    tree = fit_tree(X, np.full(12, 1.7), RFConfig(max_depth=4))
     assert tree.n_nodes == 1
 
 
@@ -80,11 +77,9 @@ def test_accepted_split_gains_positive_and_leaf_weights_consistent():
     rng = np.random.default_rng(3)
     X = rng.standard_normal((60, 3))
     g = rng.standard_normal(60)
-    h = np.full(60, 1.0)
     lam = 0.5
-    tree = fit_gradient_tree(X, GradientPair(g=g, h=h),
-                             GradientTreeParams(max_depth=4, reg_lambda=lam,
-                                                min_child_weight=2.0))
+    tree = fit_gradient_tree(X, g, GBDTConfig(max_depth=4, reg_lambda=lam,
+                                              min_child_weight=2.0))
     internal = tree.feature >= 0
     assert (tree.gain[internal] > 0).all()
     # recompute -G/(H+lam) per leaf from the routed rows
@@ -100,7 +95,7 @@ def test_accepted_split_gains_positive_and_leaf_weights_consistent():
         idx[active] = np.where(go_left, tree.left[cur], tree.right[cur])
     for leaf in np.unique(idx):
         rows = idx == leaf
-        expected = -g[rows].sum() / (h[rows].sum() + lam)
+        expected = -g[rows].sum() / (rows.sum() + lam)
         assert tree.value[leaf] == pytest.approx(expected, abs=1e-10)
         assert tree.n_samples[leaf] == rows.sum()
 
@@ -112,8 +107,8 @@ def test_histogram_saturated_bins_match_exact_mode():
         # few distinct values so modest bins saturate
         X = rng.choice(np.linspace(0, 1, 12), size=(n, 2))
         y = rng.standard_normal(n)
-        exact = fit_tree(X, y, TreeParams(max_depth=4, n_bins=10**9))
-        histo = fit_tree(X, y, TreeParams(max_depth=4, n_bins=16))
+        exact = fit_tree(X, y, RFConfig(max_depth=4, n_bins=10**9))
+        histo = fit_tree(X, y, RFConfig(max_depth=4, n_bins=16))
         assert serialize_tree(exact) == serialize_tree(histo)
 
 
@@ -121,7 +116,7 @@ def test_histogram_coarse_bins_still_valid():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((200, 2))
     y = X[:, 0] + 0.1 * rng.standard_normal(200)
-    tree = fit_tree(X, y, TreeParams(max_depth=3, n_bins=8))
+    tree = fit_tree(X, y, RFConfig(max_depth=3, n_bins=8))
     preds = predict_tree(tree, X)
     assert np.isfinite(preds).all()
     assert ((y - preds) ** 2).mean() < ((y - y.mean()) ** 2).mean()
@@ -133,13 +128,13 @@ def test_equal_gain_tie_breaks_to_lower_feature_and_threshold():
     col = rng.standard_normal(30)
     X = np.column_stack([col, col])
     y = (col > 0).astype(float)
-    tree = fit_tree(X, y, TreeParams(max_depth=2))
+    tree = fit_tree(X, y, RFConfig(max_depth=2))
     assert (tree.feature[tree.feature >= 0] == 0).all()
 
     # dyadic fixture where thresholds 1.5 and 2.5 tie at gain 0.75 exactly
     x = np.array([1.0, 2.0, 3.0])
     y2 = np.array([0.0, 1.0, 2.0])
-    tree2 = fit_tree(x[:, None], y2, TreeParams(max_depth=1))
+    tree2 = fit_tree(x[:, None], y2, RFConfig(max_depth=1))
     assert tree2.threshold[0] == pytest.approx(1.5)
 
 
@@ -147,10 +142,10 @@ def test_monotone_feature_transform_preserves_structure():
     rng = np.random.default_rng(6)
     X = rng.standard_normal((50, 3))
     y = np.sin(X[:, 0]) + X[:, 1] * 0.5
-    base = fit_tree(X, y, TreeParams(max_depth=4, n_bins=10**9))
+    base = fit_tree(X, y, RFConfig(max_depth=4, n_bins=10**9))
     X2 = X.copy()
     X2[:, 0] = np.exp(X2[:, 0])  # rank-preserving
-    other = fit_tree(X2, y, TreeParams(max_depth=4, n_bins=10**9))
+    other = fit_tree(X2, y, RFConfig(max_depth=4, n_bins=10**9))
     np.testing.assert_array_equal(base.feature, other.feature)
     np.testing.assert_array_equal(base.left, other.left)
     np.testing.assert_array_equal(base.n_samples, other.n_samples)
@@ -184,14 +179,14 @@ def oracle_bin(X, n_bins):
     return candidates, codes, width
 
 
-def oracle_grow(X, g, h, w, max_depth, min_child_weight, reg_lambda, gamma,
+def oracle_grow(X, g, w, max_depth, min_child_weight, reg_lambda, gamma,
                 n_bins, rng=None, max_features=None):
     """The per-feature split search the histogram grower replaced: one
-    searchsorted, two bincounts and a cumsum per node and feature."""
+    searchsorted, two bincounts and a cumsum per node and feature. The
+    hessian of squared error is 1, so H sums the row weights w."""
     n, p = X.shape
     candidates = [_candidate_thresholds(X[:, f], n_bins) for f in range(p)]
     wg = w * g
-    wh = w * h
     feature, threshold, left, right, value, n_samples, gain = [], [], [], [], [], [], []
 
     def new_node():
@@ -208,7 +203,7 @@ def oracle_grow(X, g, h, w, max_depth, min_child_weight, reg_lambda, gamma,
     while stack:
         node, rows, depth = stack.pop()
         G = float(wg[rows].sum())
-        H = float(wh[rows].sum())
+        H = float(w[rows].sum())
         value[node] = -G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
         n_samples[node] = len(rows)
         if depth >= max_depth or len(rows) < 2:
@@ -225,7 +220,7 @@ def oracle_grow(X, g, h, w, max_depth, min_child_weight, reg_lambda, gamma,
                 continue
             bins = np.searchsorted(cand, X[rows, f], side="left")
             gsum = np.bincount(bins, weights=wg[rows], minlength=len(cand) + 1)
-            hsum = np.bincount(bins, weights=wh[rows], minlength=len(cand) + 1)
+            hsum = np.bincount(bins, weights=w[rows], minlength=len(cand) + 1)
             GL = np.cumsum(gsum)[:-1]
             HL = np.cumsum(hsum)[:-1]
             GR = G - GL
@@ -294,11 +289,12 @@ def test_grower_matches_exact_greedy_oracle(case):
         y = np.round(rng.standard_normal(n), 1) if kind == "rounded" else rng.standard_normal(n)
         goss = trial % 2 == 1  # amplified GOSS weights on half the trials
         w = np.where(rng.random(n) < 0.5, 1.0, 0.8 / 0.3) if goss else np.ones(n)
-        h = rng.uniform(0.5, 2.0, n) if trial % 3 == 2 else np.ones(n)
+        if trial % 3 == 2:  # arbitrary positive weights on a third of the trials
+            w = w * rng.uniform(0.5, 2.0, n)
         params = dict(max_depth=max_depth, min_child_weight=mcw, reg_lambda=lam,
                       gamma=gamma, n_bins=n_bins, max_features=max_features)
-        expected = oracle_grow(X, -y, h, w, rng=np.random.default_rng(trial), **params)
-        actual = _grow(X, -y, h, w, rng=np.random.default_rng(trial), **params)
+        expected = oracle_grow(X, -y, w, rng=np.random.default_rng(trial), **params)
+        actual = _grow(X, -y, w, rng=np.random.default_rng(trial), **params)
         assert serialize_tree(actual) == serialize_tree(expected), (case, trial)
 
 
@@ -306,19 +302,17 @@ def test_public_growers_match_the_oracle():
     rng = np.random.default_rng(31)
     X = _columns(rng, 70, "one_hot")
     y = rng.standard_normal(70)
-    tree = fit_tree(X, y, TreeParams(max_depth=5, n_bins=8, max_features=3),
+    tree = fit_tree(X, y, RFConfig(max_depth=5, n_bins=8, max_features=3),
                     rng=np.random.default_rng(4))
-    expected = oracle_grow(X, -y, np.ones(70), np.ones(70), max_depth=5, min_child_weight=1.0,
+    expected = oracle_grow(X, -y, np.ones(70), max_depth=5, min_child_weight=1.0,
                            reg_lambda=0.0, gamma=0.0, n_bins=8,
                            rng=np.random.default_rng(4), max_features=3)
     assert serialize_tree(tree) == serialize_tree(expected)
 
-    rows, w = goss_sample(y, 0.2, 0.3, np.random.default_rng(5))
-    params = GradientTreeParams(max_depth=3, min_child_weight=0.0, reg_lambda=1.0,
-                                gamma=0.1, n_bins=16)
-    pair = GradientPair(g=y[rows], h=np.ones(len(rows)))
-    tree = fit_gradient_tree(X[rows], pair, params, weights=w)
-    expected = oracle_grow(X[rows], y[rows], np.ones(len(rows)), w, max_depth=3,
+    rows, w = goss_sample(y, GossConfig(0.2, 0.3), np.random.default_rng(5))
+    cfg = GBDTConfig(max_depth=3, min_child_weight=0.0, reg_lambda=1.0, gamma=0.1, n_bins=16)
+    tree = fit_gradient_tree(X[rows], y[rows], cfg, weights=w)
+    expected = oracle_grow(X[rows], y[rows], w, max_depth=3,
                            min_child_weight=0.0, reg_lambda=1.0, gamma=0.1, n_bins=16)
     assert serialize_tree(tree) == serialize_tree(expected)
 
@@ -337,10 +331,10 @@ def test_padding_past_last_candidate_is_never_a_split():
     assert float(w.sum()) > np.cumsum(w)[-1]
     bins = _bin(X, 256)
     assert bins.n_candidates.tolist() == [1, 39] and bins.width == 40
-    g, h = np.full(40, 0.7), np.ones(40)
-    params = GradientTreeParams(max_depth=1, min_child_weight=0.0, reg_lambda=1.0)
-    tree = fit_gradient_tree(X, GradientPair(g=g, h=h), params, weights=w)
-    expected = oracle_grow(X, g, h, w, max_depth=1, min_child_weight=0.0,
+    g = np.full(40, 0.7)
+    cfg = GBDTConfig(max_depth=1, min_child_weight=0.0, reg_lambda=1.0)
+    tree = fit_gradient_tree(X, g, cfg, weights=w)
+    expected = oracle_grow(X, g, w, max_depth=1, min_child_weight=0.0,
                            reg_lambda=1.0, gamma=0.0, n_bins=256)
     assert expected.n_nodes == 1
     assert serialize_tree(tree) == serialize_tree(expected)
@@ -349,11 +343,11 @@ def test_padding_past_last_candidate_is_never_a_split():
 def test_leaves_route_like_predict_tree():
     rng = np.random.default_rng(33)
     X = _columns(rng, 120, "one_hot")
-    gradients = GradientPair(g=rng.standard_normal(120), h=np.ones(120))
-    params = GradientTreeParams(max_depth=4, n_bins=16)
+    g = rng.standard_normal(120)
+    cfg = GBDTConfig(max_depth=4, n_bins=16)
     leaves = np.empty(120, dtype=np.intp)
-    tree = fit_gradient_tree(X, gradients, params, bins=_bin(X, 16), leaves=leaves)
-    assert serialize_tree(tree) == serialize_tree(fit_gradient_tree(X, gradients, params))
+    tree = fit_gradient_tree(X, g, cfg, bins=_bin(X, 16), leaves=leaves)
+    assert serialize_tree(tree) == serialize_tree(fit_gradient_tree(X, g, cfg))
     assert (tree.feature[leaves] < 0).all()
     np.testing.assert_array_equal(tree.value[leaves], predict_tree(tree, X))
 
@@ -474,7 +468,7 @@ def oracle_random_forest(X, y, cfg):
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
         rng = np.random.default_rng(child)
         idx = rng.integers(0, n, size=n)
-        trees_.append(oracle_grow(X[idx], -y[idx], np.ones(n), np.ones(n),
+        trees_.append(oracle_grow(X[idx], -y[idx], np.ones(n),
                                   max_depth=cfg.max_depth,
                                   min_child_weight=cfg.min_samples_leaf, reg_lambda=0.0,
                                   gamma=0.0, n_bins=cfg.n_bins, rng=rng,
@@ -489,9 +483,8 @@ def oracle_goss(X, y, cfg):
     trees_ = []
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
         g = yhat - y
-        rows, w = goss_sample(g, cfg.goss.top_rate, cfg.goss.other_rate,
-                              np.random.default_rng(child))
-        tree = oracle_grow(X[rows], g[rows], np.ones(len(rows)), w, max_depth=cfg.max_depth,
+        rows, w = goss_sample(g, cfg.goss, np.random.default_rng(child))
+        tree = oracle_grow(X[rows], g[rows], w, max_depth=cfg.max_depth,
                            min_child_weight=cfg.min_child_weight,
                            reg_lambda=cfg.reg_lambda, gamma=cfg.gamma, n_bins=cfg.n_bins)
         trees_.append(tree)
@@ -544,9 +537,9 @@ def test_gbdt_leaf_yhat_equals_predict_ensemble_bitwise(monkeypatch, reg_lambda)
     seen = []
     real = trees.fit_gradient_tree
 
-    def recording(X_, gradients, *args, **kwargs):
-        seen.append(gradients.g.copy())
-        return real(X_, gradients, *args, **kwargs)
+    def recording(X_, g, *args, **kwargs):
+        seen.append(g.copy())
+        return real(X_, g, *args, **kwargs)
 
     monkeypatch.setattr(trees, "fit_gradient_tree", recording)
     cfg = GBDTConfig(n_trees=12, learning_rate=0.3, max_depth=3,
@@ -564,7 +557,7 @@ def test_gbdt_leaf_yhat_equals_predict_ensemble_bitwise(monkeypatch, reg_lambda)
 def test_goss_keep_everything():
     rng = np.random.default_rng(7)
     g = rng.standard_normal(10)
-    idx, w = goss_sample(g, 1.0, 0.0, rng)
+    idx, w = goss_sample(g, GossConfig(1.0, 0.0), rng)
     np.testing.assert_array_equal(idx, np.arange(10))
     np.testing.assert_array_equal(w, np.ones(10))
 
@@ -572,7 +565,7 @@ def test_goss_keep_everything():
 def test_goss_counts_and_amplification():
     rng = np.random.default_rng(8)
     g = np.arange(10, dtype=float)  # |g| increasing
-    idx, w = goss_sample(g, 0.2, 0.3, rng)
+    idx, w = goss_sample(g, GossConfig(0.2, 0.3), rng)
     assert len(idx) == 5
     assert set([8, 9]) <= set(idx.tolist())  # top-2 by |g|
     top_mask = np.isin(idx, [8, 9])
@@ -584,13 +577,13 @@ def test_goss_counts_and_amplification():
 def test_goss_ties_broken_by_lower_index():
     g = np.array([1.0, 2.0, 2.0, 2.0, 0.5])
     rng = np.random.default_rng(9)
-    idx, w = goss_sample(g, 0.4, 0.0, rng)  # top-2 of ties at |g|=2
+    idx, w = goss_sample(g, GossConfig(0.4, 0.0), rng)  # top-2 of ties at |g|=2
     np.testing.assert_array_equal(idx, [1, 2])
 
 
 def test_goss_b_zero_returns_only_top_set():
     g = np.linspace(1, 5, 10)
-    idx, w = goss_sample(g, 0.3, 0.0, np.random.default_rng(0))
+    idx, w = goss_sample(g, GossConfig(0.3, 0.0), np.random.default_rng(0))
     assert len(idx) == 3
     np.testing.assert_array_equal(w, np.ones(3))
 
@@ -601,7 +594,7 @@ def test_goss_expected_weighted_sum_preserved():
     total = np.abs(g).sum()
     sums = []
     for _ in range(10_000):
-        idx, w = goss_sample(g, 0.2, 0.3, rng)
+        idx, w = goss_sample(g, GossConfig(0.2, 0.3), rng)
         sums.append(float((w * np.abs(g[idx])).sum()))
     assert np.mean(sums) == pytest.approx(total, rel=0.02)
 
@@ -609,9 +602,9 @@ def test_goss_expected_weighted_sum_preserved():
 def test_goss_validation():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        goss_sample([], 0.2, 0.1, rng)
+        goss_sample([], GossConfig(0.2, 0.1), rng)
     with pytest.raises(ValueError):
-        goss_sample([1.0], 0.7, 0.7, rng)
+        GossConfig(top_rate=0.7, other_rate=0.7)
     with pytest.raises(ValueError):
         GossConfig(top_rate=1.2)
 
@@ -624,7 +617,7 @@ def test_degenerate_forest_equals_plain_tree():
     y = X[:, 0] - X[:, 2] + 0.1 * rng.standard_normal(40)
     forest = fit_random_forest(X, y, RFConfig(n_trees=1, max_depth=4,
                                               bootstrap=False, seed=5))
-    tree = fit_tree(X, y, TreeParams(max_depth=4))
+    tree = fit_tree(X, y, RFConfig(max_depth=4))
     np.testing.assert_array_equal(predict_ensemble(forest, X), predict_tree(tree, X))
 
 
@@ -659,7 +652,7 @@ def test_rf_of_identical_trees_predicts_that_tree():
     rng = np.random.default_rng(14)
     X = rng.standard_normal((30, 2))
     y = rng.standard_normal(30)
-    tree = fit_tree(X, y, TreeParams(max_depth=2))
+    tree = fit_tree(X, y, RFConfig(max_depth=2))
     forest = Ensemble(kind=EnsembleKind.RANDOM_FOREST, base_score=0.0,
                       trees=(tree,) * 4, learning_rate=1.0)
     np.testing.assert_allclose(predict_ensemble(forest, X), predict_tree(tree, X),
@@ -764,4 +757,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         fit_random_forest(np.zeros((4, 2)), np.zeros(4), RFConfig(max_features=5))
     with pytest.raises(ValueError, match="non-finite"):
-        GradientPair(g=np.array([np.nan]), h=np.array([1.0]))
+        fit_gbdt(np.zeros((2, 1)), np.array([1.0, np.nan]), GBDTConfig(n_trees=1))
+    for field in ({"n_bins": 0}, {"max_depth": -1}):
+        with pytest.raises(ValueError, match="max_depth >= 0 and n_bins >= 1"):
+            RFConfig(**field)

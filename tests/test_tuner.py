@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,20 @@ def test_fit_failure_identifies_config():
     with pytest.raises(FitFailedError,
                        match=r"config \{'lam': -1\.0\} on fold 0: lam must be >= 0"):
         grid_search("elastic_net", grid, X, y, CVConfig(k=3, seed=0))
+
+
+@pytest.mark.parametrize("family, params, message", [
+    ("elastic_net", {"max_iter": 0}, "max_iter must be >= 1"),
+    ("mlp", {"max_epochs": 0}, "max_epochs must be >= 1"),
+    ("mlp", {"l2_penalty": -1.0}, "l2_penalty must be >= 0"),
+    ("random_forest", {"n_bins": 0}, "max_depth >= 0 and n_bins >= 1 required"),
+    ("random_forest", {"max_depth": -1}, "max_depth >= 0 and n_bins >= 1 required"),
+], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth"])
+def test_out_of_range_config_value_fails_naming_the_config(family, params, message):
+    X, y = _search_data(n=20)
+    grid = HyperGrid(axes={name: (value,) for name, value in params.items()})
+    with pytest.raises(FitFailedError, match=re.escape(f"config {params} on fold 0: {message}")):
+        grid_search(family, grid, X, y, CVConfig(k=3, seed=0))
 
 
 def test_seeded_search_reproducible():
