@@ -73,16 +73,25 @@ def _tree_to_dict(tree: tr.RegressionTree) -> dict:
     }
 
 
-def _numbers(value, field: str, ndim: int = 1, dtype=float) -> np.ndarray:
-    """value as an ndim-dimensional array (ndim 0: one number); anything
-    else is a ValueError naming the bundle field."""
+def _numbers(value, field: str, ndim: int = 1, dtype=float,
+             finite: bool = True) -> np.ndarray:
+    """value as an ndim-dimensional array (ndim 0: one number) of finite
+    numbers, or with finite=False of any numbers, NaN and infinities
+    included; anything else, JSON null too, is a ValueError naming the
+    bundle field."""
+    kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
     try:
         out = np.asarray(value, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
         out = None
     if out is None or out.ndim != ndim:
-        kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
         raise ValueError(f"{field} must be {kind}")
+    if out.dtype.kind == "f" and not np.isfinite(out).all():
+        if finite:
+            raise ValueError(f"{field} must be {kind}, all finite")
+        # null reads as NaN
+        if any(v is None for v in np.asarray(value, dtype=object).flat):
+            raise ValueError(f"{field} must be {kind}, not null")
     return out
 
 
@@ -95,8 +104,10 @@ def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
     The ValueError names the field and the first offending node.
     """
     ints = ("feature", "left", "right", "n_samples")
+    # a leaf's threshold is NaN; a split's must be finite (checked below)
     arrays = {name: _numbers(raw[name], f"{where}.{name}",
-                             dtype=np.int64 if name in ints else float)
+                             dtype=np.int64 if name in ints else float,
+                             finite=name != "threshold")
               for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain")}
     n = len(arrays["feature"])
     if n == 0:
@@ -111,6 +122,7 @@ def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
         ("feature", leaf & (feature != -1), "must be -1 at a leaf"),
         ("feature", feature >= n_columns,
          f"must be below the {n_columns} design columns"),
+        ("threshold", ~leaf & ~np.isfinite(arrays["threshold"]), "must be finite at a split"),
         ("left", leaf & (left != -1), "must be -1 at a leaf"),
         ("right", leaf & (right != -1), "must be -1 at a leaf"),
         ("left", ~leaf & ((left <= node) | (left >= n)),
@@ -236,15 +248,24 @@ def _mlp_export(model: nn.MLPModel) -> dict:
 
 def _mlp_restore(raw: dict, n_columns: int) -> nn.MLPModel:
     weights = tuple(_numbers(W, f"weights[{i}]", ndim=2) for i, W in enumerate(raw["weights"]))
-    if len(weights[0]) != n_columns:
-        raise ValueError(f"weights[0] has {len(weights[0])} input rows, "
-                         f"the design has {n_columns} columns")
-    cfg = nn.MLPConfig(hidden_layers=tuple(W.shape[1] for W in weights[:-1]),
-                       activation=raw["activation"])
-    return nn.MLPModel(
-        weights=weights,
-        biases=tuple(_numbers(b, f"biases[{i}]") for i, b in enumerate(raw["biases"])),
-        config=cfg)
+    biases = tuple(_numbers(b, f"biases[{i}]") for i, b in enumerate(raw["biases"]))
+    if not weights or len(biases) != len(weights):
+        raise ValueError(f"weights has {len(weights)} layers, biases has {len(biases)}; "
+                         f"they need the same number, at least 1")
+    widths = [n_columns, *(W.shape[1] for W in weights)]
+    for i, (W, b) in enumerate(zip(weights, biases)):
+        if len(W) != widths[i]:
+            feeds = "the design" if i == 0 else f"weights[{i - 1}]"
+            raise ValueError(f"weights[{i}] has {len(W)} input rows, "
+                             f"{feeds} has {widths[i]} columns")
+        if len(b) != W.shape[1]:
+            raise ValueError(f"biases[{i}] has {len(b)} entries, "
+                             f"weights[{i}] has {W.shape[1]} columns")
+    if widths[-1] != 1:
+        raise ValueError(f"weights[{len(weights) - 1}] has {widths[-1]} columns, "
+                         f"the output layer needs 1")
+    cfg = nn.MLPConfig(hidden_layers=tuple(widths[1:-1]), activation=raw["activation"])
+    return nn.MLPModel(weights=weights, biases=biases, config=cfg)
 
 
 def _linear_export(model: en.LinearModel) -> dict:

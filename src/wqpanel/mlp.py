@@ -188,21 +188,6 @@ def forward(weights, biases, X: np.ndarray, activation: str) -> np.ndarray:
     return _forward(W, b, np.asarray(X)[None], runs)[1][0]
 
 
-def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
-                       activation: str, l2_penalty: float):
-    """Loss = mean((yhat - y)^2) + l2/2 * sum ||W||^2, with analytic gradients.
-
-    Biases are not penalized. Returns (loss, grad_weights, grad_biases).
-    """
-    W, b, runs = _one(weights, biases, activation)
-    inputs, yhat = _forward(W, b, np.asarray(X)[None], runs)
-    y = np.asarray(y)[None]
-    l2 = np.full((1, 1, 1), float(l2_penalty))
-    grad_w, grad_b = _gradients(W, inputs, yhat, y, runs, l2)
-    return (float(_loss(W, yhat, y, l2)[0]),
-            [g[0] for g in grad_w], [g[0, 0] for g in grad_b])
-
-
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
     # a pure function of (seed, epoch): reruns and row-streaming order cannot drift it
     rng = np.random.default_rng(np.random.SeedSequence([seed, _EPOCH_TAG, epoch]))

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import io
 import json
+import operator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -172,68 +174,147 @@ def load_sites(path: str | Path) -> dict[str, str]:
     return groups
 
 
+@dataclass(frozen=True)
+class _Layout:
+    """Where a panel CSV keeps each role: the header's field count, the
+    date and site columns, and the columns of the numeric cells (the
+    features, then the target) under the names errors give them."""
+
+    width: int
+    date: int
+    site: int
+    values: list[int]
+    names: list[str]
+
+
 def load_panel(path: str | Path, schema: PanelSchema,
                site_groups: dict[str, str] | None = None) -> PanelDataset:
     """Load a long-format panel CSV into a PanelDataset.
 
-    Dimensions are inferred from the distinct dates and sites. The panel
-    must be complete; a duplicated or absent (date, site) pair raises
-    PanelFormatError naming the offending cell.
+    Dimensions are inferred from the distinct dates and sites. Numbers are
+    read as Python's float() reads them. The panel must be complete; a
+    duplicated or absent (date, site) pair, a row whose field count differs
+    from the header's, an unparseable date or a non-numeric cell raises
+    PanelFormatError naming the offending line or cell.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"panel file not found: {path}")
 
-    feature_names = schema.feature_names
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        needed = [schema.date_column, schema.site_column, schema.target_column,
-                  *schema.feature_columns.values()]
-        absent = [c for c in needed if c not in header]
-        if absent:
-            raise PanelFormatError(f"{path}: missing columns {absent}")
+        header = next(csv.reader(fh), [])
+        body = fh.read()
+    needed = [schema.date_column, schema.site_column, schema.target_column,
+              *schema.feature_columns.values()]
+    absent = [c for c in needed if c not in header]
+    if absent:
+        raise PanelFormatError(f"{path}: missing columns {absent}")
+    column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
+    layout = _Layout(
+        width=len(header), date=column[schema.date_column],
+        site=column[schema.site_column],
+        values=[column[schema.feature_columns[name]] for name in schema.feature_names]
+        + [column[schema.target_column]],
+        names=[*schema.feature_names, "Y"])
+    # the column-wise reader declines anything irregular; the row-wise
+    # reader then finds and names the fault, or reads what is only unusual
+    # (quoted cells, non-ASCII text) cell by cell
+    dates, sites, features, targets = (_read_columns(body, layout)
+                                       or _read_rows(path, body, layout))
+    return PanelDataset(
+        dates=dates, site_ids=sites, feature_names=tuple(schema.feature_names),
+        features=features, targets=targets, site_groups=dict(site_groups or {}))
 
-        records: dict[tuple[dt.date, str], tuple[list[float], float]] = {}
-        dates_seen: dict[dt.date, None] = {}
-        sites_seen: dict[str, None] = {}
-        for lineno, rec in enumerate(reader, start=2):
-            raw_date = rec[schema.date_column]
+
+# Tab, the line breaks and printable ASCII but the quote. A body of these
+# alone splits into the records the csv module reads at its line breaks and
+# into the cells it reads at every comma, and numpy reads each number there
+# as float() does (float() also takes underscores, which numpy refuses).
+_PLAIN = bytes([9, 10, 13, *range(0x20, 0x7f)]).replace(b'"', b"")
+
+
+def _read_columns(body: str, layout: _Layout):
+    """(dates, sites, features, targets) parsed a column at a time, or None
+    when the body is not plain comma-separated ASCII, a row is ragged, a
+    cell is not a number or a date, or the (date, site) pairs are not each
+    present exactly once."""
+    if not body.isascii() or body.encode("ascii").translate(None, _PLAIN):
+        return None
+    lines = [line for line in body.splitlines() if line]  # csv skips blank lines
+    if not lines or set(map(operator.methodcaller("count", ","), lines)) != {layout.width - 1}:
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, usecols=layout.values,
+                            ndmin=2)
+    except ValueError:
+        return None
+    last = max(layout.date, layout.site)
+    labels = map(operator.itemgetter(layout.date, layout.site),
+                 map(operator.methodcaller("split", ",", last + 1), lines))
+    raw_dates, raw_sites = zip(*labels)
+    try:
+        date_of = {raw: dt.date.fromisoformat(raw.strip()) for raw in dict.fromkeys(raw_dates)}
+    except ValueError:
+        return None
+    dates = tuple(sorted(set(date_of.values())))
+    site_of = {raw: raw.strip() for raw in dict.fromkeys(raw_sites)}
+    sites = tuple(dict.fromkeys(site_of.values()))  # first-appearance order
+    n, k, p = len(dates), len(sites), len(layout.values) - 1
+    date_index = {date: i for i, date in enumerate(dates)}
+    site_index = {site: j for j, site in enumerate(sites)}
+    date_code = {raw: date_index[date] for raw, date in date_of.items()}
+    site_code = {raw: site_index[site] for raw, site in site_of.items()}
+    cell = (np.fromiter(map(date_code.__getitem__, raw_dates), np.intp, len(lines)) * k
+            + np.fromiter(map(site_code.__getitem__, raw_sites), np.intp, len(lines)))
+    if len(lines) != n * k or np.bincount(cell, minlength=n * k).min() != 1:
+        return None
+    features = np.empty((n, k, p), dtype=float)
+    targets = np.empty((n, k), dtype=float)
+    features.reshape(n * k, p)[cell] = values[:, :p]
+    targets.reshape(n * k)[cell] = values[:, p]
+    return dates, sites, features, targets
+
+
+def _read_rows(path: Path, body: str, layout: _Layout):
+    """(dates, sites, features, targets) parsed a row at a time; the first
+    fault in file order raises PanelFormatError naming its line or cell."""
+    reader = csv.reader(io.StringIO(body, newline=""))
+    records: dict[tuple[dt.date, str], tuple[list[float], float]] = {}
+    dates_seen: dict[dt.date, None] = {}
+    sites_seen: dict[str, None] = {}
+    for lineno, row in enumerate(filter(None, reader), start=2):
+        if len(row) != layout.width:
+            raise PanelFormatError(
+                f"{path}:{lineno}: row has {len(row)} fields, the header has {layout.width}")
+        raw_date = row[layout.date]
+        try:
+            date = dt.date.fromisoformat(raw_date.strip())
+        except ValueError:
+            raise PanelFormatError(
+                f"{path}:{lineno}: unparseable date {raw_date!r} "
+                f"(expected YYYY-MM-DD)") from None
+        site = row[layout.site].strip()
+        key = (date, site)
+        if key in records:
+            raise PanelFormatError(
+                f"{path}:{lineno}: duplicated (date, site) pair ({date}, {site})")
+        values = []
+        for name, i in zip(layout.names, layout.values):
             try:
-                date = dt.date.fromisoformat(raw_date.strip())
+                values.append(float(row[i]))
             except ValueError:
                 raise PanelFormatError(
-                    f"{path}:{lineno}: unparseable date {raw_date!r} "
-                    f"(expected YYYY-MM-DD)") from None
-            site = rec[schema.site_column].strip()
-            key = (date, site)
-            if key in records:
-                raise PanelFormatError(
-                    f"{path}:{lineno}: duplicated (date, site) pair ({date}, {site})")
-            row = []
-            for name in feature_names:
-                raw_col = schema.feature_columns[name]
-                try:
-                    row.append(float(rec[raw_col]))
-                except ValueError:
-                    raise PanelFormatError(
-                        f"{path}:{lineno}: cell ({date}, {site}, {name}) "
-                        f"is not numeric: {rec[raw_col]!r}") from None
-            try:
-                target = float(rec[schema.target_column])
-            except ValueError:
-                raise PanelFormatError(
-                    f"{path}:{lineno}: cell ({date}, {site}, Y) is not numeric: "
-                    f"{rec[schema.target_column]!r}") from None
-            records[key] = (row, target)
-            dates_seen.setdefault(date)
-            sites_seen.setdefault(site)
+                    f"{path}:{lineno}: cell ({date}, {site}, {name}) "
+                    f"is not numeric: {row[i]!r}") from None
+        records[key] = (values[:-1], values[-1])
+        dates_seen.setdefault(date)
+        sites_seen.setdefault(site)
 
     if not records:
         raise PanelFormatError(f"{path}: no data rows")
     dates = tuple(sorted(dates_seen))
     sites = tuple(sites_seen)  # first-appearance order
-    n, k, p = len(dates), len(sites), len(feature_names)
+    n, k, p = len(dates), len(sites), len(layout.values) - 1
 
     features = np.empty((n, k, p), dtype=float)
     targets = np.empty((n, k), dtype=float)
@@ -246,9 +327,7 @@ def load_panel(path: str | Path, schema: PanelSchema,
                     f"{path}: incomplete panel, missing pair ({date}, {site})") from None
             features[i, j, :] = row
             targets[i, j] = target
-    return PanelDataset(
-        dates=dates, site_ids=sites, feature_names=tuple(feature_names),
-        features=features, targets=targets, site_groups=dict(site_groups or {}))
+    return dates, sites, features, targets
 
 
 def validate_panel(ds: PanelDataset) -> ValidationReport:
@@ -287,18 +366,6 @@ def stack_panel(ds: PanelDataset) -> StackedTable:
     return StackedTable(
         dates=dates, site_ids=sites, feature_names=ds.feature_names,
         X=ds.features.reshape(n * k, p).copy(), y=ds.targets.reshape(n * k).copy())
-
-
-def unstack_table(table: StackedTable, n_dates: int, n_sites: int) -> PanelDataset:
-    """Inverse of stack_panel (row order must be the stacked order)."""
-    p = len(table.feature_names)
-    return PanelDataset(
-        dates=tuple(table.dates[::n_sites]),
-        site_ids=tuple(table.site_ids[:n_sites]),
-        feature_names=table.feature_names,
-        features=table.X.reshape(n_dates, n_sites, p).copy(),
-        targets=table.y.reshape(n_dates, n_sites).copy(),
-    )
 
 
 def summarize(table: StackedTable) -> SummaryStats:

@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-import numpy as np
-
-from .families import ModelFamily, get_family
+from .families import ModelFamily, _numbers, get_family
 from .features import StandardizationParams, StrategyConfig
 
 FORMAT_VERSION = 1
@@ -60,8 +58,8 @@ class PipelineState:
             kinds=tuple(raw["kinds"]),
             groups={k: list(v) for k, v in raw["groups"].items()},
             standardizer=None if std is None else StandardizationParams(
-                mean=np.asarray(std["mean"], dtype=float),
-                sd=np.asarray(std["sd"], dtype=float)),
+                mean=_numbers(std["mean"], "pipeline.standardizer.mean"),
+                sd=_numbers(std["sd"], "pipeline.standardizer.sd")),
             site_vocabulary=None if raw["site_vocabulary"] is None
             else tuple(raw["site_vocabulary"]),
         )

@@ -14,7 +14,6 @@ import enum
 import functools
 import itertools
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -207,6 +206,9 @@ def grid_search(family_name: str, grid: HyperGrid, X, y, cv: CVConfig,
     fits_executed = 0  # (config, fold) cells, however the fits were shared
     t0 = time.perf_counter()
     if n_jobs > 1:
+        # imported here: a one-job run never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
                                  initargs=(family_name, configs, X, y, folds, seed)) as pool:
             results = list(pool.map(_pool_task, tasks, chunksize=1 if has_hook else 8))

@@ -8,6 +8,7 @@ import hypothesis
 import numpy as np
 import pytest
 
+from wqpanel.mlp import _forward, _gradients, _loss, _one
 from wqpanel.panel import PanelDataset
 
 hypothesis.settings.register_profile(
@@ -58,6 +59,22 @@ def linked_panel(n_dates: int, n_sites: int, n_features: int, seed: int = 0,
     return PanelDataset(dates=base.dates, site_ids=base.site_ids,
                         feature_names=base.feature_names,
                         features=base.features, targets=targets)
+
+
+def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
+                       activation: str, l2_penalty: float):
+    """Loss = mean((yhat - y)^2) + l2/2 * sum ||W||^2 and its gradients, from
+    the forward pass, loss and backpropagation that fit_mlp trains with.
+
+    Biases are not penalized. Returns (loss, grad_weights, grad_biases).
+    """
+    W, b, runs = _one(weights, biases, activation)
+    inputs, yhat = _forward(W, b, np.asarray(X)[None], runs)
+    y = np.asarray(y)[None]
+    l2 = np.full((1, 1, 1), float(l2_penalty))
+    grad_w, grad_b = _gradients(W, inputs, yhat, y, runs, l2)
+    return (float(_loss(W, yhat, y, l2)[0]),
+            [g[0] for g in grad_w], [g[0, 0] for g in grad_b])
 
 
 def write_panel_csv(path: Path, panel: PanelDataset,

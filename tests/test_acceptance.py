@@ -18,13 +18,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import deterministic_files, synthetic_panel, write_panel_csv, write_schema
+from conftest import (deterministic_files, loss_and_gradients, synthetic_panel,
+                      write_panel_csv, write_schema)
 from wqpanel.cli import main as cli_main
 from wqpanel.elastic_net import (ElasticNetConfig, fit_elastic_net,
                                  kkt_max_violation, lambda_max, predict_linear)
 from wqpanel.families import FAMILIES
 from wqpanel.metrics import evaluate, fit_benchmark
-from wqpanel.mlp import MLPConfig, fit_mlp, init_params, loss_and_gradients, predict_mlp
+from wqpanel.mlp import MLPConfig, fit_mlp, init_params, predict_mlp
 from wqpanel.panel import PanelSchema, load_panel, stack_panel
 from wqpanel.shap_exact import (MarginalValueFunction, RetrainValueFunction,
                                 exact_shap, mean_abs_shap, sample_background,

@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -597,7 +599,10 @@ def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, fam
     (("pipeline", "column_names"), 7, None),
     (("params",), "x", None),
     ((), ["a", "list"], "must be a JSON object"),
-], ids=["coefficients", "column_names", "params", "list"])
+    (("params", "coefficients", 1), None, "coefficients must be a 1-d array of numbers"),
+    (("pipeline", "standardizer", "mean", 0), None, "pipeline.standardizer.mean must be"),
+], ids=["coefficients", "column_names", "params", "list", "coefficient-null",
+        "standardizer-null"])
 def test_malformed_bundle_is_runtime_error(panel_files, capsys, field, value, named):
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
                       families=["elastic_net"], grids=TWO_FAMILY_GRIDS)
@@ -616,6 +621,43 @@ def test_malformed_bundle_is_runtime_error(panel_files, capsys, field, value, na
     assert str(model_path) in out.err and "Traceback" not in out.err
     if named:
         assert named in out.err
+
+
+def test_null_base_score_fails_evaluate(panel_files, capsys):
+    """JSON null read as NaN used to give a NaN results row and exit 0."""
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
+                      families=["gbdt"], grids=TWO_FAMILY_GRIDS)
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    model_path = env["out"] / "models" / "model_strategy2_gbdt.json"
+    payload = json.loads(model_path.read_text())
+    payload["params"]["base_score"] = None
+    model_path.write_text(json.dumps(payload))
+    code, out = run(["evaluate", "--config", str(env["config"])], capsys)
+    assert code == 4
+    assert str(model_path) in out.err and "base_score must be a number" in out.err
+
+
+def test_ragged_train_row_is_runtime_error(panel_files, capsys):
+    env = panel_files(n_train=4, n_test=3, n_sites=2, n_features=3)
+    lines = env["train_csv"].read_text(encoding="utf-8").splitlines()
+    lines[3] = ",".join(lines[3].split(",")[:-1])  # a row one field short
+    env["train_csv"].write_text("\n".join(lines) + "\n", encoding="utf-8")
+    code, out = run(["ingest", "--config", str(env["config"])], capsys)
+    assert code == 4
+    assert f"{env['train_csv']}:4: row has 5 fields, the header has 6" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    """Importing the CLI, as every stage does, loads neither
+    concurrent.futures.process nor multiprocessing."""
+    probe = ("import sys, wqpanel.cli; "
+             "print(sorted(m for m in ('concurrent.futures.process', 'multiprocessing') "
+             "if m in sys.modules))")
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_report_bundles_everything(panel_files, capsys):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import loss_and_gradients
 from wqpanel.mlp import (ACTIVATIONS, EarlyStopConfig, MLPConfig, MLPModel,
                          TrainingDivergedError, TrainingTrace, _act, _epoch_permutation,
                          fit_lockstep, fit_mlp, forward, init_params, lockstep_key,
-                         loss_and_gradients, predict_mlp)
+                         predict_mlp)
 
 
 # ------------------------------------------------------------------ oracle

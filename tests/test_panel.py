@@ -1,15 +1,29 @@
+import csv
 import datetime as dt
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import wqpanel.panel as panel_module
 from conftest import synthetic_panel, write_panel_csv, write_schema
 from wqpanel.panel import (PanelDataset, PanelFormatError, PanelSchema,
-                           correlation_matrix, load_panel, load_sites,
-                           stack_panel, summarize, unstack_table,
-                           validate_panel)
+                           StackedTable, correlation_matrix, load_panel,
+                           load_sites, stack_panel, summarize, validate_panel)
+
+
+def unstack_table(table: StackedTable, n_dates: int, n_sites: int) -> PanelDataset:
+    """Inverse of stack_panel (row order must be the stacked order)."""
+    p = len(table.feature_names)
+    return PanelDataset(
+        dates=tuple(table.dates[::n_sites]),
+        site_ids=tuple(table.site_ids[:n_sites]),
+        feature_names=table.feature_names,
+        features=table.X.reshape(n_dates, n_sites, p).copy(),
+        targets=table.y.reshape(n_dates, n_sites).copy(),
+    )
 
 
 def _schema(tmp_path, names):
@@ -90,6 +104,243 @@ def test_missing_file_and_missing_column(tmp_path):
                            encoding="utf-8")
     with pytest.raises(PanelFormatError, match="missing columns"):
         load_panel(missing_col, schema)
+
+
+# ------------------------------------------------------- row-wise oracle
+# load_panel as it was before the column-wise reader: csv.DictReader and
+# one float() per cell. The reader must give its arrays bit for bit and
+# its PanelFormatError text on every input the oracle can read or reject
+# (a ragged row, which the oracle fails on with a TypeError, is tested on
+# its own below).
+
+def oracle_load_panel(path, schema, site_groups=None):
+    path = Path(path)
+    if not path.exists():
+        raise FileNotFoundError(f"panel file not found: {path}")
+
+    feature_names = schema.feature_names
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        needed = [schema.date_column, schema.site_column, schema.target_column,
+                  *schema.feature_columns.values()]
+        absent = [c for c in needed if c not in header]
+        if absent:
+            raise PanelFormatError(f"{path}: missing columns {absent}")
+
+        records = {}
+        dates_seen = {}
+        sites_seen = {}
+        for lineno, rec in enumerate(reader, start=2):
+            raw_date = rec[schema.date_column]
+            try:
+                date = dt.date.fromisoformat(raw_date.strip())
+            except ValueError:
+                raise PanelFormatError(
+                    f"{path}:{lineno}: unparseable date {raw_date!r} "
+                    f"(expected YYYY-MM-DD)") from None
+            site = rec[schema.site_column].strip()
+            key = (date, site)
+            if key in records:
+                raise PanelFormatError(
+                    f"{path}:{lineno}: duplicated (date, site) pair ({date}, {site})")
+            row = []
+            for name in feature_names:
+                raw_col = schema.feature_columns[name]
+                try:
+                    row.append(float(rec[raw_col]))
+                except ValueError:
+                    raise PanelFormatError(
+                        f"{path}:{lineno}: cell ({date}, {site}, {name}) "
+                        f"is not numeric: {rec[raw_col]!r}") from None
+            try:
+                target = float(rec[schema.target_column])
+            except ValueError:
+                raise PanelFormatError(
+                    f"{path}:{lineno}: cell ({date}, {site}, Y) is not numeric: "
+                    f"{rec[schema.target_column]!r}") from None
+            records[key] = (row, target)
+            dates_seen.setdefault(date)
+            sites_seen.setdefault(site)
+
+    if not records:
+        raise PanelFormatError(f"{path}: no data rows")
+    dates = tuple(sorted(dates_seen))
+    sites = tuple(sites_seen)
+    n, k, p = len(dates), len(sites), len(feature_names)
+
+    features = np.empty((n, k, p), dtype=float)
+    targets = np.empty((n, k), dtype=float)
+    for i, date in enumerate(dates):
+        for j, site in enumerate(sites):
+            try:
+                row, target = records[(date, site)]
+            except KeyError:
+                raise PanelFormatError(
+                    f"{path}: incomplete panel, missing pair ({date}, {site})") from None
+            features[i, j, :] = row
+            targets[i, j] = target
+    return PanelDataset(
+        dates=dates, site_ids=sites, feature_names=tuple(feature_names),
+        features=features, targets=targets, site_groups=dict(site_groups or {}))
+
+
+def outcome(load, path, schema):
+    """What load makes of path: the dataset's exact contents, or the
+    PanelFormatError text."""
+    try:
+        ds = load(path, schema)
+    except PanelFormatError as exc:
+        return "error", str(exc)
+    assert ds.features.flags.c_contiguous and ds.targets.flags.c_contiguous
+    return (ds.dates, ds.site_ids, ds.feature_names, ds.features.shape,
+            ds.features.tobytes(), ds.targets.tobytes())
+
+
+def assert_matches_oracle(path, schema):
+    assert outcome(load_panel, path, schema) == outcome(oracle_load_panel, path, schema)
+
+
+PLAIN_HEADER = "datetime,site_no,raw_X1,raw_X2,median_ph\n"
+
+
+def _plain_body(x1_cells, newline="\n"):
+    """Two dates x two sites, one row per cell of x1_cells (which fill
+    raw_X1 in file order): fewer than four cells leave pairs out."""
+    rows = [("2020-01-01", "A"), ("2020-01-01", "B"), ("2020-01-02", "A"),
+            ("2020-01-02", "B")]
+    return "".join(f"{d},{s},{x},0.{i + 1},0.6{i}{newline}"
+                   for i, ((d, s), x) in enumerate(zip(rows, x1_cells)))
+
+
+@pytest.fixture
+def two_feature_schema(tmp_path):
+    return _schema(tmp_path, ("X1", "X2"))
+
+
+@pytest.mark.parametrize("n,k,p,seed", [(1, 1, 1, 0), (3, 2, 2, 1), (17, 5, 4, 2),
+                                        (40, 9, 11, 3)])
+def test_reader_matches_oracle_on_generated_panels(tmp_path, n, k, p, seed):
+    """Numbers of 3 to 6 decimals, sites not in sorted order, rows shuffled."""
+    panel = synthetic_panel(n, k, p, seed=seed)
+    panel = PanelDataset(dates=panel.dates, site_ids=panel.site_ids[::-1],
+                         feature_names=panel.feature_names,
+                         features=np.round(panel.features, seed + 3),
+                         targets=panel.targets)
+    csv_path = tmp_path / "panel.csv"
+    write_panel_csv(csv_path, panel)
+    header, *rows = csv_path.read_text(encoding="utf-8").splitlines(keepends=True)
+    np.random.default_rng(seed).shuffle(rows)
+    csv_path.write_text(header + "".join(rows), encoding="utf-8")
+    schema = _schema(tmp_path, panel.feature_names)
+    assert_matches_oracle(csv_path, schema)
+
+
+EDGE_CELLS = [" 0.25", "0.25 ", "\t0.25\t", "nan", "NaN", "-nan", "inf", "-inf",
+              "Infinity", "-Infinity", "-0", "+0.5", ".5", "5.", "1_0", "1e400",
+              "4.9e-324", "2.2250738585072011e-308", "0.1", "1E-3"]
+
+
+@pytest.mark.parametrize("cell", EDGE_CELLS)
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+def test_reader_matches_oracle_on_edge_cells(tmp_path, two_feature_schema, cell, newline):
+    csv_path = tmp_path / "edge.csv"
+    csv_path.write_bytes((PLAIN_HEADER.replace("\n", newline)
+                          + _plain_body([cell, "0.5", cell, "-0.0"], newline)).encode())
+    assert_matches_oracle(csv_path, two_feature_schema)
+
+
+@pytest.mark.parametrize("text", [
+    # quoted cells, a quoted site with a comma in it
+    PLAIN_HEADER + '"2020-01-01","A"," 0.5",0.1,0.6\n2020-01-01,"B,C",1,0.2,"0.7"\n',
+    PLAIN_HEADER + '2020-01-01,"A",0.5,0.1,0.6\n2020-01-01,B,1,0.2,0.7\n',
+    # blank lines, before, between and after the rows
+    PLAIN_HEADER + "\n" + _plain_body(["1", "2", "3", "4"]).replace("\n", "\n\n"),
+    PLAIN_HEADER + _plain_body(["1", "2", "3", "4"]).replace("\n", "\r\n\r\n"),
+    # a repeated header name: the last of its columns is read
+    "datetime,site_no,raw_X1,raw_X2,raw_X1,median_ph\n"
+    "2020-01-01,A,0.1,0.2,0.3,0.6\n2020-01-01,B,0.4,0.5,0.6,0.7\n",
+    # sites and dates with spaces around them, dates in file order reversed
+    PLAIN_HEADER + " 2020-01-02 , A ,1,2,3\n2020-01-02,B,4,5,6\n"
+    "2020-01-01,A,7,8,9\n2020-01-01, B,1,2,3\n",
+    # carriage returns alone as line breaks, in ASCII and non-ASCII text
+    PLAIN_HEADER + _plain_body(["1", "2", "3", "4"], newline="\r"),
+    PLAIN_HEADER + "2020-01-01,Zürich,0.5,0.1,0.6\r2020-01-01,Bern, 0.5,0.1,0.6\n",
+    # a single row, and a file with no data rows
+    PLAIN_HEADER + "2020-01-01,A,1,2,3",
+    PLAIN_HEADER + "\n\n",
+], ids=["quoted", "quoted-site", "blank-lines", "blank-crlf", "repeated-name", "spaces",
+        "cr", "non-ascii", "one-row", "no-rows"])
+def test_reader_matches_oracle_on_unusual_files(tmp_path, two_feature_schema, text):
+    csv_path = tmp_path / "unusual.csv"
+    csv_path.write_bytes(text.encode("utf-8"))
+    assert_matches_oracle(csv_path, two_feature_schema)
+
+
+BAD_INPUTS = {
+    "date": PLAIN_HEADER + "2020-01-01,A,1,2,3\n01/02/2020,A,1,2,3\n",
+    "feature-word": PLAIN_HEADER + _plain_body(["0.5", "oops", "1", "2"]),
+    "feature-empty": PLAIN_HEADER + _plain_body(["0.5", "1", "", "2"]),
+    "feature-blank": PLAIN_HEADER + _plain_body(["0.5", "1", "  ", "2"]),
+    "feature-hex": PLAIN_HEADER + _plain_body(["0x10", "1", "2", "3"]),
+    "feature-underscores": PLAIN_HEADER + _plain_body(["1__0", "1", "2", "3"]),
+    # numpy strips these control characters around a number; float() does not
+    "feature-control": PLAIN_HEADER + _plain_body(["\x1f1.5", "1", "2", "3\x1f"]),
+    "target-word": PLAIN_HEADER + "2020-01-01,A,1,2,pH\n",
+    "quoted-word": PLAIN_HEADER + '2020-01-01,A,"1",2,3\n2020-01-01,B,"x",2,3\n',
+    "duplicate": PLAIN_HEADER + "2020-01-01,A,1,2,3\n2020-01-01,B,1,2,3\n"
+                                "2020-01-01, A ,1,2,3\n",
+    "missing-pair": PLAIN_HEADER + _plain_body(["1", "2", "3"]),
+    "duplicate-for-missing": PLAIN_HEADER + "2020-01-01,A,1,2,3\n2020-01-02,B,1,2,3\n"
+                                            "2020-01-01,A,1,2,3\n2020-01-02,A,1,2,3\n",
+    "missing-column": "datetime,site_no,raw_X1,pH\n2020-01-01,A,1,2\n",
+    "empty-file": "",
+}
+
+
+@pytest.mark.parametrize("text", BAD_INPUTS.values(), ids=BAD_INPUTS.keys())
+def test_reader_raises_the_oracles_error(tmp_path, two_feature_schema, text):
+    csv_path = tmp_path / "bad.csv"
+    csv_path.write_bytes(text.encode("utf-8"))
+    expected = outcome(oracle_load_panel, csv_path, two_feature_schema)
+    assert expected[0] == "error"
+    assert outcome(load_panel, csv_path, two_feature_schema) == expected
+
+
+@given(st.lists(st.text(alphabet="0123456789.eE+-_ \tnaifIN\x1fx", max_size=7),
+                min_size=4, max_size=4))
+def test_reader_matches_oracle_on_drawn_cells(tmp_path_factory, cells):
+    directory = tmp_path_factory.mktemp("drawn")
+    schema = _schema(directory, ("X1", "X2"))
+    csv_path = directory / "drawn.csv"
+    csv_path.write_bytes((PLAIN_HEADER + _plain_body(cells)).encode())
+    assert_matches_oracle(csv_path, schema)
+
+
+@pytest.mark.parametrize("row,fields", [("2020-01-01,B,1,2", 4), ("2020-01-01,B,1,2,3,4", 6),
+                                        ("2020-01-01,B", 2), (" ", 1)])
+@pytest.mark.parametrize("quoted", [False, True], ids=["plain", "quoted"])
+def test_ragged_row_names_its_line(tmp_path, two_feature_schema, row, fields, quoted):
+    first = '"2020-01-01",A,1,2,3' if quoted else "2020-01-01,A,1,2,3"
+    csv_path = tmp_path / "ragged.csv"
+    csv_path.write_text(PLAIN_HEADER + f"{first}\n\n{row}\n", encoding="utf-8")
+    with pytest.raises(PanelFormatError) as err:
+        load_panel(csv_path, two_feature_schema)
+    assert str(err.value) == f"{csv_path}:3: row has {fields} fields, the header has 5"
+
+
+def test_plain_file_is_read_column_wise(tmp_path, monkeypatch):
+    """A plain comma-separated file never reaches the row-wise reader."""
+    panel = synthetic_panel(6, 3, 4, seed=5)
+    csv_path = tmp_path / "panel.csv"
+    write_panel_csv(csv_path, panel)
+
+    def refuse(*args):
+        raise AssertionError("read row by row")
+
+    monkeypatch.setattr(panel_module, "_read_rows", refuse)
+    loaded = load_panel(csv_path, _schema(tmp_path, panel.feature_names))
+    assert loaded.features.tobytes() == panel.features.tobytes()
 
 
 def test_load_sites(tmp_path):

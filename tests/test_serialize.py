@@ -85,6 +85,12 @@ def test_pipeline_state_round_trip():
     np.testing.assert_array_equal(back.standardizer.mean, state.standardizer.mean)
     np.testing.assert_array_equal(back.standardizer.sd, state.standardizer.sd)
 
+    raw = state.as_dict()
+    raw["standardizer"]["sd"][1] = None
+    with pytest.raises(ValueError, match="pipeline.standardizer.sd must be a 1-d array"
+                                         " of numbers, all finite"):
+        PipelineState.from_dict(raw)
+
 
 def _first_leaf(tree):
     return tree["feature"].index(-1)
@@ -134,6 +140,45 @@ CORRUPT_BUNDLES = {
                                 "base_score must be a number"),
     "learning rate not a number": ("gbdt", lambda p: p.update(learning_rate=[0.1]),
                                    "learning_rate must be a number"),
+    # JSON null reads as NaN; NaN and infinities are valid only as a leaf threshold
+    "base score null": ("gbdt", lambda p: p.update(base_score=None),
+                        "base_score must be a number, all finite"),
+    "learning rate infinite": ("gbdt_goss", lambda p: p.update(learning_rate=float("inf")),
+                               "learning_rate must be a number, all finite"),
+    "constant NaN": ("benchmark", lambda p: p.update(constant=float("nan")),
+                     "constant must be a number, all finite"),
+    "intercept null": ("elastic_net", lambda p: p.update(intercept=None),
+                       "intercept must be a number, all finite"),
+    "coefficient NaN": ("elastic_net", lambda p: _set(p, "coefficients", 2, float("nan")),
+                        "coefficients must be a 1-d array of numbers, all finite"),
+    "tree value null": ("random_forest", lambda p: _set(p["trees"][2], "value", 0, None),
+                        r"trees\[2\]\.value must be a 1-d array of numbers, all finite"),
+    "tree gain infinite": ("gbdt", lambda p: _set(p["trees"][0], "gain", 0, float("-inf")),
+                           r"trees\[0\]\.gain must be a 1-d array of numbers, all finite"),
+    "tree sample count null": ("gbdt", lambda p: _set(p["trees"][0], "n_samples", 0, None),
+                               r"trees\[0\]\.n_samples must be a 1-d array of numbers"),
+    "leaf threshold null": ("gbdt", lambda p: _set(p["trees"][1], "threshold",
+                                                   _first_leaf(p["trees"][1]), None),
+                            r"trees\[1\]\.threshold must be a 1-d array of numbers, not null"),
+    "split threshold NaN": ("random_forest",
+                            lambda p: _set(p["trees"][0], "threshold", 0, float("nan")),
+                            r"trees\[0\]\.threshold\[0\] = nan must be finite at a split"),
+    "mlp weight null": ("mlp", lambda p: _set(p["weights"][1], 2, 0, None),
+                        r"weights\[1\] must be a 2-d array of numbers, all finite"),
+    "mlp bias infinite": ("mlp", lambda p: _set(p, "biases", 0, [float("inf")] * 4),
+                          r"biases\[0\] must be a 1-d array of numbers, all finite"),
+    # the chain of layer shapes
+    "mlp bias short": ("mlp", lambda p: p["biases"][0].pop(),
+                       r"biases\[0\] has 3 entries, weights\[0\] has 4 columns"),
+    "mlp hidden rows": ("mlp", lambda p: p["weights"][1].pop(),
+                        r"weights\[1\] has 3 input rows, weights\[0\] has 4 columns"),
+    "mlp two outputs": ("mlp", lambda p: (p["biases"][1].append(0.0),
+                                          [row.append(0.0) for row in p["weights"][1]]),
+                        r"weights\[1\] has 2 columns, the output layer needs 1"),
+    "mlp layer counts": ("mlp", lambda p: p["biases"].pop(),
+                         "weights has 2 layers, biases has 1"),
+    "mlp no layers": ("mlp", lambda p: (p["weights"].clear(), p["biases"].clear()),
+                      "weights has 0 layers, biases has 0"),
 }
 
 
