@@ -369,11 +369,14 @@ def _cmd_explain(args) -> int:
     if kind == "marginalize":
         background = sample_background(train_design.X, cfg.shap_background,
                                        subseed(cfg.seed, TAG_SHAP_BACKGROUND))
-        solver = bundle.family.shap_solver
+        def bind(hook):
+            return None if hook is None else functools.partial(hook, bundle.model)
+
         vf = MarginalValueFunction(
             predict=lambda A: bundle.family.predict(bundle.model, A),
             background=background, player_columns=players, player_names=names,
-            solver=None if solver is None else functools.partial(solver, bundle.model))
+            solver=bind(bundle.family.shap_solver),
+            coalitions=bind(bundle.family.shap_coalitions))
     else:
         vf = RetrainValueFunction(
             fit=lambda X, y: bundle.family.fit(X, y, bundle.hyper_params, bundle.seed),

@@ -5,12 +5,13 @@ all five learners plus the benchmark are interchangeable behind this
 registry, the one module that knows about individual families. An entry
 holds the names of the family and its hyperparameters (the fields of its
 learner's config dataclasses), fit/predict/export/restore/importance, an
-optional exact SHAP solver, its default tuning grid (the entries with one
-are the tunable families), whether retrain SHAP may refit it, and an
-optional fit_fold hook. fit_fold fits all the configs of one CV fold,
-given the seed fit would get for each, and yields their fitted models,
-sharing the work that no config changes; each model must equal fit's for
-that config and seed, bit for bit. The tuner predicts with every model.
+optional exact SHAP solver or maskless coalition values, its default
+tuning grid (the entries with one are the tunable families), whether
+retrain SHAP may refit it, and an optional fit_fold hook. fit_fold fits
+all the configs of one CV fold, given the seed fit would get for each,
+and yields their fitted models, sharing the work that no config changes;
+each model must equal fit's for that config and seed, bit for bit. The
+tuner predicts with every model.
 Elastic net has one (one Gram matrix per fold), and so has the MLP (the
 configs of one architecture train in lockstep on stacked weights); the
 tuner fits each config of the tree families on its own.
@@ -18,6 +19,7 @@ tuner fits each config of the tree families on its own.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -44,6 +46,11 @@ class ModelFamily:
     # (model, x, background, player_columns) -> phi; None enumerates 2^M
     shap_solver: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
                           np.ndarray] | None = None
+    # the marginalize game on all 2^M coalitions without masking:
+    # (model, x, background, player_columns) -> v in coalition id order;
+    # None masks the background and predicts
+    shap_coalitions: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
+                              np.ndarray] | None = None
     # axis name -> values; None: not tunable
     default_grid: Mapping[str, list] | None = None
     cheap_refit: bool = False
@@ -73,25 +80,35 @@ def _tree_to_dict(tree: tr.RegressionTree) -> dict:
     }
 
 
-def _numbers(value, field: str, ndim: int = 1, dtype=float,
+def _numbers(value, field: str, ndim: int = 1, integral: bool = False,
              finite: bool = True) -> np.ndarray:
-    """value as an ndim-dimensional array (ndim 0: one number) of finite
-    numbers, or with finite=False of any numbers, NaN and infinities
-    included; anything else, JSON null too, is a ValueError naming the
-    bundle field."""
+    """value as an ndim-dimensional float array (ndim 0: one number) of
+    finite numbers, of integers too with integral=True (then an int64
+    array), or with finite=False of any numbers, NaN and infinities
+    included. Each entry must be a number: a string, a bool or JSON null
+    is a ValueError naming the bundle field, as is any other shape."""
     kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
     try:
-        out = np.asarray(value, dtype=dtype)
-    except (TypeError, ValueError, OverflowError):
-        out = None
-    if out is None or out.ndim != ndim:
+        cells = np.asarray(value, dtype=object)
+    except ValueError:
+        cells = None
+    if cells is None or cells.ndim != ndim:
         raise ValueError(f"{field} must be {kind}")
-    if out.dtype.kind == "f" and not np.isfinite(out).all():
-        if finite:
-            raise ValueError(f"{field} must be {kind}, all finite")
-        # null reads as NaN
-        if any(v is None for v in np.asarray(value, dtype=object).flat):
-            raise ValueError(f"{field} must be {kind}, not null")
+    types = set(map(type, cells.ravel().tolist()))
+    if type(None) in types:
+        raise ValueError(f"{field} must be {kind}, " + ("all finite" if finite else "not null"))
+    if not all(t is not bool and issubclass(t, numbers.Real) for t in types):
+        raise ValueError(f"{field} must be {kind}")
+    try:
+        out = cells.astype(float)
+    except OverflowError:  # an integer beyond the doubles
+        out = None
+    if out is None or finite and not np.isfinite(out).all():
+        raise ValueError(f"{field} must be {kind}, all finite")
+    if integral:
+        if not (out == np.round(out)).all() or not (np.abs(out) < 2.0**63).all():
+            raise ValueError(f"{field} must be {kind}, all integers")
+        out = out.astype(np.int64)
     return out
 
 
@@ -105,8 +122,7 @@ def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
     """
     ints = ("feature", "left", "right", "n_samples")
     # a leaf's threshold is NaN; a split's must be finite (checked below)
-    arrays = {name: _numbers(raw[name], f"{where}.{name}",
-                             dtype=np.int64 if name in ints else float,
+    arrays = {name: _numbers(raw[name], f"{where}.{name}", integral=name in ints,
                              finite=name != "threshold")
               for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain")}
     n = len(arrays["feature"])
@@ -279,10 +295,13 @@ def _linear_restore(raw: dict, n_columns: int) -> en.LinearModel:
     if len(coefficients) != n_columns:
         raise ValueError(f"coefficients has {len(coefficients)} entries, "
                          f"the design has {n_columns} columns")
+    sweeps_used = int(_numbers(raw["sweeps_used"], "sweeps_used", ndim=0, integral=True))
+    if sweeps_used < 0:
+        raise ValueError(f"sweeps_used = {sweeps_used} must be >= 0")
     return en.LinearModel(
         intercept=float(_numbers(raw["intercept"], "intercept", ndim=0)),
         coefficients=coefficients,
-        config=en.ElasticNetConfig(), sweeps_used=raw["sweeps_used"])
+        config=en.ElasticNetConfig(), sweeps_used=sweeps_used)
 
 
 # The default grids are sized so that config count x 5 folds lands on the
@@ -374,6 +393,7 @@ FAMILIES: dict[str, ModelFamily] = {
         export=_mlp_export,
         restore=_mlp_restore,
         importance=lambda m, p: None,
+        shap_coalitions=sh.mlp_coalition_values,
         default_grid={
             "hidden_layers": [[32], [64], [64, 32], [128, 64]],
             "activation": ["relu", "tanh"],

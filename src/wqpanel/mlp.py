@@ -90,12 +90,18 @@ class TrainingTrace:
     val_loss: tuple[float, ...] | None = None
 
 
-def _act(z: np.ndarray, kind: str) -> np.ndarray:
+def _act(z: np.ndarray, kind: str, out: np.ndarray | None = None) -> np.ndarray:
+    """The activation of z, written to out if given (out=z saves a fresh
+    array, which costs more than the arithmetic on it)."""
     if kind == "relu":
-        return np.maximum(z, 0.0)
+        return np.maximum(z, 0.0, out=out)
     if kind == "tanh":
-        return np.tanh(z)
-    return 1.0 / (1.0 + np.exp(-z))  # logistic
+        return np.tanh(z, out=out)
+    # logistic, 1 / (1 + exp(-z)) one operation at a time
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
 
 
 def _act_grad(a: np.ndarray, kind: str) -> np.ndarray:
@@ -138,8 +144,14 @@ def _forward(weights, biases, X: np.ndarray, runs):
     the (C, rows) network outputs."""
     inputs = [X]
     for W, b in zip(weights[:-1], biases[:-1]):
-        inputs.append(_per_run(_act, np.matmul(inputs[-1], W) + b, runs))
-    return inputs, (np.matmul(inputs[-1], weights[-1]) + biases[-1])[..., 0]
+        z = np.matmul(inputs[-1], W)
+        z += b
+        for start, stop, kind in runs:
+            _act(z[start:stop], kind, out=z[start:stop])
+        inputs.append(z)
+    out = np.matmul(inputs[-1], weights[-1])
+    out += biases[-1]
+    return inputs, out[..., 0]
 
 
 def _loss(weights, yhat: np.ndarray, y: np.ndarray, l2: np.ndarray) -> np.ndarray:
@@ -186,6 +198,17 @@ def init_params(cfg: MLPConfig, n_inputs: int) -> tuple[list[np.ndarray], list[n
 def forward(weights, biases, X: np.ndarray, activation: str) -> np.ndarray:
     W, b, runs = _one(weights, biases, activation)
     return _forward(W, b, np.asarray(X)[None], runs)[1][0]
+
+
+def forward_from_first_layer(model: MLPModel, z: np.ndarray) -> np.ndarray:
+    """The network's outputs given z, the first layer's pre-activations
+    (rows x first-layer width), which the activation overwrites: the
+    layers after the first run as in forward. For z = X W1 + b1 this is
+    predict_mlp(model, X) up to the rounding of z."""
+    if len(model.weights) == 1:  # no hidden layer: z is the output
+        return z[:, 0]
+    W, b, runs = _one(model.weights[1:], model.biases[1:], model.config.activation)
+    return _forward(W, b, _act(z, model.config.activation, out=z)[None], runs)[1][0]
 
 
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:

@@ -202,7 +202,8 @@ def load_panel(path: str | Path, schema: PanelSchema,
         raise FileNotFoundError(f"panel file not found: {path}")
 
     with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), [])
+        header_reader = csv.reader(fh)
+        header = next(header_reader, [])
         body = fh.read()
     needed = [schema.date_column, schema.site_column, schema.target_column,
               *schema.feature_columns.values()]
@@ -220,7 +221,8 @@ def load_panel(path: str | Path, schema: PanelSchema,
     # reader then finds and names the fault, or reads what is only unusual
     # (quoted cells, non-ASCII text) cell by cell
     dates, sites, features, targets = (_read_columns(body, layout)
-                                       or _read_rows(path, body, layout))
+                                       or _read_rows(path, body, layout,
+                                                     header_reader.line_num + 1))
     return PanelDataset(
         dates=dates, site_ids=sites, feature_names=tuple(schema.feature_names),
         features=features, targets=targets, site_groups=dict(site_groups or {}))
@@ -275,14 +277,19 @@ def _read_columns(body: str, layout: _Layout):
     return dates, sites, features, targets
 
 
-def _read_rows(path: Path, body: str, layout: _Layout):
+def _read_rows(path: Path, body: str, layout: _Layout, first_line: int):
     """(dates, sites, features, targets) parsed a row at a time; the first
-    fault in file order raises PanelFormatError naming its line or cell."""
+    fault in file order raises PanelFormatError naming its cell or the
+    file line its row starts on (the body starts on first_line)."""
     reader = csv.reader(io.StringIO(body, newline=""))
     records: dict[tuple[dt.date, str], tuple[list[float], float]] = {}
     dates_seen: dict[dt.date, None] = {}
     sites_seen: dict[str, None] = {}
-    for lineno, row in enumerate(filter(None, reader), start=2):
+    lines_read = 0
+    for row in reader:
+        lineno, lines_read = first_line + lines_read, reader.line_num
+        if not row:  # a blank line
+            continue
         if len(row) != layout.width:
             raise PanelFormatError(
                 f"{path}:{lineno}: row has {len(row)} fields, the header has {layout.width}")

@@ -12,7 +12,11 @@ tree ensembles and linear models the marginalize game has a closed form:
 `ensemble_shap` (interventional TreeSHAP, Lundberg et al. 2020) and
 `linear_shap` give the same values in time polynomial in model size x
 background rows, and a marginalize value function carrying one as its
-`solver` skips the enumeration.
+`solver` skips the enumeration. The MLP has no closed form, so its 2^M
+coalitions are still enumerated, but not by masking: its first layer is
+affine, and `mlp_coalition_values` (a value function's `coalitions`)
+builds every coalition's first-layer pre-activations from subset sums of
+per-player deltas, so only the later layers run per coalition.
 
 Players are column groups: singleton columns by default, or whole one-hot
 blocks so that a coalition toggles the entire block at once.
@@ -29,11 +33,13 @@ from typing import Any, Callable
 import numpy as np
 
 from . import elastic_net as en
+from . import mlp as nn
 from . import trees as tr
 from .features import DesignMatrix
 
 DEFAULT_PLAYER_CAP = 15
-_CHUNK_SIZE = 128  # coalitions per predict call of the marginalize game
+_CHUNK_BITS = 7
+_CHUNK_SIZE = 1 << _CHUNK_BITS  # coalitions per model call of the marginalize game
 
 
 def _singleton_players(n_columns: int) -> list[list[int]]:
@@ -53,6 +59,10 @@ class MarginalValueFunction:
     # this game in polynomial time, used by exact_shap in place of 2^M
     # coalitions; None enumerates
     solver: Callable[[np.ndarray, np.ndarray, list[list[int]]], np.ndarray] | None = None
+    # coalitions(x, background, player_columns) -> v of all 2^M coalitions
+    # in id order (player i is bit i of the id), computed without masking;
+    # None masks the background and calls predict
+    coalitions: Callable[[np.ndarray, np.ndarray, list[list[int]]], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.background) == 0:
@@ -63,7 +73,7 @@ class MarginalValueFunction:
         if not self.player_names:
             object.__setattr__(self, "player_names",
                                tuple(f"f{i}" for i in range(len(self.player_columns))))
-        if self.solver is not None:
+        if self.solver is not None or self.coalitions is not None:
             held = sorted(c for cols in self.player_columns for c in cols)
             if held != list(range(self.background.shape[1])):
                 raise ValueError("a SHAP solver needs every column in exactly one player")
@@ -139,9 +149,10 @@ def exact_shap(vf, x, cap: int = DEFAULT_PLAYER_CAP) -> ShapAttribution:
     A value function with a `solver` gets phi from it; base_value is then
     the mean prediction over the background and f_x the prediction at x.
     Otherwise the value function is evaluated on all 2^M coalitions (M =
-    player count, capped because the cost is exponential) and the weighted
-    marginal contributions are aggregated; base_value is the empty
-    coalition's value. Either way base_value + sum(phi) equals f_x.
+    player count, capped because the cost is exponential), through its
+    `coalitions` if it has one and values_for_masks if not, and the
+    weighted marginal contributions are aggregated; base_value is the
+    empty coalition's value. Either way base_value + sum(phi) equals f_x.
     """
     x = np.asarray(x, dtype=float).ravel()
     if getattr(vf, "solver", None) is not None:
@@ -158,7 +169,9 @@ def exact_shap(vf, x, cap: int = DEFAULT_PLAYER_CAP) -> ShapAttribution:
 
     ids = np.arange(1 << m, dtype=np.int64)
     masks = ((ids[:, None] >> np.arange(m)) & 1).astype(bool)
-    values = vf.values_for_masks(x, masks)
+    coalitions = getattr(vf, "coalitions", None)
+    values = (vf.values_for_masks(x, masks) if coalitions is None
+              else coalitions(x, vf.background, vf.player_columns))
 
     sizes = masks.sum(axis=1)
     fact = [math.factorial(k) for k in range(m + 1)]
@@ -265,6 +278,36 @@ def linear_shap(model: en.LinearModel, x: np.ndarray, background: np.ndarray,
     """phi_g = sum over columns j of g of beta_j (x_j - background mean of x_j)."""
     contrib = model.coefficients * (x - background.mean(axis=0))
     return np.array([contrib[cols].sum() for cols in player_columns])
+
+
+def mlp_coalition_values(model: nn.MLPModel, x: np.ndarray, background: np.ndarray,
+                         player_columns: list[list[int]]) -> np.ndarray:
+    """The marginalize game of an MLP on every coalition, in id order.
+
+    The first layer is affine, so background row b with the players of S
+    set to x has the pre-activations z(S, b) = b W + c + sum over g in S
+    of D_g(b), where D_g(b) = (x_g - b_g) W_g. A table of z over every
+    subset of the low k players is built by doubling, Z[2^i:2^(i+1)] =
+    Z[:2^i] + D_i, and each block of 2^k ids is that table plus the sum
+    of its high players' D_g; only the layers after the first run per
+    coalition. Equal to the masking enumeration up to rounding.
+    """
+    W, c = model.weights[0], model.biases[0]
+    m, n_bg = len(player_columns), len(background)
+    deltas = np.stack([(x[cols] - background[:, cols]) @ W[cols] for cols in player_columns])
+    k = min(m, _CHUNK_BITS)
+    table = np.empty((1 << k, n_bg, W.shape[1]))
+    table[0] = background @ W + c
+    for i in range(k):
+        np.add(table[:1 << i], deltas[i], out=table[1 << i:2 << i])
+    block = np.empty_like(table)
+    values = np.empty(1 << m)
+    for high in range(1 << (m - k)):
+        shift = deltas[[k + j for j in range(m - k) if high >> j & 1]].sum(axis=0)
+        np.add(table, shift, out=block)
+        preds = nn.forward_from_first_layer(model, block.reshape(-1, W.shape[1]))
+        values[high << k:(high + 1) << k] = preds.reshape(1 << k, n_bg).mean(axis=1)
+    return values
 
 
 def shap_for_dataset(vf, X, cap: int = DEFAULT_PLAYER_CAP) -> list[ShapAttribution]:

@@ -601,8 +601,16 @@ def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, fam
     ((), ["a", "list"], "must be a JSON object"),
     (("params", "coefficients", 1), None, "coefficients must be a 1-d array of numbers"),
     (("pipeline", "standardizer", "mean", 0), None, "pipeline.standardizer.mean must be"),
+    # JSON strings and booleans used to load as numbers, and sweeps_used went unchecked
+    (("params", "coefficients", 0), "0.5", "coefficients must be a 1-d array of numbers"),
+    (("params", "coefficients", 2), True, "coefficients must be a 1-d array of numbers"),
+    (("params", "intercept"), False, "intercept must be a number"),
+    (("params", "sweeps_used"), 2.5, "sweeps_used must be a number, all integers"),
+    (("params", "sweeps_used"), "12", "sweeps_used must be a number"),
+    (("params", "sweeps_used"), -1, "sweeps_used = -1 must be >= 0"),
 ], ids=["coefficients", "column_names", "params", "list", "coefficient-null",
-        "standardizer-null"])
+        "standardizer-null", "coefficient-string", "coefficient-bool", "intercept-bool",
+        "sweeps-fraction", "sweeps-string", "sweeps-negative"])
 def test_malformed_bundle_is_runtime_error(panel_files, capsys, field, value, named):
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
                       families=["elastic_net"], grids=TWO_FAMILY_GRIDS)

@@ -4,8 +4,8 @@ import pytest
 from conftest import loss_and_gradients
 from wqpanel.mlp import (ACTIVATIONS, EarlyStopConfig, MLPConfig, MLPModel,
                          TrainingDivergedError, TrainingTrace, _act, _epoch_permutation,
-                         fit_lockstep, fit_mlp, forward, init_params, lockstep_key,
-                         predict_mlp)
+                         fit_lockstep, fit_mlp, forward, forward_from_first_layer,
+                         init_params, lockstep_key, predict_mlp)
 
 
 # ------------------------------------------------------------------ oracle
@@ -374,6 +374,30 @@ def test_trace_without_early_stop_has_no_val():
     _, trace = fit_mlp(X, y, MLPConfig(hidden_layers=(4,), max_epochs=5, seed=0))
     assert trace.val_loss is None
     assert len(trace.train_loss) == 5
+
+
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_activation_in_place_is_bit_equal(activation):
+    z = np.random.default_rng(3).normal(0.0, 4.0, (40, 7))
+    z[0, :3] = [0.0, -0.0, 50.0]
+    kept = z.copy()
+    fresh = _act(z, activation)
+    assert z.tobytes() == kept.tobytes()  # without out, z is left alone
+    assert _act(z, activation, out=z) is z
+    assert z.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("hidden", [(), (6,), (5, 3)])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_forward_from_first_layer_matches_predict(hidden, activation):
+    rng = np.random.default_rng(4)
+    X = rng.standard_normal((30, 4))
+    weights, biases = init_params(MLPConfig(hidden_layers=hidden, seed=2), 4)
+    model = MLPModel(weights=tuple(weights), biases=tuple(b + 0.1 for b in biases),
+                     config=MLPConfig(hidden_layers=hidden, activation=activation))
+    z = X @ weights[0] + model.biases[0]
+    np.testing.assert_allclose(forward_from_first_layer(model, z), predict_mlp(model, X),
+                               rtol=0, atol=1e-12)
 
 
 def test_predict_width_mismatch():

@@ -111,7 +111,8 @@ def test_missing_file_and_missing_column(tmp_path):
 # one float() per cell. The reader must give its arrays bit for bit and
 # its PanelFormatError text on every input the oracle can read or reject
 # (a ragged row, which the oracle fails on with a TypeError, is tested on
-# its own below).
+# its own below, and so is a fault after a blank line or a multi-line
+# cell, where the oracle counts records and load_panel names file lines).
 
 def oracle_load_panel(path, schema, site_groups=None):
     path = Path(path)
@@ -326,7 +327,47 @@ def test_ragged_row_names_its_line(tmp_path, two_feature_schema, row, fields, qu
     csv_path.write_text(PLAIN_HEADER + f"{first}\n\n{row}\n", encoding="utf-8")
     with pytest.raises(PanelFormatError) as err:
         load_panel(csv_path, two_feature_schema)
-    assert str(err.value) == f"{csv_path}:3: row has {fields} fields, the header has 5"
+    # file line 4: the blank line 3 counts
+    assert str(err.value) == f"{csv_path}:4: row has {fields} fields, the header has 5"
+
+
+@pytest.mark.parametrize("bad,message", [
+    ("2020-01-01,B,1,2", "row has 4 fields, the header has 5"),
+    ("01/02/2020,B,1,2,3", "unparseable date '01/02/2020' (expected YYYY-MM-DD)"),
+    ("2020-01-01, A ,1,2,3", "duplicated (date, site) pair (2020-01-01, A)"),
+    ("2020-01-01,B,x,2,3", "cell (2020-01-01, B, X1) is not numeric: 'x'"),
+], ids=["ragged", "date", "duplicate", "cell"])
+@pytest.mark.parametrize("between,line", [
+    ("", 3),
+    ("\n\n", 5),
+    ("\r\n", 4),
+    # a quoted cell over lines 3 and 4, and one over lines 3 to 5
+    ('2020-01-02,"Z\nY",1,2,3\n', 5),
+    ('2020-01-02,"Z\r\n\r\nY",1,2,3\r\n', 6),
+], ids=["adjacent", "blank-lines", "blank-crlf", "multi-line-cell", "cell-with-blank-line"])
+def test_fault_names_its_file_line(tmp_path, two_feature_schema, bad, message, between, line):
+    """Errors name the line a row starts on in the file, counting blank
+    lines and every line of a quoted multi-line cell."""
+    csv_path = tmp_path / "lines.csv"
+    csv_path.write_bytes((PLAIN_HEADER + "2020-01-01,A,1,2,3\n" + between + bad
+                          + "\n").encode())
+    with pytest.raises(PanelFormatError) as err:
+        load_panel(csv_path, two_feature_schema)
+    assert str(err.value) == f"{csv_path}:{line}: {message}"
+
+
+@pytest.mark.parametrize("text,line", [
+    # the bad row's own quoted cell spans lines 3 and 4
+    (PLAIN_HEADER + '2020-01-01,A,1,2,3\n2020-01-01,"B\nC",1,2\n', 3),
+    # a header name over lines 1 and 2: the rows start on line 3
+    ('datetime,site_no,raw_X1,raw_X2,median_ph,"note\nmore"\n'
+     "2020-01-01,A,1,2,3,n\n\n2020-01-01,B,1,2,3\n", 5),
+], ids=["multi-line-row", "multi-line-header"])
+def test_multi_line_records_name_their_first_line(tmp_path, two_feature_schema, text, line):
+    csv_path = tmp_path / "multi.csv"
+    csv_path.write_bytes(text.encode())
+    with pytest.raises(PanelFormatError, match=rf"multi\.csv:{line}: row has"):
+        load_panel(csv_path, two_feature_schema)
 
 
 def test_plain_file_is_read_column_wise(tmp_path, monkeypatch):

@@ -90,6 +90,10 @@ def test_pipeline_state_round_trip():
     with pytest.raises(ValueError, match="pipeline.standardizer.sd must be a 1-d array"
                                          " of numbers, all finite"):
         PipelineState.from_dict(raw)
+    raw["standardizer"]["sd"][1] = "1.0"
+    with pytest.raises(ValueError, match="pipeline.standardizer.sd must be a 1-d array"
+                                         " of numbers$"):
+        PipelineState.from_dict(raw)
 
 
 def _first_leaf(tree):
@@ -167,6 +171,48 @@ CORRUPT_BUNDLES = {
                         r"weights\[1\] must be a 2-d array of numbers, all finite"),
     "mlp bias infinite": ("mlp", lambda p: _set(p, "biases", 0, [float("inf")] * 4),
                           r"biases\[0\] must be a 1-d array of numbers, all finite"),
+    # a bundle number is a JSON number, not a string or a bool, and an
+    # integer field holds integers: these used to load, cast or truncated
+    "tree value string": ("random_forest", lambda p: _set(p["trees"][0], "value", 0, "0.5"),
+                          r"trees\[0\]\.value must be a 1-d array of numbers$"),
+    "tree gain bool": ("gbdt", lambda p: _set(p["trees"][1], "gain", 0, True),
+                       r"trees\[1\]\.gain must be a 1-d array of numbers$"),
+    "split threshold string": ("gbdt", lambda p: _set(p["trees"][0], "threshold", 0, "0.5"),
+                               r"trees\[0\]\.threshold must be a 1-d array of numbers$"),
+    "tree feature fraction": ("gbdt", lambda p: _set(p["trees"][0], "feature", 0, 1.5),
+                              r"trees\[0\]\.feature must be a 1-d array of numbers, "
+                              r"all integers"),
+    "tree child fraction": ("random_forest",
+                            lambda p: _set(p["trees"][0], "left", 0,
+                                           p["trees"][0]["left"][0] + 0.5),
+                            r"trees\[0\]\.left must be a 1-d array of numbers, all integers"),
+    "tree sample count huge": ("gbdt", lambda p: _set(p["trees"][0], "n_samples", 0, 2**70),
+                               r"trees\[0\]\.n_samples must be a 1-d array of numbers, "
+                               r"all integers"),
+    "tree sample count bool": ("gbdt_goss", lambda p: _set(p["trees"][0], "n_samples", 0, True),
+                               r"trees\[0\]\.n_samples must be a 1-d array of numbers$"),
+    "base score string": ("gbdt", lambda p: p.update(base_score="0.5"),
+                          "base_score must be a number$"),
+    "learning rate bool": ("gbdt_goss", lambda p: p.update(learning_rate=True),
+                           "learning_rate must be a number$"),
+    "constant string": ("benchmark", lambda p: p.update(constant="7.5"),
+                        "constant must be a number$"),
+    "coefficient beyond the doubles": ("elastic_net",
+                                       lambda p: _set(p, "coefficients", 0, 10**400),
+                                       "coefficients must be a 1-d array of numbers, "
+                                       "all finite"),
+    "coefficient bool": ("elastic_net", lambda p: _set(p, "coefficients", 0, False),
+                         "coefficients must be a 1-d array of numbers$"),
+    "sweeps used fraction": ("elastic_net", lambda p: p.update(sweeps_used=3.5),
+                             "sweeps_used must be a number, all integers"),
+    "sweeps used null": ("elastic_net", lambda p: p.update(sweeps_used=None),
+                         "sweeps_used must be a number, all finite"),
+    "sweeps used negative": ("elastic_net", lambda p: p.update(sweeps_used=-2),
+                             "sweeps_used = -2 must be >= 0"),
+    "mlp weight string": ("mlp", lambda p: _set(p["weights"][0], 1, 0, "0.1"),
+                          r"weights\[0\] must be a 2-d array of numbers$"),
+    "mlp bias bool": ("mlp", lambda p: _set(p["biases"], 1, 0, True),
+                      r"biases\[1\] must be a 1-d array of numbers$"),
     # the chain of layer shapes
     "mlp bias short": ("mlp", lambda p: p["biases"][0].pop(),
                        r"biases\[0\] has 3 entries, weights\[0\] has 4 columns"),

@@ -4,13 +4,18 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import synthetic_panel
 from wqpanel.elastic_net import ElasticNetConfig, fit_elastic_net, predict_linear
-from wqpanel.features import DesignMatrix
-from wqpanel.shap_exact import (MarginalValueFunction, RetrainValueFunction,
-                                ensemble_shap, exact_shap, linear_shap,
-                                mean_abs_shap, players_from_design,
-                                sample_background, shap_for_dataset,
-                                write_mean_abs_csv, write_values_csv)
+from wqpanel.families import FAMILIES
+from wqpanel.features import (DesignMatrix, Strategy, StrategyConfig, assemble_design,
+                              fit_standardizer, numeric_block)
+from wqpanel.mlp import MLPConfig, fit_mlp, predict_mlp
+from wqpanel.panel import stack_panel
+from wqpanel.shap_exact import (DEFAULT_PLAYER_CAP, MarginalValueFunction,
+                                RetrainValueFunction, ensemble_shap, exact_shap,
+                                linear_shap, mean_abs_shap, mlp_coalition_values,
+                                players_from_design, sample_background,
+                                shap_for_dataset, write_mean_abs_csv, write_values_csv)
 from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig,
                            RegressionTree, RFConfig, fit_gbdt, fit_random_forest,
                            predict_ensemble)
@@ -420,3 +425,107 @@ def test_tree_solver_explains_past_the_enumeration_cap():
     for attr in shap_for_dataset(vf, X[100:104]):
         assert len(attr.phi) == 20
         assert abs(attr.base_value + attr.phi.sum() - attr.f_x) <= 1e-9
+
+
+# ------------------------------------- MLP coalitions from first-layer sums
+# mlp_coalition_values builds every coalition's first-layer pre-activations
+# from subset sums of per-player deltas instead of masking; the masking
+# enumeration of MarginalValueFunction is its oracle.
+
+def mlp_fixture(hidden, activation, n_columns, seed, n=60):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, n_columns))
+    y = np.tanh(X[:, 0]) - 0.5 * X[:, -1] ** 2 + 0.1 * X.sum(axis=1)
+    model, _ = fit_mlp(X, y, MLPConfig(hidden_layers=hidden, activation=activation,
+                                       learning_rate=0.02, batch_size=16, max_epochs=15,
+                                       seed=seed))
+    return model, X
+
+
+def mlp_value_functions(model, background, players):
+    """(subset-sum value function, masking value function); the first
+    cannot call predict."""
+    def refuse(A):
+        raise AssertionError("the subset-sum path called predict")
+
+    fast = MarginalValueFunction(
+        predict=refuse, background=background, player_columns=players,
+        coalitions=lambda *a: mlp_coalition_values(model, *a))
+    masked = MarginalValueFunction(predict=lambda A: predict_mlp(model, A),
+                                   background=background, player_columns=players)
+    return fast, masked
+
+
+def assert_mlp_coalitions_exact(model, background, X, players):
+    fast_vf, masked_vf = mlp_value_functions(model, background, players)
+    for x in X:
+        fast, masked = exact_shap(fast_vf, x), exact_shap(masked_vf, x)
+        assert len(fast.phi) == len(players)
+        np.testing.assert_allclose(fast.phi, masked.phi, rtol=0, atol=1e-9)
+        assert fast.base_value == pytest.approx(masked.base_value, abs=1e-9)
+        assert fast.f_x == pytest.approx(masked.f_x, abs=1e-9)
+        assert fast.f_x == pytest.approx(float(predict_mlp(model, x[None])[0]), abs=1e-9)
+        assert abs(fast.base_value + fast.phi.sum() - fast.f_x) <= 1e-9
+
+
+@pytest.mark.parametrize("hidden", [(6,), (5, 3)], ids=["one-hidden", "two-hidden"])
+@pytest.mark.parametrize("activation", ["relu", "tanh", "logistic"])
+@pytest.mark.parametrize("n_players", [1, 4, 9], ids=["M=1", "M<k", "M>k"])
+def test_mlp_coalitions_match_masking(hidden, activation, n_players):
+    model, X = mlp_fixture(hidden, activation, n_players, seed=n_players)
+    assert_mlp_coalitions_exact(model, X[:24], X[50:53], [[c] for c in range(n_players)])
+
+
+def test_mlp_coalitions_without_a_hidden_layer():
+    model, X = mlp_fixture((), "relu", 5, seed=31)
+    assert_mlp_coalitions_exact(model, X[:20], X[50:52], [[c] for c in range(5)])
+
+
+@pytest.mark.parametrize("activation", ["relu", "tanh", "logistic"])
+def test_mlp_coalitions_grouped_one_hot_players(activation):
+    """A strategy-3 design: numeric singletons, then the site, month,
+    weekday and season blocks as one player each (8 players, so more
+    than one block of coalitions)."""
+    stacked = stack_panel(synthetic_panel(40, 3, 4, seed=32))
+    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
+    design = assemble_design(stacked, cfg, fit_standardizer(numeric_block(stacked, cfg)[1]))
+    names, players = players_from_design(design)
+    assert len(players) == 8 and max(len(cols) for cols in players) > 1
+    model, _ = fit_mlp(design.X, design.y, MLPConfig(hidden_layers=(7, 4),
+                                                     activation=activation,
+                                                     max_epochs=10, seed=5))
+    assert_mlp_coalitions_exact(model, design.X[:30], design.X[100:103], players)
+
+
+def test_mlp_coalitions_at_the_cap():
+    model, X = mlp_fixture((4,), "tanh", DEFAULT_PLAYER_CAP, seed=33)
+    assert_mlp_coalitions_exact(model, X[:6], X[50:51],
+                                [[c] for c in range(DEFAULT_PLAYER_CAP)])
+
+
+def test_mlp_coalitions_above_the_cap_raise_the_same_error():
+    m = DEFAULT_PLAYER_CAP + 1
+    model, X = mlp_fixture((4,), "relu", m, seed=34)
+    fast_vf, masked_vf = mlp_value_functions(model, X[:4], [[c] for c in range(m)])
+    with pytest.raises(ValueError) as masked_err:
+        exact_shap(masked_vf, X[50])
+    with pytest.raises(ValueError) as fast_err:
+        exact_shap(fast_vf, X[50])
+    assert str(fast_err.value) == str(masked_err.value)
+    assert str(fast_err.value) == (f"{m} players exceeds the enumeration cap "
+                                   f"{DEFAULT_PLAYER_CAP}; group one-hot blocks or raise "
+                                   f"cap explicitly")
+
+
+def test_coalitions_need_every_column_in_one_player():
+    model, X = mlp_fixture((4,), "relu", 3, seed=35)
+    for players in ([[0], [1]], [[0, 1], [1, 2]]):
+        with pytest.raises(ValueError, match="exactly one player"):
+            mlp_value_functions(model, X[:4], players)
+
+
+def test_mlp_family_explains_through_coalitions():
+    family = FAMILIES["mlp"]
+    assert family.shap_solver is None
+    assert family.shap_coalitions is mlp_coalition_values
+    assert all(f.shap_coalitions is None for f in FAMILIES.values() if f is not family)
