@@ -12,15 +12,18 @@ all the configs of one CV fold, given the seed fit would get for each,
 and yields their fitted models, sharing the work that no config changes;
 each model must equal fit's for that config and seed, bit for bit. The
 tuner predicts with every model.
-Elastic net has one (one Gram matrix per fold), and so has the MLP (the
-configs of one architecture train in lockstep on stacked weights); the
-tuner fits each config of the tree families on its own.
+Elastic net has one (one Gram matrix per fold), so has the MLP (the
+configs of one architecture train in lockstep on stacked weights), and so
+has plain GBDT (one boosting run per setting of the other axes, whose
+prefixes serve every smaller n_trees). The tuner fits each config of the
+random forest and GOSS on its own: their fit seed is keyed on the config's
+grid index, so no config's fit is a prefix of another's.
 """
 
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -209,6 +212,39 @@ def _fit_gbdt(X, y, params, seed):
     return tr.fit_gbdt(X, y, tr.GBDTConfig(seed=seed, **params))
 
 
+def _gbdt_fold(X_train, y_train, configs, seeds):
+    """Configs that differ only in n_trees share one boosting run at the
+    largest of their n_trees, fit when the first of them is due and dropped
+    after the last, and each gets the prefix of its own length. Plain GBDT
+    draws no randomness and adds its trees in order, so a prefix equals
+    _fit_gbdt's fit bit for bit and the seeds go unused. A config that is
+    invalid raises at its own place in the order, after the configs before
+    it have yielded."""
+    order, longest, last = [], {}, {}
+    for i, (params, seed) in enumerate(zip(configs, seeds)):
+        try:
+            cfg = tr.GBDTConfig(seed=seed, **params)
+        except (TypeError, ValueError) as exc:
+            order.append(exc)
+            continue
+        # repr tells 1 from 1.0 and 0.0 from -0.0, which a model may keep;
+        # a non-integer n_trees cuts no prefix, so it fits alone
+        key = repr(replace(cfg, n_trees=0, seed=0)) if type(cfg.n_trees) is int else i
+        order.append((key, cfg.n_trees))
+        if key not in longest or cfg.n_trees > longest[key].n_trees:
+            longest[key] = cfg
+        last[key] = i
+    fits = {}
+    for i, entry in enumerate(order):
+        if isinstance(entry, Exception):
+            raise entry
+        key, n_trees = entry
+        if key not in fits:
+            fits[key] = tr.fit_gbdt(X_train, y_train, longest[key])
+        model = fits.pop(key) if last[key] == i else fits[key]
+        yield model if len(model.trees) == n_trees else replace(model, trees=model.trees[:n_trees])
+
+
 def _fit_gbdt_goss(X, y, params, seed):
     params = dict(params)
     goss = tr.GossConfig(top_rate=params.pop("top_rate", 0.2),
@@ -368,6 +404,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "reg_lambda": [0.0, 0.5, 1.0],
             "gamma": [0.0, 0.1],
         },  # 1152 configs
+        fit_fold=_gbdt_fold,
     ),
     "gbdt_goss": ModelFamily(
         name="gbdt_goss", display_name="GBDT (GOSS)",

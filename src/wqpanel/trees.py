@@ -19,9 +19,9 @@ candidates from its own rows) are then binned from counts of those
 ranks: the candidates come from the counted distinct values, and every
 value's bin code from one lookup per distinct value and a gather. A node is
 scored with one gradient and one weight bincount over the codes of all
-its drawn features, prefix sums along each feature, and an argmax per
-feature then across features; the lowest threshold and then the lowest
-feature index win ties.
+its drawn features (with unit weights, a plain count), prefix sums along
+each feature, and an argmax per feature then across features; the lowest
+threshold and then the lowest feature index win ties.
 """
 
 from __future__ import annotations
@@ -247,22 +247,25 @@ def _bin(X: np.ndarray, n_bins: int) -> _Bins:
     return _bin_rows(_rank(X), None, n_bins)
 
 
-def _grow(X: np.ndarray, g: np.ndarray, w: np.ndarray,
+def _grow(X: np.ndarray, g: np.ndarray, w: np.ndarray | None,
           max_depth: int, min_child_weight: float, reg_lambda: float,
           gamma: float, n_bins: int,
           rng: np.random.Generator | None = None,
           max_features: int | None = None,
           bins: _Bins | None = None,
           leaves: np.ndarray | None = None) -> RegressionTree:
-    """Grow one tree on X with row weights w, binned here unless ``bins`` is
-    given; ``leaves``, when given, receives the leaf node of every row of X."""
+    """Grow one tree on X with row weights w (None: every weight 1), binned
+    here unless ``bins`` is given; ``leaves``, when given, receives the leaf
+    node of every row of X."""
     n, p = X.shape
     if bins is None:
         bins = _bin(X, n_bins)
     width = bins.width
     # positions past a feature's last candidate are padding, never a split
     padding = np.arange(width - 1) >= bins.n_candidates[:, None]
-    wg = w * g
+    # with unit weights G is the same sum of g, and H and every hessian
+    # bin count rows, which their sums of ones equal exactly
+    wg = np.asarray(g, dtype=float) if w is None else w * g
 
     feature: list[int] = []
     threshold: list[float] = []
@@ -284,62 +287,65 @@ def _grow(X: np.ndarray, g: np.ndarray, w: np.ndarray,
 
     root = new_node()
     stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(n), 0)]
-    while stack:
-        node, rows, depth = stack.pop()
-        if leaves is not None:
-            leaves[rows] = node
-        G = float(wg[rows].sum())
-        H = float(w[rows].sum())
-        value[node] = -G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
-        n_samples[node] = len(rows)
-        if depth >= max_depth or len(rows) < 2:
-            continue
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while stack:
+            node, rows, depth = stack.pop()
+            if leaves is not None:
+                leaves[rows] = node
+            G = float(wg[rows].sum())
+            H = float(len(rows)) if w is None else float(w[rows].sum())
+            value[node] = -G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
+            n_samples[node] = len(rows)
+            if depth >= max_depth or len(rows) < 2:
+                continue
 
-        if max_features is not None and max_features < p:
-            feats = np.sort(rng.choice(p, size=max_features, replace=False))
-        else:
-            feats = np.arange(p)
-        if width == 1:  # no feature has a candidate
-            continue
+            if max_features is not None and max_features < p:
+                feats = np.sort(rng.choice(p, size=max_features, replace=False))
+            else:
+                feats = np.arange(p)
+            if width == 1:  # no feature has a candidate
+                continue
 
-        # Histograms of every drawn feature at once. bincount adds each bin
-        # in row order and cumsum runs along each feature's row, so every
-        # prefix sum is the one a per-feature scan computes.
-        nf = len(feats)
-        codes = bins.codes[rows] if nf == p else bins.codes[np.ix_(rows, feats)]
-        flat = codes.ravel()
-        gsum = np.bincount(flat, weights=np.repeat(wg[rows], nf), minlength=p * width)
-        hsum = np.bincount(flat, weights=np.repeat(w[rows], nf), minlength=p * width)
-        GL = np.cumsum(gsum.reshape(p, width)[feats], axis=1)[:, :-1]
-        HL = np.cumsum(hsum.reshape(p, width)[feats], axis=1)[:, :-1]
-        GR = G - GL
-        HR = H - HL
-        parent_score = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
-        # padding is masked explicitly: H is a pairwise sum, so HR past the
-        # last candidate can be one ulp away from zero
-        valid = ((HL >= min_child_weight) & (HR >= min_child_weight)
-                 & (HL > 0) & (HR > 0) & ~padding[feats])
-        with np.errstate(divide="ignore", invalid="ignore"):
+            # Histograms of every drawn feature at once. bincount adds each
+            # bin in row order and cumsum runs along each feature's row, so
+            # every prefix sum is the one a per-feature scan computes.
+            nf = len(feats)
+            codes = bins.codes[rows] if nf == p else bins.codes[rows][:, feats]
+            flat = codes.ravel()
+            gsum = np.bincount(flat, weights=np.repeat(wg[rows], nf), minlength=p * width)
+            if w is None:
+                hsum = np.bincount(flat, minlength=p * width)
+            else:
+                hsum = np.bincount(flat, weights=np.repeat(w[rows], nf), minlength=p * width)
+            GL = np.cumsum(gsum.reshape(p, width)[feats], axis=1)[:, :-1]
+            HL = np.cumsum(hsum.reshape(p, width)[feats], axis=1)[:, :-1]
+            GR = G - GL
+            HR = H - HL
+            parent_score = G * G / (H + reg_lambda) if (H + reg_lambda) > 0 else 0.0
+            # padding is masked explicitly: H is a pairwise sum, so HR past
+            # the last candidate can be one ulp away from zero
+            valid = ((HL >= min_child_weight) & (HR >= min_child_weight)
+                     & (HL > 0) & (HR > 0) & ~padding[feats])
             gains = 0.5 * (GL**2 / (HL + reg_lambda) + GR**2 / (HR + reg_lambda)
                            - parent_score) - gamma
-        gains[~valid] = -np.inf
-        ks = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
-        feat_gains = gains[np.arange(nf), ks]
-        i = int(np.argmax(feat_gains))  # first max: lowest feature index wins ties
-        if not feat_gains[i] > 0.0:
-            continue
-        best_feat = int(feats[i])
-        best_thr = float(bins.candidates[best_feat][ks[i]])
-        go_left = X[rows, best_feat] <= best_thr
-        left_id = new_node()
-        right_id = new_node()
-        feature[node] = best_feat
-        threshold[node] = best_thr
-        left[node] = left_id
-        right[node] = right_id
-        gain[node] = float(feat_gains[i])
-        stack.append((left_id, rows[go_left], depth + 1))
-        stack.append((right_id, rows[~go_left], depth + 1))
+            gains[~valid] = -np.inf
+            ks = np.argmax(gains, axis=1)  # first max: lowest threshold wins ties
+            feat_gains = gains[np.arange(nf), ks]
+            i = int(np.argmax(feat_gains))  # first max: lowest feature index wins ties
+            if not feat_gains[i] > 0.0:
+                continue
+            best_feat = int(feats[i])
+            best_thr = float(bins.candidates[best_feat][ks[i]])
+            go_left = X[rows, best_feat] <= best_thr
+            left_id = new_node()
+            right_id = new_node()
+            feature[node] = best_feat
+            threshold[node] = best_thr
+            left[node] = left_id
+            right[node] = right_id
+            gain[node] = float(feat_gains[i])
+            stack.append((left_id, rows[go_left], depth + 1))
+            stack.append((right_id, rows[~go_left], depth + 1))
 
     return RegressionTree(
         feature=np.asarray(feature, dtype=np.int32),
@@ -365,7 +371,7 @@ def fit_tree(X, y, cfg: RFConfig, rng: np.random.Generator | None = None, *,
         raise ValueError("fit_tree requires at least one row")
     if not np.isfinite(y).all():
         raise ValueError("non-finite targets")
-    return _grow(X, -y, np.ones(len(y)),
+    return _grow(X, -y, None,
                  max_depth=cfg.max_depth, min_child_weight=cfg.min_samples_leaf,
                  reg_lambda=0.0, gamma=0.0, n_bins=cfg.n_bins,
                  rng=rng, max_features=cfg.max_features, bins=bins)
@@ -384,7 +390,7 @@ def fit_gradient_tree(X, g, cfg: GBDTConfig, weights: np.ndarray | None = None, 
     X = np.asarray(X, dtype=float)
     if len(X) < 1:
         raise ValueError("fit_gradient_tree requires at least one row")
-    w = np.ones(len(X)) if weights is None else np.asarray(weights, dtype=float)
+    w = None if weights is None else np.asarray(weights, dtype=float)
     return _grow(X, g, w,
                  max_depth=cfg.max_depth, min_child_weight=cfg.min_child_weight,
                  reg_lambda=cfg.reg_lambda, gamma=cfg.gamma, n_bins=cfg.n_bins,

@@ -298,6 +298,22 @@ def test_grower_matches_exact_greedy_oracle(case):
         assert serialize_tree(actual) == serialize_tree(expected), (case, trial)
 
 
+@pytest.mark.parametrize("case", GROW_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_unit_weight_grower_matches_the_oracle(case):
+    # no weights: H and the hessian bins count rows instead of summing ones
+    kind, n_bins, max_depth, mcw, lam, gamma, max_features = case
+    rng = np.random.default_rng(100 + GROW_CASES.index(case))
+    for trial in range(6):
+        n = int(rng.integers(1, 90)) if trial else 1
+        X = _columns(rng, n, kind)
+        g = np.round(rng.standard_normal(n), 1) if kind == "rounded" else rng.standard_normal(n)
+        params = dict(max_depth=max_depth, min_child_weight=mcw, reg_lambda=lam,
+                      gamma=gamma, n_bins=n_bins, max_features=max_features)
+        expected = oracle_grow(X, g, np.ones(n), rng=np.random.default_rng(trial), **params)
+        actual = _grow(X, g, None, rng=np.random.default_rng(trial), **params)
+        assert serialize_tree(actual) == serialize_tree(expected), (case, trial)
+
+
 def test_public_growers_match_the_oracle():
     rng = np.random.default_rng(31)
     X = _columns(rng, 70, "one_hot")

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from wqpanel import trees as tr
 from wqpanel.cli import grid_for
 from wqpanel.families import FAMILIES, get_family
 from wqpanel.reporting import render_results_csv
@@ -149,7 +150,9 @@ def test_tie_breaks_to_earliest_config():
                      "standardize_internally": (True, False)}),
     ("mlp", {"hidden_layers": ([4], [3, 2]), "activation": ("relu", "tanh"),
              "batch_size": (16,), "max_epochs": (5,)}),
-], ids=["random_forest", "elastic_net", "mlp"])
+    ("gbdt", {"n_trees": (3, 6), "reg_lambda": (0.0, 1.0)}),
+    ("gbdt_goss", {"n_trees": (3, 6), "max_depth": (2,), "top_rate": (0.2, 0.3)}),
+], ids=["random_forest", "elastic_net", "mlp", "gbdt", "gbdt_goss"])
 def test_parallel_matches_serial(family, axes):
     X, y = _search_data(seed=6, n=48)
     grid = HyperGrid(axes=axes)
@@ -195,6 +198,87 @@ def test_mlp_fit_fold_matches_fit_and_predict():
     for params, seed, model in zip(configs, seeds, shared):
         alone = family.fit(X, y, params, seed)
         assert _exported(family, model) == _exported(family, alone), params
+
+
+def _counting_fit_gbdt(monkeypatch) -> list:
+    """Patch trees.fit_gbdt to record the n_trees of every fit it runs."""
+    fitted = []
+    fit_gbdt = tr.fit_gbdt
+
+    def counted(X, y, cfg):
+        fitted.append(cfg.n_trees)
+        return fit_gbdt(X, y, cfg)
+
+    monkeypatch.setattr(tr, "fit_gbdt", counted)
+    return fitted
+
+
+def test_gbdt_fit_fold_matches_fit_and_predict(monkeypatch):
+    family = get_family("gbdt")
+    X, y = _search_data(seed=12, n=70, p=4)
+    X_val, _ = _search_data(seed=13, n=25, p=4)
+    X[:, 2] = np.round(X[:, 2])  # tied values and tied gains
+    # n_trees varies slowest, so each prefix group's configs sit 8 apart
+    configs = HyperGrid(axes={"n_trees": (3, 0, 5, 3), "max_depth": (1, 3),
+                              "reg_lambda": (0.0, 1.0), "n_bins": (4, 256)}).configs()
+    seeds = [subseed(5, 2, ci, 0) for ci in range(len(configs))]
+    fitted = _counting_fit_gbdt(monkeypatch)
+    shared = list(family.fit_fold(X, y, configs, seeds))
+    assert fitted == [5] * 8  # one boosting run per setting of the other axes
+    assert len(shared) == len(configs)
+    for params, seed, model in zip(configs, seeds, shared):
+        alone = family.fit(X, y, params, seed)
+        assert len(model.trees) == params["n_trees"]
+        assert _exported(family, model) == _exported(family, alone), params
+        np.testing.assert_array_equal(family.predict(model, X_val),
+                                      family.predict(alone, X_val))
+
+
+def test_gbdt_fit_fold_groups_only_configs_a_prefix_reproduces(monkeypatch):
+    # a model keeps learning_rate as given, so 1 and 1.0 are fit apart; an
+    # n_trees that is not an int fits alone, as fit would
+    family = get_family("gbdt")
+    X, y = _search_data(seed=14, n=40)
+    configs = [{"learning_rate": 1, "n_trees": 2}, {"learning_rate": 1.0, "n_trees": 3},
+               {"learning_rate": 1, "n_trees": 4}, {"n_trees": 0.0}, {"n_trees": True},
+               {"n_trees": 2}, {}]
+    fitted = _counting_fit_gbdt(monkeypatch)
+    shared = list(family.fit_fold(X, y, configs, [0] * len(configs)))
+    assert fitted == [4, 3, 0.0, True, 100]
+    for params, model in zip(configs, shared):
+        alone = family.fit(X, y, params, 0)
+        assert _exported(family, model) == _exported(family, alone), params
+
+
+def test_gbdt_grid_search_equals_per_config_fits(monkeypatch):
+    X, y = _search_data(seed=15, n=45)
+    grid = HyperGrid(axes={"n_trees": (2, 6, 4), "max_depth": (1, 2), "gamma": (0.0, 0.05)})
+    cv = CVConfig(k=3, seed=6)
+    shared = grid_search("gbdt", grid, X, y, cv, seed=2)
+    monkeypatch.setitem(FAMILIES, "gbdt", dataclasses.replace(FAMILIES["gbdt"], fit_fold=None))
+    alone = grid_search("gbdt", grid, X, y, cv, seed=2)
+    assert shared.to_dict() == alone.to_dict()
+    assert shared.total_fits == len(grid) * 3
+    family = get_family("gbdt")
+    assert _exported(family, shared.best_model) == _exported(family, alone.best_model)
+
+
+def test_gbdt_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
+    # the second config is invalid; the first, whose prefix group holds the
+    # fourth too, has been fit and yielded before it raises
+    X, y = _search_data(seed=16, n=30)
+    grid = HyperGrid(axes={"n_trees": (2, 4), "max_depth": (1, -1, 2)})
+    cv = CVConfig(k=3, seed=0)
+    fitted = _counting_fit_gbdt(monkeypatch)
+    with pytest.raises(FitFailedError) as shared:
+        grid_search("gbdt", grid, X, y, cv, seed=3)
+    assert fitted == [4]
+    monkeypatch.setitem(FAMILIES, "gbdt", dataclasses.replace(FAMILIES["gbdt"], fit_fold=None))
+    with pytest.raises(FitFailedError) as alone:
+        grid_search("gbdt", grid, X, y, cv, seed=3)
+    assert str(shared.value) == str(alone.value) == (
+        "gbdt fit failed for config {'n_trees': 2, 'max_depth': -1} on fold 0: "
+        "max_depth >= 0 and n_bins >= 1 required")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
