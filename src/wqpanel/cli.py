@@ -256,9 +256,10 @@ def _families_from_args(cfg: RunConfig, args) -> tuple[str, ...]:
 
 
 def grid_for(grids: dict, family: str) -> HyperGrid:
-    """The run config's grid for ``family``, else its registry default."""
+    """The run config's grid for ``family`` if it has an entry, else its
+    registry default. An empty entry is one config of learner defaults."""
     entry = FAMILIES.get(family)
-    axes = grids.get(family) or (entry.default_grid if entry else None)
+    axes = grids[family] if family in grids else (entry.default_grid if entry else None)
     if axes is None:
         raise ConfigError(f"no grid configured for family {family!r}")
     return HyperGrid(axes={name: tuple(values) for name, values in axes.items()})
@@ -378,8 +379,9 @@ def _cmd_explain(args) -> int:
             solver=bind(bundle.family.shap_solver),
             coalitions=bind(bundle.family.shap_coalitions))
     else:
+        learner = bundle.family.config(bundle.hyper_params, bundle.seed)
         vf = RetrainValueFunction(
-            fit=lambda X, y: bundle.family.fit(X, y, bundle.hyper_params, bundle.seed),
+            fit=lambda X, y: bundle.family.fit(X, y, learner),
             predict=bundle.family.predict,
             X_train=train_design.X, y_train=train_design.y,
             player_columns=players, player_names=names)

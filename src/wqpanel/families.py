@@ -4,20 +4,21 @@ The tuner, serializer and CLI only ever talk to ModelFamily entries, so
 all five learners plus the benchmark are interchangeable behind this
 registry, the one module that knows about individual families. An entry
 holds the names of the family and its hyperparameters (the fields of its
-learner's config dataclasses), fit/predict/export/restore/importance, an
-optional exact SHAP solver or maskless coalition values, its default
-tuning grid (the entries with one are the tunable families), whether
-retrain SHAP may refit it, and an optional fit_fold hook. fit_fold fits
-all the configs of one CV fold, given the seed fit would get for each,
-and yields their fitted models, sharing the work that no config changes;
-each model must equal fit's for that config and seed, bit for bit. The
-tuner predicts with every model.
-Elastic net has one (one Gram matrix per fold), so has the MLP (the
-configs of one architecture train in lockstep on stacked weights), and so
-has plain GBDT (one boosting run per setting of the other axes, whose
-prefixes serve every smaller n_trees). The tuner fits each config of the
-random forest and GOSS on its own: their fit seed is keyed on the config's
-grid index, so no config's fit is a prefix of another's.
+learner's config dataclasses), a config builder that turns a params dict
+and a fit seed into the learner's config, fit/predict/export/restore/
+importance, an optional exact SHAP solver or maskless coalition values,
+its default tuning grid (the entries with one are the tunable families),
+whether retrain SHAP may refit it, and an optional fit_fold hook.
+The tuner builds every config of a CV fold before any fit, so a fit_fold
+hook takes only valid built configs; it yields their fitted models,
+sharing the work that no config changes, and each model must equal fit's
+for that config, bit for bit. Elastic net has a hook (one Gram matrix
+per fold), so has the MLP (the configs of one architecture train in
+lockstep on stacked weights), and so has plain GBDT (one boosting run per
+setting of the other axes, whose prefixes serve every smaller n_trees).
+The tuner fits each config of the random forest and GOSS on its own:
+their fit seed is keyed on the config's grid index, so no config's fit is
+a prefix of another's.
 """
 
 from __future__ import annotations
@@ -40,7 +41,9 @@ class ModelFamily:
     name: str
     display_name: str
     param_names: frozenset
-    fit: Callable[[np.ndarray, np.ndarray, Mapping, int], Any]
+    # (params, fit seed) -> the learner's config; raises on an invalid one
+    config: Callable[[Mapping, int], Any]
+    fit: Callable[[np.ndarray, np.ndarray, Any], Any]  # (X, y, built config)
     predict: Callable[[Any, np.ndarray], np.ndarray]
     export: Callable[[Any], dict]
     restore: Callable[[dict, int], Any]  # (params, design column count)
@@ -57,16 +60,16 @@ class ModelFamily:
     # axis name -> values; None: not tunable
     default_grid: Mapping[str, list] | None = None
     cheap_refit: bool = False
-    # (X_train, y_train, configs, seeds) -> the fitted model of each
-    # config, in order, from work shared across them; seeds[i] is the seed
-    # fit would get for configs[i]. None: the tuner fits each config on its own
-    fit_fold: Callable[[np.ndarray, np.ndarray, Sequence[Mapping], Sequence[int]],
+    # (X_train, y_train, built configs) -> the fitted model of each config,
+    # in order, from work shared across them. None: the tuner fits each
+    # config on its own
+    fit_fold: Callable[[np.ndarray, np.ndarray, Sequence[Any]],
                        Iterator[Any]] | None = None
 
 
 def _param_names(*configs: type) -> frozenset:
     """The fields of a learner's config dataclasses, less the run seed and
-    the nested GOSS config, which fit sets itself."""
+    the nested GOSS config, which the config builder sets itself."""
     return frozenset(f.name for config in configs
                      for f in fields(config)) - {"seed", "goss"}
 
@@ -183,73 +186,45 @@ def _ensemble_restore(raw: dict, n_columns: int) -> tr.Ensemble:
     )
 
 
-def _fit_benchmark(X, y, params, seed):
-    return me.fit_benchmark(y)
-
-
-def _fit_elastic_net(X, y, params, seed):
-    return en.fit_elastic_net(X, y, en.ElasticNetConfig(**params))
-
-
-def _elastic_net_fold(X_train, y_train, configs, seeds):
+def _elastic_net_fold(X_train, y_train, cfgs):
     """One set-up per standardize_internally value, then each config's
-    descent; the fits equal _fit_elastic_net's bit for bit. Elastic net
-    draws no randomness, so the seeds go unused."""
+    descent; the fits equal fit_elastic_net's without a set-up, bit for bit."""
     setups = {}
-    for params in configs:
-        cfg = en.ElasticNetConfig(**params)
+    for cfg in cfgs:
         flag = bool(cfg.standardize_internally)
         if flag not in setups:
             setups[flag] = en.prepare_fit(X_train, y_train, flag)
         yield en.fit_elastic_net(X_train, y_train, cfg, setup=setups[flag])
 
 
-def _fit_random_forest(X, y, params, seed):
-    return tr.fit_random_forest(X, y, tr.RFConfig(seed=seed, **params))
-
-
-def _fit_gbdt(X, y, params, seed):
-    return tr.fit_gbdt(X, y, tr.GBDTConfig(seed=seed, **params))
-
-
-def _gbdt_fold(X_train, y_train, configs, seeds):
+def _gbdt_fold(X_train, y_train, cfgs):
     """Configs that differ only in n_trees share one boosting run at the
     largest of their n_trees, fit when the first of them is due and dropped
     after the last, and each gets the prefix of its own length. Plain GBDT
     draws no randomness and adds its trees in order, so a prefix equals
-    _fit_gbdt's fit bit for bit and the seeds go unused. A config that is
-    invalid raises at its own place in the order, after the configs before
-    it have yielded."""
-    order, longest, last = [], {}, {}
-    for i, (params, seed) in enumerate(zip(configs, seeds)):
-        try:
-            cfg = tr.GBDTConfig(seed=seed, **params)
-        except (TypeError, ValueError) as exc:
-            order.append(exc)
-            continue
+    fit_gbdt's fit of that length bit for bit."""
+    keys, longest, last = [], {}, {}
+    for i, cfg in enumerate(cfgs):
         # repr tells 1 from 1.0 and 0.0 from -0.0, which a model may keep;
         # a non-integer n_trees cuts no prefix, so it fits alone
         key = repr(replace(cfg, n_trees=0, seed=0)) if type(cfg.n_trees) is int else i
-        order.append((key, cfg.n_trees))
+        keys.append(key)
         if key not in longest or cfg.n_trees > longest[key].n_trees:
             longest[key] = cfg
         last[key] = i
     fits = {}
-    for i, entry in enumerate(order):
-        if isinstance(entry, Exception):
-            raise entry
-        key, n_trees = entry
+    for i, (key, cfg) in enumerate(zip(keys, cfgs)):
         if key not in fits:
             fits[key] = tr.fit_gbdt(X_train, y_train, longest[key])
         model = fits.pop(key) if last[key] == i else fits[key]
+        n_trees = cfg.n_trees
         yield model if len(model.trees) == n_trees else replace(model, trees=model.trees[:n_trees])
 
 
-def _fit_gbdt_goss(X, y, params, seed):
+def _goss_config(params, seed) -> tr.GBDTConfig:
     params = dict(params)
-    goss = tr.GossConfig(top_rate=params.pop("top_rate", 0.2),
-                         other_rate=params.pop("other_rate", 0.1))
-    return tr.fit_gbdt(X, y, tr.GBDTConfig(seed=seed, goss=goss, **params))
+    rates = {name: params.pop(name) for name in ("top_rate", "other_rate") if name in params}
+    return tr.GBDTConfig(seed=seed, goss=tr.GossConfig(**rates), **params)
 
 
 def _mlp_config(params, seed) -> nn.MLPConfig:
@@ -261,30 +236,21 @@ def _mlp_config(params, seed) -> nn.MLPConfig:
     return nn.MLPConfig(seed=seed, **params)
 
 
-def _fit_mlp(X, y, params, seed):
-    model, _ = nn.fit_mlp(X, y, _mlp_config(params, seed))
-    return model
-
-
-def _mlp_fold(X_train, y_train, configs, seeds):
+def _mlp_fold(X_train, y_train, cfgs):
     """Configs that share layer widths, batch size and training-row count
-    train as one lockstep stack; the fits equal _fit_mlp's bit for bit. A
-    config that is invalid or diverges raises at its own place in the
-    order, after the configs before it have yielded."""
-    outcomes = {}
-    groups = {}
-    for i, (params, seed) in enumerate(zip(configs, seeds)):
+    train as one lockstep stack; the fits equal fit_mlp's bit for bit. A
+    config with no training rows, or one that diverges, raises at its own
+    place in the order, after the configs before it have yielded."""
+    outcomes, groups = {}, {}
+    for i, cfg in enumerate(cfgs):
         try:
-            cfg = _mlp_config(params, seed)
-            key = nn.lockstep_key(cfg, len(y_train))
-        except (TypeError, ValueError) as exc:
+            groups.setdefault(nn.lockstep_key(cfg, len(y_train)), []).append(i)
+        except ValueError as exc:
             outcomes[i] = exc
-            continue
-        groups.setdefault(key, []).append((i, cfg))
     for members in groups.values():
-        fits = nn.fit_lockstep(X_train, y_train, [cfg for _, cfg in members])
-        outcomes.update((i, fit) for (i, _), fit in zip(members, fits))
-    for i in range(len(configs)):
+        fits = nn.fit_lockstep(X_train, y_train, [cfgs[i] for i in members])
+        outcomes.update(zip(members, fits))
+    for i in range(len(cfgs)):
         if isinstance(outcomes[i], Exception):
             raise outcomes[i]
         yield outcomes[i][0]
@@ -342,12 +308,15 @@ def _linear_restore(raw: dict, n_columns: int) -> en.LinearModel:
 
 # The default grids are sized so that config count x 5 folds lands on the
 # per-family fit budgets used for the timing summaries (150 / 1200 / 5760 /
-# 2000 / 40). Contents are run-config defaults, not contracts.
+# 2000 / 40). Contents are run-config defaults, not contracts. Each fit looks
+# its learner up on the learner's module when it runs, so a patched module
+# function is the one that runs.
 FAMILIES: dict[str, ModelFamily] = {
     "benchmark": ModelFamily(
         name="benchmark", display_name="Benchmarking",
         param_names=frozenset(),
-        fit=_fit_benchmark,
+        config=lambda params, seed: None,
+        fit=lambda X, y, cfg: me.fit_benchmark(y),
         predict=lambda m, X: m.predict(X),
         export=lambda m: {"constant": m.constant},
         restore=lambda raw, n_columns: me.BenchmarkModel(
@@ -358,7 +327,8 @@ FAMILIES: dict[str, ModelFamily] = {
     "elastic_net": ModelFamily(
         name="elastic_net", display_name="Linear Regression",
         param_names=_param_names(en.ElasticNetConfig),
-        fit=_fit_elastic_net,
+        config=lambda params, seed: en.ElasticNetConfig(**params),
+        fit=lambda X, y, cfg: en.fit_elastic_net(X, y, cfg),
         predict=en.predict_linear,
         export=_linear_export,
         restore=_linear_restore,
@@ -374,7 +344,8 @@ FAMILIES: dict[str, ModelFamily] = {
     "random_forest": ModelFamily(
         name="random_forest", display_name="Random Forest",
         param_names=_param_names(tr.RFConfig),
-        fit=_fit_random_forest,
+        config=lambda params, seed: tr.RFConfig(seed=seed, **params),
+        fit=lambda X, y, cfg: tr.fit_random_forest(X, y, cfg),
         predict=tr.predict_ensemble,
         export=_ensemble_export,
         restore=_ensemble_restore,
@@ -390,26 +361,30 @@ FAMILIES: dict[str, ModelFamily] = {
     "gbdt": ModelFamily(
         name="gbdt", display_name="GBDT",
         param_names=_param_names(tr.GBDTConfig),
-        fit=_fit_gbdt,
+        config=lambda params, seed: tr.GBDTConfig(seed=seed, **params),
+        fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
         predict=tr.predict_ensemble,
         export=_ensemble_export,
         restore=_ensemble_restore,
         importance=tr.total_gain_importance,
         shap_solver=sh.ensemble_shap,
+        # n_trees varies fastest, so each prefix group's configs are
+        # adjacent and the hook holds one boosting run at a time
         default_grid={
-            "n_trees": [100, 200, 300, 400],
             "learning_rate": [0.01, 0.05, 0.1, 0.2],
             "max_depth": [3, 4, 5, 6],
             "min_child_weight": [1.0, 3.0, 5.0],
             "reg_lambda": [0.0, 0.5, 1.0],
             "gamma": [0.0, 0.1],
+            "n_trees": [100, 200, 300, 400],
         },  # 1152 configs
         fit_fold=_gbdt_fold,
     ),
     "gbdt_goss": ModelFamily(
         name="gbdt_goss", display_name="GBDT (GOSS)",
         param_names=_param_names(tr.GBDTConfig, tr.GossConfig),
-        fit=_fit_gbdt_goss,
+        config=_goss_config,
+        fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
         predict=tr.predict_ensemble,
         export=_ensemble_export,
         restore=_ensemble_restore,
@@ -425,7 +400,8 @@ FAMILIES: dict[str, ModelFamily] = {
     "mlp": ModelFamily(
         name="mlp", display_name="MLP",
         param_names=_param_names(nn.MLPConfig),
-        fit=_fit_mlp,
+        config=_mlp_config,
+        fit=lambda X, y, cfg: nn.fit_mlp(X, y, cfg)[0],
         predict=nn.predict_mlp,
         export=_mlp_export,
         restore=_mlp_restore,

@@ -149,29 +149,29 @@ def _pool_init(family_name, configs, X, y, folds, seed):
 
 
 def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]]:
-    """(config, fold, score) of the configs ``cis`` on fold ``fi``, fitted by
-    the family's fit_fold hook if it has one."""
+    """(config, fold, score) of the configs ``cis`` on fold ``fi``. Every
+    config is built before any fit, so an invalid one fails first; then the
+    family's fit_fold hook, if it has one, fits them all."""
     fi, cis = task
     ctx = _POOL_CTX
     family = ctx["family"]
     train_idx, val_idx = ctx["folds"][fi]
     X_train, y_train = ctx["X"][train_idx], ctx["y"][train_idx]
     X_val, y_val = ctx["X"][val_idx], ctx["y"][val_idx]
-    configs = [ctx["configs"][ci] for ci in cis]
-    seeds = [subseed(ctx["seed"], TAG_FIT, ci, fi) for ci in cis]
-    if family.fit_fold is not None:
-        models = family.fit_fold(X_train, y_train, configs, seeds)
-    else:
-        models = map(functools.partial(family.fit, X_train, y_train), configs, seeds)
     out = []
-    for ci in cis:
-        try:
-            pred = family.predict(next(models), X_val)
-        except Exception as exc:
-            raise FitFailedError(
-                f"{family.name} fit failed for config {ctx['configs'][ci]} "
-                f"on fold {fi}: {exc}") from exc
-        out.append((ci, fi, score(y_val, pred)))
+    try:
+        cfgs = []
+        for ci in cis:
+            cfgs.append(family.config(ctx["configs"][ci], subseed(ctx["seed"], TAG_FIT, ci, fi)))
+        if family.fit_fold is not None:
+            models = family.fit_fold(X_train, y_train, cfgs)
+        else:
+            models = map(functools.partial(family.fit, X_train, y_train), cfgs)
+        for ci in cis:
+            out.append((ci, fi, score(y_val, family.predict(next(models), X_val))))
+    except Exception as exc:
+        raise FitFailedError(f"{family.name} fit failed for config {ctx['configs'][ci]} "
+                             f"on fold {fi}: {exc}") from exc
     return out
 
 
@@ -203,7 +203,6 @@ def grid_search(family_name: str, grid: HyperGrid, X, y, cv: CVConfig,
         tasks = [(fi, (ci,)) for ci in range(len(configs)) for fi in range(k)]
 
     scores = np.full((len(configs), k), np.nan)
-    fits_executed = 0  # (config, fold) cells, however the fits were shared
     t0 = time.perf_counter()
     if n_jobs > 1:
         # imported here: a one-job run never loads multiprocessing
@@ -217,15 +216,15 @@ def grid_search(family_name: str, grid: HyperGrid, X, y, cv: CVConfig,
         results = [_pool_task(task) for task in tasks]
     for ci, fi, s in itertools.chain.from_iterable(results):
         scores[ci, fi] = s
-        fits_executed += 1
     tuning_time = time.perf_counter() - t0
+    fits_executed = len(configs) * k  # (config, fold) cells, however fits were shared
 
     mean_scores = scores.mean(axis=1)
     best_index = int(np.argmax(mean_scores))  # first max: earliest config wins ties
 
     t1 = time.perf_counter()
-    best_model = family.fit(X, y, configs[best_index],
-                            subseed(seed, TAG_FIT, best_index, k))
+    best_model = family.fit(X, y, family.config(configs[best_index],
+                                                subseed(seed, TAG_FIT, best_index, k)))
     best_fit_time = time.perf_counter() - t1
 
     return TuningResult(

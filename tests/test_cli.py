@@ -299,6 +299,15 @@ def test_tune_single_config_runs_k_fits(panel_files, capsys):
     assert tuning["total_fits"] == 3  # k = 3
 
 
+def test_tune_empty_grid_entry_runs_one_config_of_learner_defaults(panel_files, capsys):
+    env = panel_files(grids={"elastic_net": {}})
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    tuning = json.loads(
+        (env["out"] / "tuning_strategy2_elastic_net.json").read_text())
+    assert tuning["best_config"] == {}
+    assert tuning["total_fits"] == 3  # k = 3, not the 30-config default grid
+
+
 @pytest.mark.parametrize("family", ["foo", "benchmark"])
 def test_tune_family_flag_must_name_a_tunable_family(panel_files, capsys, family):
     # a configured grid does not make a family tunable

@@ -6,14 +6,24 @@ from wqpanel.families import FAMILIES, TUNABLE_FAMILIES
 from wqpanel.tuner import CVConfig, HyperGrid, grid_search
 
 
+SEEDED_FAMILIES = {"random_forest", "gbdt", "gbdt_goss", "mlp"}
+
+
 @pytest.mark.parametrize("name", TUNABLE_FAMILIES)
 def test_default_grid_names_are_params_and_first_config_fits(name):
     family = FAMILIES[name]
     assert set(family.default_grid) <= family.param_names
+    params = grid_for({}, name).configs()[0]
+    cfg = family.config(params, 7)
+    for axis, value in params.items():
+        # GOSS keeps its rates in a nested config; lists are built as tuples
+        built = getattr(cfg.goss if axis in ("top_rate", "other_rate") else cfg, axis)
+        assert built == (tuple(value) if isinstance(value, list) else value), axis
+    assert (getattr(cfg, "seed", None) == 7) == (name in SEEDED_FAMILIES)
     rng = np.random.default_rng(5)
     X = rng.uniform(0.0, 1.0, size=(30, 3))
     y = 0.5 + X @ np.array([0.3, -0.2, 0.1])
-    model = family.fit(X, y, grid_for({}, name).configs()[0], 7)
+    model = family.fit(X, y, cfg)
     pred = family.predict(model, X)
     assert pred.shape == (30,)
     assert np.all(np.isfinite(pred))
@@ -21,7 +31,7 @@ def test_default_grid_names_are_params_and_first_config_fits(name):
 
 @pytest.mark.parametrize("name", TUNABLE_FAMILIES)
 def test_grid_search_rejects_seed_as_grid_name(name):
-    # fit sets the seed itself, so it is no hyperparameter
+    # the config builder sets the seed itself, so it is no hyperparameter
     X = np.zeros((6, 2))
     with pytest.raises(ValueError, match="'seed'"):
         grid_search(name, HyperGrid(axes={"seed": (1,)}), X, np.zeros(6),

@@ -39,7 +39,7 @@ def test_round_trip_preserves_predictions(family_name, pipeline_state, tmp_path)
     y = 1.0 + X @ [0.5, -0.25, 0.1] + 0.05 * rng.standard_normal(30)
 
     family = FAMILIES[family_name]
-    model = family.fit(X, y, FIT_PARAMS[family_name], 11)
+    model = family.fit(X, y, family.config(FIT_PARAMS[family_name], 11))
     path = tmp_path / f"{family_name}.json"
     save_model(path, family_name, model, FIT_PARAMS[family_name], 11, pipeline_state)
 
@@ -54,7 +54,7 @@ def test_round_trip_preserves_predictions(family_name, pipeline_state, tmp_path)
 
 def test_unsupported_version_rejected(pipeline_state, tmp_path):
     family = FAMILIES["benchmark"]
-    model = family.fit(None, np.array([1.0, 2.0]), {}, 0)
+    model = family.fit(None, np.array([1.0, 2.0]), family.config({}, 0))
     path = tmp_path / "model.json"
     save_model(path, "benchmark", model, {}, 0, pipeline_state)
     payload = json.loads(path.read_text())
@@ -234,7 +234,8 @@ def test_corrupt_bundle_rejected_naming_field_and_node(case, pipeline_state, tmp
     rng = np.random.default_rng(21)
     X = rng.standard_normal((30, 3))
     y = X @ [0.5, -0.25, 0.1] + 0.05 * rng.standard_normal(30)
-    model = FAMILIES[family_name].fit(X, y, FIT_PARAMS[family_name], 11)
+    family = FAMILIES[family_name]
+    model = family.fit(X, y, family.config(FIT_PARAMS[family_name], 11))
     path = tmp_path / "model.json"
     save_model(path, family_name, model, FIT_PARAMS[family_name], 11, pipeline_state)
     payload = json.loads(path.read_text())

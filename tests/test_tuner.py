@@ -176,10 +176,11 @@ def test_elastic_net_fit_fold_matches_fit_and_predict():
     # the last axis varies fastest, so the two set-ups alternate
     configs = HyperGrid(axes={"lam": (0.0, 1e-3, 0.2), "alpha": (0.0, 0.5, 1.0),
                               "standardize_internally": (True, False)}).configs()
-    shared = list(family.fit_fold(X, y, configs, [0] * len(configs)))
+    cfgs = [family.config(params, 0) for params in configs]
+    shared = list(family.fit_fold(X, y, cfgs))
     assert len(shared) == len(configs)
-    for params, model in zip(configs, shared):
-        alone = family.fit(X, y, params, 0)
+    for params, cfg, model in zip(configs, cfgs, shared):
+        alone = family.fit(X, y, cfg)
         assert _exported(family, model) == _exported(family, alone), params
 
 
@@ -192,11 +193,11 @@ def test_mlp_fit_fold_matches_fit_and_predict():
         "early_stop": (None, {"validation_fraction": 0.2, "patience": 2}),
         "batch_size": (8, 64), "activation": ("relu", "tanh", "logistic"),
         "hidden_layers": ([4], [3, 2], []), "max_epochs": (6,)}).configs()
-    seeds = [subseed(5, 2, ci, 0) for ci in range(len(configs))]
-    shared = list(family.fit_fold(X, y, configs, seeds))
+    cfgs = [family.config(params, subseed(5, 2, ci, 0)) for ci, params in enumerate(configs)]
+    shared = list(family.fit_fold(X, y, cfgs))
     assert len(shared) == len(configs)
-    for params, seed, model in zip(configs, seeds, shared):
-        alone = family.fit(X, y, params, seed)
+    for params, cfg, model in zip(configs, cfgs, shared):
+        alone = family.fit(X, y, cfg)
         assert _exported(family, model) == _exported(family, alone), params
 
 
@@ -221,13 +222,13 @@ def test_gbdt_fit_fold_matches_fit_and_predict(monkeypatch):
     # n_trees varies slowest, so each prefix group's configs sit 8 apart
     configs = HyperGrid(axes={"n_trees": (3, 0, 5, 3), "max_depth": (1, 3),
                               "reg_lambda": (0.0, 1.0), "n_bins": (4, 256)}).configs()
-    seeds = [subseed(5, 2, ci, 0) for ci in range(len(configs))]
+    cfgs = [family.config(params, subseed(5, 2, ci, 0)) for ci, params in enumerate(configs)]
     fitted = _counting_fit_gbdt(monkeypatch)
-    shared = list(family.fit_fold(X, y, configs, seeds))
+    shared = list(family.fit_fold(X, y, cfgs))
     assert fitted == [5] * 8  # one boosting run per setting of the other axes
     assert len(shared) == len(configs)
-    for params, seed, model in zip(configs, seeds, shared):
-        alone = family.fit(X, y, params, seed)
+    for params, cfg, model in zip(configs, cfgs, shared):
+        alone = family.fit(X, y, cfg)
         assert len(model.trees) == params["n_trees"]
         assert _exported(family, model) == _exported(family, alone), params
         np.testing.assert_array_equal(family.predict(model, X_val),
@@ -242,11 +243,12 @@ def test_gbdt_fit_fold_groups_only_configs_a_prefix_reproduces(monkeypatch):
     configs = [{"learning_rate": 1, "n_trees": 2}, {"learning_rate": 1.0, "n_trees": 3},
                {"learning_rate": 1, "n_trees": 4}, {"n_trees": 0.0}, {"n_trees": True},
                {"n_trees": 2}, {}]
+    cfgs = [family.config(params, 0) for params in configs]
     fitted = _counting_fit_gbdt(monkeypatch)
-    shared = list(family.fit_fold(X, y, configs, [0] * len(configs)))
+    shared = list(family.fit_fold(X, y, cfgs))
     assert fitted == [4, 3, 0.0, True, 100]
-    for params, model in zip(configs, shared):
-        alone = family.fit(X, y, params, 0)
+    for params, cfg, model in zip(configs, cfgs, shared):
+        alone = family.fit(X, y, cfg)
         assert _exported(family, model) == _exported(family, alone), params
 
 
@@ -264,21 +266,36 @@ def test_gbdt_grid_search_equals_per_config_fits(monkeypatch):
 
 
 def test_gbdt_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
-    # the second config is invalid; the first, whose prefix group holds the
-    # fourth too, has been fit and yielded before it raises
+    # the second config is invalid; it fails while the fold's configs are
+    # built, before any fit, and names itself as a per-config fit does
     X, y = _search_data(seed=16, n=30)
     grid = HyperGrid(axes={"n_trees": (2, 4), "max_depth": (1, -1, 2)})
     cv = CVConfig(k=3, seed=0)
     fitted = _counting_fit_gbdt(monkeypatch)
     with pytest.raises(FitFailedError) as shared:
         grid_search("gbdt", grid, X, y, cv, seed=3)
-    assert fitted == [4]
+    assert fitted == []
     monkeypatch.setitem(FAMILIES, "gbdt", dataclasses.replace(FAMILIES["gbdt"], fit_fold=None))
     with pytest.raises(FitFailedError) as alone:
         grid_search("gbdt", grid, X, y, cv, seed=3)
     assert str(shared.value) == str(alone.value) == (
         "gbdt fit failed for config {'n_trees': 2, 'max_depth': -1} on fold 0: "
         "max_depth >= 0 and n_bins >= 1 required")
+
+
+def test_mlp_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
+    # the invalid width sits mid-grid, between configs of two lockstep groups
+    X, y = _search_data(seed=17, n=30)
+    grid = HyperGrid(axes={"hidden_layers": ([3], [0], [2, 2]), "max_epochs": (2,)})
+    cv = CVConfig(k=3, seed=0)
+    with pytest.raises(FitFailedError) as shared:
+        grid_search("mlp", grid, X, y, cv, seed=3)
+    monkeypatch.setitem(FAMILIES, "mlp", dataclasses.replace(FAMILIES["mlp"], fit_fold=None))
+    with pytest.raises(FitFailedError) as alone:
+        grid_search("mlp", grid, X, y, cv, seed=3)
+    assert str(shared.value) == str(alone.value) == (
+        "mlp fit failed for config {'hidden_layers': [0], 'max_epochs': 2} on fold 0: "
+        "hidden layer widths must be >= 1")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -323,7 +340,8 @@ def test_fit_failure_identifies_config():
     ("mlp", {"l2_penalty": -1.0}, "l2_penalty must be >= 0"),
     ("random_forest", {"n_bins": 0}, "max_depth >= 0 and n_bins >= 1 required"),
     ("random_forest", {"max_depth": -1}, "max_depth >= 0 and n_bins >= 1 required"),
-], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth"])
+    ("gbdt_goss", {"top_rate": 1.5}, "top_rate and other_rate must be in [0, 1]"),
+], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate"])
 def test_out_of_range_config_value_fails_naming_the_config(family, params, message):
     X, y = _search_data(n=20)
     grid = HyperGrid(axes={name: (value,) for name, value in params.items()})
