@@ -35,13 +35,11 @@ def main():
 
     from wqpanel import trees as tr
     from wqpanel import tuner
-    from wqpanel.cli import _read_panels, grid_for
+    from wqpanel.cli import _read_panels
     from wqpanel.families import get_family
     from wqpanel.run_config import load_run_config
 
     family = get_family(args.family)
-    if family.default_grid is None:
-        raise SystemExit(f"{args.family} has no default grid")
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, str(Path(__file__).with_name("make_synthetic_panel.py")),
                         "--out", tmp, "--seed", str(args.seed)],
@@ -52,7 +50,7 @@ def main():
     cv = tuner.CVConfig(k=cfg.cv_k, seed=tuner.subseed(cfg.seed, tuner.TAG_FOLD),
                         scheme=cfg.fold_scheme())
     folds = tuner.kfold_split(len(design.y), cv)
-    configs = grid_for({}, args.family).configs()
+    configs = tuner.grid_configs(family.default_grid)
     everything = tuple(range(len(configs)))
     tasks = [(0, everything)] if family.fit_fold else [(0, (ci,)) for ci in everything]
 

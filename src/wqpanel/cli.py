@@ -36,7 +36,7 @@ from .serialize import load_model
 from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                          mean_abs_shap, players_from_design, sample_background,
                          shap_for_dataset, write_mean_abs_csv, write_values_csv)
-from .tuner import (CVConfig, HyperGrid, TAG_FOLD, TAG_SHAP_BACKGROUND,
+from .tuner import (CVConfig, TAG_FOLD, TAG_SHAP_BACKGROUND,
                     design_from_state, grid_search, prepare_designs, subseed)
 
 TAG_SHAP_ROWS = 4
@@ -255,16 +255,6 @@ def _families_from_args(cfg: RunConfig, args) -> tuple[str, ...]:
     return families
 
 
-def grid_for(grids: dict, family: str) -> HyperGrid:
-    """The run config's grid for ``family`` if it has an entry, else its
-    registry default. An empty entry is one config of learner defaults."""
-    entry = FAMILIES.get(family)
-    axes = grids[family] if family in grids else (entry.default_grid if entry else None)
-    if axes is None:
-        raise ConfigError(f"no grid configured for family {family!r}")
-    return HyperGrid(axes={name: tuple(values) for name, values in axes.items()})
-
-
 def _cmd_tune(args) -> int:
     cfg = _config_from_args(args)
     strategy = args.strategy or cfg.strategy
@@ -277,7 +267,9 @@ def _cmd_tune(args) -> int:
     tuning = {}
     importances = {}
     for family in families:
-        grid = grid_for(cfg.grids, family)
+        # no grids entry: the registry default; an empty entry: one config
+        # of learner defaults
+        grid = cfg.grids.get(family, get_family(family).default_grid)
         result = grid_search(family, grid, train_design.X, train_design.y, cv,
                              seed=cfg.seed, n_jobs=cfg.n_jobs)
         tuning[family] = result
@@ -309,9 +301,8 @@ def _cmd_evaluate(args) -> int:
 
     y_train = stack_panel(train).y
     y_test = stack_panel(test).y
-    benchmark = fit_benchmark(y_train)
     reports: dict[str, MetricReport] = {
-        "benchmark": evaluate(y_test, np.full(len(y_test), benchmark.constant))}
+        "benchmark": evaluate(y_test, np.full(len(y_test), fit_benchmark(y_train)))}
     for bundle in bundles:
         design = design_from_state(bundle.pipeline, test)
         pred = bundle.family.predict(bundle.model, design.X)

@@ -1,14 +1,14 @@
 """Uniform fit/predict/export contract shared by every model family.
 
 The tuner, serializer and CLI only ever talk to ModelFamily entries, so
-all five learners plus the benchmark are interchangeable behind this
-registry, the one module that knows about individual families. An entry
-holds the names of the family and its hyperparameters (the fields of its
-learner's config dataclasses), a config builder that turns a params dict
-and a fit seed into the learner's config, fit/predict/export/restore/
-importance, an optional exact SHAP solver or maskless coalition values,
-its default tuning grid (the entries with one are the tunable families),
-whether retrain SHAP may refit it, and an optional fit_fold hook.
+the five learners (the constant-mean benchmark row is none of them) are
+interchangeable behind this registry, the one module that knows about
+individual families. An entry holds the names of the family and its
+hyperparameters (the fields of its learner's config dataclasses), a
+config builder that turns a params dict and a fit seed into the learner's
+config, fit/predict/export/restore/importance, its default tuning grid,
+an optional exact SHAP solver or maskless coalition values, whether
+retrain SHAP may refit it, and an optional fit_fold hook.
 The tuner builds every config of a CV fold before any fit, so a fit_fold
 hook takes only valid built configs; it yields their fitted models,
 sharing the work that no config changes, and each model must equal fit's
@@ -30,7 +30,6 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import elastic_net as en
-from . import metrics as me
 from . import mlp as nn
 from . import shap_exact as sh
 from . import trees as tr
@@ -48,6 +47,7 @@ class ModelFamily:
     export: Callable[[Any], dict]
     restore: Callable[[dict, int], Any]  # (params, design column count)
     importance: Callable[[Any, int], np.ndarray | None]
+    default_grid: Mapping[str, list]  # axis name -> values
     # exact marginal SHAP in polynomial time:
     # (model, x, background, player_columns) -> phi; None enumerates 2^M
     shap_solver: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
@@ -57,8 +57,6 @@ class ModelFamily:
     # None masks the background and predicts
     shap_coalitions: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
                               np.ndarray] | None = None
-    # axis name -> values; None: not tunable
-    default_grid: Mapping[str, list] | None = None
     cheap_refit: bool = False
     # (X_train, y_train, built configs) -> the fitted model of each config,
     # in order, from work shared across them. None: the tuner fits each
@@ -312,18 +310,6 @@ def _linear_restore(raw: dict, n_columns: int) -> en.LinearModel:
 # its learner up on the learner's module when it runs, so a patched module
 # function is the one that runs.
 FAMILIES: dict[str, ModelFamily] = {
-    "benchmark": ModelFamily(
-        name="benchmark", display_name="Benchmarking",
-        param_names=frozenset(),
-        config=lambda params, seed: None,
-        fit=lambda X, y, cfg: me.fit_benchmark(y),
-        predict=lambda m, X: m.predict(X),
-        export=lambda m: {"constant": m.constant},
-        restore=lambda raw, n_columns: me.BenchmarkModel(
-            constant=float(_numbers(raw["constant"], "constant", ndim=0))),
-        importance=lambda m, p: None,
-        cheap_refit=True,
-    ),
     "elastic_net": ModelFamily(
         name="elastic_net", display_name="Linear Regression",
         param_names=_param_names(en.ElasticNetConfig),
@@ -414,9 +400,6 @@ FAMILIES: dict[str, ModelFamily] = {
         fit_fold=_mlp_fold,
     ),
 }
-
-TUNABLE_FAMILIES = tuple(name for name, family in FAMILIES.items()
-                         if family.default_grid is not None)
 
 
 def get_family(name: str) -> ModelFamily:

@@ -1,4 +1,4 @@
-"""Forecast error metrics and the constant-mean benchmark predictor.
+"""Forecast error metrics and the constant-mean benchmark prediction.
 
 All metrics are stored in original units; report renderers apply the
 x1000 display scaling.
@@ -37,17 +37,6 @@ class MetricReport:
 
     def as_dict(self) -> dict[str, float]:
         return {name: getattr(self, name) for name in METRIC_NAMES}
-
-
-@dataclass(frozen=True)
-class BenchmarkModel:
-    """Predicts the training-target mean for every row."""
-
-    constant: float
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        n = len(X)
-        return np.full(n, self.constant, dtype=float)
 
 
 def _as_vector(v, name: str) -> np.ndarray:
@@ -112,8 +101,9 @@ def score(y, yhat) -> float:
     return -_rmse(y - yhat)
 
 
-def fit_benchmark(train_y) -> BenchmarkModel:
+def fit_benchmark(train_y) -> float:
+    """The benchmark's prediction for every row: the training-target mean."""
     train_y = _as_vector(train_y, "train_y")
     if len(train_y) == 0:
         raise ValueError("fit_benchmark requires at least one training target")
-    return BenchmarkModel(constant=float(np.mean(train_y)))
+    return float(np.mean(train_y))

@@ -22,6 +22,8 @@ from .panel import CorrelationMatrix, SummaryStats
 # comparison constant in every results table (original units)
 EXTERNAL_ROW_LABEL = "SADL-II (published)"
 EXTERNAL_REFERENCE_RMSE = 11.50 / 1000.0
+# the constant training-mean predictor, reported under the key "benchmark"
+BENCHMARK_ROW_LABEL = "Benchmarking"
 
 DISPLAY_SCALE = 1000.0
 
@@ -65,7 +67,7 @@ def build_results_table(reports: dict[str, MetricReport]) -> ResultsTable:
     external["rmse"] = EXTERNAL_REFERENCE_RMSE
     rows: list[tuple[str, dict[str, float | None]]] = [(EXTERNAL_ROW_LABEL, external)]
     if "benchmark" in reports:
-        rows.append((_display_name("benchmark"), dict(reports["benchmark"].as_dict())))
+        rows.append((BENCHMARK_ROW_LABEL, dict(reports["benchmark"].as_dict())))
     others = sorted((name for name in reports if name != "benchmark"),
                     key=_display_name)
     for name in others:

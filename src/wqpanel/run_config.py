@@ -14,7 +14,7 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .families import FAMILIES, TUNABLE_FAMILIES
+from .families import FAMILIES
 from .features import StrategyConfig, check_categoricals
 from .tuner import FoldScheme
 
@@ -39,7 +39,7 @@ class RunConfig:
     categoricals: dict = field(default_factory=dict)
     cv_k: int = 5
     cv_scheme: str = "shuffled"
-    families: tuple[str, ...] = TUNABLE_FAMILIES
+    families: tuple[str, ...] = tuple(FAMILIES)
     grids: dict = field(default_factory=dict)
     shap_kind: str = "marginalize"
     shap_background: int = 256
@@ -72,10 +72,10 @@ def _is_int(value) -> bool:
 
 def check_families(families, where: str) -> None:
     """Every name a tunable family, none twice; ``where`` names the source."""
-    unknown = [f for f in families if f not in TUNABLE_FAMILIES]
+    unknown = [f for f in families if f not in FAMILIES]
     if unknown:
         raise ConfigError(f"{where} names unknown tunable families {unknown}; "
-                          f"known: {list(TUNABLE_FAMILIES)}")
+                          f"known: {list(FAMILIES)}")
     repeated = next((f for i, f in enumerate(families) if f in families[:i]), None)
     if repeated is not None:
         raise ConfigError(f"{where} names family {repeated!r} more than once")
@@ -93,9 +93,9 @@ def _grids(raw: dict) -> dict:
     lists named in its tunable family's parameters."""
     grids = {}
     for family, axes in _section(raw, "grids").items():
-        if family not in TUNABLE_FAMILIES:
+        if family not in FAMILIES:
             raise ConfigError(f"grids.{family}: unknown tunable family {family!r}; "
-                              f"known: {list(TUNABLE_FAMILIES)}")
+                              f"known: {list(FAMILIES)}")
         if not isinstance(axes, dict):
             raise ConfigError(f"grids.{family} must be a JSON object of axes, "
                               f"got {axes!r}")
@@ -148,7 +148,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     if not _is_int(strategy) or strategy not in (1, 2, 3):
         raise ConfigError(f"strategy must be the integer 1, 2 or 3, got {strategy!r}")
 
-    families = raw.get("families", list(TUNABLE_FAMILIES))
+    families = raw.get("families", list(FAMILIES))
     if not (isinstance(families, list) and all(isinstance(f, str) for f in families)):
         raise ConfigError(f"families must be a list of family names, got {families!r}")
     check_families(families, "families")

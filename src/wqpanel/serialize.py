@@ -94,7 +94,8 @@ def save_model(path: str | Path, family_name: str, model: Any, hyper_params: dic
 def load_model(path: str | Path) -> ModelBundle:
     """Read a bundle. A bundle that is not a JSON object, or a missing or
     malformed field, raises ValueError naming the file, and the field
-    wherever the restorer knows it."""
+    wherever the restorer knows it. The config must be one that the
+    family's config builder accepts with the bundle's seed."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
@@ -104,12 +105,21 @@ def load_model(path: str | Path) -> ModelBundle:
         if version != FORMAT_VERSION:
             raise ValueError(f"unsupported model format version {version!r}")
         family = get_family(payload["family"])
+        config, seed = payload["config"], payload["seed"]
+        if type(seed) is not int or seed < 0:  # a bool is no seed
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        if not isinstance(config, dict):
+            raise ValueError(f"config must be a JSON object, got {config!r}")
+        try:
+            family.config(config, seed)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"config {config!r} is invalid: {exc}") from None
         pipeline = PipelineState.from_dict(payload["pipeline"])
         return ModelBundle(
             family=family,
             model=family.restore(payload["params"], len(pipeline.column_names)),
-            hyper_params=payload["config"],
-            seed=payload["seed"],
+            hyper_params=config,
+            seed=seed,
             pipeline=pipeline,
         )
     except KeyError as exc:

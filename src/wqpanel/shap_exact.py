@@ -101,7 +101,8 @@ class MarginalValueFunction:
 @dataclass(frozen=True)
 class RetrainValueFunction:
     """v(S) = prediction at x of a model refit on the feature subset S;
-    v(empty) is the training-target mean."""
+    v(empty) is the training-target mean. Each subset is refit once and its
+    model kept for every row the value function explains."""
 
     fit: Callable[[np.ndarray, np.ndarray], Any]
     predict: Callable[[Any, np.ndarray], np.ndarray]
@@ -109,8 +110,8 @@ class RetrainValueFunction:
     y_train: np.ndarray
     player_columns: list[list[int]] = field(default_factory=list)
     player_names: tuple[str, ...] = ()
-
     def __post_init__(self):
+        object.__setattr__(self, "_refits", {})  # sorted column tuple -> model
         if not self.player_columns:
             object.__setattr__(self, "player_columns",
                                _singleton_players(self.X_train.shape[1]))
@@ -130,8 +131,10 @@ class RetrainValueFunction:
             if not cols:
                 values[i] = base
                 continue
-            model = self.fit(self.X_train[:, cols], self.y_train)
-            values[i] = float(self.predict(model, x[cols][None, :])[0])
+            key = tuple(cols)
+            if key not in self._refits:
+                self._refits[key] = self.fit(self.X_train[:, cols], self.y_train)
+            values[i] = float(self.predict(self._refits[key], x[cols][None, :])[0])
         return values
 
 

@@ -1,6 +1,8 @@
 """k-fold cross-validated grid search with timing capture, and the design
 matrices it searches over.
 
+A grid is a plain mapping of hyperparameter name to its values (an
+axis), and grid_configs is the one rule that enumerates its configs.
 All randomness flows from one run seed through named sub-seeds, and each
 (config, fold) fit gets a seed derived from its indices, so parallel and
 serial execution are interchangeable. A task is one fold and a group of
@@ -15,7 +17,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -55,27 +57,10 @@ class CVConfig:
             raise ValueError("k must be >= 2")
 
 
-@dataclass(frozen=True)
-class HyperGrid:
-    """Named parameter axes; their cartesian product defines the configs."""
-
-    axes: dict[str, tuple]
-
-    def __post_init__(self):
-        for name, values in self.axes.items():
-            if len(values) == 0:
-                raise ValueError(f"grid axis {name!r} is empty")
-
-    def configs(self) -> list[dict]:
-        names = list(self.axes)
-        return [dict(zip(names, combo))
-                for combo in itertools.product(*self.axes.values())]
-
-    def __len__(self) -> int:
-        out = 1
-        for values in self.axes.values():
-            out *= len(values)
-        return out
+def grid_configs(axes: Mapping[str, Sequence]) -> list[dict]:
+    """The configs of a grid: the cartesian product of its named axes, the
+    last axis varying fastest. An empty axis gives no configs."""
+    return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
 
 
 @dataclass
@@ -175,20 +160,21 @@ def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]
     return out
 
 
-def grid_search(family_name: str, grid: HyperGrid, X, y, cv: CVConfig,
+def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConfig,
                 seed: int = 0, n_jobs: int = 1) -> TuningResult:
-    """Exhaustive config x fold search scored by negative validation RMSE.
+    """Exhaustive config x fold search, over the configs of the grid
+    ``axes`` (grid_configs), scored by negative validation RMSE.
 
     The winner is the config with the maximum mean score (ties: earliest
     in grid enumeration order), refit on the full training data. Wall
     times are captured for the whole search and the winning refit.
     """
     family = get_family(family_name)
-    unknown = set(grid.axes) - set(family.param_names)
+    unknown = set(axes) - set(family.param_names)
     if unknown:
         raise ValueError(f"grid names {sorted(unknown)} invalid for family "
                          f"{family_name!r} (valid: {sorted(family.param_names)})")
-    configs = grid.configs()
+    configs = grid_configs(axes)
     if not configs:
         raise ValueError("empty hyperparameter grid")
 

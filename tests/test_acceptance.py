@@ -33,7 +33,7 @@ from wqpanel.shap_exact import (MarginalValueFunction, RetrainValueFunction,
 from wqpanel.trees import (GBDTConfig, GossConfig, RFConfig,
                            fit_gbdt, fit_random_forest, fit_tree,
                            predict_ensemble, predict_tree)
-from wqpanel.tuner import CVConfig, HyperGrid, grid_search, kfold_split, subseed
+from wqpanel.tuner import CVConfig, grid_configs, grid_search, kfold_split, subseed
 
 
 def _passed(criterion: int, text: str) -> None:
@@ -290,13 +290,13 @@ def test_criterion_7_pipeline(tmp_path):
     rng = np.random.default_rng(72)
     X = rng.standard_normal((60, 3))
     y = 2.0 + X @ [0.5, -1.0, 0.25] + 0.05 * rng.standard_normal(60)
-    grid = HyperGrid(axes={"n_trees": (3, 5), "max_depth": (2, 3)})
+    grid = {"n_trees": (3, 5), "max_depth": (2, 3)}
     cv = CVConfig(k=3, seed=5)
     serial = grid_search("random_forest", grid, X, y, cv, seed=13, n_jobs=1)
     parallel = grid_search("random_forest", grid, X, y, cv, seed=13, n_jobs=2)
     assert serial.best_config == parallel.best_config
     assert serial.mean_scores == parallel.mean_scores
-    assert serial.total_fits == parallel.total_fits == len(grid) * 3
+    assert serial.total_fits == parallel.total_fits == len(grid_configs(grid)) * 3
 
     # end-to-end seeded CLI run is byte-reproducible (wall times aside)
     panel_train = synthetic_panel(10, 3, 4, seed=73)
@@ -369,8 +369,7 @@ def test_criterion_8_benchmark_row(georgia):
     train, test = georgia
     y_train = stack_panel(train).y
     y_test = stack_panel(test).y
-    model = fit_benchmark(y_train)
-    rep = evaluate(y_test, np.full(len(y_test), model.constant))
+    rep = evaluate(y_test, np.full(len(y_test), fit_benchmark(y_train)))
     expected = {"rmse": 29.52, "mape": 32.21, "wmape": 32.35,
                 "wupred": 14.55, "wopred": 17.80}
     for metric, want in expected.items():
@@ -384,20 +383,20 @@ def georgia_tuned(georgia_designs):
     train_design, test_design, _ = georgia_designs
     cv = CVConfig(k=5, seed=subseed(2016, 1))
     grids = {
-        "elastic_net": HyperGrid(axes={"lam": (1e-4, 1e-3, 1e-2, 1e-1),
-                                       "alpha": (0.0, 0.5, 1.0)}),
-        "random_forest": HyperGrid(axes={"n_trees": (200,), "max_depth": (8, 12),
-                                         "max_features": (4, 7),
-                                         "min_samples_leaf": (2,)}),
-        "gbdt": HyperGrid(axes={"n_trees": (300,), "learning_rate": (0.05, 0.1),
-                                "max_depth": (4, 6), "reg_lambda": (1.0,)}),
-        "gbdt_goss": HyperGrid(axes={"n_trees": (300,), "learning_rate": (0.05, 0.1),
-                                     "max_depth": (4, 6), "top_rate": (0.2,),
-                                     "other_rate": (0.1,)}),
-        "mlp": HyperGrid(axes={"hidden_layers": ((64,), (64, 32)),
-                               "activation": ("relu", "tanh"),
-                               "learning_rate": (0.01,), "batch_size": (64,),
-                               "max_epochs": (300,)}),
+        "elastic_net": {"lam": (1e-4, 1e-3, 1e-2, 1e-1),
+                        "alpha": (0.0, 0.5, 1.0)},
+        "random_forest": {"n_trees": (200,), "max_depth": (8, 12),
+                          "max_features": (4, 7),
+                          "min_samples_leaf": (2,)},
+        "gbdt": {"n_trees": (300,), "learning_rate": (0.05, 0.1),
+                 "max_depth": (4, 6), "reg_lambda": (1.0,)},
+        "gbdt_goss": {"n_trees": (300,), "learning_rate": (0.05, 0.1),
+                      "max_depth": (4, 6), "top_rate": (0.2,),
+                      "other_rate": (0.1,)},
+        "mlp": {"hidden_layers": ((64,), (64, 32)),
+                "activation": ("relu", "tanh"),
+                "learning_rate": (0.01,), "batch_size": (64,),
+                "max_epochs": (300,)},
     }
     results = {}
     for family, grid in grids.items():
@@ -410,9 +409,8 @@ def georgia_tuned(georgia_designs):
 def test_criterion_9_model_ordering(georgia, georgia_designs, georgia_tuned):
     train, test = georgia
     train_design, test_design, _ = georgia_designs
-    bench = fit_benchmark(train_design.y)
     bench_rmse = evaluate(test_design.y,
-                          np.full(test_design.n_rows, bench.constant)).rmse
+                          np.full(test_design.n_rows, fit_benchmark(train_design.y))).rmse
 
     rmse = {}
     for family, tuning in georgia_tuned.items():

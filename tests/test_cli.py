@@ -617,9 +617,14 @@ def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, fam
     (("params", "sweeps_used"), 2.5, "sweeps_used must be a number, all integers"),
     (("params", "sweeps_used"), "12", "sweeps_used must be a number"),
     (("params", "sweeps_used"), -1, "sweeps_used = -1 must be >= 0"),
+    # these used to load, and a retrain explain then died with a TypeError
+    (("config",), [1], "config must be a JSON object"),
+    (("config",), {"lam": "x"}, "config {'lam': 'x'} is invalid"),
+    (("seed",), True, "seed must be a non-negative integer"),
 ], ids=["coefficients", "column_names", "params", "list", "coefficient-null",
         "standardizer-null", "coefficient-string", "coefficient-bool", "intercept-bool",
-        "sweeps-fraction", "sweeps-string", "sweeps-negative"])
+        "sweeps-fraction", "sweeps-string", "sweeps-negative", "config-list",
+        "config-string", "seed-bool"])
 def test_malformed_bundle_is_runtime_error(panel_files, capsys, field, value, named):
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
                       families=["elastic_net"], grids=TWO_FAMILY_GRIDS)

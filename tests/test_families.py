@@ -1,19 +1,23 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from wqpanel.cli import grid_for
-from wqpanel.families import FAMILIES, TUNABLE_FAMILIES
-from wqpanel.tuner import CVConfig, HyperGrid, grid_search
+import wqpanel
+from wqpanel.families import FAMILIES
+from wqpanel.trees import EnsembleKind
+from wqpanel.tuner import CVConfig, grid_configs, grid_search
 
 
 SEEDED_FAMILIES = {"random_forest", "gbdt", "gbdt_goss", "mlp"}
 
 
-@pytest.mark.parametrize("name", TUNABLE_FAMILIES)
+@pytest.mark.parametrize("name", FAMILIES)
 def test_default_grid_names_are_params_and_first_config_fits(name):
     family = FAMILIES[name]
     assert set(family.default_grid) <= family.param_names
-    params = grid_for({}, name).configs()[0]
+    params = grid_configs(family.default_grid)[0]
     cfg = family.config(params, 7)
     for axis, value in params.items():
         # GOSS keeps its rates in a nested config; lists are built as tuples
@@ -29,10 +33,26 @@ def test_default_grid_names_are_params_and_first_config_fits(name):
     assert np.all(np.isfinite(pred))
 
 
-@pytest.mark.parametrize("name", TUNABLE_FAMILIES)
+@pytest.mark.parametrize("name", FAMILIES)
 def test_grid_search_rejects_seed_as_grid_name(name):
     # the config builder sets the seed itself, so it is no hyperparameter
     X = np.zeros((6, 2))
     with pytest.raises(ValueError, match="'seed'"):
-        grid_search(name, HyperGrid(axes={"seed": (1,)}), X, np.zeros(6),
+        grid_search(name, {"seed": (1,)}, X, np.zeros(6),
                     CVConfig(k=2))
+
+
+def test_only_the_registry_names_families():
+    # families.py is the one module that knows individual families; the
+    # ensemble kinds of the bundle format are the one exception
+    kinds = {kind.value for kind in EnsembleKind}
+    package = Path(wqpanel.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "families.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and node.value in FAMILIES
+                    and not (path.name == "trees.py" and node.value in kinds)):
+                found.append(f"{path.name}:{node.lineno} {node.value!r}")
+    assert not found

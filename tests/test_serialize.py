@@ -22,7 +22,6 @@ def pipeline_state():
 
 
 FIT_PARAMS = {
-    "benchmark": {},
     "elastic_net": {"lam": 0.01, "alpha": 0.5},
     "random_forest": {"n_trees": 3, "max_depth": 3},
     "gbdt": {"n_trees": 4, "max_depth": 2},
@@ -53,10 +52,11 @@ def test_round_trip_preserves_predictions(family_name, pipeline_state, tmp_path)
 
 
 def test_unsupported_version_rejected(pipeline_state, tmp_path):
-    family = FAMILIES["benchmark"]
-    model = family.fit(None, np.array([1.0, 2.0]), family.config({}, 0))
+    family = FAMILIES["elastic_net"]
+    X = np.eye(3)
+    model = family.fit(X, np.array([1.0, 2.0, 4.0]), family.config({}, 0))
     path = tmp_path / "model.json"
-    save_model(path, "benchmark", model, {}, 0, pipeline_state)
+    save_model(path, "elastic_net", model, {}, 0, pipeline_state)
     payload = json.loads(path.read_text())
     payload["format_version"] = 99
     path.write_text(json.dumps(payload))
@@ -149,8 +149,8 @@ CORRUPT_BUNDLES = {
                         "base_score must be a number, all finite"),
     "learning rate infinite": ("gbdt_goss", lambda p: p.update(learning_rate=float("inf")),
                                "learning_rate must be a number, all finite"),
-    "constant NaN": ("benchmark", lambda p: p.update(constant=float("nan")),
-                     "constant must be a number, all finite"),
+    "intercept NaN": ("elastic_net", lambda p: p.update(intercept=float("nan")),
+                      "intercept must be a number, all finite"),
     "intercept null": ("elastic_net", lambda p: p.update(intercept=None),
                        "intercept must be a number, all finite"),
     "coefficient NaN": ("elastic_net", lambda p: _set(p, "coefficients", 2, float("nan")),
@@ -195,8 +195,8 @@ CORRUPT_BUNDLES = {
                           "base_score must be a number$"),
     "learning rate bool": ("gbdt_goss", lambda p: p.update(learning_rate=True),
                            "learning_rate must be a number$"),
-    "constant string": ("benchmark", lambda p: p.update(constant="7.5"),
-                        "constant must be a number$"),
+    "intercept string": ("elastic_net", lambda p: p.update(intercept="7.5"),
+                         "intercept must be a number$"),
     "coefficient beyond the doubles": ("elastic_net",
                                        lambda p: _set(p, "coefficients", 0, 10**400),
                                        "coefficients must be a 1-d array of numbers, "
@@ -225,6 +225,21 @@ CORRUPT_BUNDLES = {
                          "weights has 2 layers, biases has 1"),
     "mlp no layers": ("mlp", lambda p: (p["weights"].clear(), p["biases"].clear()),
                       "weights has 0 layers, biases has 0"),
+    # a dict sets top-level bundle fields: the config must be one the
+    # family's config builder accepts, the seed a non-negative integer
+    "config not an object": ("elastic_net", {"config": [1]},
+                             r"config must be a JSON object, got \[1\]"),
+    "config value string": ("elastic_net", {"config": {"lam": "x"}},
+                            r"config \{'lam': 'x'\} is invalid"),
+    "config unknown name": ("random_forest", {"config": {"depth": 3}},
+                            r"config \{'depth': 3\} is invalid"),
+    "config bad layers": ("mlp", {"config": {"hidden_layers": 4}},
+                          r"config \{'hidden_layers': 4\} is invalid"),
+    "seed negative": ("gbdt", {"seed": -1}, "seed must be a non-negative integer, got -1"),
+    "seed bool": ("elastic_net", {"seed": True},
+                  "seed must be a non-negative integer, got True"),
+    "seed string": ("random_forest", {"seed": "11"},
+                    "seed must be a non-negative integer, got '11'"),
 }
 
 
@@ -239,7 +254,10 @@ def test_corrupt_bundle_rejected_naming_field_and_node(case, pipeline_state, tmp
     path = tmp_path / "model.json"
     save_model(path, family_name, model, FIT_PARAMS[family_name], 11, pipeline_state)
     payload = json.loads(path.read_text())
-    corrupt(payload["params"])
+    if isinstance(corrupt, dict):
+        payload.update(corrupt)
+    else:
+        corrupt(payload["params"])
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=message):
         load_model(path)

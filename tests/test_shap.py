@@ -159,6 +159,26 @@ def test_retrain_base_value_is_train_mean():
     assert attr.base_value == pytest.approx(float(y.mean()), abs=1e-12)
 
 
+def test_retrain_refits_each_coalition_once_across_rows():
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((30, 4))
+    y = 0.5 + X @ [1.0, -0.5, 0.25, 2.0] + 0.1 * rng.standard_normal(30)
+    fits = []
+
+    def fit(Xs, ys):
+        fits.append(Xs.shape[1])
+        return fit_elastic_net(Xs, ys, ElasticNetConfig(lam=1e-3))
+
+    vf = RetrainValueFunction(fit=fit, predict=predict_linear, X_train=X, y_train=y)
+    shared = shap_for_dataset(vf, X[:3])
+    assert len(fits) == 2 ** 4 - 1  # every non-empty coalition, once
+    for row, attr in enumerate(shared):
+        fresh = exact_shap(RetrainValueFunction(fit=fit, predict=predict_linear,
+                                                X_train=X, y_train=y), X[row])
+        assert attr.phi.tobytes() == fresh.phi.tobytes()
+        assert (attr.base_value, attr.f_x) == (fresh.base_value, fresh.f_x)
+
+
 def test_player_cap_enforced():
     bg = np.zeros((4, 16))
     vf = marginal_vf(lambda A: A.sum(axis=1), bg)

@@ -1,0 +1,42 @@
+"""scripts/time_default_grid.py, run in process on trimmed default grids."""
+
+import dataclasses
+import importlib.util
+import json
+import os
+import sys
+from pathlib import Path
+
+from wqpanel import trees as tr
+from wqpanel.families import FAMILIES
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "time_default_grid.py"
+
+
+def _time(monkeypatch, capsys, family, grid):
+    # the script counts trees by rebinding both growers on trees; patching
+    # them first makes monkeypatch put the originals back afterwards
+    monkeypatch.setattr(tr, "fit_tree", tr.fit_tree)
+    monkeypatch.setattr(tr, "fit_gradient_tree", tr.fit_gradient_tree)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
+    monkeypatch.setitem(FAMILIES, family,
+                        dataclasses.replace(FAMILIES[family], default_grid=grid))
+    monkeypatch.setattr(sys, "argv", [str(SCRIPT), "--family", family])
+    spec = importlib.util.spec_from_file_location("time_default_grid", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main()
+    return json.loads(capsys.readouterr().out)
+
+
+def test_gbdt_grid_is_one_task_of_prefix_models(monkeypatch, capsys):
+    record = _time(monkeypatch, capsys, "gbdt", {"n_trees": [2, 3], "max_depth": [2]})
+    assert (record["configs"], record["tasks"], record["trees_grown"]) == (2, 1, 3)
+    assert record["rows"] > 0 and record["wall_s"] >= 0
+
+
+def test_random_forest_grid_is_one_task_per_config(monkeypatch, capsys):
+    record = _time(monkeypatch, capsys, "random_forest",
+                   {"n_trees": [2], "max_depth": [2, 3]})
+    assert (record["configs"], record["tasks"], record["trees_grown"]) == (2, 2, 4)

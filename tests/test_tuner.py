@@ -8,10 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wqpanel import trees as tr
-from wqpanel.cli import grid_for
 from wqpanel.families import FAMILIES, get_family
 from wqpanel.reporting import render_results_csv
-from wqpanel.tuner import (CVConfig, FitFailedError, FoldScheme, HyperGrid,
+from wqpanel.tuner import (CVConfig, FitFailedError, FoldScheme, grid_configs,
                            grid_search, kfold_split, subseed)
 
 
@@ -69,26 +68,29 @@ def test_kfold_rejects_small_n_and_k():
 # ------------------------------------------------------------------ grid
 
 def test_hypergrid_enumeration_order_and_len():
-    grid = HyperGrid(axes={"a": (1, 2), "b": ("x", "y", "z")})
-    configs = grid.configs()
-    assert len(grid) == 6 and len(configs) == 6
+    # a grid is a plain dict of axes; the last axis varies fastest
+    configs = grid_configs({"a": (1, 2), "b": ("x", "y", "z")})
+    assert len(configs) == 6
     assert configs[0] == {"a": 1, "b": "x"}
     assert configs[1] == {"a": 1, "b": "y"}
     assert configs[-1] == {"a": 2, "b": "z"}
 
 
 def test_hypergrid_empty_axis_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        HyperGrid(axes={"a": ()})
+    # an empty axis leaves no configs, which the search rejects
+    assert grid_configs({"lam": (0.01, 0.1), "alpha": ()}) == []
+    X, y = _search_data()
+    with pytest.raises(ValueError, match="empty hyperparameter grid"):
+        grid_search("elastic_net", {"lam": (0.01, 0.1), "alpha": ()}, X, y, CVConfig(k=2))
 
 
 def test_default_grids_match_fit_budgets():
     # config count x 5 folds must land on the published per-family budgets
-    assert len(grid_for({}, "elastic_net")) * 5 == 150
-    assert len(grid_for({}, "gbdt_goss")) * 5 == 2000
-    assert len(grid_for({}, "gbdt")) * 5 == 5760
-    assert len(grid_for({}, "random_forest")) * 5 == 1200
-    assert len(grid_for({}, "mlp")) * 5 == 40
+    assert len(grid_configs(FAMILIES["elastic_net"].default_grid)) * 5 == 150
+    assert len(grid_configs(FAMILIES["gbdt_goss"].default_grid)) * 5 == 2000
+    assert len(grid_configs(FAMILIES["gbdt"].default_grid)) * 5 == 5760
+    assert len(grid_configs(FAMILIES["random_forest"].default_grid)) * 5 == 1200
+    assert len(grid_configs(FAMILIES["mlp"].default_grid)) * 5 == 40
 
 
 # ------------------------------------------------------------------ search
@@ -102,7 +104,7 @@ def _search_data(seed=0, n=60, p=3):
 
 def test_single_config_grid_runs_k_fits():
     X, y = _search_data()
-    result = grid_search("elastic_net", HyperGrid(axes={"lam": (0.01,)}),
+    result = grid_search("elastic_net", {"lam": (0.01,)},
                          X, y, CVConfig(k=5, seed=1), seed=7)
     assert result.total_fits == 5
     assert result.best_config == {"lam": 0.01}
@@ -112,17 +114,17 @@ def test_single_config_grid_runs_k_fits():
 
 def test_thirty_config_grid_gives_150_fits():
     X, y = _search_data()
-    grid = HyperGrid(axes={"lam": tuple(10.0 ** -e for e in range(5)),
-                           "alpha": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)})
-    assert len(grid) == 30
+    grid = {"lam": tuple(10.0 ** -e for e in range(5)),
+            "alpha": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)}
+    assert len(grid_configs(grid)) == 30
     result = grid_search("elastic_net", grid, X, y, CVConfig(k=5, seed=1), seed=7)
     assert result.total_fits == 150
-    assert len(grid.configs()) * 5 == result.total_fits
+    assert len(grid_configs(grid)) * 5 == result.total_fits
 
 
 def test_winner_attains_max_mean_score():
     X, y = _search_data(seed=3)
-    grid = HyperGrid(axes={"lam": (1e-6, 0.1, 10.0), "alpha": (0.0, 1.0)})
+    grid = {"lam": (1e-6, 0.1, 10.0), "alpha": (0.0, 1.0)}
     result = grid_search("elastic_net", grid, X, y, CVConfig(k=4, seed=2), seed=5)
     assert result.mean_scores[result.best_index] == max(result.mean_scores)
 
@@ -132,14 +134,14 @@ def test_data_generating_config_ranks_first():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((80, 3))
     y = 3.0 + X @ np.array([2.0, -1.0, 0.5])
-    grid = HyperGrid(axes={"lam": (1e-8, 5.0), "alpha": (1.0,)})
+    grid = {"lam": (1e-8, 5.0), "alpha": (1.0,)}
     result = grid_search("elastic_net", grid, X, y, CVConfig(k=5, seed=0), seed=0)
     assert result.best_config["lam"] == 1e-8
 
 
 def test_tie_breaks_to_earliest_config():
     X, y = _search_data(seed=5)
-    grid = HyperGrid(axes={"lam": (0.01, 0.01)})  # duplicated axis value
+    grid = {"lam": (0.01, 0.01)}  # duplicated axis value
     result = grid_search("elastic_net", grid, X, y, CVConfig(k=3, seed=1), seed=1)
     assert result.best_index == 0
 
@@ -155,14 +157,14 @@ def test_tie_breaks_to_earliest_config():
 ], ids=["random_forest", "elastic_net", "mlp", "gbdt", "gbdt_goss"])
 def test_parallel_matches_serial(family, axes):
     X, y = _search_data(seed=6, n=48)
-    grid = HyperGrid(axes=axes)
+    grid = axes
     cv = CVConfig(k=3, seed=4)
     serial = grid_search(family, grid, X, y, cv, seed=11, n_jobs=1)
     parallel = grid_search(family, grid, X, y, cv, seed=11, n_jobs=2)
     assert serial.best_config == parallel.best_config
     assert serial.mean_scores == parallel.mean_scores
     assert serial.fold_scores == parallel.fold_scores
-    assert serial.total_fits == parallel.total_fits == len(grid) * 3
+    assert serial.total_fits == parallel.total_fits == len(grid_configs(grid)) * 3
 
 
 def _exported(family, model) -> str:
@@ -174,8 +176,8 @@ def test_elastic_net_fit_fold_matches_fit_and_predict():
     X, y = _search_data(seed=9, n=50, p=4)
     X[:, 1] *= 20.0  # standardizing moves this column's penalty
     # the last axis varies fastest, so the two set-ups alternate
-    configs = HyperGrid(axes={"lam": (0.0, 1e-3, 0.2), "alpha": (0.0, 0.5, 1.0),
-                              "standardize_internally": (True, False)}).configs()
+    configs = grid_configs({"lam": (0.0, 1e-3, 0.2), "alpha": (0.0, 0.5, 1.0),
+                            "standardize_internally": (True, False)})
     cfgs = [family.config(params, 0) for params in configs]
     shared = list(family.fit_fold(X, y, cfgs))
     assert len(shared) == len(configs)
@@ -189,10 +191,10 @@ def test_mlp_fit_fold_matches_fit_and_predict():
     X, y = _search_data(seed=10, n=45, p=3)
     # the widths vary fastest, so each lockstep group's configs sit apart
     # in the order, and activations change inside every group
-    configs = HyperGrid(axes={
+    configs = grid_configs({
         "early_stop": (None, {"validation_fraction": 0.2, "patience": 2}),
         "batch_size": (8, 64), "activation": ("relu", "tanh", "logistic"),
-        "hidden_layers": ([4], [3, 2], []), "max_epochs": (6,)}).configs()
+        "hidden_layers": ([4], [3, 2], []), "max_epochs": (6,)})
     cfgs = [family.config(params, subseed(5, 2, ci, 0)) for ci, params in enumerate(configs)]
     shared = list(family.fit_fold(X, y, cfgs))
     assert len(shared) == len(configs)
@@ -220,8 +222,8 @@ def test_gbdt_fit_fold_matches_fit_and_predict(monkeypatch):
     X_val, _ = _search_data(seed=13, n=25, p=4)
     X[:, 2] = np.round(X[:, 2])  # tied values and tied gains
     # n_trees varies slowest, so each prefix group's configs sit 8 apart
-    configs = HyperGrid(axes={"n_trees": (3, 0, 5, 3), "max_depth": (1, 3),
-                              "reg_lambda": (0.0, 1.0), "n_bins": (4, 256)}).configs()
+    configs = grid_configs({"n_trees": (3, 0, 5, 3), "max_depth": (1, 3),
+                            "reg_lambda": (0.0, 1.0), "n_bins": (4, 256)})
     cfgs = [family.config(params, subseed(5, 2, ci, 0)) for ci, params in enumerate(configs)]
     fitted = _counting_fit_gbdt(monkeypatch)
     shared = list(family.fit_fold(X, y, cfgs))
@@ -254,13 +256,13 @@ def test_gbdt_fit_fold_groups_only_configs_a_prefix_reproduces(monkeypatch):
 
 def test_gbdt_grid_search_equals_per_config_fits(monkeypatch):
     X, y = _search_data(seed=15, n=45)
-    grid = HyperGrid(axes={"n_trees": (2, 6, 4), "max_depth": (1, 2), "gamma": (0.0, 0.05)})
+    grid = {"n_trees": (2, 6, 4), "max_depth": (1, 2), "gamma": (0.0, 0.05)}
     cv = CVConfig(k=3, seed=6)
     shared = grid_search("gbdt", grid, X, y, cv, seed=2)
     monkeypatch.setitem(FAMILIES, "gbdt", dataclasses.replace(FAMILIES["gbdt"], fit_fold=None))
     alone = grid_search("gbdt", grid, X, y, cv, seed=2)
     assert shared.to_dict() == alone.to_dict()
-    assert shared.total_fits == len(grid) * 3
+    assert shared.total_fits == len(grid_configs(grid)) * 3
     family = get_family("gbdt")
     assert _exported(family, shared.best_model) == _exported(family, alone.best_model)
 
@@ -269,7 +271,7 @@ def test_gbdt_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
     # the second config is invalid; it fails while the fold's configs are
     # built, before any fit, and names itself as a per-config fit does
     X, y = _search_data(seed=16, n=30)
-    grid = HyperGrid(axes={"n_trees": (2, 4), "max_depth": (1, -1, 2)})
+    grid = {"n_trees": (2, 4), "max_depth": (1, -1, 2)}
     cv = CVConfig(k=3, seed=0)
     fitted = _counting_fit_gbdt(monkeypatch)
     with pytest.raises(FitFailedError) as shared:
@@ -286,7 +288,7 @@ def test_gbdt_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
 def test_mlp_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
     # the invalid width sits mid-grid, between configs of two lockstep groups
     X, y = _search_data(seed=17, n=30)
-    grid = HyperGrid(axes={"hidden_layers": ([3], [0], [2, 2]), "max_epochs": (2,)})
+    grid = {"hidden_layers": ([3], [0], [2, 2]), "max_epochs": (2,)}
     cv = CVConfig(k=3, seed=0)
     with pytest.raises(FitFailedError) as shared:
         grid_search("mlp", grid, X, y, cv, seed=3)
@@ -302,9 +304,9 @@ def test_mlp_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
 def test_mlp_divergence_fails_the_config_per_config_fits_name(monkeypatch):
     # the second of three configs diverges; configs share a fold's task
     X, y = _search_data(seed=11, n=40)
-    grid = HyperGrid(axes={"learning_rate": (1e-4, 50.0, 2e-4),
-                           "hidden_layers": ([16],), "batch_size": (8,),
-                           "max_epochs": (6,)})
+    grid = {"learning_rate": (1e-4, 50.0, 2e-4),
+            "hidden_layers": ([16],), "batch_size": (8,),
+            "max_epochs": (6,)}
     cv = CVConfig(k=3, seed=0)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FitFailedError) as shared:
@@ -321,14 +323,14 @@ def test_mlp_divergence_fails_the_config_per_config_fits_name(monkeypatch):
 def test_invalid_grid_name_rejected():
     X, y = _search_data()
     with pytest.raises(ValueError, match="invalid for family"):
-        grid_search("elastic_net", HyperGrid(axes={"depth": (1,)}),
+        grid_search("elastic_net", {"depth": (1,)},
                     X, y, CVConfig(k=3, seed=0))
 
 
 def test_fit_failure_identifies_config():
     # a fold's configs are fit as one group; the bad one sits mid-group
     X, y = _search_data(n=20)
-    grid = HyperGrid(axes={"lam": (0.01, 0.1, -1.0, 1.0)})  # invalid once built
+    grid = {"lam": (0.01, 0.1, -1.0, 1.0)}  # invalid once built
     with pytest.raises(FitFailedError,
                        match=r"config \{'lam': -1\.0\} on fold 0: lam must be >= 0"):
         grid_search("elastic_net", grid, X, y, CVConfig(k=3, seed=0))
@@ -344,14 +346,14 @@ def test_fit_failure_identifies_config():
 ], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate"])
 def test_out_of_range_config_value_fails_naming_the_config(family, params, message):
     X, y = _search_data(n=20)
-    grid = HyperGrid(axes={name: (value,) for name, value in params.items()})
+    grid = {name: (value,) for name, value in params.items()}
     with pytest.raises(FitFailedError, match=re.escape(f"config {params} on fold 0: {message}")):
         grid_search(family, grid, X, y, CVConfig(k=3, seed=0))
 
 
 def test_seeded_search_reproducible():
     X, y = _search_data(seed=8)
-    grid = HyperGrid(axes={"n_trees": (4,), "max_depth": (2, 3)})
+    grid = {"n_trees": (4,), "max_depth": (2, 3)}
     cv = CVConfig(k=3, seed=2)
     a = grid_search("random_forest", grid, X, y, cv, seed=21)
     b = grid_search("random_forest", grid, X, y, cv, seed=21)
@@ -386,6 +388,6 @@ def test_zero_target_does_not_abort_search():
     X = rng.standard_normal((20, 2))
     y = 1.0 + X @ [0.5, -0.3]
     y[3] = 0.0
-    result = grid_search("elastic_net", HyperGrid(axes={"lam": (0.01, 0.1)}), X, y,
+    result = grid_search("elastic_net", {"lam": (0.01, 0.1)}, X, y,
                          CVConfig(k=4, seed=0))
     assert np.isfinite(result.mean_scores).all()
