@@ -6,8 +6,9 @@
 Writes the demo panel and config (make_synthetic_panel.py defaults, or
 --seed) to a temporary directory, builds the config's strategy design, and
 runs the grid-search tasks of fold 0 for every config of the family's
-registry default grid, as grid_search runs them: one task for the fold
-when the family has a fit_fold hook, else one task per config. Prints one
+registry default grid, as grid_search runs them: the configs and their
+fit-seed keys from tuner.grid_plan, one task for the fold when the family
+has a fit_fold hook, else one task per config. Prints one
 JSON line with the wall time of those tasks, the trees grown (fit_tree and
 fit_gradient_tree calls) and the process's peak RSS. Runs in one process
 with one BLAS thread unless the environment sets another count.
@@ -39,7 +40,7 @@ def main():
     from wqpanel.families import get_family
     from wqpanel.run_config import load_run_config
 
-    family = get_family(args.family)
+    family, configs, seed_keys = tuner.grid_plan(args.family, get_family(args.family).default_grid)
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, str(Path(__file__).with_name("make_synthetic_panel.py")),
                         "--out", tmp, "--seed", str(args.seed)],
@@ -50,7 +51,6 @@ def main():
     cv = tuner.CVConfig(k=cfg.cv_k, seed=tuner.subseed(cfg.seed, tuner.TAG_FOLD),
                         scheme=cfg.fold_scheme())
     folds = tuner.kfold_split(len(design.y), cv)
-    configs = tuner.grid_configs(family.default_grid)
     everything = tuple(range(len(configs)))
     tasks = [(0, everything)] if family.fit_fold else [(0, (ci,)) for ci in everything]
 
@@ -62,7 +62,7 @@ def main():
             return _fit(*a, **k)
         setattr(tr, name, counted)
 
-    tuner._pool_init(args.family, configs, design.X, design.y, folds, cfg.seed)
+    tuner._pool_init(args.family, configs, seed_keys, design.X, design.y, folds, cfg.seed)
     t0 = time.perf_counter()
     for task in tasks:
         tuner._pool_task(task)

@@ -8,17 +8,18 @@ hyperparameters (the fields of its learner's config dataclasses), a
 config builder that turns a params dict and a fit seed into the learner's
 config, fit/predict/export/restore/importance, its default tuning grid,
 an optional exact SHAP solver or maskless coalition values, whether
-retrain SHAP may refit it, and an optional fit_fold hook.
+retrain SHAP may refit it, and an optional fit_fold hook and prefix axis.
 The tuner builds every config of a CV fold before any fit, so a fit_fold
 hook takes only valid built configs; it yields their fitted models,
 sharing the work that no config changes, and each model must equal fit's
 for that config, bit for bit. Elastic net has a hook (one Gram matrix
 per fold), so has the MLP (the configs of one architecture train in
-lockstep on stacked weights), and so has plain GBDT (one boosting run per
+lockstep on stacked weights), and so has each tree ensemble (one fit per
 setting of the other axes, whose prefixes serve every smaller n_trees).
-The tuner fits each config of the random forest and GOSS on its own:
-their fit seed is keyed on the config's grid index, so no config's fit is
-a prefix of another's.
+An ensemble draws tree i from the i-th spawned child of its fit seed, so
+under one seed the first k trees of a longer fit are the k-tree fit; its
+entry names n_trees as its prefix_axis, and the tuner keys the fit seed
+on the config without that axis, so such configs share a seed.
 """
 
 from __future__ import annotations
@@ -63,6 +64,9 @@ class ModelFamily:
     # config on its own
     fit_fold: Callable[[np.ndarray, np.ndarray, Sequence[Any]],
                        Iterator[Any]] | None = None
+    # the axis the tuner leaves out of a config's fit-seed key, so configs
+    # that differ only on it share a seed (and fit_fold can share their fit)
+    prefix_axis: str | None = None
 
 
 def _param_names(*configs: type) -> frozenset:
@@ -195,28 +199,45 @@ def _elastic_net_fold(X_train, y_train, cfgs):
         yield en.fit_elastic_net(X_train, y_train, cfg, setup=setups[flag])
 
 
-def _gbdt_fold(X_train, y_train, cfgs):
-    """Configs that differ only in n_trees share one boosting run at the
-    largest of their n_trees, fit when the first of them is due and dropped
-    after the last, and each gets the prefix of its own length. Plain GBDT
-    draws no randomness and adds its trees in order, so a prefix equals
-    fit_gbdt's fit of that length bit for bit."""
-    keys, longest, last = [], {}, {}
-    for i, cfg in enumerate(cfgs):
-        # repr tells 1 from 1.0 and 0.0 from -0.0, which a model may keep;
-        # a non-integer n_trees cuts no prefix, so it fits alone
-        key = repr(replace(cfg, n_trees=0, seed=0)) if type(cfg.n_trees) is int else i
-        keys.append(key)
-        if key not in longest or cfg.n_trees > longest[key].n_trees:
-            longest[key] = cfg
-        last[key] = i
-    fits = {}
-    for i, (key, cfg) in enumerate(zip(keys, cfgs)):
-        if key not in fits:
-            fits[key] = tr.fit_gbdt(X_train, y_train, longest[key])
-        model = fits.pop(key) if last[key] == i else fits[key]
-        n_trees = cfg.n_trees
-        yield model if len(model.trees) == n_trees else replace(model, trees=model.trees[:n_trees])
+def _prefix_fold(fit):
+    """A fit_fold hook for an ensemble learner ``fit`` whose tree i depends
+    only on its seed, its config and the trees before it.
+
+    Configs that differ only in n_trees share one fit at the largest of
+    their n_trees, fit when the first of them is due and dropped after the
+    last, and each gets the prefix of its own length, which equals fit's
+    fit of that length bit for bit. The seed is part of the group key, so
+    only configs with one fit seed share a fit.
+    """
+    def fit_fold(X_train, y_train, cfgs):
+        keys, longest, last = [], {}, {}
+        for i, cfg in enumerate(cfgs):
+            # repr tells 1 from 1.0 and 0.0 from -0.0, which a model may
+            # keep; n_trees=1 since a forest rejects 0; a non-integer
+            # n_trees cuts no prefix, so it fits alone
+            key = repr(replace(cfg, n_trees=1)) if type(cfg.n_trees) is int else i
+            keys.append(key)
+            if key not in longest or cfg.n_trees > longest[key].n_trees:
+                longest[key] = cfg
+            last[key] = i
+        fits = {}
+        for i, (key, cfg) in enumerate(zip(keys, cfgs)):
+            if key not in fits:
+                fits[key] = fit(X_train, y_train, longest[key])
+            model = fits.pop(key) if last[key] == i else fits[key]
+            n_trees = cfg.n_trees
+            yield model if len(model.trees) == n_trees else replace(model, trees=model.trees[:n_trees])
+    return fit_fold
+
+
+def _ensemble_family(fit, **entry) -> ModelFamily:
+    """A tree-ensemble entry: its learner ``fit``, shared through the
+    n_trees prefix hook, and the ensemble predict, bundle, importance and
+    TreeSHAP functions."""
+    return ModelFamily(fit=fit, fit_fold=_prefix_fold(fit), prefix_axis="n_trees",
+                       predict=tr.predict_ensemble, export=_ensemble_export,
+                       restore=_ensemble_restore, importance=tr.total_gain_importance,
+                       shap_solver=sh.ensemble_shap, **entry)
 
 
 def _goss_config(params, seed) -> tr.GBDTConfig:
@@ -327,35 +348,25 @@ FAMILIES: dict[str, ModelFamily] = {
         cheap_refit=True,
         fit_fold=_elastic_net_fold,
     ),
-    "random_forest": ModelFamily(
+    # each ensemble grid lists n_trees last, so each prefix group's configs
+    # are adjacent and the hook holds one longest fit at a time
+    "random_forest": _ensemble_family(
         name="random_forest", display_name="Random Forest",
         param_names=_param_names(tr.RFConfig),
         config=lambda params, seed: tr.RFConfig(seed=seed, **params),
         fit=lambda X, y, cfg: tr.fit_random_forest(X, y, cfg),
-        predict=tr.predict_ensemble,
-        export=_ensemble_export,
-        restore=_ensemble_restore,
-        importance=tr.total_gain_importance,
-        shap_solver=sh.ensemble_shap,
         default_grid={
-            "n_trees": [100, 200, 300, 400, 500],
             "max_depth": [4, 6, 8, 10],
             "min_samples_leaf": [1, 2, 4],
             "max_features": [3, 5, 7, 11],
+            "n_trees": [100, 200, 300, 400, 500],
         },  # 240 configs
     ),
-    "gbdt": ModelFamily(
+    "gbdt": _ensemble_family(
         name="gbdt", display_name="GBDT",
         param_names=_param_names(tr.GBDTConfig),
         config=lambda params, seed: tr.GBDTConfig(seed=seed, **params),
         fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
-        predict=tr.predict_ensemble,
-        export=_ensemble_export,
-        restore=_ensemble_restore,
-        importance=tr.total_gain_importance,
-        shap_solver=sh.ensemble_shap,
-        # n_trees varies fastest, so each prefix group's configs are
-        # adjacent and the hook holds one boosting run at a time
         default_grid={
             "learning_rate": [0.01, 0.05, 0.1, 0.2],
             "max_depth": [3, 4, 5, 6],
@@ -364,23 +375,17 @@ FAMILIES: dict[str, ModelFamily] = {
             "gamma": [0.0, 0.1],
             "n_trees": [100, 200, 300, 400],
         },  # 1152 configs
-        fit_fold=_gbdt_fold,
     ),
-    "gbdt_goss": ModelFamily(
+    "gbdt_goss": _ensemble_family(
         name="gbdt_goss", display_name="GBDT (GOSS)",
         param_names=_param_names(tr.GBDTConfig, tr.GossConfig),
         config=_goss_config,
         fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
-        predict=tr.predict_ensemble,
-        export=_ensemble_export,
-        restore=_ensemble_restore,
-        importance=tr.total_gain_importance,
-        shap_solver=sh.ensemble_shap,
         default_grid={
-            "n_trees": [100, 200, 300, 400, 500],
             "learning_rate": [0.01, 0.05, 0.1, 0.2],
             "max_depth": [3, 4, 5, 6],
             "top_rate": [0.1, 0.2, 0.3, 0.4, 0.5],
+            "n_trees": [100, 200, 300, 400, 500],
         },  # 400 configs
     ),
     "mlp": ModelFamily(

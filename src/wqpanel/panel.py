@@ -40,16 +40,32 @@ class PanelSchema:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PanelSchema":
+        """The schema in a JSON object: three column names and a non-empty
+        object of simplified name -> column name, all strings. Any other
+        shape is a PanelFormatError naming the key."""
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise PanelFormatError(f"schema {path} must be a JSON object, "
+                                   f"got {type(raw).__name__}")
         missing = {"date_column", "site_column", "target_column", "feature_columns"} - set(raw)
         if missing:
             raise PanelFormatError(f"schema {path} is missing keys: {sorted(missing)}")
+        columns = {key: raw[key] for key in ("date_column", "site_column", "target_column")}
+        features = raw["feature_columns"]
+        if not isinstance(features, dict) or not features:
+            raise PanelFormatError(f"schema {path}: feature_columns must be a non-empty "
+                                   f"object of column names, got {features!r}")
+        columns.update((f"feature_columns.{name}", column) for name, column in features.items())
+        for key, column in columns.items():
+            if not isinstance(column, str):
+                raise PanelFormatError(f"schema {path}: {key} must be a column name "
+                                       f"(a string), got {column!r}")
         return cls(
             date_column=raw["date_column"],
             site_column=raw["site_column"],
             target_column=raw["target_column"],
-            feature_columns=dict(raw["feature_columns"]),
+            feature_columns=dict(features),
         )
 
 

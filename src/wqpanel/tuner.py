@@ -4,10 +4,11 @@ matrices it searches over.
 A grid is a plain mapping of hyperparameter name to its values (an
 axis), and grid_configs is the one rule that enumerates its configs.
 All randomness flows from one run seed through named sub-seeds, and each
-(config, fold) fit gets a seed derived from its indices, so parallel and
-serial execution are interchangeable. A task is one fold and a group of
-configs: one config for most families, every config for a family whose
-registry entry has a fit_fold hook.
+(config, fold) fit gets a seed derived from the fold and the config's seed
+key (fit_seed_keys), so parallel and serial execution are
+interchangeable. A task is one fold and a group of configs: one config
+for most families, every config for a family whose registry entry has a
+fit_fold hook.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .families import get_family
+from .families import ModelFamily, get_family
 from .features import (DesignMatrix, StandardizationParams, Strategy,
                        StrategyConfig, assemble_design, fit_standardizer,
                        numeric_block)
@@ -61,6 +62,37 @@ def grid_configs(axes: Mapping[str, Sequence]) -> list[dict]:
     """The configs of a grid: the cartesian product of its named axes, the
     last axis varying fastest. An empty axis gives no configs."""
     return [dict(zip(axes, combo)) for combo in itertools.product(*axes.values())]
+
+
+def fit_seed_keys(axes: Mapping[str, Sequence], prefix_axis: str | None = None) -> list[int]:
+    """Each config's fit-seed key, in grid_configs order: its row-major
+    index over the axes other than prefix_axis. Configs that differ only on
+    that axis share a key, and so a fit seed; without the axis, or with one
+    value on it, a config's key is its own index."""
+    sizes = [1 if name == prefix_axis else len(values) for name, values in axes.items()]
+    keys = []
+    for position in itertools.product(*map(range, map(len, axes.values()))):
+        key = 0
+        for name, i, size in zip(axes, position, sizes):
+            key = key * size + (0 if name == prefix_axis else i)
+        keys.append(key)
+    return keys
+
+
+def grid_plan(family_name: str, axes: Mapping[str, Sequence]
+              ) -> tuple[ModelFamily, list[dict], list[int]]:
+    """The family, the configs of the grid ``axes`` and their fit-seed
+    keys under the family's prefix axis; a grid name the family does not
+    know, or a grid of no configs, is a ValueError."""
+    family = get_family(family_name)
+    unknown = set(axes) - set(family.param_names)
+    if unknown:
+        raise ValueError(f"grid names {sorted(unknown)} invalid for family "
+                         f"{family_name!r} (valid: {sorted(family.param_names)})")
+    configs = grid_configs(axes)
+    if not configs:
+        raise ValueError("empty hyperparameter grid")
+    return family, configs, fit_seed_keys(axes, family.prefix_axis)
 
 
 @dataclass
@@ -128,8 +160,8 @@ class FitFailedError(RuntimeError):
 _POOL_CTX: dict = {}
 
 
-def _pool_init(family_name, configs, X, y, folds, seed):
-    _POOL_CTX.update(family=get_family(family_name), configs=configs,
+def _pool_init(family_name, configs, seed_keys, X, y, folds, seed):
+    _POOL_CTX.update(family=get_family(family_name), configs=configs, seed_keys=seed_keys,
                      X=X, y=y, folds=folds, seed=seed)
 
 
@@ -147,7 +179,8 @@ def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]
     try:
         cfgs = []
         for ci in cis:
-            cfgs.append(family.config(ctx["configs"][ci], subseed(ctx["seed"], TAG_FIT, ci, fi)))
+            cfgs.append(family.config(ctx["configs"][ci],
+                                      subseed(ctx["seed"], TAG_FIT, ctx["seed_keys"][ci], fi)))
         if family.fit_fold is not None:
             models = family.fit_fold(X_train, y_train, cfgs)
         else:
@@ -163,20 +196,14 @@ def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]
 def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConfig,
                 seed: int = 0, n_jobs: int = 1) -> TuningResult:
     """Exhaustive config x fold search, over the configs of the grid
-    ``axes`` (grid_configs), scored by negative validation RMSE.
+    ``axes`` (grid_plan), scored by negative validation RMSE.
 
     The winner is the config with the maximum mean score (ties: earliest
-    in grid enumeration order), refit on the full training data. Wall
-    times are captured for the whole search and the winning refit.
+    in grid enumeration order), refit on the full training data under its
+    seed key. Wall times are captured for the whole search and the winning
+    refit.
     """
-    family = get_family(family_name)
-    unknown = set(axes) - set(family.param_names)
-    if unknown:
-        raise ValueError(f"grid names {sorted(unknown)} invalid for family "
-                         f"{family_name!r} (valid: {sorted(family.param_names)})")
-    configs = grid_configs(axes)
-    if not configs:
-        raise ValueError("empty hyperparameter grid")
+    family, configs, seed_keys = grid_plan(family_name, axes)
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -195,10 +222,10 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
-                                 initargs=(family_name, configs, X, y, folds, seed)) as pool:
+                                 initargs=(family_name, configs, seed_keys, X, y, folds, seed)) as pool:
             results = list(pool.map(_pool_task, tasks, chunksize=1 if has_hook else 8))
     else:
-        _pool_init(family_name, configs, X, y, folds, seed)
+        _pool_init(family_name, configs, seed_keys, X, y, folds, seed)
         results = [_pool_task(task) for task in tasks]
     for ci, fi, s in itertools.chain.from_iterable(results):
         scores[ci, fi] = s
@@ -210,7 +237,7 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
 
     t1 = time.perf_counter()
     best_model = family.fit(X, y, family.config(configs[best_index],
-                                                subseed(seed, TAG_FIT, best_index, k)))
+                                                subseed(seed, TAG_FIT, seed_keys[best_index], k)))
     best_fit_time = time.perf_counter() - t1
 
     return TuningResult(

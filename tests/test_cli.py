@@ -43,6 +43,31 @@ def test_ingest_minimal_panel(panel_files, capsys):
     assert "train: 1 dates x 1 sites x 2 features" in out.out
 
 
+@pytest.mark.parametrize("edit, key", [
+    (lambda schema: list(schema), "JSON object"),
+    (lambda schema: "schema", "JSON object"),
+    (lambda schema: {**schema, "feature_columns": 5}, "feature_columns"),
+    (lambda schema: {**schema, "feature_columns": True}, "feature_columns"),
+    (lambda schema: {**schema, "feature_columns": None}, "feature_columns"),
+    (lambda schema: {**schema, "feature_columns": [1, 2]}, "feature_columns"),
+    (lambda schema: {**schema, "feature_columns": {}}, "feature_columns"),
+    (lambda schema: {**schema, "feature_columns": {"X1": 5}}, "feature_columns.X1"),
+    (lambda schema: {**schema, "feature_columns": {"X1": None}}, "feature_columns.X1"),
+    (lambda schema: {**schema, "date_column": 5}, "date_column"),
+    (lambda schema: {**schema, "site_column": ["site_no"]}, "site_column"),
+    (lambda schema: {**schema, "target_column": None}, "target_column"),
+], ids=["list", "str", "features-int", "features-bool", "features-null", "features-list",
+        "features-empty", "feature-int", "feature-null", "date-int", "site-list", "target-null"])
+def test_ingest_bad_schema_shape_is_runtime_error(panel_files, capsys, edit, key):
+    env = panel_files(n_train=4, n_test=3, n_sites=2, n_features=2)
+    schema = env["schema"]
+    schema.write_text(json.dumps(edit(json.loads(schema.read_text()))), encoding="utf-8")
+    code, out = run(["ingest", "--config", str(env["config"])], capsys)
+    assert code == 4
+    assert out.err.startswith("error: schema ") and key in out.err
+    assert "Traceback" not in out.err
+
+
 def test_ingest_nan_injected_fails_with_report(panel_files, capsys):
     env = panel_files(n_train=4, n_test=3, n_sites=2, n_features=3)
     text = env["train_csv"].read_text(encoding="utf-8").splitlines()

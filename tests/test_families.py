@@ -33,6 +33,16 @@ def test_default_grid_names_are_params_and_first_config_fits(name):
     assert np.all(np.isfinite(pred))
 
 
+def test_default_grids_list_the_prefix_axis_last():
+    # a prefix group's configs are then adjacent, so a fit_fold hook holds
+    # one longest fit at a time, not one per setting of the other axes
+    prefixed = {name for name, family in FAMILIES.items() if family.prefix_axis}
+    assert prefixed == {"random_forest", "gbdt", "gbdt_goss"}
+    for name in prefixed:
+        family = FAMILIES[name]
+        assert list(family.default_grid)[-1] == family.prefix_axis == "n_trees", name
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_grid_search_rejects_seed_as_grid_name(name):
     # the config builder sets the seed itself, so it is no hyperparameter

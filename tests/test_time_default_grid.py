@@ -7,6 +7,8 @@ import os
 import sys
 from pathlib import Path
 
+import pytest
+
 from wqpanel import trees as tr
 from wqpanel.families import FAMILIES
 
@@ -36,7 +38,13 @@ def test_gbdt_grid_is_one_task_of_prefix_models(monkeypatch, capsys):
     assert record["rows"] > 0 and record["wall_s"] >= 0
 
 
-def test_random_forest_grid_is_one_task_per_config(monkeypatch, capsys):
+def test_random_forest_grid_is_one_task(monkeypatch, capsys):
     record = _time(monkeypatch, capsys, "random_forest",
                    {"n_trees": [2], "max_depth": [2, 3]})
-    assert (record["configs"], record["tasks"], record["trees_grown"]) == (2, 2, 4)
+    assert (record["configs"], record["tasks"], record["trees_grown"]) == (2, 1, 4)
+
+
+@pytest.mark.parametrize("family", ["random_forest", "gbdt_goss"])
+def test_prefix_grid_grows_its_longest_fit_once(monkeypatch, capsys, family):
+    record = _time(monkeypatch, capsys, family, {"max_depth": [2], "n_trees": [2, 3]})
+    assert (record["configs"], record["tasks"], record["trees_grown"]) == (2, 1, 3)

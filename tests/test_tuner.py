@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import re
 
@@ -10,8 +11,9 @@ from hypothesis import strategies as st
 from wqpanel import trees as tr
 from wqpanel.families import FAMILIES, get_family
 from wqpanel.reporting import render_results_csv
-from wqpanel.tuner import (CVConfig, FitFailedError, FoldScheme, grid_configs,
-                           grid_search, kfold_split, subseed)
+from wqpanel.tuner import (TAG_FIT, CVConfig, FitFailedError, FoldScheme,
+                           fit_seed_keys, grid_configs, grid_search, kfold_split,
+                           subseed)
 
 
 # ------------------------------------------------------------------ folds
@@ -148,13 +150,14 @@ def test_tie_breaks_to_earliest_config():
 
 @pytest.mark.parametrize("family, axes", [
     ("random_forest", {"n_trees": (3, 6), "max_depth": (2,)}),
+    ("random_forest", {"max_depth": (2, 3), "bootstrap": (True, False), "n_trees": (2, 5)}),
     ("elastic_net", {"lam": (1e-4, 0.01, 0.5), "alpha": (0.0, 1.0),
                      "standardize_internally": (True, False)}),
     ("mlp", {"hidden_layers": ([4], [3, 2]), "activation": ("relu", "tanh"),
              "batch_size": (16,), "max_epochs": (5,)}),
     ("gbdt", {"n_trees": (3, 6), "reg_lambda": (0.0, 1.0)}),
     ("gbdt_goss", {"n_trees": (3, 6), "max_depth": (2,), "top_rate": (0.2, 0.3)}),
-], ids=["random_forest", "elastic_net", "mlp", "gbdt", "gbdt_goss"])
+], ids=["random_forest", "random_forest_prefix", "elastic_net", "mlp", "gbdt", "gbdt_goss"])
 def test_parallel_matches_serial(family, axes):
     X, y = _search_data(seed=6, n=48)
     grid = axes
@@ -203,17 +206,26 @@ def test_mlp_fit_fold_matches_fit_and_predict():
         assert _exported(family, model) == _exported(family, alone), params
 
 
-def _counting_fit_gbdt(monkeypatch) -> list:
-    """Patch trees.fit_gbdt to record the n_trees of every fit it runs."""
+def _counting_fit(monkeypatch, learner: str = "fit_gbdt") -> list:
+    """Patch the trees learner to record the n_trees of every fit it runs."""
     fitted = []
-    fit_gbdt = tr.fit_gbdt
+    fit = getattr(tr, learner)
 
     def counted(X, y, cfg):
         fitted.append(cfg.n_trees)
-        return fit_gbdt(X, y, cfg)
+        return fit(X, y, cfg)
 
-    monkeypatch.setattr(tr, "fit_gbdt", counted)
+    monkeypatch.setattr(tr, learner, counted)
     return fitted
+
+
+def _tuner_configs(family, axes, seed=5, fold=0) -> tuple[list[dict], list]:
+    """The configs of a grid, each built with the fit seed the tuner gives
+    it on ``fold``."""
+    configs = grid_configs(axes)
+    keys = fit_seed_keys(axes, family.prefix_axis)
+    return configs, [family.config(params, subseed(seed, TAG_FIT, key, fold))
+                     for params, key in zip(configs, keys)]
 
 
 def test_gbdt_fit_fold_matches_fit_and_predict(monkeypatch):
@@ -221,11 +233,11 @@ def test_gbdt_fit_fold_matches_fit_and_predict(monkeypatch):
     X, y = _search_data(seed=12, n=70, p=4)
     X_val, _ = _search_data(seed=13, n=25, p=4)
     X[:, 2] = np.round(X[:, 2])  # tied values and tied gains
-    # n_trees varies slowest, so each prefix group's configs sit 8 apart
-    configs = grid_configs({"n_trees": (3, 0, 5, 3), "max_depth": (1, 3),
-                            "reg_lambda": (0.0, 1.0), "n_bins": (4, 256)})
-    cfgs = [family.config(params, subseed(5, 2, ci, 0)) for ci, params in enumerate(configs)]
-    fitted = _counting_fit_gbdt(monkeypatch)
+    # n_trees varies slowest, so each prefix group's configs sit 8 apart;
+    # each config's seed is the tuner's, which n_trees does not change
+    configs, cfgs = _tuner_configs(family, {"n_trees": (3, 0, 5, 3), "max_depth": (1, 3),
+                                            "reg_lambda": (0.0, 1.0), "n_bins": (4, 256)})
+    fitted = _counting_fit(monkeypatch)
     shared = list(family.fit_fold(X, y, cfgs))
     assert fitted == [5] * 8  # one boosting run per setting of the other axes
     assert len(shared) == len(configs)
@@ -246,7 +258,7 @@ def test_gbdt_fit_fold_groups_only_configs_a_prefix_reproduces(monkeypatch):
                {"learning_rate": 1, "n_trees": 4}, {"n_trees": 0.0}, {"n_trees": True},
                {"n_trees": 2}, {}]
     cfgs = [family.config(params, 0) for params in configs]
-    fitted = _counting_fit_gbdt(monkeypatch)
+    fitted = _counting_fit(monkeypatch)
     shared = list(family.fit_fold(X, y, cfgs))
     assert fitted == [4, 3, 0.0, True, 100]
     for params, cfg, model in zip(configs, cfgs, shared):
@@ -267,13 +279,77 @@ def test_gbdt_grid_search_equals_per_config_fits(monkeypatch):
     assert _exported(family, shared.best_model) == _exported(family, alone.best_model)
 
 
+# (family, learner on trees, grid); n_trees sits first, mid-grid or last
+PREFIX_CASES = {
+    "rf_bootstrap": ("random_forest", "fit_random_forest",
+                     {"n_trees": (3, 1, 5), "max_depth": (2, 4), "max_features": (2, None)}),
+    "rf_no_bootstrap": ("random_forest", "fit_random_forest",
+                        {"bootstrap": (False,), "min_samples_leaf": (1, 3),
+                         "n_trees": (2, 4), "max_features": (1, 3)}),
+    "gbdt": ("gbdt", "fit_gbdt",
+             {"max_depth": (1, 3), "reg_lambda": (0.0, 1.0), "n_trees": (3, 0, 5)}),
+    "gbdt_goss": ("gbdt_goss", "fit_gbdt",
+                  {"top_rate": (0.2, 0.4), "max_depth": (2,), "n_trees": (4, 2, 6)}),
+}
+
+
+@pytest.mark.parametrize("name, learner, axes", PREFIX_CASES.values(), ids=PREFIX_CASES)
+def test_prefix_fold_models_equal_fresh_fits_of_their_configs(monkeypatch, name, learner, axes):
+    # each setting of the other axes is one fit at its longest n_trees, and
+    # each config's model is a fresh fit of it under its tuner seed
+    family = get_family(name)
+    X, y = _search_data(seed=18, n=60, p=4)
+    X_val, _ = _search_data(seed=19, n=20, p=4)
+    X[:, 1] = np.round(X[:, 1])  # tied values and tied gains
+    configs, cfgs = _tuner_configs(family, axes, seed=7, fold=2)
+    fitted = _counting_fit(monkeypatch, learner)
+    shared = list(family.fit_fold(X, y, cfgs))
+    assert fitted == [max(axes["n_trees"])] * (len(configs) // len(axes["n_trees"]))
+    assert len(shared) == len(configs)
+    for params, cfg, model in zip(configs, cfgs, shared):
+        alone = family.fit(X, y, cfg)
+        assert len(model.trees) == params["n_trees"]
+        assert _exported(family, model) == _exported(family, alone), params
+        np.testing.assert_array_equal(family.predict(model, X_val),
+                                      family.predict(alone, X_val))
+
+
+def test_prefix_fold_shares_a_fit_only_under_one_seed(monkeypatch):
+    # a forest's trees depend on its seed, so configs that differ in seed
+    # as well as n_trees fit apart
+    family = get_family("random_forest")
+    X, y = _search_data(seed=23, n=40)
+    cfgs = [family.config({"n_trees": n_trees, "max_depth": 2}, seed)
+            for n_trees, seed in ((2, 1), (3, 2), (4, 1))]
+    fitted = _counting_fit(monkeypatch, "fit_random_forest")
+    shared = list(family.fit_fold(X, y, cfgs))
+    assert fitted == [4, 3]
+    for cfg, model in zip(cfgs, shared):
+        assert _exported(family, model) == _exported(family, family.fit(X, y, cfg)), cfg
+
+
+@pytest.mark.parametrize("name, axes", [
+    ("random_forest", {"max_depth": (1, 3), "n_trees": (2, 5, 3), "max_features": (1, 2)}),
+    ("gbdt_goss", {"n_trees": (3, 1), "top_rate": (0.2, 0.5), "learning_rate": (0.3,)}),
+], ids=["random_forest", "gbdt_goss"])
+def test_prefix_grid_search_equals_per_config_fits(monkeypatch, name, axes):
+    X, y = _search_data(seed=20, n=45)
+    cv = CVConfig(k=3, seed=6)
+    shared = grid_search(name, axes, X, y, cv, seed=2)
+    monkeypatch.setitem(FAMILIES, name, dataclasses.replace(FAMILIES[name], fit_fold=None))
+    alone = grid_search(name, axes, X, y, cv, seed=2)
+    assert shared.to_dict() == alone.to_dict()
+    family = get_family(name)
+    assert _exported(family, shared.best_model) == _exported(family, alone.best_model)
+
+
 def test_gbdt_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
     # the second config is invalid; it fails while the fold's configs are
     # built, before any fit, and names itself as a per-config fit does
     X, y = _search_data(seed=16, n=30)
     grid = {"n_trees": (2, 4), "max_depth": (1, -1, 2)}
     cv = CVConfig(k=3, seed=0)
-    fitted = _counting_fit_gbdt(monkeypatch)
+    fitted = _counting_fit(monkeypatch)
     with pytest.raises(FitFailedError) as shared:
         grid_search("gbdt", grid, X, y, cv, seed=3)
     assert fitted == []
@@ -365,6 +441,52 @@ def test_subseed_is_deterministic_and_tag_sensitive():
     assert subseed(5, 1, 2) == subseed(5, 1, 2)
     assert subseed(5, 1, 2) != subseed(5, 2, 1)
     assert subseed(5, 1) != subseed(6, 1)
+
+
+def _assert_tuner_fit_seeds(monkeypatch, name, axes, keys):
+    """grid_search seeds each config's fold-fi fit with subseed(seed,
+    TAG_FIT, key, fi) and the winning refit with fold k's, for the key
+    of that config in ``keys``."""
+    seeds = {}
+    family = FAMILIES[name]
+
+    def config(params, seed):
+        seeds.setdefault(json.dumps(params, sort_keys=True), set()).add(seed)
+        return family.config(params, seed)
+
+    monkeypatch.setitem(FAMILIES, name, dataclasses.replace(family, config=config))
+    X, y = _search_data(seed=21, n=30)
+    result = grid_search(name, axes, X, y, CVConfig(k=3, seed=1), seed=9)
+    for ci, (params, key) in enumerate(zip(grid_configs(axes), keys)):
+        expected = {subseed(9, TAG_FIT, key, fi) for fi in range(3)}
+        if ci == result.best_index:
+            expected.add(subseed(9, TAG_FIT, key, 3))
+        assert seeds[json.dumps(params, sort_keys=True)] == expected, params
+
+
+@pytest.mark.parametrize("name, axes", [
+    ("elastic_net", {"lam": (0.01, 0.1), "alpha": (0.5, 1.0)}),
+    ("mlp", {"hidden_layers": ([3],), "activation": ("relu", "tanh"), "max_epochs": (2,)}),
+    ("random_forest", {"n_trees": (3,), "max_depth": (2, 3), "max_features": (1,)}),
+    ("gbdt", {"n_trees": (4,), "learning_rate": (0.1,), "max_depth": (1, 2)}),
+    ("gbdt_goss", {"n_trees": (4,), "max_depth": (1, 2), "top_rate": (0.2, 0.3)}),
+], ids=["elastic_net", "mlp", "random_forest", "gbdt", "gbdt_goss"])
+def test_fit_seed_is_keyed_on_the_grid_index_without_a_prefix_axis(monkeypatch, name, axes):
+    # no prefix axis, or one n_trees value: each fit is seeded from the
+    # config's grid index, as before configs could share a seed
+    indices = list(range(len(grid_configs(axes))))
+    assert fit_seed_keys(axes, FAMILIES[name].prefix_axis) == indices
+    _assert_tuner_fit_seeds(monkeypatch, name, axes, indices)
+
+
+def test_fit_seed_is_shared_only_across_n_trees(monkeypatch):
+    axes = {"max_depth": (2, 3), "n_trees": (1, 4, 2), "max_features": (1, 2)}
+    configs = grid_configs(axes)
+    keys = fit_seed_keys(axes, "n_trees")
+    for a, b in itertools.combinations(range(len(configs)), 2):
+        others = [{k: v for k, v in configs[i].items() if k != "n_trees"} for i in (a, b)]
+        assert (keys[a] == keys[b]) == (others[0] == others[1]), (configs[a], configs[b])
+    _assert_tuner_fit_seeds(monkeypatch, "random_forest", axes, keys)
 
 
 # ------------------------------------------------------------------ tables
