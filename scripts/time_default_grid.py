@@ -4,13 +4,15 @@
     python scripts/time_default_grid.py --family gbdt
 
 Writes the demo panel and config (make_synthetic_panel.py defaults, or
---seed) to a temporary directory, builds the config's strategy design, and
+--seed, --train-dates and --sites, e.g. 300 and 12 for a panel ten times
+the demo's) to a temporary directory, builds the config's strategy design, and
 runs the grid-search tasks of fold 0 for every config of the family's
 registry default grid, as grid_search runs them: the configs and their
 fit-seed keys from tuner.grid_plan, one task for the fold when the family
 has a fit_fold hook, else one task per config. Prints one
-JSON line with the wall time of those tasks, the trees grown (fit_tree and
-fit_gradient_tree calls) and the process's peak RSS. Runs in one process
+JSON line with the wall time of those tasks, the trees grown (those the
+tree grower returns, one batch per forest and one tree per boosting round)
+and the process's peak RSS. Runs in one process
 with one BLAS thread unless the environment sets another count.
 """
 
@@ -30,7 +32,11 @@ def main():
     parser.add_argument("--family", required=True)
     parser.add_argument("--seed", type=int, default=20160128,
                         help="generator seed (its default)")
+    parser.add_argument("--train-dates", type=int, help="generator train dates (its default)")
+    parser.add_argument("--sites", type=int, help="generator sites (its default)")
     args = parser.parse_args()
+    size = [arg for flag, value in (("--train-dates", args.train_dates), ("--sites", args.sites))
+            if value is not None for arg in (flag, str(value))]
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # read when numpy loads, below
 
@@ -43,7 +49,7 @@ def main():
     family, configs, seed_keys = tuner.grid_plan(args.family, get_family(args.family).default_grid)
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, str(Path(__file__).with_name("make_synthetic_panel.py")),
-                        "--out", tmp, "--seed", str(args.seed)],
+                        "--out", tmp, "--seed", str(args.seed), *size],
                        check=True, stdout=subprocess.DEVNULL)
         cfg = load_run_config(Path(tmp) / "config.json")
         [train] = _read_panels(cfg, ("train",))
@@ -55,12 +61,13 @@ def main():
     tasks = [(0, everything)] if family.fit_fold else [(0, (ci,)) for ci in everything]
 
     grown = 0
-    for name in ("fit_tree", "fit_gradient_tree"):
-        def counted(*a, _fit=getattr(tr, name), **k):
-            nonlocal grown
-            grown += 1
-            return _fit(*a, **k)
-        setattr(tr, name, counted)
+
+    def counted(*a, _grow_batch=tr._grow_batch, **k):
+        nonlocal grown
+        trees = _grow_batch(*a, **k)
+        grown += len(trees)
+        return trees
+    tr._grow_batch = counted
 
     tuner._pool_init(args.family, configs, seed_keys, design.X, design.y, folds, cfg.seed)
     t0 = time.perf_counter()

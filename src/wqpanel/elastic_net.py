@@ -19,6 +19,8 @@ bit, as a fit from scratch with all-numpy steps.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,12 +35,23 @@ class ElasticNetConfig:
     standardize_internally: bool = True
 
     def __post_init__(self):
+        for name in ("lam", "tol"):  # NaN passes every range check
+            value = getattr(self, name)
+            try:
+                finite = math.isfinite(value)
+            except OverflowError:  # an int too large for a float
+                finite = False
+            if not finite:
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
+        # a sweep count: a float (even 2.0) or a bool is none
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 

@@ -514,6 +514,32 @@ def test_explain_retrain_kind(panel_files, capsys):
     assert (env["out"] / "shap_mean_abs_retrain.csv").exists()
 
 
+@pytest.mark.parametrize("config, named", [
+    ({"lam": 1e-8, "alpha": 0.0, "max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ({"lam": 1e-8, "alpha": 0.0, "max_iter": 1e308}, "max_iter must be an integer, got 1e+308"),
+    ({"lam": 1e-8, "alpha": 0.0, "max_iter": True}, "max_iter must be an integer, got True"),
+    ({"lam": float("nan"), "alpha": 0.0}, "lam must be finite, got nan"),
+    ({"lam": 1e-8, "alpha": 0.0, "tol": float("inf")}, "tol must be finite, got inf"),
+    ({"lam": 10 ** 400, "alpha": 0.0}, "lam must be finite, got 1000"),
+], ids=["max_iter-fraction", "max_iter-huge", "max_iter-bool", "lam-nan", "tol-inf",
+        "lam-huge-int"])
+def test_explain_retrain_of_a_bad_config_is_runtime_error(panel_files, capsys, config, named):
+    # a max_iter of 2.5 used to load and end the refits in a TypeError
+    # traceback (exit 1); a NaN lam refitted all-zero slopes
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
+                      grids={"elastic_net": {"lam": [1e-8], "alpha": [0.0]}})
+    assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
+    model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"
+    payload = json.loads(model_path.read_text())
+    payload["config"] = config
+    model_path.write_text(json.dumps(payload))
+    code, out = run(["explain", "--config", str(env["config"]), "--model",
+                     str(model_path), "--kind", "retrain", "--rows", "0"], capsys)
+    assert code == 4
+    assert str(model_path) in out.err and "config" in out.err and named in out.err
+    assert "Traceback" not in out.err
+
+
 def test_explain_retrain_restricted_to_cheap_families(panel_files, capsys):
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
                       families=["gbdt"],

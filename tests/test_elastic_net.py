@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,26 @@ def test_input_validation():
         ElasticNetConfig(alpha=1.5)
     with pytest.raises(ValueError):
         ElasticNetConfig(tol=0.0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("max_iter", 2.5, "max_iter must be an integer, got 2.5"),
+    ("max_iter", 2.0, "max_iter must be an integer, got 2.0"),
+    ("max_iter", float("nan"), "max_iter must be an integer, got nan"),
+    ("max_iter", 1e308, "max_iter must be an integer, got 1e+308"),
+    ("max_iter", True, "max_iter must be an integer, got True"),
+    ("lam", float("nan"), "lam must be finite, got nan"),
+    ("lam", float("inf"), "lam must be finite, got inf"),
+    ("lam", 10 ** 400, "lam must be finite, got 1000"),
+    ("tol", float("nan"), "tol must be finite, got nan"),
+    ("tol", float("inf"), "tol must be finite, got inf"),
+])
+def test_config_rejects_a_non_integer_max_iter_and_a_non_finite_lam_or_tol(field, value, message):
+    # each used to be accepted: a float max_iter then failed in range() and
+    # a NaN lam fitted all-zero slopes
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ElasticNetConfig(**{field: value})
+    assert ElasticNetConfig(max_iter=np.int64(7)).max_iter == 7
 
 
 # ------------------------------------------------- slow oracle: the all-numpy loop

@@ -235,6 +235,22 @@ CORRUPT_BUNDLES = {
                             r"config \{'depth': 3\} is invalid"),
     "config bad layers": ("mlp", {"config": {"hidden_layers": 4}},
                           r"config \{'hidden_layers': 4\} is invalid"),
+    # these loaded, and a retrain explain then died in range(max_iter) or
+    # refit with NaN
+    "config max_iter fraction": ("elastic_net", {"config": {"max_iter": 2.5}},
+                                 r"config \{'max_iter': 2\.5\} is invalid: "
+                                 r"max_iter must be an integer, got 2\.5"),
+    "config max_iter bool": ("elastic_net", {"config": {"max_iter": True}},
+                             "max_iter must be an integer, got True"),
+    "config max_iter huge": ("elastic_net", {"config": {"max_iter": 1e308}},
+                             r"max_iter must be an integer, got 1e\+308"),
+    "config lam NaN": ("elastic_net", {"config": {"lam": float("nan")}},
+                       r"config \{'lam': nan\} is invalid: lam must be finite, got nan"),
+    "config tol infinite": ("elastic_net", {"config": {"tol": float("inf")}},
+                            "tol must be finite, got inf"),
+    # math.isfinite raises OverflowError on an int this large
+    "config lam huge int": ("elastic_net", {"config": {"lam": 10 ** 400}},
+                            "lam must be finite, got 1000"),
     "seed negative": ("gbdt", {"seed": -1}, "seed must be a non-negative integer, got -1"),
     "seed bool": ("elastic_net", {"seed": True},
                   "seed must be a non-negative integer, got True"),

@@ -1,4 +1,7 @@
+import dataclasses
+import hashlib
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -399,8 +402,11 @@ def assert_bins_equal(actual, expected):
     assert actual.width == width
     assert [c.tobytes() for c in actual.candidates] == [c.tobytes() for c in candidates]
     assert actual.n_candidates.tolist() == [len(c) for c in candidates]
-    assert actual.codes.dtype == np.intp
-    np.testing.assert_array_equal(actual.codes, codes)
+    # within-feature codes, in the narrowest unsigned dtype that holds them
+    assert actual.codes.dtype == np.min_scalar_type(width - 1)
+    assert actual.codes.dtype.kind == "u"
+    np.testing.assert_array_equal(
+        actual.codes.astype(np.intp) + np.arange(codes.shape[1]) * width, codes)
 
 
 def _binning_design(rng, n):
@@ -520,6 +526,218 @@ def test_forest_and_goss_trees_match_oracle_binning_of_their_rows(n_bins):
                       goss=GossConfig(top_rate=0.2, other_rate=0.3))
     assert [serialize_tree(t) for t in fit_gbdt(X, y, goss).trees] == \
         [serialize_tree(t) for t in oracle_goss(X, y, goss)]
+
+
+# ------------------------------------------- the forest grown as one batch
+
+def loop_random_forest(X, y, cfg):
+    """fit_random_forest as it grew its trees one at a time: one raw-target
+    tree on each bootstrap sample (or on X), binned from one ranking of X,
+    in seed order."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = len(X)
+    ranked = _rank(X)
+    full = None if cfg.bootstrap else _bin_rows(ranked, None, cfg.n_bins)
+    params = dict(max_depth=cfg.max_depth, min_child_weight=cfg.min_samples_leaf,
+                  reg_lambda=0.0, gamma=0.0, n_bins=cfg.n_bins, max_features=cfg.max_features)
+    trees_ = []
+    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
+        rng = np.random.default_rng(child)
+        if cfg.bootstrap:
+            idx = rng.integers(0, n, size=n)
+            trees_.append(_grow(X[idx], -y[idx], None, rng=rng,
+                                bins=_bin_rows(ranked, idx, cfg.n_bins), **params))
+        else:
+            trees_.append(_grow(X, -y, None, rng=rng, bins=full, **params))
+    return trees_
+
+
+def assert_trees_identical(actual, expected):
+    assert len(actual) == len(expected)
+    for i, (a, e) in enumerate(zip(actual, expected)):
+        for field in dataclasses.fields(RegressionTree):
+            got, want = getattr(a, field.name), getattr(e, field.name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape), (i, field.name)
+            assert got.tobytes() == want.tobytes(), (i, field.name)
+
+
+class Scored(NamedTuple):
+    """A node a step of the batch grower scores."""
+
+    tree: int  # its tree's index in the forest
+    width: int  # its tree's bin width
+    cells: int  # the codes it gathers: rows x drawn features
+    nbytes: int  # the bytes of its tree's codes
+
+
+@pytest.fixture
+def steps(monkeypatch):
+    """Each step of the batch grower, as the nodes it scores."""
+    seen = []
+    search = trees._search
+
+    def recording(step, split):
+        seen.append([Scored(t.index, t.bins.width,
+                            len(t.head.rows) * (t.bins.codes.shape[1] if t.head.feats is None
+                                                else len(t.head.feats)),
+                            t.bins.codes.nbytes)
+                     for t in step])
+        return search(step, split)
+
+    monkeypatch.setattr(trees, "_search", recording)
+    return seen
+
+
+def growing_codes(steps):
+    """At each step, the code bytes of every tree whose steps span it: a
+    tree grows at least from its first step to its last."""
+    span, nbytes = {}, {}
+    for k, step in enumerate(steps):
+        for node in step:
+            span[node.tree] = (span.get(node.tree, (k,))[0], k)
+            nbytes[node.tree] = node.nbytes
+    return [[nbytes[i] for i, (first, last) in span.items() if first <= k <= last]
+            for k in range(len(steps))]
+
+
+def fit_forest_in_steps(X, y, cfg, steps):
+    """fit_random_forest's trees, checking that each step was one node or
+    held, counted at its largest node, no more codes than one node of
+    every row and column, and that the trees growing at once held fewer
+    code bytes than X's ranks take (intp per cell), bar one tree's."""
+    steps.clear()
+    forest = fit_random_forest(X, y, cfg).trees
+    cap = X.shape[0] * X.shape[1]
+    assert all(len(step) == 1 or len(step) * max(node.cells for node in step) <= cap
+               for step in steps)
+    budget = cap * np.dtype(np.intp).itemsize
+    assert all(sum(held) < budget + max(held) for held in growing_codes(steps))
+    return forest
+
+
+@pytest.mark.parametrize("bootstrap", [True, False], ids=["bootstrap", "all-rows"])
+@pytest.mark.parametrize("case", GROW_CASES, ids=lambda c: "-".join(map(str, c)))
+def test_forest_equals_the_one_tree_at_a_time_loop(case, bootstrap, steps):
+    kind, n_bins, max_depth, mcw, _, _, max_features = case
+    rng = np.random.default_rng(200 + GROW_CASES.index(case))
+    for trial in range(5):
+        n = int(rng.integers(1, 90)) if trial else 1
+        X = _columns(rng, n, kind)
+        y = np.round(rng.standard_normal(n), 1) if kind == "rounded" else rng.standard_normal(n)
+        cfg = RFConfig(n_trees=int(rng.integers(1, 13)), max_depth=max_depth,
+                       min_samples_leaf=max(1, int(mcw)), max_features=max_features,
+                       n_bins=n_bins, bootstrap=bootstrap, seed=trial)
+        assert_trees_identical(fit_forest_in_steps(X, y, cfg, steps),
+                               loop_random_forest(X, y, cfg))
+
+
+@pytest.mark.parametrize("cfg", [
+    RFConfig(n_trees=9, max_depth=6, min_samples_leaf=4, max_features=1, n_bins=8, seed=3),
+    RFConfig(n_trees=9, max_depth=8, min_samples_leaf=3, bootstrap=False, n_bins=5, seed=4),
+    RFConfig(n_trees=9, max_depth=5, max_features=2, n_bins=2, seed=5),
+    RFConfig(n_trees=9, max_depth=5, n_bins=3, seed=6),
+], ids=["leaf4-mf1", "leaf3-all-rows", "mf2-bins2", "bins3"])
+def test_forest_on_signed_zero_columns_equals_the_loop(cfg, steps):
+    # which zero a quantile returns depends on each sample's own column
+    rng = np.random.default_rng(43)
+    X = np.column_stack([rng.choice([-1.0, -0.0, 0.0, 0.0, 1.0, 2.0], 70),
+                         rng.choice([-0.0, 0.0, 1.0], 70), rng.standard_normal(70)])
+    y = X[:, 0] + X[:, 1] + 0.1 * rng.standard_normal(70)
+    assert_trees_identical(fit_forest_in_steps(X, y, cfg, steps), loop_random_forest(X, y, cfg))
+
+
+def test_forest_steps_mix_bin_widths_and_skip_a_tree_with_no_candidate(steps):
+    # rows 0-9 are all zeros and rows 10 and 11 differ: a bootstrap sample
+    # holds 1, 2 or 3 distinct rows, so its bin width is 1 (no candidate:
+    # the tree is a leaf), 2 or 3
+    X = np.zeros((12, 3))
+    X[10] = [1.0, 0.0, 5.0]
+    X[11] = [2.0, 0.0, -1.0]
+    y = np.arange(12.0) + 4.0 * X[:, 0]
+    cfg = RFConfig(n_trees=40, max_depth=4, max_features=2, seed=8)
+    misses = [not np.isin([10, 11], np.random.default_rng(c).integers(0, 12, size=12)).any()
+              for c in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees)]
+    assert any(misses) and not all(misses)
+    forest = fit_forest_in_steps(X, y, cfg, steps)
+    assert_trees_identical(forest, loop_random_forest(X, y, cfg))
+    assert [t.n_nodes for t, miss in zip(forest, misses) if miss] == [1] * sum(misses)
+    assert any(len({node.width for node in step}) > 1 for step in steps)
+
+
+def test_weighted_batch_equals_each_tree_grown_alone():
+    # a forest batches unit weights with lam = gamma = 0; the grower takes
+    # any batch, so check amplified weights, lam, gamma and zero
+    # min_child_weight too, across trees of other sizes and designs
+    rng = np.random.default_rng(46)
+    inputs = []
+    for i in range(8):
+        n = int(rng.integers(2, 70))
+        X = _columns(rng, n, ("continuous", "one_hot", "rounded")[i % 3])
+        w = np.where(rng.random(n) < 0.5, 1.0, 0.8 / 0.3) * rng.uniform(0.5, 2.0, n)
+        inputs.append((X, rng.standard_normal(n), w))
+    for max_features in (None, 3):
+        params = dict(max_depth=5, min_child_weight=0.0, reg_lambda=1.0, gamma=0.01)
+        split = trees._Split(max_features=max_features, **params)
+        batch = trees._grow_batch([(_bin(X, 16), g, w, np.random.default_rng(i), None)
+                                   for i, (X, g, w) in enumerate(inputs)], split, max_cells=10**6)
+        alone = [_grow(X, g, w, n_bins=16, rng=np.random.default_rng(i),
+                       max_features=max_features, **params)
+                 for i, (X, g, w) in enumerate(inputs)]
+        assert_trees_identical(batch, alone)
+
+
+@pytest.mark.parametrize("max_features, roots", [(2, 2), (None, 1)])
+def test_forest_larger_than_the_step_cap_equals_the_loop(max_features, roots, steps):
+    # a root gathers 60 rows x 2 drawn features (or all 5) of the 60 x 5
+    # cap, so a step holds 2 roots (or 1), and more trees join as their
+    # nodes shrink, until as many trees grow as their one-byte codes take
+    # to fill the intp ranks of X
+    rng = np.random.default_rng(45)
+    X = _columns(rng, 60, "continuous")
+    y = np.sin(X[:, 0]) + X[:, 2] + 0.1 * rng.standard_normal(60)
+    cfg = RFConfig(n_trees=30, max_depth=10, max_features=max_features, n_bins=16, seed=9)
+    forest = fit_forest_in_steps(X, y, cfg, steps)
+    assert len(steps[0]) == roots
+    assert max(map(len, steps)) > 2
+    room = np.dtype(np.intp).itemsize
+    assert max(map(len, growing_codes(steps))) == room
+    # the next tree starts once one finishes, not once all have
+    joins = min(k for k, step in enumerate(steps) if any(node.tree == room for node in step))
+    assert any(node.tree < room for step in steps[joins:] for node in step)
+    assert_trees_identical(forest, loop_random_forest(X, y, cfg))
+
+
+# Byte digests of _ensemble_export, from the grower that grew one tree per
+# call; a tree grown as a batch of one must not move them.
+EXPORT_DIGESTS = {
+    "plain": "717ba1480f503e08c29ed02e008cafa98e0772d4861c79d37ea666334aba24de",
+    "leaves": "6a3c4738a83554dff3145e2938aabc6a81847e39f443337e8b46d50b610396bd",
+    "goss": "f5f640fdbfbcdf72e3f501341eddfd3393c39052bb8352423f47651e507099d5",
+    "forest": "bb6f2fd0f59d3f5463a2e5e125d814ec9778bed65e55c34ffec9c8d72057e735",
+}
+
+
+@pytest.mark.parametrize("fit", sorted(EXPORT_DIGESTS))
+def test_fixed_seed_fits_keep_their_export_digest(fit):
+    rng = np.random.default_rng(50)
+    X = np.column_stack([rng.standard_normal((160, 3)), np.eye(3)[rng.integers(0, 3, 160)],
+                         np.round(rng.standard_normal(160), 1)])
+    y = np.sin(X[:, 0]) + X[:, 3] - 0.5 * X[:, 6] + 0.1 * rng.standard_normal(160)
+    cfg = GBDTConfig(n_trees=8, learning_rate=0.3, max_depth=4, reg_lambda=1.0, gamma=0.01,
+                     n_bins=32, seed=5)
+    if fit == "plain":  # one unweighted tree, no leaves
+        model = Ensemble(kind=EnsembleKind.GBDT, base_score=0.0, learning_rate=1.0,
+                         trees=(fit_gradient_tree(X, y - y.mean(), cfg),))
+    elif fit == "leaves":  # plain boosting reads each round's leaves
+        model = fit_gbdt(X, y, cfg)
+    elif fit == "goss":  # amplified row weights
+        model = fit_gbdt(X, y, dataclasses.replace(cfg, goss=GossConfig(0.2, 0.3)))
+    else:
+        model = fit_random_forest(X, y, RFConfig(n_trees=12, max_depth=6, max_features=3,
+                                                 n_bins=32, seed=6))
+    export = json.dumps(FAMILIES["gbdt"].export(model), sort_keys=True).encode()
+    assert hashlib.sha256(export).hexdigest() == EXPORT_DIGESTS[fit]
 
 
 @pytest.mark.parametrize("fit, cfg", [
@@ -774,6 +992,11 @@ def test_config_validation():
         fit_random_forest(np.zeros((4, 2)), np.zeros(4), RFConfig(max_features=5))
     with pytest.raises(ValueError, match="non-finite"):
         fit_gbdt(np.zeros((2, 1)), np.array([1.0, np.nan]), GBDTConfig(n_trees=1))
+    # the forest checks its rows and targets itself: no tree is fit_tree's
+    with pytest.raises(ValueError, match="at least one row"):
+        fit_random_forest(np.zeros((0, 2)), np.zeros(0), RFConfig())
+    with pytest.raises(ValueError, match="non-finite"):
+        fit_random_forest(np.zeros((3, 1)), np.array([1.0, np.nan, 2.0]), RFConfig(n_trees=2))
     for field in ({"n_bins": 0}, {"max_depth": -1}):
         with pytest.raises(ValueError, match="max_depth >= 0 and n_bins >= 1"):
             RFConfig(**field)

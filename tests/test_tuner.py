@@ -419,7 +419,12 @@ def test_fit_failure_identifies_config():
     ("random_forest", {"n_bins": 0}, "max_depth >= 0 and n_bins >= 1 required"),
     ("random_forest", {"max_depth": -1}, "max_depth >= 0 and n_bins >= 1 required"),
     ("gbdt_goss", {"top_rate": 1.5}, "top_rate and other_rate must be in [0, 1]"),
-], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate"])
+    ("elastic_net", {"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
+    ("elastic_net", {"max_iter": True}, "max_iter must be an integer, got True"),
+    ("elastic_net", {"lam": float("nan")}, "lam must be finite, got nan"),
+    ("elastic_net", {"tol": float("inf")}, "tol must be finite, got inf"),
+], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate",
+        "max_iter_fraction", "max_iter_bool", "lam_nan", "tol_inf"])
 def test_out_of_range_config_value_fails_naming_the_config(family, params, message):
     X, y = _search_data(n=20)
     grid = {name: (value,) for name, value in params.items()}
