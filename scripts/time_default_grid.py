@@ -6,13 +6,12 @@
 Writes the demo panel and config (make_synthetic_panel.py defaults, or
 --seed, --train-dates and --sites, e.g. 300 and 12 for a panel ten times
 the demo's) to a temporary directory, builds the config's strategy design, and
-runs the grid-search tasks of fold 0 for every config of the family's
-registry default grid, as grid_search runs them: the configs and their
-fit-seed keys from tuner.grid_plan, one task for the fold when the family
-has a fit_fold hook, else one task per config. Prints one
-JSON line with the wall time of those tasks, the trees grown (those the
-tree grower returns, one batch per forest and one tree per boosting round)
-and the process's peak RSS. Runs in one process
+runs the grid-search task of fold 0 for every config of the family's
+registry default grid, as grid_search runs it: the configs and their
+fit-seed keys from tuner.grid_plan, fit through the family's fit_fold
+hook. Prints one JSON line with the wall time of that task, the trees
+grown (those the tree grower returns, one batch per forest and one tree
+per boosting round) and the process's peak RSS. Runs in one process
 with one BLAS thread unless the environment sets another count.
 """
 
@@ -46,7 +45,7 @@ def main():
     from wqpanel.families import get_family
     from wqpanel.run_config import load_run_config
 
-    family, configs, seed_keys = tuner.grid_plan(args.family, get_family(args.family).default_grid)
+    _, configs, seed_keys = tuner.grid_plan(args.family, get_family(args.family).default_grid)
     with tempfile.TemporaryDirectory() as tmp:
         subprocess.run([sys.executable, str(Path(__file__).with_name("make_synthetic_panel.py")),
                         "--out", tmp, "--seed", str(args.seed), *size],
@@ -57,8 +56,6 @@ def main():
     cv = tuner.CVConfig(k=cfg.cv_k, seed=tuner.subseed(cfg.seed, tuner.TAG_FOLD),
                         scheme=cfg.fold_scheme())
     folds = tuner.kfold_split(len(design.y), cv)
-    everything = tuple(range(len(configs)))
-    tasks = [(0, everything)] if family.fit_fold else [(0, (ci,)) for ci in everything]
 
     grown = 0
 
@@ -71,13 +68,12 @@ def main():
 
     tuner._pool_init(args.family, configs, seed_keys, design.X, design.y, folds, cfg.seed)
     t0 = time.perf_counter()
-    for task in tasks:
-        tuner._pool_task(task)
+    tuner._pool_task(0)
     wall = time.perf_counter() - t0
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"family": args.family, "rows": len(folds[0][0]),
                       "columns": design.n_cols, "configs": len(configs),
-                      "tasks": len(tasks), "trees_grown": grown,
+                      "trees_grown": grown,
                       "wall_s": round(wall, 3), "peak_rss_mb": round(peak_kb / 1024, 1)}))
 
 

@@ -7,15 +7,16 @@ individual families. An entry holds the names of the family and its
 hyperparameters (the fields of its learner's config dataclasses), a
 config builder that turns a params dict and a fit seed into the learner's
 config, fit/predict/export/restore/importance, its default tuning grid,
-an optional exact SHAP solver or maskless coalition values, whether
-retrain SHAP may refit it, and an optional fit_fold hook and prefix axis.
-The tuner builds every config of a CV fold before any fit, so a fit_fold
-hook takes only valid built configs; it yields their fitted models,
-sharing the work that no config changes, and each model must equal fit's
-for that config, bit for bit. Elastic net has a hook (one Gram matrix
-per fold), so has the MLP (the configs of one architecture train in
-lockstep on stacked weights), and so has each tree ensemble (one fit per
-setting of the other axes, whose prefixes serve every smaller n_trees).
+its fit_fold hook, exactly one SHAP hook (an exact solver or maskless
+coalition values), whether retrain SHAP may refit it, and an optional
+prefix axis. The tuner fits each CV fold in one task through fit_fold.
+It builds every config of the fold before any fit, so the hook takes
+only valid built configs; it yields their fitted models, sharing the
+work that no config changes, and each model must equal fit's for that
+config, bit for bit. Elastic net shares one Gram matrix per fold, the
+MLP trains the configs of one architecture in lockstep on stacked
+weights, and each tree ensemble fits once per setting of the other axes,
+whose prefixes serve every smaller n_trees.
 An ensemble draws tree i from the i-th spawned child of its fit seed, so
 under one seed the first k trees of a longer fit are the k-tree fit; its
 entry names n_trees as its prefix_axis, and the tuner keys the fit seed
@@ -49,21 +50,18 @@ class ModelFamily:
     restore: Callable[[dict, int], Any]  # (params, design column count)
     importance: Callable[[Any, int], np.ndarray | None]
     default_grid: Mapping[str, list]  # axis name -> values
-    # exact marginal SHAP in polynomial time:
-    # (model, x, background, player_columns) -> phi; None enumerates 2^M
+    # (X_train, y_train, built configs) -> the fitted model of each config,
+    # in order, from work shared across them
+    fit_fold: Callable[[np.ndarray, np.ndarray, Sequence[Any]], Iterator[Any]]
+    # exactly one of the two SHAP hooks is set. Exact marginal SHAP in
+    # polynomial time: (model, x, background, player_columns) -> phi
     shap_solver: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
                           np.ndarray] | None = None
     # the marginalize game on all 2^M coalitions without masking:
-    # (model, x, background, player_columns) -> v in coalition id order;
-    # None masks the background and predicts
+    # (model, x, background, player_columns) -> v in coalition id order
     shap_coalitions: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
                               np.ndarray] | None = None
     cheap_refit: bool = False
-    # (X_train, y_train, built configs) -> the fitted model of each config,
-    # in order, from work shared across them. None: the tuner fits each
-    # config on its own
-    fit_fold: Callable[[np.ndarray, np.ndarray, Sequence[Any]],
-                       Iterator[Any]] | None = None
     # the axis the tuner leaves out of a config's fit-seed key, so configs
     # that differ only on it share a seed (and fit_fold can share their fit)
     prefix_axis: str | None = None
@@ -213,9 +211,8 @@ def _prefix_fold(fit):
         keys, longest, last = [], {}, {}
         for i, cfg in enumerate(cfgs):
             # repr tells 1 from 1.0 and 0.0 from -0.0, which a model may
-            # keep; n_trees=1 since a forest rejects 0; a non-integer
-            # n_trees cuts no prefix, so it fits alone
-            key = repr(replace(cfg, n_trees=1)) if type(cfg.n_trees) is int else i
+            # keep; n_trees=1 since a forest rejects 0
+            key = repr(replace(cfg, n_trees=1))
             keys.append(key)
             if key not in longest or cfg.n_trees > longest[key].n_trees:
                 longest[key] = cfg

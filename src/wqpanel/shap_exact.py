@@ -7,16 +7,17 @@ phi_i = sum over S subseteq players\\{i} of |S|!(M-|S|-1)!/M! *
 the families the registry marks `cheap_refit`, and kept as the oracle the
 marginalize kind is tested against).
 
-The generic path evaluates v on every one of the 2^M coalitions. For
-tree ensembles and linear models the marginalize game has a closed form:
-`ensemble_shap` (interventional TreeSHAP, Lundberg et al. 2020) and
-`linear_shap` give the same values in time polynomial in model size x
-background rows, and a marginalize value function carrying one as its
-`solver` skips the enumeration. The MLP has no closed form, so its 2^M
-coalitions are still enumerated, but not by masking: its first layer is
+A marginalize value function carries exactly one of two hooks. For tree
+ensembles and linear models the game has a closed form: `ensemble_shap`
+(interventional TreeSHAP, Lundberg et al. 2020) and `linear_shap` give
+its values in time polynomial in model size x background rows, as the
+value function's `solver`. The MLP has no closed form, so its 2^M
+coalitions are enumerated, but not by masking: its first layer is
 affine, and `mlp_coalition_values` (a value function's `coalitions`)
 builds every coalition's first-layer pre-activations from subset sums of
-per-player deltas, so only the later layers run per coalition.
+per-player deltas, so only the later layers run per coalition. Masking
+the background and predicting on every coalition is the oracle both
+hooks are tested against; it lives with the tests.
 
 Players are column groups: singleton columns by default, or whole one-hot
 blocks so that a coalition toggles the entire block at once.
@@ -38,8 +39,7 @@ from . import trees as tr
 from .features import DesignMatrix
 
 DEFAULT_PLAYER_CAP = 15
-_CHUNK_BITS = 7
-_CHUNK_SIZE = 1 << _CHUNK_BITS  # coalitions per model call of the marginalize game
+_CHUNK_BITS = 7  # log2 of the coalitions per forward pass of the MLP game
 
 
 def _singleton_players(n_columns: int) -> list[list[int]]:
@@ -49,7 +49,8 @@ def _singleton_players(n_columns: int) -> list[list[int]]:
 @dataclass(frozen=True)
 class MarginalValueFunction:
     """v(S) = mean over background rows of the model applied to x with the
-    features outside S replaced by the background row's values."""
+    features outside S replaced by the background row's values. Exactly
+    one of ``solver`` and ``coalitions`` computes the game."""
 
     predict: Callable[[np.ndarray], np.ndarray]
     background: np.ndarray
@@ -57,45 +58,36 @@ class MarginalValueFunction:
     player_names: tuple[str, ...] = ()
     # solver(x, background, player_columns) -> phi: the exact values of
     # this game in polynomial time, used by exact_shap in place of 2^M
-    # coalitions; None enumerates
+    # coalitions
     solver: Callable[[np.ndarray, np.ndarray, list[list[int]]], np.ndarray] | None = None
     # coalitions(x, background, player_columns) -> v of all 2^M coalitions
-    # in id order (player i is bit i of the id), computed without masking;
-    # None masks the background and calls predict
+    # in id order (player i is bit i of the id)
     coalitions: Callable[[np.ndarray, np.ndarray, list[list[int]]], np.ndarray] | None = None
 
     def __post_init__(self):
         if len(self.background) == 0:
             raise ValueError("marginalize value function needs a non-empty background")
+        if (self.solver is None) == (self.coalitions is None):
+            raise ValueError("marginalize value function needs exactly one of "
+                             "solver and coalitions")
         if not self.player_columns:
             object.__setattr__(self, "player_columns",
                                _singleton_players(self.background.shape[1]))
         if not self.player_names:
             object.__setattr__(self, "player_names",
                                tuple(f"f{i}" for i in range(len(self.player_columns))))
-        if self.solver is not None or self.coalitions is not None:
-            held = sorted(c for cols in self.player_columns for c in cols)
-            if held != list(range(self.background.shape[1])):
-                raise ValueError("a SHAP solver needs every column in exactly one player")
+        held = sorted(c for cols in self.player_columns for c in cols)
+        if held != list(range(self.background.shape[1])):
+            raise ValueError("a marginalize value function needs every column in "
+                             "exactly one player")
 
     @property
     def n_players(self) -> int:
         return len(self.player_columns)
 
-    def values_for_masks(self, x: np.ndarray, masks: np.ndarray) -> np.ndarray:
-        d = self.background.shape[1]
-        col_map = np.zeros((self.n_players, d), dtype=bool)
-        for p, cols in enumerate(self.player_columns):
-            col_map[p, cols] = True
-        values = np.empty(len(masks))
-        for start in range(0, len(masks), _CHUNK_SIZE):
-            chunk = masks[start:start + _CHUNK_SIZE]
-            col_mask = chunk @ col_map  # bool matmul: column present in coalition
-            mixed = np.where(col_mask[:, None, :], x[None, None, :],
-                             self.background[None, :, :])
-            preds = self.predict(mixed.reshape(-1, d)).reshape(len(chunk), -1)
-            values[start:start + _CHUNK_SIZE] = preds.mean(axis=1)
-        return values
+    def coalition_values(self, x: np.ndarray) -> np.ndarray:
+        """v of all 2^M coalitions, in id order."""
+        return self.coalitions(x, self.background, self.player_columns)
 
 
 @dataclass(frozen=True)
@@ -123,18 +115,20 @@ class RetrainValueFunction:
     def n_players(self) -> int:
         return len(self.player_columns)
 
-    def values_for_masks(self, x: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    def coalition_values(self, x: np.ndarray) -> np.ndarray:
+        """v of all 2^M coalitions, in id order (player i is bit i of the id)."""
         base = float(np.mean(self.y_train))
-        values = np.empty(len(masks))
-        for i, mask in enumerate(masks):
-            cols = sorted(c for p in np.nonzero(mask)[0] for c in self.player_columns[p])
+        values = np.empty(1 << self.n_players)
+        for s in range(len(values)):
+            cols = sorted(c for p, player in enumerate(self.player_columns) if s >> p & 1
+                          for c in player)
             if not cols:
-                values[i] = base
+                values[s] = base
                 continue
             key = tuple(cols)
             if key not in self._refits:
                 self._refits[key] = self.fit(self.X_train[:, cols], self.y_train)
-            values[i] = float(self.predict(self._refits[key], x[cols][None, :])[0])
+            values[s] = float(self.predict(self._refits[key], x[cols][None, :])[0])
         return values
 
 
@@ -151,9 +145,8 @@ def exact_shap(vf, x, cap: int = DEFAULT_PLAYER_CAP) -> ShapAttribution:
 
     A value function with a `solver` gets phi from it; base_value is then
     the mean prediction over the background and f_x the prediction at x.
-    Otherwise the value function is evaluated on all 2^M coalitions (M =
-    player count, capped because the cost is exponential), through its
-    `coalitions` if it has one and values_for_masks if not, and the
+    Otherwise its coalition_values gives v on all 2^M coalitions (M =
+    player count, capped because the cost is exponential) and the
     weighted marginal contributions are aggregated; base_value is the
     empty coalition's value. Either way base_value + sum(phi) equals f_x.
     """
@@ -170,13 +163,11 @@ def exact_shap(vf, x, cap: int = DEFAULT_PLAYER_CAP) -> ShapAttribution:
         raise ValueError(f"{m} players exceeds the enumeration cap {cap}; "
                          f"group one-hot blocks or raise cap explicitly")
 
+    values = vf.coalition_values(x)
     ids = np.arange(1 << m, dtype=np.int64)
-    masks = ((ids[:, None] >> np.arange(m)) & 1).astype(bool)
-    coalitions = getattr(vf, "coalitions", None)
-    values = (vf.values_for_masks(x, masks) if coalitions is None
-              else coalitions(x, vf.background, vf.player_columns))
-
-    sizes = masks.sum(axis=1)
+    sizes = np.zeros(1 << m, dtype=np.int64)  # players in each coalition
+    for i in range(m):
+        sizes[1 << i:2 << i] = sizes[:1 << i] + 1
     fact = [math.factorial(k) for k in range(m + 1)]
     weight_by_size = np.array(
         [fact[s] * fact[m - s - 1] / fact[m] for s in range(m)]) if m else np.empty(0)
@@ -261,9 +252,8 @@ def ensemble_shap(model: tr.Ensemble, x: np.ndarray, background: np.ndarray,
                   player_columns: list[list[int]]) -> np.ndarray:
     """Exact marginal Shapley values of a tree ensemble, one walk per tree.
 
-    Equal to the 2^M enumeration of MarginalValueFunction over the same
-    background and players, up to rounding; players no split uses get
-    exactly 0.
+    Equal to the 2^M masking enumeration over the same background and
+    players, up to rounding; players no split uses get exactly 0.
     """
     col_player = np.empty(background.shape[1], dtype=np.int64)
     for p, cols in enumerate(player_columns):

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -64,6 +65,14 @@ class RegressionTree:
     @property
     def n_nodes(self) -> int:
         return len(self.feature)
+
+
+def _check_n_trees(n_trees, least: int) -> None:
+    # a tree count: a float (even 2.0) or a bool is none
+    if isinstance(n_trees, bool) or not isinstance(n_trees, numbers.Integral):
+        raise ValueError(f"n_trees must be an integer, got {n_trees!r}")
+    if n_trees < least:
+        raise ValueError(f"n_trees must be >= {least}")
 
 
 @dataclass(frozen=True)
@@ -93,8 +102,7 @@ class GBDTConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 0:
-            raise ValueError("n_trees must be >= 0")
+        _check_n_trees(self.n_trees, 0)
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_depth < 0 or self.n_bins < 1:
@@ -114,8 +122,7 @@ class RFConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
+        _check_n_trees(self.n_trees, 1)
         if self.max_depth < 0 or self.n_bins < 1:
             raise ValueError("max_depth >= 0 and n_bins >= 1 required")
         if self.min_samples_leaf < 1:

@@ -6,15 +6,14 @@ axis), and grid_configs is the one rule that enumerates its configs.
 All randomness flows from one run seed through named sub-seeds, and each
 (config, fold) fit gets a seed derived from the fold and the config's seed
 key (fit_seed_keys), so parallel and serial execution are
-interchangeable. A task is one fold and a group of configs: one config
-for most families, every config for a family whose registry entry has a
+interchangeable. A task is one fold: it builds every config of the grid
+for that fold, then fits them all through the family's registry
 fit_fold hook.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -165,11 +164,10 @@ def _pool_init(family_name, configs, seed_keys, X, y, folds, seed):
                      X=X, y=y, folds=folds, seed=seed)
 
 
-def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]]:
-    """(config, fold, score) of the configs ``cis`` on fold ``fi``. Every
-    config is built before any fit, so an invalid one fails first; then the
-    family's fit_fold hook, if it has one, fits them all."""
-    fi, cis = task
+def _pool_task(fi: int) -> list[tuple[int, int, float]]:
+    """(config, fold, score) of every config on fold ``fi``. Every config
+    is built before any fit, so an invalid one fails first; then the
+    family's fit_fold hook fits them all."""
     ctx = _POOL_CTX
     family = ctx["family"]
     train_idx, val_idx = ctx["folds"][fi]
@@ -178,14 +176,11 @@ def _pool_task(task: tuple[int, tuple[int, ...]]) -> list[tuple[int, int, float]
     out = []
     try:
         cfgs = []
-        for ci in cis:
-            cfgs.append(family.config(ctx["configs"][ci],
-                                      subseed(ctx["seed"], TAG_FIT, ctx["seed_keys"][ci], fi)))
-        if family.fit_fold is not None:
-            models = family.fit_fold(X_train, y_train, cfgs)
-        else:
-            models = map(functools.partial(family.fit, X_train, y_train), cfgs)
-        for ci in cis:
+        for ci, params in enumerate(ctx["configs"]):
+            cfgs.append(family.config(params, subseed(ctx["seed"], TAG_FIT,
+                                                      ctx["seed_keys"][ci], fi)))
+        models = family.fit_fold(X_train, y_train, cfgs)
+        for ci in range(len(cfgs)):
             out.append((ci, fi, score(y_val, family.predict(next(models), X_val))))
     except Exception as exc:
         raise FitFailedError(f"{family.name} fit failed for config {ctx['configs'][ci]} "
@@ -209,11 +204,6 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
     y = np.asarray(y, dtype=float)
     folds = kfold_split(len(y), cv)
     k = len(folds)
-    has_hook = family.fit_fold is not None
-    if has_hook:  # one task per fold, whose configs share the hook's work
-        tasks = [(fi, tuple(range(len(configs)))) for fi in range(k)]
-    else:
-        tasks = [(fi, (ci,)) for ci in range(len(configs)) for fi in range(k)]
 
     scores = np.full((len(configs), k), np.nan)
     t0 = time.perf_counter()
@@ -223,10 +213,10 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
 
         with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
                                  initargs=(family_name, configs, seed_keys, X, y, folds, seed)) as pool:
-            results = list(pool.map(_pool_task, tasks, chunksize=1 if has_hook else 8))
+            results = list(pool.map(_pool_task, range(k)))
     else:
         _pool_init(family_name, configs, seed_keys, X, y, folds, seed)
-        results = [_pool_task(task) for task in tasks]
+        results = [_pool_task(fi) for fi in range(k)]
     for ci, fi, s in itertools.chain.from_iterable(results):
         scores[ci, fi] = s
     tuning_time = time.perf_counter() - t0

@@ -77,6 +77,29 @@ def loss_and_gradients(weights, biases, X: np.ndarray, y: np.ndarray,
             [g[0] for g in grad_w], [g[0, 0] for g in grad_b])
 
 
+def masked_coalitions(predict):
+    """A coalitions hook for MarginalValueFunction that masks: for each of
+    the 2^M coalitions (player i is bit i of the id), the players outside
+    it take each background row's columns, and v is the mean of predict
+    over those rows. The slow oracle of the solver and coalition hooks."""
+    def coalitions(x, background, player_columns):
+        m, d = len(player_columns), background.shape[1]
+        col_map = np.zeros((m, d), dtype=bool)
+        for p, cols in enumerate(player_columns):
+            col_map[p, cols] = True
+        ids = np.arange(1 << m, dtype=np.int64)
+        masks = ((ids[:, None] >> np.arange(m)) & 1).astype(bool)
+        values = np.empty(len(masks))
+        chunk = 128  # coalitions per predict call
+        for start in range(0, len(masks), chunk):
+            col_mask = masks[start:start + chunk] @ col_map  # column in coalition
+            mixed = np.where(col_mask[:, None, :], x[None, None, :], background[None, :, :])
+            preds = predict(mixed.reshape(-1, d)).reshape(len(col_mask), -1)
+            values[start:start + chunk] = preds.mean(axis=1)
+        return values
+    return coalitions
+
+
 def write_panel_csv(path: Path, panel: PanelDataset,
                     date_col="datetime", site_col="site_no",
                     target_col="median_ph") -> None:

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (deterministic_files, loss_and_gradients, synthetic_panel,
-                      write_panel_csv, write_schema)
+from conftest import (deterministic_files, loss_and_gradients, masked_coalitions,
+                      synthetic_panel, write_panel_csv, write_schema)
 from wqpanel.cli import main as cli_main
 from wqpanel.elastic_net import (ElasticNetConfig, fit_elastic_net,
                                  kkt_max_violation, lambda_max, predict_linear)
@@ -28,8 +28,8 @@ from wqpanel.metrics import evaluate, fit_benchmark
 from wqpanel.mlp import MLPConfig, fit_mlp, init_params, predict_mlp
 from wqpanel.panel import PanelSchema, load_panel, stack_panel
 from wqpanel.shap_exact import (MarginalValueFunction, RetrainValueFunction,
-                                exact_shap, mean_abs_shap, sample_background,
-                                shap_for_dataset)
+                                ensemble_shap, exact_shap, mean_abs_shap,
+                                sample_background, shap_for_dataset)
 from wqpanel.trees import (GBDTConfig, GossConfig, RFConfig,
                            fit_gbdt, fit_random_forest, fit_tree,
                            predict_ensemble, predict_tree)
@@ -209,12 +209,18 @@ def test_criterion_5_mlp():
                "every activation; zero-hidden-layer fit within 1e-3 RMSE of OLS")
 
 
+def _masked_vf(predict, background, **kwargs):
+    """A value function that enumerates all 2^M coalitions by masking."""
+    return MarginalValueFunction(predict=predict, background=background,
+                                 coalitions=masked_coalitions(predict), **kwargs)
+
+
 def test_criterion_6_shap():
     rng = np.random.default_rng(6006)
 
     # additive closed form, symmetry, dummy, efficiency
     bg = rng.standard_normal((64, 5))
-    vf = MarginalValueFunction(predict=lambda A: A.sum(axis=1), background=bg)
+    vf = _masked_vf(lambda A: A.sum(axis=1), bg)
     x = rng.standard_normal(5)
     attr = exact_shap(vf, x)
     assert np.max(np.abs(attr.phi - (x - bg.mean(axis=0)))) < 1e-12
@@ -222,13 +228,11 @@ def test_criterion_6_shap():
 
     dup = rng.standard_normal((40, 1))
     bg_dup = np.column_stack([dup, dup, rng.standard_normal(40)])
-    vf_dup = MarginalValueFunction(predict=lambda A: A[:, 0] + A[:, 1] - A[:, 2],
-                                   background=bg_dup)
+    vf_dup = _masked_vf(lambda A: A[:, 0] + A[:, 1] - A[:, 2], bg_dup)
     attr_dup = exact_shap(vf_dup, np.array([0.3, 0.3, 1.0]))
     assert abs(attr_dup.phi[0] - attr_dup.phi[1]) < 1e-9
 
-    vf_dummy = MarginalValueFunction(predict=lambda A: 2.0 * A[:, 0],
-                                     background=rng.standard_normal((30, 3)))
+    vf_dummy = _masked_vf(lambda A: 2.0 * A[:, 0], rng.standard_normal((30, 3)))
     attr_dummy = exact_shap(vf_dummy, rng.standard_normal(3))
     assert abs(attr_dummy.phi[1]) < 1e-9 and abs(attr_dummy.phi[2]) < 1e-9
 
@@ -245,20 +249,21 @@ def test_criterion_6_shap():
     retrain = RetrainValueFunction(fit=refit, predict=predict_linear,
                                    X_train=X, y_train=y)
     full = refit(X, y)
-    marginal = MarginalValueFunction(predict=lambda A: predict_linear(full, A),
-                                     background=X)
+    marginal = _masked_vf(lambda A: predict_linear(full, A), X)
     probe = X[7]
     assert np.max(np.abs(exact_shap(retrain, probe).phi
                          - exact_shap(marginal, probe).phi)) < 1e-6
 
-    # runtime: M=11, 256 background rows, 10 instances under a boosted model
+    # runtime: M=11, 256 background rows, 10 instances under a boosted
+    # model, through the TreeSHAP solver that explain runs for it
     Xb = rng.uniform(0, 1, (600, 11))
     yb = 0.6 + Xb @ np.linspace(0.2, 0.01, 11) + 0.05 * np.sin(4 * Xb[:, 5])
     model = fit_gbdt(Xb, yb, GBDTConfig(n_trees=50, max_depth=3,
                                         goss=GossConfig(0.2, 0.1), seed=3))
     big_vf = MarginalValueFunction(
         predict=lambda A: predict_ensemble(model, A),
-        background=sample_background(Xb, 256, seed=1))
+        background=sample_background(Xb, 256, seed=1),
+        solver=lambda *a: ensemble_shap(model, *a))
     t0 = time.perf_counter()
     attrs = shap_for_dataset(big_vf, Xb[:10])
     elapsed = time.perf_counter() - t0
@@ -433,9 +438,8 @@ def test_criterion_10_shap_ranking(georgia_designs, georgia_tuned):
     train_design, test_design, _ = georgia_designs
     tuning = georgia_tuned["gbdt_goss"]
     background = sample_background(train_design.X, 256, seed=subseed(2016, 3))
-    vf = MarginalValueFunction(
-        predict=lambda A: FAMILIES["gbdt_goss"].predict(tuning.best_model, A),
-        background=background, player_names=test_design.column_names)
+    vf = _masked_vf(lambda A: FAMILIES["gbdt_goss"].predict(tuning.best_model, A),
+                    background, player_names=test_design.column_names)
     rng = np.random.default_rng(subseed(2016, 4))
     rows = np.sort(rng.choice(test_design.n_rows, size=20, replace=False))
     ranking = mean_abs_shap(shap_for_dataset(vf, test_design.X[rows]))

@@ -244,6 +244,15 @@ CORRUPT_BUNDLES = {
                              "max_iter must be an integer, got True"),
     "config max_iter huge": ("elastic_net", {"config": {"max_iter": 1e308}},
                              r"max_iter must be an integer, got 1e\+308"),
+    # these loaded, and tune then failed in SeedSequence.spawn without
+    # naming the field, or fit True as 1 tree and 0.0 as none
+    "config n_trees float": ("random_forest", {"config": {"n_trees": 2.0}},
+                             r"config \{'n_trees': 2\.0\} is invalid: "
+                             r"n_trees must be an integer, got 2\.0"),
+    "config n_trees bool": ("gbdt", {"config": {"n_trees": True}},
+                            "n_trees must be an integer, got True"),
+    "config n_trees zero float": ("gbdt", {"config": {"n_trees": 0.0}},
+                                  r"n_trees must be an integer, got 0\.0"),
     "config lam NaN": ("elastic_net", {"config": {"lam": float("nan")}},
                        r"config \{'lam': nan\} is invalid: lam must be finite, got nan"),
     "config tol infinite": ("elastic_net", {"config": {"tol": float("inf")}},

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import synthetic_panel
+from conftest import masked_coalitions, synthetic_panel
 from wqpanel.elastic_net import ElasticNetConfig, fit_elastic_net, predict_linear
 from wqpanel.families import FAMILIES
 from wqpanel.features import (DesignMatrix, Strategy, StrategyConfig, assemble_design,
@@ -38,8 +38,10 @@ def brute_force_shap(value_of_subset, m):
     return phi
 
 
-def marginal_vf(predict, background):
-    return MarginalValueFunction(predict=predict, background=background)
+def marginal_vf(predict, background, **kwargs):
+    """A value function that enumerates by masking (the test oracle)."""
+    return MarginalValueFunction(predict=predict, background=background,
+                                 coalitions=masked_coalitions(predict), **kwargs)
 
 
 def test_constant_model_all_zero():
@@ -192,12 +194,25 @@ def test_solver_needs_every_column_in_one_player():
             MarginalValueFunction(predict=lambda A: A.sum(axis=1),
                                   background=np.zeros((4, 3)), player_columns=players,
                                   solver=lambda x, bg, cols: np.zeros(len(cols)))
+        with pytest.raises(ValueError, match="exactly one player"):
+            marginal_vf(lambda A: A.sum(axis=1), np.zeros((4, 3)), player_columns=players)
+
+
+def test_value_function_needs_exactly_one_hook():
+    def predict(A):
+        return A.sum(axis=1)
+
+    def solver(x, bg, cols):
+        return np.zeros(len(cols))
+
+    for hooks in ({}, {"solver": solver, "coalitions": masked_coalitions(predict)}):
+        with pytest.raises(ValueError, match="exactly one of solver and coalitions"):
+            MarginalValueFunction(predict=predict, background=np.zeros((4, 3)), **hooks)
 
 
 def test_empty_background_rejected():
     with pytest.raises(ValueError, match="background"):
-        MarginalValueFunction(predict=lambda A: A.sum(axis=1),
-                              background=np.empty((0, 3)))
+        marginal_vf(lambda A: A.sum(axis=1), np.empty((0, 3)))
 
 
 def test_grouped_players_toggle_whole_blocks():
@@ -207,9 +222,8 @@ def test_grouped_players_toggle_whole_blocks():
     bg = np.column_stack([rng.standard_normal(30),
                           np.eye(3)[bg_label]])
     coef = np.array([2.0, 1.0, -1.0, 0.5])
-    vf = MarginalValueFunction(
-        predict=lambda A: A @ coef, background=bg,
-        player_columns=[[0], [1, 2, 3]], player_names=("num", "block"))
+    vf = marginal_vf(lambda A: A @ coef, bg,
+                     player_columns=[[0], [1, 2, 3]], player_names=("num", "block"))
     x = np.array([0.4, 0.0, 1.0, 0.0])
     attr = exact_shap(vf, x)
     assert attr.feature_names == ("num", "block")
@@ -293,7 +307,8 @@ def solved_and_enumerated(predict, solver, background, x, players=None):
     players = players or [[c] for c in range(background.shape[1])]
     common = dict(predict=predict, background=background, player_columns=players)
     solved = exact_shap(MarginalValueFunction(solver=solver, **common), x)
-    enumerated = exact_shap(MarginalValueFunction(**common), x)
+    enumerated = exact_shap(MarginalValueFunction(coalitions=masked_coalitions(predict),
+                                                  **common), x)
     return solved, enumerated
 
 
@@ -441,7 +456,8 @@ def test_tree_solver_explains_past_the_enumeration_cap():
                                background=X[:32],
                                solver=lambda *a: ensemble_shap(model, *a))
     with pytest.raises(ValueError, match="cap"):
-        exact_shap(dataclasses.replace(vf, solver=None), X[100])
+        exact_shap(dataclasses.replace(vf, solver=None,
+                                       coalitions=masked_coalitions(vf.predict)), X[100])
     for attr in shap_for_dataset(vf, X[100:104]):
         assert len(attr.phi) == 20
         assert abs(attr.base_value + attr.phi.sum() - attr.f_x) <= 1e-9
@@ -450,7 +466,7 @@ def test_tree_solver_explains_past_the_enumeration_cap():
 # ------------------------------------- MLP coalitions from first-layer sums
 # mlp_coalition_values builds every coalition's first-layer pre-activations
 # from subset sums of per-player deltas instead of masking; the masking
-# enumeration of MarginalValueFunction is its oracle.
+# enumeration of the test-side masked_coalitions hook is its oracle.
 
 def mlp_fixture(hidden, activation, n_columns, seed, n=60):
     rng = np.random.default_rng(seed)
@@ -471,8 +487,8 @@ def mlp_value_functions(model, background, players):
     fast = MarginalValueFunction(
         predict=refuse, background=background, player_columns=players,
         coalitions=lambda *a: mlp_coalition_values(model, *a))
-    masked = MarginalValueFunction(predict=lambda A: predict_mlp(model, A),
-                                   background=background, player_columns=players)
+    masked = marginal_vf(lambda A: predict_mlp(model, A), background,
+                         player_columns=players)
     return fast, masked
 
 
@@ -549,3 +565,7 @@ def test_mlp_family_explains_through_coalitions():
     assert family.shap_solver is None
     assert family.shap_coalitions is mlp_coalition_values
     assert all(f.shap_coalitions is None for f in FAMILIES.values() if f is not family)
+    # every entry fits a fold through its hook and explains through one hook
+    for name, entry in FAMILIES.items():
+        assert callable(entry.fit_fold), name
+        assert (entry.shap_solver is None) != (entry.shap_coalitions is None), name

@@ -33,20 +33,20 @@ def _time(monkeypatch, capsys, family, grid, *panel_args):
 
 def test_gbdt_grid_is_one_task_of_prefix_models(monkeypatch, capsys):
     record = _time(monkeypatch, capsys, "gbdt", {"n_trees": [2, 3], "max_depth": [2]})
-    assert (record["configs"], record["tasks"], record["trees_grown"]) == (2, 1, 3)
+    assert (record["configs"], record["trees_grown"]) == (2, 3)
     assert record["rows"] > 0 and record["wall_s"] >= 0
 
 
 def test_random_forest_grid_is_one_task(monkeypatch, capsys):
     record = _time(monkeypatch, capsys, "random_forest",
                    {"n_trees": [2], "max_depth": [2, 3]})
-    assert (record["configs"], record["tasks"], record["trees_grown"]) == (2, 1, 4)
+    assert (record["configs"], record["trees_grown"]) == (2, 4)
 
 
 @pytest.mark.parametrize("family", ["random_forest", "gbdt_goss"])
 def test_prefix_grid_grows_its_longest_fit_once(monkeypatch, capsys, family):
     record = _time(monkeypatch, capsys, family, {"max_depth": [2], "n_trees": [2, 3]})
-    assert (record["configs"], record["tasks"], record["trees_grown"]) == (2, 1, 3)
+    assert (record["configs"], record["trees_grown"]) == (2, 3)
 
 
 def test_panel_size_options_reach_the_generator(monkeypatch, capsys):

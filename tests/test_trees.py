@@ -988,6 +988,11 @@ def test_config_validation():
         GBDTConfig(learning_rate=1.5)
     with pytest.raises(ValueError):
         RFConfig(n_trees=0)
+    # a tree count is an integer: a float, even a whole one, or a bool is none
+    for config, n_trees in ((RFConfig, 2.0), (RFConfig, True), (GBDTConfig, 2.0),
+                            (GBDTConfig, True), (GBDTConfig, 0.0)):
+        with pytest.raises(ValueError, match=f"n_trees must be an integer, got {n_trees!r}"):
+            config(n_trees=n_trees)
     with pytest.raises(ValueError):
         fit_random_forest(np.zeros((4, 2)), np.zeros(4), RFConfig(max_features=5))
     with pytest.raises(ValueError, match="non-finite"):

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from wqpanel import trees as tr
+from wqpanel import tuner
 from wqpanel.families import FAMILIES, get_family
 from wqpanel.reporting import render_results_csv
 from wqpanel.tuner import (TAG_FIT, CVConfig, FitFailedError, FoldScheme,
@@ -170,8 +171,45 @@ def test_parallel_matches_serial(family, axes):
     assert serial.total_fits == parallel.total_fits == len(grid_configs(grid)) * 3
 
 
+SERIAL_CASES = {
+    "elastic_net": {"lam": (1e-4, 0.01), "alpha": (0.0, 1.0)},
+    "random_forest": {"max_depth": (2,), "n_trees": (2, 3)},
+    "gbdt": {"max_depth": (1, 2), "n_trees": (2, 3)},
+    "gbdt_goss": {"top_rate": (0.2,), "n_trees": (2, 3)},
+    "mlp": {"hidden_layers": ([3], [2, 2]), "max_epochs": (2,)},
+}
+
+
+@pytest.mark.parametrize("family, axes", SERIAL_CASES.items(), ids=SERIAL_CASES)
+def test_serial_search_runs_one_task_per_fold(monkeypatch, family, axes):
+    # every family fits all configs of a fold in one task, through its hook
+    X, y = _search_data(seed=8, n=36)
+    folds = []
+
+    def counted(fi, _task=tuner._pool_task):
+        folds.append(fi)
+        return _task(fi)
+
+    monkeypatch.setattr(tuner, "_pool_task", counted)
+    result = grid_search(family, axes, X, y, CVConfig(k=3, seed=4), seed=2)
+    assert folds == [0, 1, 2]
+    assert result.total_fits == len(grid_configs(axes)) * 3
+
+
 def _exported(family, model) -> str:
     return json.dumps(family.export(model), sort_keys=True)
+
+
+def _per_config(name):
+    """The registry entry ``name`` with a fit_fold hook that calls its fit
+    once per config: the reference the shared hooks must match."""
+    family = FAMILIES[name]
+
+    def fit_fold(X, y, cfgs):
+        for cfg in cfgs:
+            yield family.fit(X, y, cfg)
+
+    return dataclasses.replace(family, fit_fold=fit_fold)
 
 
 def test_elastic_net_fit_fold_matches_fit_and_predict():
@@ -250,17 +288,15 @@ def test_gbdt_fit_fold_matches_fit_and_predict(monkeypatch):
 
 
 def test_gbdt_fit_fold_groups_only_configs_a_prefix_reproduces(monkeypatch):
-    # a model keeps learning_rate as given, so 1 and 1.0 are fit apart; an
-    # n_trees that is not an int fits alone, as fit would
+    # a model keeps learning_rate as given, so 1 and 1.0 are fit apart
     family = get_family("gbdt")
     X, y = _search_data(seed=14, n=40)
     configs = [{"learning_rate": 1, "n_trees": 2}, {"learning_rate": 1.0, "n_trees": 3},
-               {"learning_rate": 1, "n_trees": 4}, {"n_trees": 0.0}, {"n_trees": True},
-               {"n_trees": 2}, {}]
+               {"learning_rate": 1, "n_trees": 4}, {"n_trees": 2}, {}]
     cfgs = [family.config(params, 0) for params in configs]
     fitted = _counting_fit(monkeypatch)
     shared = list(family.fit_fold(X, y, cfgs))
-    assert fitted == [4, 3, 0.0, True, 100]
+    assert fitted == [4, 3, 100]
     for params, cfg, model in zip(configs, cfgs, shared):
         alone = family.fit(X, y, cfg)
         assert _exported(family, model) == _exported(family, alone), params
@@ -271,7 +307,7 @@ def test_gbdt_grid_search_equals_per_config_fits(monkeypatch):
     grid = {"n_trees": (2, 6, 4), "max_depth": (1, 2), "gamma": (0.0, 0.05)}
     cv = CVConfig(k=3, seed=6)
     shared = grid_search("gbdt", grid, X, y, cv, seed=2)
-    monkeypatch.setitem(FAMILIES, "gbdt", dataclasses.replace(FAMILIES["gbdt"], fit_fold=None))
+    monkeypatch.setitem(FAMILIES, "gbdt", _per_config("gbdt"))
     alone = grid_search("gbdt", grid, X, y, cv, seed=2)
     assert shared.to_dict() == alone.to_dict()
     assert shared.total_fits == len(grid_configs(grid)) * 3
@@ -336,7 +372,7 @@ def test_prefix_grid_search_equals_per_config_fits(monkeypatch, name, axes):
     X, y = _search_data(seed=20, n=45)
     cv = CVConfig(k=3, seed=6)
     shared = grid_search(name, axes, X, y, cv, seed=2)
-    monkeypatch.setitem(FAMILIES, name, dataclasses.replace(FAMILIES[name], fit_fold=None))
+    monkeypatch.setitem(FAMILIES, name, _per_config(name))
     alone = grid_search(name, axes, X, y, cv, seed=2)
     assert shared.to_dict() == alone.to_dict()
     family = get_family(name)
@@ -353,7 +389,7 @@ def test_gbdt_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
     with pytest.raises(FitFailedError) as shared:
         grid_search("gbdt", grid, X, y, cv, seed=3)
     assert fitted == []
-    monkeypatch.setitem(FAMILIES, "gbdt", dataclasses.replace(FAMILIES["gbdt"], fit_fold=None))
+    monkeypatch.setitem(FAMILIES, "gbdt", _per_config("gbdt"))
     with pytest.raises(FitFailedError) as alone:
         grid_search("gbdt", grid, X, y, cv, seed=3)
     assert str(shared.value) == str(alone.value) == (
@@ -368,7 +404,7 @@ def test_mlp_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
     cv = CVConfig(k=3, seed=0)
     with pytest.raises(FitFailedError) as shared:
         grid_search("mlp", grid, X, y, cv, seed=3)
-    monkeypatch.setitem(FAMILIES, "mlp", dataclasses.replace(FAMILIES["mlp"], fit_fold=None))
+    monkeypatch.setitem(FAMILIES, "mlp", _per_config("mlp"))
     with pytest.raises(FitFailedError) as alone:
         grid_search("mlp", grid, X, y, cv, seed=3)
     assert str(shared.value) == str(alone.value) == (
@@ -387,8 +423,7 @@ def test_mlp_divergence_fails_the_config_per_config_fits_name(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FitFailedError) as shared:
             grid_search("mlp", grid, X * 10.0, y * 10.0, cv, seed=3)
-        monkeypatch.setitem(FAMILIES, "mlp",
-                            dataclasses.replace(FAMILIES["mlp"], fit_fold=None))
+        monkeypatch.setitem(FAMILIES, "mlp", _per_config("mlp"))
         with pytest.raises(FitFailedError) as alone:
             grid_search("mlp", grid, X * 10.0, y * 10.0, cv, seed=3)
     assert str(shared.value) == str(alone.value)
@@ -423,8 +458,14 @@ def test_fit_failure_identifies_config():
     ("elastic_net", {"max_iter": True}, "max_iter must be an integer, got True"),
     ("elastic_net", {"lam": float("nan")}, "lam must be finite, got nan"),
     ("elastic_net", {"tol": float("inf")}, "tol must be finite, got inf"),
+    ("random_forest", {"n_trees": 2.0}, "n_trees must be an integer, got 2.0"),
+    ("random_forest", {"n_trees": True}, "n_trees must be an integer, got True"),
+    ("gbdt", {"n_trees": 2.0}, "n_trees must be an integer, got 2.0"),
+    ("gbdt", {"n_trees": True}, "n_trees must be an integer, got True"),
+    ("gbdt", {"n_trees": 0.0}, "n_trees must be an integer, got 0.0"),
 ], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate",
-        "max_iter_fraction", "max_iter_bool", "lam_nan", "tol_inf"])
+        "max_iter_fraction", "max_iter_bool", "lam_nan", "tol_inf", "rf_n_trees_float",
+        "rf_n_trees_bool", "gbdt_n_trees_float", "gbdt_n_trees_bool", "gbdt_n_trees_zero_float"])
 def test_out_of_range_config_value_fails_naming_the_config(family, params, message):
     X, y = _search_data(n=20)
     grid = {name: (value,) for name, value in params.items()}
