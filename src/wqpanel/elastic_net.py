@@ -19,11 +19,11 @@ bit, as a fit from scratch with all-numpy steps.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
+
+from .fieldtypes import check_field_types
 
 
 @dataclass(frozen=True)
@@ -35,23 +35,13 @@ class ElasticNetConfig:
     standardize_internally: bool = True
 
     def __post_init__(self):
-        for name in ("lam", "tol"):  # NaN passes every range check
-            value = getattr(self, name)
-            try:
-                finite = math.isfinite(value)
-            except OverflowError:  # an int too large for a float
-                finite = False
-            if not finite:
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        check_field_types(self)
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
         if self.tol <= 0:
             raise ValueError("tol must be > 0")
-        # a sweep count: a float (even 2.0) or a bool is none
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral):
-            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -124,7 +114,6 @@ def prepare_fit(X, y, standardize: bool) -> FitSetup:
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in input")
 
-    standardize = bool(standardize)
     Xs, x_mean, scale = _working_space(X, standardize)
     y_mean = float(y.mean())
     yc = y - y_mean
@@ -147,7 +136,7 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig, keep_trace: bool = False,
     """
     if setup is None:
         setup = prepare_fit(X, y, cfg.standardize_internally)
-    elif setup.standardize != bool(cfg.standardize_internally):
+    elif setup.standardize != cfg.standardize_internally:
         raise ValueError("setup was prepared with standardize="
                          f"{setup.standardize}, the config asks for "
                          f"{cfg.standardize_internally}")

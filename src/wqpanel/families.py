@@ -191,7 +191,7 @@ def _elastic_net_fold(X_train, y_train, cfgs):
     descent; the fits equal fit_elastic_net's without a set-up, bit for bit."""
     setups = {}
     for cfg in cfgs:
-        flag = bool(cfg.standardize_internally)
+        flag = cfg.standardize_internally
         if flag not in setups:
             setups[flag] = en.prepare_fit(X_train, y_train, flag)
         yield en.fit_elastic_net(X_train, y_train, cfg, setup=setups[flag])

@@ -23,6 +23,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .fieldtypes import check_field_types
+
 _INIT_TAG = 101
 _SPLIT_TAG = 102
 _EPOCH_TAG = 103
@@ -40,6 +42,7 @@ class EarlyStopConfig:
     patience: int = 10
 
     def __post_init__(self):
+        check_field_types(self)
         if not 0.0 < self.validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in (0, 1)")
         if self.patience < 1:
@@ -59,6 +62,7 @@ class MLPConfig:
     early_stop: EarlyStopConfig | None = None
 
     def __post_init__(self):
+        check_field_types(self)
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
         if self.activation not in ACTIVATIONS:

@@ -16,6 +16,7 @@ from pathlib import Path
 
 from .families import FAMILIES
 from .features import StrategyConfig, check_categoricals
+from .fieldtypes import is_integer
 from .tuner import FoldScheme
 
 OUTPUT_DIR_ENV = "WQPANEL_OUTPUT_DIR"
@@ -64,10 +65,6 @@ class RunConfig:
                 raise ConfigError(f"{label} path does not exist: {path}")
         if self.sites_csv is not None and not self.sites_csv.exists():
             raise ConfigError(f"sites_csv path does not exist: {self.sites_csv}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def check_families(families, where: str) -> None:
@@ -123,7 +120,7 @@ def load_run_config(path: str | Path) -> RunConfig:
     if "seed" not in raw:
         raise ConfigError("config must set an explicit integer seed")
     seed = raw["seed"]
-    if not _is_int(seed) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
     data = _section(raw, "data")
@@ -145,7 +142,7 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"output_dir must be a path string, got {out_dir!r}")
 
     strategy = raw.get("strategy", 2)
-    if not _is_int(strategy) or strategy not in (1, 2, 3):
+    if not is_integer(strategy) or strategy not in (1, 2, 3):
         raise ConfigError(f"strategy must be the integer 1, 2 or 3, got {strategy!r}")
 
     families = raw.get("families", list(FAMILIES))
@@ -161,7 +158,7 @@ def load_run_config(path: str | Path) -> RunConfig:
 
     cv = _section(raw, "cv")
     cv_k = cv.get("k", 5)
-    if not isinstance(cv_k, int) or cv_k < 2:
+    if not is_integer(cv_k) or cv_k < 2:
         raise ConfigError(f"cv.k must be an integer >= 2, got {cv_k!r}")
     cv_scheme = cv.get("scheme", "shuffled")
     if cv_scheme not in (s.value for s in FoldScheme):
@@ -174,18 +171,18 @@ def load_run_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"shap.kind must be one of {SHAP_KINDS}, got {shap_kind!r}")
     shap_rows = shap.get("rows")
     if not (shap_rows is None
-            or isinstance(shap_rows, list) and all(_is_int(r) for r in shap_rows)
+            or isinstance(shap_rows, list) and all(is_integer(r) for r in shap_rows)
             or isinstance(shap_rows, dict) and shap_rows.keys() == {"sample"}
-            and _is_int(shap_rows["sample"]) and shap_rows["sample"] >= 1):
+            and is_integer(shap_rows["sample"]) and shap_rows["sample"] >= 1):
         raise ConfigError(f"shap.rows must be a list of integers or "
                           f"{{\"sample\": n}} with an integer n >= 1, got {shap_rows!r}")
     for key, default in (("background_size", 256), ("cap", 15)):
         value = shap.get(key, default)
-        if not _is_int(value) or value < 1:
+        if not is_integer(value) or value < 1:
             raise ConfigError(f"shap.{key} must be an integer >= 1, got {value!r}")
 
     n_jobs = raw.get("n_jobs", 1)
-    if not _is_int(n_jobs) or n_jobs < 1:
+    if not is_integer(n_jobs) or n_jobs < 1:
         raise ConfigError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
 
     return RunConfig(

@@ -15,6 +15,7 @@ from typing import Any
 
 from .families import ModelFamily, _numbers, get_family
 from .features import StandardizationParams, StrategyConfig
+from .fieldtypes import is_integer
 
 FORMAT_VERSION = 1
 
@@ -106,7 +107,7 @@ def load_model(path: str | Path) -> ModelBundle:
             raise ValueError(f"unsupported model format version {version!r}")
         family = get_family(payload["family"])
         config, seed = payload["config"], payload["seed"]
-        if type(seed) is not int or seed < 0:  # a bool is no seed
+        if not is_integer(seed) or seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if not isinstance(config, dict):
             raise ValueError(f"config must be a JSON object, got {config!r}")

@@ -42,12 +42,13 @@ from __future__ import annotations
 
 import enum
 import itertools
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
+
+from .fieldtypes import check_field_types
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,6 @@ class RegressionTree:
         return len(self.feature)
 
 
-def _check_n_trees(n_trees, least: int) -> None:
-    # a tree count: a float (even 2.0) or a bool is none
-    if isinstance(n_trees, bool) or not isinstance(n_trees, numbers.Integral):
-        raise ValueError(f"n_trees must be an integer, got {n_trees!r}")
-    if n_trees < least:
-        raise ValueError(f"n_trees must be >= {least}")
-
-
 @dataclass(frozen=True)
 class GossConfig:
     """Keep the top_rate fraction by |gradient|, sample other_rate of the rest."""
@@ -83,10 +76,11 @@ class GossConfig:
     other_rate: float = 0.1
 
     def __post_init__(self):
+        check_field_types(self)
         if not (0.0 <= self.top_rate <= 1.0 and 0.0 <= self.other_rate <= 1.0):
             raise ValueError("top_rate and other_rate must be in [0, 1]")
-        if self.top_rate + self.other_rate > 1.0 + 1e-12:
-            raise ValueError("top_rate + other_rate must be <= 1")
+        if not 0.0 < self.top_rate + self.other_rate <= 1.0 + 1e-12:  # > 0: a tree needs a row
+            raise ValueError("top_rate + other_rate must be > 0 and <= 1")
 
 
 @dataclass(frozen=True)
@@ -102,7 +96,9 @@ class GBDTConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_n_trees(self.n_trees, 0)
+        check_field_types(self)
+        if self.n_trees < 0:
+            raise ValueError("n_trees must be >= 0")
         if not 0.0 < self.learning_rate <= 1.0:
             raise ValueError("learning_rate must be in (0, 1]")
         if self.max_depth < 0 or self.n_bins < 1:
@@ -122,7 +118,9 @@ class RFConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _check_n_trees(self.n_trees, 1)
+        check_field_types(self)
+        if self.n_trees < 1:
+            raise ValueError("n_trees must be >= 1")
         if self.max_depth < 0 or self.n_bins < 1:
             raise ValueError("max_depth >= 0 and n_bins >= 1 required")
         if self.min_samples_leaf < 1:

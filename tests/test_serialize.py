@@ -1,14 +1,17 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from wqpanel.families import FAMILIES
 from wqpanel.features import Strategy, StrategyConfig
 from wqpanel.serialize import PipelineState, load_model, save_model
 
 
-@pytest.fixture
+@pytest.fixture(scope="module")
 def pipeline_state():
     return PipelineState(
         strategy=StrategyConfig(strategy=Strategy.RAW_NUMERIC),
@@ -260,6 +263,18 @@ CORRUPT_BUNDLES = {
     # math.isfinite raises OverflowError on an int this large
     "config lam huge int": ("elastic_net", {"config": {"lam": 10 ** 400}},
                             "lam must be finite, got 1000"),
+    # these loaded, and a fit then died in Generator.choice or range(), fit
+    # on NaN child weights, or standardized on a string
+    "config max_features fraction": ("random_forest", {"config": {"max_features": 1.5}},
+                                     r"config \{'max_features': 1\.5\} is invalid: "
+                                     r"max_features must be an integer, got 1\.5"),
+    "config batch_size fraction": ("mlp", {"config": {"batch_size": 8.5}},
+                                   r"batch_size must be an integer, got 8\.5"),
+    "config min_child_weight NaN": ("gbdt", {"config": {"min_child_weight": float("nan")}},
+                                    "min_child_weight must be finite, got nan"),
+    "config standardize_internally string": ("elastic_net",
+                                             {"config": {"standardize_internally": "no"}},
+                                             "standardize_internally must be a bool, got 'no'"),
     "seed negative": ("gbdt", {"seed": -1}, "seed must be a non-negative integer, got -1"),
     "seed bool": ("elastic_net", {"seed": True},
                   "seed must be a non-negative integer, got True"),
@@ -286,3 +301,44 @@ def test_corrupt_bundle_rejected_naming_field_and_node(case, pipeline_state, tmp
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=message):
         load_model(path)
+
+
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.integers(min_value=-2, max_value=2**64) | st.sampled_from([-1, 0, 10**400]),
+    st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                           max_leaves=5)
+
+
+@pytest.fixture(scope="module")
+def fitted_bundles(pipeline_state, tmp_path_factory):
+    """A bundle path and a valid bundle payload of each family, fit on a
+    tiny design."""
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((12, 3))
+    y = X @ [0.5, -0.25, 0.1]
+    path = tmp_path_factory.mktemp("bundles") / "model.json"
+    payloads = {}
+    for name, params in FIT_PARAMS.items():
+        family = FAMILIES[name]
+        model = family.fit(X, y, family.config(params, 3))
+        save_model(path, name, model, params, 3, pipeline_state)
+        payloads[name] = json.loads(path.read_text())
+    return path, payloads
+
+
+@given(data=st.data())
+def test_any_bundle_config_value_loads_or_fails_naming_file_and_config(fitted_bundles, data):
+    # a loaded config is never fit: a huge n_trees or layer width is valid
+    path, payloads = fitted_bundles
+    name = data.draw(st.sampled_from(sorted(payloads)))
+    payload = copy.deepcopy(payloads[name])
+    field = data.draw(st.sampled_from(sorted(FAMILIES[name].param_names)))
+    payload["config"][field] = data.draw(JSON_VALUES)
+    path.write_text(json.dumps(payload))
+    try:
+        load_model(path)
+    except ValueError as exc:
+        assert str(path) in str(exc) and "config" in str(exc)

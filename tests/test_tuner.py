@@ -463,9 +463,16 @@ def test_fit_failure_identifies_config():
     ("gbdt", {"n_trees": 2.0}, "n_trees must be an integer, got 2.0"),
     ("gbdt", {"n_trees": True}, "n_trees must be an integer, got True"),
     ("gbdt", {"n_trees": 0.0}, "n_trees must be an integer, got 0.0"),
+    ("random_forest", {"max_features": 1.5}, "max_features must be an integer, got 1.5"),
+    ("mlp", {"batch_size": 8.5}, "batch_size must be an integer, got 8.5"),
+    ("gbdt", {"min_child_weight": float("nan")}, "min_child_weight must be finite, got nan"),
+    ("elastic_net", {"standardize_internally": "no"},
+     "standardize_internally must be a bool, got 'no'"),
 ], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate",
         "max_iter_fraction", "max_iter_bool", "lam_nan", "tol_inf", "rf_n_trees_float",
-        "rf_n_trees_bool", "gbdt_n_trees_float", "gbdt_n_trees_bool", "gbdt_n_trees_zero_float"])
+        "rf_n_trees_bool", "gbdt_n_trees_float", "gbdt_n_trees_bool", "gbdt_n_trees_zero_float",
+        "rf_max_features_fraction", "mlp_batch_size_fraction", "gbdt_min_child_weight_nan",
+        "standardize_internally_string"])
 def test_out_of_range_config_value_fails_naming_the_config(family, params, message):
     X, y = _search_data(n=20)
     grid = {name: (value,) for name, value in params.items()}
