@@ -50,9 +50,7 @@ class ElasticNetConfig:
 class LinearModel:
     intercept: float
     coefficients: np.ndarray
-    config: ElasticNetConfig
     sweeps_used: int
-    objective_trace: tuple[float, ...] = ()
 
 
 def _working_space(X: np.ndarray, standardize: bool):
@@ -63,20 +61,9 @@ def _working_space(X: np.ndarray, standardize: bool):
         scale = np.where(sd == 0.0, 1.0, sd)
     else:
         scale = np.ones(X.shape[1])
-    Xs = (X - x_mean) / scale
+    Xs = X - x_mean
+    Xs /= scale
     return Xs, x_mean, scale
-
-
-def objective_value(X: np.ndarray, y: np.ndarray, intercept: float,
-                    coefficients: np.ndarray, lam: float, alpha: float) -> float:
-    """The penalized least-squares objective at the given parameters."""
-    n = len(y)
-    resid = y - intercept - X @ coefficients
-    return float(
-        resid @ resid / (2 * n)
-        + lam * (1 - alpha) / 2 * coefficients @ coefficients
-        + lam * alpha * np.abs(coefficients).sum()
-    )
 
 
 @dataclass(frozen=True)
@@ -84,9 +71,7 @@ class FitSetup:
     """What a descent needs from (X, y) that no config changes.
 
     prepare_fit builds it; fit_elastic_net runs one config's descent from
-    it, so the configs of one fold can share it. Xs and yc, the
-    working-space predictors and centered target, are read only for an
-    objective trace.
+    it, so the configs of one fold can share it.
     """
 
     standardize: bool
@@ -96,8 +81,6 @@ class FitSetup:
     gram: np.ndarray
     xy: np.ndarray
     diag: np.ndarray
-    Xs: np.ndarray
-    yc: np.ndarray
 
 
 def prepare_fit(X, y, standardize: bool) -> FitSetup:
@@ -120,19 +103,18 @@ def prepare_fit(X, y, standardize: bool) -> FitSetup:
     gram = Xs.T @ Xs / n
     return FitSetup(
         standardize=standardize, x_mean=x_mean, scale=scale, y_mean=y_mean,
-        gram=gram, xy=Xs.T @ yc / n, diag=np.diag(gram).copy(), Xs=Xs, yc=yc)
+        gram=gram, xy=Xs.T @ yc / n, diag=np.diag(gram).copy())
 
 
-def fit_elastic_net(X, y, cfg: ElasticNetConfig, keep_trace: bool = False,
+def fit_elastic_net(X, y, cfg: ElasticNetConfig,
                     setup: FitSetup | None = None) -> LinearModel:
     """Cyclic coordinate descent with soft-thresholding and Gram-matrix updates.
 
     Deterministic (fixed cyclic order over columns); converged when the
     largest coefficient change in a sweep drops below cfg.tol, or after
-    cfg.max_iter sweeps. With keep_trace the per-sweep objective (in the
-    internal working space) is recorded on the model. ``setup`` is
-    prepare_fit(X, y, cfg.standardize_internally) made beforehand; without
-    it the set-up is built here.
+    cfg.max_iter sweeps. ``setup`` is prepare_fit(X, y,
+    cfg.standardize_internally) made beforehand; without it the set-up is
+    built here.
     """
     if setup is None:
         setup = prepare_fit(X, y, cfg.standardize_internally)
@@ -154,7 +136,6 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig, keep_trace: bool = False,
     b = np.zeros(len(diag))
     coef = [0.0] * len(diag)  # b as Python floats
 
-    trace: list[float] = []
     sweeps = 0
     for sweep in range(cfg.max_iter):
         sweeps = sweep + 1
@@ -173,16 +154,12 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig, keep_trace: bool = False,
                 max_delta = delta
             b[j] = new
             coef[j] = new
-        if keep_trace:
-            trace.append(objective_value(setup.Xs, setup.yc, 0.0, b, cfg.lam, cfg.alpha))
         if max_delta < cfg.tol:
             break
 
     coefficients = b / setup.scale
     intercept = setup.y_mean - float(coefficients @ setup.x_mean)
-    return LinearModel(
-        intercept=intercept, coefficients=coefficients, config=cfg,
-        sweeps_used=sweeps, objective_trace=tuple(trace))
+    return LinearModel(intercept=intercept, coefficients=coefficients, sweeps_used=sweeps)
 
 
 def predict_linear(model: LinearModel, X) -> np.ndarray:
@@ -203,34 +180,6 @@ def lambda_max(X, y, standardize: bool = True) -> float:
     y = np.asarray(y, dtype=float)
     Xs, _, _ = _working_space(X, standardize)
     return float(np.max(np.abs(Xs.T @ (y - y.mean())))) / len(y)
-
-
-def kkt_max_violation(X, y, model: LinearModel) -> float:
-    """Largest stationarity-condition violation at the fitted coefficients.
-
-    Checked in the solver's working space: for b_j != 0 the subgradient
-    must vanish; for b_j = 0 the gradient must sit inside [-lam*alpha,
-    lam*alpha]. A converged fit keeps this below 10 * tol.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    cfg = model.config
-    Xs, _, scale = _working_space(X, cfg.standardize_internally)
-    b = model.coefficients * scale
-    yc = y - y.mean()
-    n = len(y)
-    grad = -(Xs.T @ (yc - Xs @ b)) / n
-    l1 = cfg.lam * cfg.alpha
-    l2 = cfg.lam * (1.0 - cfg.alpha)
-
-    worst = 0.0
-    for j in range(len(b)):
-        if b[j] != 0.0:
-            violation = abs(grad[j] + l2 * b[j] + l1 * np.sign(b[j]))
-        else:
-            violation = max(0.0, abs(grad[j]) - l1)
-        worst = max(worst, float(violation))
-    return worst
 
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)

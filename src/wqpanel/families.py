@@ -13,10 +13,12 @@ prefix axis. The tuner fits each CV fold in one task through fit_fold.
 It builds every config of the fold before any fit, so the hook takes
 only valid built configs; it yields their fitted models, sharing the
 work that no config changes, and each model must equal fit's for that
-config, bit for bit. Elastic net shares one Gram matrix per fold, the
-MLP trains the configs of one architecture in lockstep on stacked
-weights, and each tree ensemble fits once per setting of the other axes,
-whose prefixes serve every smaller n_trees.
+config, bit for bit. Every hook is one grouped rule (_grouped_fold) given
+a family's group key and group fit: elastic net shares one set-up (the
+Gram matrix) per standardize_internally value, the MLP trains the configs
+of one architecture in lockstep on stacked weights, and each tree
+ensemble fits once per setting of the other axes, whose prefixes serve
+every smaller n_trees.
 An ensemble draws tree i from the i-th spawned child of its fit seed, so
 under one seed the first k trees of a longer fit are the k-tree fit; its
 entry names n_trees as its prefix_axis, and the tuner keys the fit seed
@@ -35,6 +37,7 @@ from . import elastic_net as en
 from . import mlp as nn
 from . import shap_exact as sh
 from . import trees as tr
+from .fieldtypes import is_integer
 
 
 @dataclass(frozen=True)
@@ -186,52 +189,67 @@ def _ensemble_restore(raw: dict, n_columns: int) -> tr.Ensemble:
     )
 
 
-def _elastic_net_fold(X_train, y_train, cfgs):
-    """One set-up per standardize_internally value, then each config's
-    descent; the fits equal fit_elastic_net's without a set-up, bit for bit."""
-    setups = {}
-    for cfg in cfgs:
-        flag = cfg.standardize_internally
-        if flag not in setups:
-            setups[flag] = en.prepare_fit(X_train, y_train, flag)
-        yield en.fit_elastic_net(X_train, y_train, cfg, setup=setups[flag])
+def _grouped_fold(key, fit_group):
+    """A fit_fold hook that shares work among the configs of one group.
 
-
-def _prefix_fold(fit):
-    """A fit_fold hook for an ensemble learner ``fit`` whose tree i depends
-    only on its seed, its config and the trees before it.
-
-    Configs that differ only in n_trees share one fit at the largest of
-    their n_trees, fit when the first of them is due and dropped after the
-    last, and each gets the prefix of its own length, which equals fit's
-    fit of that length bit for bit. The seed is part of the group key, so
-    only configs with one fit seed share a fit.
+    ``key(cfg, n_train_rows)`` groups the configs; a ValueError from it
+    fails that config in place. ``fit_group(X, y, group_cfgs)`` returns,
+    per config in order, its model or the exception its fit raised. Each
+    group is fit when its first config is due and dropped after its last
+    is yielded, so adjacent groups hold one group's models at a time, and
+    a failing config stops the fold before any later group is fit.
     """
     def fit_fold(X_train, y_train, cfgs):
-        keys, longest, last = [], {}, {}
+        outcomes, groups = {}, {}
         for i, cfg in enumerate(cfgs):
-            # repr tells 1 from 1.0 and 0.0 from -0.0, which a model may
-            # keep; n_trees=1 since a forest rejects 0
-            key = repr(replace(cfg, n_trees=1))
-            keys.append(key)
-            if key not in longest or cfg.n_trees > longest[key].n_trees:
-                longest[key] = cfg
-            last[key] = i
-        fits = {}
-        for i, (key, cfg) in enumerate(zip(keys, cfgs)):
-            if key not in fits:
-                fits[key] = fit(X_train, y_train, longest[key])
-            model = fits.pop(key) if last[key] == i else fits[key]
-            n_trees = cfg.n_trees
-            yield model if len(model.trees) == n_trees else replace(model, trees=model.trees[:n_trees])
+            try:
+                groups.setdefault(key(cfg, len(y_train)), []).append(i)
+            except ValueError as exc:
+                outcomes[i] = exc
+        firsts = {members[0]: members for members in groups.values()}
+        for i in range(len(cfgs)):
+            if i in firsts:  # no name holds the fits, so popping drops them
+                members = firsts.pop(i)
+                outcomes.update(zip(members, fit_group(X_train, y_train,
+                                                       [cfgs[j] for j in members])))
+            if isinstance(outcomes[i], Exception):
+                raise outcomes.pop(i)
+            yield outcomes.pop(i)
     return fit_fold
+
+
+def _elastic_net_group(X, y, cfgs):
+    """One set-up, then each config's descent; the fits equal
+    fit_elastic_net's without a set-up, bit for bit."""
+    setup = en.prepare_fit(X, y, cfgs[0].standardize_internally)
+    return [en.fit_elastic_net(X, y, cfg, setup=setup) for cfg in cfgs]
+
+
+def _prefix_key(cfg, n_rows):
+    # repr tells 1 from 1.0 and 0.0 from -0.0, which a model may keep;
+    # n_trees=1 since a forest rejects 0. The seed is part of the key, so
+    # only configs with one fit seed share a fit.
+    return repr(replace(cfg, n_trees=1))
+
+
+def _prefix_group(fit):
+    """A group fit for an ensemble learner ``fit`` whose tree i depends
+    only on its seed, its config and the trees before it: one fit at the
+    group's largest n_trees, and each config gets the prefix of its own
+    length, which equals fit's fit of that length bit for bit."""
+    def fit_group(X, y, cfgs):
+        model = fit(X, y, max(cfgs, key=lambda cfg: cfg.n_trees))
+        return [model if len(model.trees) == cfg.n_trees
+                else replace(model, trees=model.trees[:cfg.n_trees]) for cfg in cfgs]
+    return fit_group
 
 
 def _ensemble_family(fit, **entry) -> ModelFamily:
     """A tree-ensemble entry: its learner ``fit``, shared through the
     n_trees prefix hook, and the ensemble predict, bundle, importance and
     TreeSHAP functions."""
-    return ModelFamily(fit=fit, fit_fold=_prefix_fold(fit), prefix_axis="n_trees",
+    return ModelFamily(fit=fit, fit_fold=_grouped_fold(_prefix_key, _prefix_group(fit)),
+                       prefix_axis="n_trees",
                        predict=tr.predict_ensemble, export=_ensemble_export,
                        restore=_ensemble_restore, importance=tr.total_gain_importance,
                        shap_solver=sh.ensemble_shap, **entry)
@@ -244,32 +262,23 @@ def _goss_config(params, seed) -> tr.GBDTConfig:
 
 
 def _mlp_config(params, seed) -> nn.MLPConfig:
+    """A JSON list of integers is the hidden_layers tuple and a JSON object
+    the early_stop config; any other value reaches MLPConfig as written,
+    which rejects it naming the field and that value."""
     params = dict(params)
-    if "hidden_layers" in params:
-        params["hidden_layers"] = tuple(params["hidden_layers"])
-    if params.get("early_stop") is not None:
+    layers = params.get("hidden_layers")
+    if isinstance(layers, list) and all(map(is_integer, layers)):
+        params["hidden_layers"] = tuple(layers)
+    if isinstance(params.get("early_stop"), dict):
         params["early_stop"] = nn.EarlyStopConfig(**params["early_stop"])
     return nn.MLPConfig(seed=seed, **params)
 
 
-def _mlp_fold(X_train, y_train, cfgs):
-    """Configs that share layer widths, batch size and training-row count
-    train as one lockstep stack; the fits equal fit_mlp's bit for bit. A
-    config with no training rows, or one that diverges, raises at its own
-    place in the order, after the configs before it have yielded."""
-    outcomes, groups = {}, {}
-    for i, cfg in enumerate(cfgs):
-        try:
-            groups.setdefault(nn.lockstep_key(cfg, len(y_train)), []).append(i)
-        except ValueError as exc:
-            outcomes[i] = exc
-    for members in groups.values():
-        fits = nn.fit_lockstep(X_train, y_train, [cfgs[i] for i in members])
-        outcomes.update(zip(members, fits))
-    for i in range(len(cfgs)):
-        if isinstance(outcomes[i], Exception):
-            raise outcomes[i]
-        yield outcomes[i][0]
+def _mlp_group(X, y, cfgs):
+    """The configs of one lockstep_key trained as one stack; the fits equal
+    fit_mlp's bit for bit."""
+    return [fit if isinstance(fit, Exception) else fit[0]
+            for fit in nn.fit_lockstep(X, y, cfgs)]
 
 
 def _mlp_export(model: nn.MLPModel) -> dict:
@@ -318,8 +327,7 @@ def _linear_restore(raw: dict, n_columns: int) -> en.LinearModel:
         raise ValueError(f"sweeps_used = {sweeps_used} must be >= 0")
     return en.LinearModel(
         intercept=float(_numbers(raw["intercept"], "intercept", ndim=0)),
-        coefficients=coefficients,
-        config=en.ElasticNetConfig(), sweeps_used=sweeps_used)
+        coefficients=coefficients, sweeps_used=sweeps_used)
 
 
 # The default grids are sized so that config count x 5 folds lands on the
@@ -343,7 +351,8 @@ FAMILIES: dict[str, ModelFamily] = {
             "alpha": list(en.DEFAULT_ALPHA_GRID),
         },  # 30 configs
         cheap_refit=True,
-        fit_fold=_elastic_net_fold,
+        fit_fold=_grouped_fold(lambda cfg, n_rows: cfg.standardize_internally,
+                               _elastic_net_group),
     ),
     # each ensemble grid lists n_trees last, so each prefix group's configs
     # are adjacent and the hook holds one longest fit at a time
@@ -399,7 +408,7 @@ FAMILIES: dict[str, ModelFamily] = {
             "hidden_layers": [[32], [64], [64, 32], [128, 64]],
             "activation": ["relu", "tanh"],
         },  # 8 configs
-        fit_fold=_mlp_fold,
+        fit_fold=_grouped_fold(nn.lockstep_key, _mlp_group),
     ),
 }
 

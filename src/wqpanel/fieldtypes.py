@@ -1,10 +1,12 @@
 """One type rule for the learner config dataclasses, read from each field's
 annotation: int takes an integer (numpy's too, never a bool); float a finite
 real number, an int kept as it is; bool only a bool; tuple[int, ...] a tuple
-of integers; X | None also None. Other annotations are left to the class."""
+of integers; a nested config dataclass only an instance of it; X | None also
+None. Other annotations are left to the class."""
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import numbers
 import sys
@@ -35,6 +37,9 @@ def field_rules(cls: type) -> dict:
         hint = args[args[0] is type(None)] if optional else hint
         if hint in _RULES:
             rules[name] = (*_RULES[hint], optional)
+        elif isinstance(hint, type) and dataclasses.is_dataclass(hint):
+            rules[name] = (lambda v, kind=hint: isinstance(v, kind),
+                           f"must be of type {hint.__name__}", optional)
     return rules
 
 

@@ -116,6 +116,8 @@ def load_run_config(path: str | Path) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
 
     if "seed" not in raw:
         raise ConfigError("config must set an explicit integer seed")

@@ -7,7 +7,9 @@ from pathlib import Path
 import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
+from wqpanel.elastic_net import _working_space
 from wqpanel.mlp import _forward, _gradients, _loss, _one
 from wqpanel.panel import PanelDataset
 
@@ -15,6 +17,15 @@ hypothesis.settings.register_profile(
     "suite", max_examples=40, deadline=None,
     suppress_health_check=[hypothesis.HealthCheck.too_slow])
 hypothesis.settings.load_profile("suite")
+
+# any JSON value, non-finite numbers and integers beyond the doubles included
+JSON_LEAVES = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4),
+    st.integers(min_value=-2, max_value=2**64) | st.sampled_from([-1, 0, 10**400]),
+    st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
+                           | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                           max_leaves=5)
 
 # report.md copies the wall times of timing_strategyN.json into these sections
 TIMING_SECTION = re.compile(r"^## Strategy \d+: running time summary\n.*?(?=^## |\Z)",
@@ -98,6 +109,27 @@ def masked_coalitions(predict):
             values[start:start + chunk] = preds.mean(axis=1)
         return values
     return coalitions
+
+
+def kkt_max_violation(X, y, model, cfg) -> float:
+    """Largest stationarity-condition violation of ``model``, fit under the
+    elastic-net config ``cfg``, at its coefficients.
+
+    Checked in the solver's working space: for b_j != 0 the subgradient
+    must vanish; for b_j = 0 the gradient must sit inside [-lam*alpha,
+    lam*alpha]. A converged fit keeps this below 10 * tol.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Xs, _, scale = _working_space(X, cfg.standardize_internally)
+    b = model.coefficients * scale
+    yc = y - y.mean()
+    grad = -(Xs.T @ (yc - Xs @ b)) / len(y)
+    l1 = cfg.lam * cfg.alpha
+    l2 = cfg.lam * (1.0 - cfg.alpha)
+    violation = np.where(b != 0.0, np.abs(grad + l2 * b + l1 * np.sign(b)),
+                         np.maximum(0.0, np.abs(grad) - l1))
+    return float(violation.max(initial=0.0))
 
 
 def write_panel_csv(path: Path, panel: PanelDataset,

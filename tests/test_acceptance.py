@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (deterministic_files, loss_and_gradients, masked_coalitions,
-                      synthetic_panel, write_panel_csv, write_schema)
+from conftest import (deterministic_files, kkt_max_violation, loss_and_gradients,
+                      masked_coalitions, synthetic_panel, write_panel_csv, write_schema)
 from wqpanel.cli import main as cli_main
-from wqpanel.elastic_net import (ElasticNetConfig, fit_elastic_net,
-                                 kkt_max_violation, lambda_max, predict_linear)
+from wqpanel.elastic_net import ElasticNetConfig, fit_elastic_net, lambda_max, predict_linear
 from wqpanel.families import FAMILIES
 from wqpanel.metrics import evaluate, fit_benchmark
 from wqpanel.mlp import MLPConfig, fit_mlp, init_params, predict_mlp
@@ -82,14 +81,14 @@ def test_criterion_2_elastic_net():
         beta = np.linalg.solve(A.T @ A, A.T @ y)
         assert np.max(np.abs(model.coefficients - beta[1:])) < 1e-6
         assert abs(model.intercept - beta[0]) < 1e-6
-        assert kkt_max_violation(X, y, model) < 10 * cfg.tol
+        assert kkt_max_violation(X, y, model, cfg) < 10 * cfg.tol
 
     X = rng.standard_normal((150, 6))
     y = 2.0 + X @ rng.uniform(-1, 1, 6) + 0.2 * rng.standard_normal(150)
     for lam, alpha in ((0.05, 0.3), (0.2, 1.0), (0.5, 0.0)):
         cfg = ElasticNetConfig(lam=lam, alpha=alpha, tol=1e-9, max_iter=10000)
         model = fit_elastic_net(X, y, cfg)
-        assert kkt_max_violation(X, y, model) < 10 * cfg.tol
+        assert kkt_max_violation(X, y, model, cfg) < 10 * cfg.tol
 
     lmax = lambda_max(X, y)
     model = fit_elastic_net(X, y, ElasticNetConfig(lam=lmax, alpha=1.0))

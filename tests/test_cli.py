@@ -94,6 +94,20 @@ def test_missing_seed_is_config_error(panel_files, tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("stage", ["ingest", "stats", "tune", "evaluate", "explain", "report"])
+@pytest.mark.parametrize("raw", [5, None, "x", []], ids=["int", "null", "str", "list"])
+def test_non_object_config_file_is_config_error(panel_files, capsys, stage, raw):
+    # a number or null used to end every stage in a TypeError traceback, and
+    # a string or list read as a config without a seed
+    env = panel_files()
+    env["config"].write_text(json.dumps(raw))
+    model = ["--model", str(env["dir"] / "model.json")] if stage == "explain" else []
+    code, out = run([stage, "--config", str(env["config"]), *model], capsys)
+    assert code == 3
+    assert out.err == (f"config error: config {env['config']} must be a JSON object, "
+                       f"got {type(raw).__name__}\n")
+
+
 @pytest.mark.parametrize("section", ["data", "cv", "shap", "grids", "categoricals"])
 def test_non_object_config_section_is_config_error(panel_files, capsys, section):
     env = panel_files()

@@ -1,11 +1,12 @@
 import ast
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import wqpanel
-from wqpanel.families import FAMILIES
+from wqpanel.families import FAMILIES, _grouped_fold
 from wqpanel.trees import EnsembleKind
 from wqpanel.tuner import CVConfig, grid_configs, grid_search
 
@@ -66,3 +67,69 @@ def test_only_the_registry_names_families():
                     and not (path.name == "trees.py" and node.value in kinds)):
                 found.append(f"{path.name}:{node.lineno} {node.value!r}")
     assert not found
+
+
+class _Model:
+    def __init__(self, cfg):
+        self.cfg = cfg
+
+
+def _recording_fold(failing=()):
+    """A grouped fold keyed on each config's first letter whose group fit
+    records (configs, models alive when it starts) and returns a model per
+    config, or a ValueError for the configs in ``failing``; a config
+    without a letter fails its key."""
+    live, calls = weakref.WeakSet(), []
+
+    def key(cfg, n_rows):
+        if not cfg[0].isalpha():
+            raise ValueError(f"no group for {cfg}")
+        return cfg[0]
+
+    def fit_group(X, y, cfgs):
+        calls.append((list(cfgs), len(live)))
+        models = [ValueError(f"{cfg} failed") if cfg in failing else _Model(cfg)
+                  for cfg in cfgs]
+        live.update(m for m in models if isinstance(m, _Model))
+        return models
+
+    return _grouped_fold(key, fit_group), live, calls
+
+
+def test_grouped_fold_fits_a_group_when_due_and_drops_it_after_its_last():
+    fold, live, calls = _recording_fold()
+    held = []
+    for model in fold(None, np.zeros(4), ["a1", "a2", "b1", "b2", "b3", "c1", "a3"]):
+        held.append((model.cfg, sorted(m.cfg for m in live)))
+        del model
+    # "a3" sits apart from its group, so group a is held until it is served
+    assert calls == [(["a1", "a2", "a3"], 0), (["b1", "b2", "b3"], 1), (["c1"], 1)]
+    assert held == [("a1", ["a1", "a2", "a3"]), ("a2", ["a2", "a3"]),
+                    ("b1", ["a3", "b1", "b2", "b3"]), ("b2", ["a3", "b2", "b3"]),
+                    ("b3", ["a3", "b3"]), ("c1", ["a3", "c1"]), ("a3", ["a3"])]
+    fold, live, calls = _recording_fold()
+    held = []
+    for model in fold(None, np.zeros(4), ["a1", "a2", "b1", "b2", "c1"]):
+        held.append(len(live))
+        del model
+    # adjacent groups: each fit starts with nothing held
+    assert [alive for _, alive in calls] == [0, 0, 0]
+    assert held == [2, 1, 2, 1, 1]
+
+
+@pytest.mark.parametrize("cfgs, failing, message, served, fitted", [
+    (["a1", "a2", "b1", "b2", "c1"], ("b1",), "b1 failed", ["a1", "a2"],
+     [["a1", "a2"], ["b1", "b2"]]),
+    (["a1", "b1", "2", "b2", "c1"], (), "no group for 2", ["a1", "b1"],
+     [["a1"], ["b1", "b2"]]),
+    (["a1", "2", "b1"], (), "no group for 2", ["a1"], [["a1"]]),
+], ids=["fit", "key", "key_before_a_group"])
+def test_grouped_fold_fails_a_config_in_place_before_any_later_group_is_fit(
+        cfgs, failing, message, served, fitted):
+    fold, _, calls = _recording_fold(failing)
+    got = []
+    with pytest.raises(ValueError, match=message):
+        for model in fold(None, np.zeros(4), cfgs):
+            got.append(model.cfg)
+    assert got == served
+    assert [group for group, _ in calls] == fitted

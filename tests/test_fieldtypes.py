@@ -11,10 +11,9 @@ from wqpanel.trees import GBDTConfig, GossConfig, RFConfig
 
 LEARNER_CONFIGS = (GossConfig, GBDTConfig, RFConfig, ElasticNetConfig, EarlyStopConfig, MLPConfig)
 
-# fields the type rule leaves to their class: the nested configs, which the
-# registry's config builders build, and the activation name, which its
-# class checks against ACTIVATIONS
-UNCHECKED = {GBDTConfig: {"goss"}, MLPConfig: {"early_stop", "activation"}}
+# fields the type rule leaves to their class: the activation name, which
+# its class checks against ACTIVATIONS
+UNCHECKED = {MLPConfig: {"activation"}}
 
 
 @pytest.mark.parametrize("config, kwargs, message", [
@@ -32,6 +31,9 @@ UNCHECKED = {GBDTConfig: {"goss"}, MLPConfig: {"early_stop", "activation"}}
     (MLPConfig, {"l2_penalty": float("nan")}, "l2_penalty must be finite, got nan"),
     (MLPConfig, {"hidden_layers": (8.5,)}, "hidden_layers must be a tuple of integers, got (8.5,)"),
     (EarlyStopConfig, {"patience": 2.5}, "patience must be an integer, got 2.5"),
+    (MLPConfig, {"early_stop": "x"}, "early_stop must be of type EarlyStopConfig, got 'x'"),
+    (GBDTConfig, {"goss": {"top_rate": 0.2}},
+     "goss must be of type GossConfig, got {'top_rate': 0.2}"),
     (ElasticNetConfig, {"standardize_internally": "no"},
      "standardize_internally must be a bool, got 'no'"),
     # every fit then died in fit_gradient_tree on a tree of no rows

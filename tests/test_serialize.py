@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import JSON_VALUES
 from wqpanel.families import FAMILIES
 from wqpanel.features import Strategy, StrategyConfig
 from wqpanel.serialize import PipelineState, load_model, save_model
@@ -238,6 +239,15 @@ CORRUPT_BUNDLES = {
                             r"config \{'depth': 3\} is invalid"),
     "config bad layers": ("mlp", {"config": {"hidden_layers": 4}},
                           r"config \{'hidden_layers': 4\} is invalid"),
+    # these raised a TypeError, or named the value as tuple() had read it
+    "config layers null": ("mlp", {"config": {"hidden_layers": None}},
+                           "hidden_layers must be a tuple of integers, got None$"),
+    "config layers string": ("mlp", {"config": {"hidden_layers": "64"}},
+                             "hidden_layers must be a tuple of integers, got '64'$"),
+    "config layers fraction": ("mlp", {"config": {"hidden_layers": [8.5]}},
+                               r"hidden_layers must be a tuple of integers, got \[8\.5\]$"),
+    "config early_stop string": ("mlp", {"config": {"early_stop": "x"}},
+                                 "early_stop must be of type EarlyStopConfig, got 'x'$"),
     # these loaded, and a retrain explain then died in range(max_iter) or
     # refit with NaN
     "config max_iter fraction": ("elastic_net", {"config": {"max_iter": 2.5}},
@@ -301,15 +311,6 @@ def test_corrupt_bundle_rejected_naming_field_and_node(case, pipeline_state, tmp
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match=message):
         load_model(path)
-
-
-JSON_LEAVES = st.one_of(
-    st.none(), st.booleans(), st.text(max_size=4),
-    st.integers(min_value=-2, max_value=2**64) | st.sampled_from([-1, 0, 10**400]),
-    st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), 1e308]))
-JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=3)
-                           | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-                           max_leaves=5)
 
 
 @pytest.fixture(scope="module")

@@ -468,11 +468,19 @@ def test_fit_failure_identifies_config():
     ("gbdt", {"min_child_weight": float("nan")}, "min_child_weight must be finite, got nan"),
     ("elastic_net", {"standardize_internally": "no"},
      "standardize_internally must be a bool, got 'no'"),
+    # each value as written: these used to raise a bare TypeError, or read
+    # "64" as ('6', '4') and [8.5] as (8.5,)
+    ("mlp", {"hidden_layers": 64}, "hidden_layers must be a tuple of integers, got 64"),
+    ("mlp", {"hidden_layers": None}, "hidden_layers must be a tuple of integers, got None"),
+    ("mlp", {"hidden_layers": "64"}, "hidden_layers must be a tuple of integers, got '64'"),
+    ("mlp", {"hidden_layers": [8.5]}, "hidden_layers must be a tuple of integers, got [8.5]"),
+    ("mlp", {"early_stop": "x"}, "early_stop must be of type EarlyStopConfig, got 'x'"),
 ], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate",
         "max_iter_fraction", "max_iter_bool", "lam_nan", "tol_inf", "rf_n_trees_float",
         "rf_n_trees_bool", "gbdt_n_trees_float", "gbdt_n_trees_bool", "gbdt_n_trees_zero_float",
         "rf_max_features_fraction", "mlp_batch_size_fraction", "gbdt_min_child_weight_nan",
-        "standardize_internally_string"])
+        "standardize_internally_string", "hidden_layers_int", "hidden_layers_null",
+        "hidden_layers_string", "hidden_layers_fraction", "early_stop_string"])
 def test_out_of_range_config_value_fails_naming_the_config(family, params, message):
     X, y = _search_data(n=20)
     grid = {name: (value,) for name, value in params.items()}
