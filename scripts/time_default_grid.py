@@ -53,9 +53,7 @@ def main():
         cfg = load_run_config(Path(tmp) / "config.json")
         [train] = _read_panels(cfg, ("train",))
     design, _ = tuner.prepare_designs(train, cfg.strategy_config(cfg.strategy))
-    cv = tuner.CVConfig(k=cfg.cv_k, seed=tuner.subseed(cfg.seed, tuner.TAG_FOLD),
-                        scheme=cfg.fold_scheme())
-    folds = tuner.kfold_split(len(design.y), cv)
+    folds = tuner.kfold_split(len(design.y), cfg.cv_config())
 
     grown = 0
 

@@ -36,8 +36,8 @@ from .serialize import load_model
 from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                          mean_abs_shap, players_from_design, sample_background,
                          shap_for_dataset, write_mean_abs_csv, write_values_csv)
-from .tuner import (CVConfig, TAG_FOLD, TAG_SHAP_BACKGROUND,
-                    design_from_state, grid_search, prepare_designs, subseed)
+from .tuner import (TAG_SHAP_BACKGROUND, design_from_state, grid_search,
+                    prepare_designs, subseed)
 
 TAG_SHAP_ROWS = 4
 
@@ -106,13 +106,11 @@ _SPLITS = ("train", "test")
 
 
 def _input_digests(cfg: RunConfig) -> dict[str, str]:
-    """SHA-256 of every input the panels are read from, by config label; the
+    """SHA-256 of every input the panels are read from, by data key; the
     cache stores these (not paths or mtimes) so copied inputs still match."""
     cfg.require_data_paths()
-    inputs = {"train_csv": cfg.train_csv, "test_csv": cfg.test_csv,
-              "schema": cfg.schema_path, "sites_csv": cfg.sites_csv}
     return {label: "" if path is None else _sha256(path)
-            for label, path in inputs.items()}
+            for label, path in vars(cfg.data).items()}
 
 
 def _sha256(path: Path) -> str:
@@ -167,7 +165,7 @@ def _read_cache(path: Path, cfg: RunConfig,
         print(f"warning: cannot read {path} ({type(exc).__name__}: {exc}); "
               f"reading the CSVs instead", file=sys.stderr)
         return None
-    site_groups = load_sites(cfg.sites_csv) if cfg.sites_csv else {}
+    site_groups = load_sites(cfg.data.sites_csv) if cfg.data.sites_csv else {}
     return tuple(dataclasses.replace(panel, site_groups=dict(site_groups))
                  for panel in panels)
 
@@ -176,9 +174,9 @@ def _read_panels(cfg: RunConfig,
                  splits: tuple[str, ...] = _SPLITS) -> tuple[PanelDataset, ...]:
     """Parse the CSVs of ``splits``."""
     cfg.require_data_paths()
-    schema = PanelSchema.from_json(cfg.schema_path)
-    groups = load_sites(cfg.sites_csv) if cfg.sites_csv else None
-    paths = {"train": cfg.train_csv, "test": cfg.test_csv}
+    schema = PanelSchema.from_json(cfg.data.schema)
+    groups = load_sites(cfg.data.sites_csv) if cfg.data.sites_csv else None
+    paths = {"train": cfg.data.train_csv, "test": cfg.data.test_csv}
     return tuple(load_panel(paths[split], schema, groups) for split in splits)
 
 
@@ -261,8 +259,7 @@ def _cmd_tune(args) -> int:
     families = _families_from_args(cfg, args)
     [train] = _load_panels(cfg, ("train",))
     train_design, state = prepare_designs(train, cfg.strategy_config(strategy))
-    cv = CVConfig(k=cfg.cv_k, seed=subseed(cfg.seed, TAG_FOLD),
-                  scheme=cfg.fold_scheme())
+    cv = cfg.cv_config()
 
     tuning = {}
     importances = {}
@@ -326,12 +323,12 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
         except ValueError:
             raise ConfigError(f"row selection {selection!r} is neither an 'a:b' "
                               f"slice nor a comma list of integers") from None
-    elif isinstance(cfg.shap_rows, list):
-        rows = list(cfg.shap_rows)
-    elif isinstance(cfg.shap_rows, dict):
+    elif isinstance(cfg.shap.rows, list):
+        rows = list(cfg.shap.rows)
+    elif isinstance(cfg.shap.rows, dict):
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, TAG_SHAP_ROWS]))
-        rows = sorted(rng.choice(n, size=min(cfg.shap_rows["sample"], n),
+        rows = sorted(rng.choice(n, size=min(cfg.shap.rows["sample"], n),
                                  replace=False).tolist())
     else:
         rows = list(range(min(10, n)))
@@ -346,7 +343,7 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
 def _cmd_explain(args) -> int:
     cfg = _config_from_args(args)
     bundle = load_model(args.model)
-    kind = args.kind or cfg.shap_kind
+    kind = args.kind or cfg.shap.kind
     if kind == "retrain" and not bundle.family.cheap_refit:
         cheap = tuple(name for name, family in FAMILIES.items() if family.cheap_refit)
         raise ValueError(f"retrain value function is restricted to cheap families "
@@ -359,7 +356,7 @@ def _cmd_explain(args) -> int:
     names, players = players_from_design(test_design)
 
     if kind == "marginalize":
-        background = sample_background(train_design.X, cfg.shap_background,
+        background = sample_background(train_design.X, cfg.shap.background_size,
                                        subseed(cfg.seed, TAG_SHAP_BACKGROUND))
         def bind(hook):
             return None if hook is None else functools.partial(hook, bundle.model)
@@ -377,7 +374,7 @@ def _cmd_explain(args) -> int:
             X_train=train_design.X, y_train=train_design.y,
             player_columns=players, player_names=names)
 
-    attributions = shap_for_dataset(vf, test_design.X[rows], cap=cfg.shap_cap)
+    attributions = shap_for_dataset(vf, test_design.X[rows], cap=cfg.shap.cap)
     ranking = mean_abs_shap(attributions)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)

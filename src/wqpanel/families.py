@@ -37,7 +37,7 @@ from . import elastic_net as en
 from . import mlp as nn
 from . import shap_exact as sh
 from . import trees as tr
-from .fieldtypes import is_integer
+from .fieldtypes import build
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,7 @@ class ModelFamily:
     name: str
     display_name: str
     param_names: frozenset
-    # (params, fit seed) -> the learner's config; raises on an invalid one
+    # (params, fit seed) -> the learner's config by fieldtypes.build; raises on an invalid one
     config: Callable[[Mapping, int], Any]
     fit: Callable[[np.ndarray, np.ndarray, Any], Any]  # (X, y, built config)
     predict: Callable[[Any, np.ndarray], np.ndarray]
@@ -258,20 +258,7 @@ def _ensemble_family(fit, **entry) -> ModelFamily:
 def _goss_config(params, seed) -> tr.GBDTConfig:
     params = dict(params)
     rates = {name: params.pop(name) for name in ("top_rate", "other_rate") if name in params}
-    return tr.GBDTConfig(seed=seed, goss=tr.GossConfig(**rates), **params)
-
-
-def _mlp_config(params, seed) -> nn.MLPConfig:
-    """A JSON list of integers is the hidden_layers tuple and a JSON object
-    the early_stop config; any other value reaches MLPConfig as written,
-    which rejects it naming the field and that value."""
-    params = dict(params)
-    layers = params.get("hidden_layers")
-    if isinstance(layers, list) and all(map(is_integer, layers)):
-        params["hidden_layers"] = tuple(layers)
-    if isinstance(params.get("early_stop"), dict):
-        params["early_stop"] = nn.EarlyStopConfig(**params["early_stop"])
-    return nn.MLPConfig(seed=seed, **params)
+    return build(tr.GBDTConfig, params, seed=seed, goss=build(tr.GossConfig, rates))
 
 
 def _mlp_group(X, y, cfgs):
@@ -339,7 +326,7 @@ FAMILIES: dict[str, ModelFamily] = {
     "elastic_net": ModelFamily(
         name="elastic_net", display_name="Linear Regression",
         param_names=_param_names(en.ElasticNetConfig),
-        config=lambda params, seed: en.ElasticNetConfig(**params),
+        config=lambda params, seed: build(en.ElasticNetConfig, params),
         fit=lambda X, y, cfg: en.fit_elastic_net(X, y, cfg),
         predict=en.predict_linear,
         export=_linear_export,
@@ -359,7 +346,7 @@ FAMILIES: dict[str, ModelFamily] = {
     "random_forest": _ensemble_family(
         name="random_forest", display_name="Random Forest",
         param_names=_param_names(tr.RFConfig),
-        config=lambda params, seed: tr.RFConfig(seed=seed, **params),
+        config=lambda params, seed: build(tr.RFConfig, params, seed=seed),
         fit=lambda X, y, cfg: tr.fit_random_forest(X, y, cfg),
         default_grid={
             "max_depth": [4, 6, 8, 10],
@@ -371,7 +358,7 @@ FAMILIES: dict[str, ModelFamily] = {
     "gbdt": _ensemble_family(
         name="gbdt", display_name="GBDT",
         param_names=_param_names(tr.GBDTConfig),
-        config=lambda params, seed: tr.GBDTConfig(seed=seed, **params),
+        config=lambda params, seed: build(tr.GBDTConfig, params, seed=seed, goss=None),
         fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
         default_grid={
             "learning_rate": [0.01, 0.05, 0.1, 0.2],
@@ -397,7 +384,7 @@ FAMILIES: dict[str, ModelFamily] = {
     "mlp": ModelFamily(
         name="mlp", display_name="MLP",
         param_names=_param_names(nn.MLPConfig),
-        config=_mlp_config,
+        config=lambda params, seed: build(nn.MLPConfig, params, seed=seed),
         fit=lambda X, y, cfg: nn.fit_mlp(X, y, cfg)[0],
         predict=nn.predict_mlp,
         export=_mlp_export,

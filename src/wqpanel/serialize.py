@@ -113,7 +113,7 @@ def load_model(path: str | Path) -> ModelBundle:
             raise ValueError(f"config must be a JSON object, got {config!r}")
         try:
             family.config(config, seed)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"config {config!r} is invalid: {exc}") from None
         pipeline = PipelineState.from_dict(payload["pipeline"])
         return ModelBundle(

@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import functools
 import json
 import re
 from pathlib import Path
@@ -163,52 +164,53 @@ def tiny_panel() -> PanelDataset:
     return synthetic_panel(6, 3, 4, seed=7)
 
 
+def make_panel_files(tmp_path: Path, n_train=8, n_test=5, n_sites=3, n_features=4, seed=3,
+                     linked=True, **config_overrides) -> dict:
+    """Train/test CSVs, schema, sites file and a run config in tmp_path."""
+    maker = linked_panel if linked else synthetic_panel
+    train = maker(n_train, n_sites, n_features, seed=seed)
+    test = maker(n_test, n_sites, n_features, seed=seed + 1)
+    # keep test dates after train dates
+    shift = (train.dates[-1] - test.dates[0]).days + 1
+    test = PanelDataset(
+        dates=tuple(d + dt.timedelta(days=shift) for d in test.dates),
+        site_ids=train.site_ids, feature_names=train.feature_names,
+        features=test.features, targets=test.targets)
+
+    train_csv = tmp_path / "train.csv"
+    test_csv = tmp_path / "test.csv"
+    schema = tmp_path / "schema.json"
+    sites = tmp_path / "sites.csv"
+    write_panel_csv(train_csv, train)
+    write_panel_csv(test_csv, test)
+    write_schema(schema, train.feature_names)
+    with open(sites, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["site_id", "location_group"])
+        for s in train.site_ids:
+            writer.writerow([s, "group1"])
+
+    config = {
+        "seed": 20240101,
+        "data": {"train_csv": "train.csv", "test_csv": "test.csv",
+                 "schema": "schema.json", "sites_csv": "sites.csv"},
+        "output_dir": "out",
+        "strategy": 2,
+        "cv": {"k": 3, "scheme": "shuffled"},
+        "families": ["elastic_net"],
+        "grids": {"elastic_net": {"lam": [0.0001, 0.01], "alpha": [0.0, 1.0]}},
+        "shap": {"kind": "marginalize", "background_size": 16},
+        "n_jobs": 1,
+    }
+    config.update(config_overrides)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config, indent=1), encoding="utf-8")
+    return {"dir": tmp_path, "config": config_path, "train": train,
+            "test": test, "train_csv": train_csv, "test_csv": test_csv,
+            "schema": schema, "sites": sites, "out": tmp_path / "out"}
+
+
 @pytest.fixture
 def panel_files(tmp_path):
-    """Train/test CSVs, schema, sites file and a run config on disk."""
-
-    def build(n_train=8, n_test=5, n_sites=3, n_features=4, seed=3,
-              linked=True, **config_overrides):
-        maker = linked_panel if linked else synthetic_panel
-        train = maker(n_train, n_sites, n_features, seed=seed)
-        test = maker(n_test, n_sites, n_features, seed=seed + 1)
-        # keep test dates after train dates
-        shift = (train.dates[-1] - test.dates[0]).days + 1
-        test = PanelDataset(
-            dates=tuple(d + dt.timedelta(days=shift) for d in test.dates),
-            site_ids=train.site_ids, feature_names=train.feature_names,
-            features=test.features, targets=test.targets)
-
-        train_csv = tmp_path / "train.csv"
-        test_csv = tmp_path / "test.csv"
-        schema = tmp_path / "schema.json"
-        sites = tmp_path / "sites.csv"
-        write_panel_csv(train_csv, train)
-        write_panel_csv(test_csv, test)
-        write_schema(schema, train.feature_names)
-        with open(sites, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["site_id", "location_group"])
-            for s in train.site_ids:
-                writer.writerow([s, "group1"])
-
-        config = {
-            "seed": 20240101,
-            "data": {"train_csv": "train.csv", "test_csv": "test.csv",
-                     "schema": "schema.json", "sites_csv": "sites.csv"},
-            "output_dir": "out",
-            "strategy": 2,
-            "cv": {"k": 3, "scheme": "shuffled"},
-            "families": ["elastic_net"],
-            "grids": {"elastic_net": {"lam": [0.0001, 0.01], "alpha": [0.0, 1.0]}},
-            "shap": {"kind": "marginalize", "background_size": 16},
-            "n_jobs": 1,
-        }
-        config.update(config_overrides)
-        config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps(config, indent=1), encoding="utf-8")
-        return {"dir": tmp_path, "config": config_path, "train": train,
-                "test": test, "train_csv": train_csv, "test_csv": test_csv,
-                "schema": schema, "sites": sites, "out": tmp_path / "out"}
-
-    return build
+    """make_panel_files in the test's own directory."""
+    return functools.partial(make_panel_files, tmp_path)

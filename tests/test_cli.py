@@ -1,4 +1,7 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
 import runpy
@@ -8,8 +11,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import deterministic_files
+from conftest import JSON_VALUES, deterministic_files, make_panel_files
 import wqpanel.cli as cli
 from wqpanel.cli import main
 from wqpanel.reporting import EXTERNAL_ROW_LABEL
@@ -66,6 +71,50 @@ def test_ingest_bad_schema_shape_is_runtime_error(panel_files, capsys, edit, key
     assert code == 4
     assert out.err.startswith("error: schema ") and key in out.err
     assert "Traceback" not in out.err
+
+
+@pytest.fixture(scope="module")
+def schema_inputs(tmp_path_factory):
+    env = make_panel_files(tmp_path_factory.mktemp("schema"), n_train=3, n_test=2,
+                           n_sites=2, n_features=2)
+    return env, json.loads(env["schema"].read_text())
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_any_schema_mutation_exits_cleanly_naming_file_and_key(schema_inputs, data):
+    # one structured mutation of a valid schema: drop a key, change a
+    # value's type, empty feature_columns, or make the top level a list
+    env, valid = schema_inputs
+    schema = copy.deepcopy(valid)
+    kind = data.draw(st.sampled_from(["drop", "retype", "empty", "list"]), label="mutation")
+    if kind == "list":
+        schema, key = [schema], None
+    elif kind == "empty":
+        schema["feature_columns"], key = {}, "feature_columns"
+    else:
+        paths = [(k,) for k in schema] + [("feature_columns", k)
+                                          for k in schema["feature_columns"]]
+        path = data.draw(st.sampled_from(paths), label="key")
+        parent = schema if len(path) == 1 else schema["feature_columns"]
+        old = parent[path[-1]]
+        if kind == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not type(old)),
+                                         label="value")
+        # a schema without one of its two features is still valid
+        key = None if kind == "drop" and len(path) == 2 else ".".join(path)
+    env["schema"].write_text(json.dumps(schema), encoding="utf-8")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(["ingest", "--config", str(env["config"])])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code:
+        assert str(env["schema"]) in err.getvalue()
+        if key is not None:
+            assert key in err.getvalue()
 
 
 def test_ingest_nan_injected_fails_with_report(panel_files, capsys):
@@ -168,6 +217,34 @@ def test_wrongly_typed_config_field_is_config_error(panel_files, capsys, edit, f
     assert not (env["out"] / "models").exists()
 
 
+@pytest.mark.parametrize("section, edit, path", [
+    ("shap", {"background": 64}, "shap.background"),
+    ("cv", {"folds": 3}, "cv.folds"),
+    (None, {"njobs": 2}, "njobs"),
+    ("data", {"site_csv": "sites.csv"}, "data.site_csv"),
+], ids=["shap-background", "cv-folds", "njobs", "data-site-csv"])
+def test_key_that_is_not_a_setting_is_config_error(panel_files, capsys, section, edit, path):
+    # each of these used to load without a word, and the run used the
+    # value it had meant to replace
+    env = panel_files()
+    raw = json.loads(env["config"].read_text())
+    (raw[section] if section else raw).update(edit)
+    env["config"].write_text(json.dumps(raw))
+    code, out = run(["stats", "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert out.err.startswith(f"config error: {path} is not a setting")
+
+
+@pytest.mark.parametrize("sites_csv", ["", None], ids=["empty", "null"])
+def test_empty_sites_csv_means_no_sites_file(panel_files, capsys, sites_csv):
+    env = panel_files(data={"train_csv": "train.csv", "test_csv": "test.csv",
+                            "schema": "schema.json", "sites_csv": sites_csv})
+    code, out = run(["ingest", "--config", str(env["config"])], capsys)
+    assert code == 0 and out.err == ""
+    with np.load(env["out"] / "panel_cache.npz") as cache:
+        assert str(cache["sha256_sites_csv"]) == ""
+
+
 def test_jobs_flag_below_one_is_config_error(panel_files, capsys):
     env = panel_files()
     code, out = run(["tune", "--config", str(env["config"]), "--jobs", "0"], capsys)
@@ -213,6 +290,26 @@ def test_missing_data_path_is_config_error(panel_files, capsys):
     env["train_csv"].unlink()
     code, _ = run(["ingest", "--config", str(env["config"])], capsys)
     assert code == 3
+
+
+@pytest.mark.parametrize("data, named", [
+    ({"train_csv": ""}, "data.train_csv is not a file"),
+    ({"schema": "."}, "data.schema is not a file"),
+    ({"sites_csv": "missing.csv"}, "data.sites_csv is not a file"),
+    (None, "cannot read config"),
+], ids=["train-csv-empty", "schema-dir", "sites-missing", "config-dir"])
+def test_data_path_or_config_that_is_no_file_is_config_error(panel_files, capsys, data, named):
+    # a directory used to end ingest in an IsADirectoryError traceback
+    env = panel_files()
+    config = env["dir"]
+    if data is not None:
+        raw = json.loads(env["config"].read_text())
+        raw["data"].update(data)
+        env["config"].write_text(json.dumps(raw))
+        config = env["config"]
+    code, out = run(["ingest", "--config", str(config)], capsys)
+    assert code == 3
+    assert out.err.startswith(f"config error: {named}")
 
 
 def test_stats_outputs(panel_files, capsys):
@@ -532,9 +629,9 @@ def test_explain_retrain_kind(panel_files, capsys):
     ({"lam": 1e-8, "alpha": 0.0, "max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
     ({"lam": 1e-8, "alpha": 0.0, "max_iter": 1e308}, "max_iter must be an integer, got 1e+308"),
     ({"lam": 1e-8, "alpha": 0.0, "max_iter": True}, "max_iter must be an integer, got True"),
-    ({"lam": float("nan"), "alpha": 0.0}, "lam must be finite, got nan"),
-    ({"lam": 1e-8, "alpha": 0.0, "tol": float("inf")}, "tol must be finite, got inf"),
-    ({"lam": 10 ** 400, "alpha": 0.0}, "lam must be finite, got 1000"),
+    ({"lam": float("nan"), "alpha": 0.0}, "lam must be a finite number, got nan"),
+    ({"lam": 1e-8, "alpha": 0.0, "tol": float("inf")}, "tol must be a finite number, got inf"),
+    ({"lam": 10 ** 400, "alpha": 0.0}, "lam must be a finite number, got 1000"),
 ], ids=["max_iter-fraction", "max_iter-huge", "max_iter-bool", "lam-nan", "tol-inf",
         "lam-huge-int"])
 def test_explain_retrain_of_a_bad_config_is_runtime_error(panel_files, capsys, config, named):

@@ -202,11 +202,11 @@ def test_input_validation():
     ("max_iter", float("nan"), "max_iter must be an integer, got nan"),
     ("max_iter", 1e308, "max_iter must be an integer, got 1e+308"),
     ("max_iter", True, "max_iter must be an integer, got True"),
-    ("lam", float("nan"), "lam must be finite, got nan"),
-    ("lam", float("inf"), "lam must be finite, got inf"),
-    ("lam", 10 ** 400, "lam must be finite, got 1000"),
-    ("tol", float("nan"), "tol must be finite, got nan"),
-    ("tol", float("inf"), "tol must be finite, got inf"),
+    ("lam", float("nan"), "lam must be a finite number, got nan"),
+    ("lam", float("inf"), "lam must be a finite number, got inf"),
+    ("lam", 10 ** 400, "lam must be a finite number, got 1000"),
+    ("tol", float("nan"), "tol must be a finite number, got nan"),
+    ("tol", float("inf"), "tol must be a finite number, got inf"),
 ])
 def test_config_rejects_a_non_integer_max_iter_and_a_non_finite_lam_or_tol(field, value, message):
     # each used to be accepted: a float max_iter then failed in range() and

@@ -1,19 +1,22 @@
 import re
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from wqpanel.elastic_net import ElasticNetConfig
-from wqpanel.fieldtypes import field_rules
+from wqpanel.fieldtypes import build, field_rules
 from wqpanel.mlp import EarlyStopConfig, MLPConfig
+from wqpanel.run_config import CVSection, DataSection, RunConfig, ShapSection
 from wqpanel.trees import GBDTConfig, GossConfig, RFConfig
 
-LEARNER_CONFIGS = (GossConfig, GBDTConfig, RFConfig, ElasticNetConfig, EarlyStopConfig, MLPConfig)
+CONFIGS = (GossConfig, GBDTConfig, RFConfig, ElasticNetConfig, EarlyStopConfig, MLPConfig,
+           RunConfig, DataSection, CVSection, ShapSection)
 
-# fields the type rule leaves to their class: the activation name, which
-# its class checks against ACTIVATIONS
-UNCHECKED = {MLPConfig: {"activation"}}
+# fields the type rule leaves to their class: the SHAP rows, a list of
+# integers or {"sample": n}, which ShapSection checks itself
+UNCHECKED = {ShapSection: {"rows"}}
 
 
 @pytest.mark.parametrize("config, kwargs, message", [
@@ -23,17 +26,18 @@ UNCHECKED = {MLPConfig: {"activation"}}
     (RFConfig, {"bootstrap": 1}, "bootstrap must be a bool, got 1"),
     (GBDTConfig, {"max_depth": 2.5}, "max_depth must be an integer, got 2.5"),
     (GBDTConfig, {"n_bins": 4.5}, "n_bins must be an integer, got 4.5"),
-    (GBDTConfig, {"min_child_weight": float("nan")}, "min_child_weight must be finite, got nan"),
-    (GBDTConfig, {"gamma": float("inf")}, "gamma must be finite, got inf"),
+    (GBDTConfig, {"min_child_weight": float("nan")},
+     "min_child_weight must be a finite number, got nan"),
+    (GBDTConfig, {"gamma": float("inf")}, "gamma must be a finite number, got inf"),
     (MLPConfig, {"batch_size": 8.5}, "batch_size must be an integer, got 8.5"),
     (MLPConfig, {"max_epochs": 2.0}, "max_epochs must be an integer, got 2.0"),
-    (MLPConfig, {"learning_rate": float("nan")}, "learning_rate must be finite, got nan"),
-    (MLPConfig, {"l2_penalty": float("nan")}, "l2_penalty must be finite, got nan"),
+    (MLPConfig, {"learning_rate": float("nan")}, "learning_rate must be a finite number, got nan"),
+    (MLPConfig, {"l2_penalty": float("nan")}, "l2_penalty must be a finite number, got nan"),
     (MLPConfig, {"hidden_layers": (8.5,)}, "hidden_layers must be a tuple of integers, got (8.5,)"),
     (EarlyStopConfig, {"patience": 2.5}, "patience must be an integer, got 2.5"),
-    (MLPConfig, {"early_stop": "x"}, "early_stop must be of type EarlyStopConfig, got 'x'"),
-    (GBDTConfig, {"goss": {"top_rate": 0.2}},
-     "goss must be of type GossConfig, got {'top_rate': 0.2}"),
+    (MLPConfig, {"early_stop": "x"}, "early_stop must be a JSON object, got 'x'"),
+    (GBDTConfig, {"goss": [0.2]}, "goss must be a JSON object, got [0.2]"),
+    (MLPConfig, {"activation": 5}, "activation must be a string, got 5"),
     (ElasticNetConfig, {"standardize_internally": "no"},
      "standardize_internally must be a bool, got 'no'"),
     # every fit then died in fit_gradient_tree on a tree of no rows
@@ -53,8 +57,34 @@ def test_config_takes_numpy_integers_ints_for_floats_and_none():
     assert RFConfig(max_features=None).max_features is None
 
 
-@pytest.mark.parametrize("config", LEARNER_CONFIGS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("config", CONFIGS, ids=lambda c: c.__name__)
 def test_every_config_field_is_type_checked_or_listed(config):
     # a new field must take an annotation the rule checks, or join UNCHECKED
     unchecked = {f.name for f in fields(config)} - set(field_rules(config))
     assert unchecked == UNCHECKED.get(config, set())
+
+
+def test_build_converts_json_values_by_their_field_annotation():
+    cfg = build(MLPConfig, {"hidden_layers": [8, 4], "early_stop": {"patience": 3}}, seed=2)
+    assert cfg == MLPConfig(hidden_layers=(8, 4), early_stop=EarlyStopConfig(patience=3), seed=2)
+    assert build(GBDTConfig, {"goss": {"top_rate": 0.3}}).goss == GossConfig(top_rate=0.3)
+    data = build(DataSection, {"train_csv": "a.csv", "test_csv": "b.csv", "schema": "s.json",
+                               "sites_csv": ""})
+    assert (data.train_csv, data.sites_csv) == (Path("a.csv"), None)
+
+
+@pytest.mark.parametrize("config, raw, fixed, message", [
+    (MLPConfig, {"early_stop": {"bogus": 1}}, {}, "early_stop.bogus is not a setting"),
+    (MLPConfig, {"seed": 1}, {"seed": 2}, "seed is not a setting"),
+    (MLPConfig, {"early_stop": {"patience": 0}}, {}, "early_stop.patience must be >= 1"),
+    # a list of non-integers stays as written, so the fault shows it so
+    (MLPConfig, {"hidden_layers": [8, "4"]}, {},
+     "hidden_layers must be a tuple of integers, got [8, '4']"),
+    (RunConfig, {"data": {}}, {}, "seed must be set"),
+    (RunConfig, {"seed": 1, "data": {"train_csv": "a.csv"}}, {}, "data.test_csv must be set"),
+    (RunConfig, {"seed": 1, "data": 5}, {}, "data must be a JSON object, got 5"),
+], ids=["nested-unknown", "fixed", "nested-range", "tuple-item", "missing",
+        "nested-missing", "nested-not-object"])
+def test_build_fails_naming_the_json_path(config, raw, fixed, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build(config, raw, **fixed)

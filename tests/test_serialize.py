@@ -247,7 +247,11 @@ CORRUPT_BUNDLES = {
     "config layers fraction": ("mlp", {"config": {"hidden_layers": [8.5]}},
                                r"hidden_layers must be a tuple of integers, got \[8\.5\]$"),
     "config early_stop string": ("mlp", {"config": {"early_stop": "x"}},
-                                 "early_stop must be of type EarlyStopConfig, got 'x'$"),
+                                 "early_stop must be a JSON object, got 'x'$"),
+    # this raised a bare TypeError from EarlyStopConfig(**value)
+    "config early_stop unknown key": ("mlp", {"config": {"early_stop": {"bogus": 1}}},
+                                      r"config \{'early_stop': \{'bogus': 1\}\} is invalid: "
+                                      r"early_stop\.bogus is not a setting"),
     # these loaded, and a retrain explain then died in range(max_iter) or
     # refit with NaN
     "config max_iter fraction": ("elastic_net", {"config": {"max_iter": 2.5}},
@@ -267,12 +271,12 @@ CORRUPT_BUNDLES = {
     "config n_trees zero float": ("gbdt", {"config": {"n_trees": 0.0}},
                                   r"n_trees must be an integer, got 0\.0"),
     "config lam NaN": ("elastic_net", {"config": {"lam": float("nan")}},
-                       r"config \{'lam': nan\} is invalid: lam must be finite, got nan"),
+                       r"config \{'lam': nan\} is invalid: lam must be a finite number, got nan"),
     "config tol infinite": ("elastic_net", {"config": {"tol": float("inf")}},
-                            "tol must be finite, got inf"),
+                            "tol must be a finite number, got inf"),
     # math.isfinite raises OverflowError on an int this large
     "config lam huge int": ("elastic_net", {"config": {"lam": 10 ** 400}},
-                            "lam must be finite, got 1000"),
+                            "lam must be a finite number, got 1000"),
     # these loaded, and a fit then died in Generator.choice or range(), fit
     # on NaN child weights, or standardized on a string
     "config max_features fraction": ("random_forest", {"config": {"max_features": 1.5}},
@@ -281,7 +285,7 @@ CORRUPT_BUNDLES = {
     "config batch_size fraction": ("mlp", {"config": {"batch_size": 8.5}},
                                    r"batch_size must be an integer, got 8\.5"),
     "config min_child_weight NaN": ("gbdt", {"config": {"min_child_weight": float("nan")}},
-                                    "min_child_weight must be finite, got nan"),
+                                    "min_child_weight must be a finite number, got nan"),
     "config standardize_internally string": ("elastic_net",
                                              {"config": {"standardize_internally": "no"}},
                                              "standardize_internally must be a bool, got 'no'"),

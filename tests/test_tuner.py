@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wqpanel import trees as tr
@@ -266,6 +266,52 @@ def _tuner_configs(family, axes, seed=5, fold=0) -> tuple[list[dict], list]:
                      for params, key in zip(configs, keys)]
 
 
+# each axis's values per family: int/float twins on float fields, repeated
+# and unsorted n_trees, mixed activations, and values that fail the fit (a
+# max_features past the 3 columns, a learning rate that diverges)
+FOLD_POOLS = {
+    "elastic_net": {"lam": [0, 0.0, 1e-3, 0.1, 1, 1.0], "alpha": [0, 0.5, 1, 1.0],
+                    "standardize_internally": [True, False]},
+    "random_forest": {"max_depth": [1, 3], "max_features": [None, 1, 2, 4],
+                      "bootstrap": [True, False], "n_trees": [1, 2, 3, 4]},
+    "gbdt": {"learning_rate": [1, 1.0, 0.3], "max_depth": [1, 2],
+             "reg_lambda": [0, 0.0, 1.0], "n_trees": [0, 1, 2, 3]},
+    "gbdt_goss": {"top_rate": [0.2, 0.5], "other_rate": [0.1, 0.5], "learning_rate": [1, 1.0],
+                  "n_trees": [1, 2, 3]},
+    "mlp": {"hidden_layers": [[3], [2, 2], []], "activation": ["relu", "tanh", "logistic"],
+            "learning_rate": [0.05, 1, 1.0, 1e100], "batch_size": [8, 64], "momentum": [0, 0.5],
+            "early_stop": [None, {"validation_fraction": 0.25, "patience": 1}],
+            "max_epochs": [3]},
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the diverging fits overflow
+@pytest.mark.parametrize("name", FOLD_POOLS)
+@settings(max_examples=25)
+@given(data=st.data())
+def test_fit_fold_equals_fit_of_each_config_of_a_drawn_grid(name, data):
+    # at most 12 configs: each axis, in a drawn order, takes up to 3 values
+    family = get_family(name)
+    axes, size = {}, 1
+    for axis in data.draw(st.permutations(sorted(FOLD_POOLS[name])), label="axis order"):
+        axes[axis] = data.draw(st.lists(st.sampled_from(FOLD_POOLS[name][axis]), min_size=1,
+                                        max_size=min(3, 12 // size)), label=axis)
+        size *= len(axes[axis])
+    X, y = _search_data(seed=24, n=30, p=3)
+    X[:, 1] = np.round(X[:, 1])  # tied values and tied gains
+    configs, cfgs = _tuner_configs(family, axes, seed=3, fold=1)
+    models = family.fit_fold(X, y, cfgs)
+    for params, cfg in zip(configs, cfgs):
+        try:
+            alone = family.fit(X, y, cfg)
+        except Exception as exc:  # the fold fails at the first config that does
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                next(models)
+            return
+        assert _exported(family, next(models)) == _exported(family, alone), params
+    assert next(models, None) is None
+
+
 def test_gbdt_fit_fold_matches_fit_and_predict(monkeypatch):
     family = get_family("gbdt")
     X, y = _search_data(seed=12, n=70, p=4)
@@ -456,8 +502,8 @@ def test_fit_failure_identifies_config():
     ("gbdt_goss", {"top_rate": 1.5}, "top_rate and other_rate must be in [0, 1]"),
     ("elastic_net", {"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
     ("elastic_net", {"max_iter": True}, "max_iter must be an integer, got True"),
-    ("elastic_net", {"lam": float("nan")}, "lam must be finite, got nan"),
-    ("elastic_net", {"tol": float("inf")}, "tol must be finite, got inf"),
+    ("elastic_net", {"lam": float("nan")}, "lam must be a finite number, got nan"),
+    ("elastic_net", {"tol": float("inf")}, "tol must be a finite number, got inf"),
     ("random_forest", {"n_trees": 2.0}, "n_trees must be an integer, got 2.0"),
     ("random_forest", {"n_trees": True}, "n_trees must be an integer, got True"),
     ("gbdt", {"n_trees": 2.0}, "n_trees must be an integer, got 2.0"),
@@ -465,7 +511,10 @@ def test_fit_failure_identifies_config():
     ("gbdt", {"n_trees": 0.0}, "n_trees must be an integer, got 0.0"),
     ("random_forest", {"max_features": 1.5}, "max_features must be an integer, got 1.5"),
     ("mlp", {"batch_size": 8.5}, "batch_size must be an integer, got 8.5"),
-    ("gbdt", {"min_child_weight": float("nan")}, "min_child_weight must be finite, got nan"),
+    ("gbdt", {"min_child_weight": float("nan")},
+     "min_child_weight must be a finite number, got nan"),
+    # a string used to read "must be finite", as if it were a number
+    ("gbdt_goss", {"top_rate": "x"}, "top_rate must be a finite number, got 'x'"),
     ("elastic_net", {"standardize_internally": "no"},
      "standardize_internally must be a bool, got 'no'"),
     # each value as written: these used to raise a bare TypeError, or read
@@ -474,13 +523,17 @@ def test_fit_failure_identifies_config():
     ("mlp", {"hidden_layers": None}, "hidden_layers must be a tuple of integers, got None"),
     ("mlp", {"hidden_layers": "64"}, "hidden_layers must be a tuple of integers, got '64'"),
     ("mlp", {"hidden_layers": [8.5]}, "hidden_layers must be a tuple of integers, got [8.5]"),
-    ("mlp", {"early_stop": "x"}, "early_stop must be of type EarlyStopConfig, got 'x'"),
+    ("mlp", {"early_stop": "x"}, "early_stop must be a JSON object, got 'x'"),
+    # this raised a bare TypeError from EarlyStopConfig(**value)
+    ("mlp", {"early_stop": {"bogus": 1}}, "early_stop.bogus is not a setting"),
 ], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate",
         "max_iter_fraction", "max_iter_bool", "lam_nan", "tol_inf", "rf_n_trees_float",
         "rf_n_trees_bool", "gbdt_n_trees_float", "gbdt_n_trees_bool", "gbdt_n_trees_zero_float",
         "rf_max_features_fraction", "mlp_batch_size_fraction", "gbdt_min_child_weight_nan",
+        "goss_top_rate_string",
         "standardize_internally_string", "hidden_layers_int", "hidden_layers_null",
-        "hidden_layers_string", "hidden_layers_fraction", "early_stop_string"])
+        "hidden_layers_string", "hidden_layers_fraction", "early_stop_string",
+        "early_stop_unknown_key"])
 def test_out_of_range_config_value_fails_naming_the_config(family, params, message):
     X, y = _search_data(n=20)
     grid = {name: (value,) for name, value in params.items()}
