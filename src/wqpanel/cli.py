@@ -137,11 +137,27 @@ def _write_cache(path: Path, train: PanelDataset, test: PanelDataset,
              **{_DIGEST_PREFIX + label: np.array(d) for label, d in digests.items()})
 
 
+# a cached array's (dtype char, ndim) by its name's last word, "d" being
+# float64: ingest caches only validated panels, so anything else is corrupt
+_CACHED = {"names": ("U", 1), "dates": ("U", 1), "sites": ("U", 1),
+           "features": ("d", 3), "targets": ("d", 2)}
+
+
+def _cached(data, key: str) -> np.ndarray:
+    char, ndim = _CACHED[key.rsplit("_", 1)[1]]
+    array = data[key]  # each read of an npz member unzips it again
+    if array.dtype.char != char or array.ndim != ndim or (
+            char == "d" and not np.isfinite(array).all()):
+        raise ValueError(f"{key} is not a {ndim}-d array of "
+                         f"{'finite float64' if char == 'd' else 'text'}")
+    return array
+
+
 def _read_cache(path: Path, cfg: RunConfig,
                 splits: tuple[str, ...]) -> tuple[PanelDataset, ...] | None:
     """The cached panels of ``splits``, or None after one stderr line naming
     the cache and why it is not used: an input changed since ingest (the
-    first one is named), or the file cannot be read."""
+    first one is named), or the file is unreadable or corrupt (_cached)."""
     import datetime as dt
 
     digests = _input_digests(cfg)  # a missing input is an error, cache or not
@@ -153,21 +169,19 @@ def _read_cache(path: Path, cfg: RunConfig,
                     print(f"warning: {label} changed since ingest; reading the CSVs "
                           f"instead of {path}", file=sys.stderr)
                     return None
-            feature_names = tuple(str(s) for s in data["feature_names"])
-            panels = [PanelDataset(
-                dates=tuple(dt.date.fromisoformat(str(s)) for s in data[f"{split}_dates"]),
-                site_ids=tuple(str(s) for s in data[f"{split}_sites"]),
+            feature_names = tuple(map(str, _cached(data, "feature_names")))
+            panels = tuple(PanelDataset(
+                dates=tuple(map(dt.date.fromisoformat, _cached(data, f"{split}_dates"))),
+                site_ids=tuple(map(str, _cached(data, f"{split}_sites"))),
                 feature_names=feature_names,
-                features=data[f"{split}_features"],
-                targets=data[f"{split}_targets"],
-            ) for split in splits]
+                features=_cached(data, f"{split}_features"),
+                targets=_cached(data, f"{split}_targets"),
+            ) for split in splits)
     except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
         print(f"warning: cannot read {path} ({type(exc).__name__}: {exc}); "
               f"reading the CSVs instead", file=sys.stderr)
         return None
-    site_groups = load_sites(cfg.data.sites_csv) if cfg.data.sites_csv else {}
-    return tuple(dataclasses.replace(panel, site_groups=dict(site_groups))
-                 for panel in panels)
+    return panels
 
 
 def _read_panels(cfg: RunConfig,
@@ -175,9 +189,8 @@ def _read_panels(cfg: RunConfig,
     """Parse the CSVs of ``splits``."""
     cfg.require_data_paths()
     schema = PanelSchema.from_json(cfg.data.schema)
-    groups = load_sites(cfg.data.sites_csv) if cfg.data.sites_csv else None
     paths = {"train": cfg.data.train_csv, "test": cfg.data.test_csv}
-    return tuple(load_panel(paths[split], schema, groups) for split in splits)
+    return tuple(load_panel(paths[split], schema) for split in splits)
 
 
 def _load_panels(cfg: RunConfig,
@@ -194,6 +207,8 @@ def _load_panels(cfg: RunConfig,
 def _cmd_ingest(args) -> int:
     cfg = _config_from_args(args)
     train, test = _read_panels(cfg)
+    if cfg.data.sites_csv:
+        load_sites(cfg.data.sites_csv)  # a sites file needs a site_id column
     panels = {"train": train, "test": test}
 
     reports = {}

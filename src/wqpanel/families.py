@@ -270,7 +270,7 @@ def _mlp_group(X, y, cfgs):
 
 def _mlp_export(model: nn.MLPModel) -> dict:
     return {
-        "activation": model.config.activation,
+        "activation": model.activation,
         "weights": [W.tolist() for W in model.weights],
         "biases": [b.tolist() for b in model.biases],
     }
@@ -294,8 +294,8 @@ def _mlp_restore(raw: dict, n_columns: int) -> nn.MLPModel:
     if widths[-1] != 1:
         raise ValueError(f"weights[{len(weights) - 1}] has {widths[-1]} columns, "
                          f"the output layer needs 1")
-    cfg = nn.MLPConfig(hidden_layers=tuple(widths[1:-1]), activation=raw["activation"])
-    return nn.MLPModel(weights=weights, biases=biases, config=cfg)
+    nn.MLPConfig(activation=raw["activation"])  # the activation check a grid value passes
+    return nn.MLPModel(weights=weights, biases=biases, activation=raw["activation"])
 
 
 def _linear_export(model: en.LinearModel) -> dict:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fieldtypes import check_field_types
 from .panel import StackedTable
 
 MONTH_VOCAB = tuple(range(1, 13))
@@ -92,56 +93,33 @@ class Strategy(enum.IntEnum):
     STANDARDIZED_PLUS_CATEGORICAL = 3
 
 
-# categoricals key (run config, model bundle) -> StrategyConfig field
-CATEGORICAL_FIELDS = {
-    "site": "site_onehot", "month": "month_onehot", "weekday": "weekday_onehot",
-    "season": "season_onehot", "year_ordinal": "year_ordinal",
-    "day_ordinal": "day_ordinal",
-}
-
-
 @dataclass(frozen=True)
-class StrategyConfig:
-    """Which input strategy to assemble and which categorical groups to include.
+class Categoricals:
+    """The groups strategy 3 adds, by their run-config and bundle keys. The
+    year and day ordinals are off by default: the test period's year is
+    unseen in training, so they invite extrapolation artifacts."""
 
-    year/day ordinals are excluded by default: the test period's year is
-    unseen in training, so including them invites extrapolation artifacts.
-    """
-
-    strategy: Strategy = Strategy.RAW_NUMERIC
-    site_onehot: bool = True
-    month_onehot: bool = True
-    weekday_onehot: bool = True
-    season_onehot: bool = True
+    site: bool = True
+    month: bool = True
+    weekday: bool = True
+    season: bool = True
     year_ordinal: bool = False
     day_ordinal: bool = False
 
     def __post_init__(self):
-        if self.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL and not self.site_onehot:
+        check_field_types(self)
+
+
+@dataclass(frozen=True)
+class StrategyConfig:
+    """Which input strategy to assemble and which categorical groups to include."""
+
+    strategy: Strategy = Strategy.RAW_NUMERIC
+    categoricals: Categoricals = Categoricals()
+
+    def __post_init__(self):
+        if self.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL and not self.categoricals.site:
             raise ValueError("strategy 3 requires the site one-hot group")
-
-    @classmethod
-    def from_categoricals(cls, strategy: int, categoricals: dict) -> "StrategyConfig":
-        """Build from a strategy number and a ``categoricals`` mapping (the
-        run-config and model-bundle spelling); absent keys keep their defaults."""
-        check_categoricals(categoricals)
-        return cls(strategy=Strategy(strategy),
-                   **{CATEGORICAL_FIELDS[key]: value
-                      for key, value in categoricals.items()})
-
-    def categoricals(self) -> dict[str, bool]:
-        return {key: getattr(self, name) for key, name in CATEGORICAL_FIELDS.items()}
-
-
-def check_categoricals(categoricals: dict) -> None:
-    """Raise ValueError naming the first unknown key or non-boolean value."""
-    unknown = sorted(set(categoricals) - set(CATEGORICAL_FIELDS))
-    if unknown:
-        raise ValueError(f"unknown categoricals {unknown}; "
-                         f"known: {list(CATEGORICAL_FIELDS)}")
-    for key, value in categoricals.items():
-        if not isinstance(value, bool):
-            raise ValueError(f"categoricals.{key} must be true or false, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -174,10 +152,10 @@ def numeric_block(table: StackedTable, cfg: StrategyConfig) -> tuple[list[str], 
     names = list(table.feature_names)
     cols = [table.X]
     if cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
-        if cfg.year_ordinal:
+        if cfg.categoricals.year_ordinal:
             names.append("year")
             cols.append(np.array([[d.year] for d in table.dates], dtype=float))
-        if cfg.day_ordinal:
+        if cfg.categoricals.day_ordinal:
             names.append("day")
             cols.append(np.array([[d.day] for d in table.dates], dtype=float))
     return names, np.column_stack(cols) if len(cols) > 1 else cols[0].copy()
@@ -209,14 +187,14 @@ def assemble_design(table: StackedTable, cfg: StrategyConfig,
     if cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
         dates = table.dates
         onehots: list[tuple[str, list, tuple]] = []
-        if cfg.site_onehot:
+        if cfg.categoricals.site:
             vocab = site_vocabulary if site_vocabulary is not None else _site_vocab(table)
             onehots.append(("site", list(table.site_ids), vocab))
-        if cfg.month_onehot:
+        if cfg.categoricals.month:
             onehots.append(("month", [d.month for d in dates], MONTH_VOCAB))
-        if cfg.weekday_onehot:
+        if cfg.categoricals.weekday:
             onehots.append(("weekday", [d.weekday() for d in dates], WEEKDAY_VOCAB))
-        if cfg.season_onehot:
+        if cfg.categoricals.season:
             onehots.append(("season", [_MONTH_SEASON[d.month] for d in dates],
                             SEASON_VOCAB))
         for group, values, vocab in onehots:

@@ -66,7 +66,7 @@ class MLPConfig:
         if any(w < 1 for w in self.hidden_layers):
             raise ValueError("hidden layer widths must be >= 1")
         if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {ACTIVATIONS}")
+            raise ValueError(f"activation must be one of {ACTIVATIONS}, got {self.activation!r}")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1:
@@ -85,7 +85,7 @@ class MLPConfig:
 class MLPModel:
     weights: tuple[np.ndarray, ...]
     biases: tuple[np.ndarray, ...]
-    config: MLPConfig
+    activation: str
 
 
 @dataclass(frozen=True)
@@ -211,8 +211,8 @@ def forward_from_first_layer(model: MLPModel, z: np.ndarray) -> np.ndarray:
     predict_mlp(model, X) up to the rounding of z."""
     if len(model.weights) == 1:  # no hidden layer: z is the output
         return z[:, 0]
-    W, b, runs = _one(model.weights[1:], model.biases[1:], model.config.activation)
-    return _forward(W, b, _act(z, model.config.activation, out=z)[None], runs)[1][0]
+    W, b, runs = _one(model.weights[1:], model.biases[1:], model.activation)
+    return _forward(W, b, _act(z, model.activation, out=z)[None], runs)[1][0]
 
 
 def _epoch_permutation(seed: int, epoch: int, n: int) -> np.ndarray:
@@ -345,7 +345,7 @@ def fit_lockstep(X, y, cfgs) -> list:
             chosen = s.best if early and s.best_val[i] < np.inf else s.params
             model = MLPModel(weights=tuple(p[i].copy() for p in chosen[:layers]),
                              biases=tuple(p[i, 0].copy() for p in chosen[layers:]),
-                             config=cfgs[c])
+                             activation=cfgs[c].activation)
             results[c] = (model, TrainingTrace(
                 train_loss=tuple(train_losses[c]),
                 val_loss=tuple(val_losses[c]) if early else None))
@@ -421,4 +421,4 @@ def predict_mlp(model: MLPModel, X) -> np.ndarray:
         raise ValueError(
             f"width mismatch: model expects {model.weights[0].shape[0]} inputs, "
             f"got {X.shape[1]}")
-    return forward(model.weights, model.biases, X, model.config.activation)
+    return forward(model.weights, model.biases, X, model.activation)

@@ -13,7 +13,7 @@ import datetime as dt
 import io
 import json
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,23 +71,22 @@ class PanelSchema:
 
 @dataclass(frozen=True)
 class PanelDataset:
-    """Dates x sites x features tensor plus targets.
-
-    dates are strictly increasing; features has shape (N, K, p) and targets
-    (N, K), with N = len(dates), K = len(site_ids), p = len(feature_names).
-    """
+    """Dates x sites x features tensor plus targets: dates strictly
+    increasing, site_ids distinct, features of shape (N, K, p) and targets
+    (N, K), with N = len(dates), K = len(site_ids), p = len(feature_names)."""
 
     dates: tuple[dt.date, ...]
     site_ids: tuple[str, ...]
     feature_names: tuple[str, ...]
     features: np.ndarray
     targets: np.ndarray
-    site_groups: dict[str, str] = field(default_factory=dict)  # metadata only
 
     def __post_init__(self):
         n, k, p = len(self.dates), len(self.site_ids), len(self.feature_names)
         if any(a >= b for a, b in zip(self.dates, self.dates[1:])):
             raise ValueError("dates must be strictly increasing")
+        if len(set(self.site_ids)) != k:
+            raise ValueError("site_ids must be distinct")
         if self.features.shape != (n, k, p):
             raise ValueError(f"features shape {self.features.shape} != {(n, k, p)}")
         if self.targets.shape != (n, k):
@@ -203,8 +202,7 @@ class _Layout:
     names: list[str]
 
 
-def load_panel(path: str | Path, schema: PanelSchema,
-               site_groups: dict[str, str] | None = None) -> PanelDataset:
+def load_panel(path: str | Path, schema: PanelSchema) -> PanelDataset:
     """Load a long-format panel CSV into a PanelDataset.
 
     Dimensions are inferred from the distinct dates and sites. Numbers are
@@ -241,7 +239,7 @@ def load_panel(path: str | Path, schema: PanelSchema,
                                                      header_reader.line_num + 1))
     return PanelDataset(
         dates=dates, site_ids=sites, feature_names=tuple(schema.feature_names),
-        features=features, targets=targets, site_groups=dict(site_groups or {}))
+        features=features, targets=targets)
 
 
 # Tab, the line breaks and printable ASCII but the quote. A body of these

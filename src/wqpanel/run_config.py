@@ -1,11 +1,11 @@
 """Single-file JSON run configuration for the CLI.
 
-RunConfig mirrors the file: each key a field, each section (data, cv,
-shap) a nested dataclass, each default the value of a key left out. The
-seed is mandatory (there is no wall-clock default: every run must be
-reproducible). Relative paths are resolved against the config file's
-directory. The output directory alone can be overridden by the
-WQPANEL_OUTPUT_DIR environment variable; everything else changes via
+RunConfig mirrors the file: each key a field, each section (data,
+categoricals, cv, shap) a nested dataclass, each default the value of a
+key left out. The seed is mandatory (there is no wall-clock default:
+every run must be reproducible). Relative paths are resolved against the
+config file's directory. The output directory alone can be overridden by
+the WQPANEL_OUTPUT_DIR environment variable; everything else changes via
 flags or the file itself.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .families import FAMILIES
-from .features import StrategyConfig, check_categoricals
+from .features import Categoricals, Strategy, StrategyConfig
 from .fieldtypes import build, check_field_types, is_integer
 from .tuner import TAG_FOLD, CVConfig, FoldScheme, subseed
 
@@ -84,7 +84,7 @@ class RunConfig:
     data: DataSection
     output_dir: Path = Path("out")
     strategy: int = 2
-    categoricals: dict = field(default_factory=dict)
+    categoricals: Categoricals = Categoricals()
     cv: CVSection = CVSection()
     families: tuple[str, ...] = tuple(FAMILIES)
     grids: dict = field(default_factory=dict)
@@ -97,7 +97,6 @@ class RunConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.strategy not in (1, 2, 3):
             raise ValueError(f"strategy must be 1, 2 or 3, got {self.strategy}")
-        check_categoricals(self.categoricals)
         check_families(self.families, "families")
         _check_grids(self.grids)
         if self.n_jobs < 1:
@@ -105,7 +104,7 @@ class RunConfig:
 
     def strategy_config(self, strategy: int) -> StrategyConfig:
         try:
-            return StrategyConfig.from_categoricals(strategy, self.categoricals)
+            return StrategyConfig(Strategy(strategy), self.categoricals)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 

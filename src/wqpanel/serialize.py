@@ -3,67 +3,68 @@
 A bundle carries the family tag, the winning hyperparameters, the fitted
 parameters as flattened arrays, the seed, and the feature-pipeline state
 needed to rebuild an identical design matrix for new data (strategy,
-standardizer, vocabularies, column names).
+categoricals, column names, standardizer, site vocabulary).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
 from .families import ModelFamily, _numbers, get_family
-from .features import StandardizationParams, StrategyConfig
-from .fieldtypes import is_integer
+from .features import Categoricals, StandardizationParams, Strategy, StrategyConfig
+from .fieldtypes import build, check_field_types, is_integer
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
 class PipelineState:
-    """Everything needed to reproduce the train-time design matrix columns."""
+    """The bundle's ``pipeline`` object, a field per key: everything needed
+    to reproduce the train-time design matrix columns."""
 
-    strategy: StrategyConfig
-    numeric_names: tuple[str, ...]
+    strategy: int
+    categoricals: Categoricals
     column_names: tuple[str, ...]
-    kinds: tuple[str, ...]
-    groups: dict[str, list[int]]
     standardizer: StandardizationParams | None
-    site_vocabulary: tuple[str, ...] | None
+    site_vocabulary: tuple[str, ...]
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.strategy not in tuple(Strategy):
+            raise ValueError(f"strategy must be 1, 2 or 3, got {self.strategy}")
+        if (self.standardizer is None) != (self.strategy == Strategy.RAW_NUMERIC):
+            raise ValueError("standardizer must be null for strategy 1 and only then")
+        self.strategy_config()  # strategy 3 needs the site group
+
+    def strategy_config(self) -> StrategyConfig:
+        return StrategyConfig(Strategy(self.strategy), self.categoricals)
 
     def as_dict(self) -> dict:
-        return {
-            "strategy": int(self.strategy.strategy),
-            "categoricals": self.strategy.categoricals(),
-            "numeric_names": list(self.numeric_names),
-            "column_names": list(self.column_names),
-            "kinds": list(self.kinds),
-            "groups": {k: list(v) for k, v in self.groups.items()},
-            "standardizer": None if self.standardizer is None else {
-                "mean": self.standardizer.mean.tolist(),
-                "sd": self.standardizer.sd.tolist(),
-            },
-            "site_vocabulary": None if self.site_vocabulary is None
-            else list(self.site_vocabulary),
-        }
+        raw = asdict(self)
+        if self.standardizer is not None:
+            raw["standardizer"] = {k: v.tolist() for k, v in raw["standardizer"].items()}
+        return raw
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineState":
+    def from_dict(cls, raw) -> "PipelineState":
+        if not isinstance(raw, dict):
+            raise ValueError(f"pipeline must be a JSON object, got {raw!r}")
+        if "standardizer" not in raw:
+            raise ValueError("pipeline.standardizer must be set")
         std = raw["standardizer"]
-        return cls(
-            strategy=StrategyConfig.from_categoricals(raw["strategy"],
-                                                      raw["categoricals"]),
-            numeric_names=tuple(raw["numeric_names"]),
-            column_names=tuple(raw["column_names"]),
-            kinds=tuple(raw["kinds"]),
-            groups={k: list(v) for k, v in raw["groups"].items()},
-            standardizer=None if std is None else StandardizationParams(
-                mean=_numbers(std["mean"], "pipeline.standardizer.mean"),
-                sd=_numbers(std["sd"], "pipeline.standardizer.sd")),
-            site_vocabulary=None if raw["site_vocabulary"] is None
-            else tuple(raw["site_vocabulary"]),
-        )
+        if not (std is None or isinstance(std, dict) and std.keys() == {"mean", "sd"}):
+            raise ValueError(f"pipeline.standardizer must be null or a JSON object of "
+                             f"mean and sd, got {std!r}")
+        try:  # bundle arrays, read as _numbers reads them, not by the type rule
+            std = None if std is None else StandardizationParams(
+                mean=_numbers(std["mean"], "mean"), sd=_numbers(std["sd"], "sd"))
+        except ValueError as exc:
+            raise ValueError(f"pipeline.standardizer.{exc}") from None
+        return build(cls, {k: v for k, v in raw.items() if k != "standardizer"}, "pipeline",
+                     standardizer=std)
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,8 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .families import ModelFamily, get_family
-from .features import (DesignMatrix, StandardizationParams, Strategy,
-                       StrategyConfig, assemble_design, fit_standardizer,
-                       numeric_block)
+from .features import (DesignMatrix, Strategy, StrategyConfig, assemble_design,
+                       fit_standardizer, numeric_block)
 from .metrics import score
 from .panel import PanelDataset, stack_panel
 from .serialize import PipelineState
@@ -252,19 +251,14 @@ def prepare_designs(train_panel: PanelDataset,
     design_from_state applies the same state to any other panel.
     """
     train_stacked = stack_panel(train_panel)
-    numeric_names, numeric = numeric_block(train_stacked, strategy_cfg)
-    params: StandardizationParams | None = None
-    if strategy_cfg.strategy in (Strategy.STANDARDIZED_NUMERIC,
-                                 Strategy.STANDARDIZED_PLUS_CATEGORICAL):
-        params = fit_standardizer(numeric)
+    params = (None if strategy_cfg.strategy == Strategy.RAW_NUMERIC
+              else fit_standardizer(numeric_block(train_stacked, strategy_cfg)[1]))
     site_vocab = train_panel.site_ids
     train_design = assemble_design(train_stacked, strategy_cfg, params, site_vocab)
     state = PipelineState(
-        strategy=strategy_cfg,
-        numeric_names=tuple(numeric_names),
+        strategy=int(strategy_cfg.strategy),
+        categoricals=strategy_cfg.categoricals,
         column_names=train_design.column_names,
-        kinds=train_design.kinds,
-        groups=train_design.groups,
         standardizer=params,
         site_vocabulary=site_vocab,
     )
@@ -273,10 +267,9 @@ def prepare_designs(train_panel: PanelDataset,
 
 def design_from_state(state: PipelineState, panel: PanelDataset) -> DesignMatrix:
     """Rebuild the design matrix a stored model was trained against."""
-    design = assemble_design(stack_panel(panel), state.strategy, state.standardizer,
-                             state.site_vocabulary)
+    design = assemble_design(stack_panel(panel), state.strategy_config(),
+                             state.standardizer, state.site_vocabulary)
     if design.column_names != state.column_names:
         raise ValueError("rebuilt design columns do not match the stored model; "
                          "was the schema or panel changed since tuning?")
     return design
-

@@ -31,6 +31,14 @@ def run(args, capsys=None):
     return code, out
 
 
+def _quiet_main(argv):
+    """main(argv) with its stdout dropped; (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 def test_ingest_prints_dimensions_and_caches(panel_files, capsys):
     env = panel_files(n_train=8, n_test=5, n_sites=3, n_features=4)
     code, out = run(["ingest", "--config", str(env["config"])], capsys)
@@ -265,7 +273,7 @@ def test_non_boolean_categorical_is_config_error(panel_files, capsys, value):
     env = panel_files(categoricals={"site": value})
     code, out = run(["stats", "--config", str(env["config"])], capsys)
     assert code == 3
-    assert f"categoricals.site must be true or false, got {value!r}" in out.err
+    assert f"categoricals.site must be a bool, got {value!r}" in out.err
 
 
 def test_repeated_family_in_config_is_config_error(panel_files, capsys):
@@ -376,6 +384,74 @@ def test_stats_reads_the_csvs_past_an_unreadable_cache(panel_files, capsys, dama
     assert code == 0
     assert out.err.count("\n") == 1
     assert str(cache) in out.err and reason in out.err
+    assert summary.read_bytes() == expected
+
+
+@pytest.fixture(scope="module")
+def cache_inputs(tmp_path_factory):
+    """Inputs, stats' summary_stats.csv read from the CSVs, and the arrays
+    of ingest's cache."""
+    env = make_panel_files(tmp_path_factory.mktemp("cache"), n_train=6, n_test=4,
+                           n_sites=3, n_features=3)
+    assert _quiet_main(["stats", "--config", str(env["config"])])[0] == 0  # no cache yet
+    expected = (env["out"] / "summary_stats.csv").read_bytes()
+    assert _quiet_main(["ingest", "--config", str(env["config"])])[0] == 0
+    with np.load(env["out"] / "panel_cache.npz") as data:
+        arrays = {key: data[key] for key in data.files}
+    return env, expected, arrays
+
+
+def _retyped(array, dtype):
+    try:
+        return array.astype(dtype)
+    except ValueError:  # text that is no number
+        return np.zeros(array.shape, dtype)
+
+
+@settings(max_examples=40)
+@given(data=st.data())
+def test_any_cache_mutation_warns_and_reads_the_csvs(cache_inputs, data):
+    # one mutation of what stats reads of the cache, its digests intact: an
+    # array's dtype or shape, a NaN, a dropped key, a repeated site, or a
+    # truncated file. These crashed stats or were trusted.
+    env, expected, valid = cache_inputs
+    arrays = dict(valid)
+    read = ["feature_names"] + [k for k in valid if k.startswith("train_")]
+    kind = data.draw(st.sampled_from(["dtype", "shape", "nan", "drop", "site", "truncate"]),
+                     label="mutation")
+    if kind in ("dtype", "shape"):
+        key = data.draw(st.sampled_from(read), label="key")
+        old = arrays[key]
+        if kind == "dtype":
+            dtype = data.draw(st.sampled_from(["U", "S", bool, np.int64, np.float32,
+                                               np.complex128, np.float64])
+                              .filter(lambda d: np.dtype(d).char != old.dtype.char),
+                              label="dtype")
+            arrays[key] = _retyped(old, dtype)
+        else:
+            arrays[key] = data.draw(st.sampled_from([old[:-1], old[None], old.reshape(-1)
+                                                     if old.ndim > 1 else old[:, None]]))
+    elif kind == "nan":
+        key = data.draw(st.sampled_from(["train_features", "train_targets"]), label="key")
+        arrays[key] = arrays[key].copy()
+        arrays[key].flat[data.draw(st.integers(0, arrays[key].size - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    elif kind == "drop":
+        del arrays[data.draw(st.sampled_from(read + [k for k in valid if k.startswith("sha")]),
+                             label="key")]
+    elif kind == "site":
+        arrays["train_sites"] = arrays["train_sites"].copy()
+        arrays["train_sites"][1] = arrays["train_sites"][0]
+    cache = env["out"] / "panel_cache.npz"
+    np.savez(cache, **arrays)
+    if kind == "truncate":
+        blob = cache.read_bytes()
+        cache.write_bytes(blob[:data.draw(st.integers(0, len(blob) - 1), label="length")])
+    summary = env["out"] / "summary_stats.csv"
+    summary.unlink()
+    code, err = _quiet_main(["stats", "--config", str(env["config"])])
+    assert code == 0 and "Traceback" not in err
+    assert err.count("\n") == 1 and str(cache) in err
     assert summary.read_bytes() == expected
 
 
@@ -805,6 +881,73 @@ def test_malformed_bundle_is_runtime_error(panel_files, capsys, field, value, na
     assert str(model_path) in out.err and "Traceback" not in out.err
     if named:
         assert named in out.err
+
+
+@pytest.fixture(scope="module")
+def strategy3_bundle(tmp_path_factory):
+    """Inputs, the path and the payload of a tuned strategy-3 elastic-net
+    bundle: every pipeline key holds a value."""
+    env = make_panel_files(tmp_path_factory.mktemp("bundle"), n_train=10, n_test=4,
+                           n_sites=2, n_features=3, strategy=3, grids=TWO_FAMILY_GRIDS)
+    assert _quiet_main(["tune", "--config", str(env["config"])])[0] == 0
+    path = env["out"] / "models" / "model_strategy3_elastic_net.json"
+    return env, path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kinds", ["x"]), ("groups", {"site": "abc"}), ("site_vocabulary", "0219"),
+    ("column_names", [1, 2]), ("numeric_names", 5), ("strategy", 7),
+    ("standardizer", None), ("site_vocabulary", None)])
+def test_bad_pipeline_key_is_runtime_error_naming_it(strategy3_bundle, tmp_path, key, value):
+    # the first six explained with exit 0, blamed the coefficients, or named
+    # no field; a null standardizer failed in the design without naming the
+    # bundle, and a null site vocabulary took the panel's own sites
+    env, _, valid = strategy3_bundle
+    payload = copy.deepcopy(valid)
+    payload["pipeline"][key] = value
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    code, err = _quiet_main(["explain", "--config", str(env["config"]), "--out", str(tmp_path),
+                             "--model", str(model_path), "--rows", "0"])
+    assert code == 4 and "Traceback" not in err
+    assert str(model_path) in err and f"pipeline.{key}" in err
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_any_pipeline_mutation_exits_4_naming_file_and_key(strategy3_bundle, data):
+    # one structured mutation of a valid bundle's pipeline: drop a key, add
+    # one, retype a value, shorten standardizer.sd, or make it a list
+    env, path, valid = strategy3_bundle
+    payload = copy.deepcopy(valid)
+    pipeline = payload["pipeline"]
+    kind = data.draw(st.sampled_from(["drop", "add", "retype", "shorten", "list"]),
+                     label="mutation")
+    if kind == "list":
+        payload["pipeline"], key = [pipeline], "pipeline"
+    elif kind == "shorten":
+        pipeline["standardizer"]["sd"].pop()
+        key = "pipeline.standardizer"
+    else:
+        name = data.draw(st.sampled_from(sorted(pipeline)) if kind != "add" else
+                         st.text(min_size=1, max_size=6).filter(lambda k: k not in pipeline),
+                         label="key")
+        if kind == "drop":
+            del pipeline[name]
+        else:
+            old = pipeline.get(name)
+            pipeline[name] = data.draw((st.sampled_from([None, True, 3, 0.5, "x", ["x"], {}])
+                                        | JSON_VALUES).filter(lambda v: type(v) is not type(old)),
+                                       label="value")
+        key = f"pipeline.{name}"
+    path.write_text(json.dumps(payload))
+    try:
+        code, err = _quiet_main(["evaluate", "--config", str(env["config"]),
+                                 "--models", str(path)])
+    finally:
+        path.write_text(json.dumps(valid))
+    assert code == 4 and "Traceback" not in err
+    assert str(path) in err and key in err
 
 
 def test_null_base_score_fails_evaluate(panel_files, capsys):

@@ -6,7 +6,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from conftest import synthetic_panel
-from wqpanel.features import (MONTH_VOCAB, SEASON_VOCAB, WEEKDAY_VOCAB,
+from wqpanel.features import (MONTH_VOCAB, SEASON_VOCAB, WEEKDAY_VOCAB, Categoricals,
                               Strategy, StrategyConfig, apply_standardizer,
                               assemble_design, fit_standardizer,
                               numeric_block, one_hot_encode, UnseenLabelError)
@@ -152,7 +152,7 @@ def test_strategy3_one_hot_column_sums_match_frequencies(stacked):
 
 def test_strategy3_ordinals_optional(stacked):
     cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL,
-                         year_ordinal=True, day_ordinal=True)
+                         categoricals=Categoricals(year_ordinal=True, day_ordinal=True))
     names, numeric = numeric_block(stacked, cfg)
     assert names[-2:] == ["year", "day"]
     design = assemble_design(stacked, cfg, fit_standardizer(numeric))
@@ -162,19 +162,7 @@ def test_strategy3_ordinals_optional(stacked):
 def test_strategy3_requires_site_onehot():
     with pytest.raises(ValueError, match="site one-hot"):
         StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL,
-                       site_onehot=False)
-
-
-def test_categoricals_mapping_round_trip_and_unknown_key():
-    cfg = StrategyConfig.from_categoricals(3, {"weekday": False, "year_ordinal": True})
-    assert cfg == StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL,
-                                 weekday_onehot=False, year_ordinal=True)
-    assert cfg.categoricals() == {"site": True, "month": True, "weekday": False,
-                                  "season": True, "year_ordinal": True,
-                                  "day_ordinal": False}
-    assert StrategyConfig.from_categoricals(3, cfg.categoricals()) == cfg
-    with pytest.raises(ValueError, match="weekdays"):
-        StrategyConfig.from_categoricals(2, {"weekdays": False})
+                       categoricals=Categoricals(site=False))
 
 
 def test_assemble_deterministic(stacked):

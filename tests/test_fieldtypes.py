@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 
 from wqpanel.elastic_net import ElasticNetConfig
+from wqpanel.features import Categoricals
 from wqpanel.fieldtypes import build, field_rules
 from wqpanel.mlp import EarlyStopConfig, MLPConfig
 from wqpanel.run_config import CVSection, DataSection, RunConfig, ShapSection
+from wqpanel.serialize import PipelineState
 from wqpanel.trees import GBDTConfig, GossConfig, RFConfig
 
 CONFIGS = (GossConfig, GBDTConfig, RFConfig, ElasticNetConfig, EarlyStopConfig, MLPConfig,
-           RunConfig, DataSection, CVSection, ShapSection)
+           RunConfig, DataSection, CVSection, ShapSection, Categoricals, PipelineState)
 
 # fields the type rule leaves to their class: the SHAP rows, a list of
 # integers or {"sample": n}, which ShapSection checks itself

@@ -115,7 +115,7 @@ def oracle_fit_mlp(X, y, cfg):
 
     if cfg.early_stop is not None and best_params is not None:
         weights, biases = best_params
-    model = MLPModel(weights=tuple(weights), biases=tuple(biases), config=cfg)
+    model = MLPModel(weights=tuple(weights), biases=tuple(biases), activation=cfg.activation)
     trace = TrainingTrace(
         train_loss=tuple(train_losses),
         val_loss=tuple(val_losses) if cfg.early_stop is not None else None)
@@ -294,7 +294,7 @@ def test_seeded_determinism_bit_identical():
 def test_all_zero_parameters_give_zero_output():
     cfg = MLPConfig(hidden_layers=(4,), activation="relu")
     model = MLPModel(weights=(np.zeros((3, 4)), np.zeros((4, 1))),
-                     biases=(np.zeros(4), np.zeros(1)), config=cfg)
+                     biases=(np.zeros(4), np.zeros(1)), activation=cfg.activation)
     rng = np.random.default_rng(3)
     np.testing.assert_array_equal(predict_mlp(model, rng.standard_normal((5, 3))),
                                   np.zeros(5))
@@ -303,7 +303,8 @@ def test_all_zero_parameters_give_zero_output():
 def test_single_tanh_unit_hand_computed():
     cfg = MLPConfig(hidden_layers=(1,), activation="tanh")
     model = MLPModel(weights=(np.array([[0.5], [-0.25]]), np.array([[2.0]])),
-                     biases=(np.array([0.1]), np.array([-0.3])), config=cfg)
+                     biases=(np.array([0.1]), np.array([-0.3])),
+                     activation=cfg.activation)
     x = np.array([[1.0, 2.0]])
     hidden = np.tanh(0.5 * 1.0 - 0.25 * 2.0 + 0.1)
     expected = 2.0 * hidden - 0.3
@@ -394,7 +395,7 @@ def test_forward_from_first_layer_matches_predict(hidden, activation):
     X = rng.standard_normal((30, 4))
     weights, biases = init_params(MLPConfig(hidden_layers=hidden, seed=2), 4)
     model = MLPModel(weights=tuple(weights), biases=tuple(b + 0.1 for b in biases),
-                     config=MLPConfig(hidden_layers=hidden, activation=activation))
+                     activation=activation)
     z = X @ weights[0] + model.biases[0]
     np.testing.assert_allclose(forward_from_first_layer(model, z), predict_mlp(model, X),
                                rtol=0, atol=1e-12)
@@ -402,7 +403,7 @@ def test_forward_from_first_layer_matches_predict(hidden, activation):
 
 def test_predict_width_mismatch():
     cfg = MLPConfig(hidden_layers=())
-    model = MLPModel(weights=(np.zeros((2, 1)),), biases=(np.zeros(1),), config=cfg)
+    model = MLPModel(weights=(np.zeros((2, 1)),), biases=(np.zeros(1),), activation=cfg.activation)
     with pytest.raises(ValueError, match="width mismatch"):
         predict_mlp(model, np.zeros((1, 3)))
 

@@ -114,7 +114,7 @@ def test_missing_file_and_missing_column(tmp_path):
 # its own below, and so is a fault after a blank line or a multi-line
 # cell, where the oracle counts records and load_panel names file lines).
 
-def oracle_load_panel(path, schema, site_groups=None):
+def oracle_load_panel(path, schema):
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"panel file not found: {path}")
@@ -183,7 +183,7 @@ def oracle_load_panel(path, schema, site_groups=None):
             targets[i, j] = target
     return PanelDataset(
         dates=dates, site_ids=sites, feature_names=tuple(feature_names),
-        features=features, targets=targets, site_groups=dict(site_groups or {}))
+        features=features, targets=targets)
 
 
 def outcome(load, path, schema):

@@ -1,5 +1,6 @@
 import copy
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,18 +9,16 @@ from hypothesis import strategies as st
 
 from conftest import JSON_VALUES
 from wqpanel.families import FAMILIES
-from wqpanel.features import Strategy, StrategyConfig
+from wqpanel.features import Categoricals
 from wqpanel.serialize import PipelineState, load_model, save_model
 
 
 @pytest.fixture(scope="module")
 def pipeline_state():
     return PipelineState(
-        strategy=StrategyConfig(strategy=Strategy.RAW_NUMERIC),
-        numeric_names=("X1", "X2", "X3"),
+        strategy=1,
+        categoricals=Categoricals(),
         column_names=("X1", "X2", "X3"),
-        kinds=("numeric",) * 3,
-        groups={},
         standardizer=None,
         site_vocabulary=("a", "b"),
     )
@@ -68,16 +67,44 @@ def test_unsupported_version_rejected(pipeline_state, tmp_path):
         load_model(path)
 
 
+def test_format_1_bundle_is_refused(pipeline_state, tmp_path):
+    # format 1 bundles carried pipeline keys that nothing read; tune rebuilds them
+    family = FAMILIES["elastic_net"]
+    model = family.fit(np.eye(3), np.array([1.0, 2.0, 4.0]), family.config({}, 0))
+    path = tmp_path / "model.json"
+    save_model(path, "elastic_net", model, {}, 0, pipeline_state)
+    payload = json.loads(path.read_text())
+    assert payload["format_version"] == 2
+    payload["format_version"] = 1
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ValueError, match=f"{path}: unsupported model format version 1$"):
+        load_model(path)
+
+
+def test_pipeline_state_as_dict_has_a_key_per_field(pipeline_state):
+    # every key a bundle's pipeline carries is read back as a field
+    assert list(pipeline_state.as_dict()) == [f.name for f in fields(PipelineState)]
+
+
+def test_restored_mlp_is_what_predict_reads(pipeline_state, tmp_path):
+    # a restored MLP used to carry a config of defaults for all but its
+    # layers and activation
+    family = FAMILIES["mlp"]
+    X = np.random.default_rng(2).standard_normal((20, 3))
+    model = family.fit(X, X[:, 0], family.config(FIT_PARAMS["mlp"], 11))
+    save_model(tmp_path / "mlp.json", "mlp", model, FIT_PARAMS["mlp"], 11, pipeline_state)
+    restored = load_model(tmp_path / "mlp.json").model
+    assert [f.name for f in fields(restored)] == ["weights", "biases", "activation"]
+    assert restored.activation == model.activation == "tanh"
+
+
 def test_pipeline_state_round_trip():
     from wqpanel.features import StandardizationParams
 
     state = PipelineState(
-        strategy=StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL,
-                                year_ordinal=True),
-        numeric_names=("X1", "year"),
+        strategy=3,
+        categoricals=Categoricals(year_ordinal=True),
         column_names=("X1", "year", "site=a", "site=b"),
-        kinds=("numeric", "numeric", "one_hot", "one_hot"),
-        groups={"site": [2, 3]},
         standardizer=StandardizationParams(mean=np.array([0.5, 2017.0]),
                                            sd=np.array([0.1, 1.0])),
         site_vocabulary=("a", "b"),
@@ -85,7 +112,7 @@ def test_pipeline_state_round_trip():
     back = PipelineState.from_dict(json.loads(json.dumps(state.as_dict())))
     assert back.strategy == state.strategy
     assert back.column_names == state.column_names
-    assert back.groups == state.groups
+    assert back.categoricals == state.categoricals
     np.testing.assert_array_equal(back.standardizer.mean, state.standardizer.mean)
     np.testing.assert_array_equal(back.standardizer.sd, state.standardizer.sd)
 
@@ -229,6 +256,10 @@ CORRUPT_BUNDLES = {
                          "weights has 2 layers, biases has 1"),
     "mlp no layers": ("mlp", lambda p: (p["weights"].clear(), p["biases"].clear()),
                       "weights has 0 layers, biases has 0"),
+    "mlp activation unknown": ("mlp", lambda p: p.update(activation="softplus"),
+                               r"activation must be one of \(.*\), got 'softplus'"),
+    "mlp activation not a string": ("mlp", lambda p: p.update(activation=5),
+                                    "activation must be a string, got 5$"),
     # a dict sets top-level bundle fields: the config must be one the
     # family's config builder accepts, the seed a non-negative integer
     "config not an object": ("elastic_net", {"config": [1]},
