@@ -11,6 +11,7 @@ error, 4 runtime/model error.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -32,7 +33,7 @@ from .reporting import (build_results_table, persist_results_table,
                         render_summary_json, render_timing_markdown,
                         ResultsTable)
 from .run_config import ConfigError, RunConfig, check_families, load_run_config
-from .serialize import load_model
+from .serialize import load_model, naming_file
 from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                          mean_abs_shap, players_from_design, sample_background,
                          shap_for_dataset, write_mean_abs_csv, write_values_csv)
@@ -414,11 +415,11 @@ def _cmd_report(args) -> int:
 
     lines = ["# Water quality prediction report", ""]
     for path in results:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-        table = ResultsTable.from_dict(raw)
-        lines.append(f"## Strategy {raw['strategy']}: prediction results")
-        lines.append("")
-        lines.append(render_results_markdown(table))
+        with naming_file(path):
+            raw = json.loads(path.read_text(encoding="utf-8"))
+            lines.append(f"## Strategy {raw['strategy']}: prediction results")
+            lines.append("")
+            lines.append(render_results_markdown(ResultsTable.from_dict(raw)))
 
     timings = {int(p.stem.rsplit("strategy", 1)[1]): p
                for p in sorted(out.glob("timing_strategy*.json"))}
@@ -426,19 +427,19 @@ def _cmd_report(args) -> int:
     # when it is the sole run
     shown = [s for s in sorted(timings) if s != 1] or sorted(timings)
     for strategy in shown:
-        payload = json.loads(timings[strategy].read_text(encoding="utf-8"))
-        lines.append(f"## Strategy {strategy}: running time summary")
-        lines.append("")
-        lines.append(render_timing_markdown(payload))
+        with naming_file(timings[strategy]):
+            payload = json.loads(timings[strategy].read_text(encoding="utf-8"))
+            lines.append(f"## Strategy {strategy}: running time summary")
+            lines.append("")
+            lines.append(render_timing_markdown(payload))
 
     for path in sorted(out.glob("shap_mean_abs*.csv")):
         lines.append(f"## SHAP ranking ({path.name})")
         lines.append("")
         lines.append("| feature | mean |phi| |")
         lines.append("|---|---|")
-        import csv as _csv
-        with open(path, newline="", encoding="utf-8") as fh:
-            for rec in list(_csv.DictReader(fh)):
+        with naming_file(path), open(path, newline="", encoding="utf-8") as fh:
+            for rec in csv.DictReader(fh):
                 lines.append(f"| {rec['feature']} | {float(rec['mean_abs_shap']):.6g} |")
         lines.append("")
 

@@ -20,10 +20,11 @@ bit, as a fit from scratch with all-numpy steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 import numpy as np
 
-from .fieldtypes import check_field_types
+from .fieldtypes import Numbers, check_field_types
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class ElasticNetConfig:
 @dataclass(frozen=True)
 class LinearModel:
     intercept: float
-    coefficients: np.ndarray
+    coefficients: Annotated[np.ndarray, Numbers()]
     sweeps_used: int
 
 

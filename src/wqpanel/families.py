@@ -1,4 +1,4 @@
-"""Uniform fit/predict/export contract shared by every model family.
+"""Uniform fit/predict/restore contract shared by every model family.
 
 The tuner, serializer and CLI only ever talk to ModelFamily entries, so
 the five learners (the constant-mean benchmark row is none of them) are
@@ -6,7 +6,7 @@ interchangeable behind this registry, the one module that knows about
 individual families. An entry holds the names of the family and its
 hyperparameters (the fields of its learner's config dataclasses), a
 config builder that turns a params dict and a fit seed into the learner's
-config, fit/predict/export/restore/importance, its default tuning grid,
+config, fit/predict/restore/importance, its default tuning grid,
 its fit_fold hook, exactly one SHAP hook (an exact solver or maskless
 coalition values), whether retrain SHAP may refit it, and an optional
 prefix axis. The tuner fits each CV fold in one task through fit_fold.
@@ -27,7 +27,6 @@ on the config without that axis, so such configs share a seed.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
@@ -49,8 +48,8 @@ class ModelFamily:
     config: Callable[[Mapping, int], Any]
     fit: Callable[[np.ndarray, np.ndarray, Any], Any]  # (X, y, built config)
     predict: Callable[[Any, np.ndarray], np.ndarray]
-    export: Callable[[Any], dict]
-    restore: Callable[[dict, int], Any]  # (params, design column count)
+    # (the bundle's params, design column count) -> the model, by fieldtypes.build
+    restore: Callable[[Any, int], Any]
     importance: Callable[[Any, int], np.ndarray | None]
     default_grid: Mapping[str, list]  # axis name -> values
     # (X_train, y_train, built configs) -> the fitted model of each config,
@@ -77,77 +76,29 @@ def _param_names(*configs: type) -> frozenset:
                      for f in fields(config)) - {"seed", "goss"}
 
 
-def _tree_to_dict(tree: tr.RegressionTree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": tree.threshold.tolist(),
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "value": tree.value.tolist(),
-        "n_samples": tree.n_samples.tolist(),
-        "gain": tree.gain.tolist(),
-    }
-
-
-def _numbers(value, field: str, ndim: int = 1, integral: bool = False,
-             finite: bool = True) -> np.ndarray:
-    """value as an ndim-dimensional float array (ndim 0: one number) of
-    finite numbers, of integers too with integral=True (then an int64
-    array), or with finite=False of any numbers, NaN and infinities
-    included. Each entry must be a number: a string, a bool or JSON null
-    is a ValueError naming the bundle field, as is any other shape."""
-    kind = "a number" if ndim == 0 else f"a {ndim}-d array of numbers"
-    try:
-        cells = np.asarray(value, dtype=object)
-    except ValueError:
-        cells = None
-    if cells is None or cells.ndim != ndim:
-        raise ValueError(f"{field} must be {kind}")
-    types = set(map(type, cells.ravel().tolist()))
-    if type(None) in types:
-        raise ValueError(f"{field} must be {kind}, " + ("all finite" if finite else "not null"))
-    if not all(t is not bool and issubclass(t, numbers.Real) for t in types):
-        raise ValueError(f"{field} must be {kind}")
-    try:
-        out = cells.astype(float)
-    except OverflowError:  # an integer beyond the doubles
-        out = None
-    if out is None or finite and not np.isfinite(out).all():
-        raise ValueError(f"{field} must be {kind}, all finite")
-    if integral:
-        if not (out == np.round(out)).all() or not (np.abs(out) < 2.0**63).all():
-            raise ValueError(f"{field} must be {kind}, all integers")
-        out = out.astype(np.int64)
-    return out
-
-
-def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
-    """Restore one node arena, rejecting any arena that is not a tree.
+def _check_arena(tree: tr.RegressionTree, n_columns: int, where: str) -> None:
+    """Reject a restored node arena that is not a tree.
 
     Children must come after their parent (which rules out cycles, so
     every walk from the root ends at a leaf), leaves carry feature -1 and
     children -1, and split features index the design's n_columns columns.
     The ValueError names the field and the first offending node.
     """
-    ints = ("feature", "left", "right", "n_samples")
-    # a leaf's threshold is NaN; a split's must be finite (checked below)
-    arrays = {name: _numbers(raw[name], f"{where}.{name}", integral=name in ints,
-                             finite=name != "threshold")
-              for name in ("feature", "threshold", "left", "right", "value", "n_samples", "gain")}
-    n = len(arrays["feature"])
+    n = tree.n_nodes
     if n == 0:
         raise ValueError(f"{where} has no nodes")
-    for name, array in arrays.items():
-        if len(array) != n:
-            raise ValueError(f"{where}.{name} has {len(array)} entries, feature has {n}")
-    feature, left, right = arrays["feature"], arrays["left"], arrays["right"]
+    for f in fields(tree):
+        if len(getattr(tree, f.name)) != n:
+            raise ValueError(f"{where}.{f.name} has {len(getattr(tree, f.name))} entries, "
+                             f"feature has {n}")
+    feature, left, right = tree.feature, tree.left, tree.right
     node = np.arange(n)
     leaf = feature < 0
     checks = (
         ("feature", leaf & (feature != -1), "must be -1 at a leaf"),
         ("feature", feature >= n_columns,
          f"must be below the {n_columns} design columns"),
-        ("threshold", ~leaf & ~np.isfinite(arrays["threshold"]), "must be finite at a split"),
+        ("threshold", ~leaf & ~np.isfinite(tree.threshold), "must be finite at a split"),
         ("left", leaf & (left != -1), "must be -1 at a leaf"),
         ("right", leaf & (right != -1), "must be -1 at a leaf"),
         ("left", ~leaf & ((left <= node) | (left >= n)),
@@ -158,35 +109,16 @@ def _tree_from_dict(raw: dict, n_columns: int, where: str) -> tr.RegressionTree:
     for name, bad, rule in checks:
         if bad.any():
             i = int(np.argmax(bad))
-            raise ValueError(f"{where}.{name}[{i}] = {arrays[name][i]} {rule}")
-    return tr.RegressionTree(
-        feature=feature.astype(np.int32),
-        threshold=arrays["threshold"],
-        left=left.astype(np.int32),
-        right=right.astype(np.int32),
-        value=arrays["value"],
-        n_samples=arrays["n_samples"],
-        gain=arrays["gain"],
-    )
+            raise ValueError(f"{where}.{name}[{i}] = {getattr(tree, name)[i]} {rule}")
 
 
-def _ensemble_export(model: tr.Ensemble) -> dict:
-    return {
-        "kind": model.kind.value,
-        "base_score": model.base_score,
-        "learning_rate": model.learning_rate,
-        "trees": [_tree_to_dict(t) for t in model.trees],
-    }
-
-
-def _ensemble_restore(raw: dict, n_columns: int) -> tr.Ensemble:
-    return tr.Ensemble(
-        kind=tr.EnsembleKind(raw["kind"]),
-        base_score=float(_numbers(raw["base_score"], "base_score", ndim=0)),
-        learning_rate=float(_numbers(raw["learning_rate"], "learning_rate", ndim=0)),
-        trees=tuple(_tree_from_dict(t, n_columns, f"trees[{i}]")
-                    for i, t in enumerate(raw["trees"])),
-    )
+def _ensemble_restore(raw, n_columns: int) -> tr.Ensemble:
+    model = build(tr.Ensemble, raw, "params")
+    if "learning_rate" not in raw:  # its default serves a forest's fit, not a bundle
+        raise ValueError("params.learning_rate must be set")
+    for i, tree in enumerate(model.trees):
+        _check_arena(tree, n_columns, f"params.trees[{i}]")
+    return model
 
 
 def _grouped_fold(key, fit_group):
@@ -250,8 +182,8 @@ def _ensemble_family(fit, **entry) -> ModelFamily:
     TreeSHAP functions."""
     return ModelFamily(fit=fit, fit_fold=_grouped_fold(_prefix_key, _prefix_group(fit)),
                        prefix_axis="n_trees",
-                       predict=tr.predict_ensemble, export=_ensemble_export,
-                       restore=_ensemble_restore, importance=tr.total_gain_importance,
+                       predict=tr.predict_ensemble, restore=_ensemble_restore,
+                       importance=tr.total_gain_importance,
                        shap_solver=sh.ensemble_shap, **entry)
 
 
@@ -268,53 +200,36 @@ def _mlp_group(X, y, cfgs):
             for fit in nn.fit_lockstep(X, y, cfgs)]
 
 
-def _mlp_export(model: nn.MLPModel) -> dict:
-    return {
-        "activation": model.activation,
-        "weights": [W.tolist() for W in model.weights],
-        "biases": [b.tolist() for b in model.biases],
-    }
-
-
-def _mlp_restore(raw: dict, n_columns: int) -> nn.MLPModel:
-    weights = tuple(_numbers(W, f"weights[{i}]", ndim=2) for i, W in enumerate(raw["weights"]))
-    biases = tuple(_numbers(b, f"biases[{i}]") for i, b in enumerate(raw["biases"]))
+def _mlp_restore(raw, n_columns: int) -> nn.MLPModel:
+    model = build(nn.MLPModel, raw, "params")
+    weights, biases = model.weights, model.biases
     if not weights or len(biases) != len(weights):
-        raise ValueError(f"weights has {len(weights)} layers, biases has {len(biases)}; "
-                         f"they need the same number, at least 1")
+        raise ValueError(f"params.weights has {len(weights)} layers, biases has "
+                         f"{len(biases)}; they need the same number, at least 1")
     widths = [n_columns, *(W.shape[1] for W in weights)]
     for i, (W, b) in enumerate(zip(weights, biases)):
         if len(W) != widths[i]:
             feeds = "the design" if i == 0 else f"weights[{i - 1}]"
-            raise ValueError(f"weights[{i}] has {len(W)} input rows, "
+            raise ValueError(f"params.weights[{i}] has {len(W)} input rows, "
                              f"{feeds} has {widths[i]} columns")
         if len(b) != W.shape[1]:
-            raise ValueError(f"biases[{i}] has {len(b)} entries, "
+            raise ValueError(f"params.biases[{i}] has {len(b)} entries, "
                              f"weights[{i}] has {W.shape[1]} columns")
     if widths[-1] != 1:
-        raise ValueError(f"weights[{len(weights) - 1}] has {widths[-1]} columns, "
+        raise ValueError(f"params.weights[{len(weights) - 1}] has {widths[-1]} columns, "
                          f"the output layer needs 1")
-    nn.MLPConfig(activation=raw["activation"])  # the activation check a grid value passes
-    return nn.MLPModel(weights=weights, biases=biases, activation=raw["activation"])
+    nn.MLPConfig(activation=model.activation)  # the activation check a grid value passes
+    return model
 
 
-def _linear_export(model: en.LinearModel) -> dict:
-    return {"intercept": model.intercept,
-            "coefficients": model.coefficients.tolist(),
-            "sweeps_used": model.sweeps_used}
-
-
-def _linear_restore(raw: dict, n_columns: int) -> en.LinearModel:
-    coefficients = _numbers(raw["coefficients"], "coefficients")
-    if len(coefficients) != n_columns:
-        raise ValueError(f"coefficients has {len(coefficients)} entries, "
+def _linear_restore(raw, n_columns: int) -> en.LinearModel:
+    model = build(en.LinearModel, raw, "params")
+    if len(model.coefficients) != n_columns:
+        raise ValueError(f"params.coefficients has {len(model.coefficients)} entries, "
                          f"the design has {n_columns} columns")
-    sweeps_used = int(_numbers(raw["sweeps_used"], "sweeps_used", ndim=0, integral=True))
-    if sweeps_used < 0:
-        raise ValueError(f"sweeps_used = {sweeps_used} must be >= 0")
-    return en.LinearModel(
-        intercept=float(_numbers(raw["intercept"], "intercept", ndim=0)),
-        coefficients=coefficients, sweeps_used=sweeps_used)
+    if model.sweeps_used < 0:
+        raise ValueError(f"params.sweeps_used = {model.sweeps_used} must be >= 0")
+    return model
 
 
 # The default grids are sized so that config count x 5 folds lands on the
@@ -329,7 +244,6 @@ FAMILIES: dict[str, ModelFamily] = {
         config=lambda params, seed: build(en.ElasticNetConfig, params),
         fit=lambda X, y, cfg: en.fit_elastic_net(X, y, cfg),
         predict=en.predict_linear,
-        export=_linear_export,
         restore=_linear_restore,
         importance=lambda m, p: np.abs(m.coefficients),
         shap_solver=sh.linear_shap,
@@ -387,7 +301,6 @@ FAMILIES: dict[str, ModelFamily] = {
         config=lambda params, seed: build(nn.MLPConfig, params, seed=seed),
         fit=lambda X, y, cfg: nn.fit_mlp(X, y, cfg)[0],
         predict=nn.predict_mlp,
-        export=_mlp_export,
         restore=_mlp_restore,
         importance=lambda m, p: None,
         shap_coalitions=sh.mlp_coalition_values,

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Annotated
 
 import numpy as np
 
-from .fieldtypes import check_field_types
+from .fieldtypes import Numbers, check_field_types
 from .panel import StackedTable
 
 MONTH_VOCAB = tuple(range(1, 13))
@@ -53,8 +54,8 @@ def one_hot_encode(values, vocabulary) -> np.ndarray:
 class StandardizationParams:
     """Per-column mean and sample sd, fit on training rows only."""
 
-    mean: np.ndarray
-    sd: np.ndarray
+    mean: Annotated[np.ndarray, Numbers()]
+    sd: Annotated[np.ndarray, Numbers()]
 
     def __post_init__(self):
         if self.mean.shape != self.sd.shape:
@@ -122,6 +123,15 @@ class StrategyConfig:
             raise ValueError("strategy 3 requires the site one-hot group")
 
 
+def one_hot_columns(categoricals: Categoricals, site_vocabulary) -> dict[str, dict]:
+    """The one-hot groups strategy 3 adds, in column order, each a dict from
+    its vocabulary's labels, in order, to their column names."""
+    vocabularies = {"site": site_vocabulary, "month": MONTH_VOCAB,
+                    "weekday": WEEKDAY_VOCAB, "season": SEASON_VOCAB}
+    return {group: {label: f"{group}={label}" for label in vocabulary}
+            for group, vocabulary in vocabularies.items() if getattr(categoricals, group)}
+
+
 @dataclass(frozen=True)
 class DesignMatrix:
     """What every model consumes: named columns, values and targets."""
@@ -129,7 +139,6 @@ class DesignMatrix:
     column_names: tuple[str, ...]
     X: np.ndarray
     y: np.ndarray
-    kinds: tuple[str, ...]  # "numeric" | "one_hot"
     groups: dict[str, list[int]] = field(default_factory=dict)  # one-hot column blocks
 
     def __post_init__(self):
@@ -175,7 +184,6 @@ def assemble_design(table: StackedTable, cfg: StrategyConfig,
     one-hot columns line up; an unseen site raises UnseenLabelError.
     """
     names, numeric = numeric_block(table, cfg)
-    kinds = ["numeric"] * len(names)
     groups: dict[str, list[int]] = {}
 
     if cfg.strategy in (Strategy.STANDARDIZED_NUMERIC, Strategy.STANDARDIZED_PLUS_CATEGORICAL):
@@ -185,34 +193,17 @@ def assemble_design(table: StackedTable, cfg: StrategyConfig,
     blocks = [numeric]
 
     if cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
-        dates = table.dates
-        onehots: list[tuple[str, list, tuple]] = []
-        if cfg.categoricals.site:
-            vocab = site_vocabulary if site_vocabulary is not None else _site_vocab(table)
-            onehots.append(("site", list(table.site_ids), vocab))
-        if cfg.categoricals.month:
-            onehots.append(("month", [d.month for d in dates], MONTH_VOCAB))
-        if cfg.categoricals.weekday:
-            onehots.append(("weekday", [d.weekday() for d in dates], WEEKDAY_VOCAB))
-        if cfg.categoricals.season:
-            onehots.append(("season", [_MONTH_SEASON[d.month] for d in dates],
-                            SEASON_VOCAB))
-        for group, values, vocab in onehots:
-            start = sum(b.shape[1] for b in blocks)
-            block = one_hot_encode(values, vocab)
-            blocks.append(block)
-            names.extend(f"{group}={label}" for label in vocab)
-            kinds.extend(["one_hot"] * len(vocab))
-            groups[group] = list(range(start, start + len(vocab)))
+        months = [d.month for d in table.dates]
+        labels = {"site": table.site_ids, "month": months,
+                  "weekday": [d.weekday() for d in table.dates],
+                  "season": [_MONTH_SEASON[month] for month in months]}
+        if site_vocabulary is None:  # the sites in order of first appearance
+            site_vocabulary = tuple(dict.fromkeys(table.site_ids))
+        for group, columns in one_hot_columns(cfg.categoricals, site_vocabulary).items():
+            groups[group] = list(range(len(names), len(names) + len(columns)))
+            blocks.append(one_hot_encode(labels[group], columns))
+            names.extend(columns.values())
 
     X = np.column_stack(blocks) if len(blocks) > 1 else blocks[0]
     return DesignMatrix(
-        column_names=tuple(names), X=X, y=table.y.copy(),
-        kinds=tuple(kinds), groups=groups)
-
-
-def _site_vocab(table: StackedTable) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for s in table.site_ids:
-        seen.setdefault(s)
-    return tuple(seen)
+        column_names=tuple(names), X=X, y=table.y.copy(), groups=groups)

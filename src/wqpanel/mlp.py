@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, fields
+from typing import Annotated
 
 import numpy as np
 
-from .fieldtypes import check_field_types
+from .fieldtypes import Numbers, check_field_types
 
 _INIT_TAG = 101
 _SPLIT_TAG = 102
@@ -83,8 +84,8 @@ class MLPConfig:
 
 @dataclass(frozen=True)
 class MLPModel:
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    weights: tuple[Annotated[np.ndarray, Numbers(ndim=2)], ...]
+    biases: tuple[Annotated[np.ndarray, Numbers()], ...]
     activation: str
 
 

@@ -18,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .fieldtypes import build, check_field_types
+
 FEATURE_RANGE = (0.0, 1.0)
 
 
@@ -27,12 +29,22 @@ class PanelFormatError(ValueError):
 
 @dataclass(frozen=True)
 class PanelSchema:
-    """Maps raw CSV column names to the panel roles."""
+    """Maps raw CSV column names to the panel roles: the schema file's JSON
+    object, a field per key."""
 
     date_column: str
     site_column: str
     target_column: str
-    feature_columns: dict[str, str]  # simplified name -> raw CSV column name
+    feature_columns: dict  # simplified name -> raw CSV column name
+
+    def __post_init__(self):
+        check_field_types(self)
+        if not self.feature_columns:
+            raise ValueError("feature_columns must name at least one feature")
+        for name, column in self.feature_columns.items():
+            if not isinstance(column, str):
+                raise ValueError(f"feature_columns.{name} must be a column name (a string), "
+                                 f"got {column!r}")
 
     @property
     def feature_names(self) -> list[str]:
@@ -40,33 +52,13 @@ class PanelSchema:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "PanelSchema":
-        """The schema in a JSON object: three column names and a non-empty
-        object of simplified name -> column name, all strings. Any other
-        shape is a PanelFormatError naming the key."""
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, dict):
-            raise PanelFormatError(f"schema {path} must be a JSON object, "
-                                   f"got {type(raw).__name__}")
-        missing = {"date_column", "site_column", "target_column", "feature_columns"} - set(raw)
-        if missing:
-            raise PanelFormatError(f"schema {path} is missing keys: {sorted(missing)}")
-        columns = {key: raw[key] for key in ("date_column", "site_column", "target_column")}
-        features = raw["feature_columns"]
-        if not isinstance(features, dict) or not features:
-            raise PanelFormatError(f"schema {path}: feature_columns must be a non-empty "
-                                   f"object of column names, got {features!r}")
-        columns.update((f"feature_columns.{name}", column) for name, column in features.items())
-        for key, column in columns.items():
-            if not isinstance(column, str):
-                raise PanelFormatError(f"schema {path}: {key} must be a column name "
-                                       f"(a string), got {column!r}")
-        return cls(
-            date_column=raw["date_column"],
-            site_column=raw["site_column"],
-            target_column=raw["target_column"],
-            feature_columns=dict(features),
-        )
+        """The schema file, built by fieldtypes.build: any other shape, or a
+        key that is no field, is a PanelFormatError naming the key."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return build(cls, json.load(fh))
+        except ValueError as exc:
+            raise PanelFormatError(f"schema {path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -176,17 +168,13 @@ class ValidationReport:
         }
 
 
-def load_sites(path: str | Path) -> dict[str, str]:
-    """Read the optional sites file (site_id, location_group); metadata only."""
-    groups: dict[str, str] = {}
+def load_sites(path: str | Path) -> None:
+    """Check the optional sites file (site_id, location_group), metadata
+    that no stage reads: its header must name a site_id column."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "site_id" not in reader.fieldnames:
-            raise PanelFormatError(f"sites file {path} needs a 'site_id' column")
-        group_col = "location_group" if "location_group" in (reader.fieldnames or []) else None
-        for rec in reader:
-            groups[rec["site_id"]] = rec[group_col] if group_col else ""
-    return groups
+        header = next(csv.reader(fh), None)
+    if header is None or "site_id" not in header:
+        raise PanelFormatError(f"sites file {path} needs a 'site_id' column")
 
 
 @dataclass(frozen=True)

@@ -1,21 +1,25 @@
 """Versioned JSON model bundles.
 
 A bundle carries the family tag, the winning hyperparameters, the fitted
-parameters as flattened arrays, the seed, and the feature-pipeline state
-needed to rebuild an identical design matrix for new data (strategy,
-categoricals, column names, standardizer, site vocabulary).
+model's parameters, the seed, and the feature-pipeline state needed to
+rebuild an identical design matrix for new data (strategy, categoricals,
+column names, standardizer, site vocabulary). ``params`` and ``pipeline``
+mirror the model and PipelineState dataclasses field by field: to_json
+writes them and fieldtypes.build reads them back.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .families import ModelFamily, _numbers, get_family
-from .features import Categoricals, StandardizationParams, Strategy, StrategyConfig
-from .fieldtypes import build, check_field_types, is_integer
+from .families import ModelFamily, get_family
+from .features import (Categoricals, StandardizationParams, Strategy, StrategyConfig,
+                       one_hot_columns)
+from .fieldtypes import build, check_field_types, is_integer, to_json
 
 FORMAT_VERSION = 2
 
@@ -23,7 +27,9 @@ FORMAT_VERSION = 2
 @dataclass(frozen=True)
 class PipelineState:
     """The bundle's ``pipeline`` object, a field per key: everything needed
-    to reproduce the train-time design matrix columns."""
+    to reproduce the train-time design matrix columns. The column names
+    end with the one-hot columns that categoricals and the site vocabulary
+    give, and the standardizer covers the numeric columns before them."""
 
     strategy: int
     categoricals: Categoricals
@@ -38,33 +44,23 @@ class PipelineState:
         if (self.standardizer is None) != (self.strategy == Strategy.RAW_NUMERIC):
             raise ValueError("standardizer must be null for strategy 1 and only then")
         self.strategy_config()  # strategy 3 needs the site group
+        one_hot = () if self.strategy != Strategy.STANDARDIZED_PLUS_CATEGORICAL else tuple(
+            name for columns in one_hot_columns(self.categoricals, self.site_vocabulary).values()
+            for name in columns.values())
+        n_numeric = len(self.column_names) - len(one_hot)
+        if n_numeric < 0 or self.column_names[n_numeric:] != one_hot:
+            raise ValueError(f"column_names must end with the {len(one_hot)} one-hot columns "
+                             f"that categoricals and site_vocabulary give")
+        if self.standardizer is not None and len(self.standardizer.mean) != n_numeric:
+            raise ValueError(f"standardizer has {len(self.standardizer.mean)} entries, "
+                             f"column_names has {n_numeric} numeric columns")
 
     def strategy_config(self) -> StrategyConfig:
         return StrategyConfig(Strategy(self.strategy), self.categoricals)
 
-    def as_dict(self) -> dict:
-        raw = asdict(self)
-        if self.standardizer is not None:
-            raw["standardizer"] = {k: v.tolist() for k, v in raw["standardizer"].items()}
-        return raw
-
     @classmethod
     def from_dict(cls, raw) -> "PipelineState":
-        if not isinstance(raw, dict):
-            raise ValueError(f"pipeline must be a JSON object, got {raw!r}")
-        if "standardizer" not in raw:
-            raise ValueError("pipeline.standardizer must be set")
-        std = raw["standardizer"]
-        if not (std is None or isinstance(std, dict) and std.keys() == {"mean", "sd"}):
-            raise ValueError(f"pipeline.standardizer must be null or a JSON object of "
-                             f"mean and sd, got {std!r}")
-        try:  # bundle arrays, read as _numbers reads them, not by the type rule
-            std = None if std is None else StandardizationParams(
-                mean=_numbers(std["mean"], "mean"), sd=_numbers(std["sd"], "sd"))
-        except ValueError as exc:
-            raise ValueError(f"pipeline.standardizer.{exc}") from None
-        return build(cls, {k: v for k, v in raw.items() if k != "standardizer"}, "pipeline",
-                     standardizer=std)
+        return build(cls, raw, "pipeline")
 
 
 @dataclass(frozen=True)
@@ -84,8 +80,8 @@ def save_model(path: str | Path, family_name: str, model: Any, hyper_params: dic
         "family": family.name,
         "config": hyper_params,
         "seed": seed,
-        "params": family.export(model),
-        "pipeline": pipeline.as_dict(),
+        "params": to_json(model),
+        "pipeline": to_json(pipeline),
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -93,12 +89,24 @@ def save_model(path: str | Path, family_name: str, model: Any, hyper_params: dic
         fh.write("\n")
 
 
+@contextlib.contextmanager
+def naming_file(path: str | Path):
+    """Re-raise a fault in the contents of the file at path (a missing key,
+    a wrong type or a bad value) as a ValueError naming the file."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
+    except (TypeError, AttributeError, IndexError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_model(path: str | Path) -> ModelBundle:
     """Read a bundle. A bundle that is not a JSON object, or a missing or
     malformed field, raises ValueError naming the file, and the field
     wherever the restorer knows it. The config must be one that the
     family's config builder accepts with the bundle's seed."""
-    try:
+    with naming_file(path):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
         if not isinstance(payload, dict):
@@ -124,7 +132,3 @@ def load_model(path: str | Path) -> ModelBundle:
             seed=seed,
             pipeline=pipeline,
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc.args[0]!r}") from None
-    except (TypeError, AttributeError, IndexError, ValueError) as exc:
-        raise ValueError(f"{path}: {exc}") from None

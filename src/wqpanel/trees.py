@@ -44,24 +44,27 @@ import enum
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .fieldtypes import check_field_types
+from .fieldtypes import Numbers, check_field_types
+
+_INTS = Annotated[np.ndarray, Numbers(integral=True)]
+_FLOATS = Annotated[np.ndarray, Numbers()]
 
 
 @dataclass(frozen=True)
 class RegressionTree:
     """Flat node arena. feature < 0 marks a leaf; routing is x[feature] <= threshold -> left."""
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    n_samples: np.ndarray
-    gain: np.ndarray
+    feature: _INTS
+    threshold: Annotated[np.ndarray, Numbers(finite=False)]  # NaN at a leaf
+    left: _INTS
+    right: _INTS
+    value: _FLOATS
+    n_samples: _INTS
+    gain: _FLOATS
 
     @property
     def n_nodes(self) -> int:

@@ -23,6 +23,7 @@ from conftest import (deterministic_files, kkt_max_violation, loss_and_gradients
 from wqpanel.cli import main as cli_main
 from wqpanel.elastic_net import ElasticNetConfig, fit_elastic_net, lambda_max, predict_linear
 from wqpanel.families import FAMILIES
+from wqpanel.fieldtypes import to_json
 from wqpanel.metrics import evaluate, fit_benchmark
 from wqpanel.mlp import MLPConfig, fit_mlp, init_params, predict_mlp
 from wqpanel.panel import PanelSchema, load_panel, stack_panel
@@ -155,8 +156,8 @@ def test_criterion_4_random_forest():
     assert np.array_equal(predict_ensemble(forest, X), predict_tree(tree, X))
 
     cfg = RFConfig(n_trees=6, max_depth=4, max_features=2, seed=77)
-    a = FAMILIES["random_forest"].export(fit_random_forest(X, y, cfg))
-    b = FAMILIES["random_forest"].export(fit_random_forest(X, y, cfg))
+    a = to_json(fit_random_forest(X, y, cfg))
+    b = to_json(fit_random_forest(X, y, cfg))
     assert json.dumps(a, sort_keys=True).encode() == \
         json.dumps(b, sort_keys=True).encode()
     _passed(4, "1-tree/no-bootstrap/full-feature forest equals a plain tree; "

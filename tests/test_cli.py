@@ -69,8 +69,11 @@ def test_ingest_minimal_panel(panel_files, capsys):
     (lambda schema: {**schema, "date_column": 5}, "date_column"),
     (lambda schema: {**schema, "site_column": ["site_no"]}, "site_column"),
     (lambda schema: {**schema, "target_column": None}, "target_column"),
+    # a key that is no schema field used to be ignored
+    (lambda schema: {**schema, "delimiter": ";"}, "delimiter is not a setting"),
 ], ids=["list", "str", "features-int", "features-bool", "features-null", "features-list",
-        "features-empty", "feature-int", "feature-null", "date-int", "site-list", "target-null"])
+        "features-empty", "feature-int", "feature-null", "date-int", "site-list", "target-null",
+        "unknown-key"])
 def test_ingest_bad_schema_shape_is_runtime_error(panel_files, capsys, edit, key):
     env = panel_files(n_train=4, n_test=3, n_sites=2, n_features=2)
     schema = env["schema"]
@@ -820,12 +823,13 @@ def _parent(payload, path):
 
 
 @pytest.mark.parametrize("command", ["explain", "evaluate"])
-@pytest.mark.parametrize("family, field", [
-    ("elastic_net", ("pipeline",)),
-    ("elastic_net", ("params", "coefficients")),
-    ("gbdt", ("params", "trees", 0, "left")),
+@pytest.mark.parametrize("family, field, named", [
+    ("elastic_net", ("pipeline",), "missing field 'pipeline'"),
+    ("elastic_net", ("params", "coefficients"), "params.coefficients must be set"),
+    ("gbdt", ("params", "trees", 0, "left"), "params.trees[0].left must be set"),
 ], ids=["pipeline", "coefficients", "tree_left"])
-def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, family, field):
+def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, family, field,
+                                               named):
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
                       families=[family], grids=TWO_FAMILY_GRIDS)
     assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0
@@ -838,7 +842,7 @@ def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, fam
         else ["--models", str(model_path)]
     code, out = run([command, "--config", str(env["config"]), *flag], capsys)
     assert code == 4
-    assert str(model_path) in out.err and f"missing field {field[-1]!r}" in out.err
+    assert str(model_path) in out.err and named in out.err
 
 
 @pytest.mark.parametrize("field, value, named", [
@@ -851,9 +855,9 @@ def test_bundle_missing_field_is_runtime_error(panel_files, capsys, command, fam
     # JSON strings and booleans used to load as numbers, and sweeps_used went unchecked
     (("params", "coefficients", 0), "0.5", "coefficients must be a 1-d array of numbers"),
     (("params", "coefficients", 2), True, "coefficients must be a 1-d array of numbers"),
-    (("params", "intercept"), False, "intercept must be a number"),
-    (("params", "sweeps_used"), 2.5, "sweeps_used must be a number, all integers"),
-    (("params", "sweeps_used"), "12", "sweeps_used must be a number"),
+    (("params", "intercept"), False, "intercept must be a finite number, got False"),
+    (("params", "sweeps_used"), 2.5, "sweeps_used must be an integer, got 2.5"),
+    (("params", "sweeps_used"), "12", "sweeps_used must be an integer, got '12'"),
     (("params", "sweeps_used"), -1, "sweeps_used = -1 must be >= 0"),
     # these used to load, and a retrain explain then died with a TypeError
     (("config",), [1], "config must be a JSON object"),
@@ -894,23 +898,30 @@ def strategy3_bundle(tmp_path_factory):
     return env, path, json.loads(path.read_text())
 
 
-@pytest.mark.parametrize("key, value", [
-    ("kinds", ["x"]), ("groups", {"site": "abc"}), ("site_vocabulary", "0219"),
-    ("column_names", [1, 2]), ("numeric_names", 5), ("strategy", 7),
-    ("standardizer", None), ("site_vocabulary", None)])
-def test_bad_pipeline_key_is_runtime_error_naming_it(strategy3_bundle, tmp_path, key, value):
+@pytest.mark.parametrize("key, value, named", [
+    ("kinds", ["x"], None), ("groups", {"site": "abc"}, None), ("site_vocabulary", "0219", None),
+    ("column_names", [1, 2], None), ("numeric_names", 5, None), ("strategy", 7, None),
+    ("standardizer", None, None), ("site_vocabulary", None, None),
+    # these failed only when the design was rebuilt, naming neither the
+    # bundle nor a key: a standardizer short of the numeric columns, and
+    # one-hot columns that the vocabulary or the groups do not give
+    ("standardizer", lambda p: {k: v[:-1] for k, v in p["standardizer"].items()}, None),
+    ("site_vocabulary", ["x", "y"], "column_names"),
+    ("categoricals", lambda p: {**p["categoricals"], "month": False}, "column_names")])
+def test_bad_pipeline_key_is_runtime_error_naming_it(strategy3_bundle, tmp_path, key, value,
+                                                     named):
     # the first six explained with exit 0, blamed the coefficients, or named
     # no field; a null standardizer failed in the design without naming the
     # bundle, and a null site vocabulary took the panel's own sites
     env, _, valid = strategy3_bundle
     payload = copy.deepcopy(valid)
-    payload["pipeline"][key] = value
+    payload["pipeline"][key] = value(valid["pipeline"]) if callable(value) else value
     model_path = tmp_path / "model.json"
     model_path.write_text(json.dumps(payload))
     code, err = _quiet_main(["explain", "--config", str(env["config"]), "--out", str(tmp_path),
                              "--model", str(model_path), "--rows", "0"])
     assert code == 4 and "Traceback" not in err
-    assert str(model_path) in err and f"pipeline.{key}" in err
+    assert str(model_path) in err and f"pipeline.{named or key}" in err
 
 
 @settings(max_examples=100)
@@ -961,7 +972,69 @@ def test_null_base_score_fails_evaluate(panel_files, capsys):
     model_path.write_text(json.dumps(payload))
     code, out = run(["evaluate", "--config", str(env["config"])], capsys)
     assert code == 4
-    assert str(model_path) in out.err and "base_score must be a number" in out.err
+    assert str(model_path) in out.err and "base_score must be a finite number" in out.err
+
+
+# one small grid per family: each tuned bundle holds every params key
+BUNDLE_GRIDS = {"elastic_net": {"lam": [0.01], "alpha": [0.5]},
+                "random_forest": {"n_trees": [3], "max_depth": [2]},
+                "gbdt": {"n_trees": [3], "max_depth": [2]},
+                "gbdt_goss": {"n_trees": [3], "max_depth": [2]},
+                "mlp": {"hidden_layers": [[4]], "max_epochs": [5]}}
+
+
+@pytest.fixture(scope="module")
+def family_bundles(tmp_path_factory):
+    """Inputs, and the path and payload of a tuned bundle of each family."""
+    env = make_panel_files(tmp_path_factory.mktemp("params"), n_train=10, n_test=4,
+                           n_sites=2, n_features=3, families=sorted(BUNDLE_GRIDS),
+                           grids=BUNDLE_GRIDS)
+    assert _quiet_main(["tune", "--config", str(env["config"])])[0] == 0
+    paths = [env["out"] / "models" / f"model_strategy2_{name}.json" for name in BUNDLE_GRIDS]
+    return env, {path: json.loads(path.read_text()) for path in paths}
+
+
+def _json_type(value) -> str:
+    # a JSON number needs no fraction: an int in a float field is no retype
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_any_params_mutation_exits_4_naming_file_and_params(family_bundles, data):
+    # one structured mutation of a valid bundle's params: drop a key, add
+    # one, retype a value, shorten one tree array, or make it a list
+    env, bundles = family_bundles
+    path = data.draw(st.sampled_from(sorted(bundles)), label="bundle")
+    valid = bundles[path]
+    payload = copy.deepcopy(valid)
+    params = payload["params"]
+    kind = data.draw(st.sampled_from(["drop", "add", "retype", "list"]
+                                     + ["shorten"] * ("trees" in params)), label="mutation")
+    if kind == "list":
+        payload["params"] = [params]
+    elif kind == "shorten":
+        tree = data.draw(st.sampled_from(params["trees"]), label="tree")
+        tree[data.draw(st.sampled_from(sorted(tree)), label="array")].pop()
+    else:
+        name = data.draw(st.sampled_from(sorted(params)) if kind != "add" else
+                         st.text(min_size=1, max_size=6).filter(lambda k: k not in params),
+                         label="key")
+        if kind == "drop":
+            del params[name]
+        else:
+            old = params.get(name)
+            params[name] = data.draw(
+                (st.sampled_from([None, True, 3, 0.5, "x", ["x"], {}]) | JSON_VALUES)
+                .filter(lambda v: _json_type(v) != _json_type(old)), label="value")
+    path.write_text(json.dumps(payload))
+    try:
+        code, err = _quiet_main(["evaluate", "--config", str(env["config"]),
+                                 "--models", str(path)])
+    finally:
+        path.write_text(json.dumps(valid))
+    assert code == 4 and "Traceback" not in err
+    assert str(path) in err and "params" in err
 
 
 def test_ragged_train_row_is_runtime_error(panel_files, capsys):
@@ -1007,6 +1080,31 @@ def test_report_bundles_everything(panel_files, capsys):
     first = (env["out"] / "report.md").read_bytes()
     assert run(["report", "--config", cfg], capsys)[0] == 0
     assert (env["out"] / "report.md").read_bytes() == first
+
+
+@pytest.mark.parametrize("name, damage, named", [
+    ("results_strategy2.json", lambda text: json.dumps({"strategy": 2}),
+     "missing field 'rows'"),
+    ("timing_strategy2.json",
+     lambda text: json.dumps([{k: v for k, v in entry.items() if k != "total_fits"}
+                              for entry in json.loads(text)]),
+     "missing field 'total_fits'"),
+    ("shap_mean_abs.csv", lambda text: text.replace("mean_abs_shap", "mean", 1),
+     "missing field 'mean_abs_shap'"),
+    ("results_strategy2.json", lambda text: text[:-5], "results_strategy2.json: "),
+], ids=["results-rows", "timing-fits", "shap-column", "results-truncated"])
+def test_corrupt_report_input_is_runtime_error_naming_it(panel_files, name, damage, named):
+    # the first three ended report in a KeyError traceback
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3)
+    cfg = str(env["config"])
+    model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"
+    for argv in (["tune"], ["evaluate"], ["explain", "--model", str(model_path), "--rows", "0"]):
+        assert _quiet_main([*argv, "--config", cfg])[0] == 0
+    path = env["out"] / name
+    path.write_text(damage(path.read_text(encoding="utf-8")), encoding="utf-8")
+    code, err = _quiet_main(["report", "--config", cfg])
+    assert code == 4 and "Traceback" not in err
+    assert str(path) in err and named in err
 
 
 def test_report_without_results_errors(panel_files, capsys):

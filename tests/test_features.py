@@ -102,7 +102,7 @@ def test_strategy1_eleven_numeric_columns(stacked):
     design = assemble_design(stacked, StrategyConfig(strategy=Strategy.RAW_NUMERIC))
     assert design.n_cols == 11
     assert design.column_names == stacked.feature_names
-    assert all(k == "numeric" for k in design.kinds)
+    assert design.groups == {}  # no one-hot block
     np.testing.assert_array_equal(design.X, stacked.X)
 
 
@@ -219,8 +219,8 @@ def calendar_labels(date):
     design = assemble_design(
         table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL),
         fit_standardizer(table.X))
-    return {name for name, kind, value in zip(design.column_names, design.kinds, design.X[0])
-            if kind == "one_hot" and value == 1.0 and not name.startswith("site=")}
+    return {design.column_names[j] for group, columns in design.groups.items()
+            if group != "site" for j in columns if design.X[0, j] == 1.0}
 
 
 def test_decompose_winter_thursday():

@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -5,16 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from wqpanel.elastic_net import ElasticNetConfig
-from wqpanel.features import Categoricals
-from wqpanel.fieldtypes import build, field_rules
-from wqpanel.mlp import EarlyStopConfig, MLPConfig
+from wqpanel.elastic_net import ElasticNetConfig, LinearModel
+from wqpanel.features import Categoricals, StandardizationParams
+from wqpanel.fieldtypes import build, field_rules, to_json
+from wqpanel.mlp import EarlyStopConfig, MLPConfig, MLPModel
+from wqpanel.panel import PanelSchema
 from wqpanel.run_config import CVSection, DataSection, RunConfig, ShapSection
 from wqpanel.serialize import PipelineState
-from wqpanel.trees import GBDTConfig, GossConfig, RFConfig
+from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig, RegressionTree,
+                           RFConfig)
 
+# every dataclass read from JSON: the learner and run configs, the bundle
+# pipeline and model params, and the panel schema
 CONFIGS = (GossConfig, GBDTConfig, RFConfig, ElasticNetConfig, EarlyStopConfig, MLPConfig,
-           RunConfig, DataSection, CVSection, ShapSection, Categoricals, PipelineState)
+           RunConfig, DataSection, CVSection, ShapSection, Categoricals, PipelineState,
+           RegressionTree, Ensemble, MLPModel, LinearModel, StandardizationParams, PanelSchema)
 
 # fields the type rule leaves to their class: the SHAP rows, a list of
 # integers or {"sample": n}, which ShapSection checks itself
@@ -85,8 +91,41 @@ def test_build_converts_json_values_by_their_field_annotation():
     (RunConfig, {"data": {}}, {}, "seed must be set"),
     (RunConfig, {"seed": 1, "data": {"train_csv": "a.csv"}}, {}, "data.test_csv must be set"),
     (RunConfig, {"seed": 1, "data": 5}, {}, "data must be a JSON object, got 5"),
+    (RegressionTree, [1], {}, "the top level must be a JSON object, got [1]"),
+    (Ensemble, {"kind": "forest", "base_score": 0.0, "trees": []}, {},
+     "kind must be one of ['random_forest', 'gbdt'], got 'forest'"),
+    (Ensemble, {"kind": "gbdt", "base_score": 0.0, "trees": [5]}, {},
+     "trees[0] must be a JSON object, got 5"),
+    (Ensemble, {"kind": "gbdt", "base_score": 0.0, "trees": {}}, {},
+     "trees must be a list, each a JSON object, got {}"),
+    (MLPModel, {"weights": [[[1.0]], [1.0]], "biases": [], "activation": "relu"}, {},
+     "weights[1] must be a 2-d array of numbers"),
+    (StandardizationParams, {"mean": [0.5, None], "sd": [1.0, 1.0]}, {},
+     "mean must be a 1-d array of numbers, all finite"),
+    (LinearModel, {"intercept": 0.5, "coefficients": [1.5], "sweeps_used": 2.0}, {},
+     "sweeps_used must be an integer, got 2.0"),
 ], ids=["nested-unknown", "fixed", "nested-range", "tuple-item", "missing",
-        "nested-missing", "nested-not-object"])
+        "nested-missing", "nested-not-object", "not-object", "enum", "tuple-of-models-item",
+        "tuple-of-models", "tuple-of-arrays-item", "array-null", "model-int"])
 def test_build_fails_naming_the_json_path(config, raw, fixed, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build(config, raw, **fixed)
+
+
+def test_build_reads_back_what_to_json_writes():
+    leaf = np.array([np.nan, np.nan])
+    tree = RegressionTree(feature=np.array([0, -1, -1], dtype=np.int32),
+                          threshold=np.array([0.5, *leaf]), left=np.array([1, -1, -1]),
+                          right=np.array([2, -1, -1]), value=np.array([0.0, -1.0, 1.0]),
+                          n_samples=np.array([4, 2, 2]), gain=np.array([2.0, 0.0, 0.0]))
+    model = Ensemble(kind=EnsembleKind.GBDT, base_score=0.5, trees=(tree, tree),
+                     learning_rate=0.1)
+    raw = to_json(model)
+    assert raw["kind"] == "gbdt" and raw["trees"][1]["feature"] == [0, -1, -1]
+    back = build(Ensemble, json.loads(json.dumps(raw)), "params")
+    assert back.kind is EnsembleKind.GBDT and len(back.trees) == 2
+    # integral arrays come back as int64, the others as float64
+    assert back.trees[1].left.dtype == np.int64 and back.trees[1].value.dtype == np.float64
+    for name in raw["trees"][0]:
+        np.testing.assert_array_equal(getattr(back.trees[1], name), getattr(tree, name))
+    assert json.dumps(to_json(back)) == json.dumps(raw)  # NaN != NaN in a list

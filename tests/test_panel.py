@@ -385,9 +385,13 @@ def test_plain_file_is_read_column_wise(tmp_path, monkeypatch):
 
 
 def test_load_sites(tmp_path):
+    # the sites file is metadata: only its site_id header is read
     path = tmp_path / "sites.csv"
     path.write_text("site_id,location_group\na,g1\nb,g2\n", encoding="utf-8")
-    assert load_sites(path) == {"a": "g1", "b": "g2"}
+    assert load_sites(path) is None
+    path.write_text("site,location_group\na,g1\n", encoding="utf-8")
+    with pytest.raises(PanelFormatError, match="needs a 'site_id' column"):
+        load_sites(path)
 
 
 def test_validate_clean_panel_passes(tiny_panel):

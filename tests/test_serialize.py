@@ -4,12 +4,13 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_VALUES
 from wqpanel.families import FAMILIES
 from wqpanel.features import Categoricals
+from wqpanel.fieldtypes import build, to_json
 from wqpanel.serialize import PipelineState, load_model, save_model
 
 
@@ -54,6 +55,18 @@ def test_round_trip_preserves_predictions(family_name, pipeline_state, tmp_path)
                                   family.predict(model, X))
 
 
+@settings(max_examples=25)
+@given(family_name=st.sampled_from(sorted(FIT_PARAMS)), seed=st.integers(0, 2**32 - 1))
+def test_a_model_built_from_its_json_predicts_bit_equal(family_name, seed):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((20, 3))
+    y = X @ rng.standard_normal(3) + 0.1 * rng.standard_normal(20)
+    family = FAMILIES[family_name]
+    model = family.fit(X, y, family.config(FIT_PARAMS[family_name], seed))
+    back = build(type(model), json.loads(json.dumps(to_json(model))), "params")
+    assert family.predict(back, X).tobytes() == family.predict(model, X).tobytes()
+
+
 def test_unsupported_version_rejected(pipeline_state, tmp_path):
     family = FAMILIES["elastic_net"]
     X = np.eye(3)
@@ -83,7 +96,7 @@ def test_format_1_bundle_is_refused(pipeline_state, tmp_path):
 
 def test_pipeline_state_as_dict_has_a_key_per_field(pipeline_state):
     # every key a bundle's pipeline carries is read back as a field
-    assert list(pipeline_state.as_dict()) == [f.name for f in fields(PipelineState)]
+    assert list(to_json(pipeline_state)) == [f.name for f in fields(PipelineState)]
 
 
 def test_restored_mlp_is_what_predict_reads(pipeline_state, tmp_path):
@@ -103,20 +116,20 @@ def test_pipeline_state_round_trip():
 
     state = PipelineState(
         strategy=3,
-        categoricals=Categoricals(year_ordinal=True),
+        categoricals=Categoricals(month=False, weekday=False, season=False, year_ordinal=True),
         column_names=("X1", "year", "site=a", "site=b"),
         standardizer=StandardizationParams(mean=np.array([0.5, 2017.0]),
                                            sd=np.array([0.1, 1.0])),
         site_vocabulary=("a", "b"),
     )
-    back = PipelineState.from_dict(json.loads(json.dumps(state.as_dict())))
+    back = PipelineState.from_dict(json.loads(json.dumps(to_json(state))))
     assert back.strategy == state.strategy
     assert back.column_names == state.column_names
     assert back.categoricals == state.categoricals
     np.testing.assert_array_equal(back.standardizer.mean, state.standardizer.mean)
     np.testing.assert_array_equal(back.standardizer.sd, state.standardizer.sd)
 
-    raw = state.as_dict()
+    raw = to_json(state)
     raw["standardizer"]["sd"][1] = None
     with pytest.raises(ValueError, match="pipeline.standardizer.sd must be a 1-d array"
                                          " of numbers, all finite"):
@@ -170,20 +183,23 @@ CORRUPT_BUNDLES = {
     "mlp biases not a vector": ("mlp", lambda p: _set(p, "biases", 0, [[0.5]]),
                                 r"biases\[0\] must be a 1-d array of numbers"),
     "intercept not a number": ("elastic_net", lambda p: p.update(intercept="x"),
-                               "intercept must be a number"),
+                               "intercept must be a finite number"),
     "base score not a number": ("gbdt_goss", lambda p: p.update(base_score={"x": 1}),
-                                "base_score must be a number"),
+                                "base_score must be a finite number"),
     "learning rate not a number": ("gbdt", lambda p: p.update(learning_rate=[0.1]),
-                                   "learning_rate must be a number"),
+                                   "learning_rate must be a finite number"),
     # JSON null reads as NaN; NaN and infinities are valid only as a leaf threshold
     "base score null": ("gbdt", lambda p: p.update(base_score=None),
-                        "base_score must be a number, all finite"),
+                        "base_score must be a finite number, got None"),
+    # the field has a default, for a forest's fit; a bundle must carry it
+    "learning rate missing": ("gbdt", lambda p: p.pop("learning_rate"),
+                              "params.learning_rate must be set"),
     "learning rate infinite": ("gbdt_goss", lambda p: p.update(learning_rate=float("inf")),
-                               "learning_rate must be a number, all finite"),
+                               "learning_rate must be a finite number, got inf"),
     "intercept NaN": ("elastic_net", lambda p: p.update(intercept=float("nan")),
-                      "intercept must be a number, all finite"),
+                      "intercept must be a finite number, got nan"),
     "intercept null": ("elastic_net", lambda p: p.update(intercept=None),
-                       "intercept must be a number, all finite"),
+                       "intercept must be a finite number, got None"),
     "coefficient NaN": ("elastic_net", lambda p: _set(p, "coefficients", 2, float("nan")),
                         "coefficients must be a 1-d array of numbers, all finite"),
     "tree value null": ("random_forest", lambda p: _set(p["trees"][2], "value", 0, None),
@@ -223,11 +239,11 @@ CORRUPT_BUNDLES = {
     "tree sample count bool": ("gbdt_goss", lambda p: _set(p["trees"][0], "n_samples", 0, True),
                                r"trees\[0\]\.n_samples must be a 1-d array of numbers$"),
     "base score string": ("gbdt", lambda p: p.update(base_score="0.5"),
-                          "base_score must be a number$"),
+                          "base_score must be a finite number, got '0.5'$"),
     "learning rate bool": ("gbdt_goss", lambda p: p.update(learning_rate=True),
-                           "learning_rate must be a number$"),
+                           "learning_rate must be a finite number, got True$"),
     "intercept string": ("elastic_net", lambda p: p.update(intercept="7.5"),
-                         "intercept must be a number$"),
+                         "intercept must be a finite number, got '7.5'$"),
     "coefficient beyond the doubles": ("elastic_net",
                                        lambda p: _set(p, "coefficients", 0, 10**400),
                                        "coefficients must be a 1-d array of numbers, "
@@ -235,9 +251,9 @@ CORRUPT_BUNDLES = {
     "coefficient bool": ("elastic_net", lambda p: _set(p, "coefficients", 0, False),
                          "coefficients must be a 1-d array of numbers$"),
     "sweeps used fraction": ("elastic_net", lambda p: p.update(sweeps_used=3.5),
-                             "sweeps_used must be a number, all integers"),
+                             "sweeps_used must be an integer, got 3.5"),
     "sweeps used null": ("elastic_net", lambda p: p.update(sweeps_used=None),
-                         "sweeps_used must be a number, all finite"),
+                         "sweeps_used must be an integer, got None"),
     "sweeps used negative": ("elastic_net", lambda p: p.update(sweeps_used=-2),
                              "sweeps_used = -2 must be >= 0"),
     "mlp weight string": ("mlp", lambda p: _set(p["weights"][0], 1, 0, "0.1"),

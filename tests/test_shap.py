@@ -259,8 +259,7 @@ def test_players_from_design_groups_one_hot_blocks():
     design = DesignMatrix(column_names=("X1", "g=a", "g=b"),
                           X=np.column_stack([np.arange(4.0),
                                              [1, 0, 1, 0], [0, 1, 0, 1]]),
-                          y=np.zeros(4), kinds=("numeric", "one_hot", "one_hot"),
-                          groups={"g": [1, 2]})
+                          y=np.zeros(4), groups={"g": [1, 2]})
     names, columns = players_from_design(design)
     assert names == ("X1", "g")
     assert columns == [[0], [1, 2]]

@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from wqpanel import trees
-from wqpanel.families import FAMILIES
+from wqpanel.fieldtypes import to_json
 from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig, RFConfig,
                            RegressionTree, _bin, _bin_rows, _counted_quantile,
                            _grow, _rank, fit_gbdt, fit_gradient_tree, fit_random_forest,
@@ -18,7 +18,7 @@ from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig, RFCon
 
 
 def serialize_tree(tree: RegressionTree) -> str:
-    return json.dumps(FAMILIES["gbdt"].export(
+    return json.dumps(to_json(
         Ensemble(kind=EnsembleKind.GBDT, base_score=0.0, trees=(tree,),
                  learning_rate=1.0)), sort_keys=True)
 
@@ -708,7 +708,7 @@ def test_forest_larger_than_the_step_cap_equals_the_loop(max_features, roots, st
     assert_trees_identical(forest, loop_random_forest(X, y, cfg))
 
 
-# Byte digests of _ensemble_export, from the grower that grew one tree per
+# Byte digests of to_json, from the grower that grew one tree per
 # call; a tree grown as a batch of one must not move them.
 EXPORT_DIGESTS = {
     "plain": "717ba1480f503e08c29ed02e008cafa98e0772d4861c79d37ea666334aba24de",
@@ -736,7 +736,7 @@ def test_fixed_seed_fits_keep_their_export_digest(fit):
     else:
         model = fit_random_forest(X, y, RFConfig(n_trees=12, max_depth=6, max_features=3,
                                                  n_bins=32, seed=6))
-    export = json.dumps(FAMILIES["gbdt"].export(model), sort_keys=True).encode()
+    export = json.dumps(to_json(model), sort_keys=True).encode()
     assert hashlib.sha256(export).hexdigest() == EXPORT_DIGESTS[fit]
 
 
@@ -874,12 +874,12 @@ def test_forest_seeded_determinism_and_variation():
     cfg = RFConfig(n_trees=5, max_depth=3, seed=42, max_features=2)
     a = fit_random_forest(X, y, cfg)
     b = fit_random_forest(X, y, cfg)
-    assert json.dumps(FAMILIES["random_forest"].export(a), sort_keys=True) == \
-        json.dumps(FAMILIES["random_forest"].export(b), sort_keys=True)
+    assert json.dumps(to_json(a), sort_keys=True) == \
+        json.dumps(to_json(b), sort_keys=True)
     c = fit_random_forest(X, y, RFConfig(n_trees=5, max_depth=3, seed=43,
                                          max_features=2))
-    assert json.dumps(FAMILIES["random_forest"].export(a), sort_keys=True) != \
-        json.dumps(FAMILIES["random_forest"].export(c), sort_keys=True)
+    assert json.dumps(to_json(a), sort_keys=True) != \
+        json.dumps(to_json(c), sort_keys=True)
 
 
 def test_rf_of_identical_trees_predicts_that_tree():
@@ -950,8 +950,8 @@ def test_gbdt_with_goss_seeded_determinism():
                      goss=GossConfig(top_rate=0.2, other_rate=0.3))
     a = fit_gbdt(X, y, cfg)
     b = fit_gbdt(X, y, cfg)
-    assert json.dumps(FAMILIES["gbdt"].export(a), sort_keys=True) == \
-        json.dumps(FAMILIES["gbdt"].export(b), sort_keys=True)
+    assert json.dumps(to_json(a), sort_keys=True) == \
+        json.dumps(to_json(b), sort_keys=True)
 
 
 def test_predict_empty_gbdt_is_base_score():

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from wqpanel import trees as tr
 from wqpanel import tuner
 from wqpanel.families import FAMILIES, get_family
+from wqpanel.fieldtypes import to_json
 from wqpanel.reporting import render_results_csv
 from wqpanel.tuner import (TAG_FIT, CVConfig, FitFailedError, FoldScheme,
                            fit_seed_keys, grid_configs, grid_search, kfold_split,
@@ -197,7 +198,7 @@ def test_serial_search_runs_one_task_per_fold(monkeypatch, family, axes):
 
 
 def _exported(family, model) -> str:
-    return json.dumps(family.export(model), sort_keys=True)
+    return json.dumps(to_json(model), sort_keys=True)
 
 
 def _per_config(name):
