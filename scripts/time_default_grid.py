@@ -11,8 +11,10 @@ registry default grid, as grid_search runs it: the configs and their
 fit-seed keys from tuner.grid_plan, fit through the family's fit_fold
 hook. Prints one JSON line with the wall time of that task, the trees
 grown (those the tree grower returns, one batch per forest and one tree
-per boosting round) and the process's peak RSS. Runs in one process
-with one BLAS thread unless the environment sets another count.
+per boosting round), the elastic-net fits that stopped at their max_iter
+(fits_at_max_iter: their sweeps_used equals it) and the process's peak
+RSS. Runs in one process with one BLAS thread unless the environment sets
+another count.
 """
 
 import argparse
@@ -39,6 +41,7 @@ def main():
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # read when numpy loads, below
 
+    from wqpanel import elastic_net as en
     from wqpanel import trees as tr
     from wqpanel import tuner
     from wqpanel.cli import _read_panels
@@ -64,6 +67,15 @@ def main():
         return trees
     tr._grow_batch = counted
 
+    at_max_iter = 0
+
+    def checked(X, y, cfg, *a, _fit=en.fit_elastic_net, **k):
+        nonlocal at_max_iter
+        model = _fit(X, y, cfg, *a, **k)
+        at_max_iter += model.sweeps_used == cfg.max_iter
+        return model
+    en.fit_elastic_net = checked
+
     tuner._pool_init(args.family, configs, seed_keys, design.X, design.y, folds, cfg.seed)
     t0 = time.perf_counter()
     tuner._pool_task(0)
@@ -71,7 +83,7 @@ def main():
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"family": args.family, "rows": len(folds[0][0]),
                       "columns": design.n_cols, "configs": len(configs),
-                      "trees_grown": grown,
+                      "trees_grown": grown, "fits_at_max_iter": at_max_iter,
                       "wall_s": round(wall, 3), "peak_rss_mb": round(peak_kb / 1024, 1)}))
 
 

@@ -16,6 +16,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import re
 import sys
 import zipfile
 from pathlib import Path
@@ -421,8 +422,12 @@ def _cmd_report(args) -> int:
             lines.append("")
             lines.append(render_results_markdown(ResultsTable.from_dict(raw)))
 
-    timings = {int(p.stem.rsplit("strategy", 1)[1]): p
-               for p in sorted(out.glob("timing_strategy*.json"))}
+    timings = {}
+    for path in sorted(out.glob("timing_strategy*.json")):
+        name = re.fullmatch(r"timing_strategy(\d+)\.json", path.name)
+        if name is None:
+            raise ValueError(f"{path}: not a timing file name, timing_strategy<N>.json")
+        timings[int(name[1])] = path
     # strategy 1 timing mirrors strategy 2 closely, so it is bundled only
     # when it is the sole run
     shown = [s for s in sorted(timings) if s != 1] or sorted(timings)

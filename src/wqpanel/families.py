@@ -151,7 +151,7 @@ def _grouped_fold(key, fit_group):
 
 
 def _elastic_net_group(X, y, cfgs):
-    """One set-up, then each config's descent; the fits equal
+    """One set-up, then each config's solve; the fits equal
     fit_elastic_net's without a set-up, bit for bit."""
     setup = en.prepare_fit(X, y, cfgs[0].standardize_internally)
     return [en.fit_elastic_net(X, y, cfg, setup=setup) for cfg in cfgs]

@@ -171,8 +171,11 @@ class ValidationReport:
 def load_sites(path: str | Path) -> None:
     """Check the optional sites file (site_id, location_group), metadata
     that no stage reads: its header must name a site_id column."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        header = next(csv.reader(fh), None)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh), None)
+    except UnicodeDecodeError as exc:
+        raise PanelFormatError(f"sites file {path} is not UTF-8 text: {exc}") from None
     if header is None or "site_id" not in header:
         raise PanelFormatError(f"sites file {path} needs a 'site_id' column")
 

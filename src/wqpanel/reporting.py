@@ -11,6 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -53,7 +55,22 @@ class ResultsTable:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ResultsTable":
-        return cls(rows=tuple((label, dict(vals)) for label, vals in raw["rows"]))
+        """The table to_dict wrote; a row that is no [label, {metric: number
+        or null}] is a ValueError naming it."""
+        rows = []
+        for i, row in enumerate(raw["rows"]):
+            if not (isinstance(row, list) and len(row) == 2 and isinstance(row[0], str)
+                    and isinstance(row[1], dict)):
+                raise ValueError(f"rows[{i}] must be [label, {{metric: number or null}}], "
+                                 f"got {reprlib.repr(row)}")
+            label, vals = row
+            for metric, value in vals.items():
+                if value is not None and (isinstance(value, bool)
+                                          or not isinstance(value, numbers.Real)):
+                    raise ValueError(f"rows[{i}] ({label}): {metric} must be a number "
+                                     f"or null, got {reprlib.repr(value)}")
+            rows.append((label, dict(vals)))
+        return cls(rows=tuple(rows))
 
 
 def _display_name(family_name: str) -> str:

@@ -256,6 +256,15 @@ def test_empty_sites_csv_means_no_sites_file(panel_files, capsys, sites_csv):
         assert str(cache["sha256_sites_csv"]) == ""
 
 
+def test_sites_file_not_utf8_is_runtime_error_naming_it(panel_files):
+    # the UnicodeDecodeError used to end ingest without naming the file
+    env = panel_files()
+    env["sites"].write_bytes(b"\xff\xfes\x00i\x00t\x00e\x00_\x00i\x00d\x00\n\x00")
+    code, err = _quiet_main(["ingest", "--config", str(env["config"])])
+    assert code == 4 and "Traceback" not in err
+    assert str(env["sites"]) in err and "not UTF-8" in err
+
+
 def test_jobs_flag_below_one_is_config_error(panel_files, capsys):
     env = panel_files()
     code, out = run(["tune", "--config", str(env["config"]), "--jobs", "0"], capsys)
@@ -1092,9 +1101,18 @@ def test_report_bundles_everything(panel_files, capsys):
     ("shap_mean_abs.csv", lambda text: text.replace("mean_abs_shap", "mean", 1),
      "missing field 'mean_abs_shap'"),
     ("results_strategy2.json", lambda text: text[:-5], "results_strategy2.json: "),
-], ids=["results-rows", "timing-fits", "shap-column", "results-truncated"])
+    ("results_strategy2.json", lambda text: json.dumps({**json.loads(text), "rows": [["a", 5]]}),
+     "rows[0] must be [label, {metric: number or null}], got ['a', 5]"),
+    ("results_strategy2.json",
+     lambda text: json.dumps({**json.loads(text), "rows": [
+         row if i != 1 else [row[0], {**row[1], "rmse": "x"}]
+         for i, row in enumerate(json.loads(text)["rows"])]}),
+     "rows[1] (Benchmarking): rmse must be a number or null, got 'x'"),
+], ids=["results-rows", "timing-fits", "shap-column", "results-truncated", "results-row-shape",
+        "results-metric-string"])
 def test_corrupt_report_input_is_runtime_error_naming_it(panel_files, name, damage, named):
-    # the first three ended report in a KeyError traceback
+    # the first three ended report in a KeyError traceback; the last two
+    # named the file but not the row
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3)
     cfg = str(env["config"])
     model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"
@@ -1105,6 +1123,23 @@ def test_corrupt_report_input_is_runtime_error_naming_it(panel_files, name, dama
     code, err = _quiet_main(["report", "--config", cfg])
     assert code == 4 and "Traceback" not in err
     assert str(path) in err and named in err
+
+
+def test_stray_timing_file_is_runtime_error_naming_it(panel_files):
+    # report used to read the strategy out of every timing_strategy*.json
+    # name with int() and fail on "x" naming no file
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3)
+    cfg = str(env["config"])
+    for argv in (["tune"], ["evaluate"]):
+        assert _quiet_main([*argv, "--config", cfg])[0] == 0
+    stray = env["out"] / "timing_strategyx.json"
+    stray.write_text((env["out"] / "timing_strategy2.json").read_text(encoding="utf-8"),
+                     encoding="utf-8")
+    code, err = _quiet_main(["report", "--config", cfg])
+    assert code == 4 and "Traceback" not in err
+    assert str(stray) in err and "timing_strategy<N>.json" in err
+    stray.unlink()
+    assert _quiet_main(["report", "--config", cfg])[0] == 0
 
 
 def test_report_without_results_errors(panel_files, capsys):

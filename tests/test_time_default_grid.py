@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from wqpanel import elastic_net as en
 from wqpanel import trees as tr
 from wqpanel.families import FAMILIES
 
@@ -16,9 +17,11 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "time_default_grid.py
 
 
 def _time(monkeypatch, capsys, family, grid, *panel_args):
-    # the script counts trees by rebinding the grower on trees; patching it
-    # first makes monkeypatch put the original back afterwards
+    # the script counts trees and fits by rebinding the grower on trees and
+    # the fit on elastic_net; patching them first makes monkeypatch put the
+    # originals back afterwards
     monkeypatch.setattr(tr, "_grow_batch", tr._grow_batch)
+    monkeypatch.setattr(en, "fit_elastic_net", en.fit_elastic_net)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
     monkeypatch.setitem(FAMILIES, family,
@@ -35,6 +38,15 @@ def test_gbdt_grid_is_one_task_of_prefix_models(monkeypatch, capsys):
     record = _time(monkeypatch, capsys, "gbdt", {"n_trees": [2, 3], "max_depth": [2]})
     assert (record["configs"], record["trees_grown"]) == (2, 3)
     assert record["rows"] > 0 and record["wall_s"] >= 0
+    assert record["fits_at_max_iter"] == 0
+
+
+def test_elastic_net_fits_stopped_at_max_iter_are_counted(monkeypatch, capsys):
+    # the config takes more than two steps, so the fits cut at one and two count
+    grid = {"lam": [1e-4], "alpha": [0.5], "max_iter": [1, 2, 1000]}
+    record = _time(monkeypatch, capsys, "elastic_net", grid)
+    assert (record["configs"], record["trees_grown"]) == (3, 0)
+    assert record["fits_at_max_iter"] == 2
 
 
 def test_random_forest_grid_is_one_task(monkeypatch, capsys):
