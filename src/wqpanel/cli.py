@@ -25,9 +25,9 @@ import numpy as np
 
 from .families import FAMILIES, get_family
 from .metrics import MetricReport, evaluate, fit_benchmark
-from .panel import (PanelDataset, PanelFormatError, PanelSchema, load_panel,
-                    load_sites, stack_panel, summarize, correlation_matrix,
-                    validate_panel)
+from .panel import (TARGET_BOUND, PanelDataset, PanelFormatError, PanelSchema,
+                    load_panel, load_sites, stack_panel, summarize,
+                    correlation_matrix, validate_panel)
 from .reporting import (build_results_table, persist_results_table,
                         persist_tuning_artifacts, render_correlation_csv,
                         render_results_markdown, render_summary_csv,
@@ -222,6 +222,9 @@ def _cmd_ingest(args) -> int:
         for column, count in rep.range_warnings.items():
             print(f"  warning: {split} column {column} has {count} value(s) "
                   f"outside [0, 1]")
+        if rep.unbounded_cells:
+            print(f"  error: {split} column Y has {len(rep.unbounded_cells)} value(s) "
+                  f"beyond +-{TARGET_BOUND:g}")
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if not all(rep.passed for rep in reports.values()):

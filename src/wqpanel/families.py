@@ -7,18 +7,19 @@ individual families. An entry holds the names of the family and its
 hyperparameters (the fields of its learner's config dataclasses), a
 config builder that turns a params dict and a fit seed into the learner's
 config, fit/predict/restore/importance, its default tuning grid,
-its fit_fold hook, exactly one SHAP hook (an exact solver or maskless
+its fit_folds hook, exactly one SHAP hook (an exact solver or maskless
 coalition values), whether retrain SHAP may refit it, and an optional
-prefix axis. The tuner fits each CV fold in one task through fit_fold.
-It builds every config of the fold before any fit, so the hook takes
-only valid built configs; it yields their fitted models, sharing the
-work that no config changes, and each model must equal fit's for that
-config, bit for bit. Every hook is one grouped rule (_grouped_fold) given
+prefix axis. A tuner task is a chunk of CV folds, fit through
+fit_folds. The tuner builds every (config, fold) config of the chunk
+before any fit, so the hook takes only valid built configs; it yields
+their fitted models, fold by fold, sharing the work that no config
+changes, and each model must equal fit's for that config on that fold's
+rows, bit for bit. Every hook is one grouped rule (_grouped_folds) given
 a family's group key and group fit: elastic net shares one set-up (the
-Gram matrix) per standardize_internally value, the MLP trains the configs
-of one architecture in lockstep on stacked weights, and each tree
-ensemble fits once per setting of the other axes, whose prefixes serve
-every smaller n_trees.
+Gram matrix) per fold and standardize_internally value, the MLP trains
+the configs of one architecture in lockstep on stacked weights across
+every fold of the chunk, and each tree ensemble fits once per fold and
+setting of the other axes, whose prefixes serve every smaller n_trees.
 An ensemble draws tree i from the i-th spawned child of its fit seed, so
 under one seed the first k trees of a longer fit are the k-tree fit; its
 entry names n_trees as its prefix_axis, and the tuner keys the fit seed
@@ -52,9 +53,11 @@ class ModelFamily:
     restore: Callable[[Any, int], Any]
     importance: Callable[[Any, int], np.ndarray | None]
     default_grid: Mapping[str, list]  # axis name -> values
-    # (X_train, y_train, built configs) -> the fitted model of each config,
-    # in order, from work shared across them
-    fit_fold: Callable[[np.ndarray, np.ndarray, Sequence[Any]], Iterator[Any]]
+    # (X, y, each fold's training rows, each fold's built configs) -> the
+    # fitted model of each config of each fold, fold by fold, from work
+    # shared across them
+    fit_folds: Callable[[np.ndarray, np.ndarray, Sequence[np.ndarray],
+                         Sequence[Sequence[Any]]], Iterator[Any]]
     # exactly one of the two SHAP hooks is set. Exact marginal SHAP in
     # polynomial time: (model, x, background, player_columns) -> phi
     shap_solver: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
@@ -65,7 +68,7 @@ class ModelFamily:
                               np.ndarray] | None = None
     cheap_refit: bool = False
     # the axis the tuner leaves out of a config's fit-seed key, so configs
-    # that differ only on it share a seed (and fit_fold can share their fit)
+    # that differ only on it share a seed (and fit_folds can share their fit)
     prefix_axis: str | None = None
 
 
@@ -121,33 +124,46 @@ def _ensemble_restore(raw, n_columns: int) -> tr.Ensemble:
     return model
 
 
-def _grouped_fold(key, fit_group):
-    """A fit_fold hook that shares work among the configs of one group.
+def _grouped_folds(key, fit_group):
+    """A fit_folds hook that shares work among the configs of one group.
 
-    ``key(cfg, n_train_rows)`` groups the configs; a ValueError from it
-    fails that config in place. ``fit_group(X, y, group_cfgs)`` returns,
-    per config in order, its model or the exception its fit raised. Each
-    group is fit when its first config is due and dropped after its last
-    is yielded, so adjacent groups hold one group's models at a time, and
-    a failing config stops the fold before any later group is fit.
+    ``key(cfg, fold, n_train_rows)`` groups the (config, fold) cells, fold
+    being the position in the hook's folds; a ValueError from it fails
+    that cell in place. ``fit_group(X, y, rows, group_cfgs)`` returns, per
+    config in order, its model or the exception its fit raised; config i
+    trains on X[rows[i]]. A family whose shared work depends on a fold's
+    rows keys on the fold. Each group is fit when its first cell is due and
+    dropped after its last is yielded, so adjacent groups hold one group's
+    models at a time, and a failing cell stops the task before any later
+    group is fit.
     """
-    def fit_fold(X_train, y_train, cfgs):
+    def fit_folds(X, y, folds, cfgs):
+        cells = [(fold, rows, cfg) for fold, (rows, fold_cfgs) in enumerate(zip(folds, cfgs))
+                 for cfg in fold_cfgs]
         outcomes, groups = {}, {}
-        for i, cfg in enumerate(cfgs):
+        for i, (fold, rows, cfg) in enumerate(cells):
             try:
-                groups.setdefault(key(cfg, len(y_train)), []).append(i)
+                groups.setdefault(key(cfg, fold, len(rows)), []).append(i)
             except ValueError as exc:
                 outcomes[i] = exc
         firsts = {members[0]: members for members in groups.values()}
-        for i in range(len(cfgs)):
+        for i in range(len(cells)):
             if i in firsts:  # no name holds the fits, so popping drops them
                 members = firsts.pop(i)
-                outcomes.update(zip(members, fit_group(X_train, y_train,
-                                                       [cfgs[j] for j in members])))
+                outcomes.update(zip(members, fit_group(X, y, [cells[j][1] for j in members],
+                                                       [cells[j][2] for j in members])))
             if isinstance(outcomes[i], Exception):
                 raise outcomes.pop(i)
             yield outcomes.pop(i)
-    return fit_fold
+    return fit_folds
+
+
+def _on_one_fold(fit_group):
+    """A group fit for a key that holds the fold: fit_group(X_train,
+    y_train, group_cfgs) on the training rows its configs share."""
+    def fit(X, y, rows, cfgs):
+        return fit_group(X[rows[0]], y[rows[0]], cfgs)
+    return fit
 
 
 def _elastic_net_group(X, y, cfgs):
@@ -157,11 +173,11 @@ def _elastic_net_group(X, y, cfgs):
     return [en.fit_elastic_net(X, y, cfg, setup=setup) for cfg in cfgs]
 
 
-def _prefix_key(cfg, n_rows):
+def _prefix_key(cfg, fold, n_rows):
     # repr tells 1 from 1.0 and 0.0 from -0.0, which a model may keep;
     # n_trees=1 since a forest rejects 0. The seed is part of the key, so
     # only configs with one fit seed share a fit.
-    return repr(replace(cfg, n_trees=1))
+    return fold, repr(replace(cfg, n_trees=1))
 
 
 def _prefix_group(fit):
@@ -180,7 +196,8 @@ def _ensemble_family(fit, **entry) -> ModelFamily:
     """A tree-ensemble entry: its learner ``fit``, shared through the
     n_trees prefix hook, and the ensemble predict, bundle, importance and
     TreeSHAP functions."""
-    return ModelFamily(fit=fit, fit_fold=_grouped_fold(_prefix_key, _prefix_group(fit)),
+    return ModelFamily(fit=fit,
+                       fit_folds=_grouped_folds(_prefix_key, _on_one_fold(_prefix_group(fit))),
                        prefix_axis="n_trees",
                        predict=tr.predict_ensemble, restore=_ensemble_restore,
                        importance=tr.total_gain_importance,
@@ -193,11 +210,11 @@ def _goss_config(params, seed) -> tr.GBDTConfig:
     return build(tr.GBDTConfig, params, seed=seed, goss=build(tr.GossConfig, rates))
 
 
-def _mlp_group(X, y, cfgs):
-    """The configs of one lockstep_key trained as one stack; the fits equal
-    fit_mlp's bit for bit."""
+def _mlp_group(X, y, rows, cfgs):
+    """The configs of one lockstep_key, from every fold, trained in
+    lockstep; the fits equal fit_mlp's on each config's rows bit for bit."""
     return [fit if isinstance(fit, Exception) else fit[0]
-            for fit in nn.fit_lockstep(X, y, cfgs)]
+            for fit in nn.fit_lockstep(X, y, cfgs, rows)]
 
 
 def _mlp_restore(raw, n_columns: int) -> nn.MLPModel:
@@ -252,8 +269,8 @@ FAMILIES: dict[str, ModelFamily] = {
             "alpha": list(en.DEFAULT_ALPHA_GRID),
         },  # 30 configs
         cheap_refit=True,
-        fit_fold=_grouped_fold(lambda cfg, n_rows: cfg.standardize_internally,
-                               _elastic_net_group),
+        fit_folds=_grouped_folds(lambda cfg, fold, n_rows: (fold, cfg.standardize_internally),
+                                 _on_one_fold(_elastic_net_group)),
     ),
     # each ensemble grid lists n_trees last, so each prefix group's configs
     # are adjacent and the hook holds one longest fit at a time
@@ -308,7 +325,8 @@ FAMILIES: dict[str, ModelFamily] = {
             "hidden_layers": [[32], [64], [64, 32], [128, 64]],
             "activation": ["relu", "tanh"],
         },  # 8 configs
-        fit_fold=_grouped_fold(nn.lockstep_key, _mlp_group),
+        fit_folds=_grouped_folds(lambda cfg, fold, n_rows: nn.lockstep_key(cfg, n_rows),
+                                 _mlp_group),
     ),
 }
 

@@ -6,14 +6,15 @@ matrix as given, which is exactly what makes it sensitive to whether the
 features were standardized upstream.
 
 There is one training loop, fit_lockstep. It trains C configs of one
-architecture (layer widths, batch size, training-row count) at once:
-their weights are stacked into (C, fan_in, fan_out) arrays, so each
-mini-batch step is one np.matmul pass over all of them instead of one
-Python pass per config. Slice c follows the same floating-point
-operations as config c trained alone, so every weight and loss is
-bit-identical to a lone fit. fit_mlp is the one-config case; the CV
-tuner trains each fold's configs through the family registry's fit_fold
-hook.
+architecture (layer widths, batch size, training- and validation-row
+counts) at once, each on its own rows of one X: their weights are
+stacked into (C, fan_in, fan_out) arrays, so each mini-batch step is one
+np.matmul pass over all of them instead of one Python pass per config.
+Slice c follows the same floating-point operations as config c trained
+alone, so every weight and loss is bit-identical to a lone fit. fit_mlp
+is the one-config case; the CV tuner trains the configs of every fold of
+a task through the family registry's fit_folds hook, so one stack holds
+an architecture's configs across folds.
 """
 
 from __future__ import annotations
@@ -242,9 +243,21 @@ def _split(cfg: MLPConfig, n: int) -> tuple[np.ndarray, np.ndarray | None]:
 
 
 def lockstep_key(cfg: MLPConfig, n: int) -> tuple:
-    """Configs with equal keys on n rows can share one fit_lockstep call:
-    same layer widths, batch size and training-row count."""
-    return cfg.hidden_layers, cfg.batch_size, n - _n_val(cfg, n)
+    """Configs whose keys, each on its own n rows, are equal can share one
+    fit_lockstep call: same layer widths, batch size, and training- and
+    validation-row counts."""
+    n_val = _n_val(cfg, n)
+    return cfg.hidden_layers, cfg.batch_size, n - n_val, n_val
+
+
+# A stack holds at most this many elements (6 MiB of float64) of configs
+# x training rows x its widest layer, the input columns included, so on
+# large panels the stacked training rows and end-of-epoch activations stay
+# near the size one fold's stack had. On 2,880 training rows of 46 columns
+# the default grid's [128, 64] still stacks its relu/tanh pair, whose
+# per-step call overhead a stack of one would pay twice, and its narrower
+# architectures stack 4 or 5 configs.
+_STACK_ELEMENTS = 3 << 18
 
 
 @dataclass
@@ -296,29 +309,48 @@ def _column(values) -> np.ndarray:
     return np.array(list(values), dtype=float)[:, None, None]
 
 
-def fit_lockstep(X, y, cfgs) -> list:
+def fit_lockstep(X, y, cfgs, rows=None) -> list:
     """Train configs that share one lockstep_key at once, on stacked
     parameters: every mini-batch step is one pass over all of them.
 
-    Entry c is what fit_mlp(X, y, cfgs[c]) returns, (model, trace), or the
-    TrainingDivergedError it raises. Each config keeps its own seeded
-    split, initial parameters, epoch shuffles, rates, early stopping and
-    max_epochs; a config that stops is frozen while the rest train on.
+    Config c trains on rows[c] of X and y (all of them without ``rows``):
+    entry c is what fit_mlp(X[rows[c]], y[rows[c]], cfgs[c]) returns,
+    (model, trace), or the TrainingDivergedError it raises. Each config
+    keeps its own seeded split, initial parameters, epoch shuffles, rates,
+    early stopping and max_epochs; a config that stops is frozen while the
+    rest train on. The configs of one activation sit next to each other,
+    in stacks of at most _STACK_ELEMENTS.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    n = len(y)
-    if X.ndim != 2 or len(X) != n or n == 0:
-        raise ValueError("X must be 2-D with rows matching y")
-    if len({lockstep_key(cfg, n) for cfg in cfgs}) != 1:
+    rows = ([np.arange(len(y))] * len(cfgs) if rows is None
+            else [np.asarray(base, dtype=np.intp) for base in rows])
+    if X.ndim != 2 or len(X) != len(y) or not all(len(base) for base in rows):
+        raise ValueError("X must be 2-D with rows matching y, and each config needs rows")
+    keys = {lockstep_key(cfg, len(base)) for cfg, base in zip(cfgs, rows, strict=True)}
+    if len(keys) != 1:
         raise ValueError("lockstep configs must share one lockstep_key")
-    splits = [_split(cfg, n) for cfg in cfgs]
+    [(widths, _, n_tr, _)] = keys
+    per_stack = max(1, _STACK_ELEMENTS // (n_tr * max((X.shape[1], *widths))))
+    order = sorted(range(len(cfgs)), key=lambda c: cfgs[c].activation)  # stable
+    results: list = [None] * len(cfgs)
+    for start in range(0, len(order), per_stack):
+        members = order[start:start + per_stack]
+        fits = _fit_stack(X, y, [cfgs[c] for c in members], [rows[c] for c in members])
+        for c, fit in zip(members, fits):
+            results[c] = fit
+    return results
+
+
+def _fit_stack(X, y, cfgs, rows) -> list:
+    """fit_lockstep of one stack: config c trains on X[rows[c]]."""
+    splits = [_split(cfg, len(base)) for cfg, base in zip(cfgs, rows)]
     early = cfgs[0].early_stop is not None
     inits = [init_params(cfg, X.shape[1]) for cfg in cfgs]
     params = ([np.stack(layer) for layer in zip(*(w for w, _ in inits))]
               + [np.stack(layer)[:, None] for layer in zip(*(b for _, b in inits))])
-    train_rows = np.stack([rows for rows, _ in splits])
-    val_rows = np.stack([rows for _, rows in splits]) if early else None
+    train_rows = np.stack([base[tr] for base, (tr, _) in zip(rows, splits)])
+    val_rows = np.stack([base[va] for base, (_, va) in zip(rows, splits)]) if early else None
     s = _Stack(
         live=np.arange(len(cfgs)), params=params,
         velocity=[np.zeros_like(p) for p in params],

@@ -21,6 +21,9 @@ import numpy as np
 from .fieldtypes import build, check_field_types
 
 FEATURE_RANGE = (0.0, 1.0)
+# the largest |target| validation passes: the squared errors of a tree's
+# split gain and of the MLP loss overflow near 1e200
+TARGET_BOUND = 1e100
 
 
 class PanelFormatError(ValueError):
@@ -148,12 +151,14 @@ class CorrelationMatrix:
 
 @dataclass(frozen=True)
 class ValidationReport:
-    """Outcome of validate_panel: non-finite counts, range warnings, verdict."""
+    """Outcome of validate_panel: non-finite counts, range warnings, the
+    targets beyond TARGET_BOUND, verdict."""
 
     non_finite_counts: dict[str, int]
     non_finite_cells: tuple[tuple[str, str, str], ...]  # (date, site, column)
     range_warnings: dict[str, int]
     passed: bool
+    unbounded_cells: tuple[tuple[str, str, str], ...]  # (date, site, "Y")
 
     @property
     def total_non_finite(self) -> int:
@@ -165,6 +170,7 @@ class ValidationReport:
             "non_finite_counts": self.non_finite_counts,
             "non_finite_cells": [list(c) for c in self.non_finite_cells],
             "range_warnings": self.range_warnings,
+            "unbounded_target_cells": [list(c) for c in self.unbounded_cells],
         }
 
 
@@ -345,8 +351,9 @@ def _read_rows(path: Path, body: str, layout: _Layout, first_line: int):
 def validate_panel(ds: PanelDataset) -> ValidationReport:
     """Count non-finite entries and out-of-range values per column.
 
-    Passes iff there are zero non-finite entries; out-of-range values (the
-    features are expected in [0, 1]) only warn.
+    Passes iff there are zero non-finite entries and no target beyond
+    +-TARGET_BOUND; out-of-range values (the features are expected in
+    [0, 1]) only warn.
     """
     lo, hi = FEATURE_RANGE
     counts: dict[str, int] = {}
@@ -362,11 +369,15 @@ def validate_panel(ds: PanelDataset) -> ValidationReport:
         out = int(((values < lo) | (values > hi))[np.isfinite(values)].sum())
         if out:
             warnings[name] = out
+    beyond = np.isfinite(ds.targets) & (np.abs(ds.targets) > TARGET_BOUND)
+    unbounded = tuple((ds.dates[i].isoformat(), ds.site_ids[j], "Y")
+                      for i, j in zip(*np.nonzero(beyond)))
     return ValidationReport(
         non_finite_counts=counts,
         non_finite_cells=tuple(cells),
         range_warnings=warnings,
-        passed=sum(counts.values()) == 0,
+        passed=sum(counts.values()) == 0 and not unbounded,
+        unbounded_cells=unbounded,
     )
 
 

@@ -6,9 +6,11 @@ axis), and grid_configs is the one rule that enumerates its configs.
 All randomness flows from one run seed through named sub-seeds, and each
 (config, fold) fit gets a seed derived from the fold and the config's seed
 key (fit_seed_keys), so parallel and serial execution are
-interchangeable. A task is one fold: it builds every config of the grid
-for that fold, then fits them all through the family's registry
-fit_fold hook.
+interchangeable. A task is a chunk of folds (fold_chunks): all k with one
+job, else one of min(n_jobs, k) contiguous chunks. It builds every
+config of the grid for each of its folds, then fits them all through the
+family's registry fit_folds hook, which may share work across the folds
+(the MLP trains an architecture's configs of every fold in one stack).
 """
 
 from __future__ import annotations
@@ -163,26 +165,39 @@ def _pool_init(family_name, configs, seed_keys, X, y, folds, seed):
                      X=X, y=y, folds=folds, seed=seed)
 
 
-def _pool_task(fi: int) -> list[tuple[int, int, float]]:
-    """(config, fold, score) of every config on fold ``fi``. Every config
-    is built before any fit, so an invalid one fails first; then the
-    family's fit_fold hook fits them all."""
+def fold_chunks(k: int, n_jobs: int) -> list[range]:
+    """Folds 0..k-1 in min(n_jobs, k) contiguous chunks, one per task;
+    their sizes differ by at most one, the larger first."""
+    tasks = min(n_jobs, k)
+    size, extra = divmod(k, tasks)
+    starts = [t * size + min(t, extra) for t in range(tasks + 1)]
+    return [range(a, b) for a, b in zip(starts, starts[1:])]
+
+
+def _pool_task(chunk: Sequence[int]) -> list[tuple[int, int, float]]:
+    """(config, fold, score) of every config on each fold of ``chunk``,
+    fold by fold. Every (config, fold) config is built before any fit, so
+    an invalid one fails first; then the family's fit_folds hook fits them
+    all, and a failure names the first failing config and fold in that
+    order."""
     ctx = _POOL_CTX
-    family = ctx["family"]
-    train_idx, val_idx = ctx["folds"][fi]
-    X_train, y_train = ctx["X"][train_idx], ctx["y"][train_idx]
-    X_val, y_val = ctx["X"][val_idx], ctx["y"][val_idx]
+    family, configs, X, y = ctx["family"], ctx["configs"], ctx["X"], ctx["y"]
     out = []
     try:
         cfgs = []
-        for ci, params in enumerate(ctx["configs"]):
-            cfgs.append(family.config(params, subseed(ctx["seed"], TAG_FIT,
-                                                      ctx["seed_keys"][ci], fi)))
-        models = family.fit_fold(X_train, y_train, cfgs)
-        for ci in range(len(cfgs)):
-            out.append((ci, fi, score(y_val, family.predict(next(models), X_val))))
+        for fi in chunk:
+            cfgs.append([])
+            for ci, params in enumerate(configs):
+                cfgs[-1].append(family.config(params, subseed(ctx["seed"], TAG_FIT,
+                                                              ctx["seed_keys"][ci], fi)))
+        models = family.fit_folds(X, y, [ctx["folds"][fi][0] for fi in chunk], cfgs)
+        for fi in chunk:
+            val_idx = ctx["folds"][fi][1]
+            X_val, y_val = X[val_idx], y[val_idx]
+            for ci in range(len(configs)):
+                out.append((ci, fi, score(y_val, family.predict(next(models), X_val))))
     except Exception as exc:
-        raise FitFailedError(f"{family.name} fit failed for config {ctx['configs'][ci]} "
+        raise FitFailedError(f"{family.name} fit failed for config {configs[ci]} "
                              f"on fold {fi}: {exc}") from exc
     return out
 
@@ -205,17 +220,18 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
     k = len(folds)
 
     scores = np.full((len(configs), k), np.nan)
+    chunks = fold_chunks(k, n_jobs)
     t0 = time.perf_counter()
-    if n_jobs > 1:
+    if len(chunks) > 1:
         # imported here: a one-job run never loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_jobs, initializer=_pool_init,
+        with ProcessPoolExecutor(max_workers=len(chunks), initializer=_pool_init,
                                  initargs=(family_name, configs, seed_keys, X, y, folds, seed)) as pool:
-            results = list(pool.map(_pool_task, range(k)))
+            results = list(pool.map(_pool_task, chunks))
     else:
         _pool_init(family_name, configs, seed_keys, X, y, folds, seed)
-        results = [_pool_task(fi) for fi in range(k)]
+        results = [_pool_task(chunk) for chunk in chunks]
     for ci, fi, s in itertools.chain.from_iterable(results):
         scores[ci, fi] = s
     tuning_time = time.perf_counter() - t0

@@ -144,6 +144,32 @@ def test_ingest_nan_injected_fails_with_report(panel_files, capsys):
     assert sum(report["train"]["non_finite_counts"].values()) == 1
 
 
+@pytest.mark.parametrize("value, passes", [("1e200", False), ("-1.5e100", False),
+                                           ("1e100", True)])
+def test_ingest_fails_a_target_beyond_the_bound_naming_its_cell(panel_files, capsys,
+                                                                value, passes):
+    # a finite target near 1e200 overflowed the tree gains and the MLP loss
+    env = panel_files(n_train=4, n_test=3, n_sites=2, n_features=3)
+    text = env["train_csv"].read_text(encoding="utf-8").splitlines()
+    cells = text[2].split(",")
+    cells[-1] = value
+    text[2] = ",".join(cells)
+    env["train_csv"].write_text("\n".join(text) + "\n", encoding="utf-8")
+
+    code, out = run(["ingest", "--config", str(env["config"])], capsys)
+    report_path = env["out"] / "validation_report.json"
+    if passes:
+        assert code == 0 and not report_path.exists()
+        return
+    assert code == 2
+    assert "train column Y has 1 value(s) beyond +-1e+100" in out.out
+    report = json.loads(report_path.read_text())
+    assert report["train"]["passed"] is False
+    assert report["train"]["unbounded_target_cells"] == [[cells[0], cells[1], "Y"]]
+    assert sum(report["train"]["non_finite_counts"].values()) == 0
+    assert report["test"]["passed"] is True
+
+
 def test_missing_seed_is_config_error(panel_files, tmp_path, capsys):
     env = panel_files()
     raw = json.loads(env["config"].read_text())

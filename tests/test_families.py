@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import wqpanel
-from wqpanel.families import FAMILIES, _grouped_fold
+from wqpanel.families import FAMILIES, _grouped_folds
 from wqpanel.trees import EnsembleKind
 from wqpanel.tuner import CVConfig, grid_configs, grid_search
 
@@ -35,7 +35,7 @@ def test_default_grid_names_are_params_and_first_config_fits(name):
 
 
 def test_default_grids_list_the_prefix_axis_last():
-    # a prefix group's configs are then adjacent, so a fit_fold hook holds
+    # a prefix group's configs are then adjacent, so a fit_folds hook holds
     # one longest fit at a time, not one per setting of the other axes
     prefixed = {name for name, family in FAMILIES.items() if family.prefix_axis}
     assert prefixed == {"random_forest", "gbdt", "gbdt_goss"}
@@ -74,26 +74,33 @@ class _Model:
         self.cfg = cfg
 
 
-def _recording_fold(failing=()):
-    """A grouped fold keyed on each config's first letter whose group fit
-    records (configs, models alive when it starts) and returns a model per
+def _recording_folds(failing=(), by_fold=False):
+    """A grouped fit_folds hook keyed on each config's first letter (and
+    on the fold, if ``by_fold``) whose group fit records (configs, models
+    alive when it starts, each config's row count) and returns a model per
     config, or a ValueError for the configs in ``failing``; a config
     without a letter fails its key."""
     live, calls = weakref.WeakSet(), []
 
-    def key(cfg, n_rows):
+    def key(cfg, fold, n_rows):
         if not cfg[0].isalpha():
             raise ValueError(f"no group for {cfg}")
-        return cfg[0]
+        return (fold, cfg[0]) if by_fold else cfg[0]
 
-    def fit_group(X, y, cfgs):
-        calls.append((list(cfgs), len(live)))
+    def fit_group(X, y, rows, cfgs):
+        calls.append((list(cfgs), len(live), [len(r) for r in rows]))
         models = [ValueError(f"{cfg} failed") if cfg in failing else _Model(cfg)
                   for cfg in cfgs]
         live.update(m for m in models if isinstance(m, _Model))
         return models
 
-    return _grouped_fold(key, fit_group), live, calls
+    return _grouped_folds(key, fit_group), live, calls
+
+
+def _recording_fold(failing=()):
+    """_recording_folds as a hook of one four-row fold."""
+    folds, live, calls = _recording_folds(failing)
+    return lambda X, y, cfgs: folds(X, y, [np.arange(4)], [cfgs]), live, calls
 
 
 def test_grouped_fold_fits_a_group_when_due_and_drops_it_after_its_last():
@@ -103,7 +110,8 @@ def test_grouped_fold_fits_a_group_when_due_and_drops_it_after_its_last():
         held.append((model.cfg, sorted(m.cfg for m in live)))
         del model
     # "a3" sits apart from its group, so group a is held until it is served
-    assert calls == [(["a1", "a2", "a3"], 0), (["b1", "b2", "b3"], 1), (["c1"], 1)]
+    assert [(group, alive) for group, alive, _ in calls] == [
+        (["a1", "a2", "a3"], 0), (["b1", "b2", "b3"], 1), (["c1"], 1)]
     assert held == [("a1", ["a1", "a2", "a3"]), ("a2", ["a2", "a3"]),
                     ("b1", ["a3", "b1", "b2", "b3"]), ("b2", ["a3", "b2", "b3"]),
                     ("b3", ["a3", "b3"]), ("c1", ["a3", "c1"]), ("a3", ["a3"])]
@@ -113,7 +121,7 @@ def test_grouped_fold_fits_a_group_when_due_and_drops_it_after_its_last():
         held.append(len(live))
         del model
     # adjacent groups: each fit starts with nothing held
-    assert [alive for _, alive in calls] == [0, 0, 0]
+    assert [alive for _, alive, _ in calls] == [0, 0, 0]
     assert held == [2, 1, 2, 1, 1]
 
 
@@ -132,4 +140,31 @@ def test_grouped_fold_fails_a_config_in_place_before_any_later_group_is_fit(
         for model in fold(None, np.zeros(4), cfgs):
             got.append(model.cfg)
     assert got == served
-    assert [group for group, _ in calls] == fitted
+    assert [group for group, _, _ in calls] == fitted
+
+
+@pytest.mark.parametrize("by_fold, fitted", [
+    (False, [(["a1", "a2", "a1"], [3, 3, 2]), (["b1", "b1"], [3, 2])]),
+    (True, [(["a1", "a2"], [3, 3]), (["b1"], [3]), (["a1"], [2]), (["b1"], [2])]),
+], ids=["across_folds", "per_fold"])
+def test_grouped_folds_groups_cells_across_folds_unless_the_key_holds_the_fold(by_fold, fitted):
+    # two folds of 3 and 2 training rows; cells come out fold by fold, and
+    # a group spanning both folds is fit when its first cell is due
+    folds, _, calls = _recording_folds(by_fold=by_fold)
+    rows = [np.arange(3), np.arange(2)]
+    served = [model.cfg for model in folds(None, None, rows, [["a1", "a2", "b1"], ["a1", "b1"]])]
+    assert served == ["a1", "a2", "b1", "a1", "b1"]
+    assert [(group, sizes) for group, _, sizes in calls] == fitted
+
+
+def test_grouped_folds_raises_the_first_failing_cell_fold_by_fold():
+    # the group spanning both folds fails on fold 1; the later group fails
+    # on fold 0, which comes first
+    folds, _, calls = _recording_folds(failing=("a9", "b1"))
+    got = []
+    with pytest.raises(ValueError, match="b1 failed"):
+        for model in folds(None, None, [np.arange(3), np.arange(2)],
+                           [["a1", "b1"], ["a9", "b2"]]):
+            got.append(model.cfg)
+    assert got == ["a1"]
+    assert [group for group, _, _ in calls] == [["a1", "a9"], ["b1", "b2"]]

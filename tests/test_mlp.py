@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from wqpanel import mlp
+
 from conftest import loss_and_gradients
 from wqpanel.mlp import (ACTIVATIONS, EarlyStopConfig, MLPConfig, MLPModel,
                          TrainingDivergedError, TrainingTrace, _act, _epoch_permutation,
@@ -223,12 +225,58 @@ def test_fit_lockstep_reports_a_diverged_config_and_trains_the_rest():
         assert_same_fit(fits[i], oracle_fit_mlp(X, y, cfgs[i]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("stack_elements", [3 << 18, 1], ids=["one_stack", "stacks_of_one"])
+def test_fit_lockstep_on_each_configs_own_rows_matches_oracle(monkeypatch, stack_elements):
+    # each config trains on its own 50 of 70 rows, as a config of another
+    # fold would; activations interleave, every config early-stops, and the
+    # fastest rate diverges on the large inputs
+    monkeypatch.setattr(mlp, "_STACK_ELEMENTS", stack_elements)
+    X, y = _oracle_data(n=70, p=3, seed=23)
+    X[:10] *= 30.0
+    rng = np.random.default_rng(24)
+    rows = [rng.permutation(70)[:50] for _ in range(6)]
+    rows[1] = np.sort(rows[1])
+    settings = [("tanh", 0.02, 0.0), ("relu", 0.05, 0.9), ("logistic", 0.1, 0.0),
+                ("tanh", 1e8, 0.5), ("tanh", 0.01, 0.5), ("relu", 0.02, 0.0)]
+    cfgs = [MLPConfig(hidden_layers=(5, 3), activation=act, learning_rate=lr, batch_size=8,
+                      max_epochs=40, momentum=momentum, seed=seed,
+                      early_stop=EarlyStopConfig(validation_fraction=0.2, patience=3))
+            for seed, (act, lr, momentum) in enumerate(settings)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fits = fit_lockstep(X, y, cfgs, rows)
+        for cfg, base, fit in zip(cfgs, rows, fits):
+            try:
+                expected = oracle_fit_mlp(X[base], y[base], cfg)
+            except TrainingDivergedError as exc:
+                assert isinstance(fit, TrainingDivergedError) and str(fit) == str(exc), cfg
+                continue
+            assert_same_fit(fit, expected)
+    assert [isinstance(fit, TrainingDivergedError) for fit in fits] == [
+        False, False, False, True, False, False]
+    epochs = [len(trace.train_loss) for _, trace in fits[:3] + fits[4:]]
+    assert len(set(epochs)) > 1  # configs stop at different epochs
+
+
+def test_fit_lockstep_needs_rows_for_every_config():
+    X, y = _oracle_data()
+    with pytest.raises(ValueError, match="each config needs rows"):
+        fit_lockstep(X, y, [MLPConfig(), MLPConfig()], [np.arange(5), []])
+    with pytest.raises(ValueError):
+        fit_lockstep(X, y, [MLPConfig(), MLPConfig()], [np.arange(5)])
+
+
 def test_fit_lockstep_rejects_configs_of_different_shapes():
     X, y = _oracle_data()
     with pytest.raises(ValueError, match="lockstep_key"):
         fit_lockstep(X, y, [MLPConfig(hidden_layers=(4,)), MLPConfig(hidden_layers=(5,))])
     with pytest.raises(ValueError, match="lockstep_key"):
         fit_lockstep(X, y, [MLPConfig(), MLPConfig(early_stop=EarlyStopConfig())])
+    # 54 training rows either way, but 6 validation rows and none
+    cfg = MLPConfig(early_stop=EarlyStopConfig(validation_fraction=0.1))
+    assert lockstep_key(cfg, 60)[:3] == lockstep_key(MLPConfig(), 54)[:3]
+    with pytest.raises(ValueError, match="lockstep_key"):
+        fit_lockstep(X, y, [cfg, MLPConfig()], [np.arange(60), np.arange(54)])
 
 
 @pytest.mark.parametrize("activation", ACTIVATIONS)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import wqpanel.panel as panel_module
 from conftest import synthetic_panel, write_panel_csv, write_schema
-from wqpanel.panel import (PanelDataset, PanelFormatError, PanelSchema,
+from wqpanel.panel import (TARGET_BOUND, PanelDataset, PanelFormatError, PanelSchema,
                            StackedTable, correlation_matrix, load_panel,
                            load_sites, stack_panel, summarize, validate_panel)
 
@@ -412,6 +412,25 @@ def test_validate_counts_nan_at_named_cell(tiny_panel):
     assert report.non_finite_counts["X1"] == 1
     assert report.non_finite_cells == (
         (tiny_panel.dates[1].isoformat(), tiny_panel.site_ids[2], "X1"),)
+
+
+def test_validate_fails_a_finite_target_beyond_the_bound_naming_it(tiny_panel):
+    def validated(cells):
+        targets = tiny_panel.targets.copy()
+        for cell, value in cells.items():
+            targets[cell] = value
+        return validate_panel(PanelDataset(
+            dates=tiny_panel.dates, site_ids=tiny_panel.site_ids,
+            feature_names=tiny_panel.feature_names, features=tiny_panel.features,
+            targets=targets))
+
+    # the bound itself passes; a non-finite target is counted as such only
+    report = validated({(2, 1): -2e100, (0, 0): TARGET_BOUND, (1, 0): np.inf})
+    assert not report.passed
+    assert report.unbounded_cells == (
+        (tiny_panel.dates[2].isoformat(), tiny_panel.site_ids[1], "Y"),)
+    assert report.non_finite_counts["Y"] == 1
+    assert validated({(0, 0): -TARGET_BOUND}).passed
 
 
 def test_validate_out_of_range_warns_but_passes(tiny_panel):

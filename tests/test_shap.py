@@ -564,7 +564,7 @@ def test_mlp_family_explains_through_coalitions():
     assert family.shap_solver is None
     assert family.shap_coalitions is mlp_coalition_values
     assert all(f.shap_coalitions is None for f in FAMILIES.values() if f is not family)
-    # every entry fits a fold through its hook and explains through one hook
+    # every entry fits folds through its hook and explains through one hook
     for name, entry in FAMILIES.items():
-        assert callable(entry.fit_fold), name
+        assert callable(entry.fit_folds), name
         assert (entry.shap_solver is None) != (entry.shap_coalitions is None), name

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from wqpanel import elastic_net as en
+from wqpanel import mlp as nn
 from wqpanel import trees as tr
 from wqpanel.families import FAMILIES
 
@@ -69,3 +70,18 @@ def test_panel_size_options_reach_the_generator(monkeypatch, capsys):
         assert record["columns"] == demo["columns"]
         # fold 0 holds 4 of 5 folds of dates x sites rows
         assert record["rows"] == ratio * demo["rows"]
+
+
+def test_mlp_grid_is_one_task_of_fold_0(monkeypatch, capsys):
+    # two architectures, two lockstep stacks of one fold's configs
+    stacks = []
+
+    def counted(X, y, cfgs, rows, _stack=nn._fit_stack):
+        stacks.append([len(base) for base in rows])
+        return _stack(X, y, cfgs, rows)
+
+    monkeypatch.setattr(nn, "_fit_stack", counted)
+    grid = {"hidden_layers": [[3], [2]], "activation": ["relu", "tanh"], "max_epochs": [2]}
+    record = _time(monkeypatch, capsys, "mlp", grid)
+    assert (record["configs"], record["trees_grown"], record["fits_at_max_iter"]) == (4, 0, 0)
+    assert stacks == [[record["rows"]] * 2] * 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wqpanel import mlp as nn
 from wqpanel import trees as tr
 from wqpanel import tuner
 from wqpanel.families import FAMILIES, get_family
@@ -150,26 +151,48 @@ def test_tie_breaks_to_earliest_config():
     assert result.best_index == 0
 
 
-@pytest.mark.parametrize("family, axes", [
-    ("random_forest", {"n_trees": (3, 6), "max_depth": (2,)}),
-    ("random_forest", {"max_depth": (2, 3), "bootstrap": (True, False), "n_trees": (2, 5)}),
+# one MLP architecture: its one stack holds every fold of a task, and the
+# 47 rows give training sets of 37 and 38 rows, so two lockstep keys
+ONE_ARCHITECTURE = {"hidden_layers": ([4],), "activation": ("relu", "tanh"),
+                    "l2_penalty": (0.0, 0.01), "batch_size": (16,), "max_epochs": (5,)}
+
+
+@pytest.mark.parametrize("family, axes, k, n_jobs", [
+    ("random_forest", {"n_trees": (3, 6), "max_depth": (2,)}, 3, 2),
+    ("random_forest", {"max_depth": (2, 3), "bootstrap": (True, False), "n_trees": (2, 5)}, 3, 2),
     ("elastic_net", {"lam": (1e-4, 0.01, 0.5), "alpha": (0.0, 1.0),
-                     "standardize_internally": (True, False)}),
+                     "standardize_internally": (True, False)}, 3, 2),
     ("mlp", {"hidden_layers": ([4], [3, 2]), "activation": ("relu", "tanh"),
-             "batch_size": (16,), "max_epochs": (5,)}),
-    ("gbdt", {"n_trees": (3, 6), "reg_lambda": (0.0, 1.0)}),
-    ("gbdt_goss", {"n_trees": (3, 6), "max_depth": (2,), "top_rate": (0.2, 0.3)}),
-], ids=["random_forest", "random_forest_prefix", "elastic_net", "mlp", "gbdt", "gbdt_goss"])
-def test_parallel_matches_serial(family, axes):
-    X, y = _search_data(seed=6, n=48)
+             "batch_size": (16,), "max_epochs": (5,)}, 3, 2),
+    ("gbdt", {"n_trees": (3, 6), "reg_lambda": (0.0, 1.0)}, 3, 2),
+    ("gbdt_goss", {"n_trees": (3, 6), "max_depth": (2,), "top_rate": (0.2, 0.3)}, 3, 2),
+    ("mlp", ONE_ARCHITECTURE, 5, 2),
+    ("mlp", ONE_ARCHITECTURE, 5, 3),
+], ids=["random_forest", "random_forest_prefix", "elastic_net", "mlp", "gbdt", "gbdt_goss",
+        "mlp_one_architecture_k5_jobs2", "mlp_one_architecture_k5_jobs3"])
+def test_parallel_matches_serial(family, axes, k, n_jobs):
+    X, y = _search_data(seed=6, n=48 if k == 3 else 47)
     grid = axes
-    cv = CVConfig(k=3, seed=4)
+    cv = CVConfig(k=k, seed=4)
     serial = grid_search(family, grid, X, y, cv, seed=11, n_jobs=1)
-    parallel = grid_search(family, grid, X, y, cv, seed=11, n_jobs=2)
+    parallel = grid_search(family, grid, X, y, cv, seed=11, n_jobs=n_jobs)
     assert serial.best_config == parallel.best_config
     assert serial.mean_scores == parallel.mean_scores
     assert serial.fold_scores == parallel.fold_scores
-    assert serial.total_fits == parallel.total_fits == len(grid_configs(grid)) * 3
+    assert serial.total_fits == parallel.total_fits == len(grid_configs(grid)) * k
+    family = get_family(family)
+    assert _exported(family, serial.best_model) == _exported(family, parallel.best_model)
+
+
+@pytest.mark.parametrize("k, n_jobs, chunks", [
+    (5, 1, [[0, 1, 2, 3, 4]]),
+    (5, 2, [[0, 1, 2], [3, 4]]),
+    (5, 3, [[0, 1], [2, 3], [4]]),
+    (3, 3, [[0], [1], [2]]),
+    (2, 8, [[0], [1]]),
+])
+def test_fold_chunks_are_contiguous_and_balanced(k, n_jobs, chunks):
+    assert [list(chunk) for chunk in tuner.fold_chunks(k, n_jobs)] == chunks
 
 
 SERIAL_CASES = {
@@ -182,19 +205,36 @@ SERIAL_CASES = {
 
 
 @pytest.mark.parametrize("family, axes", SERIAL_CASES.items(), ids=SERIAL_CASES)
-def test_serial_search_runs_one_task_per_fold(monkeypatch, family, axes):
-    # every family fits all configs of a fold in one task, through its hook
+def test_serial_search_runs_one_task_over_all_folds(monkeypatch, family, axes):
+    # with one job, every family fits all configs of every fold in one
+    # task, through its hook
     X, y = _search_data(seed=8, n=36)
-    folds = []
+    tasks = []
 
-    def counted(fi, _task=tuner._pool_task):
-        folds.append(fi)
-        return _task(fi)
+    def counted(chunk, _task=tuner._pool_task):
+        tasks.append(list(chunk))
+        return _task(chunk)
 
     monkeypatch.setattr(tuner, "_pool_task", counted)
     result = grid_search(family, axes, X, y, CVConfig(k=3, seed=4), seed=2)
-    assert folds == [0, 1, 2]
+    assert tasks == [[0, 1, 2]]
     assert result.total_fits == len(grid_configs(axes)) * 3
+
+
+@pytest.mark.parametrize("n, stacks", [(36, [3, 3]), (37, [1, 1, 2, 2])], ids=["equal", "ragged"])
+def test_serial_mlp_search_stacks_an_architecture_across_folds(monkeypatch, n, stacks):
+    # 36 rows give three training sets of 24: each architecture is one
+    # stack of its three folds; 37 give 24, 25 and 25, two lockstep keys
+    sizes = []
+
+    def counted(X, y, cfgs, rows, _stack=nn._fit_stack):
+        sizes.append(len(cfgs))
+        return _stack(X, y, cfgs, rows)
+
+    monkeypatch.setattr(nn, "_fit_stack", counted)
+    X, y = _search_data(seed=8, n=n)
+    grid_search("mlp", SERIAL_CASES["mlp"], X, y, CVConfig(k=3, seed=4), seed=2)
+    assert sizes == stacks + [1]  # and the winner's refit
 
 
 def _exported(family, model) -> str:
@@ -202,15 +242,21 @@ def _exported(family, model) -> str:
 
 
 def _per_config(name):
-    """The registry entry ``name`` with a fit_fold hook that calls its fit
-    once per config: the reference the shared hooks must match."""
+    """The registry entry ``name`` with a fit_folds hook that calls its fit
+    once per (config, fold): the reference the shared hooks must match."""
     family = FAMILIES[name]
 
-    def fit_fold(X, y, cfgs):
-        for cfg in cfgs:
-            yield family.fit(X, y, cfg)
+    def fit_folds(X, y, folds, cfgs):
+        for rows, fold_cfgs in zip(folds, cfgs):
+            for cfg in fold_cfgs:
+                yield family.fit(X[rows], y[rows], cfg)
 
-    return dataclasses.replace(family, fit_fold=fit_fold)
+    return dataclasses.replace(family, fit_folds=fit_folds)
+
+
+def _fit_fold(family, X, y, cfgs):
+    """family's fit_folds hook on one fold that trains on every row."""
+    return family.fit_folds(X, y, [np.arange(len(y))], [cfgs])
 
 
 def test_elastic_net_fit_fold_matches_fit_and_predict():
@@ -221,7 +267,7 @@ def test_elastic_net_fit_fold_matches_fit_and_predict():
     configs = grid_configs({"lam": (0.0, 1e-3, 0.2), "alpha": (0.0, 0.5, 1.0),
                             "standardize_internally": (True, False)})
     cfgs = [family.config(params, 0) for params in configs]
-    shared = list(family.fit_fold(X, y, cfgs))
+    shared = list(_fit_fold(family, X, y, cfgs))
     assert len(shared) == len(configs)
     for params, cfg, model in zip(configs, cfgs, shared):
         alone = family.fit(X, y, cfg)
@@ -238,7 +284,7 @@ def test_mlp_fit_fold_matches_fit_and_predict():
         "batch_size": (8, 64), "activation": ("relu", "tanh", "logistic"),
         "hidden_layers": ([4], [3, 2], []), "max_epochs": (6,)})
     cfgs = [family.config(params, subseed(5, 2, ci, 0)) for ci, params in enumerate(configs)]
-    shared = list(family.fit_fold(X, y, cfgs))
+    shared = list(_fit_fold(family, X, y, cfgs))
     assert len(shared) == len(configs)
     for params, cfg, model in zip(configs, cfgs, shared):
         alone = family.fit(X, y, cfg)
@@ -291,25 +337,31 @@ FOLD_POOLS = {
 @settings(max_examples=25)
 @given(data=st.data())
 def test_fit_fold_equals_fit_of_each_config_of_a_drawn_grid(name, data):
-    # at most 12 configs: each axis, in a drawn order, takes up to 3 values
+    # at most 12 configs: each axis, in a drawn order, takes up to 3 values;
+    # k folds of n rows, where k need not divide n, so the training sets
+    # of one task may differ in size (and an MLP architecture's lockstep key)
     family = get_family(name)
     axes, size = {}, 1
     for axis in data.draw(st.permutations(sorted(FOLD_POOLS[name])), label="axis order"):
         axes[axis] = data.draw(st.lists(st.sampled_from(FOLD_POOLS[name][axis]), min_size=1,
                                         max_size=min(3, 12 // size)), label=axis)
         size *= len(axes[axis])
-    X, y = _search_data(seed=24, n=30, p=3)
+    k = data.draw(st.sampled_from([2, 3, 5]), label="k")
+    n = data.draw(st.sampled_from([30, 31, 32, 33]), label="n")
+    X, y = _search_data(seed=24, n=n, p=3)
     X[:, 1] = np.round(X[:, 1])  # tied values and tied gains
-    configs, cfgs = _tuner_configs(family, axes, seed=3, fold=1)
-    models = family.fit_fold(X, y, cfgs)
-    for params, cfg in zip(configs, cfgs):
-        try:
-            alone = family.fit(X, y, cfg)
-        except Exception as exc:  # the fold fails at the first config that does
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                next(models)
-            return
-        assert _exported(family, next(models)) == _exported(family, alone), params
+    folds = [train for train, _ in kfold_split(n, CVConfig(k=k, seed=n))]
+    cfgs = [_tuner_configs(family, axes, seed=3, fold=fi)[1] for fi in range(k)]
+    models = family.fit_folds(X, y, folds, cfgs)
+    for fi, train in enumerate(folds):
+        for params, cfg in zip(grid_configs(axes), cfgs[fi]):
+            try:
+                alone = family.fit(X[train], y[train], cfg)
+            except Exception as exc:  # the task fails at the first cell that does
+                with pytest.raises(type(exc), match=re.escape(str(exc))):
+                    next(models)
+                return
+            assert _exported(family, next(models)) == _exported(family, alone), (fi, params)
     assert next(models, None) is None
 
 
@@ -323,7 +375,7 @@ def test_gbdt_fit_fold_matches_fit_and_predict(monkeypatch):
     configs, cfgs = _tuner_configs(family, {"n_trees": (3, 0, 5, 3), "max_depth": (1, 3),
                                             "reg_lambda": (0.0, 1.0), "n_bins": (4, 256)})
     fitted = _counting_fit(monkeypatch)
-    shared = list(family.fit_fold(X, y, cfgs))
+    shared = list(_fit_fold(family, X, y, cfgs))
     assert fitted == [5] * 8  # one boosting run per setting of the other axes
     assert len(shared) == len(configs)
     for params, cfg, model in zip(configs, cfgs, shared):
@@ -342,7 +394,7 @@ def test_gbdt_fit_fold_groups_only_configs_a_prefix_reproduces(monkeypatch):
                {"learning_rate": 1, "n_trees": 4}, {"n_trees": 2}, {}]
     cfgs = [family.config(params, 0) for params in configs]
     fitted = _counting_fit(monkeypatch)
-    shared = list(family.fit_fold(X, y, cfgs))
+    shared = list(_fit_fold(family, X, y, cfgs))
     assert fitted == [4, 3, 100]
     for params, cfg, model in zip(configs, cfgs, shared):
         alone = family.fit(X, y, cfg)
@@ -386,7 +438,7 @@ def test_prefix_fold_models_equal_fresh_fits_of_their_configs(monkeypatch, name,
     X[:, 1] = np.round(X[:, 1])  # tied values and tied gains
     configs, cfgs = _tuner_configs(family, axes, seed=7, fold=2)
     fitted = _counting_fit(monkeypatch, learner)
-    shared = list(family.fit_fold(X, y, cfgs))
+    shared = list(_fit_fold(family, X, y, cfgs))
     assert fitted == [max(axes["n_trees"])] * (len(configs) // len(axes["n_trees"]))
     assert len(shared) == len(configs)
     for params, cfg, model in zip(configs, cfgs, shared):
@@ -405,7 +457,7 @@ def test_prefix_fold_shares_a_fit_only_under_one_seed(monkeypatch):
     cfgs = [family.config({"n_trees": n_trees, "max_depth": 2}, seed)
             for n_trees, seed in ((2, 1), (3, 2), (4, 1))]
     fitted = _counting_fit(monkeypatch, "fit_random_forest")
-    shared = list(family.fit_fold(X, y, cfgs))
+    shared = list(_fit_fold(family, X, y, cfgs))
     assert fitted == [4, 3]
     for cfg, model in zip(cfgs, shared):
         assert _exported(family, model) == _exported(family, family.fit(X, y, cfg)), cfg
@@ -457,6 +509,41 @@ def test_mlp_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
     assert str(shared.value) == str(alone.value) == (
         "mlp fit failed for config {'hidden_layers': [0], 'max_epochs': 2} on fold 0: "
         "hidden layer widths must be >= 1")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_mlp_failures_across_groups_and_folds_fail_as_per_config_fits_name_them(monkeypatch):
+    # every lockstep group spans the three folds. Fold 0 trains without the
+    # largest inputs, so there only the wide net's faster rate diverges;
+    # the narrow net's group, fit first, fails on folds 1 and 2. The first
+    # cell to fail in fold order, not the first group, must name itself.
+    X, y = _search_data(seed=25, n=30)
+    cv = CVConfig(k=3, seed=5)
+    folds = kfold_split(len(y), cv)
+    X[folds[0][1]] *= 40.0
+    X[folds[2][1]] *= 5.0
+    grid = {"hidden_layers": ([2], [32]), "learning_rate": (0.001, 0.01),
+            "batch_size": (4,), "max_epochs": (4,)}
+    family = get_family("mlp")
+    failing = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for fi, (train, _) in enumerate(folds):
+            for ci, cfg in enumerate(_tuner_configs(family, grid, seed=3, fold=fi)[1]):
+                try:
+                    family.fit(X[train], y[train], cfg)
+                except nn.TrainingDivergedError:
+                    failing.append((fi, ci))
+        assert failing[0] == (0, 3)
+        assert {fi for fi, ci in failing if ci < 2} == {1, 2}
+        with pytest.raises(FitFailedError) as shared:
+            grid_search("mlp", grid, X, y, cv, seed=3)
+        monkeypatch.setitem(FAMILIES, "mlp", _per_config("mlp"))
+        with pytest.raises(FitFailedError) as alone:
+            grid_search("mlp", grid, X, y, cv, seed=3)
+    assert str(shared.value) == str(alone.value)
+    assert str(shared.value).startswith(
+        "mlp fit failed for config {'hidden_layers': [32], 'learning_rate': 0.01, "
+        "'batch_size': 4, 'max_epochs': 4} on fold 0: training loss became non-finite")
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
