@@ -19,13 +19,14 @@ import json
 import re
 import sys
 import zipfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 
 from .families import FAMILIES, get_family
 from .metrics import MetricReport, evaluate, fit_benchmark
-from .panel import (TARGET_BOUND, PanelDataset, PanelFormatError, PanelSchema,
+from .panel import (VALUE_BOUND, PanelDataset, PanelFormatError, PanelSchema,
                     load_panel, load_sites, stack_panel, summarize,
                     correlation_matrix, validate_panel)
 from .reporting import (build_results_table, persist_results_table,
@@ -222,9 +223,9 @@ def _cmd_ingest(args) -> int:
         for column, count in rep.range_warnings.items():
             print(f"  warning: {split} column {column} has {count} value(s) "
                   f"outside [0, 1]")
-        if rep.unbounded_cells:
-            print(f"  error: {split} column Y has {len(rep.unbounded_cells)} value(s) "
-                  f"beyond +-{TARGET_BOUND:g}")
+        for column, count in Counter(c for _, _, c in rep.unbounded_cells).items():
+            print(f"  error: {split} column {column} has {count} value(s) "
+                  f"beyond +-{VALUE_BOUND:g}")
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if not all(rep.passed for rep in reports.values()):

@@ -15,19 +15,14 @@ scratch.
 
 The solve is feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006) on
 Q = Gram + lam*(1-alpha)*I: from b = 0, each step signs the active
-coefficients, solves their block of Q by one Cholesky solve and
-line-searches to that solution, stopping where a coefficient reaches zero.
-It ends exactly at the optimum, in a few steps for the few dozen columns
-of a panel design. Where an active block of Q is singular (the lasso on a
-complete one-hot block, whose columns sum to a constant), the fit is
-instead cyclic coordinate descent from zero, the only path that tol
-governs. The descent keeps its scalar steps on Python floats; IEEE
-rounding of + - * / and abs is the same for them as for numpy float64
-scalars, and the dot product with the Gram row is still an ndarray one, so
-it gives the same coefficients, bit for bit, as a descent with all-numpy
-steps. max_iter caps the steps of either path and sweeps_used counts them:
-active-set steps, or descent sweeps. A fit cut short by max_iter before
-it meets a singular block keeps its active-set iterate.
+coefficients, solves their block of Q and line-searches to that solution,
+stopping where a coefficient reaches zero. Where the block is singular (the
+lasso on a complete one-hot block, whose columns sum to a constant), the
+step instead runs along the block's null direction until a coefficient
+reaches zero, as homotopy and LARS methods do (Osborne, Presnell & Turlach,
+IMA J. Numer. Anal. 2000; Efron et al., Ann. Stat. 2004). The search ends
+exactly at the optimum, in a few steps for the few dozen columns of a panel
+design; max_iter caps its steps, and sweeps_used counts them.
 """
 
 from __future__ import annotations
@@ -42,14 +37,11 @@ from .fieldtypes import Numbers, check_field_types
 
 @dataclass(frozen=True)
 class ElasticNetConfig:
-    """One elastic-net fit. max_iter caps the steps of either path: the
-    active-set steps, or the descent's sweeps over the columns. tol is the
-    descent's stop rule (a sweep that moves no coefficient by tol or more
-    is the last); the active-set path is exact and does not read it."""
+    """One elastic-net fit. max_iter caps the active-set steps; the search
+    is exact, so only max_iter can stop it short of the optimum."""
 
     lam: float = 1e-3
     alpha: float = 0.5
-    tol: float = 1e-7
     max_iter: int = 1000
     standardize_internally: bool = True
 
@@ -59,16 +51,13 @@ class ElasticNetConfig:
             raise ValueError("lam must be >= 0")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError("alpha must be in [0, 1]")
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
 
 @dataclass(frozen=True)
 class LinearModel:
-    """A fitted linear model; sweeps_used counts the fit's active-set steps
-    or descent sweeps."""
+    """A fitted linear model; sweeps_used counts the fit's active-set steps."""
 
     intercept: float
     coefficients: Annotated[np.ndarray, Numbers()]
@@ -129,14 +118,13 @@ def prepare_fit(X, y, standardize: bool) -> FitSetup:
 
 
 # A Cholesky pivot² at or below this share of its block's largest diagonal
-# entry marks the block singular: the fit falls back to the descent.
+# entry marks the block singular.
 _PIVOT_FLOOR = 1e-10
 
 
 def fit_elastic_net(X, y, cfg: ElasticNetConfig,
                     setup: FitSetup | None = None) -> LinearModel:
-    """The elastic-net fit of cfg: the active-set solve, or the descent
-    where an active block is singular.
+    """The elastic-net fit of cfg by the active-set search.
 
     Deterministic; stops at the optimum or after cfg.max_iter steps.
     ``setup`` is prepare_fit(X, y, cfg.standardize_internally) made
@@ -151,26 +139,24 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig,
 
     l1 = cfg.lam * cfg.alpha
     l2 = cfg.lam * (1.0 - cfg.alpha)
-    solved = _active_set(setup, l1, l2, cfg.max_iter)
-    b, steps = solved if solved is not None else _descent(setup, l1, l2, cfg)
+    b, steps = _active_set(setup, l1, l2, cfg.max_iter)
     coefficients = b / setup.scale
     intercept = setup.y_mean - float(coefficients @ setup.x_mean)
     return LinearModel(intercept=intercept, coefficients=coefficients, sweeps_used=steps)
 
 
 def _active_set(setup: FitSetup, l1: float, l2: float, max_iter: int):
-    """Feature-sign search: (coefficients, steps), or None where an active
-    block of Q = gram + l2*I is singular.
+    """Feature-sign search on Q = gram + l2*I: (coefficients, steps).
 
     Once b minimizes the objective on its support with its signs, every
     zero coefficient whose gradient exceeds l1 in size joins, signed
-    against its gradient. A step solves the signed block and moves to the
-    lowest objective among that solution and the points where a
-    coefficient reaches zero, which leaves the support. Each step lowers
-    the objective; if adding every such coefficient would not, the step
-    adds the one with the largest gradient alone, which does. The search
-    ends when no zero coefficient may join b at its optimum, or when no
-    step lowers the objective there.
+    against its gradient. A step takes the signed block's target
+    (_block_target) and moves to the lowest objective among that target
+    and the points where a coefficient reaches zero, which leaves the
+    support. Each step lowers the objective; if adding every such
+    coefficient would not, the step adds the one with the largest gradient
+    alone, which does. The search ends when no zero coefficient may join b
+    at its optimum, or when no step lowers the objective there.
     """
     gram, xy = setup.gram, setup.xy
     can_join = setup.diag != 0.0  # constant columns stay at 0
@@ -190,10 +176,11 @@ def _active_set(setup: FitSetup, l1: float, l2: float, max_iter: int):
             theta = np.sign(b)
             theta[joining] = -np.sign(grad[joining])
             block = np.flatnonzero(theta)
-            x_block = _cholesky_solve(gram[np.ix_(block, block)] + l2 * np.eye(len(block)),
-                                      xy[block] - l1 * theta[block])
-            if x_block is None:
-                return None
+            solved = _block_target(gram[np.ix_(block, block)] + l2 * np.eye(len(block)),
+                                   xy[block] - l1 * theta[block], b[block])
+            if solved is None:
+                continue
+            x_block, exact = solved
             target = np.zeros_like(b)
             target[block] = x_block
             change, new_b = _line_search(b, target, grad, gram, l1, l2)
@@ -204,24 +191,59 @@ def _active_set(setup: FitSetup, l1: float, l2: float, max_iter: int):
                 break
             at_optimum = True  # b is optimal on its support, to rounding
             continue
-        # the solution is b's optimum unless a joiner came out of its sign
-        at_optimum = (new_b is target and bool(np.all(x_block * theta[block] >= 0.0))
-                      or not new_b.any())
+        # the target is b's optimum unless a joiner came out of its sign or
+        # the step ran along a null direction
+        at_optimum = (exact and new_b is target
+                      and bool(np.all(x_block * theta[block] >= 0.0)) or not new_b.any())
         b, steps = new_b, steps + 1
     return b, steps
 
 
-def _cholesky_solve(Q: np.ndarray, rhs: np.ndarray) -> np.ndarray | None:
-    """x with Q x = rhs by Q's Cholesky factor, or None where Q is singular:
-    the factorization fails or a pivot² is at most _PIVOT_FLOOR times Q's
-    largest diagonal entry."""
+def _block_target(Q: np.ndarray, r: np.ndarray, b: np.ndarray):
+    """Where a step on the signed block with matrix Q and right-hand side r
+    goes from b, the block's coefficients (zero for a joiner): (x, exact),
+    or None.
+
+    A regular Q is solved by its Cholesky factor: Q x = r, and exact is
+    True. Q is singular where the factorization fails or a pivot² is at
+    most _PIVOT_FLOOR times Q's largest diagonal entry; a singular block
+    with more than one joiner yields None, so the search joins the one with
+    the largest gradient alone. Otherwise Q is scaled to a unit diagonal,
+    and its eigenvalues within rounding of zero span its null space. If r
+    has no part there beyond rounding (bounded by the eigenvalue gap, after
+    Davis & Kahan), x is the least-norm solution and exact is True. If it
+    has, the smooth part is flat along that part's direction d while the l1
+    term falls, so x is b + t*d at the first t where a nonzero coefficient
+    of b reaches zero (set to exactly zero there), and exact is False;
+    where none does, None.
+    """
     try:
         L = np.linalg.cholesky(Q)
+        if np.diag(L).min() ** 2 > _PIVOT_FLOOR * np.diag(Q).max():
+            return np.linalg.solve(L.T, np.linalg.solve(L, r)), True
     except np.linalg.LinAlgError:
+        pass
+    if np.count_nonzero(b == 0.0) > 1:
         return None
-    if np.diag(L).min() ** 2 <= _PIVOT_FLOOR * np.diag(Q).max():
+    s = 1.0 / np.sqrt(np.diag(Q))
+    w, V = np.linalg.eigh(s[:, None] * Q * s)
+    rounding = len(w) * np.finfo(float).eps * w[-1]
+    null = w <= rounding
+    noise = rounding / w[~null].min()  # the null space's error angle
+    sr = s * r
+    part = V[:, null] @ (V[:, null].T @ sr)
+    if np.abs(part).max(initial=0.0) <= noise * np.abs(sr).max():
+        kept = V[:, ~null]
+        return s * (kept @ ((kept.T @ sr) / w[~null])), True
+    part[np.abs(part) <= noise * np.abs(part).max()] = 0.0  # an eigenvector's rounding tail
+    d = s * part
+    hit = np.flatnonzero(b * d < 0.0)
+    if not len(hit):
         return None
-    return np.linalg.solve(L.T, np.linalg.solve(L, rhs))
+    at = -b[hit] / d[hit]
+    x = b + at.min() * d
+    x[hit[at == at.min()]] = 0.0
+    return x, False
 
 
 def _line_search(b, target, grad, gram, l1: float, l2: float):
@@ -248,45 +270,6 @@ def _line_search(b, target, grad, gram, l1: float, l2: float):
     return best
 
 
-def _descent(setup: FitSetup, l1: float, l2: float, cfg: ElasticNetConfig):
-    """Cyclic coordinate descent with soft-thresholding and Gram-matrix
-    updates, from zero: (coefficients, sweeps). Converged when the largest
-    coefficient change in a sweep drops below cfg.tol, or after
-    cfg.max_iter sweeps."""
-    # The scalar steps run on Python floats, which round + - * / and abs
-    # exactly as numpy float64 scalars do; the dot product stays an ndarray
-    # one, so every coefficient equals the all-numpy loop's bit for bit.
-    xy = setup.xy.tolist()
-    diag = setup.diag.tolist()
-    denom = [d + l2 for d in diag]
-    rows = list(setup.gram)
-    active = [j for j, d in enumerate(diag) if d != 0.0]  # constant columns stay at 0
-    b = np.zeros(len(diag))
-    coef = [0.0] * len(diag)  # b as Python floats
-
-    sweeps = 0
-    for sweep in range(cfg.max_iter):
-        sweeps = sweep + 1
-        max_delta = 0.0
-        for j in active:
-            old = coef[j]
-            rho = xy[j] - float(rows[j] @ b) + diag[j] * old
-            if rho > l1:
-                new = (rho - l1) / denom[j]
-            elif rho < -l1:
-                new = (rho + l1) / denom[j]
-            else:
-                new = 0.0
-            delta = abs(new - old)
-            if delta > max_delta:
-                max_delta = delta
-            b[j] = new
-            coef[j] = new
-        if max_delta < cfg.tol:
-            break
-    return b, sweeps
-
-
 def predict_linear(model: LinearModel, X) -> np.ndarray:
     X = np.asarray(X, dtype=float)
     if X.shape[1] != len(model.coefficients):
@@ -294,17 +277,6 @@ def predict_linear(model: LinearModel, X) -> np.ndarray:
             f"width mismatch: model has {len(model.coefficients)} coefficients, "
             f"X has {X.shape[1]} columns")
     return model.intercept + X @ model.coefficients
-
-
-def lambda_max(X, y, standardize: bool = True) -> float:
-    """Smallest lam at which the alpha=1 (lasso) solution is all-zero slopes.
-
-    Computed in the same working space the solver penalizes in.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    Xs, _, _ = _working_space(X, standardize)
-    return float(np.max(np.abs(Xs.T @ (y - y.mean())))) / len(y)
 
 
 DEFAULT_LAMBDA_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)

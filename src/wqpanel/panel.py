@@ -21,9 +21,10 @@ import numpy as np
 from .fieldtypes import build, check_field_types
 
 FEATURE_RANGE = (0.0, 1.0)
-# the largest |target| validation passes: the squared errors of a tree's
-# split gain and of the MLP loss overflow near 1e200
-TARGET_BOUND = 1e100
+# the largest |value| validation passes, feature or target: the squared
+# errors of a tree's split gain and of the MLP loss, and a feature's
+# variance in the standardizer, overflow near 1e200
+VALUE_BOUND = 1e100
 
 
 class PanelFormatError(ValueError):
@@ -152,13 +153,13 @@ class CorrelationMatrix:
 @dataclass(frozen=True)
 class ValidationReport:
     """Outcome of validate_panel: non-finite counts, range warnings, the
-    targets beyond TARGET_BOUND, verdict."""
+    values beyond VALUE_BOUND, verdict."""
 
     non_finite_counts: dict[str, int]
     non_finite_cells: tuple[tuple[str, str, str], ...]  # (date, site, column)
     range_warnings: dict[str, int]
     passed: bool
-    unbounded_cells: tuple[tuple[str, str, str], ...]  # (date, site, "Y")
+    unbounded_cells: tuple[tuple[str, str, str], ...]  # (date, site, column)
 
     @property
     def total_non_finite(self) -> int:
@@ -170,7 +171,7 @@ class ValidationReport:
             "non_finite_counts": self.non_finite_counts,
             "non_finite_cells": [list(c) for c in self.non_finite_cells],
             "range_warnings": self.range_warnings,
-            "unbounded_target_cells": [list(c) for c in self.unbounded_cells],
+            "unbounded_cells": [list(c) for c in self.unbounded_cells],
         }
 
 
@@ -351,33 +352,33 @@ def _read_rows(path: Path, body: str, layout: _Layout, first_line: int):
 def validate_panel(ds: PanelDataset) -> ValidationReport:
     """Count non-finite entries and out-of-range values per column.
 
-    Passes iff there are zero non-finite entries and no target beyond
-    +-TARGET_BOUND; out-of-range values (the features are expected in
+    Passes iff there are zero non-finite entries and no value beyond
+    +-VALUE_BOUND; out-of-range values (the features are expected in
     [0, 1]) only warn.
     """
     lo, hi = FEATURE_RANGE
     counts: dict[str, int] = {}
     cells: list[tuple[str, str, str]] = []
+    unbounded: list[tuple[str, str, str]] = []
     warnings: dict[str, int] = {}
     columns = list(ds.feature_names) + ["Y"]
     for c, name in enumerate(columns):
         values = ds.targets if name == "Y" else ds.features[:, :, c]
-        bad = ~np.isfinite(values)
-        counts[name] = int(bad.sum())
-        for i, j in zip(*np.nonzero(bad)):
+        finite = np.isfinite(values)
+        counts[name] = int((~finite).sum())
+        for i, j in zip(*np.nonzero(~finite)):
             cells.append((ds.dates[i].isoformat(), ds.site_ids[j], name))
-        out = int(((values < lo) | (values > hi))[np.isfinite(values)].sum())
+        for i, j in zip(*np.nonzero(finite & (np.abs(values) > VALUE_BOUND))):
+            unbounded.append((ds.dates[i].isoformat(), ds.site_ids[j], name))
+        out = int(((values < lo) | (values > hi))[finite].sum())
         if out:
             warnings[name] = out
-    beyond = np.isfinite(ds.targets) & (np.abs(ds.targets) > TARGET_BOUND)
-    unbounded = tuple((ds.dates[i].isoformat(), ds.site_ids[j], "Y")
-                      for i, j in zip(*np.nonzero(beyond)))
     return ValidationReport(
         non_finite_counts=counts,
         non_finite_cells=tuple(cells),
         range_warnings=warnings,
-        passed=sum(counts.values()) == 0 and not unbounded,
-        unbounded_cells=unbounded,
+        passed=not cells and not unbounded,
+        unbounded_cells=tuple(unbounded),
     )
 
 

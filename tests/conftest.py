@@ -118,7 +118,7 @@ def kkt_max_violation(X, y, model, cfg) -> float:
 
     Checked in the solver's working space: for b_j != 0 the subgradient
     must vanish; for b_j = 0 the gradient must sit inside [-lam*alpha,
-    lam*alpha]. A converged fit keeps this below 10 * tol.
+    lam*alpha]. A fit the search ends at its optimum keeps this at rounding.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -131,6 +131,17 @@ def kkt_max_violation(X, y, model, cfg) -> float:
     violation = np.where(b != 0.0, np.abs(grad + l2 * b + l1 * np.sign(b)),
                          np.maximum(0.0, np.abs(grad) - l1))
     return float(violation.max(initial=0.0))
+
+
+def lambda_max(X, y, standardize: bool = True) -> float:
+    """Smallest lam at which the alpha=1 (lasso) solution is all-zero slopes.
+
+    Computed in the same working space the solver penalizes in.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Xs, _, _ = _working_space(X, standardize)
+    return float(np.max(np.abs(Xs.T @ (y - y.mean())))) / len(y)
 
 
 def write_panel_csv(path: Path, panel: PanelDataset,

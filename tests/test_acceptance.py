@@ -18,10 +18,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import (deterministic_files, kkt_max_violation, loss_and_gradients,
+from conftest import (deterministic_files, kkt_max_violation, lambda_max, loss_and_gradients,
                       masked_coalitions, synthetic_panel, write_panel_csv, write_schema)
 from wqpanel.cli import main as cli_main
-from wqpanel.elastic_net import ElasticNetConfig, fit_elastic_net, lambda_max, predict_linear
+from wqpanel.elastic_net import ElasticNetConfig, fit_elastic_net, predict_linear
 from wqpanel.families import FAMILIES
 from wqpanel.fieldtypes import to_json
 from wqpanel.metrics import evaluate, fit_benchmark
@@ -76,20 +76,20 @@ def test_criterion_2_elastic_net():
         X = rng.standard_normal((200, p))
         y = rng.uniform(-1, 1) + X @ rng.uniform(-2, 2, p) \
             + 0.1 * rng.standard_normal(200)
-        cfg = ElasticNetConfig(lam=0.0, alpha=0.5, tol=1e-10, max_iter=5000)
+        cfg = ElasticNetConfig(lam=0.0, alpha=0.5, max_iter=5000)
         model = fit_elastic_net(X, y, cfg)
         A = np.column_stack([np.ones(200), X])
         beta = np.linalg.solve(A.T @ A, A.T @ y)
         assert np.max(np.abs(model.coefficients - beta[1:])) < 1e-6
         assert abs(model.intercept - beta[0]) < 1e-6
-        assert kkt_max_violation(X, y, model, cfg) < 10 * cfg.tol
+        assert kkt_max_violation(X, y, model, cfg) < 1e-9
 
     X = rng.standard_normal((150, 6))
     y = 2.0 + X @ rng.uniform(-1, 1, 6) + 0.2 * rng.standard_normal(150)
     for lam, alpha in ((0.05, 0.3), (0.2, 1.0), (0.5, 0.0)):
-        cfg = ElasticNetConfig(lam=lam, alpha=alpha, tol=1e-9, max_iter=10000)
+        cfg = ElasticNetConfig(lam=lam, alpha=alpha, max_iter=10000)
         model = fit_elastic_net(X, y, cfg)
-        assert kkt_max_violation(X, y, model, cfg) < 10 * cfg.tol
+        assert kkt_max_violation(X, y, model, cfg) < 1e-8
 
     lmax = lambda_max(X, y)
     model = fit_elastic_net(X, y, ElasticNetConfig(lam=lmax, alpha=1.0))
@@ -243,8 +243,7 @@ def test_criterion_6_shap():
     y = 1.5 + X @ np.array([1.2, -0.7, 2.0])
 
     def refit(Xs, ys):
-        return fit_elastic_net(Xs, ys, ElasticNetConfig(lam=0.0, tol=1e-12,
-                                                        max_iter=20000))
+        return fit_elastic_net(Xs, ys, ElasticNetConfig(lam=0.0, max_iter=20000))
 
     retrain = RetrainValueFunction(fit=refit, predict=predict_linear,
                                    X_train=X, y_train=y)

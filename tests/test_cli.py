@@ -165,9 +165,36 @@ def test_ingest_fails_a_target_beyond_the_bound_naming_its_cell(panel_files, cap
     assert "train column Y has 1 value(s) beyond +-1e+100" in out.out
     report = json.loads(report_path.read_text())
     assert report["train"]["passed"] is False
-    assert report["train"]["unbounded_target_cells"] == [[cells[0], cells[1], "Y"]]
+    assert report["train"]["unbounded_cells"] == [[cells[0], cells[1], "Y"]]
     assert sum(report["train"]["non_finite_counts"].values()) == 0
     assert report["test"]["passed"] is True
+
+
+@pytest.mark.parametrize("value, passes", [("1e200", False), ("-1.5e100", False),
+                                           ("1e100", True)])
+def test_ingest_fails_a_feature_beyond_the_bound_naming_its_cell(panel_files, capsys,
+                                                                 value, passes):
+    # a finite feature near 1e200 passed with only the [0, 1] range warning,
+    # and tune then overflowed the standardizer's variance
+    env = panel_files(n_train=4, n_test=3, n_sites=2, n_features=3)
+    text = env["test_csv"].read_text(encoding="utf-8").splitlines()
+    cells = text[3].split(",")
+    cells[3] = value
+    text[3] = ",".join(cells)
+    env["test_csv"].write_text("\n".join(text) + "\n", encoding="utf-8")
+
+    code, out = run(["ingest", "--config", str(env["config"])], capsys)
+    report_path = env["out"] / "validation_report.json"
+    if passes:
+        assert code == 0 and not report_path.exists()
+        return
+    assert code == 2
+    assert "test column X2 has 1 value(s) beyond +-1e+100" in out.out
+    report = json.loads(report_path.read_text())
+    assert report["test"]["passed"] is False
+    assert report["test"]["unbounded_cells"] == [[cells[0], cells[1], "X2"]]
+    assert sum(report["test"]["non_finite_counts"].values()) == 0
+    assert report["train"]["passed"] is True
 
 
 def test_missing_seed_is_config_error(panel_files, tmp_path, capsys):
@@ -744,13 +771,14 @@ def test_explain_retrain_kind(panel_files, capsys):
     ({"lam": 1e-8, "alpha": 0.0, "max_iter": 1e308}, "max_iter must be an integer, got 1e+308"),
     ({"lam": 1e-8, "alpha": 0.0, "max_iter": True}, "max_iter must be an integer, got True"),
     ({"lam": float("nan"), "alpha": 0.0}, "lam must be a finite number, got nan"),
-    ({"lam": 1e-8, "alpha": 0.0, "tol": float("inf")}, "tol must be a finite number, got inf"),
+    ({"lam": 1e-8, "alpha": 0.0, "tol": float("inf")}, "tol is not a setting"),
     ({"lam": 10 ** 400, "alpha": 0.0}, "lam must be a finite number, got 1000"),
 ], ids=["max_iter-fraction", "max_iter-huge", "max_iter-bool", "lam-nan", "tol-inf",
         "lam-huge-int"])
 def test_explain_retrain_of_a_bad_config_is_runtime_error(panel_files, capsys, config, named):
     # a max_iter of 2.5 used to load and end the refits in a TypeError
-    # traceback (exit 1); a NaN lam refitted all-zero slopes
+    # traceback (exit 1); a NaN lam refitted all-zero slopes; the exact
+    # solver has no stop tolerance, so a bundle naming tol is refused
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
                       grids={"elastic_net": {"lam": [1e-8], "alpha": [0.0]}})
     assert run(["tune", "--config", str(env["config"])], capsys)[0] == 0

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import wqpanel.panel as panel_module
 from conftest import synthetic_panel, write_panel_csv, write_schema
-from wqpanel.panel import (TARGET_BOUND, PanelDataset, PanelFormatError, PanelSchema,
+from wqpanel.panel import (VALUE_BOUND, PanelDataset, PanelFormatError, PanelSchema,
                            StackedTable, correlation_matrix, load_panel,
                            load_sites, stack_panel, summarize, validate_panel)
 
@@ -425,12 +425,26 @@ def test_validate_fails_a_finite_target_beyond_the_bound_naming_it(tiny_panel):
             targets=targets))
 
     # the bound itself passes; a non-finite target is counted as such only
-    report = validated({(2, 1): -2e100, (0, 0): TARGET_BOUND, (1, 0): np.inf})
+    report = validated({(2, 1): -2e100, (0, 0): VALUE_BOUND, (1, 0): np.inf})
     assert not report.passed
     assert report.unbounded_cells == (
         (tiny_panel.dates[2].isoformat(), tiny_panel.site_ids[1], "Y"),)
     assert report.non_finite_counts["Y"] == 1
-    assert validated({(0, 0): -TARGET_BOUND}).passed
+    assert validated({(0, 0): -VALUE_BOUND}).passed
+
+
+def test_validate_fails_a_finite_feature_beyond_the_bound_naming_it(tiny_panel):
+    features = tiny_panel.features.copy()
+    features[1, 0, 1] = 3e150
+    features[2, 1, 0] = VALUE_BOUND  # the bound itself passes
+    report = validate_panel(PanelDataset(
+        dates=tiny_panel.dates, site_ids=tiny_panel.site_ids,
+        feature_names=tiny_panel.feature_names, features=features,
+        targets=tiny_panel.targets))
+    assert not report.passed
+    assert report.unbounded_cells == (
+        (tiny_panel.dates[1].isoformat(), tiny_panel.site_ids[0], tiny_panel.feature_names[1]),)
+    assert report.total_non_finite == 0
 
 
 def test_validate_out_of_range_warns_but_passes(tiny_panel):

@@ -319,8 +319,9 @@ CORRUPT_BUNDLES = {
                                   r"n_trees must be an integer, got 0\.0"),
     "config lam NaN": ("elastic_net", {"config": {"lam": float("nan")}},
                        r"config \{'lam': nan\} is invalid: lam must be a finite number, got nan"),
+    # the exact solver has no stop tolerance
     "config tol infinite": ("elastic_net", {"config": {"tol": float("inf")}},
-                            "tol must be a finite number, got inf"),
+                            r"config \{'tol': inf\} is invalid: tol is not a setting"),
     # math.isfinite raises OverflowError on an int this large
     "config lam huge int": ("elastic_net", {"config": {"lam": 10 ** 400}},
                             "lam must be a finite number, got 1000"),

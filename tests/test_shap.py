@@ -137,8 +137,7 @@ def test_marginalize_and_retrain_agree_on_orthogonal_linear_fixture():
     y = 1.5 + X @ coef  # noiseless
 
     def fit(Xs, ys):
-        return fit_elastic_net(Xs, ys, ElasticNetConfig(lam=0.0, tol=1e-12,
-                                                        max_iter=20000))
+        return fit_elastic_net(Xs, ys, ElasticNetConfig(lam=0.0, max_iter=20000))
 
     x = X[4]
     retrain = RetrainValueFunction(fit=fit, predict=predict_linear,

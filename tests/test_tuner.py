@@ -572,6 +572,13 @@ def test_invalid_grid_name_rejected():
                     X, y, CVConfig(k=3, seed=0))
 
 
+def test_a_tol_axis_is_refused_naming_it():
+    # the exact solver has no stop tolerance to tune
+    X, y = _search_data()
+    with pytest.raises(ValueError, match=r"grid names \['tol'\] invalid for family 'elastic_net'"):
+        grid_search("elastic_net", {"tol": (float("inf"),)}, X, y, CVConfig(k=3, seed=0))
+
+
 def test_fit_failure_identifies_config():
     # a fold's configs are fit as one group; the bad one sits mid-group
     X, y = _search_data(n=20)
@@ -591,7 +598,6 @@ def test_fit_failure_identifies_config():
     ("elastic_net", {"max_iter": 2.5}, "max_iter must be an integer, got 2.5"),
     ("elastic_net", {"max_iter": True}, "max_iter must be an integer, got True"),
     ("elastic_net", {"lam": float("nan")}, "lam must be a finite number, got nan"),
-    ("elastic_net", {"tol": float("inf")}, "tol must be a finite number, got inf"),
     ("random_forest", {"n_trees": 2.0}, "n_trees must be an integer, got 2.0"),
     ("random_forest", {"n_trees": True}, "n_trees must be an integer, got True"),
     ("gbdt", {"n_trees": 2.0}, "n_trees must be an integer, got 2.0"),
@@ -615,7 +621,7 @@ def test_fit_failure_identifies_config():
     # this raised a bare TypeError from EarlyStopConfig(**value)
     ("mlp", {"early_stop": {"bogus": 1}}, "early_stop.bogus is not a setting"),
 ], ids=["max_iter", "max_epochs", "l2_penalty", "rf_n_bins", "rf_max_depth", "goss_top_rate",
-        "max_iter_fraction", "max_iter_bool", "lam_nan", "tol_inf", "rf_n_trees_float",
+        "max_iter_fraction", "max_iter_bool", "lam_nan", "rf_n_trees_float",
         "rf_n_trees_bool", "gbdt_n_trees_float", "gbdt_n_trees_bool", "gbdt_n_trees_zero_float",
         "rf_max_features_fraction", "mlp_batch_size_fraction", "gbdt_min_child_weight_nan",
         "goss_top_rate_string",
