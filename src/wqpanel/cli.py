@@ -24,21 +24,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .families import FAMILIES, get_family
+from .families import get_family
 from .metrics import MetricReport, evaluate, fit_benchmark
 from .panel import (VALUE_BOUND, PanelDataset, PanelFormatError, PanelSchema,
                     load_panel, load_sites, stack_panel, summarize,
                     correlation_matrix, validate_panel)
 from .reporting import (build_results_table, persist_results_table,
-                        persist_tuning_artifacts, render_correlation_csv,
+                        persist_tuning_artifacts, read_timings, render_correlation_csv,
                         render_results_markdown, render_summary_csv,
                         render_summary_json, render_timing_markdown,
                         ResultsTable)
 from .run_config import ConfigError, RunConfig, check_families, load_run_config
 from .serialize import load_model, naming_file
-from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
-                         mean_abs_shap, players_from_design, sample_background,
-                         shap_for_dataset, write_mean_abs_csv, write_values_csv)
 from .tuner import (TAG_SHAP_BACKGROUND, design_from_state, grid_search,
                     prepare_designs, subseed)
 
@@ -362,6 +359,13 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
 
 
 def _cmd_explain(args) -> int:
+    # imported here, as the registry imports the learners when first read,
+    # so that ingest, stats and report load no learner module
+    from .families import FAMILIES
+    from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
+                             mean_abs_shap, players_from_design, sample_background,
+                             shap_for_dataset, write_mean_abs_csv, write_values_csv)
+
     cfg = _config_from_args(args)
     bundle = load_model(args.model)
     kind = args.kind or cfg.shap.kind
@@ -440,7 +444,7 @@ def _cmd_report(args) -> int:
             payload = json.loads(timings[strategy].read_text(encoding="utf-8"))
             lines.append(f"## Strategy {strategy}: running time summary")
             lines.append("")
-            lines.append(render_timing_markdown(payload))
+            lines.append(render_timing_markdown(read_timings(payload)))
 
     for path in sorted(out.glob("shap_mean_abs*.csv")):
         lines.append(f"## SHAP ranking ({path.name})")

@@ -24,20 +24,48 @@ An ensemble draws tree i from the i-th spawned child of its fit seed, so
 under one seed the first k trees of a longer fit are the k-tree fit; its
 entry names n_trees as its prefix_axis, and the tuner keys the fit seed
 on the config without that axis, so such configs share a seed.
+
+The registry is built on first use. FAMILY_NAMES, each family's display
+name and hyperparameter names, loads without any learner, so the stages
+that only read names (ingest, stats, report) never import one; the first
+read of FAMILIES, or get_family, imports the learners and builds the
+entries, whose names come from that table. A new family's names go there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from . import elastic_net as en
-from . import mlp as nn
-from . import shap_exact as sh
-from . import trees as tr
 from .fieldtypes import build
+
+
+class FamilyNames(NamedTuple):
+    display_name: str
+    # the fields of the learner's config dataclasses, less the run seed and
+    # the nested GOSS config, which the config builder sets itself (a test
+    # holds the table to those fields)
+    param_names: frozenset
+
+
+_GBDT_PARAMS = frozenset({"n_trees", "learning_rate", "max_depth", "min_child_weight",
+                          "reg_lambda", "gamma", "n_bins"})
+
+# Each family's names, in registry order: what run_config and reporting
+# read, without loading a learner. The registry's entries carry them.
+FAMILY_NAMES: dict[str, FamilyNames] = {
+    "elastic_net": FamilyNames("Linear Regression", frozenset(
+        {"lam", "alpha", "max_iter", "standardize_internally"})),
+    "random_forest": FamilyNames("Random Forest", frozenset(
+        {"n_trees", "max_depth", "min_samples_leaf", "max_features", "bootstrap", "n_bins"})),
+    "gbdt": FamilyNames("GBDT", _GBDT_PARAMS),
+    "gbdt_goss": FamilyNames("GBDT (GOSS)", _GBDT_PARAMS | {"top_rate", "other_rate"}),
+    "mlp": FamilyNames("MLP", frozenset(
+        {"hidden_layers", "activation", "learning_rate", "momentum", "l2_penalty",
+         "batch_size", "max_epochs", "early_stop"})),
+}
 
 
 @dataclass(frozen=True)
@@ -70,13 +98,6 @@ class ModelFamily:
     # the axis the tuner leaves out of a config's fit-seed key, so configs
     # that differ only on it share a seed (and fit_folds can share their fit)
     prefix_axis: str | None = None
-
-
-def _param_names(*configs: type) -> frozenset:
-    """The fields of a learner's config dataclasses, less the run seed and
-    the nested GOSS config, which the config builder sets itself."""
-    return frozenset(f.name for config in configs
-                     for f in fields(config)) - {"seed", "goss"}
 
 
 def _check_arena(tree: tr.RegressionTree, n_columns: int, where: str) -> None:
@@ -192,16 +213,16 @@ def _prefix_group(fit):
     return fit_group
 
 
-def _ensemble_family(fit, **entry) -> ModelFamily:
-    """A tree-ensemble entry: its learner ``fit``, shared through the
-    n_trees prefix hook, and the ensemble predict, bundle, importance and
-    TreeSHAP functions."""
-    return ModelFamily(fit=fit,
-                       fit_folds=_grouped_folds(_prefix_key, _on_one_fold(_prefix_group(fit))),
-                       prefix_axis="n_trees",
-                       predict=tr.predict_ensemble, restore=_ensemble_restore,
-                       importance=tr.total_gain_importance,
-                       shap_solver=sh.ensemble_shap, **entry)
+def _ensemble_hooks(fit, **hooks) -> dict:
+    """A tree-ensemble entry's hooks: its learner ``fit``, shared through
+    the n_trees prefix hook, and the ensemble predict, bundle, importance
+    and TreeSHAP functions."""
+    return dict(fit=fit,
+                fit_folds=_grouped_folds(_prefix_key, _on_one_fold(_prefix_group(fit))),
+                prefix_axis="n_trees",
+                predict=tr.predict_ensemble, restore=_ensemble_restore,
+                importance=tr.total_gain_importance,
+                shap_solver=sh.ensemble_shap, **hooks)
 
 
 def _goss_config(params, seed) -> tr.GBDTConfig:
@@ -249,91 +270,108 @@ def _linear_restore(raw, n_columns: int) -> en.LinearModel:
     return model
 
 
-# The default grids are sized so that config count x 5 folds lands on the
-# per-family fit budgets used for the timing summaries (150 / 1200 / 5760 /
-# 2000 / 40). Contents are run-config defaults, not contracts. Each fit looks
-# its learner up on the learner's module when it runs, so a patched module
-# function is the one that runs.
-FAMILIES: dict[str, ModelFamily] = {
-    "elastic_net": ModelFamily(
-        name="elastic_net", display_name="Linear Regression",
-        param_names=_param_names(en.ElasticNetConfig),
-        config=lambda params, seed: build(en.ElasticNetConfig, params),
-        fit=lambda X, y, cfg: en.fit_elastic_net(X, y, cfg),
-        predict=en.predict_linear,
-        restore=_linear_restore,
-        importance=lambda m, p: np.abs(m.coefficients),
-        shap_solver=sh.linear_shap,
-        default_grid={
-            "lam": list(en.DEFAULT_LAMBDA_GRID),
-            "alpha": list(en.DEFAULT_ALPHA_GRID),
-        },  # 30 configs
-        cheap_refit=True,
-        fit_folds=_grouped_folds(lambda cfg, fold, n_rows: (fold, cfg.standardize_internally),
-                                 _on_one_fold(_elastic_net_group)),
-    ),
-    # each ensemble grid lists n_trees last, so each prefix group's configs
-    # are adjacent and the hook holds one longest fit at a time
-    "random_forest": _ensemble_family(
-        name="random_forest", display_name="Random Forest",
-        param_names=_param_names(tr.RFConfig),
-        config=lambda params, seed: build(tr.RFConfig, params, seed=seed),
-        fit=lambda X, y, cfg: tr.fit_random_forest(X, y, cfg),
-        default_grid={
-            "max_depth": [4, 6, 8, 10],
-            "min_samples_leaf": [1, 2, 4],
-            "max_features": [3, 5, 7, 11],
-            "n_trees": [100, 200, 300, 400, 500],
-        },  # 240 configs
-    ),
-    "gbdt": _ensemble_family(
-        name="gbdt", display_name="GBDT",
-        param_names=_param_names(tr.GBDTConfig),
-        config=lambda params, seed: build(tr.GBDTConfig, params, seed=seed, goss=None),
-        fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
-        default_grid={
-            "learning_rate": [0.01, 0.05, 0.1, 0.2],
-            "max_depth": [3, 4, 5, 6],
-            "min_child_weight": [1.0, 3.0, 5.0],
-            "reg_lambda": [0.0, 0.5, 1.0],
-            "gamma": [0.0, 0.1],
-            "n_trees": [100, 200, 300, 400],
-        },  # 1152 configs
-    ),
-    "gbdt_goss": _ensemble_family(
-        name="gbdt_goss", display_name="GBDT (GOSS)",
-        param_names=_param_names(tr.GBDTConfig, tr.GossConfig),
-        config=_goss_config,
-        fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
-        default_grid={
-            "learning_rate": [0.01, 0.05, 0.1, 0.2],
-            "max_depth": [3, 4, 5, 6],
-            "top_rate": [0.1, 0.2, 0.3, 0.4, 0.5],
-            "n_trees": [100, 200, 300, 400, 500],
-        },  # 400 configs
-    ),
-    "mlp": ModelFamily(
-        name="mlp", display_name="MLP",
-        param_names=_param_names(nn.MLPConfig),
-        config=lambda params, seed: build(nn.MLPConfig, params, seed=seed),
-        fit=lambda X, y, cfg: nn.fit_mlp(X, y, cfg)[0],
-        predict=nn.predict_mlp,
-        restore=_mlp_restore,
-        importance=lambda m, p: None,
-        shap_coalitions=sh.mlp_coalition_values,
-        default_grid={
-            "hidden_layers": [[32], [64], [64, 32], [128, 64]],
-            "activation": ["relu", "tanh"],
-        },  # 8 configs
-        fit_folds=_grouped_folds(lambda cfg, fold, n_rows: nn.lockstep_key(cfg, n_rows),
-                                 _mlp_group),
-    ),
-}
+def _build() -> dict[str, ModelFamily]:
+    """The registry: each entry's names from FAMILY_NAMES and its hooks.
+    The learner modules are imported here, as the module globals en, nn,
+    sh and tr that the helpers above call."""
+    global en, nn, sh, tr
+    from . import elastic_net, mlp, shap_exact, trees
+    en, nn, sh, tr = elastic_net, mlp, shap_exact, trees
+
+    # The default grids are sized so that config count x 5 folds lands on the
+    # per-family fit budgets used for the timing summaries (150 / 1200 / 5760 /
+    # 2000 / 40). Contents are run-config defaults, not contracts. Each fit looks
+    # its learner up on the learner's module when it runs, so a patched module
+    # function is the one that runs.
+    hooks = {
+        "elastic_net": dict(
+            config=lambda params, seed: build(en.ElasticNetConfig, params),
+            fit=lambda X, y, cfg: en.fit_elastic_net(X, y, cfg),
+            predict=en.predict_linear,
+            restore=_linear_restore,
+            importance=lambda m, p: np.abs(m.coefficients),
+            shap_solver=sh.linear_shap,
+            default_grid={
+                "lam": list(en.DEFAULT_LAMBDA_GRID),
+                "alpha": list(en.DEFAULT_ALPHA_GRID),
+            },  # 30 configs
+            cheap_refit=True,
+            fit_folds=_grouped_folds(lambda cfg, fold, n_rows: (fold, cfg.standardize_internally),
+                                     _on_one_fold(_elastic_net_group)),
+        ),
+        # each ensemble grid lists n_trees last, so each prefix group's configs
+        # are adjacent and the hook holds one longest fit at a time
+        "random_forest": _ensemble_hooks(
+            config=lambda params, seed: build(tr.RFConfig, params, seed=seed),
+            fit=lambda X, y, cfg: tr.fit_random_forest(X, y, cfg),
+            default_grid={
+                "max_depth": [4, 6, 8, 10],
+                "min_samples_leaf": [1, 2, 4],
+                "max_features": [3, 5, 7, 11],
+                "n_trees": [100, 200, 300, 400, 500],
+            },  # 240 configs
+        ),
+        "gbdt": _ensemble_hooks(
+            config=lambda params, seed: build(tr.GBDTConfig, params, seed=seed, goss=None),
+            fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
+            default_grid={
+                "learning_rate": [0.01, 0.05, 0.1, 0.2],
+                "max_depth": [3, 4, 5, 6],
+                "min_child_weight": [1.0, 3.0, 5.0],
+                "reg_lambda": [0.0, 0.5, 1.0],
+                "gamma": [0.0, 0.1],
+                "n_trees": [100, 200, 300, 400],
+            },  # 1152 configs
+        ),
+        "gbdt_goss": _ensemble_hooks(
+            config=_goss_config,
+            fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
+            default_grid={
+                "learning_rate": [0.01, 0.05, 0.1, 0.2],
+                "max_depth": [3, 4, 5, 6],
+                "top_rate": [0.1, 0.2, 0.3, 0.4, 0.5],
+                "n_trees": [100, 200, 300, 400, 500],
+            },  # 400 configs
+        ),
+        "mlp": dict(
+            config=lambda params, seed: build(nn.MLPConfig, params, seed=seed),
+            fit=lambda X, y, cfg: nn.fit_mlp(X, y, cfg)[0],
+            predict=nn.predict_mlp,
+            restore=_mlp_restore,
+            importance=lambda m, p: None,
+            shap_coalitions=sh.mlp_coalition_values,
+            default_grid={
+                "hidden_layers": [[32], [64], [64, 32], [128, 64]],
+                "activation": ["relu", "tanh"],
+            },  # 8 configs
+            fit_folds=_grouped_folds(lambda cfg, fold, n_rows: nn.lockstep_key(cfg, n_rows),
+                                     _mlp_group),
+        ),
+    }
+    return {name: ModelFamily(name=name, **FAMILY_NAMES[name]._asdict(), **entry)
+            for name, entry in hooks.items()}
+
+
+def _registry() -> dict[str, ModelFamily]:
+    """FAMILIES, built on the first call and then kept as the module global,
+    so every reader shares the one dict that get_family reads."""
+    global FAMILIES
+    if "FAMILIES" not in globals():
+        FAMILIES = _build()
+    return FAMILIES
+
+
+def __getattr__(name: str):
+    # PEP 562: the first read of families.FAMILIES, an import of it included
+    if name == "FAMILIES":
+        return _registry()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def get_family(name: str) -> ModelFamily:
+    families = _registry()
     try:
-        return FAMILIES[name]
+        return families[name]
     except KeyError:
         raise ValueError(f"unknown model family {name!r}; "
-                         f"known: {sorted(FAMILIES)}") from None
+                         f"known: {sorted(families)}") from None

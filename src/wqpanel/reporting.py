@@ -16,7 +16,8 @@ import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 
-from .families import FAMILIES
+from .families import FAMILY_NAMES
+from .fieldtypes import build, check_field_types
 from .metrics import METRIC_NAMES, MetricReport
 from .panel import CorrelationMatrix, SummaryStats
 
@@ -74,8 +75,8 @@ class ResultsTable:
 
 
 def _display_name(family_name: str) -> str:
-    family = FAMILIES.get(family_name)
-    return family.display_name if family else family_name
+    names = FAMILY_NAMES.get(family_name)
+    return names.display_name if names else family_name
 
 
 def build_results_table(reports: dict[str, MetricReport]) -> ResultsTable:
@@ -122,14 +123,41 @@ def render_results_markdown(table: ResultsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_timing_markdown(timings: list[dict]) -> str:
+@dataclass(frozen=True)
+class TimingRow:
+    """One family's row of a timing_strategy<N>.json, as the tuner's
+    timing_dict writes it; the times are seconds."""
+
+    family: str
+    total_fits: int
+    tuning_time: float
+    average_tuning: float
+    best_fit_time: float
+
+    def __post_init__(self):
+        check_field_types(self)  # a string time fails here, not in the comparison
+        for name in ("tuning_time", "average_tuning", "best_fit_time"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+
+def read_timings(raw) -> list[TimingRow]:
+    """The rows of a timing file's JSON list; a bad row is a ValueError
+    naming it and its field, as [i].<field>."""
+    if not isinstance(raw, list):
+        raise ValueError(f"the top level must be a list of timing rows, "
+                         f"got {reprlib.repr(raw)}")
+    return [build(TimingRow, row, f"[{i}]") for i, row in enumerate(raw)]
+
+
+def render_timing_markdown(timings: list[TimingRow]) -> str:
     lines = ["| Models | Total Fits | Tuning Time | Average Tuning | "
              "Fitting Time (Best Model) |",
              "|---|---|---|---|---|"]
     for t in timings:
-        lines.append(f"| {_display_name(t['family'])} | {t['total_fits']} "
-                     f"| {t['tuning_time']:.2f} | {t['average_tuning']:.2f} "
-                     f"| {t['best_fit_time']:.2f} |")
+        lines.append(f"| {_display_name(t.family)} | {t.total_fits} "
+                     f"| {t.tuning_time:.2f} | {t.average_tuning:.2f} "
+                     f"| {t.best_fit_time:.2f} |")
     lines.append("")
     lines.append("*Times in seconds; hardware-dependent, reported but never "
                  "compared against published values.*")

@@ -16,7 +16,7 @@ import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .families import FAMILIES
+from .families import FAMILY_NAMES
 from .features import Categoricals, Strategy, StrategyConfig
 from .fieldtypes import build, check_field_types, is_integer
 from .tuner import TAG_FOLD, CVConfig, FoldScheme, subseed
@@ -86,7 +86,7 @@ class RunConfig:
     strategy: int = 2
     categoricals: Categoricals = Categoricals()
     cv: CVSection = CVSection()
-    families: tuple[str, ...] = tuple(FAMILIES)
+    families: tuple[str, ...] = tuple(FAMILY_NAMES)
     grids: dict = field(default_factory=dict)
     shap: ShapSection = ShapSection()
     n_jobs: int = 1
@@ -121,10 +121,10 @@ class RunConfig:
 
 def check_families(families, where: str) -> None:
     """Every name a tunable family, none twice; ``where`` names the source."""
-    unknown = [f for f in families if f not in FAMILIES]
+    unknown = [f for f in families if f not in FAMILY_NAMES]
     if unknown:
         raise ConfigError(f"{where} names unknown tunable families {unknown}; "
-                          f"known: {list(FAMILIES)}")
+                          f"known: {list(FAMILY_NAMES)}")
     repeated = next((f for i, f in enumerate(families) if f in families[:i]), None)
     if repeated is not None:
         raise ConfigError(f"{where} names family {repeated!r} more than once")
@@ -134,13 +134,13 @@ def _check_grids(grids: dict) -> None:
     """Each grids entry a JSON object of non-empty lists named in its
     tunable family's parameters."""
     for family, axes in grids.items():
-        if family not in FAMILIES:
+        if family not in FAMILY_NAMES:
             raise ConfigError(f"grids.{family}: unknown tunable family {family!r}; "
-                              f"known: {list(FAMILIES)}")
+                              f"known: {list(FAMILY_NAMES)}")
         if not isinstance(axes, dict):
             raise ConfigError(f"grids.{family} must be a JSON object of axes, "
                               f"got {axes!r}")
-        valid = FAMILIES[family].param_names
+        valid = FAMILY_NAMES[family].param_names
         for name, values in axes.items():
             if name not in valid:
                 raise ConfigError(f"grids.{family}.{name} is not a {family} "

@@ -242,10 +242,12 @@ def test_non_object_config_section_is_config_error(panel_files, capsys, section)
 ], ids=["axis-number", "entry-list", "axis-empty", "axis-unknown", "axis-str",
         "family-unknown"])
 def test_bad_grid_is_config_error(panel_files, capsys, grids, field):
+    # the name table checks a grid at every stage, before any learner loads
     env = panel_files(families=["elastic_net", "gbdt"], grids=grids)
-    code, out = run(["tune", "--config", str(env["config"])], capsys)
-    assert code == 3
-    assert field in out.err
+    for stage in ("ingest", "tune"):
+        code, out = run([stage, "--config", str(env["config"])], capsys)
+        assert code == 3
+        assert field in out.err
     assert not (env["out"] / "models").exists()
 
 
@@ -1123,6 +1125,28 @@ def test_cli_import_leaves_the_process_pool_out():
     assert done.stdout.strip() == "[]"
 
 
+def test_ingest_stats_and_report_load_no_learner_module(panel_files):
+    """Each of these stages, run in a fresh interpreter as a chain runs it,
+    reads family names from the registry's name table and never imports a
+    learner or the SHAP module."""
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3)
+    cfg = str(env["config"])
+    for argv in (["tune"], ["evaluate"]):  # report needs results
+        assert _quiet_main([*argv, "--config", cfg])[0] == 0
+    probe = ("import sys\nfrom wqpanel.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(sorted(m for m in ('wqpanel.trees', 'wqpanel.mlp', 'wqpanel.elastic_net', "
+             "'wqpanel.shap_exact') if m in sys.modules))\n"
+             "sys.exit(code)")
+    src = str(Path(cli.__file__).parents[1])
+    for stage in ("ingest", "stats", "report"):
+        done = subprocess.run([sys.executable, "-c", probe, stage, "--config", cfg],
+                              capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, (stage, done.stderr)
+        assert done.stdout.strip().splitlines()[-1] == "[]", stage
+
+
 def test_report_bundles_everything(panel_files, capsys):
     env = panel_files(n_train=10, n_test=5, n_sites=2, n_features=3)
     cfg = str(env["config"])
@@ -1145,13 +1169,33 @@ def test_report_bundles_everything(panel_files, capsys):
     assert (env["out"] / "report.md").read_bytes() == first
 
 
+def _timing_row_0(**changes):
+    """A damage that applies ``changes`` to row 0 of a timing file, a value
+    of None dropping its key."""
+    def damage(text):
+        rows = json.loads(text)
+        rows[0] = {k: v for k, v in {**rows[0], **changes}.items() if v is not None}
+        return json.dumps(rows)
+    return damage
+
+
 @pytest.mark.parametrize("name, damage, named", [
     ("results_strategy2.json", lambda text: json.dumps({"strategy": 2}),
      "missing field 'rows'"),
-    ("timing_strategy2.json",
-     lambda text: json.dumps([{k: v for k, v in entry.items() if k != "total_fits"}
-                              for entry in json.loads(text)]),
-     "missing field 'total_fits'"),
+    ("timing_strategy2.json", _timing_row_0(total_fits=None), "[0].total_fits must be set"),
+    ("timing_strategy2.json", _timing_row_0(total_fits=True),
+     "[0].total_fits must be an integer, got True"),
+    ("timing_strategy2.json", _timing_row_0(tuning_time=True),
+     "[0].tuning_time must be a finite number, got True"),
+    ("timing_strategy2.json", _timing_row_0(average_tuning=float("nan")),
+     "[0].average_tuning must be a finite number, got nan"),
+    ("timing_strategy2.json", _timing_row_0(best_fit_time=-0.5),
+     "[0].best_fit_time must be >= 0, got -0.5"),
+    ("timing_strategy2.json", _timing_row_0(note="x"), "[0].note is not a setting"),
+    ("timing_strategy2.json", _timing_row_0(tuning_time="1.5"),
+     "[0].tuning_time must be a finite number, got '1.5'"),
+    ("timing_strategy2.json", lambda text: json.dumps({"rows": json.loads(text)}),
+     "the top level must be a list of timing rows"),
     ("shap_mean_abs.csv", lambda text: text.replace("mean_abs_shap", "mean", 1),
      "missing field 'mean_abs_shap'"),
     ("results_strategy2.json", lambda text: text[:-5], "results_strategy2.json: "),
@@ -1162,11 +1206,14 @@ def test_report_bundles_everything(panel_files, capsys):
          row if i != 1 else [row[0], {**row[1], "rmse": "x"}]
          for i, row in enumerate(json.loads(text)["rows"])]}),
      "rows[1] (Benchmarking): rmse must be a number or null, got 'x'"),
-], ids=["results-rows", "timing-fits", "shap-column", "results-truncated", "results-row-shape",
-        "results-metric-string"])
+], ids=["results-rows", "timing-fits", "timing-fits-bool", "timing-time-bool", "timing-nan",
+        "timing-negative", "timing-unknown-key", "timing-time-string", "timing-not-a-list",
+        "shap-column", "results-truncated", "results-row-shape", "results-metric-string"])
 def test_corrupt_report_input_is_runtime_error_naming_it(panel_files, name, damage, named):
-    # the first three ended report in a KeyError traceback; the last two
-    # named the file but not the row
+    # results-rows, timing-fits and shap-column ended report in a KeyError
+    # traceback; the results-row and timing-time-string cases named the
+    # file but not the row; the other timing cases rendered or passed
+    # without a word ("True", 1.00, "nan")
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3)
     cfg = str(env["config"])
     model_path = env["out"] / "models" / "model_strategy2_elastic_net.json"

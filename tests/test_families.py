@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import weakref
 from pathlib import Path
 
@@ -6,7 +7,10 @@ import numpy as np
 import pytest
 
 import wqpanel
-from wqpanel.families import FAMILIES, _grouped_folds
+from wqpanel import elastic_net as en
+from wqpanel import mlp as nn
+from wqpanel import trees as tr
+from wqpanel.families import FAMILIES, FAMILY_NAMES, _grouped_folds
 from wqpanel.trees import EnsembleKind
 from wqpanel.tuner import CVConfig, grid_configs, grid_search
 
@@ -32,6 +36,36 @@ def test_default_grid_names_are_params_and_first_config_fits(name):
     pred = family.predict(model, X)
     assert pred.shape == (30,)
     assert np.all(np.isfinite(pred))
+
+
+# each family's learner config dataclasses, whose fields less the run seed
+# and the nested GOSS config are its hyperparameters
+CONFIG_CLASSES = {"elastic_net": (en.ElasticNetConfig,), "random_forest": (tr.RFConfig,),
+                  "gbdt": (tr.GBDTConfig,), "gbdt_goss": (tr.GBDTConfig, tr.GossConfig),
+                  "mlp": (nn.MLPConfig,)}
+
+
+def test_name_table_matches_the_built_entries():
+    # run_config and reporting read FAMILY_NAMES without loading a learner,
+    # so it must say what the entries and their config dataclasses say
+    assert list(FAMILY_NAMES) == list(FAMILIES) == list(CONFIG_CLASSES)
+    for name, family in FAMILIES.items():
+        fields = {f.name for cls in CONFIG_CLASSES[name] for f in dataclasses.fields(cls)}
+        assert family.name == name
+        assert family.display_name == FAMILY_NAMES[name].display_name
+        assert family.param_names == FAMILY_NAMES[name].param_names == fields - {"seed", "goss"}
+
+
+def test_the_registry_is_one_dict(monkeypatch):
+    # built on first use, then kept: an import, an attribute read and
+    # get_family all reach the dict that a patch changes
+    import wqpanel.families as fam
+    assert fam.FAMILIES is FAMILIES
+    patched = dataclasses.replace(FAMILIES["mlp"], cheap_refit=True)
+    monkeypatch.setitem(FAMILIES, "mlp", patched)
+    assert fam.get_family("mlp") is patched
+    with pytest.raises(AttributeError, match="no attribute 'FAMILY'"):
+        fam.FAMILY
 
 
 def test_default_grids_list_the_prefix_axis_last():

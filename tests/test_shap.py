@@ -1,15 +1,19 @@
 import csv
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import masked_coalitions, synthetic_panel
-from wqpanel.elastic_net import ElasticNetConfig, fit_elastic_net, predict_linear
+from wqpanel import shap_exact
+from wqpanel.elastic_net import ElasticNetConfig, LinearModel, fit_elastic_net, predict_linear
 from wqpanel.families import FAMILIES
 from wqpanel.features import (DesignMatrix, Strategy, StrategyConfig, assemble_design,
                               fit_standardizer, numeric_block)
-from wqpanel.mlp import MLPConfig, fit_mlp, predict_mlp
+from wqpanel.mlp import MLPConfig, MLPModel, fit_mlp, predict_mlp
 from wqpanel.panel import stack_panel
 from wqpanel.shap_exact import (DEFAULT_PLAYER_CAP, MarginalValueFunction,
                                 RetrainValueFunction, ensemble_shap, exact_shap,
@@ -567,3 +571,97 @@ def test_mlp_family_explains_through_coalitions():
     for name, entry in FAMILIES.items():
         assert callable(entry.fit_folds), name
         assert (entry.shap_solver is None) != (entry.shap_coalitions is None), name
+
+
+# ------------------------------------- every fast path against the oracle
+# Small drawn models on drawn designs: numeric columns, then one-hot blocks,
+# each block one player, at most 6 players; the masking enumeration of
+# masked_coalitions is the oracle of each polynomial solver and of the MLP
+# subset-sum coalitions.
+
+@st.composite
+def drawn_designs(draw):
+    """(X, player columns, numpy Generator): X's first n_background rows are
+    the background, the rest are explained. Numeric cells come from a
+    half-integer grid (ties with data-valued split thresholds) or a normal."""
+    n_numeric = draw(st.integers(0, 4))
+    blocks = draw(st.lists(st.integers(2, 3), min_size=0 if n_numeric else 1,
+                           max_size=min(2, 6 - n_numeric)))
+    n_rows = draw(st.integers(1, 6)) + 2
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        numeric = rng.integers(-2, 3, size=(n_rows, n_numeric)) * 0.5
+    else:
+        numeric = rng.standard_normal((n_rows, n_numeric))
+    columns = [numeric] + [np.eye(size)[rng.integers(0, size, n_rows)] for size in blocks]
+    X = np.hstack(columns)
+    if draw(st.booleans()):
+        X[-1] = X[0]  # an explained row equal to a background row
+    players = [[c] for c in range(n_numeric)]
+    for size in blocks:
+        start = players[-1][-1] + 1 if players else 0
+        players.append(list(range(start, start + size)))
+    return X, players, rng
+
+
+def drawn_tree(rng, X, depth):
+    """A random node arena of at most ``depth`` levels, children after
+    their parent, each threshold a cell of X or a quarter above one."""
+    nodes = []  # [feature, threshold, left, right, value]
+
+    def grow(level):
+        node = len(nodes)
+        nodes.append([-1, np.nan, -1, -1, float(rng.standard_normal())])
+        if level < depth and rng.random() < 0.8:
+            f = int(rng.integers(X.shape[1]))
+            nodes[node][:2] = f, X[rng.integers(len(X)), f] + rng.choice([0.0, 0.25])
+            nodes[node][2] = grow(level + 1)
+            nodes[node][3] = grow(level + 1)
+        return node
+
+    grow(0)
+    return arena(*map(list, zip(*nodes)))
+
+
+@pytest.mark.parametrize("family", ["linear", "ensemble", "mlp"])
+@settings(max_examples=25)
+@given(design=drawn_designs(), data=st.data())
+def test_fast_paths_match_the_enumeration_on_drawn_models(family, design, data):
+    X, players, rng = design
+    n_background = len(X) - 2
+    background, explained = X[:n_background], X[n_background:]
+    d = X.shape[1]
+    if family == "linear":
+        model = LinearModel(intercept=float(rng.standard_normal()),
+                            coefficients=rng.standard_normal(d), sweeps_used=0)
+        predict, hook = (lambda A: predict_linear(model, A)), linear_shap
+    elif family == "ensemble":
+        kind = data.draw(st.sampled_from(list(EnsembleKind)))
+        trees = tuple(drawn_tree(rng, X, data.draw(st.integers(0, 3)))
+                      for _ in range(data.draw(st.integers(1, 3))))
+        model = Ensemble(kind=kind, base_score=float(rng.standard_normal()), trees=trees,
+                         learning_rate=data.draw(st.sampled_from([1.0, 0.1, 0.3])))
+        predict, hook = (lambda A: predict_ensemble(model, A)), ensemble_shap
+    else:
+        widths = [d, *data.draw(st.sampled_from([(), (3,), (4, 2)])), 1]
+        model = MLPModel(weights=tuple(rng.standard_normal((a, b))
+                                       for a, b in zip(widths, widths[1:])),
+                         biases=tuple(rng.standard_normal(b) for b in widths[1:]),
+                         activation=data.draw(st.sampled_from(["relu", "tanh", "logistic"])))
+        predict, hook = (lambda A: predict_mlp(model, A)), mlp_coalition_values
+    oracle = masked_coalitions(predict)
+    common = dict(predict=predict, background=background, player_columns=players)
+    # a small chunk also runs the MLP table's blocks of high players
+    with mock.patch.object(shap_exact, "_CHUNK_BITS", data.draw(st.integers(1, 7))):
+        for x in explained:
+            enumerated = exact_shap(MarginalValueFunction(coalitions=oracle, **common), x)
+            if family == "mlp":
+                np.testing.assert_allclose(hook(model, x, background, players),
+                                           oracle(x, background, players), rtol=0, atol=1e-9)
+                fast = MarginalValueFunction(coalitions=lambda *a: hook(model, *a), **common)
+            else:
+                fast = MarginalValueFunction(solver=lambda *a: hook(model, *a), **common)
+            solved = exact_shap(fast, x)
+            np.testing.assert_allclose(solved.phi, enumerated.phi, rtol=0, atol=1e-9)
+            assert solved.base_value == pytest.approx(enumerated.base_value, abs=1e-9)
+            assert solved.f_x == pytest.approx(enumerated.f_x, abs=1e-9)
