@@ -2,6 +2,7 @@ import csv
 import datetime as dt
 import functools
 import json
+import os
 import re
 from pathlib import Path
 
@@ -17,7 +18,11 @@ from wqpanel.panel import PanelDataset
 hypothesis.settings.register_profile(
     "suite", max_examples=40, deadline=None,
     suppress_health_check=[hypothesis.HealthCheck.too_slow])
-hypothesis.settings.load_profile("suite")
+# a larger sweep for a run of its own, outside the suite's time budget:
+# HYPOTHESIS_PROFILE=sweep python -m pytest tests/test_trees.py
+hypothesis.settings.register_profile(
+    "sweep", hypothesis.settings.get_profile("suite"), max_examples=1000)
+hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
 # any JSON value, non-finite numbers and integers beyond the doubles included
 JSON_LEAVES = st.one_of(

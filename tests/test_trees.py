@@ -378,11 +378,13 @@ finite = st.floats(-1e6, 1e6, allow_nan=False).map(lambda v: v + 0.0)
 
 
 @st.composite
-def tied_columns(draw):
-    """A column of 1 to 120 values drawn from a pool of 1 to 200: few
-    distinct values and heavy ties as often as nearly distinct ones."""
+def tied_columns(draw, size=None):
+    """A column of ``size`` values (1 to 120 when None) drawn from a pool of
+    1 to 200: few distinct values and heavy ties as often as nearly
+    distinct ones."""
     pool = draw(st.lists(finite, min_size=1, max_size=draw(st.sampled_from([1, 2, 3, 8, 200]))))
-    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=120))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1),
+                          min_size=size or 1, max_size=size or 120))
     return np.array([pool[i] for i in picks])
 
 
@@ -411,11 +413,18 @@ def assert_bins_equal(actual, expected):
 
 def _binning_design(rng, n):
     """Continuous, rounded (tied), constant, all-0, all-1 and 0/1 one-hot
-    columns."""
+    columns; a chain of adjacent doubles, each midpoint of which rounds
+    onto one of its two values; and a column holding -0.0 but no +0.0,
+    where an interpolated quantile can put +0.0 beside -0.0."""
+    chain = [rng.standard_normal()]
+    for _ in range(int(rng.integers(1, 12))):
+        chain.append(np.nextafter(chain[-1], np.inf))
     return np.column_stack([rng.standard_normal(n),
                             np.round(rng.standard_normal(n), 1) + 0.0,
                             np.full(n, 2.5), np.zeros(n), np.ones(n),
-                            np.eye(3)[rng.integers(0, 3, n)]])
+                            np.eye(3)[rng.integers(0, 3, n)],
+                            rng.choice(chain, n),
+                            np.where(rng.random(n) < 0.5, -0.0, rng.standard_normal(n))])
 
 
 def _rows(rng, n, kind):
@@ -484,12 +493,12 @@ def test_rank_equals_np_unique_of_each_column():
 
 def oracle_random_forest(X, y, cfg):
     """fit_random_forest with every tree grown by the exact-greedy oracle
-    on candidates taken from its own bootstrap sample."""
+    on candidates taken from its own bootstrap sample (or from X)."""
     n = len(X)
     trees_ = []
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
         rng = np.random.default_rng(child)
-        idx = rng.integers(0, n, size=n)
+        idx = rng.integers(0, n, size=n) if cfg.bootstrap else np.arange(n)
         trees_.append(oracle_grow(X[idx], -y[idx], np.ones(n),
                                   max_depth=cfg.max_depth,
                                   min_child_weight=cfg.min_samples_leaf, reg_lambda=0.0,
@@ -498,14 +507,18 @@ def oracle_random_forest(X, y, cfg):
     return trees_
 
 
-def oracle_goss(X, y, cfg):
-    """GOSS fit_gbdt with every tree grown by the exact-greedy oracle on
-    candidates taken from its own subset."""
+def oracle_gbdt(X, y, cfg):
+    """fit_gbdt with every tree grown by the exact-greedy oracle: on all of
+    X at unit weights, or on each round's GOSS subset at its weights, with
+    candidates taken from the rows it grows on."""
     yhat = np.full(len(y), float(np.mean(y)))
     trees_ = []
     for child in np.random.SeedSequence(cfg.seed).spawn(cfg.n_trees):
         g = yhat - y
-        rows, w = goss_sample(g, cfg.goss, np.random.default_rng(child))
+        if cfg.goss is None:
+            rows, w = np.arange(len(y)), np.ones(len(y))
+        else:
+            rows, w = goss_sample(g, cfg.goss, np.random.default_rng(child))
         tree = oracle_grow(X[rows], g[rows], w, max_depth=cfg.max_depth,
                            min_child_weight=cfg.min_child_weight,
                            reg_lambda=cfg.reg_lambda, gamma=cfg.gamma, n_bins=cfg.n_bins)
@@ -525,7 +538,58 @@ def test_forest_and_goss_trees_match_oracle_binning_of_their_rows(n_bins):
     goss = GBDTConfig(n_trees=6, learning_rate=0.3, max_depth=3, n_bins=n_bins, seed=8,
                       goss=GossConfig(top_rate=0.2, other_rate=0.3))
     assert [serialize_tree(t) for t in fit_gbdt(X, y, goss).trees] == \
-        [serialize_tree(t) for t in oracle_goss(X, y, goss)]
+        [serialize_tree(t) for t in oracle_gbdt(X, y, goss)]
+
+
+@st.composite
+def grower_designs(draw):
+    """An n x p design of tie-heavy, signed-zero, constant and 0/1 one-hot
+    columns, and an n_bins just below, at or just above one column's
+    distinct count (or the default 256)."""
+    n = draw(st.integers(1, 40))
+    columns = []
+    for kind in draw(st.lists(st.sampled_from(["tied", "signed_zero", "constant", "one_hot"]),
+                              min_size=1, max_size=4)):
+        if kind == "tied":
+            columns.append(draw(tied_columns(size=n)))
+        elif kind == "signed_zero":
+            zeros = st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0])
+            columns.append(np.array(draw(st.lists(zeros, min_size=n, max_size=n))))
+        elif kind == "constant":
+            columns.append(np.full(n, draw(finite)))
+        else:
+            levels = draw(st.integers(2, 3))
+            picks = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+            columns.extend(np.eye(levels)[picks].T)
+    X = np.column_stack(columns)
+    distinct = len(np.unique(X[:, draw(st.integers(0, X.shape[1] - 1))]))
+    n_bins = draw(st.just(256) | st.integers(-1, 1).map(lambda d: max(1, distinct + d)))
+    return X, n_bins
+
+
+@given(design=grower_designs(), data=st.data())
+def test_public_fits_grow_the_oracle_trees_on_drawn_designs(design, data):
+    X, n_bins = design
+    n, p = X.shape
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    rng = np.random.default_rng(seed)
+    y = np.round(rng.standard_normal(n), data.draw(st.sampled_from([0, 1, 8]), label="digits"))
+    depth = data.draw(st.integers(0, 4), label="max_depth")
+    rf = RFConfig(n_trees=data.draw(st.integers(1, 3), label="rf trees"), max_depth=depth,
+                  min_samples_leaf=data.draw(st.integers(1, 3), label="min_samples_leaf"),
+                  max_features=data.draw(st.none() | st.integers(1, p), label="max_features"),
+                  bootstrap=data.draw(st.booleans(), label="bootstrap"), n_bins=n_bins, seed=seed)
+    assert_trees_identical(fit_random_forest(X, y, rf).trees, oracle_random_forest(X, y, rf))
+    gbdt = GBDTConfig(n_trees=data.draw(st.integers(1, 3), label="rounds"), learning_rate=0.5,
+                      max_depth=depth,
+                      min_child_weight=data.draw(st.sampled_from([0.0, 1.0, 2.5]), label="mcw"),
+                      reg_lambda=data.draw(st.sampled_from([0.0, 0.5, 1.0]), label="lambda"),
+                      gamma=data.draw(st.sampled_from([0.0, 0.01, 0.3]), label="gamma"),
+                      n_bins=n_bins, seed=seed)
+    goss = GossConfig(top_rate=data.draw(st.sampled_from([0.0, 0.2, 0.5]), label="top_rate"),
+                      other_rate=data.draw(st.sampled_from([0.3, 0.5]), label="other_rate"))
+    for cfg in (gbdt, dataclasses.replace(gbdt, goss=goss)):
+        assert_trees_identical(fit_gbdt(X, y, cfg).trees, oracle_gbdt(X, y, cfg))
 
 
 # ------------------------------------------- the forest grown as one batch
