@@ -13,7 +13,9 @@ family's fit_folds hook. (grid_search gives one task every fold when
 n_jobs is 1; timing fold 0 alone keeps the numbers comparable across
 records.) Prints one JSON line with the wall time of that task, the trees
 grown (those the tree grower returns, one batch per forest and one tree
-per boosting round), the elastic-net fits that stopped at their max_iter
+per boosting round), the grower's split-search steps (searches) and the
+nodes they scored (nodes_searched: a forest step scores a node of each of
+several trees, a boosted tree's step one node), the elastic-net fits that stopped at their max_iter
 (fits_at_max_iter: their sweeps_used equals it) and the process's peak
 RSS. Runs in one process with one BLAS thread unless the environment sets
 another count.
@@ -69,6 +71,15 @@ def main():
         return trees
     tr._grow_batch = counted
 
+    searches = nodes_searched = 0
+
+    def searched(step, split, _search=tr._search):
+        nonlocal searches, nodes_searched
+        searches += 1
+        nodes_searched += len(step)
+        return _search(step, split)
+    tr._search = searched
+
     at_max_iter = 0
 
     def checked(X, y, cfg, *a, _fit=en.fit_elastic_net, **k):
@@ -85,7 +96,8 @@ def main():
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     print(json.dumps({"family": args.family, "rows": len(folds[0][0]),
                       "columns": design.n_cols, "configs": len(configs),
-                      "trees_grown": grown, "fits_at_max_iter": at_max_iter,
+                      "trees_grown": grown, "searches": searches,
+                      "nodes_searched": nodes_searched, "fits_at_max_iter": at_max_iter,
                       "wall_s": round(wall, 3), "peak_rss_mb": round(peak_kb / 1024, 1)}))
 
 

@@ -18,10 +18,11 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "time_default_grid.py
 
 
 def _time(monkeypatch, capsys, family, grid, *panel_args):
-    # the script counts trees and fits by rebinding the grower on trees and
-    # the fit on elastic_net; patching them first makes monkeypatch put the
-    # originals back afterwards
+    # the script counts trees, searches and fits by rebinding the grower and
+    # the split search on trees and the fit on elastic_net; patching them
+    # first makes monkeypatch put the originals back afterwards
     monkeypatch.setattr(tr, "_grow_batch", tr._grow_batch)
+    monkeypatch.setattr(tr, "_search", tr._search)
     monkeypatch.setattr(en, "fit_elastic_net", en.fit_elastic_net)
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         monkeypatch.setenv(var, os.environ.get(var, "1"))
@@ -38,6 +39,10 @@ def _time(monkeypatch, capsys, family, grid, *panel_args):
 def test_gbdt_grid_is_one_task_of_prefix_models(monkeypatch, capsys):
     record = _time(monkeypatch, capsys, "gbdt", {"n_trees": [2, 3], "max_depth": [2]})
     assert (record["configs"], record["trees_grown"]) == (2, 3)
+    # a boosted tree's step scores its one node: the root, then at most
+    # two children at depth 1
+    assert record["searches"] == record["nodes_searched"]
+    assert 3 <= record["searches"] <= 3 * 3
     assert record["rows"] > 0 and record["wall_s"] >= 0
     assert record["fits_at_max_iter"] == 0
 
@@ -47,6 +52,7 @@ def test_elastic_net_fits_stopped_at_max_iter_are_counted(monkeypatch, capsys):
     grid = {"lam": [1e-4], "alpha": [0.5], "max_iter": [1, 2, 1000]}
     record = _time(monkeypatch, capsys, "elastic_net", grid)
     assert (record["configs"], record["trees_grown"]) == (3, 0)
+    assert (record["searches"], record["nodes_searched"]) == (0, 0)
     assert record["fits_at_max_iter"] == 2
 
 
@@ -54,6 +60,10 @@ def test_random_forest_grid_is_one_task(monkeypatch, capsys):
     record = _time(monkeypatch, capsys, "random_forest",
                    {"n_trees": [2], "max_depth": [2, 3]})
     assert (record["configs"], record["trees_grown"]) == (2, 4)
+    # a forest's steps score a node of each of its growing trees: at least
+    # the four roots, at most the 2 * (3 + 7) internal nodes of full trees
+    assert record["searches"] < record["nodes_searched"]
+    assert 4 <= record["nodes_searched"] <= 20
 
 
 @pytest.mark.parametrize("family", ["random_forest", "gbdt_goss"])
