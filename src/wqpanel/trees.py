@@ -18,17 +18,23 @@ bootstrap sample or GOSS subset, once per tree, which takes its
 candidates from its own rows) are then binned from counts of those
 ranks: the candidates come from the counted distinct values, and every
 value's bin code (its count of candidates below it, in the narrowest
-unsigned dtype) from one lookup per distinct value and a gather.
+unsigned dtype) from one lookup per distinct value and a gather. All
+features of a sample are binned in whole-array steps: midpoints and their
+codes in closed form, and every quantile feature's order statistics from
+one searchsorted into the sample's cumulative counts.
 
 One grower grows a batch of trees: a random forest's trees side by side, and
 a boosting round's tree as a batch of one. Each tree keeps its own
 depth-first stack, pop order and feature draws, so it is the tree grown
 alone. A step pops the next node due a split search from each tree and
 scores them all with one gradient and one weight bincount over the codes
-of their drawn features (with unit weights, a plain count), one prefix
-sum along every (node, feature) histogram and one argmax per node over
-its features and thresholds; the lowest feature index and then the
-lowest threshold win ties. Rows are routed by their codes: x <= the k-th
+of their drawn features (with unit weights, a plain count, which a root
+of plain boosting takes from its fit's bins), one prefix sum along every
+(node, feature) histogram and one argmax per node over its features and
+thresholds; the lowest feature index and then the lowest threshold win
+ties. The gains are computed only where a real candidate's bin holds a
+row: across empty bins the prefix sums, and so the gains, do not change.
+Rows are routed by their codes: x <= the k-th
 candidate exactly when x's code is <= k. A step's nodes, counted at its
 largest node's rows x drawn features, hold no more codes than one node of
 every row and column of the fit, so the trees of a forest join the batch
@@ -190,25 +196,34 @@ def _rank(X: np.ndarray) -> _Ranked:
     return _Ranked(values, starts, ids, signed_zeros)
 
 
-def _counted_quantile(distinct: np.ndarray, counts: np.ndarray, qs: np.ndarray) -> np.ndarray:
-    """np.quantile(column, qs) of the column that holds counts[j] copies of
-    the sorted distinct value distinct[j], by the same linear-method
-    arithmetic on the same pair of order statistics per q."""
+def _counted_quantile(values: np.ndarray, ends: np.ndarray, n: int, qs: np.ndarray,
+                      columns: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.quantile(column, qs) of each column c of ``columns`` (one row per
+    column), by the same linear-method arithmetic on the same pair of order
+    statistics per q, and the indices in values of each pair: lo, and hi,
+    which is lo or lo + 1.
+
+    Columns of n rows each are given back to back by their sorted distinct
+    values: column c holds values[j] in ends[j] - ends[j - 1] of its rows,
+    for each j of its run, so ends[j] - c * n counts its rows up to
+    values[j].
+    """
     # the sorted column's entry at position i is the distinct value whose
     # cumulative count first exceeds i
-    ends = np.cumsum(counts)
-    virtual = (int(ends[-1]) - 1) * qs
+    virtual = (n - 1) * qs
     below = np.floor(virtual)
     gamma = virtual - below
-    at = below.astype(np.intp)
-    a = distinct[np.searchsorted(ends, at, side="right")]
+    at = below.astype(np.intp) + (columns * n)[:, None]
+    lo = np.searchsorted(ends, at, side="right")
     # q = 1 has no next entry; numpy interpolates the last one with itself
-    b = distinct[np.minimum(np.searchsorted(ends, at + 1, side="right"), len(distinct) - 1)]
+    last = np.searchsorted(ends, (columns + 1) * n)
+    hi = np.minimum(np.searchsorted(ends, at + 1, side="right"), last[:, None])
+    a, b = values[lo], values[hi]
     diff = b - a
     out = a + diff * gamma
     upper = gamma >= 0.5
-    out[upper] = (b - diff * (1 - gamma))[upper]
-    return out
+    out[:, upper] = (b - diff * (1 - gamma))[:, upper]
+    return out, lo, hi
 
 
 def _thresholds(distinct: np.ndarray, counts: np.ndarray, n_bins: int,
@@ -225,24 +240,39 @@ def _thresholds(distinct: np.ndarray, counts: np.ndarray, n_bins: int,
     qs = np.arange(1, n_bins) / n_bins
     if column is not None:
         return np.unique(np.quantile(column, qs))
-    return np.unique(_counted_quantile(distinct, counts, qs))
+    ends = np.cumsum(counts)
+    [out], _, _ = _counted_quantile(distinct, ends, int(ends[-1]), qs, np.zeros(1, dtype=np.intp))
+    return np.unique(out)
 
 
 @dataclass(frozen=True)
 class _Bins:
     """Split candidates of every feature and the bin code of every value.
 
-    codes[i, f] is the number of candidates of feature f below X[i, f], in
-    the narrowest unsigned dtype that holds width - 1, where width is one
-    more than the largest candidate count. The candidates of a feature are
-    sorted, so x <= candidates[f][k] exactly when x's code is <= k: the
-    codes route rows as the thresholds do.
+    Feature f's candidates are thresholds[offsets[f]:offsets[f + 1]],
+    sorted. codes[i, f] is the number of them below X[i, f], in the
+    narrowest unsigned dtype that holds width - 1, where width is one more
+    than the largest candidate count. So x <= feature f's candidate k
+    exactly when x's code is <= k: the codes route rows as the thresholds
+    do.
     """
 
-    candidates: tuple[np.ndarray, ...]
-    n_candidates: np.ndarray
+    thresholds: np.ndarray
+    offsets: np.ndarray
     codes: np.ndarray
     width: int
+
+    @cached_property
+    def n_candidates(self) -> np.ndarray:
+        return np.diff(self.offsets)
+
+    @cached_property
+    def root_counts(self) -> np.ndarray:
+        """root_counts[f * width + k]: the rows whose feature f has code k,
+        the count histogram of every root grown on these bins."""
+        p = self.codes.shape[1]
+        return np.bincount((self.codes + np.arange(p) * self.width).ravel(),
+                           minlength=p * self.width)
 
     @cached_property
     def real(self) -> np.ndarray:
@@ -253,27 +283,92 @@ class _Bins:
 
 def _bin_rows(ranked: _Ranked, rows: np.ndarray | None, n_bins: int) -> _Bins:
     """Bin the rows ``rows`` of the ranked matrix (all rows when None), in
-    that order: a tree grown on X[rows] takes its candidates from them."""
+    that order: a tree grown on X[rows] takes its candidates from them.
+
+    Every feature is binned at once from one count of the sample's
+    distinct values. The r-th distinct value v(r) of a midpoint feature
+    has code r - [c(r-1) >= v(r)]: midpoint c(r-1) lies in [v(r-1), v(r)]
+    and can round onto v(r). The counted quantiles of every quantile
+    feature come from one searchsorted into the cumulative counts, as each
+    feature counts the same rows. A quantile lies between the two order
+    statistics it interpolates, and they tell how many of the feature's
+    values are at most it; a value's code counts the quantiles that fewer
+    values are at most. A feature with a non-finite value or candidate, or
+    with a zero quantile (np.unique keeps the zero it meets first, so the
+    sign depends on the order), is binned on its own by ``_thresholds``,
+    as are the quantiles of a column holding both signed zeros.
+    """
     ids = ranked.ids if rows is None else ranked.ids[rows]
+    n, p = ids.shape
     counts = np.bincount(ids.ravel(), minlength=len(ranked.values))
-    starts = ranked.starts
-    candidates = []
-    for f in range(ids.shape[1]):
-        column = slice(starts[f], starts[f + 1])
-        present = counts[column] > 0
+    present = np.flatnonzero(counts)
+    values, counts = ranked.values[present], counts[present]
+    # feature f's distinct values in the sample are values[first[f]:first[f + 1]]
+    first = np.searchsorted(present, ranked.starts)
+    n_values = np.diff(first)
+    feature = np.repeat(np.arange(p), n_values)
+    rank = np.arange(len(values)) - first[feature]
+    quantiled = n_values > n_bins
+    n_candidates = np.where(quantiled, 0, np.maximum(n_values - 1, 0))
+    # mids[j], the midpoint of values j and j + 1, is a candidate where the
+    # two are one midpoint feature's
+    mids = (values[:-1] + values[1:]) / 2.0
+    between = rank[1:] > 0
+    codes = rank.copy()
+    codes[1:] -= between & (mids >= values[1:])
+
+    alone = quantiled & np.isin(np.arange(p), list(ranked.signed_zeros))
+    alone[feature[~np.isfinite(values)]] = True
+    alone[feature[1:][between & ~np.isfinite(mids)]] = True
+    counted = np.flatnonzero(quantiled & ~alone)
+    kept, slot = np.empty(0), np.empty(0, dtype=np.intp)
+    if len(counted):  # then n_bins < n_values <= n
+        qs = np.arange(1, n_bins) / n_bins
+        quantiles, lo, hi = _counted_quantile(values, np.cumsum(counts), n, qs, counted)
+        # values[upto - 1] is the last value at most the quantile, as
+        # values[lo] <= quantile <= values[hi]; upto rises with the
+        # quantile, so the two sort alike
+        upto = np.where(quantiles == values[hi], hi, lo) + 1
+        quantiles.sort(axis=1)
+        upto.sort(axis=1)
+        odd = (~np.isfinite(quantiles) | (quantiles == 0.0)).any(axis=1)
+        alone[counted[odd]] = True
+        counted, quantiles, upto = counted[~odd], quantiles[~odd], upto[~odd]
+        # np.unique of each row: only zeros compare equal with other bits
+        keep = np.ones(quantiles.shape, dtype=bool)
+        keep[:, 1:] = quantiles[:, 1:] != quantiles[:, :-1]
+        kept, slot = quantiles[keep], (np.cumsum(keep, axis=1) - 1)[keep]
+        n_candidates[counted] = keep.sum(axis=1)
+        # value j's code counts its feature's quantiles with upto <= j: all
+        # those of the counted features before it have, and no later ones
+        tally = np.cumsum(np.bincount(upto[keep], minlength=len(values) + 1))
+        behind = np.zeros(p, dtype=np.intp)
+        behind[counted] = np.cumsum(n_candidates[counted]) - n_candidates[counted]
+        is_counted = np.zeros(p, dtype=bool)
+        is_counted[counted] = True
+        probe = is_counted[feature]
+        codes[probe] = (tally[:-1] - behind[feature])[probe]
+    solo = {}
+    for f in np.flatnonzero(alone).tolist():
+        run = slice(first[f], first[f + 1])
         raw = ranked.signed_zeros.get(f)
         if raw is not None and rows is not None:
             raw = raw[rows]
-        candidates.append(_thresholds(ranked.values[column][present],
-                                      counts[column][present], n_bins, raw))
-    n_candidates = np.array([len(c) for c in candidates], dtype=np.intp)
+        solo[f] = _thresholds(values[run], counts[run], n_bins, raw)
+        n_candidates[f] = len(solo[f])
+        codes[run] = np.searchsorted(solo[f], values[run], side="left")
+
+    offsets = np.concatenate(([0], np.cumsum(n_candidates)))
+    thresholds = np.empty(offsets[-1])
+    mid = between & ~(quantiled | alone)[feature[1:]]
+    thresholds[(offsets[feature[1:]] + rank[1:] - 1)[mid]] = mids[mid]
+    thresholds[offsets[np.repeat(counted, n_candidates[counted])] + slot] = kept
+    for f, cand in solo.items():
+        thresholds[offsets[f]:offsets[f + 1]] = cand
     width = int(n_candidates.max(initial=0)) + 1
-    # the code of every distinct value, then one gather by id
-    lookup = np.empty(len(ranked.values), dtype=np.min_scalar_type(width - 1))
-    for f, cand in enumerate(candidates):
-        column = slice(starts[f], starts[f + 1])
-        lookup[column] = np.searchsorted(cand, ranked.values[column], side="left")
-    return _Bins(tuple(candidates), n_candidates, lookup[ids], width)
+    lookup = np.zeros(len(ranked.values), dtype=np.min_scalar_type(width - 1))
+    lookup[present] = codes
+    return _Bins(thresholds, offsets, lookup[ids], width)
 
 
 def _bin(X: np.ndarray, n_bins: int) -> _Bins:
@@ -367,7 +462,7 @@ class _Growing:
         self.n_samples += (0, 0)
         self.gain += (0.0, 0.0)
         self.feature[node] = feature
-        self.threshold[node] = float(self.bins.candidates[feature][k])
+        self.threshold[node] = float(self.bins.thresholds[self.bins.offsets[feature] + k])
         self.left[node] = left_id
         self.right[node] = right_id
         self.gain[node] = gain
@@ -398,20 +493,29 @@ def _search(step: list[_Growing], split: _Split) -> None:
     GL and HL stay the totals, so every gain there equals the highest
     code's and the lowest threshold still wins. bincount adds each bin in
     row order and cumsum runs along each row, so every prefix sum is the
-    one a per-feature scan of that node computes; the empty bins it skips
-    or adds add nothing. A row-major argmax over a slot's (feature,
-    threshold) gains takes the lowest drawn feature and then the lowest
-    threshold among the ties.
+    one a per-feature scan of that node computes. A root of all rows and
+    features at unit weights takes the count histogram its bins keep, the
+    same integers for every tree grown on them.
+
+    Only the positions that are real candidates and whose bin holds a row
+    are scored. Across an empty bin GL and HL do not change, so every
+    position of a run of empty bins has the gain of the occupied bin that
+    starts the run, down to the bit, and that lowest position wins a tie
+    as it does in a scan of every position; below a feature's first
+    occupied bin HL is 0, and no split is valid. A row-major argmax over
+    a slot's (feature, threshold) gains, -inf where none was scored, takes
+    the lowest drawn feature and then the lowest threshold among the ties.
     """
     lam = split.reg_lambda
     S = len(step)
     heads = [t.head for t in step]
     blocks = []
     for t, h in zip(step, heads):
-        block = t.bins.codes.take(h.rows, axis=0)
+        block = t.bins.codes if h.node == 0 else t.bins.codes.take(h.rows, axis=0)
         blocks.append(block if h.feats is None else block[:, h.feats])
     stats = [(h.G, h.H, h.G * h.G / (h.H + lam) if (h.H + lam) > 0 else 0.0) for h in heads]
     nf = blocks[0].shape[1]
+    hsum = None  # the count histogram, where it is known before the bincounts
     if S == 1:
         # a node alone takes its tree's width and cached padding mask; the
         # windowed layout below is exact for it too, but costs a boosted
@@ -419,13 +523,16 @@ def _search(step: list[_Growing], split: _Split) -> None:
         [t], [h] = step, heads
         raw, wg, w = blocks[0], h.wg, h.w
         G, H, parent_score = stats[0]
-        low, W = np.zeros(nf, dtype=np.intp), t.bins.width
+        low, W = np.zeros((1, nf), dtype=np.intp), t.bins.width
         real = t.bins.real if h.feats is None else t.bins.real[h.feats]
+        codes = raw + np.arange(nf) * W
+        if h.node == 0 and h.feats is None and w is None:
+            hsum = t.bins.root_counts
     else:
         raw = np.concatenate(blocks)
         wg = np.concatenate([h.wg for h in heads])
         w = None if heads[0].w is None else np.concatenate([h.w for h in heads])
-        G, H, parent_score = np.array(stats).T.reshape(3, S, 1, 1)
+        G, H, parent_score = np.array(stats).T
         n_candidates = np.array([t.bins.n_candidates if h.feats is None
                                  else t.bins.n_candidates[h.feats] for t, h in zip(step, heads)])
         lens = [len(block) for block in blocks]
@@ -434,26 +541,34 @@ def _search(step: list[_Growing], split: _Split) -> None:
         high = np.maximum.reduceat(raw, starts, axis=0)
         W = int((high - low).max()) + 1
         real = np.arange(W) < (n_candidates - low)[..., None]
-    base = np.arange(S * nf).reshape(low.shape) * W - low
-    codes = raw + (base if S == 1 else np.repeat(base, lens, axis=0))
+        base = np.arange(S * nf).reshape(S, nf) * W - low
+        codes = raw + np.repeat(base, lens, axis=0)
     flat = codes.ravel()
     size = S * nf * W
     gsum = np.bincount(flat, weights=np.repeat(wg, nf), minlength=size)
-    if w is None:
-        hsum = np.bincount(flat, minlength=size)
-    else:
+    if w is not None:
         hsum = np.bincount(flat, weights=np.repeat(w, nf), minlength=size)
+    elif hsum is None:
+        hsum = np.bincount(flat, minlength=size)
     GL = np.cumsum(gsum.reshape(S, nf, W), axis=2)
     HL = np.cumsum(hsum.reshape(S, nf, W), axis=2)
+    # padding is left out explicitly: H is a pairwise sum, so HR past the
+    # last candidate can be one ulp away from zero
+    occupied = hsum != 0
+    if w is not None:  # a zero or cancelling weight leaves hsum 0 but not gsum
+        occupied |= gsum != 0
+    pos = np.flatnonzero(occupied.reshape(S, nf, W) & real)
+    GL = GL.take(pos)
+    HL = HL.take(pos)
+    if S > 1:  # each position takes its own node's sums
+        slots = pos // (nf * W)
+        G, H, parent_score = G[slots], H[slots], parent_score[slots]
     GR = G - GL
     HR = H - HL
-    # padding is masked explicitly: H is a pairwise sum, so HR past the
-    # last candidate can be one ulp away from zero
     mcw = split.min_child_weight
     valid = (HL >= mcw) & (HR >= mcw)
     if not mcw > 0:  # only then does HL >= mcw leave out HL <= 0
         valid &= (HL > 0) & (HR > 0)
-    valid &= real
     # 0.5 * (GL^2 / (HL + lam) + GR^2 / (HR + lam) - parent_score) - gamma,
     # in place; a zero lam or gamma is left out, which changes no valid gain
     if lam:
@@ -469,10 +584,12 @@ def _search(step: list[_Growing], split: _Split) -> None:
     if split.gamma:
         gains -= split.gamma
     np.copyto(gains, -np.inf, where=~valid)
-    gains = gains.reshape(S, nf * W)
-    lows = low.reshape(S, nf).tolist()
-    for s, (t, h, block, b) in enumerate(zip(step, heads, blocks, np.argmax(gains, axis=1).tolist())):
-        gain = gains.item(s, b)
+    scored = np.full(size, -np.inf)
+    scored[pos] = gains
+    scored = scored.reshape(S, nf * W)
+    lows = low.tolist()
+    for s, (t, h, block, b) in enumerate(zip(step, heads, blocks, scored.argmax(axis=1).tolist())):
+        gain = scored.item(s, b)
         j, x = divmod(b, W)
         k = lows[s][j] + x
         if gain > 0.0:

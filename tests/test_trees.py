@@ -396,13 +396,16 @@ def tied_columns(draw, size=None):
 def test_counted_quantile_equals_np_quantile(column, n_bins, extra):
     qs = np.concatenate([np.arange(1, n_bins) / n_bins, extra, [0.0, 1.0]])
     distinct, counts = np.unique(column, return_counts=True)
-    assert _counted_quantile(distinct, counts, qs).tobytes() == np.quantile(column, qs).tobytes()
+    [quantiles], _, _ = _counted_quantile(distinct, np.cumsum(counts), len(column), qs,
+                                          np.zeros(1, dtype=np.intp))
+    assert quantiles.tobytes() == np.quantile(column, qs).tobytes()
 
 
 def assert_bins_equal(actual, expected):
     candidates, codes, width = expected
     assert actual.width == width
-    assert [c.tobytes() for c in actual.candidates] == [c.tobytes() for c in candidates]
+    assert [actual.thresholds[a:b].tobytes() for a, b in zip(actual.offsets, actual.offsets[1:])] \
+        == [c.tobytes() for c in candidates]
     assert actual.n_candidates.tolist() == [len(c) for c in candidates]
     # within-feature codes, in the narrowest unsigned dtype that holds them
     assert actual.codes.dtype == np.min_scalar_type(width - 1)
