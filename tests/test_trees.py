@@ -475,6 +475,26 @@ def test_signed_zero_columns_bin_like_the_oracle():
     assert _rank(np.array([[-0.0], [-0.0], [1.0]])).signed_zeros == {}
 
 
+def test_non_finite_and_huge_columns_bin_like_the_oracle():
+    # infinite values, and finite ones whose midpoints (a + b) / 2 overflow:
+    # the closed-form codes assume finite candidates, so these features
+    # are binned one at a time
+    rng = np.random.default_rng(42)
+    n = 200
+    columns = [np.where(rng.random(n) < 0.1, np.inf, rng.standard_normal(n)),
+               rng.choice([-np.inf, np.inf, 1.0, 2.0], n),
+               rng.choice([1.5e308, 1.7e308, 1.79e308, -1e308, 1.0], n),
+               rng.uniform(1.0e308, 1.79e308, n)]
+    for column in columns:
+        X = np.column_stack([column, rng.standard_normal(n)])
+        for n_bins in (1, 2, 3, 16, 256):
+            for kind in ("all", "bootstrap", "goss"):
+                rows = _rows(rng, n, kind)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    expected = oracle_bin(X if rows is None else X[rows], n_bins)
+                    assert_bins_equal(_bin_rows(_rank(X), rows, n_bins), expected)
+
+
 def test_rank_equals_np_unique_of_each_column():
     # 0/1 columns are ranked without a sort; every column must rank as
     # np.unique ranks it, down to the sign of a zero among the values
