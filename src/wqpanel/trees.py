@@ -553,11 +553,10 @@ def _search(step: list[_Growing], split: _Split) -> None:
     GL = np.cumsum(gsum.reshape(S, nf, W), axis=2)
     HL = np.cumsum(hsum.reshape(S, nf, W), axis=2)
     # padding is left out explicitly: H is a pairwise sum, so HR past the
-    # last candidate can be one ulp away from zero
-    occupied = hsum != 0
-    if w is not None:  # a zero or cancelling weight leaves hsum 0 but not gsum
-        occupied |= gsum != 0
-    pos = np.flatnonzero(occupied.reshape(S, nf, W) & real)
+    # last candidate can be one ulp away from zero. With non-negative
+    # weights a bin of weight 0 holds only rows of weight 0, whose w * g
+    # adds nothing to it
+    pos = np.flatnonzero((hsum != 0).reshape(S, nf, W) & real)
     GL = GL.take(pos)
     HL = HL.take(pos)
     if S > 1:  # each position takes its own node's sums
@@ -701,7 +700,7 @@ def fit_gradient_tree(X, g, cfg: GBDTConfig, weights: np.ndarray | None = None, 
                       leaves: np.ndarray | None = None) -> RegressionTree:
     """Gradient-mode tree on gradients g: second-order gain, leaf weight
     -G/(H+lam), under cfg's max_depth, min_child_weight, reg_lambda, gamma
-    and n_bins.
+    and n_bins, with non-negative row weights (None: every weight 1).
 
     ``bins`` (``_bin(X, cfg.n_bins)``) skips binning X again; ``leaves``
     receives the leaf node of every row of X.

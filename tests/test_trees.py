@@ -359,6 +359,21 @@ def test_padding_past_last_candidate_is_never_a_split():
     assert serialize_tree(tree) == serialize_tree(expected)
 
 
+def test_rows_of_weight_zero_grow_the_oracle_tree():
+    # the search skips a bin that holds only rows of weight 0: their w * g
+    # adds nothing, so a scan of every position finds the same split
+    rng = np.random.default_rng(47)
+    for trial in range(9):
+        n = int(rng.integers(2, 80))
+        X = _columns(rng, n, ("continuous", "one_hot", "rounded")[trial % 3])
+        w = np.where(rng.random(n) < 0.4, 0.0, rng.uniform(0.5, 2.0, n))
+        g = rng.standard_normal(n)
+        params = dict(max_depth=4, min_child_weight=(0.0, 1.0, 2.0)[trial // 3],
+                      reg_lambda=1.0, gamma=0.0, n_bins=16)
+        assert serialize_tree(_grow(X, g, w, **params)) == \
+            serialize_tree(oracle_grow(X, g, w, **params)), trial
+
+
 def test_leaves_route_like_predict_tree():
     rng = np.random.default_rng(33)
     X = _columns(rng, 120, "one_hot")
