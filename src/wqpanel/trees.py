@@ -344,9 +344,7 @@ def _bin_rows(ranked: _Ranked, rows: np.ndarray | None, n_bins: int) -> _Bins:
         tally = np.cumsum(np.bincount(upto[keep], minlength=len(values) + 1))
         behind = np.zeros(p, dtype=np.intp)
         behind[counted] = np.cumsum(n_candidates[counted]) - n_candidates[counted]
-        is_counted = np.zeros(p, dtype=bool)
-        is_counted[counted] = True
-        probe = is_counted[feature]
+        probe = (quantiled & ~alone)[feature]  # the counted features' values
         codes[probe] = (tally[:-1] - behind[feature])[probe]
     solo = {}
     for f in np.flatnonzero(alone).tolist():
