@@ -25,6 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from .families import get_family
+from .features import Strategy
+from .fieldtypes import to_json
 from .metrics import MetricReport, evaluate, fit_benchmark
 from .panel import (VALUE_BOUND, PanelDataset, PanelFormatError, PanelSchema,
                     load_panel, load_sites, stack_panel, summarize,
@@ -34,7 +36,7 @@ from .reporting import (build_results_table, persist_results_table,
                         render_results_markdown, render_summary_csv,
                         render_summary_json, render_timing_markdown,
                         ResultsTable)
-from .run_config import ConfigError, RunConfig, check_families, load_run_config
+from .run_config import SHAP_KINDS, ConfigError, RunConfig, check_families, load_run_config
 from .serialize import load_model, naming_file
 from .tuner import (TAG_SHAP_BACKGROUND, design_from_state, grid_search,
                     prepare_designs, subseed)
@@ -64,18 +66,18 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sub.add_parser("stats", help="write summary statistics and correlations"))
 
     tune = common(sub.add_parser("tune", help="cross-validated grid search"))
-    tune.add_argument("--strategy", type=int, choices=(1, 2, 3))
+    tune.add_argument("--strategy", type=int, choices=[s.value for s in Strategy])
     tune.add_argument("--family", help="comma-separated family subset")
 
     ev = common(sub.add_parser("evaluate", help="test-set metrics for saved models"))
-    ev.add_argument("--strategy", type=int, choices=(1, 2, 3))
+    ev.add_argument("--strategy", type=int, choices=[s.value for s in Strategy])
     ev.add_argument("--models", nargs="*", help="model bundle files "
                                                 "(default: discover in output dir)")
 
     ex = common(sub.add_parser("explain", help="exact SHAP attributions"))
     ex.add_argument("--model", required=True, help="model bundle file")
     ex.add_argument("--rows", help="instance selection: 'a:b' slice or comma list")
-    ex.add_argument("--kind", choices=("marginalize", "retrain"))
+    ex.add_argument("--kind", choices=SHAP_KINDS)
     ex.add_argument("--suffix", default="", help="suffix for the output CSV names")
 
     common(sub.add_parser("report", help="bundle results, timing and SHAP rankings"))
@@ -95,6 +97,8 @@ def _config_from_args(args) -> RunConfig:
         if args.jobs < 1:
             raise ConfigError("--jobs must be >= 1")
         updates["n_jobs"] = args.jobs
+    if getattr(args, "strategy", None):  # tune and evaluate take --strategy
+        updates["strategy"] = Strategy(args.strategy)
     return dataclasses.replace(cfg, **updates) if updates else cfg
 
 
@@ -228,7 +232,7 @@ def _cmd_ingest(args) -> int:
     if not all(rep.passed for rep in reports.values()):
         report_path = cfg.output_dir / "validation_report.json"
         report_path.write_text(
-            json.dumps({s: r.as_dict() for s, r in reports.items()},
+            json.dumps({s: to_json(r) for s, r in reports.items()},
                        indent=1, sort_keys=True) + "\n", encoding="utf-8")
         print(f"validation: FAIL (report: {report_path})")
         return EXIT_VALIDATION
@@ -273,11 +277,9 @@ def _families_from_args(cfg: RunConfig, args) -> tuple[str, ...]:
 
 def _cmd_tune(args) -> int:
     cfg = _config_from_args(args)
-    strategy = args.strategy or cfg.strategy
     families = _families_from_args(cfg, args)
     [train] = _load_panels(cfg, ("train",))
-    train_design, state = prepare_designs(train, cfg.strategy_config(strategy))
-    cv = cfg.cv_config()
+    train_design, state = prepare_designs(train, cfg.strategy_config())
 
     tuning = {}
     importances = {}
@@ -285,7 +287,7 @@ def _cmd_tune(args) -> int:
         # no grids entry: the registry default; an empty entry: one config
         # of learner defaults
         grid = cfg.grids.get(family, get_family(family).default_grid)
-        result = grid_search(family, grid, train_design.X, train_design.y, cv,
+        result = grid_search(family, grid, train_design.X, train_design.y, cfg.cv,
                              seed=cfg.seed, n_jobs=cfg.n_jobs)
         tuning[family] = result
         raw = get_family(family).importance(result.best_model, train_design.n_cols)
@@ -295,24 +297,31 @@ def _cmd_tune(args) -> int:
             print(f"{family}: feature importance unavailable for this family")
         print(f"{family}: best {result.best_config} "
               f"mean CV score {result.mean_scores[result.best_index]:.6f} "
-              f"({result.total_fits} fits, {result.tuning_time:.2f}s)")
+              f"({result.total_fits} fits, {result.timing.tuning_time:.2f}s)")
 
-    persist_tuning_artifacts(cfg.output_dir, strategy, tuning, importances,
+    persist_tuning_artifacts(cfg.output_dir, cfg.strategy, tuning, importances,
                              state, cfg.seed)
-    print(f"wrote tuning artifacts for strategy {strategy} to {cfg.output_dir}")
+    print(f"wrote tuning artifacts for strategy {cfg.strategy} to {cfg.output_dir}")
     return EXIT_OK
 
 
 def _cmd_evaluate(args) -> int:
     cfg = _config_from_args(args)
-    strategy = args.strategy or cfg.strategy
     train, test = _load_panels(cfg)
 
     if args.models:
         paths = [Path(p) for p in args.models]
     else:
-        paths = sorted((cfg.output_dir / "models").glob(f"model_strategy{strategy}_*.json"))
+        paths = sorted((cfg.output_dir / "models").glob(f"model_strategy{cfg.strategy}_*.json"))
     bundles = [load_model(p) for p in paths]
+    names = [bundle.family.name for bundle in bundles]
+    for path, bundle, name in zip(paths, bundles, names):
+        if bundle.pipeline.strategy != cfg.strategy:  # its row would be filed wrongly
+            raise ValueError(f"{path}: a strategy {bundle.pipeline.strategy} bundle; "
+                             f"evaluate writes the results of strategy {cfg.strategy}")
+        if names.count(name) > 1:  # one row per family: all but one would be dropped
+            raise ValueError(f"{[str(p) for p, n in zip(paths, names) if n == name]}: "
+                             f"bundles of one family, {name}; evaluate takes one each")
 
     y_train = stack_panel(train).y
     y_test = stack_panel(test).y
@@ -324,9 +333,9 @@ def _cmd_evaluate(args) -> int:
         reports[bundle.family.name] = evaluate(design.y, pred)
 
     table = build_results_table(reports)
-    persist_results_table(cfg.output_dir, strategy, table)
+    persist_results_table(cfg.output_dir, cfg.strategy, table)
     print(render_results_markdown(table))
-    print(f"wrote results_strategy{strategy}.csv to {cfg.output_dir}")
+    print(f"wrote results_strategy{cfg.strategy}.csv to {cfg.output_dir}")
     return EXIT_OK
 
 

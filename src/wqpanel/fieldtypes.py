@@ -4,7 +4,8 @@ way to write it back.
 
 The rule: int takes an integer (numpy's too, never a bool); float a finite
 real number, an int kept as it is; bool only a bool; str a string; dict a
-JSON object; Path a path; an Enum one of its members; tuple[int, ...] and
+JSON object; Path a path; an Enum one of its members (read from a JSON
+value of its value's type: true is no member of value 1); tuple[int, ...] and
 tuple[str, ...] a tuple of integers or of strings; Annotated[np.ndarray,
 Numbers(...)] an array of Numbers' dimensions; a dataclass only an instance
 of it; tuple[T, ...] of a dataclass or of such an array a tuple of them;
@@ -114,7 +115,8 @@ def _rule(hint, optional: bool = False) -> Rule | None:
                     optional)
     if isinstance(hint, type) and issubclass(hint, enum.Enum):
         return Rule(lambda v: isinstance(v, hint), f"one of {[m.value for m in hint]}",
-                    lambda v, path: next((m for m in hint if m.value == v), v), optional)
+                    lambda v, path: next((m for m in hint if type(m.value) is type(v)
+                                          and m.value == v), v), optional)
     item = _rule(args[0]) if typing.get_origin(hint) is tuple and args[1:] == (...,) else None
     return None if item is None else Rule(
         lambda v: isinstance(v, tuple) and all(map(item.test, v)), f"a list, each {item.kind}",

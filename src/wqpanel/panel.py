@@ -165,15 +165,6 @@ class ValidationReport:
     def total_non_finite(self) -> int:
         return sum(self.non_finite_counts.values())
 
-    def as_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "non_finite_counts": self.non_finite_counts,
-            "non_finite_cells": [list(c) for c in self.non_finite_cells],
-            "range_warnings": self.range_warnings,
-            "unbounded_cells": [list(c) for c in self.unbounded_cells],
-        }
-
 
 def load_sites(path: str | Path) -> None:
     """Check the optional sites file (site_id, location_group), metadata

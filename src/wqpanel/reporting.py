@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .families import FAMILY_NAMES
-from .fieldtypes import build, check_field_types
+from .fieldtypes import build, to_json
 from .metrics import METRIC_NAMES, MetricReport
 from .panel import CorrelationMatrix, SummaryStats
+from .tuner import TimingRow
 
 # published RMSE of the spatio-temporal reference model, echoed as a
 # comparison constant in every results table (original units)
@@ -123,24 +124,6 @@ def render_results_markdown(table: ResultsTable) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class TimingRow:
-    """One family's row of a timing_strategy<N>.json, as the tuner's
-    timing_dict writes it; the times are seconds."""
-
-    family: str
-    total_fits: int
-    tuning_time: float
-    average_tuning: float
-    best_fit_time: float
-
-    def __post_init__(self):
-        check_field_types(self)  # a string time fails here, not in the comparison
-        for name in ("tuning_time", "average_tuning", "best_fit_time"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-
-
 def read_timings(raw) -> list[TimingRow]:
     """The rows of a timing file's JSON list; a bad row is a ValueError
     naming it and its field, as [i].<field>."""
@@ -234,7 +217,7 @@ def persist_tuning_artifacts(out_dir: str | Path, strategy: int, tuning: dict,
         put(out_dir / f"tuning_strategy{strategy}_{name}.json",
             json.dumps(result.to_dict(), indent=1, sort_keys=True) + "\n")
     put(out_dir / f"timing_strategy{strategy}.json",
-        json.dumps([tuning[name].timing_dict() for name in sorted(tuning)],
+        json.dumps([to_json(tuning[name].timing) for name in sorted(tuning)],
                    indent=1) + "\n")
 
     for name, importance in importances.items():

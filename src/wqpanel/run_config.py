@@ -19,12 +19,11 @@ from pathlib import Path
 from .families import FAMILY_NAMES
 from .features import Categoricals, Strategy, StrategyConfig
 from .fieldtypes import build, check_field_types, is_integer
-from .tuner import TAG_FOLD, CVConfig, FoldScheme, subseed
+from .tuner import CVConfig
 
 OUTPUT_DIR_ENV = "WQPANEL_OUTPUT_DIR"
 
 SHAP_KINDS = ("marginalize", "retrain")
-FOLD_SCHEMES = tuple(s.value for s in FoldScheme)
 
 
 class ConfigError(ValueError):
@@ -40,19 +39,6 @@ class DataSection:
 
     def __post_init__(self):
         check_field_types(self)
-
-
-@dataclass(frozen=True)
-class CVSection:
-    k: int = 5
-    scheme: str = "shuffled"
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
-        if self.scheme not in FOLD_SCHEMES:
-            raise ValueError(f"scheme must be one of {FOLD_SCHEMES}, got {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -83,9 +69,9 @@ class RunConfig:
     seed: int
     data: DataSection
     output_dir: Path = Path("out")
-    strategy: int = 2
+    strategy: Strategy = Strategy.STANDARDIZED_NUMERIC
     categoricals: Categoricals = Categoricals()
-    cv: CVSection = CVSection()
+    cv: CVConfig = CVConfig()
     families: tuple[str, ...] = tuple(FAMILY_NAMES)
     grids: dict = field(default_factory=dict)
     shap: ShapSection = ShapSection()
@@ -95,23 +81,16 @@ class RunConfig:
         check_field_types(self)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if self.strategy not in (1, 2, 3):
-            raise ValueError(f"strategy must be 1, 2 or 3, got {self.strategy}")
         check_families(self.families, "families")
         _check_grids(self.grids)
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
 
-    def strategy_config(self, strategy: int) -> StrategyConfig:
+    def strategy_config(self) -> StrategyConfig:
         try:
-            return StrategyConfig(Strategy(strategy), self.categoricals)
+            return StrategyConfig(self.strategy, self.categoricals)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-
-    def cv_config(self) -> CVConfig:
-        """cv.k folds of cv.scheme, their order seeded from the run seed."""
-        return CVConfig(k=self.cv.k, seed=subseed(self.seed, TAG_FOLD),
-                        scheme=FoldScheme(self.cv.scheme))
 
     def require_data_paths(self) -> None:
         for name, path in vars(self.data).items():

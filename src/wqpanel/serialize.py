@@ -31,7 +31,7 @@ class PipelineState:
     end with the one-hot columns that categoricals and the site vocabulary
     give, and the standardizer covers the numeric columns before them."""
 
-    strategy: int
+    strategy: Strategy
     categoricals: Categoricals
     column_names: tuple[str, ...]
     standardizer: StandardizationParams | None
@@ -39,8 +39,6 @@ class PipelineState:
 
     def __post_init__(self):
         check_field_types(self)
-        if self.strategy not in tuple(Strategy):
-            raise ValueError(f"strategy must be 1, 2 or 3, got {self.strategy}")
         if (self.standardizer is None) != (self.strategy == Strategy.RAW_NUMERIC):
             raise ValueError("standardizer must be null for strategy 1 and only then")
         self.strategy_config()  # strategy 3 needs the site group
@@ -56,7 +54,7 @@ class PipelineState:
                              f"column_names has {n_numeric} numeric columns")
 
     def strategy_config(self) -> StrategyConfig:
-        return StrategyConfig(Strategy(self.strategy), self.categoricals)
+        return StrategyConfig(self.strategy, self.categoricals)
 
     @classmethod
     def from_dict(cls, raw) -> "PipelineState":

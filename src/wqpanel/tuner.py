@@ -26,6 +26,7 @@ import numpy as np
 from .families import ModelFamily, get_family
 from .features import (DesignMatrix, Strategy, StrategyConfig, assemble_design,
                        fit_standardizer, numeric_block)
+from .fieldtypes import check_field_types
 from .metrics import score
 from .panel import PanelDataset, stack_panel
 from .serialize import PipelineState
@@ -49,13 +50,15 @@ class FoldScheme(enum.Enum):
 
 @dataclass(frozen=True)
 class CVConfig:
+    """The run config's cv section: k folds of scheme (kfold_split)."""
+
     k: int = 5
-    seed: int = 0
     scheme: FoldScheme = FoldScheme.SHUFFLED
 
     def __post_init__(self):
+        check_field_types(self)
         if self.k < 2:
-            raise ValueError("k must be >= 2")
+            raise ValueError(f"k must be >= 2, got {self.k}")
 
 
 def grid_configs(axes: Mapping[str, Sequence]) -> list[dict]:
@@ -95,6 +98,23 @@ def grid_plan(family_name: str, axes: Mapping[str, Sequence]
     return family, configs, fit_seed_keys(axes, family.prefix_axis)
 
 
+@dataclass(frozen=True)
+class TimingRow:
+    """One family's row of a timing_strategy<N>.json; times in seconds."""
+
+    family: str
+    total_fits: int
+    tuning_time: float
+    average_tuning: float
+    best_fit_time: float
+
+    def __post_init__(self):
+        check_field_types(self)  # a string time fails here, not in the comparison
+        for name in ("tuning_time", "average_tuning", "best_fit_time"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+
 @dataclass
 class TuningResult:
     """Grid-search outcome for one family, timing included."""
@@ -105,9 +125,7 @@ class TuningResult:
     mean_scores: tuple[float, ...]
     fold_scores: tuple[tuple[float, ...], ...]
     total_fits: int
-    tuning_time: float
-    average_tuning: float
-    best_fit_time: float
+    timing: TimingRow
     best_model: Any = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
@@ -121,30 +139,21 @@ class TuningResult:
             "total_fits": self.total_fits,
         }
 
-    def timing_dict(self) -> dict:
-        return {
-            "family": self.family,
-            "total_fits": self.total_fits,
-            "tuning_time": self.tuning_time,
-            "average_tuning": self.average_tuning,
-            "best_fit_time": self.best_fit_time,
-        }
 
-
-def kfold_split(n: int, cfg: CVConfig) -> list[tuple[np.ndarray, np.ndarray]]:
+def kfold_split(n: int, cv: CVConfig, seed: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition 0..n-1 into k validation folds (sizes differ by at most 1).
 
-    shuffled permutes by seed before chunking; blocked_by_time chunks the
-    row order as given (stacked rows are date-major, so blocks respect
-    time order).
+    shuffled permutes by the run seed's TAG_FOLD sub-seed before chunking;
+    blocked_by_time chunks the row order as given (stacked rows are
+    date-major, so blocks respect time order).
     """
-    if n < cfg.k:
-        raise ValueError(f"cannot make {cfg.k} folds from {n} rows")
-    if cfg.scheme == FoldScheme.SHUFFLED:
-        order = np.random.default_rng(np.random.SeedSequence([cfg.seed])).permutation(n)
+    if n < cv.k:
+        raise ValueError(f"cannot make {cv.k} folds from {n} rows")
+    if cv.scheme == FoldScheme.SHUFFLED:
+        order = np.random.default_rng(subseed(seed, TAG_FOLD)).permutation(n)
     else:
         order = np.arange(n)
-    chunks = np.array_split(order, cfg.k)
+    chunks = np.array_split(order, cv.k)
     folds = []
     for i, chunk in enumerate(chunks):
         val = np.sort(chunk)
@@ -216,7 +225,7 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
 
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    folds = kfold_split(len(y), cv)
+    folds = kfold_split(len(y), cv, seed)
     k = len(folds)
 
     scores = np.full((len(configs), k), np.nan)
@@ -252,9 +261,8 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
         mean_scores=tuple(float(s) for s in mean_scores),
         fold_scores=tuple(tuple(float(v) for v in row) for row in scores),
         total_fits=fits_executed,
-        tuning_time=tuning_time,
-        average_tuning=tuning_time / fits_executed,
-        best_fit_time=best_fit_time,
+        timing=TimingRow(family_name, fits_executed, tuning_time,
+                         tuning_time / fits_executed, best_fit_time),
         best_model=best_model,
     )
 
@@ -271,13 +279,9 @@ def prepare_designs(train_panel: PanelDataset,
               else fit_standardizer(numeric_block(train_stacked, strategy_cfg)[1]))
     site_vocab = train_panel.site_ids
     train_design = assemble_design(train_stacked, strategy_cfg, params, site_vocab)
-    state = PipelineState(
-        strategy=int(strategy_cfg.strategy),
-        categoricals=strategy_cfg.categoricals,
-        column_names=train_design.column_names,
-        standardizer=params,
-        site_vocabulary=site_vocab,
-    )
+    state = PipelineState(strategy=strategy_cfg.strategy, categoricals=strategy_cfg.categoricals,
+                          column_names=train_design.column_names, standardizer=params,
+                          site_vocabulary=site_vocab)
     return train_design, state
 
 

@@ -284,7 +284,7 @@ def test_criterion_7_pipeline(tmp_path):
     # folds partition the indices with no train/validation leakage
     for scheme in ("shuffled", "blocked_by_time"):
         from wqpanel.tuner import FoldScheme
-        folds = kfold_split(101, CVConfig(k=5, seed=17, scheme=FoldScheme(scheme)))
+        folds = kfold_split(101, CVConfig(k=5, scheme=FoldScheme(scheme)), 17)
         seen = np.concatenate([v for _, v in folds])
         assert np.array_equal(np.sort(seen), np.arange(101))
         for train_idx, val_idx in folds:
@@ -295,7 +295,7 @@ def test_criterion_7_pipeline(tmp_path):
     X = rng.standard_normal((60, 3))
     y = 2.0 + X @ [0.5, -1.0, 0.25] + 0.05 * rng.standard_normal(60)
     grid = {"n_trees": (3, 5), "max_depth": (2, 3)}
-    cv = CVConfig(k=3, seed=5)
+    cv = CVConfig(k=3)
     serial = grid_search("random_forest", grid, X, y, cv, seed=13, n_jobs=1)
     parallel = grid_search("random_forest", grid, X, y, cv, seed=13, n_jobs=2)
     assert serial.best_config == parallel.best_config
@@ -385,7 +385,7 @@ def test_criterion_8_benchmark_row(georgia):
 @pytest.fixture(scope="session")
 def georgia_tuned(georgia_designs):
     train_design, test_design, _ = georgia_designs
-    cv = CVConfig(k=5, seed=subseed(2016, 1))
+    cv = CVConfig(k=5)
     grids = {
         "elastic_net": {"lam": (1e-4, 1e-3, 1e-2, 1e-1),
                         "alpha": (0.0, 0.5, 1.0)},

@@ -128,6 +128,68 @@ def test_any_schema_mutation_exits_cleanly_naming_file_and_key(schema_inputs, da
             assert key in err.getvalue()
 
 
+@pytest.fixture(scope="module")
+def csv_inputs(tmp_path_factory):
+    env = make_panel_files(tmp_path_factory.mktemp("csv"), n_train=3, n_test=2,
+                           n_sites=2, n_features=2)
+    return env, {key: env[key].read_bytes() for key in ("train_csv", "test_csv", "sites")}
+
+
+# structural mutations of a whole CSV's lines; the date ones only where
+# the file has dates
+CSV_MUTATIONS = ["drop_column", "repeat_column", "ragged_row", "repeat_row", "empty"]
+DATED_MUTATIONS = ["bad_date"]
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_any_csv_mutation_exits_cleanly_naming_file_and_field(csv_inputs, data):
+    # one structural mutation of the train, test or sites CSV, written with
+    # or without a byte-order mark and with LF or CRLF line ends
+    env, valid = csv_inputs
+    key = data.draw(st.sampled_from(sorted(valid)), label="file")
+    rows = [line.split(",") for line in valid[key].decode("utf-8").splitlines()]
+    header = list(rows[0])
+    dated = "datetime" in header
+    needed = set(header) if dated else {"site_id"}  # the sites file: metadata but its ids
+    kind = data.draw(st.sampled_from(CSV_MUTATIONS + DATED_MUTATIONS * dated), label="mutation")
+    field = None  # the field a refusal must name
+    if kind in ("drop_column", "repeat_column"):
+        col = data.draw(st.integers(0, len(header) - 1), label="column")
+        for row in rows:
+            row[col + 1:col + 1] = [row[col]] * (kind == "repeat_column")
+            del row[col:col + (kind == "drop_column")]
+        if kind == "drop_column" and header[col] in needed:
+            field = header[col]
+    elif kind != "empty":
+        i = data.draw(st.integers(1, len(rows) - 1), label="row")
+        if kind == "ragged_row":
+            rows[i] = rows[i][:-1] if data.draw(st.booleans(), label="short") else rows[i] + ["1"]
+        elif kind == "repeat_row":
+            rows.insert(data.draw(st.integers(1, len(rows)), label="at"), list(rows[i]))
+        else:
+            rows[i][header.index("datetime")] = field = data.draw(
+                st.sampled_from(["2016-13-01", "2016-02-30", "28/01/2016", "", "x"]), label="date")
+    bom = data.draw(st.booleans(), label="bom")
+    newline = data.draw(st.sampled_from(["\n", "\r\n"]), label="newline")
+    text = "" if kind == "empty" else "".join(",".join(row) + newline for row in rows)
+    if bom:  # the header's first name is then unread, a fault found first
+        text = "\ufeff" + text
+        if kind != "empty" and (kind != "drop_column" or field is None):
+            field = rows[0][0] if rows[0][0] in needed else None
+    try:
+        env[key].write_bytes(text.encode("utf-8"))
+        code, err = _quiet_main(["ingest", "--config", str(env["config"])])
+    finally:
+        env[key].write_bytes(valid[key])
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err
+    if code:
+        assert str(env[key]) in err
+        if field is not None:
+            assert repr(field) in err, (field, err)
+
+
 def test_ingest_nan_injected_fails_with_report(panel_files, capsys):
     env = panel_files(n_train=4, n_test=3, n_sites=2, n_features=3)
     text = env["train_csv"].read_text(encoding="utf-8").splitlines()
@@ -263,6 +325,10 @@ def test_bad_n_jobs_is_config_error(panel_files, capsys, n_jobs):
 @pytest.mark.parametrize("edit, field", [
     ({"strategy": 2.0}, "strategy"),
     ({"strategy": True}, "strategy"),
+    ({"strategy": "2"}, "strategy"),
+    ({"strategy": 4}, "strategy"),
+    ({"cv": {"k": 3, "scheme": "random"}}, "cv.scheme"),
+    ({"cv": {"k": 1}}, "cv.k"),
     ({"families": 5}, "families"),
     ({"families": "mlp"}, "families"),
     ({"families": []}, "families"),
@@ -272,7 +338,8 @@ def test_bad_n_jobs_is_config_error(panel_files, capsys, n_jobs):
      "data.train_csv"),
     ({"data": {"train_csv": "train.csv", "test_csv": "test.csv", "schema": "schema.json",
                "sites_csv": ["sites.csv"]}}, "data.sites_csv"),
-], ids=["strategy-float", "strategy-bool", "families-number", "families-str",
+], ids=["strategy-float", "strategy-bool", "strategy-str", "strategy-range", "cv-scheme",
+        "cv-k", "families-number", "families-str",
         "families-empty", "families-item", "output-dir-number", "train-csv-number",
         "sites-csv-list"])
 def test_wrongly_typed_config_field_is_config_error(panel_files, capsys, edit, field):
@@ -640,6 +707,33 @@ def test_evaluate_after_tune_includes_models(panel_files, capsys):
     assert float(rows["Linear Regression"][1]) < float(rows["Benchmarking"][1])
 
 
+@pytest.fixture(scope="module")
+def two_strategy_bundles(tmp_path_factory):
+    """Inputs and the elastic-net bundles of strategies 2 and 3."""
+    env = make_panel_files(tmp_path_factory.mktemp("strategies"), n_train=10, n_test=4,
+                           n_sites=2, n_features=3)
+    for strategy in ("2", "3"):
+        assert _quiet_main(["tune", "--config", str(env["config"]),
+                            "--strategy", strategy])[0] == 0
+    return env, {s: env["out"] / "models" / f"model_strategy{s}_elastic_net.json"
+                 for s in (2, 3)}
+
+
+@pytest.mark.parametrize("strategies, named", [
+    ((3,), (3,)), ((3, 2), (3,)), ((2, 2), (2,))],
+    ids=["other-strategy", "other-strategy-first", "family-twice"])
+def test_evaluate_refuses_a_bundle_it_would_misfile_or_drop(two_strategy_bundles, tmp_path,
+                                                            strategies, named):
+    # each of these exited 0: the strategy-3 model's row was filed under
+    # strategy 2, and of two bundles of one family the last row won
+    env, bundles = two_strategy_bundles
+    code, err = _quiet_main(["evaluate", "--config", str(env["config"]), "--out", str(tmp_path),
+                             "--strategy", "2", "--models", *(str(bundles[s]) for s in strategies)])
+    assert code == 4 and "Traceback" not in err
+    assert all(str(bundles[s]) in err for s in named)
+    assert not (tmp_path / "results_strategy2.json").exists()
+
+
 def test_evaluate_display_formatting_for_unit_rmse(panel_files, capsys, tmp_path):
     # benchmark constant is 3.0; test targets {2, 4} give rmse exactly 1.0
     import conftest as cf
@@ -972,7 +1066,10 @@ def strategy3_bundle(tmp_path_factory):
     # one-hot columns that the vocabulary or the groups do not give
     ("standardizer", lambda p: {k: v[:-1] for k, v in p["standardizer"].items()}, None),
     ("site_vocabulary", ["x", "y"], "column_names"),
-    ("categoricals", lambda p: {**p["categoricals"], "month": False}, "column_names")])
+    ("categoricals", lambda p: {**p["categoricals"], "month": False}, "column_names"),
+    # an equality read of the strategy took true for 1 and 2.0 for 2
+    ("strategy", True, None), ("strategy", 3.0, None), ("strategy", "3", None),
+    ("strategy", 4, None)])
 def test_bad_pipeline_key_is_runtime_error_naming_it(strategy3_bundle, tmp_path, key, value,
                                                      named):
     # the first six explained with exit 0, blamed the coefficients, or named

@@ -7,20 +7,24 @@ import numpy as np
 import pytest
 
 from wqpanel.elastic_net import ElasticNetConfig, LinearModel
-from wqpanel.features import Categoricals, StandardizationParams
+from wqpanel.features import Categoricals, StandardizationParams, Strategy
 from wqpanel.fieldtypes import build, field_rules, to_json
 from wqpanel.mlp import EarlyStopConfig, MLPConfig, MLPModel
 from wqpanel.panel import PanelSchema
-from wqpanel.run_config import CVSection, DataSection, RunConfig, ShapSection
+from wqpanel.run_config import DataSection, RunConfig, ShapSection
 from wqpanel.serialize import PipelineState
 from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig, RegressionTree,
                            RFConfig)
+from wqpanel.tuner import CVConfig, TimingRow
 
 # every dataclass read from JSON: the learner and run configs, the bundle
-# pipeline and model params, and the panel schema
+# pipeline and model params, the panel schema and the timing rows
 CONFIGS = (GossConfig, GBDTConfig, RFConfig, ElasticNetConfig, EarlyStopConfig, MLPConfig,
-           RunConfig, DataSection, CVSection, ShapSection, Categoricals, PipelineState,
-           RegressionTree, Ensemble, MLPModel, LinearModel, StandardizationParams, PanelSchema)
+           RunConfig, DataSection, CVConfig, ShapSection, Categoricals, PipelineState,
+           RegressionTree, Ensemble, MLPModel, LinearModel, StandardizationParams, PanelSchema,
+           TimingRow)
+
+DATA = {"train_csv": "a.csv", "test_csv": "b.csv", "schema": "s.json"}  # a run config's data
 
 # fields the type rule leaves to their class: the SHAP rows, a list of
 # integers or {"sample": n}, which ShapSection checks itself
@@ -79,6 +83,8 @@ def test_build_converts_json_values_by_their_field_annotation():
     data = build(DataSection, {"train_csv": "a.csv", "test_csv": "b.csv", "schema": "s.json",
                                "sites_csv": ""})
     assert (data.train_csv, data.sites_csv) == (Path("a.csv"), None)
+    assert build(RunConfig, {"seed": 1, "data": DATA, "strategy": 2}).strategy \
+        is Strategy.STANDARDIZED_NUMERIC
 
 
 @pytest.mark.parametrize("config, raw, fixed, message", [
@@ -104,9 +110,16 @@ def test_build_converts_json_values_by_their_field_annotation():
      "mean must be a 1-d array of numbers, all finite"),
     (LinearModel, {"intercept": 0.5, "coefficients": [1.5], "sweeps_used": 2.0}, {},
      "sweeps_used must be an integer, got 2.0"),
+    # an Enum member is read only from a value of its value's type: an
+    # equality read took true for strategy 1 and 2.0 for strategy 2
+    (RunConfig, {"seed": 1, "data": DATA, "strategy": True}, {},
+     "strategy must be one of [1, 2, 3], got True"),
+    (RunConfig, {"seed": 1, "data": DATA, "strategy": 2.0}, {},
+     "strategy must be one of [1, 2, 3], got 2.0"),
 ], ids=["nested-unknown", "fixed", "nested-range", "tuple-item", "missing",
         "nested-missing", "nested-not-object", "not-object", "enum", "tuple-of-models-item",
-        "tuple-of-models", "tuple-of-arrays-item", "array-null", "model-int"])
+        "tuple-of-models", "tuple-of-arrays-item", "array-null", "model-int", "enum-bool",
+        "enum-float"])
 def test_build_fails_naming_the_json_path(config, raw, fixed, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         build(config, raw, **fixed)

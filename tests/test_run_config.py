@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import JSON_VALUES
-from wqpanel.run_config import (OUTPUT_DIR_ENV, ConfigError, CVSection, DataSection,
-                                RunConfig, ShapSection, load_run_config)
+from wqpanel.run_config import (OUTPUT_DIR_ENV, ConfigError, DataSection, RunConfig,
+                                ShapSection, load_run_config)
+from wqpanel.tuner import CVConfig
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -72,7 +73,7 @@ def test_any_config_value_loads_or_fails_naming_its_key(config_path, path, value
 
 
 # the JSON objects whose keys are the fields of a config dataclass
-SECTIONS = {(): RunConfig, ("data",): DataSection, ("cv",): CVSection, ("shap",): ShapSection}
+SECTIONS = {(): RunConfig, ("data",): DataSection, ("cv",): CVConfig, ("shap",): ShapSection}
 
 
 @given(section=st.sampled_from(sorted(SECTIONS)), key=st.text(max_size=6))
@@ -91,7 +92,7 @@ def test_a_key_that_is_not_a_setting_fails_naming_its_path(config_path, section,
 def test_a_config_of_seed_and_data_takes_each_default_of_its_dataclass(config_path):
     config_path.write_text(json.dumps({"seed": 3, "data": VALID_CONFIG["data"]}))
     cfg = load_run_config(config_path)
-    assert (cfg.cv, cfg.shap) == (CVSection(), ShapSection())
+    assert (cfg.cv, cfg.shap) == (CVConfig(), ShapSection())
     assert cfg == RunConfig(seed=3, data=cfg.data, output_dir=config_path.parent / "out")
     assert cfg.data.train_csv == config_path.parent / "train.csv"
 

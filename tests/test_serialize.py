@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import JSON_VALUES
 from wqpanel.families import FAMILIES
-from wqpanel.features import Categoricals
+from wqpanel.features import Categoricals, Strategy
 from wqpanel.fieldtypes import build, to_json
 from wqpanel.serialize import PipelineState, load_model, save_model
 
@@ -17,7 +17,7 @@ from wqpanel.serialize import PipelineState, load_model, save_model
 @pytest.fixture(scope="module")
 def pipeline_state():
     return PipelineState(
-        strategy=1,
+        strategy=Strategy.RAW_NUMERIC,
         categoricals=Categoricals(),
         column_names=("X1", "X2", "X3"),
         standardizer=None,
@@ -115,7 +115,7 @@ def test_pipeline_state_round_trip():
     from wqpanel.features import StandardizationParams
 
     state = PipelineState(
-        strategy=3,
+        strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL,
         categoricals=Categoricals(month=False, weekday=False, season=False, year_ordinal=True),
         column_names=("X1", "year", "site=a", "site=b"),
         standardizer=StandardizationParams(mean=np.array([0.5, 2017.0]),

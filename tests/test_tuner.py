@@ -22,7 +22,7 @@ from wqpanel.tuner import (TAG_FIT, CVConfig, FitFailedError, FoldScheme,
 # ------------------------------------------------------------------ folds
 
 def test_kfold_partitions_ten_rows():
-    folds = kfold_split(10, CVConfig(k=5, seed=0))
+    folds = kfold_split(10, CVConfig(k=5), 0)
     vals = [v for _, v in folds]
     assert all(len(v) == 2 for v in vals)
     union = np.sort(np.concatenate(vals))
@@ -33,25 +33,25 @@ def test_kfold_partitions_ten_rows():
 
 
 def test_blocked_folds_are_contiguous_chunks():
-    folds = kfold_split(6, CVConfig(k=3, seed=9, scheme=FoldScheme.BLOCKED_BY_TIME))
+    folds = kfold_split(6, CVConfig(k=3, scheme=FoldScheme.BLOCKED_BY_TIME), 9)
     vals = [v.tolist() for _, v in folds]
     assert vals == [[0, 1], [2, 3], [4, 5]]
 
 
 def test_folds_deterministic_under_seed():
-    a = kfold_split(23, CVConfig(k=4, seed=3))
-    b = kfold_split(23, CVConfig(k=4, seed=3))
+    a = kfold_split(23, CVConfig(k=4), 3)
+    b = kfold_split(23, CVConfig(k=4), 3)
     for (ta, va), (tb, vb) in zip(a, b):
         np.testing.assert_array_equal(ta, tb)
         np.testing.assert_array_equal(va, vb)
-    c = kfold_split(23, CVConfig(k=4, seed=4))
+    c = kfold_split(23, CVConfig(k=4), 4)
     assert any(not np.array_equal(va, vc) for (_, va), (_, vc) in zip(a, c))
 
 
 @given(st.integers(2, 8), st.integers(0, 50), st.sampled_from(list(FoldScheme)))
 def test_kfold_properties(k, extra, scheme):
     n = k + extra
-    folds = kfold_split(n, CVConfig(k=k, seed=1, scheme=scheme))
+    folds = kfold_split(n, CVConfig(k=k, scheme=scheme), 1)
     assert len(folds) == k
     sizes = [len(v) for _, v in folds]
     assert max(sizes) - min(sizes) <= 1
@@ -65,9 +65,9 @@ def test_kfold_properties(k, extra, scheme):
 
 def test_kfold_rejects_small_n_and_k():
     with pytest.raises(ValueError):
-        kfold_split(3, CVConfig(k=5, seed=0))
+        kfold_split(3, CVConfig(k=5), 0)
     with pytest.raises(ValueError):
-        CVConfig(k=1, seed=0)
+        CVConfig(k=1)
 
 
 # ------------------------------------------------------------------ grid
@@ -110,11 +110,11 @@ def _search_data(seed=0, n=60, p=3):
 def test_single_config_grid_runs_k_fits():
     X, y = _search_data()
     result = grid_search("elastic_net", {"lam": (0.01,)},
-                         X, y, CVConfig(k=5, seed=1), seed=7)
+                         X, y, CVConfig(k=5), seed=7)
     assert result.total_fits == 5
     assert result.best_config == {"lam": 0.01}
     assert len(result.fold_scores[0]) == 5
-    assert result.average_tuning == pytest.approx(result.tuning_time / 5)
+    assert result.timing.average_tuning == pytest.approx(result.timing.tuning_time / 5)
 
 
 def test_thirty_config_grid_gives_150_fits():
@@ -122,7 +122,7 @@ def test_thirty_config_grid_gives_150_fits():
     grid = {"lam": tuple(10.0 ** -e for e in range(5)),
             "alpha": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)}
     assert len(grid_configs(grid)) == 30
-    result = grid_search("elastic_net", grid, X, y, CVConfig(k=5, seed=1), seed=7)
+    result = grid_search("elastic_net", grid, X, y, CVConfig(k=5), seed=7)
     assert result.total_fits == 150
     assert len(grid_configs(grid)) * 5 == result.total_fits
 
@@ -130,7 +130,7 @@ def test_thirty_config_grid_gives_150_fits():
 def test_winner_attains_max_mean_score():
     X, y = _search_data(seed=3)
     grid = {"lam": (1e-6, 0.1, 10.0), "alpha": (0.0, 1.0)}
-    result = grid_search("elastic_net", grid, X, y, CVConfig(k=4, seed=2), seed=5)
+    result = grid_search("elastic_net", grid, X, y, CVConfig(k=4), seed=5)
     assert result.mean_scores[result.best_index] == max(result.mean_scores)
 
 
@@ -140,14 +140,14 @@ def test_data_generating_config_ranks_first():
     X = rng.standard_normal((80, 3))
     y = 3.0 + X @ np.array([2.0, -1.0, 0.5])
     grid = {"lam": (1e-8, 5.0), "alpha": (1.0,)}
-    result = grid_search("elastic_net", grid, X, y, CVConfig(k=5, seed=0), seed=0)
+    result = grid_search("elastic_net", grid, X, y, CVConfig(k=5), seed=0)
     assert result.best_config["lam"] == 1e-8
 
 
 def test_tie_breaks_to_earliest_config():
     X, y = _search_data(seed=5)
     grid = {"lam": (0.01, 0.01)}  # duplicated axis value
-    result = grid_search("elastic_net", grid, X, y, CVConfig(k=3, seed=1), seed=1)
+    result = grid_search("elastic_net", grid, X, y, CVConfig(k=3), seed=1)
     assert result.best_index == 0
 
 
@@ -173,7 +173,7 @@ ONE_ARCHITECTURE = {"hidden_layers": ([4],), "activation": ("relu", "tanh"),
 def test_parallel_matches_serial(family, axes, k, n_jobs):
     X, y = _search_data(seed=6, n=48 if k == 3 else 47)
     grid = axes
-    cv = CVConfig(k=k, seed=4)
+    cv = CVConfig(k=k)
     serial = grid_search(family, grid, X, y, cv, seed=11, n_jobs=1)
     parallel = grid_search(family, grid, X, y, cv, seed=11, n_jobs=n_jobs)
     assert serial.best_config == parallel.best_config
@@ -216,7 +216,7 @@ def test_serial_search_runs_one_task_over_all_folds(monkeypatch, family, axes):
         return _task(chunk)
 
     monkeypatch.setattr(tuner, "_pool_task", counted)
-    result = grid_search(family, axes, X, y, CVConfig(k=3, seed=4), seed=2)
+    result = grid_search(family, axes, X, y, CVConfig(k=3), seed=2)
     assert tasks == [[0, 1, 2]]
     assert result.total_fits == len(grid_configs(axes)) * 3
 
@@ -233,7 +233,7 @@ def test_serial_mlp_search_stacks_an_architecture_across_folds(monkeypatch, n, s
 
     monkeypatch.setattr(nn, "_fit_stack", counted)
     X, y = _search_data(seed=8, n=n)
-    grid_search("mlp", SERIAL_CASES["mlp"], X, y, CVConfig(k=3, seed=4), seed=2)
+    grid_search("mlp", SERIAL_CASES["mlp"], X, y, CVConfig(k=3), seed=2)
     assert sizes == stacks + [1]  # and the winner's refit
 
 
@@ -350,7 +350,7 @@ def test_fit_fold_equals_fit_of_each_config_of_a_drawn_grid(name, data):
     n = data.draw(st.sampled_from([30, 31, 32, 33]), label="n")
     X, y = _search_data(seed=24, n=n, p=3)
     X[:, 1] = np.round(X[:, 1])  # tied values and tied gains
-    folds = [train for train, _ in kfold_split(n, CVConfig(k=k, seed=n))]
+    folds = [train for train, _ in kfold_split(n, CVConfig(k=k), n)]
     cfgs = [_tuner_configs(family, axes, seed=3, fold=fi)[1] for fi in range(k)]
     models = family.fit_folds(X, y, folds, cfgs)
     for fi, train in enumerate(folds):
@@ -404,7 +404,7 @@ def test_gbdt_fit_fold_groups_only_configs_a_prefix_reproduces(monkeypatch):
 def test_gbdt_grid_search_equals_per_config_fits(monkeypatch):
     X, y = _search_data(seed=15, n=45)
     grid = {"n_trees": (2, 6, 4), "max_depth": (1, 2), "gamma": (0.0, 0.05)}
-    cv = CVConfig(k=3, seed=6)
+    cv = CVConfig(k=3)
     shared = grid_search("gbdt", grid, X, y, cv, seed=2)
     monkeypatch.setitem(FAMILIES, "gbdt", _per_config("gbdt"))
     alone = grid_search("gbdt", grid, X, y, cv, seed=2)
@@ -469,7 +469,7 @@ def test_prefix_fold_shares_a_fit_only_under_one_seed(monkeypatch):
 ], ids=["random_forest", "gbdt_goss"])
 def test_prefix_grid_search_equals_per_config_fits(monkeypatch, name, axes):
     X, y = _search_data(seed=20, n=45)
-    cv = CVConfig(k=3, seed=6)
+    cv = CVConfig(k=3)
     shared = grid_search(name, axes, X, y, cv, seed=2)
     monkeypatch.setitem(FAMILIES, name, _per_config(name))
     alone = grid_search(name, axes, X, y, cv, seed=2)
@@ -483,7 +483,7 @@ def test_gbdt_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
     # built, before any fit, and names itself as a per-config fit does
     X, y = _search_data(seed=16, n=30)
     grid = {"n_trees": (2, 4), "max_depth": (1, -1, 2)}
-    cv = CVConfig(k=3, seed=0)
+    cv = CVConfig(k=3)
     fitted = _counting_fit(monkeypatch)
     with pytest.raises(FitFailedError) as shared:
         grid_search("gbdt", grid, X, y, cv, seed=3)
@@ -500,7 +500,7 @@ def test_mlp_invalid_config_fails_as_per_config_fits_name_it(monkeypatch):
     # the invalid width sits mid-grid, between configs of two lockstep groups
     X, y = _search_data(seed=17, n=30)
     grid = {"hidden_layers": ([3], [0], [2, 2]), "max_epochs": (2,)}
-    cv = CVConfig(k=3, seed=0)
+    cv = CVConfig(k=3)
     with pytest.raises(FitFailedError) as shared:
         grid_search("mlp", grid, X, y, cv, seed=3)
     monkeypatch.setitem(FAMILIES, "mlp", _per_config("mlp"))
@@ -518,8 +518,8 @@ def test_mlp_failures_across_groups_and_folds_fail_as_per_config_fits_name_them(
     # the narrow net's group, fit first, fails on folds 1 and 2. The first
     # cell to fail in fold order, not the first group, must name itself.
     X, y = _search_data(seed=25, n=30)
-    cv = CVConfig(k=3, seed=5)
-    folds = kfold_split(len(y), cv)
+    cv = CVConfig(k=3)
+    folds = kfold_split(len(y), cv, 3)
     X[folds[0][1]] *= 40.0
     X[folds[2][1]] *= 5.0
     grid = {"hidden_layers": ([2], [32]), "learning_rate": (0.001, 0.01),
@@ -553,7 +553,7 @@ def test_mlp_divergence_fails_the_config_per_config_fits_name(monkeypatch):
     grid = {"learning_rate": (1e-4, 50.0, 2e-4),
             "hidden_layers": ([16],), "batch_size": (8,),
             "max_epochs": (6,)}
-    cv = CVConfig(k=3, seed=0)
+    cv = CVConfig(k=3)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(FitFailedError) as shared:
             grid_search("mlp", grid, X * 10.0, y * 10.0, cv, seed=3)
@@ -569,14 +569,14 @@ def test_invalid_grid_name_rejected():
     X, y = _search_data()
     with pytest.raises(ValueError, match="invalid for family"):
         grid_search("elastic_net", {"depth": (1,)},
-                    X, y, CVConfig(k=3, seed=0))
+                    X, y, CVConfig(k=3))
 
 
 def test_a_tol_axis_is_refused_naming_it():
     # the exact solver has no stop tolerance to tune
     X, y = _search_data()
     with pytest.raises(ValueError, match=r"grid names \['tol'\] invalid for family 'elastic_net'"):
-        grid_search("elastic_net", {"tol": (float("inf"),)}, X, y, CVConfig(k=3, seed=0))
+        grid_search("elastic_net", {"tol": (float("inf"),)}, X, y, CVConfig(k=3))
 
 
 def test_fit_failure_identifies_config():
@@ -585,7 +585,7 @@ def test_fit_failure_identifies_config():
     grid = {"lam": (0.01, 0.1, -1.0, 1.0)}  # invalid once built
     with pytest.raises(FitFailedError,
                        match=r"config \{'lam': -1\.0\} on fold 0: lam must be >= 0"):
-        grid_search("elastic_net", grid, X, y, CVConfig(k=3, seed=0))
+        grid_search("elastic_net", grid, X, y, CVConfig(k=3))
 
 
 @pytest.mark.parametrize("family, params, message", [
@@ -632,13 +632,13 @@ def test_out_of_range_config_value_fails_naming_the_config(family, params, messa
     X, y = _search_data(n=20)
     grid = {name: (value,) for name, value in params.items()}
     with pytest.raises(FitFailedError, match=re.escape(f"config {params} on fold 0: {message}")):
-        grid_search(family, grid, X, y, CVConfig(k=3, seed=0))
+        grid_search(family, grid, X, y, CVConfig(k=3))
 
 
 def test_seeded_search_reproducible():
     X, y = _search_data(seed=8)
     grid = {"n_trees": (4,), "max_depth": (2, 3)}
-    cv = CVConfig(k=3, seed=2)
+    cv = CVConfig(k=3)
     a = grid_search("random_forest", grid, X, y, cv, seed=21)
     b = grid_search("random_forest", grid, X, y, cv, seed=21)
     assert a.mean_scores == b.mean_scores
@@ -664,7 +664,7 @@ def _assert_tuner_fit_seeds(monkeypatch, name, axes, keys):
 
     monkeypatch.setitem(FAMILIES, name, dataclasses.replace(family, config=config))
     X, y = _search_data(seed=21, n=30)
-    result = grid_search(name, axes, X, y, CVConfig(k=3, seed=1), seed=9)
+    result = grid_search(name, axes, X, y, CVConfig(k=3), seed=9)
     for ci, (params, key) in enumerate(zip(grid_configs(axes), keys)):
         expected = {subseed(9, TAG_FIT, key, fi) for fi in range(3)}
         if ci == result.best_index:
@@ -719,5 +719,5 @@ def test_zero_target_does_not_abort_search():
     y = 1.0 + X @ [0.5, -0.3]
     y[3] = 0.0
     result = grid_search("elastic_net", {"lam": (0.01, 0.1)}, X, y,
-                         CVConfig(k=4, seed=0))
+                         CVConfig(k=4))
     assert np.isfinite(result.mean_scores).all()
