@@ -297,7 +297,7 @@ def _cmd_tune(args) -> int:
             print(f"{family}: feature importance unavailable for this family")
         print(f"{family}: best {result.best_config} "
               f"mean CV score {result.mean_scores[result.best_index]:.6f} "
-              f"({result.total_fits} fits, {result.timing.tuning_time:.2f}s)")
+              f"({result.timing.total_fits} fits, {result.timing.tuning_time:.2f}s)")
 
     persist_tuning_artifacts(cfg.output_dir, cfg.strategy, tuning, importances,
                              state, cfg.seed)
@@ -368,9 +368,7 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
 
 
 def _cmd_explain(args) -> int:
-    # imported here, as the registry imports the learners when first read,
-    # so that ingest, stats and report load no learner module
-    from .families import FAMILIES
+    # imported here, so that only explain loads the SHAP module
     from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                              mean_abs_shap, players_from_design, sample_background,
                              shap_for_dataset, write_mean_abs_csv, write_values_csv)
@@ -379,6 +377,7 @@ def _cmd_explain(args) -> int:
     bundle = load_model(args.model)
     kind = args.kind or cfg.shap.kind
     if kind == "retrain" and not bundle.family.cheap_refit:
+        from .families import FAMILIES  # every entry, and so every learner
         cheap = tuple(name for name, family in FAMILIES.items() if family.cheap_refit)
         raise ValueError(f"retrain value function is restricted to cheap families "
                          f"{cheap}, got {bundle.family.name!r}")

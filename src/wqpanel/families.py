@@ -25,11 +25,15 @@ under one seed the first k trees of a longer fit are the k-tree fit; its
 entry names n_trees as its prefix_axis, and the tuner keys the fit seed
 on the config without that axis, so such configs share a seed.
 
-The registry is built on first use. FAMILY_NAMES, each family's display
-name and hyperparameter names, loads without any learner, so the stages
-that only read names (ingest, stats, report) never import one; the first
-read of FAMILIES, or get_family, imports the learners and builds the
-entries, whose names come from that table. A new family's names go there.
+The registry is built on first use, entry by entry. FAMILY_NAMES, each
+family's display name and hyperparameter names, loads without any
+learner, so the stages that only read names (ingest, stats, report) never
+import one. get_family(name) builds that one entry and imports only its
+learner; the first read of FAMILIES builds every entry, in the order of
+FAMILY_NAMES, into the same dict that get_family reads. An entry names its
+SHAP hook, which it looks up on shap_exact when the hook is first used, so
+only explain loads shap_exact. A new family's names go into FAMILY_NAMES
+and its hooks into _HOOKS.
 """
 
 from __future__ import annotations
@@ -86,18 +90,31 @@ class ModelFamily:
     # shared across them
     fit_folds: Callable[[np.ndarray, np.ndarray, Sequence[np.ndarray],
                          Sequence[Sequence[Any]]], Iterator[Any]]
-    # exactly one of the two SHAP hooks is set. Exact marginal SHAP in
-    # polynomial time: (model, x, background, player_columns) -> phi
-    shap_solver: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
-                          np.ndarray] | None = None
-    # the marginalize game on all 2^M coalitions without masking:
-    # (model, x, background, player_columns) -> v in coalition id order
-    shap_coalitions: Callable[[Any, np.ndarray, np.ndarray, list[list[int]]],
-                              np.ndarray] | None = None
+    # the shap_exact function that explains the family's models, by name,
+    # and which of the two SHAP hooks it is (shap_solver or shap_coalitions)
+    shap_hook: str
+    shap_by_coalitions: bool = False
     cheap_refit: bool = False
     # the axis the tuner leaves out of a config's fit-seed key, so configs
     # that differ only on it share a seed (and fit_folds can share their fit)
     prefix_axis: str | None = None
+
+    # Exactly one of the two SHAP hooks is set, each read from shap_exact
+    # when it is used. shap_solver, exact marginal SHAP in polynomial time:
+    # (model, x, background, player_columns) -> phi. shap_coalitions, the
+    # marginalize game on all 2^M coalitions without masking: (model, x,
+    # background, player_columns) -> v in coalition id order.
+    @property
+    def shap_solver(self) -> Callable | None:
+        return None if self.shap_by_coalitions else self._shap()
+
+    @property
+    def shap_coalitions(self) -> Callable | None:
+        return self._shap() if self.shap_by_coalitions else None
+
+    def _shap(self) -> Callable:
+        from . import shap_exact
+        return getattr(shap_exact, self.shap_hook)
 
 
 def _check_arena(tree: tr.RegressionTree, n_columns: int, where: str) -> None:
@@ -213,16 +230,17 @@ def _prefix_group(fit):
     return fit_group
 
 
-def _ensemble_hooks(fit, **hooks) -> dict:
-    """A tree-ensemble entry's hooks: its learner ``fit``, shared through
-    the n_trees prefix hook, and the ensemble predict, bundle, importance
-    and TreeSHAP functions."""
-    return dict(fit=fit,
+def _ensemble_hooks(config, fit, default_grid) -> dict:
+    """A tree-ensemble entry's hooks: its config builder, its learner
+    ``fit``, shared through the n_trees prefix hook, its default grid, and
+    the ensemble predict, bundle, importance and TreeSHAP functions."""
+    global tr
+    from . import trees as tr
+    return dict(config=config, fit=fit, default_grid=default_grid,
                 fit_folds=_grouped_folds(_prefix_key, _on_one_fold(_prefix_group(fit))),
                 prefix_axis="n_trees",
                 predict=tr.predict_ensemble, restore=_ensemble_restore,
-                importance=tr.total_gain_importance,
-                shap_solver=sh.ensemble_shap, **hooks)
+                importance=tr.total_gain_importance, shap_hook="ensemble_shap")
 
 
 def _goss_config(params, seed) -> tr.GBDTConfig:
@@ -270,108 +288,124 @@ def _linear_restore(raw, n_columns: int) -> en.LinearModel:
     return model
 
 
-def _build() -> dict[str, ModelFamily]:
-    """The registry: each entry's names from FAMILY_NAMES and its hooks.
-    The learner modules are imported here, as the module globals en, nn,
-    sh and tr that the helpers above call."""
-    global en, nn, sh, tr
-    from . import elastic_net, mlp, shap_exact, trees
-    en, nn, sh, tr = elastic_net, mlp, shap_exact, trees
+# The default grids are sized so that config count x 5 folds lands on the
+# per-family fit budgets used for the timing summaries (150 / 1200 / 5760 /
+# 2000 / 40). Contents are run-config defaults, not contracts. Each fit looks
+# its learner up on the learner's module when it runs, so a patched module
+# function is the one that runs. Each family's hooks import its learner
+# module, as the module global (en, nn or tr) that the helpers above call.
 
-    # The default grids are sized so that config count x 5 folds lands on the
-    # per-family fit budgets used for the timing summaries (150 / 1200 / 5760 /
-    # 2000 / 40). Contents are run-config defaults, not contracts. Each fit looks
-    # its learner up on the learner's module when it runs, so a patched module
-    # function is the one that runs.
-    hooks = {
-        "elastic_net": dict(
-            config=lambda params, seed: build(en.ElasticNetConfig, params),
-            fit=lambda X, y, cfg: en.fit_elastic_net(X, y, cfg),
-            predict=en.predict_linear,
-            restore=_linear_restore,
-            importance=lambda m, p: np.abs(m.coefficients),
-            shap_solver=sh.linear_shap,
-            default_grid={
-                "lam": list(en.DEFAULT_LAMBDA_GRID),
-                "alpha": list(en.DEFAULT_ALPHA_GRID),
-            },  # 30 configs
-            cheap_refit=True,
-            fit_folds=_grouped_folds(lambda cfg, fold, n_rows: (fold, cfg.standardize_internally),
-                                     _on_one_fold(_elastic_net_group)),
-        ),
-        # each ensemble grid lists n_trees last, so each prefix group's configs
-        # are adjacent and the hook holds one longest fit at a time
-        "random_forest": _ensemble_hooks(
-            config=lambda params, seed: build(tr.RFConfig, params, seed=seed),
-            fit=lambda X, y, cfg: tr.fit_random_forest(X, y, cfg),
-            default_grid={
-                "max_depth": [4, 6, 8, 10],
-                "min_samples_leaf": [1, 2, 4],
-                "max_features": [3, 5, 7, 11],
-                "n_trees": [100, 200, 300, 400, 500],
-            },  # 240 configs
-        ),
-        "gbdt": _ensemble_hooks(
-            config=lambda params, seed: build(tr.GBDTConfig, params, seed=seed, goss=None),
-            fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
-            default_grid={
-                "learning_rate": [0.01, 0.05, 0.1, 0.2],
-                "max_depth": [3, 4, 5, 6],
-                "min_child_weight": [1.0, 3.0, 5.0],
-                "reg_lambda": [0.0, 0.5, 1.0],
-                "gamma": [0.0, 0.1],
-                "n_trees": [100, 200, 300, 400],
-            },  # 1152 configs
-        ),
-        "gbdt_goss": _ensemble_hooks(
-            config=_goss_config,
-            fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
-            default_grid={
-                "learning_rate": [0.01, 0.05, 0.1, 0.2],
-                "max_depth": [3, 4, 5, 6],
-                "top_rate": [0.1, 0.2, 0.3, 0.4, 0.5],
-                "n_trees": [100, 200, 300, 400, 500],
-            },  # 400 configs
-        ),
-        "mlp": dict(
-            config=lambda params, seed: build(nn.MLPConfig, params, seed=seed),
-            fit=lambda X, y, cfg: nn.fit_mlp(X, y, cfg)[0],
-            predict=nn.predict_mlp,
-            restore=_mlp_restore,
-            importance=lambda m, p: None,
-            shap_coalitions=sh.mlp_coalition_values,
-            default_grid={
-                "hidden_layers": [[32], [64], [64, 32], [128, 64]],
-                "activation": ["relu", "tanh"],
-            },  # 8 configs
-            fit_folds=_grouped_folds(lambda cfg, fold, n_rows: nn.lockstep_key(cfg, n_rows),
-                                     _mlp_group),
-        ),
-    }
-    return {name: ModelFamily(name=name, **FAMILY_NAMES[name]._asdict(), **entry)
-            for name, entry in hooks.items()}
+def _elastic_net_hooks() -> dict:
+    global en
+    from . import elastic_net as en
+    return dict(
+        config=lambda params, seed: build(en.ElasticNetConfig, params),
+        fit=lambda X, y, cfg: en.fit_elastic_net(X, y, cfg),
+        predict=en.predict_linear,
+        restore=_linear_restore,
+        importance=lambda m, p: np.abs(m.coefficients),
+        shap_hook="linear_shap",
+        default_grid={
+            "lam": list(en.DEFAULT_LAMBDA_GRID),
+            "alpha": list(en.DEFAULT_ALPHA_GRID),
+        },  # 30 configs
+        cheap_refit=True,
+        fit_folds=_grouped_folds(lambda cfg, fold, n_rows: (fold, cfg.standardize_internally),
+                                 _on_one_fold(_elastic_net_group)),
+    )
 
 
-def _registry() -> dict[str, ModelFamily]:
-    """FAMILIES, built on the first call and then kept as the module global,
-    so every reader shares the one dict that get_family reads."""
-    global FAMILIES
-    if "FAMILIES" not in globals():
-        FAMILIES = _build()
-    return FAMILIES
+# each ensemble grid lists n_trees last, so each prefix group's configs are
+# adjacent and the hook holds one longest fit at a time
+
+def _random_forest_hooks() -> dict:
+    return _ensemble_hooks(
+        config=lambda params, seed: build(tr.RFConfig, params, seed=seed),
+        fit=lambda X, y, cfg: tr.fit_random_forest(X, y, cfg),
+        default_grid={
+            "max_depth": [4, 6, 8, 10],
+            "min_samples_leaf": [1, 2, 4],
+            "max_features": [3, 5, 7, 11],
+            "n_trees": [100, 200, 300, 400, 500],
+        },  # 240 configs
+    )
+
+
+def _gbdt_hooks() -> dict:
+    return _ensemble_hooks(
+        config=lambda params, seed: build(tr.GBDTConfig, params, seed=seed, goss=None),
+        fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
+        default_grid={
+            "learning_rate": [0.01, 0.05, 0.1, 0.2],
+            "max_depth": [3, 4, 5, 6],
+            "min_child_weight": [1.0, 3.0, 5.0],
+            "reg_lambda": [0.0, 0.5, 1.0],
+            "gamma": [0.0, 0.1],
+            "n_trees": [100, 200, 300, 400],
+        },  # 1152 configs
+    )
+
+
+def _gbdt_goss_hooks() -> dict:
+    return _ensemble_hooks(
+        config=_goss_config,
+        fit=lambda X, y, cfg: tr.fit_gbdt(X, y, cfg),
+        default_grid={
+            "learning_rate": [0.01, 0.05, 0.1, 0.2],
+            "max_depth": [3, 4, 5, 6],
+            "top_rate": [0.1, 0.2, 0.3, 0.4, 0.5],
+            "n_trees": [100, 200, 300, 400, 500],
+        },  # 400 configs
+    )
+
+
+def _mlp_hooks() -> dict:
+    global nn
+    from . import mlp as nn
+    return dict(
+        config=lambda params, seed: build(nn.MLPConfig, params, seed=seed),
+        fit=lambda X, y, cfg: nn.fit_mlp(X, y, cfg)[0],
+        predict=nn.predict_mlp,
+        restore=_mlp_restore,
+        importance=lambda m, p: None,
+        shap_hook="mlp_coalition_values",
+        shap_by_coalitions=True,
+        default_grid={
+            "hidden_layers": [[32], [64], [64, 32], [128, 64]],
+            "activation": ["relu", "tanh"],
+        },  # 8 configs
+        fit_folds=_grouped_folds(lambda cfg, fold, n_rows: nn.lockstep_key(cfg, n_rows),
+                                 _mlp_group),
+    )
+
+
+_HOOKS = {"elastic_net": _elastic_net_hooks, "random_forest": _random_forest_hooks,
+          "gbdt": _gbdt_hooks, "gbdt_goss": _gbdt_goss_hooks, "mlp": _mlp_hooks}
+
+# the built entries: get_family adds one at a time, and the first read of
+# FAMILIES completes it, in registry order, as that module global
+_REGISTRY: dict[str, ModelFamily] = {}
+
+
+def _entry(name: str) -> ModelFamily:
+    return ModelFamily(name=name, **FAMILY_NAMES[name]._asdict(), **_HOOKS[name]())
 
 
 def __getattr__(name: str):
     # PEP 562: the first read of families.FAMILIES, an import of it included
     if name == "FAMILIES":
-        return _registry()
+        global FAMILIES
+        for family in FAMILY_NAMES:  # re-inserted in order; built entries are kept
+            _REGISTRY[family] = _REGISTRY.pop(family, None) or _entry(family)
+        FAMILIES = _REGISTRY
+        return FAMILIES
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def get_family(name: str) -> ModelFamily:
-    families = _registry()
-    try:
-        return families[name]
-    except KeyError:
-        raise ValueError(f"unknown model family {name!r}; "
-                         f"known: {sorted(families)}") from None
+    if name not in _REGISTRY:
+        if name not in FAMILY_NAMES:
+            raise ValueError(f"unknown model family {name!r}; "
+                             f"known: {sorted(FAMILY_NAMES)}")
+        _REGISTRY[name] = _entry(name)
+    return _REGISTRY[name]

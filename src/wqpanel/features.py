@@ -4,6 +4,11 @@ Strategy 1: raw numeric features. Strategy 2: the same features
 standardized with train-fitted z-scores. Strategy 3: standardized numerics
 plus one-hot spatio-temporal categoricals: the row's site, and the month,
 weekday and meteorological season read straight off the row's date.
+
+A stacked table keeps the panel's date and site axes, so every calendar
+label and ordinal is worked out once per date and every site code once
+per site; the design is then written into one preallocated matrix, row
+i*K + j taking date i's and site j's codes.
 """
 
 from __future__ import annotations
@@ -31,23 +36,6 @@ class UnseenLabelError(ValueError):
     def __init__(self, label):
         self.label = label
         super().__init__(f"label {label!r} not in vocabulary")
-
-
-def one_hot_encode(values, vocabulary) -> np.ndarray:
-    """One column per vocabulary entry; each row has exactly one 1.
-
-    Unseen labels raise UnseenLabelError; there is no silent 'other' bucket.
-    """
-    vocabulary = list(vocabulary)
-    index = {label: i for i, label in enumerate(vocabulary)}
-    try:
-        codes = np.fromiter((index[value] for value in values), dtype=np.intp,
-                            count=len(values))
-    except KeyError as exc:
-        raise UnseenLabelError(exc.args[0]) from None
-    out = np.zeros((len(values), len(vocabulary)), dtype=float)
-    out[np.arange(len(values)), codes] = 1.0
-    return out
 
 
 @dataclass(frozen=True)
@@ -83,7 +71,8 @@ def apply_standardizer(params: StandardizationParams, data: np.ndarray) -> np.nd
             f"column count {data.shape[1] if data.ndim == 2 else '?'} "
             f"does not match params length {len(params.mean)}")
     safe = np.where(params.sd == 0.0, 1.0, params.sd)
-    z = (data - params.mean) / safe
+    z = data - params.mean
+    z /= safe  # in place: a second temporary of z's size costs more than the division
     z[:, params.sd == 0.0] = 0.0
     return z
 
@@ -156,18 +145,42 @@ class DesignMatrix:
         return len(self.column_names)
 
 
+# a date's label in each calendar group, and the ordinals: the date
+# attribute each one reads, by the Categoricals field that adds it
+_DATE_LABELS = {"month": lambda d: d.month, "weekday": lambda d: d.weekday(),
+                "season": lambda d: _MONTH_SEASON[d.month]}
+_ORDINALS = {"year": "year_ordinal", "day": "day_ordinal"}
+
+
 def numeric_block(table: StackedTable, cfg: StrategyConfig) -> tuple[list[str], np.ndarray]:
-    """The numeric columns a strategy uses, in X1..Xp order (plus optional ordinals)."""
+    """The numeric columns a strategy uses, in X1..Xp order (plus optional
+    ordinals, each read once per date)."""
     names = list(table.feature_names)
-    cols = [table.X]
     if cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
-        if cfg.categoricals.year_ordinal:
-            names.append("year")
-            cols.append(np.array([[d.year] for d in table.dates], dtype=float))
-        if cfg.categoricals.day_ordinal:
-            names.append("day")
-            cols.append(np.array([[d.day] for d in table.dates], dtype=float))
-    return names, np.column_stack(cols) if len(cols) > 1 else cols[0].copy()
+        names += [name for name, flag in _ORDINALS.items() if getattr(cfg.categoricals, flag)]
+    block = np.empty((table.row_count, len(names)))
+    p = len(table.feature_names)
+    block[:, :p] = table.X
+    for c, name in enumerate(names[p:], p):
+        per_date = np.array([getattr(d, name) for d in table.dates], dtype=float)
+        block[:, c] = np.repeat(per_date, len(table.site_ids))
+    return names, block
+
+
+def _row_codes(table: StackedTable, group: str, columns: dict) -> np.ndarray:
+    """Each row's position in its one-hot group: a code per site, or per
+    date, repeated over the other axis. Unseen labels raise
+    UnseenLabelError; there is no silent 'other' bucket."""
+    index = {label: i for i, label in enumerate(columns)}
+    labels = (table.site_ids if group == "site"
+              else map(_DATE_LABELS[group], table.dates))
+    try:
+        codes = np.array([index[label] for label in labels], dtype=np.intp)
+    except KeyError as exc:
+        raise UnseenLabelError(exc.args[0]) from None
+    if group == "site":
+        return np.tile(codes, len(table.dates))
+    return np.repeat(codes, len(table.site_ids))
 
 
 def assemble_design(table: StackedTable, cfg: StrategyConfig,
@@ -184,26 +197,25 @@ def assemble_design(table: StackedTable, cfg: StrategyConfig,
     one-hot columns line up; an unseen site raises UnseenLabelError.
     """
     names, numeric = numeric_block(table, cfg)
-    groups: dict[str, list[int]] = {}
-
-    if cfg.strategy in (Strategy.STANDARDIZED_NUMERIC, Strategy.STANDARDIZED_PLUS_CATEGORICAL):
+    if cfg.strategy != Strategy.RAW_NUMERIC:
         if params is None:
             raise ValueError(f"strategy {int(cfg.strategy)} requires standardization params")
         numeric = apply_standardizer(params, numeric)
-    blocks = [numeric]
-
+    one_hot: dict[str, dict] = {}
     if cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
-        months = [d.month for d in table.dates]
-        labels = {"site": table.site_ids, "month": months,
-                  "weekday": [d.weekday() for d in table.dates],
-                  "season": [_MONTH_SEASON[month] for month in months]}
-        if site_vocabulary is None:  # the sites in order of first appearance
-            site_vocabulary = tuple(dict.fromkeys(table.site_ids))
-        for group, columns in one_hot_columns(cfg.categoricals, site_vocabulary).items():
-            groups[group] = list(range(len(names), len(names) + len(columns)))
-            blocks.append(one_hot_encode(labels[group], columns))
-            names.extend(columns.values())
+        if site_vocabulary is None:  # the table's own sites, in its order
+            site_vocabulary = table.site_ids
+        one_hot = one_hot_columns(cfg.categoricals, site_vocabulary)
+    groups: dict[str, list[int]] = {}
+    for group, columns in one_hot.items():
+        groups[group] = list(range(len(names), len(names) + len(columns)))
+        names.extend(columns.values())
 
-    X = np.column_stack(blocks) if len(blocks) > 1 else blocks[0]
+    # the numeric block, then each one-hot block's 1 per row at its code
+    X = np.zeros((table.row_count, len(names)))
+    X[:, :numeric.shape[1]] = numeric
+    rows = np.arange(table.row_count)
+    for group, columns in one_hot.items():
+        X[rows, groups[group][0] + _row_codes(table, group, columns)] = 1.0
     return DesignMatrix(
         column_names=tuple(names), X=X, y=table.y.copy(), groups=groups)

@@ -105,16 +105,23 @@ class PanelDataset:
 class StackedTable:
     """Flat row-major view of a panel: one row per (date, site) pair.
 
-    Row i*K + j holds date_i, site_j; ordering is date-major in the panel's
-    site order.
+    The table keeps the panel's two axes, its N dates and its K sites, and
+    row i*K + j holds dates[i] and site_ids[j]; ordering is date-major in
+    the panel's site order.
     """
 
-    dates: tuple[dt.date, ...]
-    site_ids: tuple[str, ...]
+    dates: tuple[dt.date, ...]  # (N,)
+    site_ids: tuple[str, ...]  # (K,)
     feature_names: tuple[str, ...]
     X: np.ndarray  # (N*K, p)
     y: np.ndarray  # (N*K,)
     target_name: str = "Y"
+
+    def __post_init__(self):
+        rows = len(self.dates) * len(self.site_ids)
+        if len(self.X) != rows or len(self.y) != rows:
+            raise ValueError(f"{len(self.dates)} dates x {len(self.site_ids)} sites need "
+                             f"{rows} rows, X has {len(self.X)} and y {len(self.y)}")
 
     @property
     def row_count(self) -> int:
@@ -175,7 +182,16 @@ def load_sites(path: str | Path) -> None:
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"sites file {path} is not UTF-8 text: {exc}") from None
     if header is None or "site_id" not in header:
-        raise PanelFormatError(f"sites file {path} needs a 'site_id' column")
+        raise PanelFormatError(f"sites file {path} needs a 'site_id' column{_bom_note(header)}")
+
+
+def _bom_note(header: list[str] | None) -> str:
+    """What a refusal of a CSV header adds when the file starts with a
+    UTF-8 byte-order mark, which the utf-8 codec reads into the first name."""
+    if header and header[0].startswith("\ufeff"):
+        return (f"; the file starts with a UTF-8 byte-order mark, read as part of its "
+                f"first header name {header[0][1:]!r}")
+    return ""
 
 
 @dataclass(frozen=True)
@@ -212,7 +228,7 @@ def load_panel(path: str | Path, schema: PanelSchema) -> PanelDataset:
               *schema.feature_columns.values()]
     absent = [c for c in needed if c not in header]
     if absent:
-        raise PanelFormatError(f"{path}: missing columns {absent}")
+        raise PanelFormatError(f"{path}: missing columns {absent}{_bom_note(header)}")
     column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
     layout = _Layout(
         width=len(header), date=column[schema.date_column],
@@ -376,10 +392,8 @@ def validate_panel(ds: PanelDataset) -> ValidationReport:
 def stack_panel(ds: PanelDataset) -> StackedTable:
     """Flatten the panel date-major: row i*K + j carries (date_i, site_j)."""
     n, k, p = ds.n_dates, ds.n_sites, ds.n_features
-    dates = tuple(d for d in ds.dates for _ in range(k))
-    sites = tuple(s for _ in range(n) for s in ds.site_ids)
     return StackedTable(
-        dates=dates, site_ids=sites, feature_names=ds.feature_names,
+        dates=ds.dates, site_ids=ds.site_ids, feature_names=ds.feature_names,
         X=ds.features.reshape(n * k, p).copy(), y=ds.targets.reshape(n * k).copy())
 
 

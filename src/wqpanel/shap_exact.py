@@ -21,6 +21,9 @@ hooks are tested against; it lives with the tests.
 
 Players are column groups: singleton columns by default, or whole one-hot
 blocks so that a coalition toggles the entire block at once.
+
+A hook imports the learner module it needs when it runs, so explaining
+one family's model loads no other family's learner.
 """
 
 from __future__ import annotations
@@ -33,9 +36,6 @@ from typing import Any, Callable
 
 import numpy as np
 
-from . import elastic_net as en
-from . import mlp as nn
-from . import trees as tr
 from .features import DesignMatrix
 
 DEFAULT_PLAYER_CAP = 15
@@ -255,6 +255,7 @@ def ensemble_shap(model: tr.Ensemble, x: np.ndarray, background: np.ndarray,
     Equal to the 2^M masking enumeration over the same background and
     players, up to rounding; players no split uses get exactly 0.
     """
+    from . import trees as tr  # each hook imports only its own learner
     col_player = np.empty(background.shape[1], dtype=np.int64)
     for p, cols in enumerate(player_columns):
         col_player[cols] = p
@@ -285,6 +286,7 @@ def mlp_coalition_values(model: nn.MLPModel, x: np.ndarray, background: np.ndarr
     of its high players' D_g; only the layers after the first run per
     coalition. Equal to the masking enumeration up to rounding.
     """
+    from . import mlp as nn
     W, c = model.weights[0], model.biases[0]
     m, n_bg = len(player_columns), len(background)
     deltas = np.stack([(x[cols] - background[:, cols]) @ W[cols] for cols in player_columns])

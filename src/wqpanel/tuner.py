@@ -117,26 +117,25 @@ class TimingRow:
 
 @dataclass
 class TuningResult:
-    """Grid-search outcome for one family, timing included."""
+    """Grid-search outcome for one family, timing included; the family and
+    the fit count are the timing row's."""
 
-    family: str
     best_config: dict
     best_index: int
     mean_scores: tuple[float, ...]
     fold_scores: tuple[tuple[float, ...], ...]
-    total_fits: int
     timing: TimingRow
     best_model: Any = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         """Deterministic portion (excludes wall-clock timing)."""
         return {
-            "family": self.family,
+            "family": self.timing.family,
             "best_config": self.best_config,
             "best_index": self.best_index,
             "mean_scores": list(self.mean_scores),
             "fold_scores": [list(f) for f in self.fold_scores],
-            "total_fits": self.total_fits,
+            "total_fits": self.timing.total_fits,
         }
 
 
@@ -255,12 +254,10 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
     best_fit_time = time.perf_counter() - t1
 
     return TuningResult(
-        family=family_name,
         best_config=configs[best_index],
         best_index=best_index,
         mean_scores=tuple(float(s) for s in mean_scores),
         fold_scores=tuple(tuple(float(v) for v in row) for row in scores),
-        total_fits=fits_executed,
         timing=TimingRow(family_name, fits_executed, tuning_time,
                          tuning_time / fits_executed, best_fit_time),
         best_model=best_model,

@@ -24,6 +24,13 @@ hypothesis.settings.register_profile(
     "sweep", hypothesis.settings.get_profile("suite"), max_examples=1000)
 hypothesis.settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "suite"))
 
+
+def at_least(n: int) -> hypothesis.settings:
+    """Settings of n examples, or the loaded profile's count if larger: a
+    net that asks for more than the suite's keeps its count in tier-1 and
+    still grows under the sweep."""
+    return hypothesis.settings(max_examples=max(n, hypothesis.settings().max_examples))
+
 # any JSON value, non-finite numbers and integers beyond the doubles included
 JSON_LEAVES = st.one_of(
     st.none(), st.booleans(), st.text(max_size=4),

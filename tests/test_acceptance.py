@@ -300,7 +300,7 @@ def test_criterion_7_pipeline(tmp_path):
     parallel = grid_search("random_forest", grid, X, y, cv, seed=13, n_jobs=2)
     assert serial.best_config == parallel.best_config
     assert serial.mean_scores == parallel.mean_scores
-    assert serial.total_fits == parallel.total_fits == len(grid_configs(grid)) * 3
+    assert serial.timing.total_fits == parallel.timing.total_fits == len(grid_configs(grid)) * 3
 
     # end-to-end seeded CLI run is byte-reproducible (wall times aside)
     panel_train = synthetic_panel(10, 3, 4, seed=73)

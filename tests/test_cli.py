@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import copy
 import csv
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import JSON_VALUES, deterministic_files, make_panel_files
+from conftest import JSON_VALUES, at_least, deterministic_files, make_panel_files
 import wqpanel.cli as cli
 from wqpanel.cli import main
 from wqpanel.reporting import EXTERNAL_ROW_LABEL
@@ -141,11 +142,12 @@ CSV_MUTATIONS = ["drop_column", "repeat_column", "ragged_row", "repeat_row", "em
 DATED_MUTATIONS = ["bad_date"]
 
 
-@settings(max_examples=60)
+@at_least(60)
 @given(data=st.data())
 def test_any_csv_mutation_exits_cleanly_naming_file_and_field(csv_inputs, data):
     # one structural mutation of the train, test or sites CSV, written with
-    # or without a byte-order mark and with LF or CRLF line ends
+    # or without a byte-order mark and with LF or CRLF line ends; a refused
+    # file with a mark is refused naming it
     env, valid = csv_inputs
     key = data.draw(st.sampled_from(sorted(valid)), label="file")
     rows = [line.split(",") for line in valid[key].decode("utf-8").splitlines()]
@@ -188,6 +190,8 @@ def test_any_csv_mutation_exits_cleanly_naming_file_and_field(csv_inputs, data):
         assert str(env[key]) in err
         if field is not None:
             assert repr(field) in err, (field, err)
+        if bom:
+            assert "starts with a UTF-8 byte-order mark" in err, err
 
 
 def test_ingest_nan_injected_fails_with_report(panel_files, capsys):
@@ -1222,26 +1226,44 @@ def test_cli_import_leaves_the_process_pool_out():
     assert done.stdout.strip() == "[]"
 
 
-def test_ingest_stats_and_report_load_no_learner_module(panel_files):
-    """Each of these stages, run in a fresh interpreter as a chain runs it,
-    reads family names from the registry's name table and never imports a
-    learner or the SHAP module."""
-    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3)
-    cfg = str(env["config"])
-    for argv in (["tune"], ["evaluate"]):  # report needs results
-        assert _quiet_main([*argv, "--config", cfg])[0] == 0
+_LEARNERS = ("wqpanel.elastic_net", "wqpanel.trees", "wqpanel.mlp")
+_SHAP = ("wqpanel.shap_exact",)
+
+# each stage, as a chain runs it, and the modules it must not load; the
+# config's families are the elastic net only, so evaluate and explain read
+# elastic-net bundles. Run in this order: the GBDT tune comes last, so that
+# no stage before it finds a GBDT bundle.
+STAGE_UNLOADED = [
+    (["ingest"], _LEARNERS + _SHAP),
+    (["stats"], _LEARNERS + _SHAP),
+    (["tune", "--family", "elastic_net"], ("wqpanel.trees", "wqpanel.mlp") + _SHAP),
+    (["evaluate"], ("wqpanel.trees", "wqpanel.mlp") + _SHAP),
+    (["explain", "--model", "out/models/model_strategy2_elastic_net.json", "--rows", "0:2"],
+     ("wqpanel.trees", "wqpanel.mlp")),
+    (["report"], _LEARNERS + _SHAP),
+    (["tune", "--family", "gbdt"], ("wqpanel.elastic_net", "wqpanel.mlp") + _SHAP),
+]
+
+
+def test_each_stage_loads_only_the_modules_it_runs(panel_files):
+    """Each stage, run in a fresh interpreter, loads the learner of each
+    family it fits or reads a bundle of, the SHAP module only to explain,
+    and nothing else of them: the registry builds one entry at a time."""
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
+                      grids={"elastic_net": {"lam": [0.01], "alpha": [1.0]},
+                             "gbdt": {"n_trees": [2], "max_depth": [2]}})
     probe = ("import sys\nfrom wqpanel.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(sorted(m for m in ('wqpanel.trees', 'wqpanel.mlp', 'wqpanel.elastic_net', "
-             "'wqpanel.shap_exact') if m in sys.modules))\n"
+             "print(sorted(m for m in sys.modules if m.startswith('wqpanel.')))\n"
              "sys.exit(code)")
     src = str(Path(cli.__file__).parents[1])
-    for stage in ("ingest", "stats", "report"):
-        done = subprocess.run([sys.executable, "-c", probe, stage, "--config", cfg],
-                              capture_output=True, text=True,
+    for argv, unloaded in STAGE_UNLOADED:
+        done = subprocess.run([sys.executable, "-c", probe, *argv, "--config", "config.json"],
+                              capture_output=True, text=True, cwd=env["dir"],
                               env={**os.environ, "PYTHONPATH": src})
-        assert done.returncode == 0, (stage, done.stderr)
-        assert done.stdout.strip().splitlines()[-1] == "[]", stage
+        assert done.returncode == 0, (argv, done.stderr)
+        loaded = ast.literal_eval(done.stdout.strip().splitlines()[-1])
+        assert not set(loaded) & set(unloaded), (argv, sorted(set(loaded) & set(unloaded)))
 
 
 def test_report_bundles_everything(panel_files, capsys):

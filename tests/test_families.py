@@ -1,5 +1,8 @@
 import ast
 import dataclasses
+import os
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -66,6 +69,21 @@ def test_the_registry_is_one_dict(monkeypatch):
     assert fam.get_family("mlp") is patched
     with pytest.raises(AttributeError, match="no attribute 'FAMILY'"):
         fam.FAMILY
+
+
+def test_get_family_builds_one_entry_and_families_completes_it_in_order():
+    # in a fresh interpreter: get_family imports only its learner, and the
+    # first read of FAMILIES keeps the entries built so far, in registry order
+    probe = ("import sys\nfrom wqpanel.families import FAMILY_NAMES, get_family\n"
+             "mlp, en = get_family('mlp'), get_family('elastic_net')\n"
+             "print('wqpanel.trees' in sys.modules, 'wqpanel.shap_exact' in sys.modules)\n"
+             "from wqpanel.families import FAMILIES\n"
+             "print(list(FAMILIES) == list(FAMILY_NAMES), FAMILIES['mlp'] is mlp,\n"
+             "      FAMILIES['elastic_net'] is en, get_family('gbdt') is FAMILIES['gbdt'])")
+    src = str(Path(wqpanel.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout.split() == ["False", "False", "True", "True", "True", "True"]
 
 
 def test_default_grids_list_the_prefix_axis_last():

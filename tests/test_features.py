@@ -9,8 +9,23 @@ from conftest import synthetic_panel
 from wqpanel.features import (MONTH_VOCAB, SEASON_VOCAB, WEEKDAY_VOCAB, Categoricals,
                               Strategy, StrategyConfig, apply_standardizer,
                               assemble_design, fit_standardizer,
-                              numeric_block, one_hot_encode, UnseenLabelError)
-from wqpanel.panel import StackedTable, stack_panel
+                              numeric_block, UnseenLabelError)
+from wqpanel.panel import PanelDataset, StackedTable, stack_panel
+
+
+def one_hot_encode(values, vocabulary) -> np.ndarray:
+    """One column per vocabulary entry; each row has exactly one 1. Unseen
+    labels raise UnseenLabelError. The oracle's encoder: one label per row."""
+    vocabulary = list(vocabulary)
+    index = {label: i for i, label in enumerate(vocabulary)}
+    try:
+        codes = np.fromiter((index[value] for value in values), dtype=np.intp,
+                            count=len(values))
+    except KeyError as exc:
+        raise UnseenLabelError(exc.args[0]) from None
+    out = np.zeros((len(values), len(vocabulary)), dtype=float)
+    out[np.arange(len(values)), codes] = 1.0
+    return out
 
 
 def test_one_hot_hand_enumeration():
@@ -146,7 +161,7 @@ def test_strategy3_one_hot_column_sums_match_frequencies(stacked):
     month_cols = design.groups["month"]
     counts = design.X[:, month_cols].sum(axis=0)
     from collections import Counter
-    freq = Counter(d.month for d in stacked.dates)
+    freq = Counter(d.month for d in stacked.dates for _ in stacked.site_ids)
     np.testing.assert_array_equal(counts, [freq.get(m, 0) for m in MONTH_VOCAB])
 
 
@@ -192,29 +207,64 @@ SEASON_BY_MONTH = {12: "Winter", 1: "Winter", 2: "Winter",
                    9: "Fall", 10: "Fall", 11: "Fall"}
 
 
+def oracle_rows(table):
+    """Each row's date and site, read off the stacked order: row i*K + j
+    holds date i and site j."""
+    k = len(table.site_ids)
+    return ([table.dates[r // k] for r in range(table.row_count)],
+            [table.site_ids[r % k] for r in range(table.row_count)])
+
+
+def oracle_numeric(table, cfg):
+    """numeric_block's (names, block), each ordinal read off the row's own date."""
+    row_dates, _ = oracle_rows(table)
+    names, columns = list(table.feature_names), [table.X]
+    for name in ("year", "day"):
+        if (cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL
+                and getattr(cfg.categoricals, f"{name}_ordinal")):
+            names.append(name)
+            columns.append(np.array([[getattr(d, name)] for d in row_dates], dtype=float))
+    return names, np.column_stack(columns)
+
+
+def oracle_design(table, cfg, params=None, site_vocabulary=None):
+    """assemble_design's (column names, X, groups), built one row at a
+    time: each calendar label read off the row's own date, each one-hot
+    block by one_hot_encode, and the numeric block standardized as
+    (x - mean) / sd with zero-variance columns set to 0."""
+    row_dates, row_sites = oracle_rows(table)
+    names, numeric = oracle_numeric(table, cfg)
+    categorical = cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL
+    if cfg.strategy != Strategy.RAW_NUMERIC:
+        numeric = (numeric - params.mean) / np.where(params.sd == 0.0, 1.0, params.sd)
+        numeric[:, params.sd == 0.0] = 0.0
+    blocks, groups = [numeric], {}
+    if categorical:
+        labels = {"site": row_sites, "month": [d.month for d in row_dates],
+                  "weekday": [d.weekday() for d in row_dates],
+                  "season": [SEASON_BY_MONTH[d.month] for d in row_dates]}
+        vocab = {"site": list(dict.fromkeys(site_vocabulary or row_sites)),
+                 "month": list(range(1, 13)), "weekday": list(range(7)),
+                 "season": ["Winter", "Spring", "Summer", "Fall"]}
+        for group in ("site", "month", "weekday", "season"):
+            if getattr(cfg.categoricals, group):
+                groups[group] = list(range(len(names), len(names) + len(vocab[group])))
+                blocks.append(one_hot_encode(labels[group], vocab[group]))
+                names.extend(f"{group}={label}" for label in vocab[group])
+    return tuple(names), np.column_stack(blocks), groups
+
+
 def oracle_strategy3(table, params):
-    """The default strategy-3 design built one row at a time: each date
-    splits into its month, weekday (Monday = 0) and meteorological season,
-    and each row writes its four one-hot entries one by one."""
-    vocab = ([("site", s) for s in dict.fromkeys(table.site_ids)]
-             + [("month", m) for m in range(1, 13)]
-             + [("weekday", w) for w in range(7)]
-             + [("season", s) for s in ("Winter", "Spring", "Summer", "Fall")])
-    column = {key: j for j, key in enumerate(vocab)}
-    onehot = np.zeros((table.row_count, len(vocab)))
-    for r, (site, date) in enumerate(zip(table.site_ids, table.dates)):
-        for key in (("site", site), ("month", date.month),
-                    ("weekday", date.weekday()),
-                    ("season", SEASON_BY_MONTH[date.month])):
-            onehot[r, column[key]] = 1.0
-    names = (*table.feature_names, *(f"{group}={label}" for group, label in vocab))
-    return names, np.column_stack([apply_standardizer(params, table.X), onehot])
+    """The default strategy-3 design, row by row (oracle_design)."""
+    names, X, _ = oracle_design(
+        table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL), params)
+    return names, X
 
 
 def calendar_labels(date):
     """The month, weekday and season one-hot columns a strategy-3 design
     sets for one date, as their column names."""
-    table = StackedTable(dates=(date, date), site_ids=("s0", "s0"), feature_names=("X1",),
+    table = StackedTable(dates=(date, date), site_ids=("s0",), feature_names=("X1",),
                          X=np.array([[0.0], [1.0]]), y=np.zeros(2))
     design = assemble_design(
         table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL),
@@ -251,14 +301,86 @@ def _week_from(start):
 @example(_week_from(dt.date(2015, 12, 28)))  # December to January
 @example([dt.date(2016, 1, 28), dt.date(2018, 1, 1)])  # a Thursday, a Monday
 def test_strategy3_calendar_columns_match_per_row_oracle(dates):
+    # a date axis in any order, repeats included, over three sites
     rng = np.random.default_rng(len(dates))
-    table = StackedTable(dates=tuple(dates),
-                         site_ids=tuple(f"s{i % 3}" for i in range(len(dates))),
+    rows = 3 * len(dates)
+    table = StackedTable(dates=tuple(dates), site_ids=("s0", "s1", "s2"),
                          feature_names=("X1", "X2"),
-                         X=rng.uniform(size=(len(dates), 2)), y=rng.uniform(size=len(dates)))
+                         X=rng.uniform(size=(rows, 2)), y=rng.uniform(size=rows))
     params = fit_standardizer(table.X)
     design = assemble_design(
         table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL), params)
     names, X = oracle_strategy3(table, params)
     assert design.column_names == names
     assert design.X.tobytes() == X.tobytes()
+
+
+# -------------------------- design assembly against the row-by-row oracle
+# Drawn panels of 1-6 sites whose dates cross year, month and season
+# boundaries and leap days, every strategy and Categoricals combination,
+# and a test panel read against the training panel's site vocabulary.
+
+# a few days before a year, season or month boundary, or a leap day
+_BOUNDARY_STARTS = [dt.date(2015, 12, 29), dt.date(2016, 2, 27), dt.date(2016, 5, 30),
+                    dt.date(2019, 8, 30), dt.date(2019, 11, 29), dt.date(2020, 2, 28)]
+
+
+@st.composite
+def drawn_panels(draw, sites, min_dates=1):
+    """A PanelDataset on ``sites``: its dates a drawn start plus sorted
+    distinct offsets of up to 70 days, its cells from a seeded uniform,
+    with one feature made constant in some draws."""
+    start = draw(st.sampled_from(_BOUNDARY_STARTS)
+                 | st.dates(min_value=dt.date(1990, 1, 1), max_value=dt.date(2030, 12, 31)))
+    offsets = sorted(draw(st.sets(st.integers(0, 70), min_size=min_dates, max_size=12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (len(offsets), len(sites))
+    features = rng.uniform(size=(*shape, 3))
+    if draw(st.booleans()):
+        features[:, :, 1] = 0.25  # a zero-variance column
+    return PanelDataset(dates=tuple(start + dt.timedelta(days=d) for d in offsets),
+                        site_ids=tuple(sites), feature_names=("X1", "X2", "X3"),
+                        features=features, targets=rng.uniform(size=shape))
+
+
+def assert_design_equals_oracle(table, cfg, params, vocabulary):
+    design = assemble_design(table, cfg, params, vocabulary)
+    names, X, groups = oracle_design(table, cfg, params, vocabulary)
+    assert design.column_names == names
+    assert design.X.tobytes() == X.tobytes()
+    assert design.y.tobytes() == table.y.tobytes()
+    assert design.groups == groups
+
+
+@given(st.data())
+def test_design_equals_the_row_by_row_oracle_on_drawn_panels(data):
+    sites = data.draw(st.lists(st.sampled_from([f"site{j}" for j in range(9)]),
+                               min_size=1, max_size=6, unique=True), label="sites")
+    train = stack_panel(data.draw(drawn_panels(sites, min_dates=2), label="train"))
+    strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
+    flags = {f: data.draw(st.booleans(), label=f) for f in (
+        "site", "month", "weekday", "season", "year_ordinal", "day_ordinal")}
+    flags["site"] |= strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL  # strategy 3 needs it
+    cfg = StrategyConfig(strategy=strategy, categoricals=Categoricals(**flags))
+    names, numeric = oracle_numeric(train, cfg)
+    block = numeric_block(train, cfg)
+    assert block[0] == names and block[1].tobytes() == numeric.tobytes()
+    params = None if strategy == Strategy.RAW_NUMERIC else fit_standardizer(numeric)
+    assert_design_equals_oracle(train, cfg, params, None)
+    assert_design_equals_oracle(train, cfg, params, train.site_ids)
+
+    # a later panel on some of the training sites, in any order, read
+    # against the training vocabulary; an unseen site is refused by name
+    test_sites = data.draw(st.permutations(sites), label="test sites")[
+        :data.draw(st.integers(1, len(sites)), label="test site count")]
+    unseen = data.draw(st.booleans(), label="unseen")
+    if unseen:
+        test_sites[data.draw(st.integers(0, len(test_sites) - 1), label="at")] = "new site"
+    test = stack_panel(data.draw(drawn_panels(test_sites), label="test"))
+    if unseen and cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
+        with pytest.raises(UnseenLabelError, match="'new site'"):
+            assemble_design(test, cfg, params, train.site_ids)
+        with pytest.raises(UnseenLabelError, match="'new site'"):
+            oracle_design(test, cfg, params, train.site_ids)
+    else:
+        assert_design_equals_oracle(test, cfg, params, train.site_ids)

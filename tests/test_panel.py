@@ -14,12 +14,12 @@ from wqpanel.panel import (VALUE_BOUND, PanelDataset, PanelFormatError, PanelSch
                            load_sites, stack_panel, summarize, validate_panel)
 
 
-def unstack_table(table: StackedTable, n_dates: int, n_sites: int) -> PanelDataset:
+def unstack_table(table: StackedTable) -> PanelDataset:
     """Inverse of stack_panel (row order must be the stacked order)."""
-    p = len(table.feature_names)
+    n_dates, n_sites, p = len(table.dates), len(table.site_ids), len(table.feature_names)
     return PanelDataset(
-        dates=tuple(table.dates[::n_sites]),
-        site_ids=tuple(table.site_ids[:n_sites]),
+        dates=table.dates,
+        site_ids=table.site_ids,
         feature_names=table.feature_names,
         features=table.X.reshape(n_dates, n_sites, p).copy(),
         targets=table.y.reshape(n_dates, n_sites).copy(),
@@ -465,7 +465,9 @@ def test_stack_order_and_count():
     expected = [(panel.dates[0], "site00"), (panel.dates[0], "site01"),
                 (panel.dates[1], "site00"), (panel.dates[1], "site01"),
                 (panel.dates[2], "site00"), (panel.dates[2], "site01")]
-    assert list(zip(table.dates, table.site_ids)) == expected
+    k = len(table.site_ids)
+    assert [(table.dates[r // k], table.site_ids[r % k])
+            for r in range(table.row_count)] == expected
     np.testing.assert_array_equal(table.X[3], panel.features[1, 1])
     assert table.y[3] == panel.targets[1, 1]
 
@@ -475,10 +477,17 @@ def test_stack_row_count_and_roundtrip(n, k, p):
     panel = synthetic_panel(n, k, p, seed=n * 100 + k * 10 + p)
     table = stack_panel(panel)
     assert table.row_count == n * k
-    back = unstack_table(table, n, k)
+    back = unstack_table(table)
     np.testing.assert_array_equal(back.features, panel.features)
     np.testing.assert_array_equal(back.targets, panel.targets)
     assert back.dates == panel.dates and back.site_ids == panel.site_ids
+
+
+def test_stacked_table_rows_are_dates_times_sites():
+    table = stack_panel(synthetic_panel(3, 2, 2, seed=4))
+    with pytest.raises(ValueError, match="3 dates x 2 sites need 6 rows, X has 5"):
+        type(table)(dates=table.dates, site_ids=table.site_ids,
+                    feature_names=table.feature_names, X=table.X[:5], y=table.y)
 
 
 def test_dates_must_increase():
@@ -516,8 +525,7 @@ def test_summarize_order_invariance():
     table = stack_panel(panel)
     rng = np.random.default_rng(0)
     perm = rng.permutation(table.row_count)
-    shuffled = type(table)(dates=tuple(table.dates[i] for i in perm),
-                           site_ids=tuple(table.site_ids[i] for i in perm),
+    shuffled = type(table)(dates=table.dates, site_ids=table.site_ids,
                            feature_names=table.feature_names,
                            X=table.X[perm], y=table.y[perm])
     a, b = summarize(table), summarize(shuffled)

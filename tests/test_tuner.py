@@ -111,7 +111,7 @@ def test_single_config_grid_runs_k_fits():
     X, y = _search_data()
     result = grid_search("elastic_net", {"lam": (0.01,)},
                          X, y, CVConfig(k=5), seed=7)
-    assert result.total_fits == 5
+    assert result.timing.total_fits == 5
     assert result.best_config == {"lam": 0.01}
     assert len(result.fold_scores[0]) == 5
     assert result.timing.average_tuning == pytest.approx(result.timing.tuning_time / 5)
@@ -123,8 +123,8 @@ def test_thirty_config_grid_gives_150_fits():
             "alpha": (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)}
     assert len(grid_configs(grid)) == 30
     result = grid_search("elastic_net", grid, X, y, CVConfig(k=5), seed=7)
-    assert result.total_fits == 150
-    assert len(grid_configs(grid)) * 5 == result.total_fits
+    assert result.timing.total_fits == 150
+    assert len(grid_configs(grid)) * 5 == result.timing.total_fits
 
 
 def test_winner_attains_max_mean_score():
@@ -179,7 +179,7 @@ def test_parallel_matches_serial(family, axes, k, n_jobs):
     assert serial.best_config == parallel.best_config
     assert serial.mean_scores == parallel.mean_scores
     assert serial.fold_scores == parallel.fold_scores
-    assert serial.total_fits == parallel.total_fits == len(grid_configs(grid)) * k
+    assert serial.timing.total_fits == parallel.timing.total_fits == len(grid_configs(grid)) * k
     family = get_family(family)
     assert _exported(family, serial.best_model) == _exported(family, parallel.best_model)
 
@@ -218,7 +218,7 @@ def test_serial_search_runs_one_task_over_all_folds(monkeypatch, family, axes):
     monkeypatch.setattr(tuner, "_pool_task", counted)
     result = grid_search(family, axes, X, y, CVConfig(k=3), seed=2)
     assert tasks == [[0, 1, 2]]
-    assert result.total_fits == len(grid_configs(axes)) * 3
+    assert result.timing.total_fits == len(grid_configs(axes)) * 3
 
 
 @pytest.mark.parametrize("n, stacks", [(36, [3, 3]), (37, [1, 1, 2, 2])], ids=["equal", "ragged"])
@@ -409,7 +409,7 @@ def test_gbdt_grid_search_equals_per_config_fits(monkeypatch):
     monkeypatch.setitem(FAMILIES, "gbdt", _per_config("gbdt"))
     alone = grid_search("gbdt", grid, X, y, cv, seed=2)
     assert shared.to_dict() == alone.to_dict()
-    assert shared.total_fits == len(grid_configs(grid)) * 3
+    assert shared.timing.total_fits == len(grid_configs(grid)) * 3
     family = get_family("gbdt")
     assert _exported(family, shared.best_model) == _exported(family, alone.best_model)
 
