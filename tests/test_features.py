@@ -254,13 +254,6 @@ def oracle_design(table, cfg, params=None, site_vocabulary=None):
     return tuple(names), np.column_stack(blocks), groups
 
 
-def oracle_strategy3(table, params):
-    """The default strategy-3 design, row by row (oracle_design)."""
-    names, X, _ = oracle_design(
-        table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL), params)
-    return names, X
-
-
 def calendar_labels(date):
     """The month, weekday and season one-hot columns a strategy-3 design
     sets for one date, as their column names."""
@@ -308,9 +301,9 @@ def test_strategy3_calendar_columns_match_per_row_oracle(dates):
                          feature_names=("X1", "X2"),
                          X=rng.uniform(size=(rows, 2)), y=rng.uniform(size=rows))
     params = fit_standardizer(table.X)
-    design = assemble_design(
-        table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL), params)
-    names, X = oracle_strategy3(table, params)
+    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
+    design = assemble_design(table, cfg, params)
+    names, X, _ = oracle_design(table, cfg, params)
     assert design.column_names == names
     assert design.X.tobytes() == X.tobytes()
 
