@@ -59,7 +59,7 @@ def main():
                        check=True, stdout=subprocess.DEVNULL)
         cfg = load_run_config(Path(tmp) / "config.json")
         [train] = _read_panels(cfg, ("train",))
-    design, _ = tuner.prepare_designs(train, cfg.strategy_config())
+    design, _ = tuner.prepare_designs(train, cfg.strategy, cfg.categoricals)
     folds = tuner.kfold_split(len(design.y), cfg.cv, cfg.seed)
 
     grown = 0

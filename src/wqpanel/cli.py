@@ -99,7 +99,10 @@ def _config_from_args(args) -> RunConfig:
         updates["n_jobs"] = args.jobs
     if getattr(args, "strategy", None):  # tune and evaluate take --strategy
         updates["strategy"] = Strategy(args.strategy)
-    return dataclasses.replace(cfg, **updates) if updates else cfg
+    try:
+        return dataclasses.replace(cfg, **updates)
+    except ValueError as exc:  # the strategy override against the categoricals
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------- panels
@@ -279,7 +282,7 @@ def _cmd_tune(args) -> int:
     cfg = _config_from_args(args)
     families = _families_from_args(cfg, args)
     [train] = _load_panels(cfg, ("train",))
-    train_design, state = prepare_designs(train, cfg.strategy_config())
+    train_design, state = prepare_designs(train, cfg.strategy, cfg.categoricals)
 
     tuning = {}
     importances = {}
@@ -323,8 +326,8 @@ def _cmd_evaluate(args) -> int:
             raise ValueError(f"{[str(p) for p, n in zip(paths, names) if n == name]}: "
                              f"bundles of one family, {name}; evaluate takes one each")
 
-    y_train = stack_panel(train).y
-    y_test = stack_panel(test).y
+    y_train = train.targets.ravel()  # the stacked order: date-major
+    y_test = test.targets.ravel()
     reports: dict[str, MetricReport] = {
         "benchmark": evaluate(y_test, np.full(len(y_test), fit_benchmark(y_train)))}
     for bundle in bundles:

@@ -5,6 +5,11 @@ standardized with train-fitted z-scores. Strategy 3: standardized numerics
 plus one-hot spatio-temporal categoricals: the row's site, and the month,
 weekday and meteorological season read straight off the row's date.
 
+A PipelineState is the one design spec. fit_pipeline fits it once, on the
+training table: the standardizer, the site vocabulary and the column
+names. assemble_design applies it to any table, training or test, and is
+the only builder of a design matrix.
+
 A stacked table keeps the panel's date and site axes, so every calendar
 label and ordinal is worked out once per date and every site code once
 per site; the design is then written into one preallocated matrix, row
@@ -100,25 +105,60 @@ class Categoricals:
         check_field_types(self)
 
 
-@dataclass(frozen=True)
-class StrategyConfig:
-    """Which input strategy to assemble and which categorical groups to include."""
-
-    strategy: Strategy = Strategy.RAW_NUMERIC
-    categoricals: Categoricals = Categoricals()
-
-    def __post_init__(self):
-        if self.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL and not self.categoricals.site:
-            raise ValueError("strategy 3 requires the site one-hot group")
+def check_strategy(strategy: Strategy, categoricals: Categoricals) -> None:
+    """Strategy 3 needs the site group: it is the design's spatial block."""
+    if strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL and not categoricals.site:
+        raise ValueError("strategy 3 requires the site one-hot group")
 
 
-def one_hot_columns(categoricals: Categoricals, site_vocabulary) -> dict[str, dict]:
-    """The one-hot groups strategy 3 adds, in column order, each a dict from
-    its vocabulary's labels, in order, to their column names."""
+def one_hot_columns(strategy: Strategy, categoricals: Categoricals,
+                    site_vocabulary) -> dict[str, dict]:
+    """The one-hot groups a strategy adds (only strategy 3 adds any), in
+    column order, each a dict from its vocabulary's labels, in order, to
+    their column names."""
+    if strategy != Strategy.STANDARDIZED_PLUS_CATEGORICAL:
+        return {}
     vocabularies = {"site": site_vocabulary, "month": MONTH_VOCAB,
                     "weekday": WEEKDAY_VOCAB, "season": SEASON_VOCAB}
     return {group: {label: f"{group}={label}" for label in vocabulary}
             for group, vocabulary in vocabularies.items() if getattr(categoricals, group)}
+
+
+def _names(one_hot: dict[str, dict]) -> tuple[str, ...]:
+    return tuple(name for columns in one_hot.values() for name in columns.values())
+
+
+@dataclass(frozen=True)
+class PipelineState:
+    """The one design spec, a field per key of a bundle's ``pipeline``
+    object: fit once on the training table (fit_pipeline), it rebuilds
+    the train-time columns for any table (assemble_design). The column
+    names end with the one-hot columns that categoricals and the site
+    vocabulary give, and the standardizer covers the numeric columns
+    before them."""
+
+    strategy: Strategy
+    categoricals: Categoricals
+    column_names: tuple[str, ...]
+    standardizer: StandardizationParams | None
+    site_vocabulary: tuple[str, ...]
+
+    def __post_init__(self):
+        check_field_types(self)
+        if (self.standardizer is None) != (self.strategy == Strategy.RAW_NUMERIC):
+            raise ValueError("standardizer must be null for strategy 1 and only then")
+        check_strategy(self.strategy, self.categoricals)
+        one_hot = _names(self.one_hot())
+        n_numeric = len(self.column_names) - len(one_hot)
+        if n_numeric < 0 or self.column_names[n_numeric:] != one_hot:
+            raise ValueError(f"column_names must end with the {len(one_hot)} one-hot columns "
+                             f"that categoricals and site_vocabulary give")
+        if self.standardizer is not None and len(self.standardizer.mean) != n_numeric:
+            raise ValueError(f"standardizer has {len(self.standardizer.mean)} entries, "
+                             f"column_names has {n_numeric} numeric columns")
+
+    def one_hot(self) -> dict[str, dict]:
+        return one_hot_columns(self.strategy, self.categoricals, self.site_vocabulary)
 
 
 @dataclass(frozen=True)
@@ -133,8 +173,6 @@ class DesignMatrix:
     def __post_init__(self):
         if self.X.shape != (len(self.y), len(self.column_names)):
             raise ValueError("X shape inconsistent with names/targets")
-        if not np.isfinite(self.X).all():
-            raise ValueError("design matrix contains non-finite entries")
 
     @property
     def n_rows(self) -> int:
@@ -152,12 +190,13 @@ _DATE_LABELS = {"month": lambda d: d.month, "weekday": lambda d: d.weekday(),
 _ORDINALS = {"year": "year_ordinal", "day": "day_ordinal"}
 
 
-def numeric_block(table: StackedTable, cfg: StrategyConfig) -> tuple[list[str], np.ndarray]:
-    """The numeric columns a strategy uses, in X1..Xp order (plus optional
-    ordinals, each read once per date)."""
+def numeric_block(table: StackedTable, strategy: Strategy,
+                  categoricals: Categoricals) -> tuple[list[str], np.ndarray]:
+    """The numeric columns a strategy uses, in X1..Xp order (plus strategy
+    3's optional ordinals, each read once per date)."""
     names = list(table.feature_names)
-    if cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
-        names += [name for name, flag in _ORDINALS.items() if getattr(cfg.categoricals, flag)]
+    if strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
+        names += [name for name, flag in _ORDINALS.items() if getattr(categoricals, flag)]
     block = np.empty((table.row_count, len(names)))
     p = len(table.feature_names)
     block[:, :p] = table.X
@@ -165,6 +204,19 @@ def numeric_block(table: StackedTable, cfg: StrategyConfig) -> tuple[list[str], 
         per_date = np.array([getattr(d, name) for d in table.dates], dtype=float)
         block[:, c] = np.repeat(per_date, len(table.site_ids))
     return names, block
+
+
+def fit_pipeline(table: StackedTable, strategy: Strategy,
+                 categoricals: Categoricals) -> PipelineState:
+    """The design spec fit on a training table: the standardizer of its
+    numeric block (none for strategy 1), its sites, in its order, as the
+    site vocabulary, and the column names these give."""
+    names, numeric = numeric_block(table, strategy, categoricals)
+    return PipelineState(
+        strategy=strategy, categoricals=categoricals,
+        column_names=(*names, *_names(one_hot_columns(strategy, categoricals, table.site_ids))),
+        standardizer=None if strategy == Strategy.RAW_NUMERIC else fit_standardizer(numeric),
+        site_vocabulary=table.site_ids)
 
 
 def _row_codes(table: StackedTable, group: str, columns: dict) -> np.ndarray:
@@ -183,39 +235,33 @@ def _row_codes(table: StackedTable, group: str, columns: dict) -> np.ndarray:
     return np.repeat(codes, len(table.site_ids))
 
 
-def assemble_design(table: StackedTable, cfg: StrategyConfig,
-                    params: StandardizationParams | None = None,
-                    site_vocabulary: tuple[str, ...] | None = None) -> DesignMatrix:
-    """Build the design matrix for one strategy.
+def assemble_design(table: StackedTable, state: PipelineState) -> DesignMatrix:
+    """The design matrix of ``table`` under ``state``, training or test.
 
-    Strategies 2 and 3 require standardization params fitted on the
-    training split (fit_standardizer over this function's numeric_block).
-    Column order is deterministic: numerics first, then one-hot groups in
-    site, month, weekday, season order, vocabulary order within each group.
-
-    For test-set assembly pass the training panel's site vocabulary so the
-    one-hot columns line up; an unseen site raises UnseenLabelError.
+    Column order is the state's: numerics first, standardized by its
+    standardizer (none for strategy 1), then the one-hot groups in site,
+    month, weekday, season order, vocabulary order within each group. A
+    table whose numeric columns are not the state's is refused, and a
+    site outside the state's vocabulary raises UnseenLabelError.
     """
-    names, numeric = numeric_block(table, cfg)
-    if cfg.strategy != Strategy.RAW_NUMERIC:
-        if params is None:
-            raise ValueError(f"strategy {int(cfg.strategy)} requires standardization params")
-        numeric = apply_standardizer(params, numeric)
-    one_hot: dict[str, dict] = {}
-    if cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
-        if site_vocabulary is None:  # the table's own sites, in its order
-            site_vocabulary = table.site_ids
-        one_hot = one_hot_columns(cfg.categoricals, site_vocabulary)
-    groups: dict[str, list[int]] = {}
-    for group, columns in one_hot.items():
-        groups[group] = list(range(len(names), len(names) + len(columns)))
-        names.extend(columns.values())
+    names, numeric = numeric_block(table, state.strategy, state.categoricals)
+    one_hot = state.one_hot()
+    n_numeric = len(state.column_names) - sum(map(len, one_hot.values()))
+    if tuple(names) != state.column_names[:n_numeric]:
+        raise ValueError("rebuilt design columns do not match the stored model; "
+                         "was the schema or panel changed since tuning?")
+    if state.standardizer is not None:
+        numeric = apply_standardizer(state.standardizer, numeric)
+    if not np.isfinite(numeric).all():  # one-hot blocks are 0 or 1
+        raise ValueError("design matrix contains non-finite entries")
 
     # the numeric block, then each one-hot block's 1 per row at its code
-    X = np.zeros((table.row_count, len(names)))
-    X[:, :numeric.shape[1]] = numeric
+    X = np.zeros((table.row_count, len(state.column_names)))
+    X[:, :n_numeric] = numeric
     rows = np.arange(table.row_count)
+    groups: dict[str, list[int]] = {}
     for group, columns in one_hot.items():
-        X[rows, groups[group][0] + _row_codes(table, group, columns)] = 1.0
-    return DesignMatrix(
-        column_names=tuple(names), X=X, y=table.y.copy(), groups=groups)
+        start = n_numeric + sum(map(len, groups.values()))
+        groups[group] = list(range(start, start + len(columns)))
+        X[rows, start + _row_codes(table, group, columns)] = 1.0
+    return DesignMatrix(column_names=state.column_names, X=X, y=table.y.copy(), groups=groups)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .families import FAMILY_NAMES
-from .features import Categoricals, Strategy, StrategyConfig
+from .features import Categoricals, Strategy, check_strategy
 from .fieldtypes import build, check_field_types, is_integer
 from .tuner import CVConfig
 
@@ -85,12 +85,7 @@ class RunConfig:
         _check_grids(self.grids)
         if self.n_jobs < 1:
             raise ValueError(f"n_jobs must be >= 1, got {self.n_jobs}")
-
-    def strategy_config(self) -> StrategyConfig:
-        try:
-            return StrategyConfig(self.strategy, self.categoricals)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        check_strategy(self.strategy, self.categoricals)
 
     def require_data_paths(self) -> None:
         for name, path in vars(self.data).items():

@@ -2,10 +2,10 @@
 
 A bundle carries the family tag, the winning hyperparameters, the fitted
 model's parameters, the seed, and the feature-pipeline state needed to
-rebuild an identical design matrix for new data (strategy, categoricals,
-column names, standardizer, site vocabulary). ``params`` and ``pipeline``
-mirror the model and PipelineState dataclasses field by field: to_json
-writes them and fieldtypes.build reads them back.
+rebuild an identical design matrix for new data (features.PipelineState:
+strategy, categoricals, column names, standardizer, site vocabulary).
+``params`` and ``pipeline`` mirror the model and PipelineState dataclasses
+field by field: to_json writes them and fieldtypes.build reads them back.
 """
 
 from __future__ import annotations
@@ -17,48 +17,10 @@ from pathlib import Path
 from typing import Any
 
 from .families import ModelFamily, get_family
-from .features import (Categoricals, StandardizationParams, Strategy, StrategyConfig,
-                       one_hot_columns)
-from .fieldtypes import build, check_field_types, is_integer, to_json
+from .features import PipelineState
+from .fieldtypes import build, is_integer, to_json
 
 FORMAT_VERSION = 2
-
-
-@dataclass(frozen=True)
-class PipelineState:
-    """The bundle's ``pipeline`` object, a field per key: everything needed
-    to reproduce the train-time design matrix columns. The column names
-    end with the one-hot columns that categoricals and the site vocabulary
-    give, and the standardizer covers the numeric columns before them."""
-
-    strategy: Strategy
-    categoricals: Categoricals
-    column_names: tuple[str, ...]
-    standardizer: StandardizationParams | None
-    site_vocabulary: tuple[str, ...]
-
-    def __post_init__(self):
-        check_field_types(self)
-        if (self.standardizer is None) != (self.strategy == Strategy.RAW_NUMERIC):
-            raise ValueError("standardizer must be null for strategy 1 and only then")
-        self.strategy_config()  # strategy 3 needs the site group
-        one_hot = () if self.strategy != Strategy.STANDARDIZED_PLUS_CATEGORICAL else tuple(
-            name for columns in one_hot_columns(self.categoricals, self.site_vocabulary).values()
-            for name in columns.values())
-        n_numeric = len(self.column_names) - len(one_hot)
-        if n_numeric < 0 or self.column_names[n_numeric:] != one_hot:
-            raise ValueError(f"column_names must end with the {len(one_hot)} one-hot columns "
-                             f"that categoricals and site_vocabulary give")
-        if self.standardizer is not None and len(self.standardizer.mean) != n_numeric:
-            raise ValueError(f"standardizer has {len(self.standardizer.mean)} entries, "
-                             f"column_names has {n_numeric} numeric columns")
-
-    def strategy_config(self) -> StrategyConfig:
-        return StrategyConfig(self.strategy, self.categoricals)
-
-    @classmethod
-    def from_dict(cls, raw) -> "PipelineState":
-        return build(cls, raw, "pipeline")
 
 
 @dataclass(frozen=True)
@@ -122,7 +84,7 @@ def load_model(path: str | Path) -> ModelBundle:
             family.config(config, seed)
         except ValueError as exc:
             raise ValueError(f"config {config!r} is invalid: {exc}") from None
-        pipeline = PipelineState.from_dict(payload["pipeline"])
+        pipeline = build(PipelineState, payload["pipeline"], "pipeline")
         return ModelBundle(
             family=family,
             model=family.restore(payload["params"], len(pipeline.column_names)),

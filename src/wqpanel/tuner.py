@@ -1,5 +1,7 @@
 """k-fold cross-validated grid search with timing capture, and the design
-matrices it searches over.
+matrices it searches over: prepare_designs fits the design spec
+(features.PipelineState) on the training panel and builds its design;
+design_from_state builds any other panel's design under a stored spec.
 
 A grid is a plain mapping of hyperparameter name to its values (an
 axis), and grid_configs is the one rule that enumerates its configs.
@@ -24,12 +26,11 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from .families import ModelFamily, get_family
-from .features import (DesignMatrix, Strategy, StrategyConfig, assemble_design,
-                       fit_standardizer, numeric_block)
+from .features import (Categoricals, DesignMatrix, PipelineState, Strategy, assemble_design,
+                       fit_pipeline)
 from .fieldtypes import check_field_types
 from .metrics import score
 from .panel import PanelDataset, stack_panel
-from .serialize import PipelineState
 
 # named sub-seed tags: every component draws randomness from the run seed
 # through one of these, so each is independently reproducible
@@ -264,29 +265,16 @@ def grid_search(family_name: str, axes: Mapping[str, Sequence], X, y, cv: CVConf
     )
 
 
-def prepare_designs(train_panel: PanelDataset,
-                    strategy_cfg: StrategyConfig) -> tuple[DesignMatrix, PipelineState]:
-    """The training design matrix and the state that rebuilds it.
-
-    The standardizer and the site vocabulary are fit on the training panel;
-    design_from_state applies the same state to any other panel.
-    """
+def prepare_designs(train_panel: PanelDataset, strategy: Strategy,
+                    categoricals: Categoricals) -> tuple[DesignMatrix, PipelineState]:
+    """The training design matrix and the state, fit on the training panel,
+    that rebuilds it; design_from_state applies the state to any other
+    panel."""
     train_stacked = stack_panel(train_panel)
-    params = (None if strategy_cfg.strategy == Strategy.RAW_NUMERIC
-              else fit_standardizer(numeric_block(train_stacked, strategy_cfg)[1]))
-    site_vocab = train_panel.site_ids
-    train_design = assemble_design(train_stacked, strategy_cfg, params, site_vocab)
-    state = PipelineState(strategy=strategy_cfg.strategy, categoricals=strategy_cfg.categoricals,
-                          column_names=train_design.column_names, standardizer=params,
-                          site_vocabulary=site_vocab)
-    return train_design, state
+    state = fit_pipeline(train_stacked, strategy, categoricals)
+    return assemble_design(train_stacked, state), state
 
 
 def design_from_state(state: PipelineState, panel: PanelDataset) -> DesignMatrix:
     """Rebuild the design matrix a stored model was trained against."""
-    design = assemble_design(stack_panel(panel), state.strategy_config(),
-                             state.standardizer, state.site_vocabulary)
-    if design.column_names != state.column_names:
-        raise ValueError("rebuilt design columns do not match the stored model; "
-                         "was the schema or panel changed since tuning?")
-    return design
+    return assemble_design(stack_panel(panel), state)

@@ -359,12 +359,11 @@ def georgia():
 
 @pytest.fixture(scope="session")
 def georgia_designs(georgia):
-    from wqpanel.features import Strategy, StrategyConfig
+    from wqpanel.features import Categoricals, Strategy
     from wqpanel.tuner import design_from_state, prepare_designs
 
     train, test = georgia
-    train_design, state = prepare_designs(
-        train, StrategyConfig(strategy=Strategy.STANDARDIZED_NUMERIC))
+    train_design, state = prepare_designs(train, Strategy.STANDARDIZED_NUMERIC, Categoricals())
     return train_design, design_from_state(state, test), state
 
 

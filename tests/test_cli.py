@@ -688,6 +688,45 @@ def test_unseen_test_site_fails_at_evaluate(panel_files, capsys):
     assert "'site07'" in out.err
 
 
+@pytest.mark.parametrize("strategy", [2, 3])
+def test_renamed_feature_is_refused_by_evaluate_and_explain(panel_files, capsys, strategy):
+    # a bundle's numeric columns are the schema's feature names at tune
+    # time; a schema that renames one gives a design the model was not fit on
+    env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3, strategy=strategy)
+    cfg = str(env["config"])
+    assert run(["tune", "--config", cfg], capsys)[0] == 0
+    schema = json.loads(env["schema"].read_text(encoding="utf-8"))
+    schema["feature_columns"] = {("Z2" if name == "X2" else name): column
+                                 for name, column in schema["feature_columns"].items()}
+    env["schema"].write_text(json.dumps(schema), encoding="utf-8")
+    model = env["out"] / "models" / f"model_strategy{strategy}_elastic_net.json"
+    for stage in (["evaluate"], ["explain", "--model", str(model), "--rows", "0"]):
+        code, out = run([*stage, "--config", cfg], capsys)
+        assert code == 4 and "Traceback" not in out.err
+        assert "rebuilt design columns do not match the stored model" in out.err
+    assert not (env["out"] / f"results_strategy{strategy}.json").exists()
+    assert not (env["out"] / "shap_values.csv").exists()
+
+
+@pytest.mark.parametrize("stage", ["ingest", "tune"])
+def test_strategy3_without_the_site_group_is_config_error_at_load(panel_files, capsys, stage):
+    # refused when the config loads, by every stage, before any panel is read
+    env = panel_files(strategy=3, categoricals={"site": False})
+    code, out = run([stage, "--config", str(env["config"])], capsys)
+    assert code == 3
+    assert "strategy 3 requires the site one-hot group" in out.err
+    assert not env["out"].exists()
+
+
+def test_strategy3_flag_without_the_site_group_is_config_error(panel_files, capsys):
+    env = panel_files(categoricals={"site": False})  # strategy 2 uses no site group
+    assert run(["ingest", "--config", str(env["config"])], capsys)[0] == 0
+    code, out = run(["tune", "--config", str(env["config"]), "--strategy", "3"], capsys)
+    assert code == 3
+    assert "strategy 3 requires the site one-hot group" in out.err
+    assert not (env["out"] / "models").exists()
+
+
 def test_evaluate_benchmark_only(panel_files, capsys):
     env = panel_files()
     code, out = run(["evaluate", "--config", str(env["config"])], capsys)
@@ -1088,6 +1127,21 @@ def test_bad_pipeline_key_is_runtime_error_naming_it(strategy3_bundle, tmp_path,
                              "--model", str(model_path), "--rows", "0"])
     assert code == 4 and "Traceback" not in err
     assert str(model_path) in err and f"pipeline.{named or key}" in err
+
+
+@pytest.mark.parametrize("stage", [["evaluate", "--strategy", "3", "--models"],
+                                   ["explain", "--rows", "0", "--model"]])
+def test_strategy3_bundle_without_the_site_group_is_runtime_error(strategy3_bundle, tmp_path,
+                                                                  stage):
+    env, _, valid = strategy3_bundle
+    payload = copy.deepcopy(valid)
+    payload["pipeline"]["categoricals"]["site"] = False
+    model_path = tmp_path / "model.json"
+    model_path.write_text(json.dumps(payload))
+    code, err = _quiet_main([stage[0], "--config", str(env["config"]), "--out", str(tmp_path),
+                             *stage[1:], str(model_path)])
+    assert code == 4 and "Traceback" not in err
+    assert f"{model_path}: pipeline.strategy 3 requires the site one-hot group" in err
 
 
 @settings(max_examples=100)

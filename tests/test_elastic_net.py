@@ -407,7 +407,7 @@ def demo_design(tmp_path_factory):
                    stdout=subprocess.DEVNULL)
     cfg = load_run_config(out / "config.json")
     [train] = _read_panels(cfg, ("train",))
-    design, _ = tuner.prepare_designs(train, cfg.strategy_config())
+    design, _ = tuner.prepare_designs(train, cfg.strategy, cfg.categoricals)
     return design.X, design.y
 
 

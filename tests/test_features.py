@@ -1,3 +1,4 @@
+import dataclasses
 import datetime as dt
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import synthetic_panel
 from wqpanel.features import (MONTH_VOCAB, SEASON_VOCAB, WEEKDAY_VOCAB, Categoricals,
-                              Strategy, StrategyConfig, apply_standardizer,
-                              assemble_design, fit_standardizer,
+                              Strategy, apply_standardizer, assemble_design,
+                              check_strategy, fit_pipeline, fit_standardizer,
                               numeric_block, UnseenLabelError)
 from wqpanel.panel import PanelDataset, StackedTable, stack_panel
 
@@ -113,8 +114,16 @@ def stacked():
     return stack_panel(synthetic_panel(10, 3, 11, seed=9))
 
 
+RAW, STANDARDIZED, CATEGORICAL = Strategy
+
+
+def fitted_design(table, strategy, categoricals=Categoricals()):
+    """The design of the table under a pipeline fit on the table itself."""
+    return assemble_design(table, fit_pipeline(table, strategy, categoricals))
+
+
 def test_strategy1_eleven_numeric_columns(stacked):
-    design = assemble_design(stacked, StrategyConfig(strategy=Strategy.RAW_NUMERIC))
+    design = fitted_design(stacked, RAW)
     assert design.n_cols == 11
     assert design.column_names == stacked.feature_names
     assert design.groups == {}  # no one-hot block
@@ -122,27 +131,26 @@ def test_strategy1_eleven_numeric_columns(stacked):
 
 
 def test_strategy2_equals_strategy1_standardized(stacked):
-    cfg1 = StrategyConfig(strategy=Strategy.RAW_NUMERIC)
-    cfg2 = StrategyConfig(strategy=Strategy.STANDARDIZED_NUMERIC)
-    _, numeric = numeric_block(stacked, cfg2)
+    _, numeric = numeric_block(stacked, STANDARDIZED, Categoricals())
     params = fit_standardizer(numeric)
-    d1 = assemble_design(stacked, cfg1)
-    d2 = assemble_design(stacked, cfg2, params)
+    state = fit_pipeline(stacked, STANDARDIZED, Categoricals())
+    assert state.standardizer.mean.tobytes() == params.mean.tobytes()
+    assert state.standardizer.sd.tobytes() == params.sd.tobytes()
+    d1 = fitted_design(stacked, RAW)
+    d2 = assemble_design(stacked, state)
     assert d1.column_names == d2.column_names
     np.testing.assert_array_equal(d2.X, apply_standardizer(params, d1.X))
     np.testing.assert_array_equal(d1.y, d2.y)
 
 
 def test_strategy2_requires_params(stacked):
-    with pytest.raises(ValueError, match="requires standardization params"):
-        assemble_design(stacked, StrategyConfig(strategy=Strategy.STANDARDIZED_NUMERIC))
+    state = fit_pipeline(stacked, RAW, Categoricals())
+    with pytest.raises(ValueError, match="standardizer must be null for strategy 1 and only then"):
+        dataclasses.replace(state, strategy=STANDARDIZED)
 
 
 def test_strategy3_column_budget(stacked):
-    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
-    _, numeric = numeric_block(stacked, cfg)
-    params = fit_standardizer(numeric)
-    design = assemble_design(stacked, cfg, params)
+    design = fitted_design(stacked, CATEGORICAL)
     # 11 numerics + 3 sites + 12 months + 7 weekdays + 4 seasons
     assert design.n_cols == 11 + 3 + len(MONTH_VOCAB) + len(WEEKDAY_VOCAB) + len(SEASON_VOCAB)
     assert set(design.groups) == {"site", "month", "weekday", "season"}
@@ -155,9 +163,7 @@ def test_strategy3_column_budget(stacked):
 
 
 def test_strategy3_one_hot_column_sums_match_frequencies(stacked):
-    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
-    _, numeric = numeric_block(stacked, cfg)
-    design = assemble_design(stacked, cfg, fit_standardizer(numeric))
+    design = fitted_design(stacked, CATEGORICAL)
     month_cols = design.groups["month"]
     counts = design.X[:, month_cols].sum(axis=0)
     from collections import Counter
@@ -166,39 +172,58 @@ def test_strategy3_one_hot_column_sums_match_frequencies(stacked):
 
 
 def test_strategy3_ordinals_optional(stacked):
-    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL,
-                         categoricals=Categoricals(year_ordinal=True, day_ordinal=True))
-    names, numeric = numeric_block(stacked, cfg)
+    categoricals = Categoricals(year_ordinal=True, day_ordinal=True)
+    names, _ = numeric_block(stacked, CATEGORICAL, categoricals)
     assert names[-2:] == ["year", "day"]
-    design = assemble_design(stacked, cfg, fit_standardizer(numeric))
+    design = fitted_design(stacked, CATEGORICAL, categoricals)
     assert "year" in design.column_names and "day" in design.column_names
 
 
-def test_strategy3_requires_site_onehot():
+def test_strategy3_requires_site_onehot(stacked):
     with pytest.raises(ValueError, match="site one-hot"):
-        StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL,
-                       categoricals=Categoricals(site=False))
+        check_strategy(CATEGORICAL, Categoricals(site=False))
+    with pytest.raises(ValueError, match="site one-hot"):
+        fit_pipeline(stacked, CATEGORICAL, Categoricals(site=False))
 
 
 def test_assemble_deterministic(stacked):
-    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
-    _, numeric = numeric_block(stacked, cfg)
-    params = fit_standardizer(numeric)
-    a = assemble_design(stacked, cfg, params)
-    b = assemble_design(stacked, cfg, params)
+    state = fit_pipeline(stacked, CATEGORICAL, Categoricals())
+    a = assemble_design(stacked, state)
+    b = assemble_design(stacked, state)
     assert a.column_names == b.column_names
     assert a.X.tobytes() == b.X.tobytes()
 
 
 def test_site_vocabulary_reuse_and_unseen_site(stacked):
-    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
-    _, numeric = numeric_block(stacked, cfg)
-    params = fit_standardizer(numeric)
-    vocab = ("site00", "site01", "site02")
-    design = assemble_design(stacked, cfg, params, site_vocabulary=vocab)
+    state = fit_pipeline(stacked, CATEGORICAL, Categoricals())
+    assert state.site_vocabulary == ("site00", "site01", "site02")
+    design = assemble_design(stacked, state)
     assert design.column_names[11:14] == ("site=site00", "site=site01", "site=site02")
-    with pytest.raises(UnseenLabelError):
-        assemble_design(stacked, cfg, params, site_vocabulary=("site00", "site01"))
+    two_sites = fit_pipeline(stack_panel(synthetic_panel(10, 2, 11, seed=9)),
+                             CATEGORICAL, Categoricals())
+    with pytest.raises(UnseenLabelError, match="'site02'"):
+        assemble_design(stacked, two_sites)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_assemble_refuses_other_numeric_columns(stacked, strategy):
+    state = fit_pipeline(stacked, strategy, Categoricals())
+    renamed = dataclasses.replace(stacked, feature_names=("X0", *stacked.feature_names[1:]))
+    fewer = dataclasses.replace(stacked, feature_names=stacked.feature_names[:-1],
+                                X=stacked.X[:, :-1])
+    for table in (renamed, fewer):
+        with pytest.raises(ValueError, match="rebuilt design columns do not match"):
+            assemble_design(table, state)
+
+
+@pytest.mark.parametrize("strategy", list(Strategy))
+def test_assemble_refuses_non_finite_numerics(stacked, strategy):
+    state = fit_pipeline(stacked, strategy, Categoricals())
+    for value in (np.nan, np.inf):
+        X = stacked.X.copy()
+        X[4, 2] = value
+        with pytest.raises(ValueError, match="design matrix contains non-finite entries"):
+            assemble_design(dataclasses.replace(stacked, X=X), state)
 
 
 SEASON_BY_MONTH = {12: "Winter", 1: "Winter", 2: "Winter",
@@ -215,39 +240,39 @@ def oracle_rows(table):
             [table.site_ids[r % k] for r in range(table.row_count)])
 
 
-def oracle_numeric(table, cfg):
+def oracle_numeric(table, strategy, categoricals):
     """numeric_block's (names, block), each ordinal read off the row's own date."""
     row_dates, _ = oracle_rows(table)
     names, columns = list(table.feature_names), [table.X]
     for name in ("year", "day"):
-        if (cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL
-                and getattr(cfg.categoricals, f"{name}_ordinal")):
+        if strategy == CATEGORICAL and getattr(categoricals, f"{name}_ordinal"):
             names.append(name)
             columns.append(np.array([[getattr(d, name)] for d in row_dates], dtype=float))
     return names, np.column_stack(columns)
 
 
-def oracle_design(table, cfg, params=None, site_vocabulary=None):
-    """assemble_design's (column names, X, groups), built one row at a
-    time: each calendar label read off the row's own date, each one-hot
-    block by one_hot_encode, and the numeric block standardized as
+def oracle_design(table, state):
+    """assemble_design's (column names, X, groups) under the state's
+    strategy, categoricals, standardizer and site vocabulary, built one row
+    at a time: each calendar label read off the row's own date, each
+    one-hot block by one_hot_encode, and the numeric block standardized as
     (x - mean) / sd with zero-variance columns set to 0."""
     row_dates, row_sites = oracle_rows(table)
-    names, numeric = oracle_numeric(table, cfg)
-    categorical = cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL
-    if cfg.strategy != Strategy.RAW_NUMERIC:
+    names, numeric = oracle_numeric(table, state.strategy, state.categoricals)
+    params = state.standardizer
+    if state.strategy != RAW:
         numeric = (numeric - params.mean) / np.where(params.sd == 0.0, 1.0, params.sd)
         numeric[:, params.sd == 0.0] = 0.0
     blocks, groups = [numeric], {}
-    if categorical:
+    if state.strategy == CATEGORICAL:
         labels = {"site": row_sites, "month": [d.month for d in row_dates],
                   "weekday": [d.weekday() for d in row_dates],
                   "season": [SEASON_BY_MONTH[d.month] for d in row_dates]}
-        vocab = {"site": list(dict.fromkeys(site_vocabulary or row_sites)),
+        vocab = {"site": list(state.site_vocabulary),
                  "month": list(range(1, 13)), "weekday": list(range(7)),
                  "season": ["Winter", "Spring", "Summer", "Fall"]}
         for group in ("site", "month", "weekday", "season"):
-            if getattr(cfg.categoricals, group):
+            if getattr(state.categoricals, group):
                 groups[group] = list(range(len(names), len(names) + len(vocab[group])))
                 blocks.append(one_hot_encode(labels[group], vocab[group]))
                 names.extend(f"{group}={label}" for label in vocab[group])
@@ -259,9 +284,7 @@ def calendar_labels(date):
     sets for one date, as their column names."""
     table = StackedTable(dates=(date, date), site_ids=("s0",), feature_names=("X1",),
                          X=np.array([[0.0], [1.0]]), y=np.zeros(2))
-    design = assemble_design(
-        table, StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL),
-        fit_standardizer(table.X))
+    design = fitted_design(table, CATEGORICAL)
     return {design.column_names[j] for group, columns in design.groups.items()
             if group != "site" for j in columns if design.X[0, j] == 1.0}
 
@@ -300,10 +323,9 @@ def test_strategy3_calendar_columns_match_per_row_oracle(dates):
     table = StackedTable(dates=tuple(dates), site_ids=("s0", "s1", "s2"),
                          feature_names=("X1", "X2"),
                          X=rng.uniform(size=(rows, 2)), y=rng.uniform(size=rows))
-    params = fit_standardizer(table.X)
-    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
-    design = assemble_design(table, cfg, params)
-    names, X, _ = oracle_design(table, cfg, params)
+    state = fit_pipeline(table, CATEGORICAL, Categoricals())
+    design = assemble_design(table, state)
+    names, X, _ = oracle_design(table, state)
     assert design.column_names == names
     assert design.X.tobytes() == X.tobytes()
 
@@ -336,9 +358,9 @@ def drawn_panels(draw, sites, min_dates=1):
                         features=features, targets=rng.uniform(size=shape))
 
 
-def assert_design_equals_oracle(table, cfg, params, vocabulary):
-    design = assemble_design(table, cfg, params, vocabulary)
-    names, X, groups = oracle_design(table, cfg, params, vocabulary)
+def assert_design_equals_oracle(table, state):
+    design = assemble_design(table, state)
+    names, X, groups = oracle_design(table, state)
     assert design.column_names == names
     assert design.X.tobytes() == X.tobytes()
     assert design.y.tobytes() == table.y.tobytes()
@@ -353,14 +375,22 @@ def test_design_equals_the_row_by_row_oracle_on_drawn_panels(data):
     strategy = data.draw(st.sampled_from(list(Strategy)), label="strategy")
     flags = {f: data.draw(st.booleans(), label=f) for f in (
         "site", "month", "weekday", "season", "year_ordinal", "day_ordinal")}
-    flags["site"] |= strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL  # strategy 3 needs it
-    cfg = StrategyConfig(strategy=strategy, categoricals=Categoricals(**flags))
-    names, numeric = oracle_numeric(train, cfg)
-    block = numeric_block(train, cfg)
+    flags["site"] |= strategy == CATEGORICAL  # strategy 3 needs it
+    categoricals = Categoricals(**flags)
+    names, numeric = oracle_numeric(train, strategy, categoricals)
+    block = numeric_block(train, strategy, categoricals)
     assert block[0] == names and block[1].tobytes() == numeric.tobytes()
-    params = None if strategy == Strategy.RAW_NUMERIC else fit_standardizer(numeric)
-    assert_design_equals_oracle(train, cfg, params, None)
-    assert_design_equals_oracle(train, cfg, params, train.site_ids)
+    # the pipeline fit on the training panel: the standardizer of its
+    # numeric block, and its sites, in first-seen row order
+    state = fit_pipeline(train, strategy, categoricals)
+    if strategy == RAW:
+        assert state.standardizer is None
+    else:
+        params = fit_standardizer(numeric)
+        assert state.standardizer.mean.tobytes() == params.mean.tobytes()
+        assert state.standardizer.sd.tobytes() == params.sd.tobytes()
+    assert state.site_vocabulary == tuple(dict.fromkeys(oracle_rows(train)[1]))
+    assert_design_equals_oracle(train, state)
 
     # a later panel on some of the training sites, in any order, read
     # against the training vocabulary; an unseen site is refused by name
@@ -370,10 +400,10 @@ def test_design_equals_the_row_by_row_oracle_on_drawn_panels(data):
     if unseen:
         test_sites[data.draw(st.integers(0, len(test_sites) - 1), label="at")] = "new site"
     test = stack_panel(data.draw(drawn_panels(test_sites), label="test"))
-    if unseen and cfg.strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL:
+    if unseen and strategy == CATEGORICAL:
         with pytest.raises(UnseenLabelError, match="'new site'"):
-            assemble_design(test, cfg, params, train.site_ids)
+            assemble_design(test, state)
         with pytest.raises(UnseenLabelError, match="'new site'"):
-            oracle_design(test, cfg, params, train.site_ids)
+            oracle_design(test, state)
     else:
-        assert_design_equals_oracle(test, cfg, params, train.site_ids)
+        assert_design_equals_oracle(test, state)

@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from wqpanel.elastic_net import ElasticNetConfig, LinearModel
-from wqpanel.features import Categoricals, StandardizationParams, Strategy
+from wqpanel.features import Categoricals, PipelineState, StandardizationParams, Strategy
 from wqpanel.fieldtypes import build, field_rules, to_json
 from wqpanel.mlp import EarlyStopConfig, MLPConfig, MLPModel
 from wqpanel.panel import PanelSchema
 from wqpanel.run_config import DataSection, RunConfig, ShapSection
-from wqpanel.serialize import PipelineState
 from wqpanel.trees import (Ensemble, EnsembleKind, GBDTConfig, GossConfig, RegressionTree,
                            RFConfig)
 from wqpanel.tuner import CVConfig, TimingRow

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import JSON_VALUES
 from wqpanel.families import FAMILIES
-from wqpanel.features import Categoricals, Strategy
+from wqpanel.features import Categoricals, PipelineState, Strategy
 from wqpanel.fieldtypes import build, to_json
-from wqpanel.serialize import PipelineState, load_model, save_model
+from wqpanel.serialize import load_model, save_model
 
 
 @pytest.fixture(scope="module")
@@ -122,7 +122,7 @@ def test_pipeline_state_round_trip():
                                            sd=np.array([0.1, 1.0])),
         site_vocabulary=("a", "b"),
     )
-    back = PipelineState.from_dict(json.loads(json.dumps(to_json(state))))
+    back = build(PipelineState, json.loads(json.dumps(to_json(state))), "pipeline")
     assert back.strategy == state.strategy
     assert back.column_names == state.column_names
     assert back.categoricals == state.categoricals
@@ -133,11 +133,11 @@ def test_pipeline_state_round_trip():
     raw["standardizer"]["sd"][1] = None
     with pytest.raises(ValueError, match="pipeline.standardizer.sd must be a 1-d array"
                                          " of numbers, all finite"):
-        PipelineState.from_dict(raw)
+        build(PipelineState, raw, "pipeline")
     raw["standardizer"]["sd"][1] = "1.0"
     with pytest.raises(ValueError, match="pipeline.standardizer.sd must be a 1-d array"
                                          " of numbers$"):
-        PipelineState.from_dict(raw)
+        build(PipelineState, raw, "pipeline")
 
 
 def _first_leaf(tree):

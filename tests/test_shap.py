@@ -11,8 +11,8 @@ from conftest import masked_coalitions, synthetic_panel
 from wqpanel import shap_exact
 from wqpanel.elastic_net import ElasticNetConfig, LinearModel, fit_elastic_net, predict_linear
 from wqpanel.families import FAMILIES
-from wqpanel.features import (DesignMatrix, Strategy, StrategyConfig, assemble_design,
-                              fit_standardizer, numeric_block)
+from wqpanel.features import (Categoricals, DesignMatrix, Strategy, assemble_design,
+                              fit_pipeline)
 from wqpanel.mlp import MLPConfig, MLPModel, fit_mlp, predict_mlp
 from wqpanel.panel import stack_panel
 from wqpanel.shap_exact import (DEFAULT_PLAYER_CAP, MarginalValueFunction,
@@ -525,8 +525,8 @@ def test_mlp_coalitions_grouped_one_hot_players(activation):
     weekday and season blocks as one player each (8 players, so more
     than one block of coalitions)."""
     stacked = stack_panel(synthetic_panel(40, 3, 4, seed=32))
-    cfg = StrategyConfig(strategy=Strategy.STANDARDIZED_PLUS_CATEGORICAL)
-    design = assemble_design(stacked, cfg, fit_standardizer(numeric_block(stacked, cfg)[1]))
+    design = assemble_design(stacked, fit_pipeline(
+        stacked, Strategy.STANDARDIZED_PLUS_CATEGORICAL, Categoricals()))
     names, players = players_from_design(design)
     assert len(players) == 8 and max(len(cols) for cols in players) > 1
     model, _ = fit_mlp(design.X, design.y, MLPConfig(hidden_layers=(7, 4),

@@ -75,6 +75,7 @@ def test_prefix_grid_grows_its_longest_fit_once(monkeypatch, capsys, family):
 def test_panel_size_options_reach_the_generator(monkeypatch, capsys):
     grid = {"n_trees": [2], "max_depth": [2]}
     demo = _time(monkeypatch, capsys, "random_forest", grid)
+    assert demo["columns"] == 11  # the config's strategy 2: the generator's 11 features
     for panel_args, ratio in ((("--sites", "12"), 2), (("--train-dates", "120", "--sites", "12"), 4)):
         record = _time(monkeypatch, capsys, "random_forest", grid, *panel_args)
         assert record["columns"] == demo["columns"]
