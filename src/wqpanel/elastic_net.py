@@ -5,13 +5,16 @@ Minimizes sum((y_i - x_i'b)^2) / (2n) + lam*(1-alpha)/2 * sum(b_j^2)
 standardized internally before penalization by default (coefficients are
 mapped back to the original scale on return).
 
-A fit is a set-up and a solve. prepare_fit checks the inputs and builds
-everything no config changes: the working space (column means and scales),
-the Gram matrix X'X/n, X'y/n and its diagonal. fit_elastic_net builds it
-itself, or takes one made beforehand, so the tuner builds it once per fold
-(and per standardize_internally value) and solves every config from it;
-a shared set-up gives the same coefficients, bit for bit, as a fit from
-scratch.
+A fit is a set-up and a solve. A set-up is everything no config changes:
+the working space (column means and scales), the Gram matrix X'X/n, X'y/n
+and its diagonal. A column whose minimum is its maximum is constant: it
+gets scale 1 and an exactly zero working column, so it stays at 0.
+prepare_fit builds one set-up from (X, y), and a shared one gives the same
+coefficients, bit for bit, as a fit from scratch. prepare_folds builds the
+set-ups of several CV folds from one pass over the design, each equal to
+prepare_fit's on that fold's rows to rounding, and a cross-validation cell
+is fit_elastic_net from its fold's set-up. fit_elastic_net builds the
+set-up itself, or takes one made beforehand.
 
 The solve is feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006) on
 Q = Gram + lam*(1-alpha)*I: from b = 0, each step signs the active
@@ -28,7 +31,7 @@ design; max_iter caps its steps, and sweeps_used counts them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Annotated
+from typing import Annotated, Sequence
 
 import numpy as np
 
@@ -65,15 +68,19 @@ class LinearModel:
 
 
 def _working_space(X: np.ndarray, standardize: bool):
-    """Centered (and optionally scaled) predictors plus the back-mapping data."""
+    """Centered (and optionally scaled) predictors plus the back-mapping
+    data. A constant column's working column is exactly zero, where its
+    centering alone may leave rounding (a column of 0.1 keeps 1e-17s)."""
     x_mean = X.mean(axis=0)
+    constant = X.min(axis=0) == X.max(axis=0)
     if standardize:
-        sd = X.std(axis=0, ddof=0)
-        scale = np.where(sd == 0.0, 1.0, sd)
+        sd = X.std(axis=0, ddof=0)  # 0 also where tiny deviations square to underflow
+        scale = np.where(constant | (sd == 0.0), 1.0, sd)
     else:
         scale = np.ones(X.shape[1])
     Xs = X - x_mean
     Xs /= scale
+    Xs[:, constant] = 0.0
     return Xs, x_mean, scale
 
 
@@ -81,8 +88,8 @@ def _working_space(X: np.ndarray, standardize: bool):
 class FitSetup:
     """What a solve needs from (X, y) that no config changes.
 
-    prepare_fit builds it; fit_elastic_net solves one config from it, so
-    the configs of one fold can share it.
+    prepare_fit or prepare_folds builds it; fit_elastic_net solves one
+    config from it, so the configs of one fold can share it.
     """
 
     standardize: bool
@@ -94,8 +101,7 @@ class FitSetup:
     diag: np.ndarray
 
 
-def prepare_fit(X, y, standardize: bool) -> FitSetup:
-    """Check (X, y) and build the working space, Gram matrix and X'y once."""
+def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2:
@@ -107,14 +113,114 @@ def prepare_fit(X, y, standardize: bool) -> FitSetup:
         raise ValueError("y length does not match X")
     if not (np.isfinite(X).all() and np.isfinite(y).all()):
         raise ValueError("non-finite values in input")
+    return X, y
 
+
+def prepare_fit(X, y, standardize: bool) -> FitSetup:
+    """Check (X, y) and build the working space, Gram matrix and X'y once."""
+    X, y = _checked(X, y)
     Xs, x_mean, scale = _working_space(X, standardize)
     y_mean = float(y.mean())
     yc = y - y_mean
+    n = X.shape[0]
     gram = Xs.T @ Xs / n
     return FitSetup(
         standardize=standardize, x_mean=x_mean, scale=scale, y_mean=y_mean,
         gram=gram, xy=Xs.T @ yc / n, diag=np.diag(gram).copy())
+
+
+def prepare_folds(X, y, folds: Sequence[np.ndarray], standardize: bool) -> list[FitSetup]:
+    """Check (X, y) once and build the set-up of each fold, fold i training
+    on the distinct rows folds[i], from one pass over the design.
+
+    With z = x - c for the column means c and w = y - mean(y), the sums
+    Σz, Z'Z, Σw and Z'w over all rows, less the same sums over the rows a
+    fold leaves out, are that fold's; _from_moments turns them into its
+    means, scales, Gram matrix and X'y. Shifting first keeps the
+    subtraction from cancelling (Chan, Golub & LeVeque, Am. Stat. 1983).
+    A column is constant on a fold where its minimum there is its maximum,
+    taken from the minima and maxima of the blocks the other folds leave
+    out and of the rows no fold leaves out; these combine exactly. So a
+    fold's set-up depends on (X, y, its rows) alone, never on the folds
+    built with it. Folds whose left-out rows overlap are built one by one.
+    """
+    X, y = _checked(X, y)
+    n = X.shape[0]
+    left_out, covered = [], np.zeros(n, dtype=bool)
+    for rows in folds:
+        out = np.ones(n, dtype=bool)
+        out[rows] = False
+        if len(rows) + np.count_nonzero(out) != n:
+            raise ValueError("a fold's training rows must be distinct")
+        if len(rows) == 0:
+            raise ValueError("fit_elastic_net requires at least one row")
+        covered |= out
+        left_out.append(np.flatnonzero(out))
+    if sum(map(len, left_out)) != np.count_nonzero(covered):
+        return [prepare_folds(X, y, [rows], standardize)[0] for rows in folds]
+
+    c, y_shift = X.mean(axis=0), float(y.mean())
+    w = y - y_shift
+    total = _moments(X - c, w)
+    blocks, spans = [], []
+    for rows in left_out:
+        block = X[rows]
+        spans.append(_span(block))
+        block -= c
+        blocks.append(_moments(block, w[rows]))
+    spans.append(_span(X[~covered]))  # the rows no fold leaves out
+    setups, sum_squares = [], np.diag(total[1])
+    for i, rows in enumerate(folds):
+        others = spans[:i] + spans[i + 1:]
+        constant = (np.min([lo for lo, _ in others], axis=0)
+                    == np.max([hi for _, hi in others], axis=0))
+        moments = [t - b for t, b in zip(total, blocks[i])]
+        setups.append(_from_moments(len(rows), *moments, c, y_shift, constant, standardize,
+                                    sum_squares)
+                      or prepare_fit(X[rows], y[rows], standardize))
+    return setups
+
+
+def _span(block: np.ndarray):
+    """Each column's minimum and maximum over the rows of block (inf and
+    -inf over none)."""
+    return block.min(axis=0, initial=np.inf), block.max(axis=0, initial=-np.inf)
+
+
+def _moments(Z: np.ndarray, w: np.ndarray):
+    """Σz, Z'Z, Σw and Z'w over the rows of Z and w."""
+    return Z.sum(axis=0), Z.T @ Z, w.sum(), Z.T @ w
+
+
+# The subtraction leaves a fold's sum of squared deviations of a column a
+# rounding error of about 2 eps times the column's Σz² over all rows. Where
+# that sum is at most this share of Σz², the error may pass 4.4e-11 of it,
+# so prepare_folds builds the fold from its rows instead.
+_CANCELLATION_FLOOR = 1e-5
+
+
+def _from_moments(n: int, sz, szz, sw, szw, c, y_shift: float, constant,
+                  standardize: bool, sum_squares) -> FitSetup | None:
+    """The set-up of n rows from their sums of z = x - c and w = y - y_shift
+    (_moments), a constant column getting scale 1 and exactly zero Gram
+    entries and X'y; None where a column's spread is below
+    _CANCELLATION_FLOOR times its sum_squares."""
+    mean = sz / n
+    cov = szz / n - np.outer(mean, mean)
+    spread = np.diag(cov)[~constant]
+    if np.any(spread * n <= _CANCELLATION_FLOOR * sum_squares[~constant]):
+        return None
+    scale = np.ones(len(mean))
+    if standardize:
+        scale[~constant] = np.sqrt(spread)
+    gram = cov / np.outer(scale, scale)
+    xy = (szw - mean * sw) / n / scale
+    gram[constant] = 0.0
+    gram[:, constant] = 0.0
+    xy[constant] = 0.0
+    return FitSetup(
+        standardize=standardize, x_mean=c + mean, scale=scale, y_mean=float(y_shift + sw / n),
+        gram=gram, xy=xy, diag=np.diag(gram).copy())
 
 
 # A Cholesky pivot² at or below this share of its block's largest diagonal
@@ -127,8 +233,9 @@ def fit_elastic_net(X, y, cfg: ElasticNetConfig,
     """The elastic-net fit of cfg by the active-set search.
 
     Deterministic; stops at the optimum or after cfg.max_iter steps.
-    ``setup`` is prepare_fit(X, y, cfg.standardize_internally) made
-    beforehand; without it the set-up is built here.
+    ``setup`` is prepare_fit(X, y, cfg.standardize_internally) or a fold's
+    prepare_folds set-up, made beforehand, and then X and y are not read;
+    without it the set-up is built here.
     """
     if setup is None:
         setup = prepare_fit(X, y, cfg.standardize_internally)

@@ -13,13 +13,18 @@ prefix axis. A tuner task is a chunk of CV folds, fit through
 fit_folds. The tuner builds every (config, fold) config of the chunk
 before any fit, so the hook takes only valid built configs; it yields
 their fitted models, fold by fold, sharing the work that no config
-changes, and each model must equal fit's for that config on that fold's
-rows, bit for bit. Every hook is one grouped rule (_grouped_folds) given
-a family's group key and group fit: elastic net shares one set-up (the
-Gram matrix) per fold and standardize_internally value, the MLP trains
-the configs of one architecture in lockstep on stacked weights across
-every fold of the chunk, and each tree ensemble fits once per fold and
-setting of the other axes, whose prefixes serve every smaller n_trees.
+changes. Each model of a tree ensemble or the MLP must equal fit's for
+that config on that fold's rows, bit for bit. An elastic-net model is
+instead fit_elastic_net's from its fold's own set-up (prepare_folds), bit
+for bit, and that set-up is prepare_fit's on the fold's rows to rounding,
+so the model is a lone fit's to rounding. Either way a model depends on
+its config and its fold's rows alone, never on the chunk. Every hook is
+one grouped rule (_grouped_folds) given a family's group key and group
+fit: elastic net builds every fold's set-up (the Gram matrix) per
+standardize_internally value from one pass over the design, the MLP
+trains the configs of one architecture in lockstep on stacked weights
+across every fold of the chunk, and each tree ensemble fits once per fold
+and setting of the other axes, whose prefixes serve every smaller n_trees.
 An ensemble draws tree i from the i-th spawned child of its fit seed, so
 under one seed the first k trees of a longer fit are the k-tree fit; its
 entry names n_trees as its prefix_axis, and the tuner keys the fit seed
@@ -169,11 +174,12 @@ def _grouped_folds(key, fit_group):
     being the position in the hook's folds; a ValueError from it fails
     that cell in place. ``fit_group(X, y, rows, group_cfgs)`` returns, per
     config in order, its model or the exception its fit raised; config i
-    trains on X[rows[i]]. A family whose shared work depends on a fold's
-    rows keys on the fold. Each group is fit when its first cell is due and
-    dropped after its last is yielded, so adjacent groups hold one group's
-    models at a time, and a failing cell stops the task before any later
-    group is fit.
+    trains on X[rows[i]]. A family whose shared work serves one fold's
+    rows (the tree ensembles) keys on the fold; the MLP and elastic net
+    share work across the folds of a group. Each group is fit when its
+    first cell is due and dropped after its last is yielded, so adjacent
+    groups hold one group's models at a time, and a failing cell stops
+    the task before any later group is fit.
     """
     def fit_folds(X, y, folds, cfgs):
         cells = [(fold, rows, cfg) for fold, (rows, fold_cfgs) in enumerate(zip(folds, cfgs))
@@ -204,11 +210,15 @@ def _on_one_fold(fit_group):
     return fit
 
 
-def _elastic_net_group(X, y, cfgs):
-    """One set-up, then each config's solve; the fits equal
-    fit_elastic_net's without a set-up, bit for bit."""
-    setup = en.prepare_fit(X, y, cfgs[0].standardize_internally)
-    return [en.fit_elastic_net(X, y, cfg, setup=setup) for cfg in cfgs]
+def _elastic_net_folds(X, y, rows, cfgs):
+    """The configs of one standardize_internally value, from every fold of
+    the task: each fold's set-up from one pass over the design
+    (prepare_folds), then each config's solve from its fold's set-up."""
+    folds = {id(fold): fold for fold in rows}  # a fold's cells share its rows
+    setups = dict(zip(folds, en.prepare_folds(X, y, list(folds.values()),
+                                               cfgs[0].standardize_internally)))
+    return [en.fit_elastic_net(None, None, cfg, setup=setups[id(fold)])
+            for fold, cfg in zip(rows, cfgs)]
 
 
 def _prefix_key(cfg, fold, n_rows):
@@ -310,8 +320,8 @@ def _elastic_net_hooks() -> dict:
             "alpha": list(en.DEFAULT_ALPHA_GRID),
         },  # 30 configs
         cheap_refit=True,
-        fit_folds=_grouped_folds(lambda cfg, fold, n_rows: (fold, cfg.standardize_internally),
-                                 _on_one_fold(_elastic_net_group)),
+        fit_folds=_grouped_folds(lambda cfg, fold, n_rows: cfg.standardize_internally,
+                                 _elastic_net_folds),
     )
 
 

@@ -12,7 +12,8 @@ interchangeable. A task is a chunk of folds (fold_chunks): all k with one
 job, else one of min(n_jobs, k) contiguous chunks. It builds every
 config of the grid for each of its folds, then fits them all through the
 family's registry fit_folds hook, which may share work across the folds
-(the MLP trains an architecture's configs of every fold in one stack).
+(the MLP trains an architecture's configs of every fold in one stack, and
+elastic net builds every fold's set-up from one pass over the design).
 """
 
 from __future__ import annotations

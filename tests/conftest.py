@@ -145,6 +145,17 @@ def kkt_max_violation(X, y, model, cfg) -> float:
     return float(violation.max(initial=0.0))
 
 
+def assert_setups_close(setup, other, rtol=1e-11):
+    """Two set-ups of the same rows agree to rounding: each array within
+    rtol of its own largest entry."""
+    assert setup.standardize == other.standardize
+    assert setup.y_mean == pytest.approx(other.y_mean, rel=rtol)
+    for name in ("gram", "xy", "x_mean", "scale", "diag"):
+        a, b = getattr(setup, name), getattr(other, name)
+        np.testing.assert_allclose(a, b, rtol=0, atol=rtol * np.abs(b).max(initial=1e-300),
+                                   err_msg=name)
+
+
 def lambda_max(X, y, standardize: bool = True) -> float:
     """Smallest lam at which the alpha=1 (lasso) solution is all-zero slopes.
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import kkt_max_violation, lambda_max
+from conftest import assert_setups_close, kkt_max_violation, lambda_max
 from wqpanel import elastic_net as en
 from wqpanel.elastic_net import (ElasticNetConfig, LinearModel, _working_space,
                                  fit_elastic_net, predict_linear, prepare_fit)
@@ -187,6 +187,30 @@ def test_constant_column_gets_zero_coefficient():
     model = fit_elastic_net(X, y, ElasticNetConfig(lam=0.0, max_iter=5000))
     assert model.coefficients[1] == 0.0
     assert model.coefficients[0] == pytest.approx(3.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("value", [0.1, 7.3, 3.3])
+@pytest.mark.parametrize("standardize", [True, False])
+def test_a_constant_column_whose_mean_rounds_stays_out_of_the_fit(value, standardize):
+    # the mean of 200 copies of 0.1 is not 0.1, so centering alone left
+    # 1e-17s in the working column; standardized by their spread (6.9e-17)
+    # they became a column of size 1, whose coefficient was 6.56, moving
+    # the intercept by 0.66. A column whose minimum is its maximum now has
+    # scale 1 and an exactly zero working column
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((200, 3))
+    y = 7.0 + X @ [0.3, -0.2, 0.1] + 0.1 * rng.standard_normal(200)
+    with_constant = np.column_stack([X, np.full(200, value)])
+    setup = prepare_fit(with_constant, y, standardize)
+    assert setup.scale[3] == 1.0
+    assert not setup.gram[3].any() and not setup.gram[:, 3].any() and setup.xy[3] == 0.0
+    for lam in (0.0, 1e-4):
+        cfg = ElasticNetConfig(lam=lam, alpha=0.0, standardize_internally=standardize)
+        model, without = fit_elastic_net(with_constant, y, cfg), fit_elastic_net(X, y, cfg)
+        assert model.coefficients[3] == 0.0
+        np.testing.assert_allclose(model.coefficients[:3], without.coefficients,
+                                   rtol=0, atol=1e-12)
+        assert model.intercept == pytest.approx(without.intercept, rel=0, abs=1e-12)
 
 
 def test_input_validation():
@@ -382,6 +406,27 @@ def test_block_target_on_singular_and_nearly_singular_blocks():
     np.testing.assert_allclose(Q @ x, r, rtol=0, atol=1e-15)
 
 
+def test_block_target_scales_the_pivot_floor_by_the_block_diagonal():
+    # the unstandardized Gram block of two columns of size 100 that agree
+    # to rounding: its Cholesky factor exists, with a pivot² of 9.1e-12,
+    # which is 9.1e-16 of the diagonal, so the block is singular. A floor
+    # not scaled by the diagonal (1e-10 / 1e4) would take it as regular
+    # and solve it, to coefficients near ±2.2e8
+    Q = 1e4 * np.array([[1.0, 1.0], [1.0, 1.0 + 2.0 ** -50]])
+    pivot2 = np.diag(np.linalg.cholesky(Q)).min() ** 2
+    assert en._PIVOT_FLOOR / 1e4 < pivot2 <= en._PIVOT_FLOOR * 1e4
+    b = np.array([0.5, 0.0])  # column 1 joins
+    # r with a part along the null direction: the step runs along it
+    # until b[0] reaches zero
+    x, exact = en._block_target(Q, Q @ np.array([0.3, 0.3]) + 1e-3 * np.array([-1.0, 1.0]), b)
+    assert not exact
+    assert x[0] == 0.0 and x[1] == pytest.approx(0.5, rel=1e-12)
+    # r with none: the least-norm solution
+    x, exact = en._block_target(Q, Q @ np.array([0.3, 0.3]), b)
+    assert exact
+    np.testing.assert_allclose(x, [0.3, 0.3], rtol=1e-12)
+
+
 def test_shared_setup_equals_a_fresh_active_set_fit():
     X, y = correlated_instance(34)
     for flag in (True, False):
@@ -391,6 +436,132 @@ def test_shared_setup_equals_a_fresh_active_set_fit():
             model, singular = fit_counting_singular_blocks(X, y, cfg, setup=setup)
             assert not singular
             _assert_same_fit(model, fit_elastic_net(X, y, cfg))
+
+
+# ------------------------------------------------------ fold set-ups
+
+def training_folds(n, k, scheme):
+    from wqpanel.tuner import CVConfig, FoldScheme, kfold_split
+    return [train for train, _ in kfold_split(n, CVConfig(k=k, scheme=FoldScheme(scheme)), 7)]
+
+
+def _assert_same_setup(setup, other):
+    for name in ("gram", "xy", "x_mean", "scale", "diag"):
+        assert getattr(setup, name).tobytes() == getattr(other, name).tobytes(), name
+    assert setup.y_mean.hex() == other.y_mean.hex()
+
+
+def one_fold_constant_instance(scheme, fold=1):
+    """correlated_instance with a one-hot column that is 0 on the training
+    rows of ``fold`` (of k=5) and 1 on its validation rows."""
+    X, y = correlated_instance(33)
+    X[:, 3] = 1.0
+    X[training_folds(len(y), 5, scheme)[fold], 3] = 0.0
+    return X, y
+
+
+FOLD_DESIGNS = {
+    "correlated": lambda scheme: correlated_instance(31),
+    "constant_column": lambda scheme: correlated_instance(31, constant_column=True),
+    "one_hot": lambda scheme: one_hot_instance(),
+    "one_fold_constant": one_fold_constant_instance,
+}
+
+
+@pytest.mark.parametrize("scheme", ["shuffled", "blocked_by_time"])
+@pytest.mark.parametrize("design", FOLD_DESIGNS)
+@pytest.mark.parametrize("standardize", [True, False])
+def test_fold_setups_equal_prepare_fit_to_rounding_and_ignore_the_other_folds(
+        scheme, design, standardize):
+    # each fold's set-up is prepare_fit's on its rows to 1e-11, and the
+    # same bits whichever folds it is built with: the k=5 chunks of two
+    # and three jobs, and each fold alone
+    X, y = FOLD_DESIGNS[design](scheme)
+    folds = training_folds(len(y), 5, scheme)
+    setups = en.prepare_folds(X, y, folds, standardize)
+    for rows, setup in zip(folds, setups):
+        assert_setups_close(setup, prepare_fit(X[rows], y[rows], standardize))
+    for chunk in ([0, 1, 2], [3, 4], [0, 1], [2, 3], [4], [1], [3]):
+        for i, setup in zip(chunk, en.prepare_folds(X, y, [folds[i] for i in chunk],
+                                                    standardize)):
+            _assert_same_setup(setup, setups[i])
+
+
+@pytest.mark.parametrize("scheme", ["shuffled", "blocked_by_time"])
+@pytest.mark.parametrize("standardize", [True, False])
+def test_a_column_constant_on_a_folds_rows_gets_a_zero_coefficient(monkeypatch, scheme,
+                                                                   standardize):
+    # 0 on fold 1's training rows, 1 on its validation rows: the sums
+    # leave the column a spread of rounding size there, which scaled to a
+    # unit Gram diagonal would fit a coefficient to rounding. The other
+    # blocks' minima and maxima mark it constant instead, so it gets scale
+    # 1 and no part in the fit, without rebuilding the fold from its rows
+    X, y = one_fold_constant_instance(scheme)
+    folds = training_folds(len(y), 5, scheme)
+    validation = np.setdiff1d(np.arange(len(y)), folds[1])
+    monkeypatch.setattr(en, "prepare_fit", None)  # no fold is built from its rows
+    setups = en.prepare_folds(X, y, folds, standardize)
+    monkeypatch.undo()
+    assert setups[1].scale[3] == 1.0 and setups[1].xy[3] == 0.0
+    assert not setups[1].gram[3].any() and not setups[1].gram[:, 3].any()
+    assert all(setup.diag[3] > 0.0 for i, setup in enumerate(setups) if i != 1)
+    for lam, alpha in [(0.0, 0.5), (1e-4, 0.0), (1e-3, 1.0), (0.1, 0.5)]:
+        cfg = ElasticNetConfig(lam=lam, alpha=alpha, standardize_internally=standardize)
+        model = fit_elastic_net(None, None, cfg, setup=setups[1])
+        alone = fit_elastic_net(X[folds[1]], y[folds[1]], cfg)
+        assert model.coefficients[3] == 0.0
+        np.testing.assert_allclose(predict_linear(model, X[validation]),
+                                   predict_linear(alone, X[validation]), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["shuffled", "blocked_by_time"])
+@pytest.mark.parametrize("design", FOLD_DESIGNS)
+@pytest.mark.parametrize("standardize", [True, False])
+def test_fold_cells_meet_kkt_on_their_rows(scheme, design, standardize):
+    # each cell, solved from its fold's set-up, meets the stationarity
+    # conditions on that fold's rows at the lone fits' bounds: to rounding
+    # (test_active_set_meets_kkt_to_rounding), or on a singular block the
+    # bound of test_active_set_meets_kkt_on_drawn_designs
+    X, y = FOLD_DESIGNS[design](scheme)
+    folds = training_folds(len(y), 5, scheme)
+    for rows, setup in zip(folds, en.prepare_folds(X, y, folds, standardize)):
+        for lam, alpha in [(0.0, 0.5), (1e-3, 0.0), (1e-3, 1.0), (0.02, 0.5), (0.3, 1.0),
+                           (5.0, 0.3)]:
+            cfg = ElasticNetConfig(lam=lam, alpha=alpha, standardize_internally=standardize)
+            model, singular = fit_counting_singular_blocks(None, None, cfg, setup=setup)
+            scale = max(1.0, float(np.abs(setup.xy).max())) if singular else 1.0
+            assert model.sweeps_used < cfg.max_iter
+            assert kkt_max_violation(X[rows], y[rows], model, cfg) <= (
+                (1e-6 if singular else 1e-12) * scale), (lam, alpha)
+
+
+def test_a_fold_the_subtraction_cannot_resolve_is_built_from_its_rows():
+    # column 0 spreads by 1e-9 on fold 0's training rows and by 5 on its
+    # validation rows: the subtraction would cancel all but 6e-19 of its
+    # sum of squares (and gave a scale of 3.7e-8 for 9.6e-10), so that
+    # fold is prepare_fit's on its rows, bit for bit
+    X, y = correlated_instance(36)
+    folds = training_folds(len(y), 3, "blocked_by_time")
+    X[folds[0], 0] = 2.0 + 1e-9 * X[folds[0], 0]
+    setups = en.prepare_folds(X, y, folds, True)
+    _assert_same_setup(setups[0], prepare_fit(X[folds[0]], y[folds[0]], True))
+    for rows, setup in zip(folds[1:], setups[1:]):
+        assert_setups_close(setup, prepare_fit(X[rows], y[rows], True))
+
+
+def test_prepare_folds_checks_its_folds():
+    X, y = correlated_instance(37)
+    with pytest.raises(ValueError, match="distinct"):
+        en.prepare_folds(X, y, [np.array([0, 1, 1, 2])], True)
+    with pytest.raises(ValueError, match="at least one row"):
+        en.prepare_folds(X, y, [np.arange(len(y)), np.array([], dtype=int)], True)
+    with pytest.raises(ValueError, match="non-finite"):
+        en.prepare_folds(np.where(X > 5.0, np.nan, X), y, [np.arange(len(y))], True)
+    # folds whose left-out rows overlap are each built alone
+    overlapping = [np.arange(30, 90), np.arange(0, 60), np.arange(10, 90)]
+    for rows, setup in zip(overlapping, en.prepare_folds(X, y, overlapping, False)):
+        _assert_same_setup(setup, en.prepare_folds(X, y, [rows], False)[0])
+        assert_setups_close(setup, prepare_fit(X[rows], y[rows], False))
 
 
 @pytest.fixture(scope="module")

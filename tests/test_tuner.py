@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import assert_setups_close
+from wqpanel import elastic_net as en
 from wqpanel import mlp as nn
 from wqpanel import trees as tr
 from wqpanel import tuner
@@ -155,6 +157,10 @@ def test_tie_breaks_to_earliest_config():
 # 47 rows give training sets of 37 and 38 rows, so two lockstep keys
 ONE_ARCHITECTURE = {"hidden_layers": ([4],), "activation": ("relu", "tanh"),
                     "l2_penalty": (0.0, 0.01), "batch_size": (16,), "max_epochs": (5,)}
+# k=5 splits into the chunks [0, 1, 2], [3, 4] with two jobs and [0, 1],
+# [2, 3], [4] with three, so each fold's set-up is built beside different folds
+ELASTIC_NET_K5 = {"lam": (0.0, 1e-3, 0.1), "alpha": (0.0, 1.0),
+                  "standardize_internally": (True, False)}
 
 
 @pytest.mark.parametrize("family, axes, k, n_jobs", [
@@ -168,18 +174,36 @@ ONE_ARCHITECTURE = {"hidden_layers": ([4],), "activation": ("relu", "tanh"),
     ("gbdt_goss", {"n_trees": (3, 6), "max_depth": (2,), "top_rate": (0.2, 0.3)}, 3, 2),
     ("mlp", ONE_ARCHITECTURE, 5, 2),
     ("mlp", ONE_ARCHITECTURE, 5, 3),
+    ("elastic_net", ELASTIC_NET_K5, 5, 2),
+    ("elastic_net", ELASTIC_NET_K5, 5, 3),
 ], ids=["random_forest", "random_forest_prefix", "elastic_net", "mlp", "gbdt", "gbdt_goss",
-        "mlp_one_architecture_k5_jobs2", "mlp_one_architecture_k5_jobs3"])
+        "mlp_one_architecture_k5_jobs2", "mlp_one_architecture_k5_jobs3",
+        "elastic_net_k5_jobs2", "elastic_net_k5_jobs3"])
 def test_parallel_matches_serial(family, axes, k, n_jobs):
     X, y = _search_data(seed=6, n=48 if k == 3 else 47)
-    grid = axes
-    cv = CVConfig(k=k)
+    _assert_parallel_matches_serial(family, axes, X, y, CVConfig(k=k), n_jobs)
+
+
+@pytest.mark.parametrize("scheme", list(FoldScheme))
+@pytest.mark.parametrize("n_jobs", [2, 3])
+def test_parallel_matches_serial_with_a_column_constant_on_one_fold(scheme, n_jobs):
+    # a one-hot column that is 0 on fold 4's training rows and 1 on its
+    # validation rows: whichever chunk holds fold 4, and whichever blocks
+    # its minimum and maximum come from, the column is constant there
+    X, y = _search_data(seed=6, n=47)
+    cv = CVConfig(k=5, scheme=scheme)
+    X[:, 2] = 0.0
+    X[kfold_split(47, cv, 11)[4][1], 2] = 1.0
+    _assert_parallel_matches_serial("elastic_net", ELASTIC_NET_K5, X, y, cv, n_jobs)
+
+
+def _assert_parallel_matches_serial(family, grid, X, y, cv, n_jobs):
     serial = grid_search(family, grid, X, y, cv, seed=11, n_jobs=1)
     parallel = grid_search(family, grid, X, y, cv, seed=11, n_jobs=n_jobs)
     assert serial.best_config == parallel.best_config
     assert serial.mean_scores == parallel.mean_scores
     assert serial.fold_scores == parallel.fold_scores
-    assert serial.timing.total_fits == parallel.timing.total_fits == len(grid_configs(grid)) * k
+    assert serial.timing.total_fits == parallel.timing.total_fits == len(grid_configs(grid)) * cv.k
     family = get_family(family)
     assert _exported(family, serial.best_model) == _exported(family, parallel.best_model)
 
@@ -259,7 +283,18 @@ def _fit_fold(family, X, y, cfgs):
     return family.fit_folds(X, y, [np.arange(len(y))], [cfgs])
 
 
+def _fold_cell(X, y, rows, cfg):
+    """An elastic-net (config, fold) cell as the contract gives it: the
+    solve of cfg from the fold's own set-up (prepare_folds on that fold
+    alone). It equals a lone fit on X[rows] to rounding, not bit for bit."""
+    setup = en.prepare_folds(X, y, [rows], cfg.standardize_internally)[0]
+    return en.fit_elastic_net(None, None, cfg, setup=setup)
+
+
 def test_elastic_net_fit_fold_matches_fit_and_predict():
+    # each cell is the solve from its fold's set-up, built alone, bit for
+    # bit, so the folds built with it cannot move it; that set-up is a lone
+    # fit's on the fold's rows to rounding, and so are the predictions
     family = get_family("elastic_net")
     X, y = _search_data(seed=9, n=50, p=4)
     X[:, 1] *= 20.0  # standardizing moves this column's penalty
@@ -267,11 +302,20 @@ def test_elastic_net_fit_fold_matches_fit_and_predict():
     configs = grid_configs({"lam": (0.0, 1e-3, 0.2), "alpha": (0.0, 0.5, 1.0),
                             "standardize_internally": (True, False)})
     cfgs = [family.config(params, 0) for params in configs]
-    shared = list(_fit_fold(family, X, y, cfgs))
-    assert len(shared) == len(configs)
-    for params, cfg, model in zip(configs, cfgs, shared):
-        alone = family.fit(X, y, cfg)
-        assert _exported(family, model) == _exported(family, alone), params
+    folds = [train for train, _ in kfold_split(len(y), CVConfig(k=3), 9)]
+    models = family.fit_folds(X, y, folds, [cfgs] * len(folds))
+    for rows in folds:
+        for flag in (True, False):
+            assert_setups_close(en.prepare_folds(X, y, [rows], flag)[0],
+                                en.prepare_fit(X[rows], y[rows], flag))
+        for params, cfg in zip(configs, cfgs):
+            model = next(models)
+            assert (_exported(family, model)
+                    == _exported(family, _fold_cell(X, y, rows, cfg))), params
+            alone = family.fit(X[rows], y[rows], cfg)
+            np.testing.assert_allclose(family.predict(model, X), family.predict(alone, X),
+                                       rtol=0, atol=1e-12, err_msg=str(params))
+    assert next(models, None) is None
 
 
 def test_mlp_fit_fold_matches_fit_and_predict():
@@ -339,7 +383,8 @@ FOLD_POOLS = {
 def test_fit_fold_equals_fit_of_each_config_of_a_drawn_grid(name, data):
     # at most 12 configs: each axis, in a drawn order, takes up to 3 values;
     # k folds of n rows, where k need not divide n, so the training sets
-    # of one task may differ in size (and an MLP architecture's lockstep key)
+    # of one task may differ in size (and an MLP architecture's lockstep key).
+    # An elastic-net cell is compared with its fold's own set-up (_fold_cell)
     family = get_family(name)
     axes, size = {}, 1
     for axis in data.draw(st.permutations(sorted(FOLD_POOLS[name])), label="axis order"):
@@ -356,7 +401,8 @@ def test_fit_fold_equals_fit_of_each_config_of_a_drawn_grid(name, data):
     for fi, train in enumerate(folds):
         for params, cfg in zip(grid_configs(axes), cfgs[fi]):
             try:
-                alone = family.fit(X[train], y[train], cfg)
+                alone = (_fold_cell(X, y, train, cfg) if name == "elastic_net"
+                         else family.fit(X[train], y[train], cfg))
             except Exception as exc:  # the task fails at the first cell that does
                 with pytest.raises(type(exc), match=re.escape(str(exc))):
                     next(models)
