@@ -7,14 +7,18 @@ mapped back to the original scale on return).
 
 A fit is a set-up and a solve. A set-up is everything no config changes:
 the working space (column means and scales), the Gram matrix X'X/n, X'y/n
-and its diagonal. A column whose minimum is its maximum is constant: it
-gets scale 1 and an exactly zero working column, so it stays at 0.
-prepare_fit builds one set-up from (X, y), and a shared one gives the same
-coefficients, bit for bit, as a fit from scratch. prepare_folds builds the
-set-ups of several CV folds from one pass over the design, each equal to
-prepare_fit's on that fold's rows to rounding, and a cross-validation cell
-is fit_elastic_net from its fold's set-up. fit_elastic_net builds the
-set-up itself, or takes one made beforehand.
+and its diagonal. One rule builds every set-up, prepare_folds: a fold's
+comes from the sums of its training rows' columns, shifted by the column
+means, taken as the sums over all rows less those over the rows it leaves
+out (Chan, Golub & LeVeque, Am. Stat. 1983). So the set-ups of several CV
+folds take one pass over the design, and each equals the one built from
+its own rows to rounding. A column whose minimum is its maximum is
+constant: it gets scale 1 and exactly zero Gram entries and X'y, so it
+stays at 0. prepare_fit is the one fold that leaves no row out: the
+set-up of a lone fit, of the winner's refit and of each retrain-SHAP
+refit. A shared set-up gives the same coefficients, bit for bit, as a fit
+from scratch on the same rows. fit_elastic_net builds the set-up itself,
+or takes one made beforehand.
 
 The solve is feature-sign search (Lee, Battle, Raina & Ng, NIPS 2006) on
 Q = Gram + lam*(1-alpha)*I: from b = 0, each step signs the active
@@ -67,23 +71,6 @@ class LinearModel:
     sweeps_used: int
 
 
-def _working_space(X: np.ndarray, standardize: bool):
-    """Centered (and optionally scaled) predictors plus the back-mapping
-    data. A constant column's working column is exactly zero, where its
-    centering alone may leave rounding (a column of 0.1 keeps 1e-17s)."""
-    x_mean = X.mean(axis=0)
-    constant = X.min(axis=0) == X.max(axis=0)
-    if standardize:
-        sd = X.std(axis=0, ddof=0)  # 0 also where tiny deviations square to underflow
-        scale = np.where(constant | (sd == 0.0), 1.0, sd)
-    else:
-        scale = np.ones(X.shape[1])
-    Xs = X - x_mean
-    Xs /= scale
-    Xs[:, constant] = 0.0
-    return Xs, x_mean, scale
-
-
 @dataclass(frozen=True)
 class FitSetup:
     """What a solve needs from (X, y) that no config changes.
@@ -117,16 +104,9 @@ def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def prepare_fit(X, y, standardize: bool) -> FitSetup:
-    """Check (X, y) and build the working space, Gram matrix and X'y once."""
-    X, y = _checked(X, y)
-    Xs, x_mean, scale = _working_space(X, standardize)
-    y_mean = float(y.mean())
-    yc = y - y_mean
-    n = X.shape[0]
-    gram = Xs.T @ Xs / n
-    return FitSetup(
-        standardize=standardize, x_mean=x_mean, scale=scale, y_mean=y_mean,
-        gram=gram, xy=Xs.T @ yc / n, diag=np.diag(gram).copy())
+    """Check (X, y) and build its set-up: prepare_folds' one fold of every
+    row."""
+    return prepare_folds(X, y, [np.arange(len(y))], standardize)[0]
 
 
 def prepare_folds(X, y, folds: Sequence[np.ndarray], standardize: bool) -> list[FitSetup]:
@@ -142,7 +122,10 @@ def prepare_folds(X, y, folds: Sequence[np.ndarray], standardize: bool) -> list[
     taken from the minima and maxima of the blocks the other folds leave
     out and of the rows no fold leaves out; these combine exactly. So a
     fold's set-up depends on (X, y, its rows) alone, never on the folds
-    built with it. Folds whose left-out rows overlap are built one by one.
+    built with it. A fold the subtraction could cancel is built the same
+    way from its own rows, which leave nothing out, so nothing is
+    subtracted there. Folds whose left-out rows overlap are built one by
+    one.
     """
     X, y = _checked(X, y)
     n = X.shape[0]
@@ -168,7 +151,8 @@ def prepare_folds(X, y, folds: Sequence[np.ndarray], standardize: bool) -> list[
         spans.append(_span(block))
         block -= c
         blocks.append(_moments(block, w[rows]))
-    spans.append(_span(X[~covered]))  # the rows no fold leaves out
+    # the rows no fold leaves out: all of X, uncopied, for a fold of every row
+    spans.append(_span(X[~covered] if covered.any() else X))
     setups, sum_squares = [], np.diag(total[1])
     for i, rows in enumerate(folds):
         others = spans[:i] + spans[i + 1:]
@@ -176,7 +160,7 @@ def prepare_folds(X, y, folds: Sequence[np.ndarray], standardize: bool) -> list[
                     == np.max([hi for _, hi in others], axis=0))
         moments = [t - b for t, b in zip(total, blocks[i])]
         setups.append(_from_moments(len(rows), *moments, c, y_shift, constant, standardize,
-                                    sum_squares)
+                                    sum_squares if len(left_out[i]) else None)
                       or prepare_fit(X[rows], y[rows], standardize))
     return setups
 
@@ -203,16 +187,20 @@ def _from_moments(n: int, sz, szz, sw, szw, c, y_shift: float, constant,
                   standardize: bool, sum_squares) -> FitSetup | None:
     """The set-up of n rows from their sums of z = x - c and w = y - y_shift
     (_moments), a constant column getting scale 1 and exactly zero Gram
-    entries and X'y; None where a column's spread is below
-    _CANCELLATION_FLOOR times its sum_squares."""
+    entries and X'y, and a column whose spread underflows to 0 scale 1.
+    Where the sums are totals less a left-out block's, sum_squares holds
+    each column's Σz² over all rows, and the result is None where a
+    column's spread is at most _CANCELLATION_FLOOR times it. Where nothing
+    was subtracted, sum_squares is None and the result never is."""
     mean = sz / n
     cov = szz / n - np.outer(mean, mean)
     spread = np.diag(cov)[~constant]
-    if np.any(spread * n <= _CANCELLATION_FLOOR * sum_squares[~constant]):
+    if sum_squares is not None and np.any(
+            spread * n <= _CANCELLATION_FLOOR * sum_squares[~constant]):
         return None
     scale = np.ones(len(mean))
     if standardize:
-        scale[~constant] = np.sqrt(spread)
+        scale[~constant] = np.sqrt(spread, out=np.ones_like(spread), where=spread > 0.0)
     gram = cov / np.outer(scale, scale)
     xy = (szw - mean * sw) / n / scale
     gram[constant] = 0.0

@@ -16,8 +16,10 @@ their fitted models, fold by fold, sharing the work that no config
 changes. Each model of a tree ensemble or the MLP must equal fit's for
 that config on that fold's rows, bit for bit. An elastic-net model is
 instead fit_elastic_net's from its fold's own set-up (prepare_folds), bit
-for bit, and that set-up is prepare_fit's on the fold's rows to rounding,
-so the model is a lone fit's to rounding. Either way a model depends on
+for bit. Every elastic-net set-up, the lone fit's and the winner's refit's
+included, follows the one moment rule of elastic_net.py, and a fold's,
+built by subtraction, is prepare_fit's on the fold's rows to rounding, so
+the model is a lone fit's to rounding. Either way a model depends on
 its config and its fold's rows alone, never on the chunk. Every hook is
 one grouped rule (_grouped_folds) given a family's group key and group
 fit: elastic net builds every fold's set-up (the Gram matrix) per

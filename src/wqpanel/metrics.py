@@ -63,8 +63,10 @@ def _rmse(err: np.ndarray) -> float:
 def evaluate(y, yhat) -> MetricReport:
     """Compute RMSE, MAPE, WMAPE, WUPRED and WOPRED for observed y vs predictions.
 
-    MAPE requires every |y_i| > 1e-12; WMAPE requires sum(|y_i|) > 1e-12
-    and WUPRED/WOPRED require |sum(y_i)| > 1e-12. Guard violations raise
+    MAPE requires every |y_i| > 1e-12, and WUPRED/WOPRED require
+    |sum(y_i)| > 1e-12. WMAPE needs no guard of its own: a float sum of
+    non-negative terms is at least its largest term, so MAPE's guard
+    already makes sum(|y_i|) > 1e-12. Guard violations raise
     MetricGuardError naming the metric and the offending index.
     """
     y, yhat = _as_pair(y, yhat)
@@ -73,9 +75,6 @@ def evaluate(y, yhat) -> MetricReport:
     if small.any():
         idx = int(np.argmax(small))
         raise MetricGuardError("mape", idx, f"mape division guard: |y[{idx}]| <= {EPS_DIV}")
-    abs_sum = float(np.sum(np.abs(y)))
-    if abs_sum <= EPS_DIV:
-        raise MetricGuardError("wmape", None, f"wmape division guard: sum|y| <= {EPS_DIV}")
     y_sum = float(np.sum(y))
     if abs(y_sum) <= EPS_DIV:
         raise MetricGuardError("wupred", None,
@@ -85,7 +84,7 @@ def evaluate(y, yhat) -> MetricReport:
     n = len(y)
     rmse = _rmse(err)
     mape = float(np.mean(np.abs(err / y)))
-    wmape = float(np.sum(np.abs(err)) / abs_sum)
+    wmape = float(np.sum(np.abs(err)) / np.sum(np.abs(y)))
     wupred = float(np.sum(err[err > 0]) / y_sum)
     wopred = float(np.sum(-err[err < 0]) / y_sum)
     return MetricReport(rmse=rmse, mape=mape, wmape=wmape, wupred=wupred, wopred=wopred, n=n)

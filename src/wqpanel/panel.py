@@ -175,23 +175,15 @@ class ValidationReport:
 
 def load_sites(path: str | Path) -> None:
     """Check the optional sites file (site_id, location_group), metadata
-    that no stage reads: its header must name a site_id column."""
+    that no stage reads: its header must name a site_id column. A leading
+    UTF-8 byte-order mark is read past."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             header = next(csv.reader(fh), None)
     except UnicodeDecodeError as exc:
         raise PanelFormatError(f"sites file {path} is not UTF-8 text: {exc}") from None
     if header is None or "site_id" not in header:
-        raise PanelFormatError(f"sites file {path} needs a 'site_id' column{_bom_note(header)}")
-
-
-def _bom_note(header: list[str] | None) -> str:
-    """What a refusal of a CSV header adds when the file starts with a
-    UTF-8 byte-order mark, which the utf-8 codec reads into the first name."""
-    if header and header[0].startswith("\ufeff"):
-        return (f"; the file starts with a UTF-8 byte-order mark, read as part of its "
-                f"first header name {header[0][1:]!r}")
-    return ""
+        raise PanelFormatError(f"sites file {path} needs a 'site_id' column")
 
 
 @dataclass(frozen=True)
@@ -211,16 +203,17 @@ def load_panel(path: str | Path, schema: PanelSchema) -> PanelDataset:
     """Load a long-format panel CSV into a PanelDataset.
 
     Dimensions are inferred from the distinct dates and sites. Numbers are
-    read as Python's float() reads them. The panel must be complete; a
-    duplicated or absent (date, site) pair, a row whose field count differs
-    from the header's, an unparseable date or a non-numeric cell raises
-    PanelFormatError naming the offending line or cell.
+    read as Python's float() reads them, and a leading UTF-8 byte-order
+    mark is read past. The panel must be complete; a duplicated or absent
+    (date, site) pair, a row whose field count differs from the header's,
+    an unparseable date or a non-numeric cell raises PanelFormatError
+    naming the offending line or cell.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"panel file not found: {path}")
 
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header_reader = csv.reader(fh)
         header = next(header_reader, [])
         body = fh.read()
@@ -228,7 +221,7 @@ def load_panel(path: str | Path, schema: PanelSchema) -> PanelDataset:
               *schema.feature_columns.values()]
     absent = [c for c in needed if c not in header]
     if absent:
-        raise PanelFormatError(f"{path}: missing columns {absent}{_bom_note(header)}")
+        raise PanelFormatError(f"{path}: missing columns {absent}")
     column = {name: i for i, name in enumerate(header)}  # a repeated name: its last column
     layout = _Layout(
         width=len(header), date=column[schema.date_column],

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from wqpanel.elastic_net import _working_space
+from wqpanel.elastic_net import FitSetup, prepare_fit
 from wqpanel.mlp import _forward, _gradients, _loss, _one
 from wqpanel.panel import PanelDataset
 
@@ -124,17 +124,52 @@ def masked_coalitions(predict):
     return coalitions
 
 
+def working_space(X: np.ndarray, standardize: bool):
+    """The row-scaling oracle of the set-up rule: centered (and optionally
+    scaled) predictors plus the back-mapping data. A constant column (its
+    minimum is its maximum) gets scale 1 and an exactly zero working
+    column, where its centering alone may leave rounding (a column of 0.1
+    keeps 1e-17s); a column whose spread underflows to 0 gets scale 1."""
+    x_mean = X.mean(axis=0)
+    constant = X.min(axis=0) == X.max(axis=0)
+    if standardize:
+        sd = X.std(axis=0, ddof=0)  # 0 also where tiny deviations square to underflow
+        scale = np.where(constant | (sd == 0.0), 1.0, sd)
+    else:
+        scale = np.ones(X.shape[1])
+    Xs = X - x_mean
+    Xs /= scale
+    Xs[:, constant] = 0.0
+    return Xs, x_mean, scale
+
+
+def oracle_setup(X, y, standardize: bool) -> FitSetup:
+    """The set-up of (X, y) by multiplying out its working space: the slow
+    oracle that prepare_fit and every prepare_folds set-up equal to
+    rounding (assert_setups_close)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    Xs, x_mean, scale = working_space(X, standardize)
+    y_mean = float(y.mean())
+    n = X.shape[0]
+    gram = Xs.T @ Xs / n
+    return FitSetup(
+        standardize=standardize, x_mean=x_mean, scale=scale, y_mean=y_mean,
+        gram=gram, xy=Xs.T @ (y - y_mean) / n, diag=np.diag(gram).copy())
+
+
 def kkt_max_violation(X, y, model, cfg) -> float:
     """Largest stationarity-condition violation of ``model``, fit under the
     elastic-net config ``cfg``, at its coefficients.
 
-    Checked in the solver's working space: for b_j != 0 the subgradient
-    must vanish; for b_j = 0 the gradient must sit inside [-lam*alpha,
-    lam*alpha]. A fit the search ends at its optimum keeps this at rounding.
+    Checked in the oracle's working space (working_space), the solver's
+    to rounding: for b_j != 0 the subgradient must vanish; for b_j = 0 the
+    gradient must sit inside [-lam*alpha, lam*alpha]. A fit the search
+    ends at its optimum keeps this at rounding.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
-    Xs, _, scale = _working_space(X, cfg.standardize_internally)
+    Xs, _, scale = working_space(X, cfg.standardize_internally)
     b = model.coefficients * scale
     yc = y - y.mean()
     grad = -(Xs.T @ (yc - Xs @ b)) / len(y)
@@ -159,12 +194,10 @@ def assert_setups_close(setup, other, rtol=1e-11):
 def lambda_max(X, y, standardize: bool = True) -> float:
     """Smallest lam at which the alpha=1 (lasso) solution is all-zero slopes.
 
-    Computed in the same working space the solver penalizes in.
+    Computed in the same working space the solver penalizes in: the
+    largest entry of the set-up's X'y/n.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    Xs, _, _ = _working_space(X, standardize)
-    return float(np.max(np.abs(Xs.T @ (y - y.mean())))) / len(y)
+    return float(np.max(np.abs(prepare_fit(X, y, standardize).xy)))
 
 
 def write_panel_csv(path: Path, panel: PanelDataset,

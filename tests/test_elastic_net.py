@@ -7,11 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from conftest import assert_setups_close, kkt_max_violation, lambda_max
+from conftest import (assert_setups_close, at_least, kkt_max_violation, lambda_max,
+                      oracle_setup, working_space)
 from wqpanel import elastic_net as en
-from wqpanel.elastic_net import (ElasticNetConfig, LinearModel, _working_space,
-                                 fit_elastic_net, predict_linear, prepare_fit)
+from wqpanel.elastic_net import (ElasticNetConfig, LinearModel, fit_elastic_net,
+                                 predict_linear, prepare_fit)
 from wqpanel.fieldtypes import build
 
 
@@ -44,7 +47,7 @@ def objective_value(X: np.ndarray, y: np.ndarray, intercept: float,
 def working_objective(X, y, model, cfg) -> float:
     """The objective the solver minimizes, in its working space, at the
     model's coefficients."""
-    Xs, _, scale = _working_space(np.asarray(X, dtype=float), cfg.standardize_internally)
+    Xs, _, scale = working_space(np.asarray(X, dtype=float), cfg.standardize_internally)
     return objective_value(Xs, y - y.mean(), 0.0, model.coefficients * scale,
                            cfg.lam, cfg.alpha)
 
@@ -343,7 +346,7 @@ def test_active_set_equals_ols_and_the_ridge_closed_form(standardize):
     lam = 0.3
     ridge = fit_elastic_net(X, y, ElasticNetConfig(lam=lam, alpha=0.0,
                                                    standardize_internally=standardize))
-    Xs, x_mean, scale = _working_space(X, standardize)
+    Xs, x_mean, scale = working_space(X, standardize)
     n, p = X.shape
     closed = np.linalg.solve(Xs.T @ Xs / n + lam * np.eye(p), Xs.T @ (y - y.mean()) / n) / scale
     np.testing.assert_allclose(ridge.coefficients, closed, rtol=0, atol=1e-12)
@@ -480,7 +483,7 @@ def test_fold_setups_equal_prepare_fit_to_rounding_and_ignore_the_other_folds(
     folds = training_folds(len(y), 5, scheme)
     setups = en.prepare_folds(X, y, folds, standardize)
     for rows, setup in zip(folds, setups):
-        assert_setups_close(setup, prepare_fit(X[rows], y[rows], standardize))
+        assert_setups_close(setup, oracle_setup(X[rows], y[rows], standardize))
     for chunk in ([0, 1, 2], [3, 4], [0, 1], [2, 3], [4], [1], [3]):
         for i, setup in zip(chunk, en.prepare_folds(X, y, [folds[i] for i in chunk],
                                                     standardize)):
@@ -546,7 +549,65 @@ def test_a_fold_the_subtraction_cannot_resolve_is_built_from_its_rows():
     setups = en.prepare_folds(X, y, folds, True)
     _assert_same_setup(setups[0], prepare_fit(X[folds[0]], y[folds[0]], True))
     for rows, setup in zip(folds[1:], setups[1:]):
-        assert_setups_close(setup, prepare_fit(X[rows], y[rows], True))
+        assert_setups_close(setup, oracle_setup(X[rows], y[rows], True))
+
+
+@pytest.mark.parametrize("standardize", [True, False])
+def test_a_column_whose_spread_underflows_gets_scale_1_and_no_part_in_the_fit(standardize):
+    # deviations near 1e-200 square to 0: the column is not constant, but
+    # its spread is 0, so it gets scale 1, as the oracle's sd == 0 gives
+    # it. On each fold the subtraction leaves that spread at 0, so the
+    # fold is built from its own rows, where nothing is subtracted and the
+    # build ends
+    X, y = correlated_instance(38)
+    X[:, 2] = 1e-200 * (1.0 + X[:, 2] ** 2)
+    folds = training_folds(len(y), 3, "shuffled")
+    setups = [prepare_fit(X, y, standardize), *en.prepare_folds(X, y, folds, standardize)]
+    for rows, setup in zip([np.arange(len(y)), *folds], setups):
+        assert setup.scale[2] == 1.0 and setup.diag[2] == 0.0
+        assert_setups_close(setup, oracle_setup(X[rows], y[rows], standardize))
+    model = fit_elastic_net(X, y, ElasticNetConfig(lam=1e-3, standardize_internally=standardize))
+    assert model.coefficients[2] == 0.0
+
+
+@at_least(100)
+@given(data=st.data())
+def test_every_setup_equals_the_oracle_on_drawn_designs(data):
+    # prepare_fit, and each fold's set-up under both fold schemes, is the
+    # row-scaling oracle's on its rows to 1e-11, on designs with column
+    # scales from 0.01 to 100, a complete one-hot block, duplicate and
+    # constant columns, and a column constant on one fold's rows only
+    n = data.draw(st.integers(3, 60), label="rows")
+    p = data.draw(st.integers(1, 12), label="columns")
+    k = data.draw(st.integers(2, min(n, 5)), label="folds")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    scales = 10.0 ** rng.uniform(-2.0, 2.0, p)
+    X = (rng.standard_normal((n, p)) + rng.uniform(-5.0, 5.0, p)) * scales
+    if p > 2 and data.draw(st.booleans(), label="one-hot"):
+        levels = data.draw(st.integers(2, min(p, 5)), label="levels")
+        at = data.draw(st.integers(0, p - levels), label="at")
+        X[:, at:at + levels] = np.eye(levels)[rng.permutation(np.arange(n) % levels)]
+    if p > 1 and data.draw(st.booleans(), label="duplicate"):
+        i, j = data.draw(st.lists(st.integers(0, p - 1), min_size=2, max_size=2, unique=True),
+                         label="duplicated")
+        X[:, j] = X[:, i]
+    if data.draw(st.booleans(), label="constant"):
+        X[:, data.draw(st.integers(0, p - 1), label="constant column")] = data.draw(
+            st.sampled_from([0.0, 0.1, 3.3, -1e3]), label="value")
+    fold_constant = data.draw(st.none() | st.tuples(st.integers(0, k - 1), st.integers(0, p - 1)),
+                              label="constant on one fold")
+    y = (rng.standard_normal(n) + rng.uniform(-5.0, 5.0)) * 10.0 ** rng.uniform(-2.0, 2.0)
+    for standardize in (True, False):
+        assert_setups_close(prepare_fit(X, y, standardize), oracle_setup(X, y, standardize))
+    for scheme in ("shuffled", "blocked_by_time"):
+        folds = training_folds(n, k, scheme)
+        design = X.copy()
+        if fold_constant is not None:
+            fold, column = fold_constant
+            design[folds[fold], column] = design[folds[fold][0], column]
+        for standardize in (True, False):
+            for rows, setup in zip(folds, en.prepare_folds(design, y, folds, standardize)):
+                assert_setups_close(setup, oracle_setup(design[rows], y[rows], standardize))
 
 
 def test_prepare_folds_checks_its_folds():
@@ -561,7 +622,7 @@ def test_prepare_folds_checks_its_folds():
     overlapping = [np.arange(30, 90), np.arange(0, 60), np.arange(10, 90)]
     for rows, setup in zip(overlapping, en.prepare_folds(X, y, overlapping, False)):
         _assert_same_setup(setup, en.prepare_folds(X, y, [rows], False)[0])
-        assert_setups_close(setup, prepare_fit(X[rows], y[rows], False))
+        assert_setups_close(setup, oracle_setup(X[rows], y[rows], False))
 
 
 @pytest.fixture(scope="module")

@@ -70,6 +70,15 @@ def test_fit_standardizer_constant_column():
     assert params.sd[0] == 0.0
 
 
+@pytest.mark.parametrize("block", [np.array([[0.0, 2.0]]), np.array([0.0, 2.0])],
+                         ids=["one_row", "one_dimensional"])
+def test_fit_standardizer_refuses_a_one_row_or_one_dimensional_block(block):
+    # a one-row training panel reaches this guard through fit_pipeline;
+    # either fault alone is refused
+    with pytest.raises(ValueError, match=">= 2 rows"):
+        fit_standardizer(block)
+
+
 def test_standardize_train_gives_zero_mean_unit_sd():
     rng = np.random.default_rng(1)
     X = rng.normal(3.0, 2.0, size=(40, 3))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from wqpanel.metrics import MetricGuardError, evaluate, fit_benchmark, score
+from wqpanel.metrics import EPS_DIV, MetricGuardError, evaluate, fit_benchmark, score
 
 
 def reference_metrics(y, yhat):
@@ -112,10 +112,36 @@ def test_score_ignores_the_mape_guard():
 
 
 def test_signed_sum_guard():
-    # sum|y| > 0 passes the WMAPE guard, but WUPRED/WOPRED divide by sum(y) = 0
+    # every |y_i| passes the MAPE guard, but WUPRED/WOPRED divide by sum(y) = 0
     with pytest.raises(MetricGuardError) as info:
         evaluate([1.0, -1.0], [0.5, -0.5])
     assert info.value.metric == "wupred"
+
+
+def test_mape_guard_trips_at_exactly_eps_div():
+    # |y_i| == EPS_DIV is refused and the next float up is not; the same
+    # guard makes sum|y| > EPS_DIV, so WMAPE has none of its own
+    for small in (EPS_DIV, -EPS_DIV):
+        with pytest.raises(MetricGuardError) as info:
+            evaluate([1.0, small], [1.0, 1.0])
+        assert (info.value.metric, info.value.index) == ("mape", 1)
+    above = np.nextafter(EPS_DIV, 1.0)
+    assert evaluate([above], [0.0]).wmape == 1.0
+
+
+def test_signed_sum_guard_trips_at_exactly_eps_div():
+    # two targets each beyond the MAPE guard whose sum is EPS_DIV exactly
+    a = 2.5 * EPS_DIV
+    at = np.array([a, EPS_DIV - a])
+    assert at.sum() == EPS_DIV and np.all(np.abs(at) > EPS_DIV)
+    for y in (at, -at):
+        with pytest.raises(MetricGuardError) as info:
+            evaluate(y, y)
+        assert info.value.metric == "wupred"
+    above = np.array([a, np.nextafter(EPS_DIV - a, 1.0)])
+    assert above.sum() > EPS_DIV
+    assert evaluate(above, above).wupred == 0.0
+    assert evaluate(-above, -above).wopred == 0.0
 
 
 def test_benchmark_mean_and_constant_prediction():

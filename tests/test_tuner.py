@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_setups_close
+from conftest import assert_setups_close, oracle_setup
 from wqpanel import elastic_net as en
 from wqpanel import mlp as nn
 from wqpanel import trees as tr
@@ -307,7 +307,7 @@ def test_elastic_net_fit_fold_matches_fit_and_predict():
     for rows in folds:
         for flag in (True, False):
             assert_setups_close(en.prepare_folds(X, y, [rows], flag)[0],
-                                en.prepare_fit(X[rows], y[rows], flag))
+                                oracle_setup(X[rows], y[rows], flag))
         for params, cfg in zip(configs, cfgs):
             model = next(models)
             assert (_exported(family, model)
