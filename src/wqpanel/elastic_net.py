@@ -39,7 +39,7 @@ from typing import Annotated, Sequence
 
 import numpy as np
 
-from .fieldtypes import Numbers, check_field_types
+from .fieldtypes import Numbers, check_field_types, learner_input
 
 
 @dataclass(frozen=True)
@@ -88,30 +88,16 @@ class FitSetup:
     diag: np.ndarray
 
 
-def _checked(X, y) -> tuple[np.ndarray, np.ndarray]:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2:
-        raise ValueError("X must be 2-dimensional")
-    n = X.shape[0]
-    if n == 0:
-        raise ValueError("fit_elastic_net requires at least one row")
-    if len(y) != n:
-        raise ValueError("y length does not match X")
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise ValueError("non-finite values in input")
-    return X, y
-
-
 def prepare_fit(X, y, standardize: bool) -> FitSetup:
     """Check (X, y) and build its set-up: prepare_folds' one fold of every
-    row."""
-    return prepare_folds(X, y, [np.arange(len(y))], standardize)[0]
+    row (np.size, as a 0-d y has no len and must reach the check)."""
+    return prepare_folds(X, y, [np.arange(np.size(y))], standardize)[0]
 
 
 def prepare_folds(X, y, folds: Sequence[np.ndarray], standardize: bool) -> list[FitSetup]:
-    """Check (X, y) once and build the set-up of each fold, fold i training
-    on the distinct rows folds[i], from one pass over the design.
+    """Check (X, y) once (learner_input) and build the set-up of each fold,
+    fold i training on the distinct rows folds[i], from one pass over the
+    design. No row may be left out by two folds.
 
     With z = x - c for the column means c and w = y - mean(y), the sums
     Σz, Z'Z, Σw and Z'w over all rows, less the same sums over the rows a
@@ -124,10 +110,9 @@ def prepare_folds(X, y, folds: Sequence[np.ndarray], standardize: bool) -> list[
     fold's set-up depends on (X, y, its rows) alone, never on the folds
     built with it. A fold the subtraction could cancel is built the same
     way from its own rows, which leave nothing out, so nothing is
-    subtracted there. Folds whose left-out rows overlap are built one by
-    one.
+    subtracted there.
     """
-    X, y = _checked(X, y)
+    X, y = learner_input(X, y)
     n = X.shape[0]
     left_out, covered = [], np.zeros(n, dtype=bool)
     for rows in folds:
@@ -136,11 +121,12 @@ def prepare_folds(X, y, folds: Sequence[np.ndarray], standardize: bool) -> list[
         if len(rows) + np.count_nonzero(out) != n:
             raise ValueError("a fold's training rows must be distinct")
         if len(rows) == 0:
-            raise ValueError("fit_elastic_net requires at least one row")
+            raise ValueError("a fold needs at least one row")
+        if (covered & out).any():
+            raise ValueError(f"fold {len(left_out)} leaves out a row that an earlier "
+                             "fold leaves out; the folds' left-out rows must not overlap")
         covered |= out
         left_out.append(np.flatnonzero(out))
-    if sum(map(len, left_out)) != np.count_nonzero(covered):
-        return [prepare_folds(X, y, [rows], standardize)[0] for rows in folds]
 
     c, y_shift = X.mean(axis=0), float(y.mean())
     w = y - y_shift

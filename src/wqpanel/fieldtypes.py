@@ -9,7 +9,9 @@ value of its value's type: true is no member of value 1); tuple[int, ...] and
 tuple[str, ...] a tuple of integers or of strings; Annotated[np.ndarray,
 Numbers(...)] an array of Numbers' dimensions; a dataclass only an instance
 of it; tuple[T, ...] of a dataclass or of such an array a tuple of them;
-X | None also None. Other annotations are left to the class."""
+X | None also None. Other annotations are left to the class.
+
+learner_input is the one rule of the (X, y) that every learner fits."""
 
 from __future__ import annotations
 
@@ -24,6 +26,25 @@ from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
+
+
+def learner_input(X, y) -> tuple[np.ndarray, np.ndarray]:
+    """(X, y) as float arrays, as every learner fits them: X 2-D with at
+    least one row, y of shape (len(X),), every value finite. Anything else
+    is a ValueError naming the fault."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or len(X) == 0:
+        raise ValueError(f"X must be 2-D with at least one row, got shape {X.shape}")
+    if y.shape != (len(X),):
+        raise ValueError(f"y must have shape ({len(X)},), one entry per row of X, "
+                         f"got {y.shape}")
+    for name, values in (("X", X), ("y", y)):
+        finite = np.isfinite(values)
+        if not finite.all():
+            at = tuple(np.argwhere(~finite)[0].tolist())
+            raise ValueError(f"{name}{list(at)} = {values[at]} is non-finite")
+    return X, y
 
 
 def is_integer(value) -> bool:

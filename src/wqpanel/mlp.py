@@ -25,7 +25,7 @@ from typing import Annotated
 
 import numpy as np
 
-from .fieldtypes import Numbers, check_field_types
+from .fieldtypes import Numbers, check_field_types, learner_input
 
 _INIT_TAG = 101
 _SPLIT_TAG = 102
@@ -321,12 +321,11 @@ def fit_lockstep(X, y, cfgs, rows=None) -> list:
     rest train on. The configs of one activation sit next to each other,
     in stacks of at most _STACK_ELEMENTS.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = learner_input(X, y)
     rows = ([np.arange(len(y))] * len(cfgs) if rows is None
             else [np.asarray(base, dtype=np.intp) for base in rows])
-    if X.ndim != 2 or len(X) != len(y) or not all(len(base) for base in rows):
-        raise ValueError("X must be 2-D with rows matching y, and each config needs rows")
+    if not all(len(base) for base in rows):
+        raise ValueError("each config needs rows")
     keys = {lockstep_key(cfg, len(base)) for cfg, base in zip(cfgs, rows, strict=True)}
     if len(keys) != 1:
         raise ValueError("lockstep configs must share one lockstep_key")

@@ -54,7 +54,7 @@ from typing import Annotated, NamedTuple
 
 import numpy as np
 
-from .fieldtypes import Numbers, check_field_types
+from .fieldtypes import Numbers, check_field_types, learner_input
 
 _INTS = Annotated[np.ndarray, Numbers(integral=True)]
 _FLOATS = Annotated[np.ndarray, Numbers()]
@@ -293,10 +293,12 @@ def _bin_rows(ranked: _Ranked, rows: np.ndarray | None, n_bins: int) -> _Bins:
     feature counts the same rows. A quantile lies between the two order
     statistics it interpolates, and they tell how many of the feature's
     values are at most it; a value's code counts the quantiles that fewer
-    values are at most. A feature with a non-finite value or candidate, or
-    with a zero quantile (np.unique keeps the zero it meets first, so the
-    sign depends on the order), is binned on its own by ``_thresholds``,
-    as are the quantiles of a column holding both signed zeros.
+    values are at most. A feature with a non-finite candidate, or with a
+    zero quantile (np.unique keeps the zero it meets first, so the sign
+    depends on the order), is binned on its own by ``_thresholds``, as are
+    the quantiles of a column holding both signed zeros. A non-finite value
+    makes a non-finite midpoint or quantile wherever a candidate reaches
+    it; where none does, the counted codes are ``_thresholds``' codes.
     """
     ids = ranked.ids if rows is None else ranked.ids[rows]
     n, p = ids.shape
@@ -318,7 +320,6 @@ def _bin_rows(ranked: _Ranked, rows: np.ndarray | None, n_bins: int) -> _Bins:
     codes[1:] -= between & (mids >= values[1:])
 
     alone = quantiled & np.isin(np.arange(p), list(ranked.signed_zeros))
-    alone[feature[~np.isfinite(values)]] = True
     alone[feature[1:][between & ~np.isfinite(mids)]] = True
     counted = np.flatnonzero(quantiled & ~alone)
     kept, slot = np.empty(0), np.empty(0, dtype=np.intp)
@@ -681,12 +682,7 @@ def fit_tree(X, y, cfg: RFConfig, rng: np.random.Generator | None = None) -> Reg
     """Raw-target CART: greedy variance-reduction splits, mean leaf values,
     under cfg's max_depth, min_samples_leaf, max_features (drawn from
     ``rng``) and n_bins."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(X) < 1:
-        raise ValueError("fit_tree requires at least one row")
-    if not np.isfinite(y).all():
-        raise ValueError("non-finite targets")
+    X, y = learner_input(X, y)
     return _grow(X, -y, None,
                  max_depth=cfg.max_depth, min_child_weight=cfg.min_samples_leaf,
                  reg_lambda=0.0, gamma=0.0, n_bins=cfg.n_bins,
@@ -704,8 +700,6 @@ def fit_gradient_tree(X, g, cfg: GBDTConfig, weights: np.ndarray | None = None, 
     receives the leaf node of every row of X.
     """
     X = np.asarray(X, dtype=float)
-    if len(X) < 1:
-        raise ValueError("fit_gradient_tree requires at least one row")
     w = None if weights is None else np.asarray(weights, dtype=float)
     return _grow(X, g, w,
                  max_depth=cfg.max_depth, min_child_weight=cfg.min_child_weight,
@@ -763,15 +757,10 @@ def fit_random_forest(X, y, cfg: RFConfig) -> Ensemble:
     """Bootstrap-resampled trees with per-split feature subsampling, grown
     as one batch; X is ranked once and each bootstrap sample binned from
     those ranks when its tree starts."""
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
+    X, y = learner_input(X, y)
     n, p = X.shape
     if cfg.max_features is not None and not 1 <= cfg.max_features <= p:
         raise ValueError(f"max_features must be in [1, {p}]")
-    if n < 1:
-        raise ValueError("fit_random_forest requires at least one row")
-    if not np.isfinite(y).all():
-        raise ValueError("non-finite targets")
     ranked = _rank(X)
     full = None if cfg.bootstrap else _bin_rows(ranked, None, cfg.n_bins)
 
@@ -803,12 +792,7 @@ def fit_gbdt(X, y, cfg: GBDTConfig) -> Ensemble:
     so X is binned once and tree(X) is the value of the leaf each row
     reached while the tree grew.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if len(X) < 1:
-        raise ValueError("fit_gbdt requires at least one row")
-    if not np.isfinite(y).all():
-        raise ValueError("non-finite targets")
+    X, y = learner_input(X, y)
     base = float(np.mean(y))
     yhat = np.full(len(y), base)
     trees = []

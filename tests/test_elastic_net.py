@@ -618,11 +618,10 @@ def test_prepare_folds_checks_its_folds():
         en.prepare_folds(X, y, [np.arange(len(y)), np.array([], dtype=int)], True)
     with pytest.raises(ValueError, match="non-finite"):
         en.prepare_folds(np.where(X > 5.0, np.nan, X), y, [np.arange(len(y))], True)
-    # folds whose left-out rows overlap are each built alone
+    # no row may be left out by two folds: rows 0-9 leave folds 0 and 2
     overlapping = [np.arange(30, 90), np.arange(0, 60), np.arange(10, 90)]
-    for rows, setup in zip(overlapping, en.prepare_folds(X, y, overlapping, False)):
-        _assert_same_setup(setup, en.prepare_folds(X, y, [rows], False)[0])
-        assert_setups_close(setup, oracle_setup(X[rows], y[rows], False))
+    with pytest.raises(ValueError, match="fold 2 leaves out a row .* must not overlap"):
+        en.prepare_folds(X, y, overlapping, False)
 
 
 @pytest.fixture(scope="module")

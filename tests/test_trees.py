@@ -493,16 +493,18 @@ def test_signed_zero_columns_bin_like_the_oracle():
 def test_non_finite_and_huge_columns_bin_like_the_oracle():
     # infinite values, and finite ones whose midpoints (a + b) / 2 overflow:
     # the closed-form codes assume finite candidates, so these features
-    # are binned one at a time
+    # are binned one at a time. The fifth column has 8 distinct values, so
+    # at n_bins 8 its candidates are midpoints, one of them infinite
     rng = np.random.default_rng(42)
     n = 200
     columns = [np.where(rng.random(n) < 0.1, np.inf, rng.standard_normal(n)),
                rng.choice([-np.inf, np.inf, 1.0, 2.0], n),
                rng.choice([1.5e308, 1.7e308, 1.79e308, -1e308, 1.0], n),
-               rng.uniform(1.0e308, 1.79e308, n)]
+               rng.uniform(1.0e308, 1.79e308, n),
+               rng.choice([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 1.5e308, 1.7e308], n)]
     for column in columns:
         X = np.column_stack([column, rng.standard_normal(n)])
-        for n_bins in (1, 2, 3, 16, 256):
+        for n_bins in (1, 2, 3, 8, 16, 256):
             for kind in ("all", "bootstrap", "goss"):
                 rows = _rows(rng, n, kind)
                 with np.errstate(over="ignore", invalid="ignore"):
@@ -1107,3 +1109,7 @@ def test_config_validation():
     for field in ({"n_bins": 0}, {"max_depth": -1}):
         with pytest.raises(ValueError, match="max_depth >= 0 and n_bins >= 1"):
             RFConfig(**field)
+    # each of the three fails alone
+    for field in ("min_child_weight", "reg_lambda", "gamma"):
+        with pytest.raises(ValueError, match="min_child_weight, reg_lambda, gamma must be >= 0"):
+            GBDTConfig(**{field: -1.0})
