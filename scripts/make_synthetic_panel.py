@@ -39,24 +39,39 @@ def build_panel(n_dates, n_sites, n_features, seed, start, site_effect, day_offs
 
 
 def write_csv(path, dates, sites, features, targets, feature_names):
+    """The panel as csv.writer's excel dialect writes it, a row per (date,
+    site) and every value to 10 decimals. No cell holds a comma, a quote or
+    a line break, so no cell is quoted and one %-template formats a row:
+    np.float64 is a float, so "%.10f" converts as f"{v:.10f}" does."""
+    row = "%s,%s" + ",%.10f" * (len(feature_names) + 1) + "\r\n"
+    labels = [(date.isoformat(), site) for date in dates for site in sites]
+    values = np.concatenate([features, targets[..., None]], axis=2)
+    values = values.reshape(len(labels), -1).tolist()
+    header = ["datetime", "site_no", *(f"usgs_{n.lower()}" for n in feature_names),
+              "median_ph"]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["datetime", "site_no",
-                         *(f"usgs_{n.lower()}" for n in feature_names), "median_ph"])
-        for i, date in enumerate(dates):
-            for j, site in enumerate(sites):
-                writer.writerow([date.isoformat(), site,
-                                 *(f"{v:.10f}" for v in features[i, j]),
-                                 f"{targets[i, j]:.10f}"])
+        fh.write(",".join(header) + "\r\n")
+        fh.write("".join([row % (*label, *value) for label, value in zip(labels, values)]))
+
+
+def at_least_one(text):
+    """argparse type of the size flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {text!r}")
+    return value
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="demo", help="output directory")
-    parser.add_argument("--train-dates", type=int, default=60)
-    parser.add_argument("--test-dates", type=int, default=30)
-    parser.add_argument("--sites", type=int, default=6)
-    parser.add_argument("--features", type=int, default=11)
+    parser.add_argument("--train-dates", type=at_least_one, default=60)
+    parser.add_argument("--test-dates", type=at_least_one, default=30)
+    parser.add_argument("--sites", type=at_least_one, default=6)
+    parser.add_argument("--features", type=at_least_one, default=11)
     parser.add_argument("--seed", type=int, default=20160128)
     args = parser.parse_args()
 
