@@ -25,25 +25,31 @@ import argparse
 import json
 import os
 import resource
+import runpy
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+GENERATOR = Path(__file__).with_name("make_synthetic_panel.py")
+
 
 def main():
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")  # read when numpy loads, below
+    at_least_one = runpy.run_path(str(GENERATOR))["at_least_one"]  # its size flags' type
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--family", required=True)
     parser.add_argument("--seed", type=int, default=20160128,
                         help="generator seed (its default)")
-    parser.add_argument("--train-dates", type=int, help="generator train dates (its default)")
-    parser.add_argument("--sites", type=int, help="generator sites (its default)")
+    parser.add_argument("--train-dates", type=at_least_one,
+                        help="generator train dates (its default)")
+    parser.add_argument("--sites", type=at_least_one, help="generator sites (its default)")
     args = parser.parse_args()
     size = [arg for flag, value in (("--train-dates", args.train_dates), ("--sites", args.sites))
             if value is not None for arg in (flag, str(value))]
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, "1")  # read when numpy loads, below
 
     from wqpanel import elastic_net as en
     from wqpanel import trees as tr
@@ -54,7 +60,7 @@ def main():
 
     _, configs, seed_keys = tuner.grid_plan(args.family, get_family(args.family).default_grid)
     with tempfile.TemporaryDirectory() as tmp:
-        subprocess.run([sys.executable, str(Path(__file__).with_name("make_synthetic_panel.py")),
+        subprocess.run([sys.executable, str(GENERATOR),
                         "--out", tmp, "--seed", str(args.seed), *size],
                        check=True, stdout=subprocess.DEVNULL)
         cfg = load_run_config(Path(tmp) / "config.json")

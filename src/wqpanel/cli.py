@@ -14,32 +14,36 @@ import argparse
 import csv
 import dataclasses
 import functools
-import hashlib
+import importlib
 import json
 import re
 import sys
-import zipfile
 from collections import Counter
 from pathlib import Path
 
-import numpy as np
-
 from .families import get_family
-from .features import Strategy
 from .fieldtypes import to_json
-from .metrics import MetricReport, evaluate, fit_benchmark
-from .panel import (VALUE_BOUND, PanelDataset, PanelFormatError, PanelSchema,
-                    load_panel, load_sites, stack_panel, summarize,
-                    correlation_matrix, validate_panel)
-from .reporting import (build_results_table, persist_results_table,
-                        persist_tuning_artifacts, read_timings, render_correlation_csv,
-                        render_results_markdown, render_summary_csv,
-                        render_summary_json, render_timing_markdown,
-                        ResultsTable)
-from .run_config import SHAP_KINDS, ConfigError, RunConfig, check_families, load_run_config
+from .reporting import (MetricReport, ResultsTable, build_results_table,
+                        persist_results_table, persist_tuning_artifacts, read_timings,
+                        render_correlation_csv, render_results_markdown,
+                        render_summary_csv, render_summary_json, render_timing_markdown)
+from .run_config import (SHAP_KINDS, ConfigError, RunConfig, Strategy, check_families,
+                         load_run_config)
 from .serialize import load_model, naming_file
-from .tuner import (TAG_SHAP_BACKGROUND, design_from_state, grid_search,
-                    prepare_designs, subseed)
+
+# Names from panel and tuner, bound on first read as attributes (PEP 562): report loads no
+# numpy. Stages call them as _this.<name>, so a name set on this module is the one called.
+_LAZY = {"load_panel": "panel", "validate_panel": "panel", "summarize": "panel",
+         "correlation_matrix": "panel", "stack_panel": "panel", "grid_search": "tuner"}
+_this = sys.modules[__name__]
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = getattr(importlib.import_module(f".{_LAZY[name]}", __package__), name)
+    return globals()[name]
+
 
 TAG_SHAP_ROWS = 4
 
@@ -121,6 +125,7 @@ def _input_digests(cfg: RunConfig) -> dict[str, str]:
 
 
 def _sha256(path: Path) -> str:
+    import hashlib
     digest = hashlib.sha256()
     with open(path, "rb") as fh:  # by blocks: reading a large CSV whole raises peak RSS
         for block in iter(lambda: fh.read(1 << 20), b""):
@@ -130,6 +135,8 @@ def _sha256(path: Path) -> str:
 
 def _write_cache(path: Path, train: PanelDataset, test: PanelDataset,
                  digests: dict[str, str]) -> None:
+    import numpy as np
+
     def pack(prefix: str, ds: PanelDataset) -> dict:
         return {
             f"{prefix}_dates": np.array([d.isoformat() for d in ds.dates]),
@@ -151,6 +158,7 @@ _CACHED = {"names": ("U", 1), "dates": ("U", 1), "sites": ("U", 1),
 
 
 def _cached(data, key: str) -> np.ndarray:
+    import numpy as np
     char, ndim = _CACHED[key.rsplit("_", 1)[1]]
     array = data[key]  # each read of an npz member unzips it again
     if array.dtype.char != char or array.ndim != ndim or (
@@ -166,6 +174,11 @@ def _read_cache(path: Path, cfg: RunConfig,
     the cache and why it is not used: an input changed since ingest (the
     first one is named), or the file is unreadable or corrupt (_cached)."""
     import datetime as dt
+    import zipfile
+
+    import numpy as np
+
+    from .panel import PanelDataset
 
     digests = _input_digests(cfg)  # a missing input is an error, cache or not
     try:
@@ -194,10 +207,11 @@ def _read_cache(path: Path, cfg: RunConfig,
 def _read_panels(cfg: RunConfig,
                  splits: tuple[str, ...] = _SPLITS) -> tuple[PanelDataset, ...]:
     """Parse the CSVs of ``splits``."""
+    from .panel import PanelSchema
     cfg.require_data_paths()
     schema = PanelSchema.from_json(cfg.data.schema)
     paths = {"train": cfg.data.train_csv, "test": cfg.data.test_csv}
-    return tuple(load_panel(paths[split], schema) for split in splits)
+    return tuple(_this.load_panel(paths[split], schema) for split in splits)
 
 
 def _load_panels(cfg: RunConfig,
@@ -212,6 +226,7 @@ def _load_panels(cfg: RunConfig,
 # ---------------------------------------------------------------- commands
 
 def _cmd_ingest(args) -> int:
+    from .panel import VALUE_BOUND, load_sites
     cfg = _config_from_args(args)
     train, test = _read_panels(cfg)
     if cfg.data.sites_csv:
@@ -220,7 +235,7 @@ def _cmd_ingest(args) -> int:
 
     reports = {}
     for split, ds in panels.items():
-        rep = validate_panel(ds)
+        rep = _this.validate_panel(ds)
         reports[split] = rep
         print(f"{split}: {ds.n_dates} dates x {ds.n_sites} sites x "
               f"{ds.n_features} features, {rep.total_non_finite} missing")
@@ -249,9 +264,9 @@ def _cmd_ingest(args) -> int:
 def _cmd_stats(args) -> int:
     cfg = _config_from_args(args)
     [train] = _load_panels(cfg, ("train",))
-    stacked = stack_panel(train)
-    stats = summarize(stacked)
-    corr = correlation_matrix(stacked)
+    stacked = _this.stack_panel(train)
+    stats = _this.summarize(stacked)
+    corr = _this.correlation_matrix(stacked)
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     (cfg.output_dir / "summary_stats.csv").write_text(render_summary_csv(stats),
@@ -279,6 +294,7 @@ def _families_from_args(cfg: RunConfig, args) -> tuple[str, ...]:
 
 
 def _cmd_tune(args) -> int:
+    from .tuner import prepare_designs
     cfg = _config_from_args(args)
     families = _families_from_args(cfg, args)
     [train] = _load_panels(cfg, ("train",))
@@ -290,7 +306,7 @@ def _cmd_tune(args) -> int:
         # no grids entry: the registry default; an empty entry: one config
         # of learner defaults
         grid = cfg.grids.get(family, get_family(family).default_grid)
-        result = grid_search(family, grid, train_design.X, train_design.y, cfg.cv,
+        result = _this.grid_search(family, grid, train_design.X, train_design.y, cfg.cv,
                              seed=cfg.seed, n_jobs=cfg.n_jobs)
         tuning[family] = result
         raw = get_family(family).importance(result.best_model, train_design.n_cols)
@@ -309,6 +325,8 @@ def _cmd_tune(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    from .metrics import evaluate, fit_benchmark
+    from .tuner import design_from_state
     cfg = _config_from_args(args)
     train, test = _load_panels(cfg)
 
@@ -329,7 +347,7 @@ def _cmd_evaluate(args) -> int:
     y_train = train.targets.ravel()  # the stacked order: date-major
     y_test = test.targets.ravel()
     reports: dict[str, MetricReport] = {
-        "benchmark": evaluate(y_test, np.full(len(y_test), fit_benchmark(y_train)))}
+        "benchmark": evaluate(y_test, [fit_benchmark(y_train)] * len(y_test))}
     for bundle in bundles:
         design = design_from_state(bundle.pipeline, test)
         pred = bundle.family.predict(bundle.model, design.X)
@@ -356,6 +374,7 @@ def _parse_rows(selection: str | None, cfg: RunConfig, n: int) -> list[int]:
     elif isinstance(cfg.shap.rows, list):
         rows = list(cfg.shap.rows)
     elif isinstance(cfg.shap.rows, dict):
+        import numpy as np
         rng = np.random.default_rng(
             np.random.SeedSequence([cfg.seed, TAG_SHAP_ROWS]))
         rows = sorted(rng.choice(n, size=min(cfg.shap.rows["sample"], n),
@@ -375,6 +394,7 @@ def _cmd_explain(args) -> int:
     from .shap_exact import (MarginalValueFunction, RetrainValueFunction,
                              mean_abs_shap, players_from_design, sample_background,
                              shap_for_dataset, write_mean_abs_csv, write_values_csv)
+    from .tuner import TAG_SHAP_BACKGROUND, design_from_state, subseed
 
     cfg = _config_from_args(args)
     bundle = load_model(args.model)
@@ -490,7 +510,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (PanelFormatError, FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (FileNotFoundError, ValueError, RuntimeError) as exc:  # PanelFormatError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

@@ -48,8 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Iterator, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .fieldtypes import build
 
 
@@ -132,6 +130,7 @@ def _check_arena(tree: tr.RegressionTree, n_columns: int, where: str) -> None:
     children -1, and split features index the design's n_columns columns.
     The ValueError names the field and the first offending node.
     """
+    import numpy as np
     n = tree.n_nodes
     if n == 0:
         raise ValueError(f"{where} has no nodes")
@@ -315,7 +314,7 @@ def _elastic_net_hooks() -> dict:
         fit=lambda X, y, cfg: en.fit_elastic_net(X, y, cfg),
         predict=en.predict_linear,
         restore=_linear_restore,
-        importance=lambda m, p: np.abs(m.coefficients),
+        importance=lambda m, p: abs(m.coefficients),
         shap_hook="linear_shap",
         default_grid={
             "lam": list(en.DEFAULT_LAMBDA_GRID),

@@ -18,7 +18,6 @@ i*K + j taking date i's and site j's codes.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 from typing import Annotated
 
@@ -26,6 +25,7 @@ import numpy as np
 
 from .fieldtypes import Numbers, check_field_types
 from .panel import StackedTable
+from .run_config import Categoricals, Strategy, check_strategy
 
 MONTH_VOCAB = tuple(range(1, 13))
 WEEKDAY_VOCAB = tuple(range(7))  # Monday = 0
@@ -80,35 +80,6 @@ def apply_standardizer(params: StandardizationParams, data: np.ndarray) -> np.nd
     z /= safe  # in place: a second temporary of z's size costs more than the division
     z[:, params.sd == 0.0] = 0.0
     return z
-
-
-class Strategy(enum.IntEnum):
-    RAW_NUMERIC = 1
-    STANDARDIZED_NUMERIC = 2
-    STANDARDIZED_PLUS_CATEGORICAL = 3
-
-
-@dataclass(frozen=True)
-class Categoricals:
-    """The groups strategy 3 adds, by their run-config and bundle keys. The
-    year and day ordinals are off by default: the test period's year is
-    unseen in training, so they invite extrapolation artifacts."""
-
-    site: bool = True
-    month: bool = True
-    weekday: bool = True
-    season: bool = True
-    year_ordinal: bool = False
-    day_ordinal: bool = False
-
-    def __post_init__(self):
-        check_field_types(self)
-
-
-def check_strategy(strategy: Strategy, categoricals: Categoricals) -> None:
-    """Strategy 3 needs the site group: it is the design's spatial block."""
-    if strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL and not categoricals.site:
-        raise ValueError("strategy 3 requires the site one-hot group")
 
 
 def one_hot_columns(strategy: Strategy, categoricals: Categoricals,

@@ -25,13 +25,12 @@ from functools import cache, partial
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
-import numpy as np
-
 
 def learner_input(X, y) -> tuple[np.ndarray, np.ndarray]:
     """(X, y) as float arrays, as every learner fits them: X 2-D with at
     least one row, y of shape (len(X),), every value finite. Anything else
     is a ValueError naming the fault."""
+    import numpy as np
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) == 0:
@@ -64,6 +63,7 @@ class Numbers:
     finite: bool = True
 
     def read(self, value, path: str) -> np.ndarray:
+        import numpy as np
         kind = f"a {self.ndim}-d array of numbers"
         try:
             cells = np.asarray(value, dtype=object)
@@ -128,6 +128,7 @@ def _rule(hint, optional: bool = False) -> Rule | None:
             return tuple(v) if args and isinstance(v, list) and test(tuple(v)) else v
         return Rule(test, kind, read, optional)
     if typing.get_origin(hint) is typing.Annotated:
+        import numpy as np
         spec = hint.__metadata__[0]
         return Rule(lambda v: isinstance(v, np.ndarray) and v.ndim == spec.ndim,
                     f"a {spec.ndim}-d array of numbers", spec.read, optional)
@@ -202,7 +203,7 @@ def to_json(obj):
     its fields, an array or a tuple as a list, an Enum as its value."""
     if dataclasses.is_dataclass(obj):
         return {f.name: to_json(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, getattr(sys.modules.get("numpy"), "ndarray", ())):  # (): no numpy yet
         return obj.tolist()
     if isinstance(obj, tuple):
         return [to_json(v) for v in obj]

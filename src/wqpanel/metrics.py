@@ -6,13 +6,11 @@ x1000 display scaling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-EPS_DIV = 1e-12
+from .reporting import METRIC_NAMES, MetricReport
 
-METRIC_NAMES = ("rmse", "mape", "wmape", "wupred", "wopred")
+EPS_DIV = 1e-12
 
 
 class MetricGuardError(ValueError):
@@ -22,21 +20,6 @@ class MetricGuardError(ValueError):
         self.metric = metric
         self.index = index
         super().__init__(message)
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """The five error metrics for one (model, dataset) pair."""
-
-    rmse: float
-    mape: float
-    wmape: float
-    wupred: float
-    wopred: float
-    n: int
-
-    def as_dict(self) -> dict[str, float]:
-        return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
 def _as_vector(v, name: str) -> np.ndarray:

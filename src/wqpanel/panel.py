@@ -12,7 +12,6 @@ import csv
 import datetime as dt
 import io
 import json
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -245,48 +244,73 @@ def load_panel(path: str | Path, schema: PanelSchema) -> PanelDataset:
 # into the cells it reads at every comma, and numpy reads each number there
 # as float() does (float() also takes underscores, which numpy refuses).
 _PLAIN = bytes([9, 10, 13, *range(0x20, 0x7f)]).replace(b'"', b"")
+_LABEL_MAX = 64  # the longest date or site label the column reader takes
 
 
 def _read_columns(body: str, layout: _Layout):
     """(dates, sites, features, targets) parsed a column at a time, or None
     when the body is not plain comma-separated ASCII, a row is ragged, a
-    cell is not a number or a date, or the (date, site) pairs are not each
-    present exactly once."""
+    label is longer than _LABEL_MAX, a cell is not a number or a date, or
+    the (date, site) pairs are not each present exactly once. A byte scan
+    finds the lines, their fields and labels; np.loadtxt reads the numbers."""
     if not body.isascii() or body.encode("ascii").translate(None, _PLAIN):
         return None
-    lines = [line for line in body.splitlines() if line]  # csv skips blank lines
-    if not lines or set(map(operator.methodcaller("count", ","), lines)) != {layout.width - 1}:
+    # the body's bytes, and room past them for the last label's window
+    text = np.frombuffer((body + "\0" * _LABEL_MAX).encode("ascii"), dtype=np.uint8)
+    # the lines are the non-empty runs between line breaks: csv skips blank lines
+    breaks = np.flatnonzero((text == ord("\n")) | (text == ord("\r")))
+    start, stop = np.append(0, breaks + 1), np.append(breaks, len(body))
+    start, stop = start[start < stop], stop[start < stop]
+    commas = np.flatnonzero(text == ord(","))
+    if not len(start) or (np.searchsorted(commas, stop) - np.searchsorted(commas, start)
+                          != layout.width - 1).any():
         return None
+    edges = np.column_stack([start - 1, commas.reshape(len(start), -1), stop])
+    try:
+        raw_dates, _, date_row = _labels(text, edges, layout.date)
+        raw_sites, site_first, site_row = _labels(text, edges, layout.site)
+        date_of = [dt.date.fromisoformat(raw.strip()) for raw in raw_dates]
+    except ValueError:
+        return None
+    site_of = [raw.strip() for raw in raw_sites]
+    dates = tuple(sorted(set(date_of)))
+    sites = tuple(dict.fromkeys(site_of[i] for i in np.argsort(site_first).tolist()))
+    n, k, p = len(dates), len(sites), len(layout.values) - 1
+    date_index = {date: i for i, date in enumerate(dates)}
+    site_index = {site: j for j, site in enumerate(sites)}
+    cell = (np.array([date_index[date] for date in date_of], np.intp)[date_row] * k
+            + np.array([site_index[site] for site in site_of], np.intp)[site_row])
+    if len(start) != n * k or np.bincount(cell, minlength=n * k).min() != 1:
+        return None
+    del text, commas, edges  # scanned: free the bytes before the lines
+    lines = [line for line in body.splitlines() if line]  # the runs found above
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, usecols=layout.values,
                             ndmin=2)
     except ValueError:
-        return None
-    last = max(layout.date, layout.site)
-    labels = map(operator.itemgetter(layout.date, layout.site),
-                 map(operator.methodcaller("split", ",", last + 1), lines))
-    raw_dates, raw_sites = zip(*labels)
-    try:
-        date_of = {raw: dt.date.fromisoformat(raw.strip()) for raw in dict.fromkeys(raw_dates)}
-    except ValueError:
-        return None
-    dates = tuple(sorted(set(date_of.values())))
-    site_of = {raw: raw.strip() for raw in dict.fromkeys(raw_sites)}
-    sites = tuple(dict.fromkeys(site_of.values()))  # first-appearance order
-    n, k, p = len(dates), len(sites), len(layout.values) - 1
-    date_index = {date: i for i, date in enumerate(dates)}
-    site_index = {site: j for j, site in enumerate(sites)}
-    date_code = {raw: date_index[date] for raw, date in date_of.items()}
-    site_code = {raw: site_index[site] for raw, site in site_of.items()}
-    cell = (np.fromiter(map(date_code.__getitem__, raw_dates), np.intp, len(lines)) * k
-            + np.fromiter(map(site_code.__getitem__, raw_sites), np.intp, len(lines)))
-    if len(lines) != n * k or np.bincount(cell, minlength=n * k).min() != 1:
         return None
     features = np.empty((n, k, p), dtype=float)
     targets = np.empty((n, k), dtype=float)
     features.reshape(n * k, p)[cell] = values[:, :p]
     targets.reshape(n * k)[cell] = values[:, p]
     return dates, sites, features, targets
+
+
+def _labels(text: np.ndarray, edges: np.ndarray, field: int):
+    """Column ``field``'s distinct labels (each line's bytes between its edges
+    ``field`` and ``field + 1``), sorted, each one's first line and each line's
+    label's position among them; NUL-padded (no label holds NUL) to the
+    longest, so one longer than _LABEL_MAX is a ValueError."""
+    start, stop = edges[:, field] + 1, edges[:, field + 1]
+    lengths = stop - start
+    longest = max(int(lengths.max()), 1)
+    if longest > _LABEL_MAX:
+        raise ValueError(f"a label is longer than {_LABEL_MAX} characters")
+    padded = np.lib.stride_tricks.sliding_window_view(text, longest)[start]
+    padded[np.arange(longest) >= lengths[:, None]] = 0
+    labels, first, position = np.unique(padded.view(f"S{longest}")[:, 0],
+                                        return_index=True, return_inverse=True)
+    return [label.decode("ascii") for label in labels.tolist()], first, position
 
 
 def _read_rows(path: Path, body: str, layout: _Layout, first_line: int):

@@ -3,7 +3,7 @@
 Stored metric values stay in original units; every renderer here applies
 the x1000 scaling with 2-decimal display. Best-per-column flags cover the
 rows actually produced by this run (the published external RMSE is echoed
-for comparison but never flagged).
+for comparison but never flagged). This module, and so each row type, loads without numpy.
 """
 
 from __future__ import annotations
@@ -17,10 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .families import FAMILY_NAMES
-from .fieldtypes import build, to_json
-from .metrics import METRIC_NAMES, MetricReport
-from .panel import CorrelationMatrix, SummaryStats
-from .tuner import TimingRow
+from .fieldtypes import build, check_field_types, to_json
 
 # published RMSE of the spatio-temporal reference model, echoed as a
 # comparison constant in every results table (original units)
@@ -30,10 +27,43 @@ EXTERNAL_REFERENCE_RMSE = 11.50 / 1000.0
 BENCHMARK_ROW_LABEL = "Benchmarking"
 
 DISPLAY_SCALE = 1000.0
+METRIC_NAMES = ("rmse", "mape", "wmape", "wupred", "wopred")
 
 
 def display(value: float | None) -> str:
     return "N/A" if value is None else f"{value * DISPLAY_SCALE:.2f}"
+
+
+@dataclass(frozen=True)
+class TimingRow:
+    """One family's row of a timing_strategy<N>.json; times in seconds."""
+
+    family: str
+    total_fits: int
+    tuning_time: float
+    average_tuning: float
+    best_fit_time: float
+
+    def __post_init__(self):
+        check_field_types(self)  # a string time fails here, not in the comparison
+        for name in ("tuning_time", "average_tuning", "best_fit_time"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
+
+@dataclass(frozen=True)
+class MetricReport:
+    """The five error metrics for one (model, dataset) pair."""
+
+    rmse: float
+    mape: float
+    wmape: float
+    wupred: float
+    wopred: float
+    n: int
+
+    def as_dict(self) -> dict[str, float]:
+        return {name: getattr(self, name) for name in METRIC_NAMES}
 
 
 @dataclass(frozen=True)
@@ -152,14 +182,14 @@ def render_summary_csv(stats: SummaryStats) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["statistic", *stats.columns])
-    for stat in SummaryStats.STAT_ROWS:
+    for stat in stats.STAT_ROWS:
         writer.writerow([stat, *(f"{v:.2f}" for v in stats.row(stat))])
     return out.getvalue()
 
 
 def render_summary_json(stats: SummaryStats) -> str:
     payload = {stat: {col: float(v) for col, v in zip(stats.columns, stats.row(stat))}
-               for stat in SummaryStats.STAT_ROWS}
+               for stat in stats.STAT_ROWS}
     return json.dumps(payload, indent=1, sort_keys=True) + "\n"
 
 

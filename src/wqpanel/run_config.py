@@ -6,20 +6,19 @@ key left out. The seed is mandatory (there is no wall-clock default:
 every run must be reproducible). Relative paths are resolved against the
 config file's directory. The output directory alone can be overridden by
 the WQPANEL_OUTPUT_DIR environment variable; everything else changes via
-flags or the file itself.
+flags or the file itself. This module, and so each section type, loads without numpy.
 """
 
 from __future__ import annotations
 
+import enum
 import json
 import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .families import FAMILY_NAMES
-from .features import Categoricals, Strategy, check_strategy
 from .fieldtypes import build, check_field_types, is_integer
-from .tuner import CVConfig
 
 OUTPUT_DIR_ENV = "WQPANEL_OUTPUT_DIR"
 
@@ -28,6 +27,53 @@ SHAP_KINDS = ("marginalize", "retrain")
 
 class ConfigError(ValueError):
     pass
+
+
+class Strategy(enum.IntEnum):
+    RAW_NUMERIC = 1
+    STANDARDIZED_NUMERIC = 2
+    STANDARDIZED_PLUS_CATEGORICAL = 3
+
+
+@dataclass(frozen=True)
+class Categoricals:
+    """The groups strategy 3 adds, by their run-config and bundle keys. The
+    year and day ordinals are off by default: the test period's year is
+    unseen in training, so they invite extrapolation artifacts."""
+
+    site: bool = True
+    month: bool = True
+    weekday: bool = True
+    season: bool = True
+    year_ordinal: bool = False
+    day_ordinal: bool = False
+
+    def __post_init__(self):
+        check_field_types(self)
+
+
+def check_strategy(strategy: Strategy, categoricals: Categoricals) -> None:
+    """Strategy 3 needs the site group: it is the design's spatial block."""
+    if strategy == Strategy.STANDARDIZED_PLUS_CATEGORICAL and not categoricals.site:
+        raise ValueError("strategy 3 requires the site one-hot group")
+
+
+class FoldScheme(enum.Enum):
+    SHUFFLED = "shuffled"
+    BLOCKED_BY_TIME = "blocked_by_time"
+
+
+@dataclass(frozen=True)
+class CVConfig:
+    """The run config's cv section: k folds of scheme (tuner.kfold_split)."""
+
+    k: int = 5
+    scheme: FoldScheme = FoldScheme.SHUFFLED
+
+    def __post_init__(self):
+        check_field_types(self)
+        if self.k < 2:
+            raise ValueError(f"k must be >= 2, got {self.k}")
 
 
 @dataclass(frozen=True)

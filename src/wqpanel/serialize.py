@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Any
 
 from .families import ModelFamily, get_family
-from .features import PipelineState
 from .fieldtypes import build, is_integer, to_json
 
 FORMAT_VERSION = 2
@@ -66,6 +65,7 @@ def load_model(path: str | Path) -> ModelBundle:
     malformed field, raises ValueError naming the file, and the field
     wherever the restorer knows it. The config must be one that the
     family's config builder accepts with the bundle's seed."""
+    from .features import PipelineState  # here: report loads this module without numpy
     with naming_file(path):
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)

@@ -18,7 +18,6 @@ elastic net builds every fold's set-up from one pass over the design).
 
 from __future__ import annotations
 
-import enum
 import itertools
 import time
 from dataclasses import dataclass, field
@@ -29,9 +28,10 @@ import numpy as np
 from .families import ModelFamily, get_family
 from .features import (Categoricals, DesignMatrix, PipelineState, Strategy, assemble_design,
                        fit_pipeline)
-from .fieldtypes import check_field_types
 from .metrics import score
 from .panel import PanelDataset, stack_panel
+from .reporting import TimingRow
+from .run_config import CVConfig, FoldScheme
 
 # named sub-seed tags: every component draws randomness from the run seed
 # through one of these, so each is independently reproducible
@@ -43,24 +43,6 @@ TAG_SHAP_BACKGROUND = 3
 def subseed(seed: int, *tags: int) -> int:
     """Derive an independent child seed from the run seed and integer tags."""
     return int(np.random.SeedSequence([seed, *tags]).generate_state(1)[0])
-
-
-class FoldScheme(enum.Enum):
-    SHUFFLED = "shuffled"
-    BLOCKED_BY_TIME = "blocked_by_time"
-
-
-@dataclass(frozen=True)
-class CVConfig:
-    """The run config's cv section: k folds of scheme (kfold_split)."""
-
-    k: int = 5
-    scheme: FoldScheme = FoldScheme.SHUFFLED
-
-    def __post_init__(self):
-        check_field_types(self)
-        if self.k < 2:
-            raise ValueError(f"k must be >= 2, got {self.k}")
 
 
 def grid_configs(axes: Mapping[str, Sequence]) -> list[dict]:
@@ -98,23 +80,6 @@ def grid_plan(family_name: str, axes: Mapping[str, Sequence]
     if not configs:
         raise ValueError("empty hyperparameter grid")
     return family, configs, fit_seed_keys(axes, family.prefix_axis)
-
-
-@dataclass(frozen=True)
-class TimingRow:
-    """One family's row of a timing_strategy<N>.json; times in seconds."""
-
-    family: str
-    total_fits: int
-    tuning_time: float
-    average_tuning: float
-    best_fit_time: float
-
-    def __post_init__(self):
-        check_field_types(self)  # a string time fails here, not in the comparison
-        for name in ("tuning_time", "average_tuning", "best_fit_time"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
 
 
 @dataclass

@@ -40,6 +40,17 @@ def _quiet_main(argv):
     return code, err.getvalue()
 
 
+def _report_without_numpy(cfg) -> tuple[int, str]:
+    """report run in a fresh interpreter in which importing numpy fails:
+    (exit code, stderr text)."""
+    probe = ("import sys\nsys.modules['numpy'] = None\nfrom wqpanel.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))")
+    done = subprocess.run([sys.executable, "-c", probe, "report", "--config", cfg],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    return done.returncode, done.stderr
+
+
 def test_ingest_prints_dimensions_and_caches(panel_files, capsys):
     env = panel_files(n_train=8, n_test=5, n_sites=3, n_features=4)
     code, out = run(["ingest", "--config", str(env["config"])], capsys)
@@ -1293,7 +1304,7 @@ STAGE_UNLOADED = [
     (["evaluate"], ("wqpanel.trees", "wqpanel.mlp") + _SHAP),
     (["explain", "--model", "out/models/model_strategy2_elastic_net.json", "--rows", "0:2"],
      ("wqpanel.trees", "wqpanel.mlp")),
-    (["report"], _LEARNERS + _SHAP),
+    (["report"], _LEARNERS + _SHAP + ("numpy",)),
     (["tune", "--family", "gbdt"], ("wqpanel.elastic_net", "wqpanel.mlp") + _SHAP),
 ]
 
@@ -1301,13 +1312,14 @@ STAGE_UNLOADED = [
 def test_each_stage_loads_only_the_modules_it_runs(panel_files):
     """Each stage, run in a fresh interpreter, loads the learner of each
     family it fits or reads a bundle of, the SHAP module only to explain,
-    and nothing else of them: the registry builds one entry at a time."""
+    and nothing else of them: the registry builds one entry at a time.
+    report, which reads only JSON and CSV, loads no numpy."""
     env = panel_files(n_train=10, n_test=4, n_sites=2, n_features=3,
                       grids={"elastic_net": {"lam": [0.01], "alpha": [1.0]},
                              "gbdt": {"n_trees": [2], "max_depth": [2]}})
     probe = ("import sys\nfrom wqpanel.cli import main\n"
              "code = main(sys.argv[1:])\n"
-             "print(sorted(m for m in sys.modules if m.startswith('wqpanel.')))\n"
+             "print(sorted(m for m in sys.modules if m.startswith('wqpanel.') or m == 'numpy'))\n"
              "sys.exit(code)")
     src = str(Path(cli.__file__).parents[1])
     for argv, unloaded in STAGE_UNLOADED:
@@ -1338,6 +1350,9 @@ def test_report_bundles_everything(panel_files, capsys):
 
     first = (env["out"] / "report.md").read_bytes()
     assert run(["report", "--config", cfg], capsys)[0] == 0
+    assert (env["out"] / "report.md").read_bytes() == first
+    (env["out"] / "report.md").unlink()
+    assert _report_without_numpy(cfg) == (0, "")
     assert (env["out"] / "report.md").read_bytes() == first
 
 
@@ -1396,6 +1411,7 @@ def test_corrupt_report_input_is_runtime_error_naming_it(panel_files, name, dama
     code, err = _quiet_main(["report", "--config", cfg])
     assert code == 4 and "Traceback" not in err
     assert str(path) in err and named in err
+    assert _report_without_numpy(cfg) == (code, err)
 
 
 def test_stray_timing_file_is_runtime_error_naming_it(panel_files):

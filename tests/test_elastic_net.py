@@ -269,6 +269,18 @@ def correlated_instance(seed, constant_column=False):
     return X, y
 
 
+@pytest.mark.parametrize("seed,lam,alpha", [(35, 0.3, 0.5), (3, 0.05, 0.5), (1, 0.3, 1.0)])
+def test_max_iter_stops_the_search_after_that_many_steps(seed, lam, alpha):
+    # a cap one step too loose (steps <= max_iter) passed every other test:
+    # their fits take one step, or compare two fits under the same cap
+    X, y = correlated_instance(seed)
+    cfg = ElasticNetConfig(lam=lam, alpha=alpha)
+    steps = fit_elastic_net(X, y, cfg).sweeps_used
+    assert steps >= 3
+    for k in range(1, steps):
+        assert fit_elastic_net(X, y, replace(cfg, max_iter=k)).sweeps_used == k
+
+
 def test_setup_must_fit_the_config():
     X, y = correlated_instance(35)
     setup = prepare_fit(X, y, standardize=True)

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import wqpanel.panel as panel_module
-from conftest import synthetic_panel, write_panel_csv, write_schema
+from conftest import at_least, synthetic_panel, write_panel_csv, write_schema
 from wqpanel.panel import (VALUE_BOUND, PanelDataset, PanelFormatError, PanelSchema,
                            StackedTable, correlation_matrix, load_panel,
                            load_sites, stack_panel, summarize, validate_panel)
@@ -316,6 +317,41 @@ def test_reader_matches_oracle_on_drawn_cells(tmp_path_factory, cells):
     csv_path = directory / "drawn.csv"
     csv_path.write_bytes((PLAIN_HEADER + _plain_body(cells)).encode())
     assert_matches_oracle(csv_path, schema)
+
+
+@at_least(200)
+@given(st.data())
+def test_reader_matches_oracle_on_drawn_labels(tmp_path_factory, data):
+    """Date and site labels with spaces and tabs around them, of lengths on
+    either side of the column reader's _LABEL_MAX, the site column second
+    or last, the rows in drawn order with a pair left out or repeated, and
+    the last line with or without its line break. A file the oracle reads
+    is read column-wise if its labels all fit, else row by row."""
+    alphabet = "AbC.-0 \t"
+    dates = data.draw(st.lists(st.sampled_from(
+        ["2020-01-01", " 2020-01-02", "2020-01-03\t", "20200104", "2020-1-05"]),
+        min_size=1, max_size=3, unique=True), label="dates")
+    sites = data.draw(st.lists(st.text(alphabet, max_size=6)
+                               | st.text(alphabet, min_size=60, max_size=70),
+                               min_size=1, max_size=3, unique=True), label="sites")
+    pairs = data.draw(st.permutations([(d, s) for d in dates for s in sites]), label="rows")
+    pairs = pairs[data.draw(st.integers(0, 1), label="left out"):] + pairs[
+        :data.draw(st.integers(0, 1), label="repeated")]
+    site_last = data.draw(st.booleans(), label="site last")
+    header = "datetime,raw_X1,raw_X2,median_ph,site_no\n" if site_last else PLAIN_HEADER
+    lines = [f"{d},1.{i},2,0.6,{s}" if site_last else f"{d},{s},1.{i},2,0.6"
+             for i, (d, s) in enumerate(pairs)]
+    ending = data.draw(st.sampled_from(["\n", "\r\n", ""]), label="ending")
+    directory = tmp_path_factory.mktemp("labels")
+    schema = _schema(directory, ("X1", "X2"))
+    csv_path = directory / "labels.csv"
+    csv_path.write_bytes((header + "\n".join(lines) + ending).encode())
+    expected = outcome(oracle_load_panel, csv_path, schema)
+    with mock.patch.object(panel_module, "_read_rows", wraps=panel_module._read_rows) as rows:
+        assert outcome(load_panel, csv_path, schema) == expected
+    if expected[0] != "error":
+        longest = max(len(label) for pair in pairs for label in pair)
+        assert rows.called == (longest > panel_module._LABEL_MAX)
 
 
 @pytest.mark.parametrize("row,fields", [("2020-01-01,B,1,2", 4), ("2020-01-01,B,1,2,3,4", 6),

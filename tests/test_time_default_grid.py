@@ -4,6 +4,7 @@ import dataclasses
 import importlib.util
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -96,3 +97,13 @@ def test_mlp_grid_is_one_task_of_fold_0(monkeypatch, capsys):
     record = _time(monkeypatch, capsys, "mlp", grid)
     assert (record["configs"], record["trees_grown"], record["fits_at_max_iter"]) == (4, 0, 0)
     assert stacks == [[record["rows"]] * 2] * 2
+
+
+@pytest.mark.parametrize("flag", ["--train-dates", "--sites"])
+def test_a_size_below_one_exits_2_naming_the_flag(flag):
+    # the script passed the size on, and died with a CalledProcessError
+    # traceback after the generator refused it
+    done = subprocess.run([sys.executable, str(SCRIPT), "--family", "elastic_net", flag, "0"],
+                          capture_output=True, text=True)
+    assert done.returncode == 2 and "Traceback" not in done.stderr
+    assert f"argument {flag}: must be an integer of at least 1, got '0'" in done.stderr
